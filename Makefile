@@ -6,8 +6,13 @@ export PYTHONPATH := src
 # the CI entrypoint: determinism lint + tier-1 tests
 check: lint test
 
+# the one home of the analysis gate: scripts/check.sh (CI, pre-commit) and
+# `make check` both run this recipe.  SARIF_OUT=<file> keeps the SARIF; the
+# --bench file is a throwaway that keeps the timing path exercised.
 lint:
-	$(PYTHON) -m repro.analysis --flow --races --perf --memory --layers --baseline scripts/flow_baseline.json --baseline scripts/perf_baseline.json --baseline scripts/memory_baseline.json --fail-on warning src
+	$(PYTHON) -m repro.analysis --flow --races --perf --memory --layers \
+		--baseline scripts/analysis_baseline.json --fail-on warning \
+		--bench "$$(mktemp -u).json" --sarif "$${SARIF_OUT:-/dev/null}" src
 	$(PYTHON) -m repro.analysis --rules-md-check README.md
 
 test:

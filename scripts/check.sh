@@ -5,17 +5,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== static analysis (lint + taint dataflow + FSM conformance + races + perf + memory + layering) =="
-python -m repro.analysis --flow --races --perf --memory --layers \
-    --baseline scripts/flow_baseline.json \
-    --baseline scripts/perf_baseline.json \
-    --baseline scripts/memory_baseline.json \
-    --fail-on warning \
-    --bench "$(mktemp -u).json" \
-    --sarif "${SARIF_OUT:-/dev/null}" src
-
-echo "== README rule table drift check =="
-python -m repro.analysis --rules-md-check README.md
+echo "== static analysis (lint + taint dataflow + FSM conformance + races + perf + memory + layering) + README rule table drift check =="
+# the gate command lives in the Makefile; SARIF_OUT passes through the environment
+make --no-print-directory lint
 
 echo "== tier-1 tests =="
 python -m pytest -x -q

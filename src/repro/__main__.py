@@ -548,14 +548,9 @@ def main(argv: list[str] | None = None) -> int:
         return handler(args)
 
     modes = [
-        name
-        for name, active in (
-            ("--sanitize", args.sanitize),
-            ("--races", args.races),
-            ("--explore", args.explore is not None),
-            ("--memory", args.memory),
-        )
-        if active
+        f"--{name}"
+        for name in ("sanitize", "races", "explore", "memory")
+        if getattr(args, name) not in (None, False)
     ]
     if len(modes) > 1:
         parser.error(f"{' and '.join(modes)} are mutually exclusive")
@@ -569,28 +564,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "faults" and modes and (args.shards != 1 or args.manifest):
         parser.error(f"{modes[0]} cannot be combined with --shards/--manifest")
 
-    if args.sanitize:
-        from repro.analysis.sanitizer import run_sanitized
+    if modes:
+        from repro.analysis.modes import run_mode
 
-        report = run_sanitized(invoke)
-        print(report.summary())
-        return 0 if report.matched else 1
-    if args.races:
-        from repro.analysis.races import run_monitored
-
-        report = run_monitored(invoke)
-        print(report.summary())
-        return 0 if report.ok else 1
-    if args.explore is not None:
-        from repro.analysis.races import explore
-
-        report = explore(invoke, permutations=args.explore, seed=args.seed)
-        print(report.summary())
-        return 0 if report.invariant else 1
-    if args.memory:
-        from repro.analysis.memory import run_bounds_monitored
-
-        report = run_bounds_monitored(invoke)
+        report = run_mode(modes[0].removeprefix("--"), invoke, args)
         print(report.summary())
         return 0 if report.ok else 1
     return invoke()

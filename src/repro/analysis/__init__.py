@@ -1,33 +1,42 @@
-"""Static analysis + runtime sanitizer guarding the repo's determinism.
+"""Static analysis + runtime witnesses guarding the reproduction's invariants.
 
-Every reproduced result depends on the claim that a ``Simulator`` run is
-bit-for-bit reproducible from its seed.  This package enforces it:
+Every reproduced result depends on claims the code must keep true: a
+``Simulator`` run is bit-for-bit reproducible from its seed, no forged
+packet field reaches a guard admission except through a cookie check
+(the paper's §III), soft state is bounded, and the guard's decision logic
+is separable from its transport.  This package checks them, with one
+home per concept:
 
-* :mod:`repro.analysis.rules` — repo-specific AST lint rules (D001 wall
-  clock, D002 global randomness, D003 unordered scheduling, D004 mutable
-  defaults, D005 float time equality, W001 swallowed exceptions), each
-  suppressible inline with ``# repro: allow[RULE]``;
-* :mod:`repro.analysis.engine` — file discovery, parsing, suppression
-  filtering; :func:`lint_paths` / :func:`lint_source`;
-* :mod:`repro.analysis.flow` — dataflow analyses: T-rules (taint over the
-  guard trust boundaries declared via ``__trust_boundary__``), S-rules
-  (TCP FSM conformance against the declared spec), SARIF 2.1.0 export and
-  a checked-in findings baseline;
-* :mod:`repro.analysis.sanitizer` — runtime dual-run trace comparison;
-  :func:`run_sanitized` plus ``python -m repro <cmd> --sanitize``;
-* :mod:`repro.analysis.cli` — ``python -m repro.analysis [--flow]
-  [--sarif OUT] [paths...]``, nonzero exit on findings for CI.
+* :mod:`.registry` — the one rule table: every rule id (39 plus E999),
+  its family label, summary, rationale and severity.  ``--rules``,
+  ``--list-rules``, ``--rules-md``, ``--fail-on``, U001's known ids and
+  the SARIF descriptors all read it;
+* :mod:`.kernel` — the family table (:data:`~.kernel.FAMILIES`), the
+  shared-facts pass (:class:`~.kernel.Facts`: one parse, one name index,
+  one hot set, one set of call summaries per run) and the one runner
+  (:func:`~.kernel.run` / :func:`analyze`) that selects rules, filters
+  ``# repro: allow[RULE]`` suppressions and sorts;
+* the six families, each a ``check(facts, selected)`` function plus its
+  own analysis modules: the determinism lint (:mod:`.engine`,
+  :mod:`.rules`: D/W rules), :mod:`.flow` (T-rules: taint over
+  ``__trust_boundary__``; S-rules: TCP FSM conformance), :mod:`.races`
+  (R-rules over ``__shared_state__``), :mod:`.perf` (P-rules over the hot
+  set), :mod:`.memory` (M-rules over ``__state_bounds__``) and
+  :mod:`.layers` (L-rules over ``__layer__``);
+* :mod:`.sarif` / :mod:`.baseline` — family-neutral SARIF 2.1.0 export
+  and the checked-in accepted-findings baseline;
+* :mod:`.sanitizer` and :mod:`.modes` — the runtime witnesses behind
+  ``python -m repro <cmd> --sanitize | --races | --explore N | --memory``;
+* :mod:`.cli` — ``python -m repro.analysis [--flow] [--races] [--perf]
+  [--memory] [--layers] [--sarif OUT] [paths...]``, nonzero exit on
+  findings for CI.
 """
 
-from .engine import (
-    SuppressionTracker,
-    lint_file,
-    lint_paths,
-    lint_source,
-    suppressed_rules,
-)
+from .engine import SuppressionTracker, suppressed_rules
 from .findings import Finding
-from .rules import RULES, LintRule, register
+from .kernel import FAMILIES, Facts, analyze, lint_source, run
+from .registry import RULES, Rule
+from .rules import LintRule, register
 from .sanitizer import (
     Divergence,
     SanitizeReport,
@@ -38,17 +47,20 @@ from .sanitizer import (
 
 __all__ = [
     "Divergence",
+    "FAMILIES",
+    "Facts",
     "Finding",
     "LintRule",
     "RULES",
+    "Rule",
     "SanitizeReport",
     "SuppressionTracker",
     "TraceCollector",
+    "analyze",
     "capture_traces",
-    "lint_file",
-    "lint_paths",
     "lint_source",
     "register",
+    "run",
     "run_sanitized",
     "suppressed_rules",
 ]

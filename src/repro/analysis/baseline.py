@@ -8,7 +8,9 @@ so unrelated edits do not churn the file.  Applying a baseline:
 * reports every baseline entry that matched nothing as a **U001** finding
   (stale accepted debt must be deleted, for the same reason unused inline
   suppressions must be) — the baseline can only shrink, never silently
-  rot.
+  rot.  One file serves every family, so — like an inline marker — an
+  entry is only judged when its rule ran: ``--flow`` alone cannot call a
+  P006 entry stale.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from ..findings import Finding
+from .findings import Finding
 
 _KEY_FIELDS = ("path", "rule", "message")
 
@@ -46,9 +48,18 @@ def load_baseline(path: str | Path) -> list[dict]:
 
 
 def apply_baseline(
-    findings: Iterable[Finding], entries: list[dict], *, baseline_path: str
+    findings: Iterable[Finding],
+    entries: list[dict],
+    *,
+    baseline_path: str,
+    rules_run: Iterable[str] | None = None,
 ) -> list[Finding]:
-    """Findings minus accepted entries, plus U001 for stale entries."""
+    """Findings minus accepted entries, plus U001 for stale entries.
+
+    ``rules_run`` limits staleness to entries whose rule ran this
+    invocation (``None``: every entry is judged).
+    """
+    ran = None if rules_run is None else frozenset(rules_run)
     entries_by_key: dict[tuple[str, str, str], dict] = {
         _key(entry): entry for entry in entries
     }
@@ -61,7 +72,7 @@ def apply_baseline(
         else:
             kept.append(finding)
     for key, entry in entries_by_key.items():
-        if key in matched:
+        if key in matched or (ran is not None and key[1] not in ran):
             continue
         kept.append(
             Finding(

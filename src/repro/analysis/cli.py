@@ -1,20 +1,21 @@
-"""``python -m repro.analysis [--flow] [--races] [--perf] [--memory] [paths...]``.
+"""``python -m repro.analysis [--flow] [--races] [--perf] [--memory] [--layers] [paths...]``.
 
-Runs the determinism lint (and, with ``--flow``, the taint-dataflow and
-FSM-conformance analyses plus suppression hygiene; with ``--races``, the
-static simultaneity rules R001/R002; with ``--perf``, the profile-guided
-hot-path cost rules P001–P006 weighted by ``--perf-profile``, default
-``scripts/BENCH_profile.json``; with ``--memory``, the state-exhaustion
-rules M001–M005 over ``__state_bounds__`` declarations; with
-``--layers``, the transport-purity layering rules L001–L006 over
-``__layer__`` declarations and the import-layering manifest, including
-the L006 import-isolation witness) over the given paths (default:
-``src``).  Each file is parsed exactly once: the CLI loads a shared
-module set and every rule family analyses the same ASTs; ``--bench``
-appends the analyzer wall-clock to a dated trajectory file.  The exit code follows the ``--fail-on``
-severity contract — by default any finding exits nonzero — so it slots
-directly into CI and pre-commit.
-``--baseline`` (repeatable) accepts known-findings files; ``--sarif``
+Runs the determinism lint and every flagged rule family from
+:data:`repro.analysis.kernel.FAMILIES` over the given paths (default:
+``src``): ``--flow`` adds the taint-dataflow and FSM-conformance
+analyses, ``--races`` the static simultaneity rules R001/R002,
+``--perf`` the profile-guided hot-path cost rules P001–P006 weighted by
+``--perf-profile`` (default ``scripts/BENCH_profile.json``), ``--memory``
+the state-exhaustion rules M001–M005 over ``__state_bounds__``
+declarations, and ``--layers`` the transport-purity layering rules
+L001–L006 over ``__layer__`` declarations and the import-layering
+manifest, including the L006 import-isolation witness; any of them also
+turns on suppression hygiene (U001).  Each file is parsed exactly once
+and every family analyses the same shared facts; ``--bench`` appends the
+analyzer wall-clock to a dated trajectory file.  The exit code follows
+the ``--fail-on`` severity contract — by default any finding exits
+nonzero — so it slots directly into CI and pre-commit.
+``--baseline`` subtracts the known-findings file; ``--sarif``
 additionally writes the findings as a SARIF 2.1.0 document for
 code-scanning upload; ``--rules-md`` / ``--rules-md-check`` generate and
 drift-check the README rule table.
@@ -28,69 +29,14 @@ import sys
 import time
 from pathlib import Path
 
-from .engine import SYNTAX_ERROR_RULE, SuppressionTracker, lint_paths
+from .engine import SuppressionTracker
 from .findings import Finding
-from .rules import RULES
+from .kernel import FAMILIES, Facts, run
+from .registry import RULES, rule_table, select, severity_of
 
 #: Markers delimiting the generated rule table in README.md.
 RULES_MD_BEGIN = "<!-- rules:begin (generated: python -m repro.analysis --rules-md) -->"
 RULES_MD_END = "<!-- rules:end -->"
-
-
-def _rule_table() -> str:
-    from .flow.engine import flow_rule_table
-    from .layers.engine import layer_rule_table
-    from .memory.engine import memory_rule_table
-    from .perf.engine import perf_rule_table
-    from .races.engine import race_rule_table
-
-    lines = ["rule   summary", "-----  -------"]
-    for rule_id in sorted(RULES):
-        rule = RULES[rule_id]
-        lines.append(f"{rule_id:<6} {rule.summary}")
-        lines.append(f"       why: {rule.rationale}")
-    return (
-        "\n".join(lines)
-        + "\n\n"
-        + flow_rule_table()
-        + "\n\n"
-        + race_rule_table()
-        + "\n\n"
-        + perf_rule_table()
-        + "\n\n"
-        + memory_rule_table()
-        + "\n\n"
-        + layer_rule_table()
-    )
-
-
-def _rule_rows() -> list[tuple[str, str, str, str]]:
-    """(id, family, summary, rationale) for every registered rule."""
-    from .flow.engine import FLOW_RULES
-    from .layers.engine import LAYER_RULES
-    from .memory.engine import MEMORY_RULES
-    from .perf.engine import PERF_RULES
-    from .races.engine import RACE_RULES
-
-    rows: list[tuple[str, str, str, str]] = []
-    for rule_id in sorted(RULES):
-        rule = RULES[rule_id]
-        family = "hygiene" if rule_id == "U001" else "lint"
-        rows.append((rule_id, family, rule.summary, rule.rationale))
-    rows.append(
-        (
-            SYNTAX_ERROR_RULE,
-            "parse",
-            "file fails to parse",
-            "nothing can be checked in unparsable code",
-        )
-    )
-    for registry in (FLOW_RULES, RACE_RULES, PERF_RULES, MEMORY_RULES, LAYER_RULES):
-        for rule_id in sorted(registry):
-            rule = registry[rule_id]
-            rows.append((rule_id, rule.family, rule.summary, rule.rationale))
-    rows.sort(key=lambda row: row[0])
-    return rows
 
 
 def rules_markdown() -> str:
@@ -100,8 +46,11 @@ def rules_markdown() -> str:
         "| Rule | Family | Summary | Why |",
         "| --- | --- | --- | --- |",
     ]
-    for rule_id, family, summary, rationale in _rule_rows():
-        lines.append(f"| `{rule_id}` | {family} | {summary} | {rationale} |")
+    for rule_id in sorted(RULES):
+        rule = RULES[rule_id]
+        lines.append(
+            f"| `{rule_id}` | {rule.family} | {rule.summary} | {rule.rationale} |"
+        )
     lines.append(RULES_MD_END)
     return "\n".join(lines)
 
@@ -115,66 +64,8 @@ def _replace_rules_block(text: str, block: str) -> str | None:
     return text[:begin] + block + text[end + len(RULES_MD_END):]
 
 
-def _split_rule_ids(
-    raw: str,
-) -> tuple[
-    list[str], list[str], list[str], list[str], list[str], list[str], list[str]
-]:
-    """Partition ``--rules`` into (lint, flow, race, perf, memory, layer,
-    unknown)."""
-    from .flow.engine import FLOW_RULES
-    from .layers.engine import LAYER_RULES
-    from .memory.engine import MEMORY_RULES
-    from .perf.engine import PERF_RULES
-    from .races.engine import RACE_RULES
-
-    lint_ids: list[str] = []
-    flow_ids: list[str] = []
-    race_ids: list[str] = []
-    perf_ids: list[str] = []
-    memory_ids: list[str] = []
-    layer_ids: list[str] = []
-    unknown: list[str] = []
-    for part in raw.split(","):
-        rule_id = part.strip()
-        if not rule_id:
-            continue
-        if rule_id in RULES:
-            lint_ids.append(rule_id)
-        elif rule_id in FLOW_RULES:
-            flow_ids.append(rule_id)
-        elif rule_id in RACE_RULES:
-            race_ids.append(rule_id)
-        elif rule_id in PERF_RULES:
-            perf_ids.append(rule_id)
-        elif rule_id in MEMORY_RULES:
-            memory_ids.append(rule_id)
-        elif rule_id in LAYER_RULES:
-            layer_ids.append(rule_id)
-        else:
-            unknown.append(rule_id)
-    return lint_ids, flow_ids, race_ids, perf_ids, memory_ids, layer_ids, unknown
-
-
 #: Severity ordering for the ``--fail-on`` exit-code contract.
 _SEVERITY_RANK = {"note": 0, "warning": 1, "error": 2}
-
-
-def _severity_of(rule_id: str) -> str:
-    """The registered severity for ``rule_id`` (unknown ids rank as error)."""
-    from .flow.engine import FLOW_RULES
-    from .layers.engine import LAYER_RULES
-    from .memory.engine import MEMORY_RULES
-    from .perf.engine import PERF_RULES
-    from .races.engine import RACE_RULES
-
-    if rule_id in RULES:
-        return getattr(RULES[rule_id], "severity", "error")
-    for registry in (FLOW_RULES, RACE_RULES, PERF_RULES, MEMORY_RULES, LAYER_RULES):
-        rule = registry.get(rule_id)
-        if rule is not None:
-            return getattr(rule, "severity", "error")
-    return "error"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -204,47 +95,11 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="comma-separated rule ids to run (default: all)",
     )
-    parser.add_argument(
-        "--flow",
-        action="store_true",
-        help=(
-            "also run the dataflow/FSM analyses (T/S rules) and the "
-            "unused-suppression check (U001)"
-        ),
-    )
-    parser.add_argument(
-        "--races",
-        action="store_true",
-        help=(
-            "also run the static simultaneity-race rules (R001/R002) over "
-            "__shared_state__ declarations and schedule sites"
-        ),
-    )
-    parser.add_argument(
-        "--perf",
-        action="store_true",
-        help=(
-            "also run the profile-guided hot-path cost rules (P001-P006) "
-            "over schedule-site callbacks and Node.receive reachability"
-        ),
-    )
-    parser.add_argument(
-        "--memory",
-        action="store_true",
-        help=(
-            "also run the state-exhaustion rules (M001-M005) over "
-            "__state_bounds__ declarations, taint surfaces and the hot set"
-        ),
-    )
-    parser.add_argument(
-        "--layers",
-        action="store_true",
-        help=(
-            "also run the transport-purity layering rules (L001-L006) "
-            "over __layer__ declarations and the import-layering "
-            "manifest, including the L006 import-isolation witness"
-        ),
-    )
+    for family in FAMILIES.values():
+        if family.flag_help:
+            parser.add_argument(
+                f"--{family.name}", action="store_true", help=family.flag_help
+            )
     parser.add_argument(
         "--bench",
         metavar="FILE",
@@ -282,11 +137,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--baseline",
         metavar="FILE",
-        action="append",
         default=None,
         help=(
-            "subtract the accepted-findings baseline; stale entries are "
-            "reported as U001 (repeatable: one file per rule family)"
+            "subtract the accepted-findings baseline "
+            "(scripts/analysis_baseline.json in CI); stale entries are "
+            "reported as U001"
         ),
     )
     parser.add_argument(
@@ -314,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        print(_rule_table())
+        print("\n\n".join(rule_table(family.rules) for family in FAMILIES.values()))
         return 0
     if args.rules_md:
         print(rules_markdown())
@@ -347,132 +202,40 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         return 0
 
-    lint_ids = flow_ids = race_ids = perf_ids = memory_ids = layer_ids = None
-    run_flow = args.flow
-    run_races = args.races
-    run_perf = args.perf
-    run_memory = args.memory
-    run_layers = args.layers
+    rule_ids = None
     if args.rules:
-        (
-            lint_ids,
-            flow_ids,
-            race_ids,
-            perf_ids,
-            memory_ids,
-            layer_ids,
-            unknown,
-        ) = _split_rule_ids(args.rules)
-        if unknown:
-            print(
-                f"error: unknown rule ids: {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 2
-        # asking for a family's rule implies running that engine
-        run_flow = run_flow or bool(flow_ids)
-        run_races = run_races or bool(race_ids)
-        run_perf = run_perf or bool(perf_ids)
-        run_memory = run_memory or bool(memory_ids)
-        run_layers = run_layers or bool(layer_ids)
+        rule_ids = [part.strip() for part in args.rules.split(",") if part.strip()]
+    try:
+        selected = select(rule_ids)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    # a family without a flag (the lint) always runs; the others run when
+    # flagged, or — asking for a family's rule implies running that engine —
+    # when --rules names one of their ids
+    families = [
+        family.name
+        for family in FAMILIES.values()
+        if not family.flag_help
+        or getattr(args, family.name)
+        or (rule_ids is not None and any(r.id in selected for r in family.rules))
+    ]
 
     timings: list[tuple[str, float]] = []
     # analyzer wall-clock (host time) — measures the CLI itself, never a
-    # simulation; calls go through the alias so each phase reads alike
+    # simulation; the call goes through the alias like the kernel's phases
     clock = time.perf_counter
     try:
-        if run_flow or run_races or run_perf or run_memory or run_layers:
-            from .flow.core import load_modules
-            from .flow.engine import FLOW_RULES, analyze_paths
-            from .layers.engine import LAYER_RULES, analyze_layers
-            from .memory.engine import MEMORY_RULES, analyze_memory
-            from .perf.engine import PERF_RULES, analyze_perf
-            from .races.engine import RACE_RULES, analyze_races
-
-            tracker = SuppressionTracker()
-            # one parse shared by the lint and every rule family
-            t0 = clock()
-            modules = load_modules(args.paths)
-            parsed = {module.path: module for module in modules}
-            timings.append(("parse", clock() - t0))
-            t0 = clock()
-            findings = lint_paths(
-                args.paths, rule_ids=lint_ids, tracker=tracker, parsed=parsed
-            )
-            timings.append(("lint", clock() - t0))
-            if run_flow and (flow_ids is None or flow_ids):
-                t0 = clock()
-                findings.extend(
-                    analyze_paths(
-                        args.paths,
-                        rule_ids=flow_ids,
-                        tracker=tracker,
-                        modules=modules,
-                    )
-                )
-                timings.append(("flow", clock() - t0))
-            if run_races and (race_ids is None or race_ids):
-                t0 = clock()
-                findings.extend(
-                    analyze_races(
-                        args.paths,
-                        rule_ids=race_ids,
-                        tracker=tracker,
-                        modules=modules,
-                    )
-                )
-                timings.append(("races", clock() - t0))
-            if run_perf and (perf_ids is None or perf_ids):
-                t0 = clock()
-                findings.extend(
-                    analyze_perf(
-                        args.paths,
-                        rule_ids=perf_ids,
-                        tracker=tracker,
-                        profile=args.perf_profile,
-                        modules=modules,
-                    )
-                )
-                timings.append(("perf", clock() - t0))
-            if run_memory and (memory_ids is None or memory_ids):
-                t0 = clock()
-                findings.extend(
-                    analyze_memory(
-                        args.paths,
-                        rule_ids=memory_ids,
-                        tracker=tracker,
-                        profile=args.perf_profile,
-                        modules=modules,
-                    )
-                )
-                timings.append(("memory", clock() - t0))
-            if run_layers and (layer_ids is None or layer_ids):
-                t0 = clock()
-                findings.extend(
-                    analyze_layers(
-                        args.paths,
-                        rule_ids=layer_ids,
-                        tracker=tracker,
-                        modules=modules,
-                        runtime=True,
-                    )
-                )
-                timings.append(("layers", clock() - t0))
-            known = (
-                set(RULES)
-                | set(FLOW_RULES)
-                | set(RACE_RULES)
-                | set(PERF_RULES)
-                | set(MEMORY_RULES)
-                | set(LAYER_RULES)
-                | {SYNTAX_ERROR_RULE}
-            )
-            findings.extend(tracker.unused_findings(known))
-        else:
-            t0 = clock()
-            findings = lint_paths(args.paths, rule_ids=lint_ids)
-            timings.append(("lint", clock() - t0))
-    except (FileNotFoundError, KeyError, ValueError) as exc:
+        t0 = clock()
+        # one parse shared by the lint and every rule family
+        facts = Facts(args.paths, profile=args.perf_profile, runtime=True)
+        timings.append(("parse", clock() - t0))
+        tracker = SuppressionTracker()
+        findings = run(families, facts, rule_ids, tracker, timings=timings)
+        if len(families) > 1:
+            # suppression hygiene needs more than the lint's view of a marker
+            findings.extend(tracker.unused_findings(RULES))
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -481,19 +244,24 @@ def main(argv: list[str] | None = None) -> int:
 
         write_bench_analysis(args.bench, timings)
 
-    for baseline_path in args.baseline or ():
-        from .flow.baseline import apply_baseline, load_baseline
+    if args.baseline:
+        from .baseline import apply_baseline, load_baseline
 
         try:
-            entries = load_baseline(baseline_path)
+            entries = load_baseline(args.baseline)
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        findings = apply_baseline(findings, entries, baseline_path=baseline_path)
+        findings = apply_baseline(
+            findings,
+            entries,
+            baseline_path=args.baseline,
+            rules_run=tracker.rules_run,
+        )
 
     findings.sort(key=Finding.sort_key)
     if args.sarif:
-        from .flow.sarif import to_sarif
+        from .sarif import to_sarif
 
         document = json.dumps(to_sarif(findings), indent=2)
         if args.sarif == "-":
@@ -521,9 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         # reader (e.g. `| head`) closed the pipe — the verdict still stands
         sys.stderr.close()
     threshold = _SEVERITY_RANK[args.fail_on]
-    failing = [
-        f for f in findings if _SEVERITY_RANK.get(_severity_of(f.rule), 2) >= threshold
-    ]
+    failing = [f for f in findings if _SEVERITY_RANK[severity_of(f.rule)] >= threshold]
     return 1 if failing else 0
 
 

@@ -14,12 +14,20 @@ share the same contract, implemented once here:
   never guesses, and each family's own rules are what report missing or
   malformed declarations with their uniform message from
   :func:`invalid_declaration_message`.
+
+The runtime monitors (R003/R004, M006) are the one exception to "never
+imported": :func:`iter_declared_classes` imports the package to find the
+live classes the same declarations name.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib
+import pkgutil
+from types import ModuleType
+from typing import Callable, Iterator
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -65,6 +73,36 @@ def find_declaration_dict(tree: ast.AST, name: str) -> tuple[dict, int] | None:
     if found is None or not isinstance(found.value, dict):
         return None
     return found.value, found.lineno
+
+
+def iter_declared_classes(
+    package: str, name: str, parse: Callable[[object], dict]
+) -> Iterator[tuple[ModuleType, type, object]]:
+    """The runtime monitors' view of a declaration: import ``package``
+    recursively and yield ``(module, class, parsed entry)`` once for every
+    class a module-level ``name`` declaration describes.
+
+    Modules that fail to import (optional deps, scripts) are skipped and
+    empty entries ignored — the static rules are what enforce that
+    declarations are present and complete.
+    """
+    root = importlib.import_module(package)
+    module_names = [package]
+    for info in pkgutil.walk_packages(root.__path__, prefix=package + "."):
+        # __main__ modules run their CLI at import time — never import them
+        if info.name.rsplit(".", 1)[-1] != "__main__":
+            module_names.append(info.name)
+    seen: set[type] = set()
+    for module_name in module_names:
+        try:
+            module = importlib.import_module(module_name)
+        except Exception:  # pragma: no cover - optional/broken module
+            continue
+        for class_name, entry in sorted(parse(getattr(module, name, None)).items()):
+            cls = getattr(module, class_name, None)
+            if isinstance(cls, type) and cls not in seen and entry:
+                seen.add(cls)
+                yield module, cls, entry
 
 
 def invalid_declaration_message(name: str, detail: str) -> str:

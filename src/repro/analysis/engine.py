@@ -1,8 +1,10 @@
-"""AST lint engine: parse files, run the rule registry, honour suppressions.
+"""AST lint engine: file discovery, inline suppressions, the lint family's check.
 
 Stdlib-only (``ast`` + ``re``); no third-party linter frameworks.  The
-engine is deliberately small: rules do the pattern matching, the engine
-owns file discovery, parsing, inline-suppression filtering and ordering.
+engine is deliberately small: the checks in :mod:`.rules` do the pattern
+matching; this module owns file discovery, the suppression-marker
+bookkeeping every family shares, and the lint family's :func:`check`.
+Runs go through :mod:`repro.analysis.kernel` (``analyze`` / ``lint_source``).
 
 Suppression syntax
 ==================
@@ -13,15 +15,17 @@ line.  The marker suppresses only the listed rule ids, only on that line.
 
 from __future__ import annotations
 
-import ast
 import io
 import re
 import tokenize
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .findings import Finding
-from .rules import RULES, LintRule
+from .rules import LINT_CHECKS
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .kernel import Facts
 
 #: Rule id used for files that fail to parse.
 SYNTAX_ERROR_RULE = "E999"
@@ -48,6 +52,8 @@ def suppressed_rules(source: str) -> dict[int, set[str]]:
     tokenized (E999 files) fall back to a plain line scan.
     """
     allowed: dict[int, set[str]] = {}
+    if "repro:" not in source:
+        return allowed  # no marker can match; skip the tokenizer
     try:
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             if token.type == tokenize.COMMENT:
@@ -64,7 +70,7 @@ UNUSED_SUPPRESSION_RULE = "U001"
 
 
 class SuppressionTracker:
-    """Marker bookkeeping shared across the lint and flow engines.
+    """Marker bookkeeping shared across every rule family.
 
     Engines register each file's markers and report which rules they ran;
     every filtered finding marks its marker *used*.  Afterwards,
@@ -82,14 +88,15 @@ class SuppressionTracker:
     def __init__(self) -> None:
         self._markers: dict[tuple[str, int], set[str]] = {}
         self._used: set[tuple[str, int, str]] = set()
-        self._rules_run: set[str] = set()
+        #: every rule id some family reported running this invocation
+        self.rules_run: set[str] = set()
 
     def register_source(self, path: str, source: str) -> None:
         for lineno, rules in suppressed_rules(source).items():
             self._markers.setdefault((path, lineno), set()).update(rules)
 
     def note_rules(self, rule_ids: Iterable[str]) -> None:
-        self._rules_run.update(rule_ids)
+        self.rules_run.update(rule_ids)
 
     def is_suppressed(self, finding: Finding) -> bool:
         key = (finding.path, finding.line)
@@ -112,7 +119,7 @@ class SuppressionTracker:
                         "— it can never match a finding; fix the id or "
                         "delete the marker"
                     )
-                elif rule not in self._rules_run:
+                elif rule not in self.rules_run:
                     continue
                 elif (path, lineno, rule) not in self._used:
                     message = (
@@ -133,70 +140,14 @@ class SuppressionTracker:
         return findings
 
 
-def _select_rules(rule_ids: Iterable[str] | None) -> list[LintRule]:
-    if rule_ids is None:
-        selected = sorted(RULES)
-    else:
-        unknown = sorted(set(rule_ids) - set(RULES))
-        if unknown:
-            raise KeyError(f"unknown lint rule ids: {', '.join(unknown)}")
-        selected = sorted(set(rule_ids))
-    return [RULES[rule_id]() for rule_id in selected]
-
-
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    *,
-    rule_ids: Iterable[str] | None = None,
-    tracker: SuppressionTracker | None = None,
-    tree: ast.Module | None = None,
-) -> list[Finding]:
-    """Lint one source string; returns findings sorted by location.
-
-    ``tree`` supplies an already-parsed AST for ``source`` so callers
-    holding a shared parse (the analysis CLI) skip the re-parse.
-    """
-    selected = _select_rules(rule_ids)
-    if tracker is not None:
-        tracker.register_source(path, source)
-        tracker.note_rules(rule.id for rule in selected)
-    try:
-        if tree is None:
-            tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path=path,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                rule=SYNTAX_ERROR_RULE,
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-    allowed = suppressed_rules(source)
+def check(facts: "Facts", selected: frozenset[str]) -> list[Finding]:
+    """The lint family's check: every selected lint rule over every module."""
+    rules = [LINT_CHECKS[rule_id]() for rule_id in sorted(selected & set(LINT_CHECKS))]
     findings: list[Finding] = []
-    for rule in selected:
-        for finding in rule.check(tree, path):
-            if tracker is not None:
-                if tracker.is_suppressed(finding):
-                    continue
-            elif finding.rule in allowed.get(finding.line, ()):
-                continue
-            findings.append(finding)
-    return sorted(findings, key=Finding.sort_key)
-
-
-def lint_file(
-    path: str | Path,
-    *,
-    rule_ids: Iterable[str] | None = None,
-    tracker: SuppressionTracker | None = None,
-) -> list[Finding]:
-    """Lint one file on disk."""
-    file_path = Path(path)
-    source = file_path.read_text(encoding="utf-8", errors="replace")
-    return lint_source(source, str(file_path), rule_ids=rule_ids, tracker=tracker)
+    for module in facts.modules:
+        for rule in rules:
+            findings.extend(rule.check(module.tree, module.path))
+    return findings
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -214,37 +165,3 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             if parts & _SKIP_DIRS or any(p.startswith(".") for p in candidate.parts):
                 continue
             yield candidate
-
-
-def lint_paths(
-    paths: Iterable[str | Path],
-    *,
-    rule_ids: Iterable[str] | None = None,
-    tracker: SuppressionTracker | None = None,
-    parsed: "dict[str, object] | None" = None,
-) -> list[Finding]:
-    """Lint every Python file under ``paths``; findings sorted by location.
-
-    ``parsed`` maps path strings to already-parsed modules (any object
-    with ``source`` and ``tree`` attributes, e.g.
-    :class:`~repro.analysis.flow.core.ModuleInfo`) so each file is
-    parsed once across every rule family.  Files absent from the map —
-    notably E999 files ``load_modules`` skips — are read and parsed
-    here as before.
-    """
-    findings: list[Finding] = []
-    for file_path in iter_python_files(paths):
-        entry = parsed.get(str(file_path)) if parsed else None
-        if entry is not None:
-            findings.extend(
-                lint_source(
-                    entry.source,  # type: ignore[attr-defined]
-                    str(file_path),
-                    rule_ids=rule_ids,
-                    tracker=tracker,
-                    tree=entry.tree,  # type: ignore[attr-defined]
-                )
-            )
-        else:
-            findings.extend(lint_file(file_path, rule_ids=rule_ids, tracker=tracker))
-    return sorted(findings, key=Finding.sort_key)

@@ -16,17 +16,24 @@ class Finding:
     rule: str
     message: str
 
+    @classmethod
+    def at(
+        cls, path: str, node: object, rule: str, message: str, *, line: int = 1
+    ) -> "Finding":
+        """A finding located at an AST ``node`` (``line`` when it has none)."""
+        return cls(
+            path=path,
+            line=getattr(node, "lineno", line),
+            col=getattr(node, "col_offset", 0),
+            rule=rule,
+            message=message,
+        )
+
     def format_text(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-        }
+        return dataclasses.asdict(self)
 
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)

@@ -16,31 +16,25 @@ actually rests on:
   unreachable states, missing retransmit/abort escapes, segment handling
   before SYN-cookie validation, and an exhaustive small-model walk proving
   every path to ESTABLISHED crosses the ISN check.
-* :mod:`.sarif` — SARIF 2.1.0 export for CI code scanning.
-* :mod:`.baseline` — checked-in accepted-findings baseline.
+
+The family's entry point is :func:`.engine.check`, driven by
+:mod:`repro.analysis.kernel`.
 
 Everything is stdlib-``ast`` static analysis: no analysed module is ever
 imported or executed.
 """
 
 from .core import FunctionSummary, ModuleInfo, build_summaries, load_modules
-from .engine import FLOW_RULES, FlowRule, analyze_paths, flow_rule_table
 from .fsm import extract_fsm
-from .sarif import to_sarif
 from .trust import DEFAULT_TRUST, TrustModel, trust_for_module
 
 __all__ = [
     "DEFAULT_TRUST",
-    "FLOW_RULES",
-    "FlowRule",
     "FunctionSummary",
     "ModuleInfo",
     "TrustModel",
-    "analyze_paths",
     "build_summaries",
     "extract_fsm",
-    "flow_rule_table",
     "load_modules",
-    "to_sarif",
     "trust_for_module",
 ]

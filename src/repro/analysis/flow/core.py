@@ -111,30 +111,43 @@ class SinkEvent:
     via_summary: bool = False
 
 
-def load_modules(paths: Iterable[str | Path]) -> list[ModuleInfo]:
-    """Parse every Python file under ``paths`` into :class:`ModuleInfo`.
+def parse_module(
+    path: str, source: str, broken: list[tuple[str, str, SyntaxError]] | None = None
+) -> ModuleInfo | None:
+    """Parse one source into a :class:`ModuleInfo`.
 
-    Files that fail to parse are skipped here — the AST lint already
-    reports them as E999.
+    A source that fails to parse yields ``None`` — the run reports it as
+    E999 from the ``(path, source, error)`` triple appended to ``broken``.
     """
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        if broken is not None:
+            broken.append((path, source, exc))
+        return None
+    return ModuleInfo(
+        path=path,
+        tree=tree,
+        trust=trust_for_module(tree),
+        functions=_collect_functions(tree),
+        source=source,
+    )
+
+
+def load_modules(
+    paths: Iterable[str | Path],
+    broken: list[tuple[str, str, SyntaxError]] | None = None,
+) -> list[ModuleInfo]:
+    """:func:`parse_module` every Python file under ``paths`` (unparsable
+    files are skipped, and recorded in ``broken``)."""
     from ..engine import iter_python_files
 
     modules: list[ModuleInfo] = []
     for file_path in iter_python_files(paths):
         source = file_path.read_text(encoding="utf-8", errors="replace")
-        try:
-            tree = ast.parse(source, filename=str(file_path))
-        except SyntaxError:
-            continue
-        modules.append(
-            ModuleInfo(
-                path=str(file_path),
-                tree=tree,
-                trust=trust_for_module(tree),
-                functions=_collect_functions(tree),
-                source=source,
-            )
-        )
+        module = parse_module(str(file_path), source, broken)
+        if module is not None:
+            modules.append(module)
     return modules
 
 
@@ -162,11 +175,12 @@ class NameIndex:
 
     def __init__(self, modules: list[ModuleInfo]):
         self.modules = modules
-        self._by_name: dict[str, list[tuple[ModuleInfo, FunctionDecl]]] = {}
+        #: bare function/method name -> every (module, decl) defining it
+        self.by_name: dict[str, list[tuple[ModuleInfo, FunctionDecl]]] = {}
         for module in modules:
             for qualname, decl in module.functions.items():
                 bare = qualname.rsplit(".", 1)[-1]
-                self._by_name.setdefault(bare, []).append((module, decl))
+                self.by_name.setdefault(bare, []).append((module, decl))
 
     def resolve(
         self, caller: ModuleInfo, callee: str
@@ -176,7 +190,7 @@ class NameIndex:
         local = caller.function_named(bare)
         if local is not None:
             return (caller, local)
-        candidates = self._by_name.get(bare, [])
+        candidates = self.by_name.get(bare, [])
         foreign = [c for c in candidates if c[0] is not caller]
         return foreign[0] if len(foreign) == 1 else None
 
@@ -191,6 +205,22 @@ def _suffix_match(name: str, registry: frozenset[str]) -> str | None:
         if suffix in registry:
             return suffix
     return None
+
+
+def self_attr(node: ast.expr) -> str | None:
+    """``self.X``/``cls.X`` -> ``X`` (one attribute hop only)."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("self", "cls")
+    ):
+        return node.attr
+    return None
+
+
+def class_of(qualname: str) -> str | None:
+    """The enclosing class of a ``Class.method`` qualname, else None."""
+    return qualname.split(".", 1)[0] if "." in qualname else None
 
 
 def _call_name(node: ast.Call) -> str:

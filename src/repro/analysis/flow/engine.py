@@ -1,22 +1,19 @@
-"""Flow-rule registry and the orchestration entry point.
+"""The flow family's check: T-rules over every function, S-rules per spec.
 
-:func:`analyze_paths` is the flow-analysis sibling of
-:func:`repro.analysis.engine.lint_paths`: it loads the modules once, builds
-call summaries to a fixpoint, runs the T-rules over every function and the
-S-rules over every module a spec targets, and filters the result through
-the same inline-suppression syntax the lint uses (``# repro: allow[T001]``),
-optionally recording marker usage in a
-:class:`repro.analysis.engine.SuppressionTracker` for U001.
+:func:`check` reads the shared parse, name index and call summaries off
+the run's :class:`~repro.analysis.kernel.Facts`, runs the taint rules
+over every function and the FSM rules over every module a spec targets.
+Rule selection, suppression filtering and ordering are the kernel's.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from ..findings import Finding
-from .core import ModuleInfo, NameIndex, build_summaries, load_modules
+from ..registry import rules_in
+from .core import ModuleInfo
 from .fsm import (
     check_conformance,
     check_isn_paths,
@@ -30,97 +27,10 @@ from .fsm_spec import TCP_SPEC, FsmSpec
 from .taint import check_taint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine import SuppressionTracker
+    from ..kernel import Facts
 
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class FlowRule:
-    """Registry metadata for one flow rule (the checks live elsewhere)."""
-
-    id: str
-    summary: str
-    rationale: str
-    family: str  # "taint" | "fsm"
-
-
-FLOW_RULES: dict[str, FlowRule] = {
-    rule.id: rule
-    for rule in (
-        FlowRule(
-            "T001",
-            "guard admission depends on attacker-controlled input without "
-            "a dominating sanitizer",
-            "the paper's §III invariant: forged packet fields may influence "
-            "admission only through the cookie verify / SYN-cookie validate "
-            "/ ISN echo check",
-            "taint",
-        ),
-        FlowRule(
-            "T002",
-            "cookie key material flows into a log, repr, or obs exporter",
-            "spoof detection is exactly as strong as key secrecy; keys "
-            "leave the process only via explicit state export",
-            "taint",
-        ),
-        FlowRule(
-            "S001",
-            "implemented state transition not declared in the FSM spec",
-            "an undeclared edge bypasses the spec's security obligations "
-            "(ISN checks, retry budgets) without review",
-            "fsm",
-        ),
-        FlowRule(
-            "S002",
-            "declared state transition has no implementation",
-            "a lost edge silently drops protocol behaviour the paper's "
-            "handshake argument relies on",
-            "fsm",
-        ),
-        FlowRule(
-            "S003",
-            "spec state unreachable from the initial states",
-            "dead states hide missing transitions and rot the model the "
-            "security argument is checked against",
-            "fsm",
-        ),
-        FlowRule(
-            "S004",
-            "a spec path reaches ESTABLISHED without crossing a verified "
-            "ISN-checked edge",
-            "the exhaustive small-model walk: every way to complete the "
-            "handshake must prove the peer echoed the server's ISN",
-            "fsm",
-        ),
-        FlowRule(
-            "S005",
-            "an ISN-checked edge is reachable through a call path with no "
-            "dominating ISN comparison",
-            "the spec label is verified against the code, not trusted: a "
-            "declared check that is not actually performed is the exact "
-            "bug class spoof detection exists to prevent",
-            "fsm",
-        ),
-        FlowRule(
-            "S006",
-            "retry-obligated state lacks a retransmit escape or the abort "
-            "path is not budget-bounded",
-            "a silent peer must cost bounded retransmissions and bounded "
-            "time — otherwise the guard itself becomes a DoS amplifier",
-            "fsm",
-        ),
-        FlowRule(
-            "S007",
-            "segment processed in the SYN-cookie path before the cookie "
-            "ISN is validated",
-            "stateless SYN-cookie handling is only sound if nothing "
-            "connection-shaped happens before the cookie round-trips",
-            "fsm",
-        ),
-    )
-}
-
-_TAINT_RULES = frozenset(r for r, m in FLOW_RULES.items() if m.family == "taint")
-_FSM_RULES = frozenset(r for r, m in FLOW_RULES.items() if m.family == "fsm")
+_TAINT_RULES = frozenset(rule.id for rule in rules_in(("taint",)))
+_FSM_RULES = frozenset(rule.id for rule in rules_in(("fsm",)))
 
 #: Path suffix -> the FSM spec that module must conform to.
 _SPEC_TARGETS: tuple[tuple[str, FsmSpec], ...] = (
@@ -133,16 +43,6 @@ def _spec_for(path: str) -> FsmSpec | None:
         if path.endswith(suffix):
             return spec
     return None
-
-
-def _select(rule_ids: Iterable[str] | None) -> frozenset[str]:
-    if rule_ids is None:
-        return frozenset(FLOW_RULES)
-    selected = frozenset(rule_ids)
-    unknown = sorted(selected - set(FLOW_RULES))
-    if unknown:
-        raise KeyError(f"unknown flow rule ids: {', '.join(unknown)}")
-    return selected
 
 
 def _fsm_findings(
@@ -184,65 +84,19 @@ def _fsm_findings(
     return findings
 
 
-def analyze_paths(
-    paths: Iterable[str | Path],
-    *,
-    rule_ids: Iterable[str] | None = None,
-    tracker: "SuppressionTracker | None" = None,
-    modules: list[ModuleInfo] | None = None,
-) -> list[Finding]:
-    """Run the selected flow rules over every Python file under ``paths``.
-
-    ``modules`` reuses an already-parsed module set — the CLI parses each
-    file exactly once and shares the ASTs across every rule family.
-
-    Inline ``# repro: allow[...]`` markers filter findings exactly as they
-    do for the lint; with a ``tracker``, marker usage is recorded so the
-    caller can emit U001 for markers that suppressed nothing.
-    """
-    from ..engine import suppressed_rules
-
-    selected = _select(rule_ids)
-    if modules is None:
-        modules = load_modules(paths)
-    index = NameIndex(modules)
+def check(facts: "Facts", selected: frozenset[str]) -> list[Finding]:
+    """Findings of the selected flow rules over the run's modules."""
     findings: list[Finding] = []
-
     taint_selected = selected & _TAINT_RULES
     if taint_selected:
-        summaries = build_summaries(modules, index)
         findings.extend(
-            check_taint(modules, summaries, index, rules=taint_selected)
+            check_taint(
+                facts.modules, facts.summaries, facts.index, rules=taint_selected
+            )
         )
-
     if selected & _FSM_RULES:
-        for module in modules:
+        for module in facts.modules:
             spec = _spec_for(module.path)
             if spec is not None:
                 findings.extend(_fsm_findings(module, spec, selected))
-
-    if tracker is not None:
-        tracker.note_rules(selected)
-        for module in modules:
-            tracker.register_source(module.path, module.source)
-        kept = [f for f in findings if not tracker.is_suppressed(f)]
-    else:
-        allowed_by_path = {
-            module.path: suppressed_rules(module.source) for module in modules
-        }
-        kept = [
-            f
-            for f in findings
-            if f.rule not in allowed_by_path.get(f.path, {}).get(f.line, ())
-        ]
-    return sorted(kept, key=Finding.sort_key)
-
-
-def flow_rule_table() -> str:
-    """Plain-text rule table matching the lint CLI's ``--list-rules`` style."""
-    lines = ["rule   summary", "-----  -------"]
-    for rule_id in sorted(FLOW_RULES):
-        rule = FLOW_RULES[rule_id]
-        lines.append(f"{rule_id:<6} {rule.summary}")
-        lines.append(f"       why: {rule.rationale}")
-    return "\n".join(lines)
+    return findings

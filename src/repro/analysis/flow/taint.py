@@ -13,7 +13,6 @@
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
 from ..findings import Finding
@@ -25,16 +24,6 @@ from .core import (
     SinkEvent,
     TaintWalker,
 )
-
-
-def _location(module: ModuleInfo, node: ast.AST, rule: str, message: str) -> Finding:
-    return Finding(
-        path=module.path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0),
-        rule=rule,
-        message=message,
-    )
 
 
 def _check_events(
@@ -64,8 +53,8 @@ def check_taint(
         for qualname, event in _check_events(module, summaries, index):
             if event.kind == "exposure" and "T002" in rules:
                 findings.append(
-                    _location(
-                        module,
+                    Finding.at(
+                        module.path,
                         event.node,
                         "T002",
                         f"cookie-key secret reaches exposure sink "
@@ -96,8 +85,8 @@ def check_taint(
             scheme = f" [{trust.scheme}]" if trust.scheme else ""
             via = " (via call summary)" if event.via_summary else ""
             findings.append(
-                _location(
-                    module,
+                Finding.at(
+                    module.path,
                     event.node,
                     "T001",
                     f"admission sink {event.sink!r} in {qualname}(){scheme} is "

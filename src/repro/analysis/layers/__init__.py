@@ -16,7 +16,6 @@ See DESIGN.md ("Layering model") for the mapping to the paper's
 firewall-module architecture.
 """
 
-from .engine import LAYER_RULES, LayerRule, analyze_layers, layer_rule_table
 from .manifest import (
     DECL_NAME,
     DEFAULT_MANIFEST,
@@ -34,13 +33,9 @@ __all__ = [
     "DEFAULT_MANIFEST",
     "FORBIDDEN_STDLIB",
     "LAYERS",
-    "LAYER_RULES",
     "LayerReport",
-    "LayerRule",
-    "analyze_layers",
     "declared_layer",
     "layer_of",
-    "layer_rule_table",
     "pure_prefixes",
     "verify_import_isolation",
 ]

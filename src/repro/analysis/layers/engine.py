@@ -1,24 +1,18 @@
-"""Layer-rule registry and the transport-purity analysis entry point.
+"""The layers family's check: the transport-purity L-rules.
 
-:func:`analyze_layers` is the layering sibling of the other engines: it
-loads the modules once (or reuses a shared parse from the CLI), resolves
-each module's layer from the import-layering manifest, runs the static
-L-rules, and filters through the same inline-suppression syntax
-(``# repro: allow[L001]``) and optional
-:class:`~repro.analysis.engine.SuppressionTracker` the other engines
-use.  The dynamic witness — L006, importing the declared pure core with
-the platform layers blocked — lives in :mod:`.runtime` and is wired in
-by the CLI's ``--layers``.
+:func:`check` resolves each module's layer from the import-layering
+manifest (the run's toy manifest, else :data:`~.manifest.DEFAULT_MANIFEST`)
+and runs the selected static L-rules.  The dynamic witness — L006,
+importing the declared pure core with the platform layers blocked —
+lives in :mod:`.runtime` and runs only when the run opts in
+(``Facts(runtime=True)``, which the CLI's ``--layers`` does).
 """
 
 from __future__ import annotations
 
-import dataclasses
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from ..findings import Finding
-from ..flow.core import ModuleInfo, load_modules
 from .manifest import DEFAULT_MANIFEST
 from .rules import (
     check_l001,
@@ -30,127 +24,17 @@ from .rules import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine import SuppressionTracker
+    from ..kernel import Facts
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class LayerRule:
-    """Registry metadata for one layering rule (checks live in .rules)."""
-
-    id: str
-    summary: str
-    rationale: str
-    family: str  # "layering" (static) or "layering-runtime"
-    severity: str = "error"
-
-
-LAYER_RULES: dict[str, LayerRule] = {
-    rule.id: rule
-    for rule in (
-        LayerRule(
-            "L001",
-            "pure-core module imports a forbidden layer (simulator, "
-            "observability, asyncio, sockets, clocks, OS entropy)",
-            "the paper's guard is a separable module; one upward import "
-            "couples every decision to the simulator and kills the "
-            "real-socket port (ROADMAP item 4) — inject capabilities "
-            "through repro.guard.core.ports instead",
-            "layering",
-        ),
-        LayerRule(
-            "L002",
-            "pure-core function reaches a transport/scheduling API "
-            "through the call graph",
-            "even without an import, calling schedule()/send()/submit() "
-            "on a duck-typed argument makes the decision logic drive the "
-            "transport; pure functions return decisions and let the "
-            "adapter act on them",
-            "layering",
-        ),
-        LayerRule(
-            "L003",
-            "purity escape in the core: wall clock, OS entropy, blocking "
-            "I/O or global mutable module state",
-            "hidden inputs make replay and the sanitizer's bit-identical "
-            "traces impossible; time and randomness arrive through the "
-            "injected Clock/Rng seams, state lives in instances the "
-            "adapter owns",
-            "layering",
-        ),
-        LayerRule(
-            "L004",
-            "admission/verification decision logic living in an adapter "
-            "instead of behind the core seam",
-            "an adapter computing hash digests is re-growing decision "
-            "logic outside the audited core — the exact drift the "
-            "guard-core extraction removed; add the decision to "
-            "repro.guard.core and call through the seam",
-            "layering",
-        ),
-        LayerRule(
-            "L005",
-            "layer-manifest drift: undeclared module or stale "
-            "declaration",
-            "the manifest and the per-package __layer__ declarations are "
-            "two views of one architecture; when they disagree the "
-            "layering analysis is checking a world that no longer "
-            "exists",
-            "layering",
-        ),
-        LayerRule(
-            "L006",
-            "pure core fails to import with the platform layers blocked "
-            "(runtime import-isolation witness)",
-            "the dynamic proof of L001's static claim: a fresh "
-            "interpreter imports the declared pure core with "
-            "netsim/obs/asyncio/sockets blocked by a meta-path finder, "
-            "so no transitive platform dependency can hide behind a "
-            "re-export or a lazy import",
-            "layering-runtime",
-        ),
-    )
-}
-
-
-def _select(rule_ids: Iterable[str] | None) -> frozenset[str]:
-    if rule_ids is None:
-        return frozenset(LAYER_RULES)
-    selected = frozenset(rule_ids)
-    unknown = sorted(selected - set(LAYER_RULES))
-    if unknown:
-        raise KeyError(f"unknown layer rule ids: {', '.join(unknown)}")
-    return selected
-
-
-def analyze_layers(
-    paths: Iterable[str | Path],
-    *,
-    rule_ids: Iterable[str] | None = None,
-    tracker: "SuppressionTracker | None" = None,
-    modules: list[ModuleInfo] | None = None,
-    manifest: dict[str, str] | None = None,
-    runtime: bool = False,
-) -> list[Finding]:
-    """Run the selected layering rules over every file under ``paths``.
-
-    ``modules`` reuses an already-parsed module set (the CLI parses each
-    file exactly once across all families); ``manifest`` substitutes a
-    toy prefix map for tests.  ``runtime=False`` (the default) keeps the
-    engine static: L006's import-isolation witness only runs when the
-    caller opts in, because it imports the *installed* ``repro`` pure
-    core — meaningless when analysing a toy fixture tree.
-    """
-    from ..engine import suppressed_rules
-
-    selected = _select(rule_ids)
-    layer_manifest = DEFAULT_MANIFEST if manifest is None else manifest
-    if modules is None:
-        modules = load_modules(paths)
-    layered = classify_modules(modules, layer_manifest)
+def check(facts: "Facts", selected: frozenset[str]) -> list[Finding]:
+    """Findings of the selected layering rules over the run's modules."""
+    manifest = DEFAULT_MANIFEST if facts.manifest is None else facts.manifest
+    layered = classify_modules(facts.modules, manifest)
 
     findings: list[Finding] = []
     if "L001" in selected:
-        findings.extend(check_l001(layered, layer_manifest))
+        findings.extend(check_l001(layered, manifest))
     if "L002" in selected:
         findings.extend(check_l002(layered))
     if "L003" in selected:
@@ -158,34 +42,9 @@ def analyze_layers(
     if "L004" in selected:
         findings.extend(check_l004(layered))
     if "L005" in selected:
-        findings.extend(check_l005(layered, layer_manifest))
-    if runtime and "L006" in selected:
+        findings.extend(check_l005(layered, manifest))
+    if facts.runtime and "L006" in selected:
         from .runtime import verify_import_isolation
 
-        findings.extend(verify_import_isolation(manifest=layer_manifest).findings)
-
-    if tracker is not None:
-        tracker.note_rules(selected)
-        for module in modules:
-            tracker.register_source(module.path, module.source)
-        kept = [f for f in findings if not tracker.is_suppressed(f)]
-    else:
-        allowed_by_path = {
-            module.path: suppressed_rules(module.source) for module in modules
-        }
-        kept = [
-            f
-            for f in findings
-            if f.rule not in allowed_by_path.get(f.path, {}).get(f.line, ())
-        ]
-    return sorted(kept, key=Finding.sort_key)
-
-
-def layer_rule_table() -> str:
-    """Plain-text rule table matching the lint CLI's ``--list-rules`` style."""
-    lines = ["rule   summary", "-----  -------"]
-    for rule_id in sorted(LAYER_RULES):
-        rule = LAYER_RULES[rule_id]
-        lines.append(f"{rule_id:<6} {rule.summary}")
-        lines.append(f"       why: {rule.rationale}")
-    return "\n".join(lines)
+        findings.extend(verify_import_isolation(manifest=manifest).findings)
+    return findings

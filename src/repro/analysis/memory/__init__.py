@@ -24,7 +24,6 @@ from .declarations import (
     find_declaration,
     parse_declaration,
 )
-from .engine import MEMORY_RULES, MemoryRule, analyze_memory, memory_rule_table
 from .runtime import (
     HighWaterMonitor,
     MemoryReport,
@@ -40,10 +39,6 @@ __all__ = [
     "declarations_for_module",
     "find_declaration",
     "parse_declaration",
-    "MEMORY_RULES",
-    "MemoryRule",
-    "analyze_memory",
-    "memory_rule_table",
     "HighWaterMonitor",
     "MemoryReport",
     "discover_bounded_classes",

@@ -1,9 +1,8 @@
 """The M-rule checks: state-exhaustion patterns over ``__state_bounds__``.
 
 Each check is a function ``(view) -> list[Finding]`` over one module's
-:class:`ModuleView`; the registry in ``.engine`` maps rule ids to
-checks.  The analysis composes the repo's two existing inference
-layers:
+:class:`ModuleView`; :data:`MEMORY_CHECKS` maps rule ids to checks.  The
+analysis composes the repo's two existing inference layers:
 
 * the **taint surface** from ``__trust_boundary__`` (which parameters
   carry attacker-controlled packet fields) decides whether a collection
@@ -26,7 +25,7 @@ import ast
 import dataclasses
 
 from ..findings import Finding
-from ..flow.core import FunctionDecl, ModuleInfo
+from ..flow.core import FunctionDecl, ModuleInfo, class_of, self_attr
 from .declarations import StateBound, declarations_for_module
 
 #: Methods whose call on ``self.attr`` adds an entry.
@@ -41,17 +40,6 @@ _SCHEDULE_NAMES = frozenset({"schedule", "schedule_at"})
 
 #: Call-graph depth cap for the attacker-callable closure.
 _MAX_DEPTH = 12
-
-
-def _self_attr_target(node: ast.expr) -> str | None:
-    """``attr`` for an ``self.attr`` / ``cls.attr`` expression."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id in ("self", "cls")
-    ):
-        return node.attr
-    return None
 
 
 @dataclasses.dataclass(slots=True)
@@ -74,11 +62,11 @@ def _collect_ops(func: ast.AST) -> tuple[list[_Op], list[_Op]]:
             )
             for target in targets:
                 if isinstance(target, ast.Subscript):
-                    attr = _self_attr_target(target.value)
+                    attr = self_attr(target.value)
                     if attr is not None:
                         inserts.append(_Op(attr, node, target.slice))
                 elif isinstance(node, ast.Assign):
-                    attr = _self_attr_target(target)
+                    attr = self_attr(target)
                     if attr is not None and isinstance(
                         node.value, (ast.Dict, ast.DictComp, ast.ListComp, ast.List)
                     ):
@@ -87,11 +75,11 @@ def _collect_ops(func: ast.AST) -> tuple[list[_Op], list[_Op]]:
         elif isinstance(node, ast.Delete):
             for target in node.targets:
                 if isinstance(target, ast.Subscript):
-                    attr = _self_attr_target(target.value)
+                    attr = self_attr(target.value)
                     if attr is not None:
                         evictions.append(_Op(attr, node, None))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            attr = _self_attr_target(node.func.value)
+            attr = self_attr(node.func.value)
             if attr is None:
                 continue
             method = node.func.attr
@@ -115,7 +103,7 @@ def _cap_check_lines(func: ast.AST, attr: str) -> list[int]:
                 and isinstance(operand.func, ast.Name)
                 and operand.func.id == "len"
                 and operand.args
-                and _self_attr_target(operand.args[0]) == attr
+                and self_attr(operand.args[0]) == attr
             ):
                 lines.append(getattr(node, "lineno", 0))
     return lines
@@ -169,7 +157,7 @@ class ModuleView:
     def bound_for(self, qualname: str, attr: str) -> StateBound | None:
         if self.bounds is None:
             return None
-        class_name = qualname.split(".", 1)[0] if "." in qualname else ""
+        class_name = class_of(qualname) or ""
         return self.bounds.get(class_name, {}).get(attr)
 
     def declared_attrs(self, class_name: str) -> dict[str, StateBound]:
@@ -196,11 +184,11 @@ def _entry_closure(module: ModuleInfo) -> frozenset[str]:
             continue
         seen.add(qualname)
         decl = module.functions[qualname]
-        enclosing = qualname.split(".", 1)[0] if "." in qualname else None
+        enclosing = class_of(qualname)
         for node in ast.walk(decl.node):
             if not isinstance(node, ast.Call):
                 continue
-            callee = _self_attr_target(node.func)
+            callee = self_attr(node.func)
             if callee is None and isinstance(node.func, ast.Name):
                 callee = node.func.id
             if callee is None:
@@ -230,13 +218,7 @@ def build_view(module: ModuleInfo, hot_qualnames: frozenset[str]) -> ModuleView:
 
 
 def _finding(view: ModuleView, node: ast.AST, rule: str, message: str) -> Finding:
-    return Finding(
-        path=view.module.path,
-        line=getattr(node, "lineno", view.decl_line),
-        col=getattr(node, "col_offset", 0),
-        rule=rule,
-        message=message,
-    )
+    return Finding.at(view.module.path, node, rule, message, line=view.decl_line)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +437,7 @@ def _unguarded_self_reschedules(decl: FunctionDecl, bare: str) -> list[ast.Call]
         if suffix not in _SCHEDULE_NAMES or len(node.args) < 2:
             continue
         callback = node.args[1]
-        if _self_attr_target(callback) == bare:
+        if self_attr(callback) == bare:
             sites.append(node)
     return sites
 

@@ -22,12 +22,12 @@ Entry points: :func:`run_bounds_monitored`, or
 from __future__ import annotations
 
 import dataclasses
-import importlib
-import pkgutil
 from typing import Any, Callable
 
-from ...netsim.simulator import Simulator, TieEvent, set_tie_hook
+from ...netsim.simulator import Simulator, TieEvent, _TieHookProtocol
+from ..declarations import iter_declared_classes
 from ..findings import Finding
+from ..modes import run_hooked
 from .declarations import DECL_NAME, StateBound, parse_declaration
 
 #: (class, source path, attr -> StateBound) for one declared class.
@@ -35,34 +35,16 @@ BoundedClass = tuple[type, str, dict[str, StateBound]]
 
 
 def discover_bounded_classes(package: str = "repro") -> list[BoundedClass]:
-    """Import ``package`` recursively and collect ``__state_bounds__``
-    classes.  Modules that fail to import are skipped — the static pass
-    is what enforces declaration presence."""
-    root = importlib.import_module(package)
-    module_names = [package]
-    for info in pkgutil.walk_packages(root.__path__, prefix=package + "."):
-        # __main__ modules run their CLI at import time — never import them
-        if info.name.rsplit(".", 1)[-1] == "__main__":
-            continue
-        module_names.append(info.name)
-    found: list[BoundedClass] = []
-    seen: set[type] = set()
-    for name in module_names:
-        try:
-            module = importlib.import_module(name)
-        except Exception:  # pragma: no cover - optional/broken module
-            continue
-        decls = parse_declaration(getattr(module, DECL_NAME, None))
-        path = getattr(module, "__file__", None) or "<runtime>"
-        for class_name, attrs in sorted(decls.items()):
-            cls = getattr(module, class_name, None)
-            if isinstance(cls, type) and cls not in seen and attrs:
-                seen.add(cls)
-                found.append((cls, path, dict(attrs)))
-    return found
+    """Every class under ``package`` with ``__state_bounds__`` attrs."""
+    return [
+        (cls, getattr(module, "__file__", None) or "<runtime>", dict(attrs))
+        for module, cls, attrs in iter_declared_classes(
+            package, DECL_NAME, parse_declaration
+        )
+    ]
 
 
-class HighWaterMonitor:
+class HighWaterMonitor(_TieHookProtocol):
     """Tie hook sampling declared collections' sizes against their bounds."""
 
     def __init__(self, declared: list[BoundedClass]):
@@ -88,6 +70,7 @@ class HighWaterMonitor:
             self._patch_class(cls, frozenset(attrs))
 
     def uninstall(self) -> None:
+        self.sample()  # final state, after the last tie group
         while self._patched:
             cls, orig_set = self._patched.pop()
             cls.__setattr__ = orig_set  # type: ignore[method-assign]
@@ -139,15 +122,6 @@ class HighWaterMonitor:
 
     def on_group(self, sim: Simulator, events: list[TieEvent]):
         self.sample()
-        return None
-
-    def before_event(self, sim: Simulator, event: TieEvent) -> None:
-        return None
-
-    def after_event(self, sim: Simulator, event: TieEvent) -> None:
-        return None
-
-    def end_group(self, sim: Simulator) -> None:
         return None
 
     # -- verdict -----------------------------------------------------------
@@ -215,24 +189,10 @@ def run_bounds_monitored(
     the only output (mirrors the race monitor).  ``declared`` overrides
     package discovery — tests monitor toy classes this way.
     """
-    import contextlib
-    import io
-
     if declared is None:
         declared = discover_bounded_classes()
     monitor = HighWaterMonitor(declared)
-    previous = set_tie_hook(monitor)
-    monitor.install()
-    try:
-        if quiet:
-            with contextlib.redirect_stdout(io.StringIO()):
-                experiment()
-        else:
-            experiment()
-    finally:
-        monitor.sample()  # final state, after the last tie group
-        monitor.uninstall()
-        set_tie_hook(previous)
+    run_hooked(experiment, monitor, quiet=quiet, monitor=monitor)
 
     bounds_by_key: dict[tuple[str, str], int] = {}
     for cls, _path, attrs in declared:

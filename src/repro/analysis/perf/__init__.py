@@ -12,7 +12,6 @@ See DESIGN.md ("Hot-path cost model") for the hot-path definition and the
 rule-to-optimization map.
 """
 
-from .engine import PERF_RULES, PerfRule, analyze_perf, perf_rule_table
 from .hotpath import (
     HotFunction,
     HotPaths,
@@ -23,10 +22,6 @@ from .hotpath import (
 )
 
 __all__ = [
-    "PERF_RULES",
-    "PerfRule",
-    "analyze_perf",
-    "perf_rule_table",
     "HotFunction",
     "HotPaths",
     "PerfProfile",

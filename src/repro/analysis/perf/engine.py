@@ -1,169 +1,32 @@
-"""Perf-rule registry and the hot-path analysis entry point.
+"""The perf family's check: the P-rules over every hot function.
 
-:func:`analyze_perf` is the cost sibling of
-:func:`repro.analysis.flow.engine.analyze_paths`: it loads the modules
-once, infers the hot set (schedule-site callbacks, ``Node.receive``
-reachability, and — when a ``BENCH_profile.json`` is supplied — the
-profiled handler roots), runs the P-rules over every hot function, and
-filters through the same inline-suppression syntax (``# repro:
-allow[P001]``) and optional :class:`~repro.analysis.engine.SuppressionTracker`
-the other engines use.  Accepted findings live in
-``scripts/perf_baseline.json`` and self-shrink through U001 exactly like
-the flow baseline.
+:func:`check` takes the hot set (schedule-site callbacks, ``Node.receive``
+reachability and — when the run has a ``BENCH_profile.json`` — the
+profiled handler roots) off the run's shared
+:class:`~repro.analysis.kernel.Facts` and runs each selected P-rule over
+each hot function.  The profile adds handler roots the static pass cannot
+see and marks their findings as profiled; it never suppresses static
+findings.  Accepted findings live in ``scripts/analysis_baseline.json``
+and self-shrink through U001.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from ..findings import Finding
-from ..flow.core import ModuleInfo, load_modules
-from .hotpath import PerfProfile, compute_hot_paths, load_profile
 from .rules import PERF_CHECKS, PerfContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..engine import SuppressionTracker
+    from ..kernel import Facts
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class PerfRule:
-    """Registry metadata for one perf rule (the checks live in .rules)."""
-
-    id: str
-    summary: str
-    rationale: str
-    family: str  # always "perf"
-
-
-PERF_RULES: dict[str, PerfRule] = {
-    rule.id: rule
-    for rule in (
-        PerfRule(
-            "P001",
-            "unslotted class instantiated per event on a hot path",
-            "a per-event __dict__ allocation at 250K pkt/s is pure "
-            "allocator churn; __slots__ or a flyweight removes it "
-            "(ROADMAP item 1)",
-            "perf",
-        ),
-        PerfRule(
-            "P002",
-            "DNS wire message re-encoded on a hot path though its bytes "
-            "cannot have changed",
-            "most attack packets differ only in id/source; a memoized "
-            "encoding or cached size turns an O(message) encode into a "
-            "lookup",
-            "perf",
-        ),
-        PerfRule(
-            "P003",
-            "per-event closure/lambda allocated at a schedule site on a "
-            "hot path",
-            "every lambda scheduled per packet allocates a fresh closure "
-            "and cell objects; scheduling the bound method with its "
-            "arguments is allocation-free",
-            "perf",
-        ),
-        PerfRule(
-            "P004",
-            "unguarded string formatting or logging on a hot path",
-            "f-strings and log calls pay their cost once per event even "
-            "when no one reads the result; error paths are exempt",
-            "perf",
-        ),
-        PerfRule(
-            "P005",
-            "O(n) scan (membership, sorted(), linear table walk) inside a "
-            "per-packet handler",
-            "a linear scan in the per-packet path multiplies n into the "
-            "packet rate; dicts, buckets, or precomputed tables keep "
-            "dispatch O(1)",
-            "perf",
-        ),
-        PerfRule(
-            "P006",
-            "constant-delay heap push on a hot path — calendar-queue/"
-            "bucket candidate",
-            "fixed-offset schedule() calls dominate event-loop time in "
-            "the profile; a calendar-queue lane makes them O(1) and is "
-            "the core of the ROADMAP-1 rebuild",
-            "perf",
-        ),
-    )
-}
-
-
-def _select(rule_ids: Iterable[str] | None) -> frozenset[str]:
-    if rule_ids is None:
-        return frozenset(PERF_RULES)
-    selected = frozenset(rule_ids)
-    unknown = sorted(selected - set(PERF_RULES))
-    if unknown:
-        raise KeyError(f"unknown perf rule ids: {', '.join(unknown)}")
-    return selected
-
-
-def analyze_perf(
-    paths: Iterable[str | Path],
-    *,
-    rule_ids: Iterable[str] | None = None,
-    tracker: "SuppressionTracker | None" = None,
-    profile: str | Path | PerfProfile | None = None,
-    modules: list[ModuleInfo] | None = None,
-) -> list[Finding]:
-    """Run the selected perf rules over every Python file under ``paths``.
-
-    ``modules`` reuses an already-parsed module set (one parse per file
-    across all rule families).
-
-    ``profile`` is a ``BENCH_profile.json`` path (missing files are treated
-    as "no profile"), or an already-parsed :class:`PerfProfile`.  The
-    profile adds handler roots the static pass cannot see and marks their
-    findings as profiled; it never suppresses static findings.
-    """
-    from ..engine import suppressed_rules
-
-    selected = _select(rule_ids)
-    if modules is None:
-        modules = load_modules(paths)
-    parsed_profile: PerfProfile | None
-    if isinstance(profile, PerfProfile) or profile is None:
-        parsed_profile = profile
-    else:
-        parsed_profile = load_profile(profile)
-    hot_paths = compute_hot_paths(modules, parsed_profile)
-
-    ctx = PerfContext(modules, hot_paths)
+def check(facts: "Facts", selected: frozenset[str]) -> list[Finding]:
+    """Findings of the selected perf rules over the run's hot set."""
+    ctx = PerfContext(facts.modules)
     findings: list[Finding] = []
-    for entry in hot_paths.functions.values():
-        for rule_id, check in PERF_CHECKS.items():
+    for entry in facts.hot_paths.functions.values():
+        for rule_id, rule_check in PERF_CHECKS.items():
             if rule_id in selected:
-                findings.extend(check(ctx, entry))
-
-    if tracker is not None:
-        tracker.note_rules(selected)
-        for module in modules:
-            tracker.register_source(module.path, module.source)
-        kept = [f for f in findings if not tracker.is_suppressed(f)]
-    else:
-        allowed_by_path = {
-            module.path: suppressed_rules(module.source) for module in modules
-        }
-        kept = [
-            f
-            for f in findings
-            if f.rule not in allowed_by_path.get(f.path, {}).get(f.line, ())
-        ]
-    return sorted(kept, key=Finding.sort_key)
-
-
-def perf_rule_table() -> str:
-    """Plain-text rule table matching the lint CLI's ``--list-rules`` style."""
-    lines = ["rule   summary", "-----  -------"]
-    for rule_id in sorted(PERF_RULES):
-        rule = PERF_RULES[rule_id]
-        lines.append(f"{rule_id:<6} {rule.summary}")
-        lines.append(f"       why: {rule.rationale}")
-    return "\n".join(lines)
+                findings.extend(rule_check(ctx, entry))
+    return findings

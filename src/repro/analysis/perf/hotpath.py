@@ -32,8 +32,8 @@ import json
 from pathlib import Path
 
 from ..rules import dotted_name
-from ..flow.core import FunctionDecl, ModuleInfo, _call_name
-from ..races.effects import _lambda_as_function, _self_attr, _subclass_closure
+from ..flow.core import FunctionDecl, ModuleInfo, NameIndex, _call_name, class_of, self_attr
+from ..races.effects import _lambda_as_function, _subclass_closure
 
 #: Scheduler entry points and their callback-argument index.  ``submit`` is
 #: the CPU-queue idiom ``cpu.submit(cost, fn, *args)``; all three take the
@@ -134,35 +134,20 @@ class HotFunction:
 class HotPaths:
     """The hot set for one analysis run, keyed by ``(path, qualname)``."""
 
-    def __init__(
-        self,
-        functions: dict[tuple[str, str], HotFunction],
-        profile: PerfProfile | None,
-    ):
+    def __init__(self, functions: dict[tuple[str, str], HotFunction]):
         self.functions = functions
-        self.profile = profile
-
-    def get(self, path: str, qualname: str) -> HotFunction | None:
-        return self.functions.get((path, qualname))
-
-    def __len__(self) -> int:
-        return len(self.functions)
 
     def weight_for(self, path: str, qualname: str) -> tuple[int, float]:
         """(calls, seconds) attributed to one hot function by the profile."""
-        hot = self.get(path, qualname)
+        hot = self.functions.get((path, qualname))
         return (hot.calls, hot.seconds) if hot is not None else (0, 0.0)
 
 
 class _Resolver:
     """Bare-name callee resolution with bounded may-analysis fan-out."""
 
-    def __init__(self, modules: list[ModuleInfo]):
-        self.by_bare: dict[str, list[tuple[ModuleInfo, FunctionDecl]]] = {}
-        for module in modules:
-            for qualname, decl in module.functions.items():
-                bare = qualname.rsplit(".", 1)[-1]
-                self.by_bare.setdefault(bare, []).append((module, decl))
+    def __init__(self, index: NameIndex):
+        self.by_bare = index.by_name
 
     def resolve(
         self, module: ModuleInfo, enclosing_class: str | None, name: str
@@ -179,10 +164,6 @@ class _Resolver:
         if 0 < len(foreign) <= _MAX_CANDIDATES:
             return foreign
         return []
-
-
-def _enclosing_class(qualname: str) -> str | None:
-    return qualname.split(".", 1)[0] if "." in qualname else None
 
 
 def callback_calls(node: ast.AST) -> list[ast.Call]:
@@ -208,7 +189,7 @@ def _static_roots(
     def add_resolved(
         module: ModuleInfo, enclosing: str | None, callback: ast.expr
     ) -> None:
-        attr = _self_attr(callback)
+        attr = self_attr(callback)
         if attr is not None and enclosing is not None:
             closure = closures.get(module.path, {})
             for class_name in sorted(closure.get(enclosing, {enclosing})):
@@ -226,7 +207,7 @@ def _static_roots(
     closures = {m.path: _subclass_closure(m) for m in modules}
     for module in modules:
         for decl in module.functions.values():
-            enclosing = _enclosing_class(decl.qualname)
+            enclosing = class_of(decl.qualname)
             for site in callback_calls(decl.node):
                 suffix = _call_name(site).rsplit(".", 1)[-1]
                 callback = site.args[CALLBACK_TAKERS[suffix]]
@@ -264,10 +245,15 @@ def _profile_roots(
 
 
 def compute_hot_paths(
-    modules: list[ModuleInfo], profile: PerfProfile | None = None
+    modules: list[ModuleInfo],
+    profile: PerfProfile | None = None,
+    index: NameIndex | None = None,
 ) -> HotPaths:
-    """The hot set: static + profile roots, closed over resolvable callees."""
-    resolver = _Resolver(modules)
+    """The hot set: static + profile roots, closed over resolvable callees.
+
+    ``index`` reuses the run's shared name index instead of building one.
+    """
+    resolver = _Resolver(index if index is not None else NameIndex(modules))
     hot: dict[tuple[str, str], HotFunction] = {}
     worklist: list[tuple[str, str]] = []
 
@@ -306,7 +292,7 @@ def compute_hot_paths(
         entry = hot[key]
         if entry.depth >= _MAX_DEPTH:
             continue
-        enclosing = _enclosing_class(entry.decl.qualname)
+        enclosing = class_of(entry.decl.qualname)
         callees: set[str] = set()
         for node in ast.walk(entry.decl.node):
             if isinstance(node, ast.Call):
@@ -317,4 +303,4 @@ def compute_hot_paths(
             for module, decl in resolver.resolve(entry.module, enclosing, name):
                 admit(module, decl, entry.root, entry.depth + 1, entry.profiled)
 
-    return HotPaths(hot, profile)
+    return HotPaths(hot)

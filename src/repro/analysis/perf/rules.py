@@ -5,7 +5,7 @@ Each check receives one hot function (see :mod:`.hotpath`) plus the shared
 rule, not a correctness rule: a finding means "this allocates / encodes /
 scans once per simulated event", and the fix-or-accept decision is
 recorded either in code (the optimization), inline (``# repro:
-allow[P00x] why``), or in ``scripts/perf_baseline.json`` (accepted debt —
+allow[P00x] why``), or in ``scripts/analysis_baseline.json`` (accepted debt —
 typically the calendar-queue candidates ROADMAP item 1 will absorb).
 """
 
@@ -15,8 +15,8 @@ import ast
 import dataclasses
 
 from ..findings import Finding
-from ..flow.core import ModuleInfo, _call_name
-from .hotpath import CALLBACK_TAKERS, HotFunction, HotPaths, module_dotted
+from ..flow.core import ModuleInfo, _call_name, class_of
+from .hotpath import CALLBACK_TAKERS, HotFunction, callback_calls, module_dotted
 
 #: Modules the message-codec rule (P002) never fires in: the codec itself
 #: is where encoding is supposed to happen.
@@ -89,9 +89,7 @@ def _classify_class(stmt: ast.ClassDef, path: str) -> ClassSite:
 class PerfContext:
     """Cross-module lookups shared by all P-rule checks."""
 
-    def __init__(self, modules: list[ModuleInfo], hot: HotPaths):
-        self.modules = modules
-        self.hot = hot
+    def __init__(self, modules: list[ModuleInfo]):
         #: module path -> class name -> ClassSite
         self.classes: dict[str, dict[str, ClassSite]] = {}
         #: bare class name -> every ClassSite with that name
@@ -183,13 +181,8 @@ def _error_path_nodes(func: ast.AST) -> set[int]:
 
 
 def _finding(hot: HotFunction, node: ast.AST, rule: str, message: str) -> Finding:
-    return Finding(
-        path=hot.module.path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0),
-        rule=rule,
-        message=f"{message} [{hot.decl.qualname}: {hot.describe()}]",
-    )
+    evidence = f"[{hot.decl.qualname}: {hot.describe()}]"
+    return Finding.at(hot.module.path, node, rule, f"{message} {evidence}")
 
 
 # -- P001: per-event instantiation of an unslotted class ----------------------
@@ -253,7 +246,7 @@ def check_reencoding(ctx: PerfContext, hot: HotFunction) -> list[Finding]:
 
 def check_closure_callbacks(ctx: PerfContext, hot: HotFunction) -> list[Finding]:
     findings: list[Finding] = []
-    for site in _callback_sites(hot.decl.node):
+    for site in callback_calls(hot.decl.node):
         suffix = _call_name(site).rsplit(".", 1)[-1]
         callback = site.args[CALLBACK_TAKERS[suffix]]
         label: str | None = None
@@ -276,17 +269,6 @@ def check_closure_callbacks(ctx: PerfContext, hot: HotFunction) -> list[Finding]
             )
         )
     return findings
-
-
-def _callback_sites(func: ast.AST) -> list[ast.Call]:
-    sites: list[ast.Call] = []
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Call):
-            continue
-        suffix = _call_name(node).rsplit(".", 1)[-1]
-        if suffix in CALLBACK_TAKERS and len(node.args) > CALLBACK_TAKERS[suffix]:
-            sites.append(node)
-    return sites
 
 
 # -- P004: unguarded formatting / logging on the hot path ---------------------
@@ -344,9 +326,7 @@ def check_formatting(ctx: PerfContext, hot: HotFunction) -> list[Finding]:
 
 def check_linear_scans(ctx: PerfContext, hot: HotFunction) -> list[Finding]:
     findings: list[Finding] = []
-    enclosing = (
-        hot.decl.qualname.split(".", 1)[0] if "." in hot.decl.qualname else None
-    )
+    enclosing = class_of(hot.decl.qualname)
     for node in ast.walk(hot.decl.node):
         if isinstance(node, ast.Compare) and any(
             isinstance(op, (ast.In, ast.NotIn)) for op in node.ops

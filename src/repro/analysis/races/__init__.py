@@ -13,19 +13,15 @@ DESIGN.md ("Simultaneity semantics"):
 """
 
 from .declarations import SharedStateDecl, declarations_for_module
-from .engine import RACE_RULES, analyze_races, race_rule_table
 from .explore import ExploreReport, explore
 from .runtime import InterferenceMonitor, RaceReport, run_monitored
 
 __all__ = [
-    "RACE_RULES",
     "ExploreReport",
     "InterferenceMonitor",
     "RaceReport",
     "SharedStateDecl",
-    "analyze_races",
     "declarations_for_module",
     "explore",
-    "race_rule_table",
     "run_monitored",
 ]

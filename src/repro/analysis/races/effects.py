@@ -47,6 +47,8 @@ from ..flow.core import (
     ModuleInfo,
     NameIndex,
     _call_name,
+    class_of,
+    self_attr,
 )
 
 #: Method names that mutate their receiver (dict/set/list soft state).
@@ -139,17 +141,6 @@ def _watched_cells(
     return frozenset(watched), frozenset(commutative)
 
 
-def _self_attr(node: ast.expr) -> str | None:
-    """``self.X``/``cls.X`` -> ``X`` (one attribute hop only)."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id in ("self", "cls")
-    ):
-        return node.attr
-    return None
-
-
 def _direct_effects(
     decl: FunctionDecl, watched: frozenset[str], class_name: str | None
 ) -> tuple[EffectSet, frozenset[str]]:
@@ -170,18 +161,18 @@ def _direct_effects(
 
     for node in ast.walk(decl.node):
         if isinstance(node, ast.Attribute):
-            cell = cell_for(_self_attr(node))
+            cell = cell_for(self_attr(node))
             if cell is not None:
                 if isinstance(node.ctx, (ast.Store, ast.Del)):
                     writes.add(cell)
                 else:
                     reads.add(cell)
         elif isinstance(node, ast.Subscript):
-            cell = cell_for(_self_attr(node.value))
+            cell = cell_for(self_attr(node.value))
             if cell is not None and isinstance(node.ctx, (ast.Store, ast.Del)):
                 writes.add(cell)
         elif isinstance(node, ast.AugAssign):
-            cell = cell_for(_self_attr(node.target))
+            cell = cell_for(self_attr(node.target))
             if cell is not None:
                 reads.add(cell)
                 writes.add(cell)
@@ -192,15 +183,11 @@ def _direct_effects(
             if isinstance(node.func, ast.Attribute) and (
                 node.func.attr in _MUTATOR_METHODS
             ):
-                cell = cell_for(_self_attr(node.func.value))
+                cell = cell_for(self_attr(node.func.value))
                 if cell is not None:
                     reads.add(cell)
                     writes.add(cell)
     return EffectSet(frozenset(reads), frozenset(writes)), frozenset(callees)
-
-
-def _class_of(qualname: str) -> str | None:
-    return qualname.split(".", 1)[0] if "." in qualname else None
 
 
 def build_effects(
@@ -213,7 +200,7 @@ def build_effects(
     for module in modules:
         for decl in module.functions.values():
             direct[(module.path, decl.qualname)] = _direct_effects(
-                decl, watched, _class_of(decl.qualname)
+                decl, watched, class_of(decl.qualname)
             )
 
     effects = {key: value[0] for key, value in direct.items()}
@@ -287,9 +274,7 @@ class _SiteCollector:
         for module in self.modules:
             closure = _subclass_closure(module)
             for decl in module.functions.values():
-                enclosing = (
-                    decl.qualname.split(".", 1)[0] if "." in decl.qualname else None
-                )
+                enclosing = class_of(decl.qualname)
                 for node in ast.walk(decl.node):
                     if not isinstance(node, ast.Call):
                         continue
@@ -342,7 +327,7 @@ class _SiteCollector:
             effect, _ = _direct_effects(wrapper, self.watched, enclosing)
             return ("<lambda>",), effect
 
-        attr = _self_attr(callback)
+        attr = self_attr(callback)
         if attr is not None and enclosing is not None:
             # `self.m`: the method on the enclosing class — or, for the
             # template-method idiom (FaultAction.schedule scheduling
@@ -501,17 +486,17 @@ def _undeclared_writes(
         if isinstance(node, ast.Attribute) and isinstance(
             node.ctx, (ast.Store, ast.Del)
         ):
-            attr = _self_attr(node)
+            attr = self_attr(node)
         elif isinstance(node, ast.AugAssign):
-            attr = _self_attr(node.target)
+            attr = self_attr(node.target)
         elif isinstance(node, ast.Subscript) and isinstance(
             node.ctx, (ast.Store, ast.Del)
         ):
-            attr = _self_attr(node.value)
+            attr = self_attr(node.value)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
             node.func.attr in _MUTATOR_METHODS
         ):
-            attr = _self_attr(node.func.value)
+            attr = self_attr(node.func.value)
         if attr is None or attr in declared or attr in reported:
             continue
         reported.add(attr)

@@ -32,14 +32,19 @@ Entry points: :func:`explore`, or ``python -m repro <cmd> --explore N``.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
-import io
 import random  # repro: allow[D002] - permutation rngs are seed-derived
 from typing import Any, Callable
 
-from ...netsim.simulator import Simulator, TieEvent, _describe_callback, _describe_value, set_tie_hook
+from ...netsim.simulator import (
+    Simulator,
+    TieEvent,
+    _describe_callback,
+    _describe_value,
+    _TieHookProtocol,
+)
+from ..modes import run_hooked
 from ..sanitizer import Divergence
 from .runtime import InterferenceMonitor, discover_declared_classes
 
@@ -53,7 +58,7 @@ def _event_desc(event: TieEvent) -> str:
     )
 
 
-class CanonicalRecorder:
+class CanonicalRecorder(_TieHookProtocol):
     """Tie hook recording a per-group canonical digest per simulator."""
 
     def __init__(self, *, keep_descriptions: bool = False):
@@ -84,15 +89,6 @@ class CanonicalRecorder:
         if len(events) > 1:
             self.multi_groups.add((sim_index, group_index))
         return None
-
-    def before_event(self, sim, event) -> None:
-        pass
-
-    def after_event(self, sim, event) -> None:
-        pass
-
-    def end_group(self, sim) -> None:
-        pass
 
 
 class _BaseHook(CanonicalRecorder):
@@ -167,6 +163,8 @@ class ExploreReport:
     def invariant(self) -> bool:
         return not self.divergences
 
+    ok = invariant
+
     def summary(self) -> str:
         if self.invariant:
             if not self.target_groups:
@@ -231,18 +229,6 @@ def _first_divergence(
     return None
 
 
-def _run_once(experiment: Callable[[], Any], hook, *, quiet: bool) -> None:
-    previous = set_tie_hook(hook)
-    try:
-        if quiet:
-            with contextlib.redirect_stdout(io.StringIO()):
-                experiment()
-        else:
-            experiment()
-    finally:
-        set_tie_hook(previous)
-
-
 def explore(
     experiment: Callable[[], Any],
     *,
@@ -260,11 +246,7 @@ def explore(
         discover_declared_classes() if declared is None else declared
     )
     base = _BaseHook(monitor)
-    monitor.install()
-    try:
-        _run_once(experiment, base, quiet=quiet)
-    finally:
-        monitor.uninstall()
+    run_hooked(experiment, base, quiet=quiet, monitor=monitor)
 
     targets = set(monitor.conflict_groups)
 
@@ -276,7 +258,7 @@ def explore(
     if targets:
         for perm_index in range(permutations):
             hook = _PermuteHook(targets, seed, perm_index)
-            _run_once(experiment, hook, quiet=quiet)
+            run_hooked(experiment, hook, quiet=quiet)
             permuted_total += hook.permuted_groups
             divergence = _first_divergence(base, hook)
             if divergence is not None:

@@ -30,13 +30,13 @@ Entry points: :func:`run_monitored`, or ``python -m repro <cmd> --races``.
 from __future__ import annotations
 
 import dataclasses
-import importlib
-import pkgutil
 from collections import OrderedDict
 from typing import Any, Callable
 
-from ...netsim.simulator import Simulator, TieEvent, _describe_callback, _describe_value, set_tie_hook
+from ...netsim.simulator import Simulator, TieEvent, _describe_callback, _describe_value
+from ..declarations import iter_declared_classes
 from ..findings import Finding
+from ..modes import run_hooked
 from .declarations import DECL_NAME, SharedStateDecl, parse_declaration
 
 #: Wildcard key: the whole-container footprint (iteration, clear, len).
@@ -48,32 +48,13 @@ Cell = tuple  # (owner_label, attr, key) — key None for scalars
 def discover_declared_classes(
     package: str = "repro",
 ) -> list[tuple[type, SharedStateDecl]]:
-    """Import ``package`` recursively and collect declared classes.
-
-    Modules that fail to import (optional deps, scripts) are skipped —
-    the static R002 pass is what enforces declaration presence.
-    """
-    root = importlib.import_module(package)
-    module_names = [package]
-    for info in pkgutil.walk_packages(root.__path__, prefix=package + "."):
-        # __main__ modules run their CLI at import time — never import them
-        if info.name.rsplit(".", 1)[-1] == "__main__":
-            continue
-        module_names.append(info.name)
-    found: list[tuple[type, SharedStateDecl]] = []
-    seen: set[type] = set()
-    for name in module_names:
-        try:
-            module = importlib.import_module(name)
-        except Exception:  # pragma: no cover - optional/broken module
-            continue
-        decls = parse_declaration(getattr(module, DECL_NAME, None))
-        for class_name, decl in sorted(decls.items()):
-            cls = getattr(module, class_name, None)
-            if isinstance(cls, type) and cls not in seen:
-                seen.add(cls)
-                found.append((cls, decl))
-    return found
+    """Every class under ``package`` with a ``__shared_state__`` entry."""
+    return [
+        (cls, decl)
+        for _module, cls, decl in iter_declared_classes(
+            package, DECL_NAME, parse_declaration
+        )
+    ]
 
 
 class _TrackedOps:
@@ -504,23 +485,10 @@ def run_monitored(
     the only output (mirrors the determinism sanitizer).  ``declared``
     overrides package discovery — tests monitor toy classes this way.
     """
-    import contextlib
-    import io
-
     if declared is None:
         declared = discover_declared_classes()
     monitor = InterferenceMonitor(declared)
-    previous = set_tie_hook(monitor)
-    monitor.install()
-    try:
-        if quiet:
-            with contextlib.redirect_stdout(io.StringIO()):
-                experiment()
-        else:
-            experiment()
-    finally:
-        monitor.uninstall()
-        set_tie_hook(previous)
+    run_hooked(experiment, monitor, quiet=quiet, monitor=monitor)
     return RaceReport(
         findings=sorted(monitor.findings, key=Finding.sort_key),
         groups_observed=monitor.groups_observed,

@@ -1,20 +1,20 @@
-"""Repo-specific determinism lint rules.
+"""Repo-specific determinism lint checks.
 
 Every paper result this repo reproduces rests on ``Simulator`` runs being
-bit-for-bit reproducible from a seed.  These rules catch the source-level
+bit-for-bit reproducible from a seed.  These checks catch the source-level
 patterns that silently break that property.
 
 Adding a rule
 =============
 
-Subclass :class:`LintRule`, set ``id``/``summary``/``rationale``, implement
-``check``, and decorate with :func:`register` — roughly 20 lines::
+Add its :class:`~repro.analysis.registry.Rule` row (id, ``"lint"``,
+summary, rationale) to :data:`repro.analysis.registry.RULES`, then
+subclass :class:`LintRule` here, set ``id``, implement ``check`` and
+decorate with :func:`register` — roughly 15 lines::
 
     @register
     class NoSleep(LintRule):
         id = "D006"
-        summary = "no time.sleep in simulation code"
-        rationale = "virtual time never needs the host clock"
 
         def check(self, tree, path):
             for node in ast.walk(tree):
@@ -32,16 +32,19 @@ import ast
 from typing import ClassVar, Iterator
 
 from .findings import Finding
+from .registry import RULES
 
-#: Rule registry: id -> rule class.  Populated by :func:`register`.
-RULES: dict[str, type["LintRule"]] = {}
+#: Lint checks: rule id -> check class.  Populated by :func:`register`.
+LINT_CHECKS: dict[str, type["LintRule"]] = {}
 
 
 def register(rule_cls: type["LintRule"]) -> type["LintRule"]:
-    """Class decorator adding a rule to the registry (id must be unique)."""
-    if rule_cls.id in RULES:
+    """Class decorator binding a check to its registry row (one per id)."""
+    if rule_cls.id in LINT_CHECKS:
         raise ValueError(f"duplicate lint rule id {rule_cls.id!r}")
-    RULES[rule_cls.id] = rule_cls
+    if rule_cls.id not in RULES:
+        raise ValueError(f"lint rule {rule_cls.id!r} has no registry row")
+    LINT_CHECKS[rule_cls.id] = rule_cls
     return rule_cls
 
 
@@ -71,26 +74,15 @@ def type_checking_guarded(tree: ast.AST) -> set[ast.AST]:
 
 
 class LintRule:
-    """Base class: one determinism rule, stateless, checked per file."""
+    """Base class: one determinism check, stateless, run per file."""
 
     id: ClassVar[str]
-    summary: ClassVar[str]
-    rationale: ClassVar[str]
-    #: ``error`` | ``warning`` | ``note`` — drives the SARIF level and the
-    #: ``--fail-on`` exit-code contract.
-    severity: ClassVar[str] = "error"
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
         raise NotImplementedError
 
     def finding(self, path: str, node: ast.AST, message: str) -> Finding:
-        return Finding(
-            path=path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule=self.id,
-            message=message,
-        )
+        return Finding.at(path, node, self.id, message)
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +111,6 @@ _WALL_CLOCK_CALLS = {
 @register
 class NoWallClock(LintRule):
     id = "D001"
-    summary = "no wall-clock reads in simulation code"
-    rationale = (
-        "simulated behaviour keyed to the host clock differs on every run; "
-        "all time must come from Simulator.now"
-    )
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
@@ -178,12 +165,6 @@ _OS_ENTROPY_CALLS = {
 @register
 class NoGlobalRandom(LintRule):
     id = "D002"
-    summary = "no global/unseeded randomness outside Simulator.rng"
-    rationale = (
-        "the process-global random module and unseeded random.Random() draw "
-        "from OS entropy; every stochastic choice must flow from the seeded "
-        "Simulator.rng"
-    )
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
         guarded = type_checking_guarded(tree)
@@ -271,13 +252,6 @@ def _schedules_events(body: list[ast.stmt]) -> ast.Call | None:
 @register
 class NoUnorderedScheduling(LintRule):
     id = "D003"
-    summary = "no set/dict-order iteration feeding event scheduling"
-    rationale = (
-        "set iteration order (and dict order, when insertion order is itself "
-        "unstable) depends on hashes and allocation; events scheduled from "
-        "such loops land in a run-dependent sequence — wrap the iterable in "
-        "sorted(...)"
-    )
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
@@ -313,12 +287,6 @@ def _is_mutable_default(node: ast.expr) -> bool:
 @register
 class NoMutableDefaults(LintRule):
     id = "D004"
-    summary = "no mutable default arguments"
-    rationale = (
-        "a mutable default is shared across calls; state leaking between "
-        "two supposedly independent simulator runs makes the second run "
-        "depend on the first"
-    )
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
@@ -355,12 +323,6 @@ def _mentions_virtual_time(node: ast.expr) -> bool:
 @register
 class NoFloatTimeEquality(LintRule):
     id = "D005"
-    summary = "no floating-point == / != on virtual time"
-    rationale = (
-        "virtual timestamps are accumulated floats; exact equality is "
-        "rounding-order dependent — compare with a tolerance or order by "
-        "event sequence instead"
-    )
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
@@ -404,21 +366,6 @@ _ACTUATOR_ENTRY_POINTS = frozenset(
 @register
 class ObserveOnly(LintRule):
     id = "W002"
-    summary = (
-        "repro.obs must stay observe-only and repro.farm must stay seed-pure: "
-        "no actuator calls, no private RNGs"
-    )
-    rationale = (
-        "the observability layer is a read-only tap: if it schedules events, "
-        "draws randomness, or calls a mutating guard/limiter entry point "
-        "(the actuator seam reserved for repro.control), enabling it changes "
-        "the event trace and every --sanitize parity guarantee breaks; farm "
-        "workers carry the same discipline — a worker that actuates a guard "
-        "or constructs its own random.Random breaks the contract that a "
-        "cell's result depends only on (matrix, params, derived seed), so "
-        "farm randomness must flow from the per-cell seed "
-        "(Cell.seed / Simulator.child_rng)"
-    )
 
     @staticmethod
     def _scope(path: str) -> str | None:
@@ -490,12 +437,6 @@ class ObserveOnly(LintRule):
 @register
 class NoSwallowedExceptions(LintRule):
     id = "W001"
-    summary = "no bare except / silently swallowed exceptions"
-    rationale = (
-        "an exception swallowed inside an event callback silently truncates "
-        "the event cascade, producing a plausible-looking but wrong run; "
-        "failures must surface or be narrowly handled"
-    )
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
@@ -515,30 +456,3 @@ class NoSwallowedExceptions(LintRule):
                     f"except {type_name}: pass swallows every failure — "
                     "handle or re-raise",
                 )
-
-
-# ---------------------------------------------------------------------------
-# U001 — suppression hygiene (documentation entry)
-# ---------------------------------------------------------------------------
-
-
-@register
-class UnusedSuppression(LintRule):
-    id = "U001"
-    # hygiene, not a live hazard — still fails the repo gate (--fail-on
-    # warning) but is distinguishable for SARIF consumers
-    severity = "warning"
-    summary = "suppression marker that suppresses nothing"
-    rationale = (
-        "an allow[...] marker whose rule never fires on its line — or that "
-        "names an unknown rule id — documents a hazard that no longer "
-        "exists; stale rationales are misinformation, so the marker must "
-        "be deleted when the finding goes away"
-    )
-
-    # U001 is cross-engine: findings are produced by
-    # ``engine.SuppressionTracker.unused_findings`` after the lint *and*
-    # flow analyses report which rules ran.  This class only documents the
-    # rule id in the registry (tables, SARIF metadata, --rules selection).
-    def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
-        return iter(())

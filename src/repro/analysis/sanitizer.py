@@ -31,7 +31,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import io
 from typing import Any, Callable
 
 from ..netsim.simulator import (
@@ -40,6 +39,7 @@ from ..netsim.simulator import (
     Simulator,
     set_trace_collector,
 )
+from .modes import quiet_stdout
 
 #: Extra events captured past the bracketed divergence window, so the first
 #: divergent event sits safely inside the localisation pass's recording.
@@ -115,6 +115,10 @@ class SanitizeReport:
     divergence: Divergence | None = None
     notes: list[str] = dataclasses.field(default_factory=list)
 
+    @property
+    def ok(self) -> bool:
+        return self.matched
+
     def summary(self) -> str:
         if self.matched:
             head = (
@@ -144,12 +148,8 @@ def _traced_run(
     # Live ballast perturbs the allocator so id()-derived orderings differ
     # between runs; it must stay referenced until the run completes.
     ballast = [object() for _ in range(run_index * _BALLAST_STRIDE + 1)]
-    sink = io.StringIO() if quiet else None
     with capture_traces(keep_events=keep_events, event_limit=event_limit) as collector:
-        if sink is not None:
-            with contextlib.redirect_stdout(sink):
-                experiment()
-        else:
+        with quiet_stdout(quiet):
             experiment()
     del ballast
     return collector

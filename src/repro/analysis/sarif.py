@@ -12,7 +12,8 @@ from __future__ import annotations
 from pathlib import PurePath
 from typing import Iterable
 
-from ..findings import Finding
+from .findings import Finding
+from .registry import RULES, severity_of
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
@@ -21,58 +22,31 @@ _TOOL_NAME = "repro-analysis"
 _TOOL_URI = "https://example.invalid/repro/analysis"  # repo-internal tool
 
 
-def _rule_meta() -> dict[str, tuple[str, str, str]]:
-    """id -> (summary, rationale, severity) across all engines."""
-    from ..engine import SYNTAX_ERROR_RULE
-    from ..memory.engine import MEMORY_RULES
-    from ..perf.engine import PERF_RULES
-    from ..races.engine import RACE_RULES
-    from ..rules import RULES
-    from .engine import FLOW_RULES
-
-    meta: dict[str, tuple[str, str, str]] = {}
-    for registry in (RULES, FLOW_RULES, RACE_RULES, PERF_RULES, MEMORY_RULES):
-        for rule_id in sorted(registry):
-            rule = registry[rule_id]
-            meta[rule_id] = (
-                rule.summary,
-                rule.rationale,
-                getattr(rule, "severity", "error"),
-            )
-    meta.setdefault(
-        SYNTAX_ERROR_RULE,
-        ("file fails to parse", "nothing can be checked in unparsable code", "error"),
-    )
-    return meta
-
-
 def to_sarif(findings: Iterable[Finding], *, tool_version: str = "0") -> dict:
     """A SARIF 2.1.0 document (as a plain dict) for ``findings``."""
     findings = list(findings)
-    meta = _rule_meta()
-    # stable rule table: every finding's rule, plus all registered rules so
-    # the document is self-describing even on a clean run
-    rule_ids = sorted(set(meta) | {f.rule for f in findings})
+    # stable rule table: every registered rule, so the document is
+    # self-describing even on a clean run (plus any unregistered finding id)
+    rule_ids = sorted(set(RULES) | {f.rule for f in findings})
     rule_index = {rule_id: i for i, rule_id in enumerate(rule_ids)}
     rules = []
     for rule_id in rule_ids:
-        summary, rationale, severity = meta.get(rule_id, (rule_id, "", "error"))
+        rule = RULES.get(rule_id)
         rules.append(
             {
                 "id": rule_id,
-                "shortDescription": {"text": summary},
-                "fullDescription": {"text": rationale},
-                "defaultConfiguration": {"level": severity},
+                "shortDescription": {"text": rule.summary if rule else rule_id},
+                "fullDescription": {"text": rule.rationale if rule else ""},
+                "defaultConfiguration": {"level": severity_of(rule_id)},
             }
         )
     results = []
     for finding in findings:
-        severity = meta.get(finding.rule, ("", "", "error"))[2]
         results.append(
             {
                 "ruleId": finding.rule,
                 "ruleIndex": rule_index[finding.rule],
-                "level": severity,
+                "level": severity_of(finding.rule),
                 "message": {"text": finding.message},
                 "locations": [
                     {

@@ -20,16 +20,21 @@ from .cookie import (
     LABEL_PREFIX,
     random_key,
 )
-from .costs import GuardCosts
-from .dns_scheme import (
+from .core import (
     FABRICATED_NS_TTL,
     CookieName,
+    RateEstimator,
+    TokenBucket,
+    TopRequesterTracker,
+    UnverifiedResponseLimiter,
+    VerifiedRequestLimiter,
     cookie_name_answer,
     decode_cookie_name,
     delegation_owner,
     encode_cookie_name,
     fabricated_referral,
 )
+from .costs import GuardCosts
 from .local_guard import DEFAULT_COOKIE_TTL, LocalDnsGuard
 from .pipeline import AdmissionControl, RemoteDnsGuard
 from .rfc7873 import (
@@ -39,13 +44,6 @@ from .rfc7873 import (
     attach_edns_cookie,
     extract_edns_cookie,
     strip_edns_cookie,
-)
-from .ratelimit import (
-    RateEstimator,
-    TokenBucket,
-    TopRequesterTracker,
-    UnverifiedResponseLimiter,
-    VerifiedRequestLimiter,
 )
 from .tcp_scheme import TcpProxy
 

@@ -46,8 +46,8 @@ from .core.edns_cookie import (
     extract_edns_cookie,
     strip_edns_cookie,
 )
+from .core.ratelimit import UnverifiedResponseLimiter
 from .costs import GuardCosts
-from .ratelimit import UnverifiedResponseLimiter
 
 __layer__ = "adapter"
 

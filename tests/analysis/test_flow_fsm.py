@@ -1,10 +1,11 @@
 """S-rules: FSM extraction, conformance, and the seeded-mutation proofs."""
 
+import functools
 import ast
 import textwrap
 from pathlib import Path
 
-from repro.analysis.flow.engine import analyze_paths
+from repro.analysis import analyze
 from repro.analysis.flow.fsm import (
     check_conformance,
     check_isn_paths,
@@ -15,6 +16,9 @@ from repro.analysis.flow.fsm import (
     extract_fsm,
 )
 from repro.analysis.flow.fsm_spec import FsmSpec, Transition
+
+#: the flow family through the one kernel entry point
+analyze_paths = functools.partial(analyze, families=("flow",))
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 TCP_PATH = REPO_SRC / "repro" / "netsim" / "tcp.py"

@@ -1,12 +1,15 @@
 """T-rules: taint tracking through calls, branches, and sanitizers."""
 
+import functools
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.engine import SuppressionTracker
-from repro.analysis.flow.engine import analyze_paths
+from repro.analysis import SuppressionTracker, analyze
+
+#: the flow family through the one kernel entry point
+analyze_paths = functools.partial(analyze, families=("flow",))
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 

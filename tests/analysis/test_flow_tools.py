@@ -1,4 +1,4 @@
-"""Tooling around the flow engine: SARIF, baselines, U001, and the CLI."""
+"""Family-neutral tooling: the registry, SARIF, baselines, U001, and the CLI."""
 
 import json
 import textwrap
@@ -11,10 +11,11 @@ from repro.analysis.cli import (
     main,
     rules_markdown,
 )
-from repro.analysis.engine import SuppressionTracker, lint_source
+from repro.analysis import SuppressionTracker, lint_source
 from repro.analysis.findings import Finding
-from repro.analysis.flow.baseline import apply_baseline, load_baseline
-from repro.analysis.flow.sarif import (
+from repro.analysis.registry import RULES
+from repro.analysis.baseline import apply_baseline, load_baseline
+from repro.analysis.sarif import (
     SARIF_VERSION,
     results_from_sarif,
     to_sarif,
@@ -52,6 +53,26 @@ class TestSarif:
         assert doc["runs"][0]["tool"]["driver"]["rules"]
         assert results_from_sarif(doc) == []
 
+    def test_registry_sarif_and_readme_table_list_the_same_rules(self):
+        # one registry: a family cannot be known to --rules-md and missing
+        # from the SARIF descriptors (L001-L006 once were)
+        driver = to_sarif([])["runs"][0]["tool"]["driver"]
+        sarif_ids = [rule["id"] for rule in driver["rules"]]
+        md_ids = [
+            line.split("`")[1]
+            for line in rules_markdown().splitlines()
+            if line.startswith("| `")
+        ]
+        assert sarif_ids == md_ids == sorted(RULES)
+        assert len(sarif_ids) == 40 and {"L001", "L006", "E999"} <= set(sarif_ids)
+
+    def test_every_family_finding_carries_its_registered_metadata(self):
+        finding = Finding(path="src/c.py", line=1, col=0, rule="L003", message="m")
+        run = to_sarif([finding])["runs"][0]
+        (descriptor,) = [r for r in run["tool"]["driver"]["rules"] if r["id"] == "L003"]
+        assert descriptor["shortDescription"]["text"] == RULES["L003"].summary
+        assert run["results"][0]["level"] == RULES["L003"].severity
+
 
 class TestBaseline:
     def test_accepted_findings_are_subtracted(self, tmp_path):
@@ -79,6 +100,18 @@ class TestBaseline:
         assert [f.rule for f in kept] == ["U001"]
         assert "stale baseline entry" in kept[0].message
         assert kept[0].path == str(baseline)
+
+    def test_entry_for_a_rule_that_did_not_run_is_not_stale(self, tmp_path):
+        # one baseline file serves every family: a --flow run cannot judge
+        # the perf family's accepted debt
+        entries = [{"path": "src/a.py", "rule": "P006", "message": "push"}]
+        assert apply_baseline(
+            [], entries, baseline_path="b.json", rules_run={"T001", "S004"}
+        ) == []
+        (stale,) = apply_baseline(
+            [], entries, baseline_path="b.json", rules_run={"P006"}
+        )
+        assert stale.rule == "U001" and "stale baseline entry" in stale.message
 
     def test_malformed_baseline_raises(self, tmp_path):
         baseline = tmp_path / "baseline.json"

@@ -1,19 +1,22 @@
 """L-rules: the transport-purity layering analysis (L001–L005)."""
 
+import functools
 import ast
 import textwrap
 from pathlib import Path
 
+from repro.analysis import FAMILIES, analyze
 from repro.analysis.layers import (
     DEFAULT_MANIFEST,
-    LAYER_RULES,
     LAYERS,
-    analyze_layers,
     declared_layer,
     layer_of,
-    layer_rule_table,
     pure_prefixes,
 )
+from repro.analysis.registry import rule_table
+
+#: the layers family through the one kernel entry point
+analyze_layers = functools.partial(analyze, families=("layers",))
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 REPO_SRC = REPO_ROOT / "src"
@@ -287,13 +290,16 @@ class TestL005:
 
 class TestRegistry:
     def test_all_rules_registered(self):
-        assert set(LAYER_RULES) == {"L001", "L002", "L003", "L004", "L005", "L006"}
-        for rule in LAYER_RULES.values():
+        rules = FAMILIES["layers"].rules
+        assert {rule.id for rule in rules} == {
+            "L001", "L002", "L003", "L004", "L005", "L006"
+        }
+        for rule in rules:
             assert rule.family in ("layering", "layering-runtime")
             assert rule.severity == "error"
-        table = layer_rule_table()
-        for rule_id in LAYER_RULES:
-            assert rule_id in table
+        table = rule_table(rules)
+        for rule in rules:
+            assert rule.id in table
 
     def test_layers_is_a_valid_value_set(self):
         assert set(TOY.values()) <= set(LAYERS)

@@ -1,10 +1,12 @@
 """M-rules: state-bound declarations and the static exhaustion checks."""
 
+import functools
 import textwrap
 from pathlib import Path
 
 import pytest
 
+from repro.analysis import FAMILIES, analyze
 from repro.analysis.memory.declarations import (
     EVICTION_MECHANISMS,
     StateBound,
@@ -12,11 +14,10 @@ from repro.analysis.memory.declarations import (
     find_declaration,
     parse_declaration,
 )
-from repro.analysis.memory.engine import (
-    MEMORY_RULES,
-    analyze_memory,
-    memory_rule_table,
-)
+from repro.analysis.registry import rule_table
+
+#: the memory family through the one kernel entry point
+analyze_memory = functools.partial(analyze, families=("memory",))
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 REPO_SRC = REPO_ROOT / "src"
@@ -388,14 +389,15 @@ class TestEngine:
     def test_registry_is_consistent(self):
         from repro.analysis.memory.rules import MEMORY_CHECKS
 
-        assert set(MEMORY_RULES) == set(MEMORY_CHECKS) | {"M006"}
-        for rule in MEMORY_RULES.values():
+        rules = FAMILIES["memory"].rules
+        assert {rule.id for rule in rules} == set(MEMORY_CHECKS) | {"M006"}
+        for rule in rules:
             expected = "memory-runtime" if rule.id == "M006" else "memory"
             assert rule.family == expected
             assert rule.severity == "error"
-        table = memory_rule_table()
-        for rule_id in MEMORY_RULES:
-            assert rule_id in table
+        table = rule_table(rules)
+        for rule in rules:
+            assert rule.id in table
 
 
 # -- seeded-mutation acceptance tests against repo sources --------------------
@@ -418,7 +420,7 @@ class TestAcceptanceMutations:
                 [
                     "--memory",
                     "--baseline",
-                    "scripts/memory_baseline.json",
+                    "scripts/analysis_baseline.json",
                     "src",
                 ]
             )

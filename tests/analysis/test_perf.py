@@ -1,12 +1,13 @@
 """P-rules: hot-path inference, profile weighting, and the cost checks."""
 
+import functools
 import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.perf.engine import PERF_RULES, analyze_perf
+from repro.analysis import FAMILIES, analyze
 from repro.analysis.perf.hotpath import (
     PerfProfile,
     compute_hot_paths,
@@ -14,6 +15,9 @@ from repro.analysis.perf.hotpath import (
     module_dotted,
 )
 from repro.analysis.flow.core import load_modules
+
+#: the perf family through the one kernel entry point
+analyze_perf = functools.partial(analyze, families=("perf",))
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 REPO_SRC = REPO_ROOT / "src"
@@ -407,8 +411,9 @@ class Boom(Exception):
     def test_registry_is_consistent(self):
         from repro.analysis.perf.rules import PERF_CHECKS
 
-        assert set(PERF_RULES) == set(PERF_CHECKS)
-        assert all(rule.family == "perf" for rule in PERF_RULES.values())
+        rules = FAMILIES["perf"].rules
+        assert {rule.id for rule in rules} == set(PERF_CHECKS)
+        assert all(rule.family == "perf" for rule in rules)
 
 
 # -- seeded-mutation acceptance tests against repo sources --------------------
@@ -431,7 +436,7 @@ class TestAcceptanceMutations:
                 [
                     "--perf",
                     "--baseline",
-                    "scripts/perf_baseline.json",
+                    "scripts/analysis_baseline.json",
                     "src",
                 ]
             )
@@ -501,7 +506,7 @@ class TestAcceptanceMutations:
 
     def test_p006_flags_batch_loops_and_spares_computed_delays(self, tmp_path):
         # the attack batch loop is real accepted debt (scripts/
-        # perf_baseline.json): the raw analyzer must keep flagging it
+        # analysis_baseline.json): the raw analyzer must keep flagging it
         findings = analyze_perf(
             [REPO_SRC / "repro" / "attack" / "spoof.py"], rule_ids=["P006"]
         )

@@ -1,10 +1,15 @@
 """R001/R002: static effect inference over scheduled callbacks."""
 
+import functools
 import ast
 import textwrap
 from pathlib import Path
 
-from repro.analysis.races import analyze_races, declarations_for_module
+from repro.analysis import analyze
+from repro.analysis.races import declarations_for_module
+
+#: the races family through the one kernel entry point
+analyze_races = functools.partial(analyze, families=("races",))
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 

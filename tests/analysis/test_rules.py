@@ -3,7 +3,7 @@
 import textwrap
 
 from repro.analysis import lint_source
-from repro.analysis.rules import RULES
+from repro.analysis.registry import RULES
 
 
 def findings_for(source: str, rule: str | None = None):
@@ -18,9 +18,9 @@ class TestRegistry:
         assert {"D001", "D002", "D003", "D004", "D005", "W001"} <= set(RULES)
 
     def test_rules_carry_docs(self):
-        for rule_cls in RULES.values():
-            assert rule_cls.summary
-            assert rule_cls.rationale
+        for rule in RULES.values():
+            assert rule.summary
+            assert rule.rationale
 
 
 class TestD001WallClock:

@@ -3,9 +3,9 @@
 import json
 import textwrap
 
-from repro.analysis import lint_paths
+import repro.analysis.engine as lint_engine
+from repro.analysis import FAMILIES, Facts, SuppressionTracker, analyze, lint_source, run
 from repro.analysis.bench import write_bench_analysis
-from repro.analysis.flow.core import load_modules
 
 
 def write(tmp_path, name, source):
@@ -27,19 +27,43 @@ class TestParsedEquivalence:
                 return time.time()
             """,
         )
-        cold = lint_paths([tmp_path])
-        modules = load_modules([tmp_path])
-        parsed = {module.path: module for module in modules}
-        warm = lint_paths([tmp_path], parsed=parsed)
+        cold = analyze([tmp_path])
+        facts = Facts([tmp_path])
+        warm = run(["lint"], facts)
         assert warm == cold
         assert warm, "fixture should produce at least one finding"
+        # the same facts serve any number of runs and families
+        assert run(["lint"], facts) == cold
+        assert run(list(FAMILIES), facts) == cold
 
     def test_syntax_error_file_still_reported_with_shared_parse(self, tmp_path):
         write(tmp_path, "broken.py", "def oops(:\n")
-        modules = load_modules([tmp_path])  # skips the E999 file
-        parsed = {module.path: module for module in modules}
-        findings = lint_paths([tmp_path], parsed=parsed)
-        assert [f.rule for f in findings] == ["E999"]
+        facts = Facts([tmp_path])  # the E999 file is not a module
+        assert facts.modules == []
+        assert [f.rule for f in run(["lint"], facts)] == ["E999"]
+        # whichever families run, an unparsable file is never silently skipped
+        assert [f.rule for f in run(["memory"], facts)] == ["E999"]
+
+    def test_each_source_is_tokenised_once_per_run(self, tmp_path, monkeypatch):
+        write(tmp_path, "a.py", "import random  # repro: allow[D002] fixture\n")
+        write(tmp_path, "b.py", "x = 1  # repro: allow[T001] fixture\n")
+        write(tmp_path, "broken.py", "def oops(:  # repro: allow[E999]\n")
+        real = lint_engine.suppressed_rules
+        seen: list[str] = []
+
+        def counting(source):
+            seen.append(source)
+            return real(source)
+
+        monkeypatch.setattr(lint_engine, "suppressed_rules", counting)
+        tracker = SuppressionTracker()
+        findings = analyze([tmp_path], families=list(FAMILIES), tracker=tracker)
+        assert findings == []  # every marker, E999's included, was honoured
+        assert len(seen) == 3 and len(set(seen)) == 3
+        # ...and the one-source entry point registers, it does not re-scan
+        del seen[:]
+        lint_source("import random  # repro: allow[D002]\n", tracker=tracker)
+        assert len(seen) == 1
 
 
 class TestBenchAnalysis:

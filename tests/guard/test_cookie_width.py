@@ -6,7 +6,7 @@ import pytest
 
 from repro.dns import LrsSimulator
 from repro.guard import CookieFactory, random_key
-from repro.guard.dns_scheme import decode_cookie_name, encode_cookie_name
+from repro.guard.core import decode_cookie_name, encode_cookie_name
 from repro.dnswire import Name
 
 LRS = IPv4Address("10.0.0.53")

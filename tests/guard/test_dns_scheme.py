@@ -20,13 +20,14 @@ COOKIE = b"PRa1b2c3d4"
 
 class TestCoreSeam:
     def test_adapter_reexports_the_pure_core_codec(self):
-        """guard.dns_scheme is a shim over guard.core.dns_scheme — same
+        """repro.guard re-exports guard.core.dns_scheme's codec — same
         objects, so round-trips below cover both import paths."""
-        from repro.guard import core, dns_scheme
+        from repro import guard
+        from repro.guard.core import dns_scheme
 
-        assert dns_scheme.encode_cookie_name is core.dns_scheme.encode_cookie_name
-        assert dns_scheme.decode_cookie_name is core.dns_scheme.decode_cookie_name
-        assert dns_scheme.delegation_owner is core.dns_scheme.delegation_owner
+        assert guard.encode_cookie_name is dns_scheme.encode_cookie_name
+        assert guard.decode_cookie_name is dns_scheme.decode_cookie_name
+        assert guard.delegation_owner is dns_scheme.delegation_owner
 
     def test_core_round_trip_without_adapter(self):
         from repro.guard.core.dns_scheme import decode_cookie_name as dec
