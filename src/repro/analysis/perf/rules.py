@@ -15,7 +15,7 @@ import ast
 import dataclasses
 
 from ..findings import Finding
-from ..flow.core import ModuleInfo, _call_name, class_of
+from ..flow.core import ModuleInfo, _call_name, class_of, self_attr
 from .hotpath import CALLBACK_TAKERS, HotFunction, callback_calls, module_dotted
 
 #: Modules the message-codec rule (P002) never fires in: the codec itself
@@ -324,6 +324,17 @@ def check_formatting(ctx: PerfContext, hot: HotFunction) -> list[Finding]:
 # -- P005: O(n) scans inside per-packet handlers ------------------------------
 
 
+def _self_table(expr: ast.expr) -> str | None:
+    """``X`` when ``expr`` is ``self.X`` or ``self.X.items()/.keys()/.values()``."""
+    if (
+        isinstance(expr, ast.Call)
+        and isinstance(expr.func, ast.Attribute)
+        and expr.func.attr in ("items", "keys", "values")
+    ):
+        expr = expr.func.value
+    return self_attr(expr)
+
+
 def check_linear_scans(ctx: PerfContext, hot: HotFunction) -> list[Finding]:
     findings: list[Finding] = []
     enclosing = class_of(hot.decl.qualname)
@@ -360,6 +371,34 @@ def check_linear_scans(ctx: PerfContext, hot: HotFunction) -> list[Finding]:
                         "P005",
                         f"{name}() inside a per-packet handler is O(n log n) "
                         "per event — keep the structure ordered incrementally",
+                    )
+                )
+            elif name in ("min", "max") and len(node.args) == 1:
+                table = _self_table(node.args[0])
+                if table is not None:
+                    findings.append(
+                        _finding(
+                            hot,
+                            node,
+                            "P005",
+                            f"{name}() over .{table} scans the whole table "
+                            "once per event — keep a heap or an ordered "
+                            "index beside it",
+                        )
+                    )
+        elif isinstance(node, ast.Assign) and isinstance(
+            node.value, (ast.ListComp, ast.SetComp, ast.DictComp)
+        ):
+            table = _self_table(node.value.generators[0].iter)
+            if table is not None and any(self_attr(t) == table for t in node.targets):
+                findings.append(
+                    _finding(
+                        hot,
+                        node,
+                        "P005",
+                        f"rebuilds .{table} with a comprehension over itself "
+                        "once per event — delete the dead entries in place "
+                        "(ordered table, purge from the head)",
                     )
                 )
         elif isinstance(node, (ast.For, ast.AsyncFor)):

@@ -217,10 +217,10 @@ RULES: dict[str, Rule] = {
         ),
         Rule(
             "P005", "perf",
-            "O(n) scan (membership, sorted(), linear table walk) inside a per-packet "
-            "handler",
+            "O(n) scan (membership, sorted(), min()/max() over a table, table "
+            "rebuild, linear table walk) inside a per-packet handler",
             "a linear scan in the per-packet path multiplies n into the packet rate; "
-            "dicts, buckets, or precomputed tables keep dispatch O(1)",
+            "dicts, buckets, heaps, or precomputed tables keep dispatch O(1)",
         ),
         Rule(
             "P006", "perf",

@@ -250,7 +250,7 @@ class GuardController:
 
     def _budget_left(self, now: float) -> bool:
         window_start = now - self.config.action_window
-        self._action_times = [t for t in self._action_times if t > window_start]
+        self._action_times = [t for t in self._action_times if t > window_start]  # repro: allow[P005] once per control sweep, and the list holds at most max_actions_per_window stamps
         return len(self._action_times) < self.config.max_actions_per_window
 
     def _note_action(self, now: float, kind: str) -> None:

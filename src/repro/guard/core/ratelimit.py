@@ -9,7 +9,9 @@
 
 Both are built from token buckets.  The top-requester tracker uses the
 space-saving algorithm so memory stays bounded no matter how many spoofed
-sources an attacker invents.
+sources an attacker invents, and keeps a min-ordered heap beside its
+counters so the per-packet cost stays bounded too: evicting for a
+never-seen source is amortised O(log capacity), not a scan of the table.
 
 Pure core: every method takes ``now`` explicitly (the Clock port as an
 argument), draws no randomness and touches no transport — the same
@@ -19,6 +21,7 @@ accounting serves the simulator and a socket front end unchanged.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from collections import OrderedDict
 from ipaddress import IPv4Address
 
@@ -33,7 +36,10 @@ __shared_state__ = {
     # too since PR 7: the control plane hot-tunes them via ``reconfigure``
     # from its boundary-lane sweep, so they are scheduler-visible state.
     "TokenBucket": {"guarded": ["_tokens", "_updated_at", "rate", "burst"]},
-    "TopRequesterTracker": {"guarded": ["_counts"], "commutative": ["total"]},
+    "TopRequesterTracker": {
+        "guarded": ["_counts", "_min_heap"],
+        "commutative": ["total"],
+    },
     "UnverifiedResponseLimiter": {
         "guarded": ["_buckets", "tracker", "per_source_rate", "per_source_burst"],
         "commutative": ["allowed", "denied"],
@@ -49,11 +55,14 @@ __shared_state__ = {
 #: (``repro.analysis.memory``).  Each table is keyed by claimed source
 #: address — spoofable by construction — so each carries its own
 #: eviction: the limiters keep LRU-ordered buckets (``popitem`` at the
-#: cap), the tracker is a space-saving heavy-hitter summary that
-#: displaces its minimum-count victim at capacity.
+#: cap, O(1)), the tracker is a space-saving heavy-hitter summary that
+#: displaces its minimum-count victim at capacity — found through
+#: ``_min_heap`` (one item per counter, so the same bound) in amortised
+#: O(log capacity), never by scanning ``_counts``.
 __state_bounds__ = {
     "TopRequesterTracker": {
         "_counts": {"bound": 4096, "evicted_by": "cap", "keyed_by": "attacker"},
+        "_min_heap": {"bound": 4096, "evicted_by": "cap", "keyed_by": "attacker"},
     },
     "UnverifiedResponseLimiter": {
         "_buckets": {"bound": 8192, "evicted_by": "lru", "keyed_by": "attacker"},
@@ -120,13 +129,22 @@ class TopRequesterTracker:
     source with true count > N/capacity is present in the table.
     """
 
-    __slots__ = ("capacity", "_counts", "total")
+    __slots__ = ("capacity", "_counts", "_min_heap", "total")
 
     def __init__(self, capacity: int = 1024):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._counts: dict[IPv4Address, _TopEntry] = {}
+        #: Min-ordered index beside ``_counts``: exactly one ``(count,
+        #: insertion_seq, source, entry)`` per tracked source, so
+        #: ``len(_min_heap) == len(_counts) <= capacity`` after every
+        #: ``observe``.  A hit bumps only ``entry.count``; the recorded
+        #: count goes stale (never too high) and is refreshed when the
+        #: item surfaces at eviction.  ``insertion_seq`` is ``total`` at
+        #: insertion, so ties break towards the first-inserted source —
+        #: the victim a front-to-back ``min()`` over ``_counts`` picks.
+        self._min_heap: list[tuple[int, int, IPv4Address, _TopEntry]] = []
         self.total = 0
 
     def observe(self, source: IPv4Address) -> int:
@@ -136,13 +154,20 @@ class TopRequesterTracker:
         if entry is not None:
             entry.count += 1
             return entry.count
+        heap = self._min_heap
         if len(self._counts) < self.capacity:
-            self._counts[source] = _TopEntry(count=1, error=0)
+            entry = self._counts[source] = _TopEntry(count=1, error=0)
+            heapq.heappush(heap, (1, self.total, source, entry))
             return 1
         # evict the minimum counter, inheriting its count as error bound
-        victim = min(self._counts, key=lambda ip: self._counts[ip].count)
-        floor = self._counts.pop(victim).count
-        self._counts[source] = _TopEntry(count=floor + 1, error=floor)
+        while True:
+            floor, seq, victim, entry = heap[0]
+            if entry.count == floor:
+                break
+            heapq.heapreplace(heap, (entry.count, seq, victim, entry))
+        del self._counts[victim]
+        entry = self._counts[source] = _TopEntry(count=floor + 1, error=floor)
+        heapq.heapreplace(heap, (floor + 1, self.total, source, entry))
         return floor + 1
 
     def count(self, source: IPv4Address) -> int:
@@ -205,8 +230,8 @@ class UnverifiedResponseLimiter:
             bucket.reconfigure(rate, burst)
 
     def reset(self) -> None:
-        """Drop all soft state (bucket fill, heavy-hitter counts) — what a
-        guard crash loses; configuration survives."""
+        """Drop all soft state (bucket fill, heavy-hitter counts and their
+        index) — what a guard crash loses; configuration survives."""
         self._buckets.clear()
         self.tracker = TopRequesterTracker(self.tracker.capacity)
 

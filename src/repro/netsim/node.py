@@ -104,7 +104,7 @@ class Node:
         """Repoint the route for exactly ``subnet`` at ``link`` (failover)."""
         if isinstance(subnet, str):
             subnet = IPv4Network(subnet)
-        self.routes = [(s, l) for s, l in self.routes if s != subnet]
+        self.routes = [(s, l) for s, l in self.routes if s != subnet]  # repro: allow[P005] route-table mutation is config/failover-time, like add_route's sort
         self.add_route(subnet, link)
 
     def set_default_route(self, link: Link) -> None:

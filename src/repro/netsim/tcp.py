@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import struct
+from collections import OrderedDict
 from ipaddress import IPv4Address
 from typing import TYPE_CHECKING, Callable
 
@@ -78,6 +79,9 @@ __trust_boundary__ = {
 #: connection table admits through a capped ``_admit`` — full table ==
 #: SYN-queue overflow, the exact state SYN cookies exist to avoid — and
 #: TIME_WAIT displaces its oldest entry once the purge can free nothing.
+#: The table is insertion-ordered and position order is expiry order, so
+#: purge and displacement both pop from the head: amortised O(1) per
+#: close at the cap, never a pass over the table.
 __state_bounds__ = {
     "TcpStack": {
         "connections": {
@@ -348,7 +352,7 @@ class TcpConnection:
             return
         self.snd_una = ack
         # keep only segments not yet fully acknowledged (end > ack)
-        self._inflight = [
+        self._inflight = [  # repro: allow[P005] the window holds at most SEND_WINDOW_SEGMENTS (32) segments
             (seq, data, flags)
             for seq, data, flags in self._inflight
             if _seq_gt((seq + _seq_span(data, flags)) & 0xFFFFFFFF, ack)
@@ -486,7 +490,7 @@ class TcpStack:
         self.retry_exhaustions = 0
         self.stale_segments = 0
         self.connections_refused = 0
-        self._time_wait: dict[ConnKey, float] = {}
+        self._time_wait: OrderedDict[ConnKey, float] = OrderedDict()
 
     # -- public API ---------------------------------------------------------------
 
@@ -669,16 +673,20 @@ class TcpStack:
     def _forget(self, conn: TcpConnection, *, linger: bool = False) -> None:
         self.connections.pop(conn.key, None)
         if linger:
-            if len(self._time_wait) >= TIME_WAIT_CAP:
-                # lazily purge expired entries; if nothing has expired,
+            time_wait = self._time_wait
+            now = self.node.sim.now
+            # remove-then-insert: a re-lingered 4-tuple (an ephemeral port
+            # that wrapped inside the linger) moves to the back, so position
+            # order is expiry order and the expired entries are a prefix
+            time_wait.pop(conn.key, None)
+            if len(time_wait) >= TIME_WAIT_CAP:
+                # lazily purge the expired head; if nothing has expired,
                 # displace oldest-first so the cap actually holds
-                now = self.node.sim.now
-                self._time_wait = {
-                    key: until for key, until in self._time_wait.items() if until > now
-                }
-                while len(self._time_wait) >= TIME_WAIT_CAP:
-                    del self._time_wait[next(iter(self._time_wait))]
-            self._time_wait[conn.key] = self.node.sim.now + TIME_WAIT_LINGER
+                while time_wait and next(iter(time_wait.values())) <= now:
+                    time_wait.popitem(last=False)
+                while len(time_wait) >= TIME_WAIT_CAP:
+                    time_wait.popitem(last=False)
+            time_wait[conn.key] = now + TIME_WAIT_LINGER
 
     @property
     def open_connections(self) -> int:

@@ -372,6 +372,30 @@ class Boom(Exception):
         assert "membership test over .peers" in findings[0].message
         assert "sorted()" in findings[1].message
 
+    def test_p005_whole_table_min_max_and_rebuild(self, tmp_path):
+        findings = toy_findings(
+            tmp_path,
+            """
+                def __init__(self):
+                    self.table = {}
+
+                def _on_event(self, now):
+                    level = min(self.burst, self.tokens)    # two scalars: fine
+                    victim = min(self.table, key=self.table.get)
+                    worst = max(self.table.values())
+                    live = [k for k in self.table if k]     # read-only pass: fine
+                    self.table = {
+                        k: v for k, v in self.table.items() if v > now
+                    }
+                    return level, victim, worst, live
+            """,
+            "P005",
+        )
+        assert [f.rule for f in findings] == ["P005", "P005", "P005"]
+        assert "min() over .table" in findings[0].message
+        assert "max() over .table" in findings[1].message
+        assert "rebuilds .table" in findings[2].message
+
     def test_p006_constant_delay_fires_computed_delay_does_not(self, tmp_path):
         findings = toy_findings(
             tmp_path,
@@ -503,6 +527,63 @@ class TestAcceptanceMutations:
         findings = analyze_perf([tmp_path], rule_ids=["P005"])
         assert [f.rule for f in findings] == ["P005"]
         assert "Node.owns" in findings[0].message
+
+    def test_reverting_tracker_eviction_to_min_scan_fires_p005(self, tmp_path):
+        # a driver module makes the tracker per-packet code, as the guard
+        # pipeline does through UnverifiedResponseLimiter.allow
+        write(
+            tmp_path,
+            "driver.py",
+            """
+            class Guard:
+                def start(self):
+                    self.sim.schedule(0.1, self._on_packet)
+
+                def _on_packet(self):
+                    self.tracker.observe(self.source)
+            """,
+        )
+        ratelimit = REPO_SRC / "repro" / "guard" / "core" / "ratelimit.py"
+        write(tmp_path, "ratelimit.py", ratelimit.read_text(encoding="utf-8"))
+        assert analyze_perf([tmp_path], rule_ids=["P005"]) == []
+        mutate(
+            tmp_path,
+            "repro/guard/core/ratelimit.py",
+            """        while True:
+            floor, seq, victim, entry = heap[0]
+            if entry.count == floor:
+                break
+            heapq.heapreplace(heap, (entry.count, seq, victim, entry))
+        del self._counts[victim]
+""",
+            """        victim = min(self._counts, key=lambda ip: self._counts[ip].count)
+        floor = self._counts.pop(victim).count
+""",
+        )
+        findings = analyze_perf([tmp_path], rule_ids=["P005"])
+        assert [f.rule for f in findings] == ["P005"]
+        assert "min() over ._counts" in findings[0].message
+        assert "TopRequesterTracker.observe" in findings[0].message
+
+    def test_reverting_time_wait_purge_to_rebuild_fires_p005(self, tmp_path):
+        assert analyze_perf(
+            [REPO_SRC / "repro" / "netsim" / "tcp.py"], rule_ids=["P005"]
+        ) == []
+        mutate(
+            tmp_path,
+            "repro/netsim/tcp.py",
+            """                while time_wait and next(iter(time_wait.values())) <= now:
+                    time_wait.popitem(last=False)
+""",
+            """                self._time_wait = {
+                    key: until for key, until in self._time_wait.items() if until > now
+                }
+""",
+        )
+        findings = analyze_perf([tmp_path], rule_ids=["P005"])
+        assert [f.rule for f in findings] == ["P005"]
+        assert "rebuilds ._time_wait" in findings[0].message
+        assert "TcpStack._forget" in findings[0].message
 
     def test_p006_flags_batch_loops_and_spares_computed_delays(self, tmp_path):
         # the attack batch loop is real accepted debt (scripts/

@@ -32,6 +32,12 @@ class TestTableRunners:
                              concurrency=128)
         assert rate == pytest.approx(110_000, rel=0.1)
 
+    def test_table3_tcp_scheme_at_default_duration(self):
+        # 0.15 + 0.30 sim-s closes more connections than TIME_WAIT_CAP, so
+        # this is the end-to-end run of TcpStack._forget at the cap (~6 s)
+        rate = table3_scheme("tcp", cache=False)
+        assert rate == pytest.approx(22_700, rel=0.05)
+
 
 class TestFigureRunners:
     def test_fig6_point(self):

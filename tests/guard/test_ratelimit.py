@@ -1,5 +1,6 @@
 """Unit tests for token buckets, heavy-hitter tracking and the rate limiters."""
 
+import random
 from ipaddress import IPv4Address
 
 import pytest
@@ -15,6 +16,77 @@ from repro.guard import (
 
 def ip(n: int) -> IPv4Address:
     return IPv4Address(0x0A000000 + n)
+
+
+class ScanTracker:
+    """The pre-index ``TopRequesterTracker``: a front-to-back ``min()`` over
+    every counter per eviction.  Kept as the oracle the indexed tracker must
+    match observation for observation."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._counts: dict = {}  # source -> [count, error]
+        self.total = 0
+
+    def observe(self, source) -> int:
+        self.total += 1
+        entry = self._counts.get(source)
+        if entry is not None:
+            entry[0] += 1
+            return entry[0]
+        if len(self._counts) < self.capacity:
+            self._counts[source] = [1, 0]
+            return 1
+        victim = min(self._counts, key=lambda src: self._counts[src][0])
+        floor = self._counts.pop(victim)[0]
+        self._counts[source] = [floor + 1, floor]
+        return floor + 1
+
+    def count(self, source) -> int:
+        entry = self._counts.get(source)
+        return entry[0] if entry else 0
+
+    def top(self, k: int) -> list:
+        ranked = sorted(self._counts.items(), key=lambda item: item[1][0], reverse=True)
+        return [(src, entry[0]) for src, entry in ranked[:k]]
+
+
+def source_stream(kind: str, capacity: int, seed: int) -> list[IPv4Address]:
+    """A seeded stream that fills the table, then makes 1500 draws: ``hot``
+    revisits a pool half again the table's size, ``churn`` never repeats a
+    source, ``mixed`` interleaves five heavy hitters, the pool and one-shots."""
+    rng = random.Random(seed)
+    pool = [ip(1000 + i) for i in range(capacity + capacity // 2 + 2)]
+    heavy = [ip(i) for i in range(1, 6)]
+    fresh = iter(range(10**6, 10**7))
+    stream = rng.sample(pool, capacity)
+    for _ in range(1500):
+        draw = rng.random()
+        if kind == "hot" or (kind == "mixed" and 0.3 <= draw < 0.6):
+            stream.append(rng.choice(pool))
+        elif kind == "mixed" and draw < 0.3:
+            stream.append(rng.choice(heavy))
+        else:
+            stream.append(ip(next(fresh)))
+    return stream
+
+
+class CountingKey:
+    """A source whose ``__hash__`` calls are counted: the cost of one
+    ``observe`` in table operations, independent of host speed."""
+
+    __slots__ = ("n",)
+    hashes = 0
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __hash__(self) -> int:
+        CountingKey.hashes += 1
+        return hash(self.n)
+
+    def __eq__(self, other) -> bool:
+        return self.n == other.n
 
 
 class TestTokenBucket:
@@ -77,6 +149,46 @@ class TestTopRequesterTracker:
         with pytest.raises(ValueError):
             TopRequesterTracker(capacity=0)
 
+    @pytest.mark.parametrize("capacity", [1, 2, 8, 4096])
+    @pytest.mark.parametrize("kind", ["hot", "churn", "mixed"])
+    def test_matches_min_scan_oracle(self, kind, capacity):
+        """Same victim as the scan — the first-inserted source among the
+        minimum counts — so every return value and the table order agree."""
+        tracker, oracle = TopRequesterTracker(capacity), ScanTracker(capacity)
+        stream = source_stream(kind, capacity, seed=capacity)
+        for source in stream:
+            assert tracker.observe(source) == oracle.observe(source)
+            assert len(tracker._min_heap) == len(tracker._counts) <= capacity
+        assert list(tracker._counts) == list(oracle._counts)
+        assert [
+            [entry.count, entry.error] for entry in tracker._counts.values()
+        ] == list(oracle._counts.values())
+        assert tracker.total == oracle.total == len(stream)
+        for source in stream[-50:] + [ip(1), ip(999_999)]:
+            assert tracker.count(source) == oracle.count(source)
+        for k in (1, 5, capacity):
+            assert tracker.top(k) == oracle.top(k)
+
+    def test_eviction_cost_does_not_grow_with_capacity(self):
+        """Key hashes per evicting ``observe`` — counts, not timings — are
+        the same at 64 and 4096 counters; the scan paid one per counter."""
+
+        def hashes_per_eviction(capacity: int) -> float:
+            tracker = TopRequesterTracker(capacity)
+            for n in range(capacity):
+                tracker.observe(CountingKey(n))
+            for n in range(0, capacity, 3):  # leave stale index entries behind
+                tracker.observe(CountingKey(n))
+            CountingKey.hashes = 0
+            evictions = 500
+            for n in range(evictions):
+                tracker.observe(CountingKey(10**6 + n))
+            return CountingKey.hashes / evictions
+
+        small, large = hashes_per_eviction(64), hashes_per_eviction(4096)
+        assert small == large
+        assert large <= 4  # the miss, the victim's removal, the insert
+
 
 class TestUnverifiedResponseLimiter:
     def test_reflection_victim_protected(self):
@@ -101,6 +213,16 @@ class TestUnverifiedResponseLimiter:
         for i in range(1000):
             limiter.allow(ip(i), 0.0)
         assert len(limiter._buckets) <= 64
+
+    def test_reset_recreates_tracker_and_its_index(self):
+        limiter = UnverifiedResponseLimiter(tracker_capacity=8)
+        for i in range(100):
+            limiter.allow(ip(i), 0.0)
+        assert len(limiter.tracker._min_heap) == len(limiter.tracker._counts) == 8
+        limiter.reset()
+        assert limiter.tracker.capacity == 8
+        assert limiter.tracker._min_heap == [] and limiter.tracker._counts == {}
+        assert limiter.tracker.observe(ip(1)) == 1
 
 
 class TestVerifiedRequestLimiter:

@@ -15,7 +15,12 @@ from repro.netsim import (
     TcpSegment,
     TcpState,
 )
-from repro.netsim.tcp import SEND_WINDOW_SEGMENTS
+from repro.netsim.tcp import (
+    SEND_WINDOW_SEGMENTS,
+    TIME_WAIT_CAP,
+    TIME_WAIT_LINGER,
+    TcpConnection,
+)
 
 SERVER_IP = IPv4Address("10.0.0.2")
 
@@ -322,3 +327,76 @@ class TestTimeWaitLinger:
         sim.run(until=sim.now + 0.5)
         assert server.tcp.cookie_failures == 0
         assert server.tcp.stale_segments >= 1
+
+
+class CountingAddress(IPv4Address):
+    """A peer address whose ``__hash__`` calls are counted: the cost of one
+    close in table operations, independent of host speed."""
+
+    __slots__ = ()
+    hashes = 0
+
+    def __hash__(self) -> int:
+        CountingAddress.hashes += 1
+        return super().__hash__()
+
+
+class TestTimeWaitCap:
+    """``TcpStack._forget`` with the table at ``TIME_WAIT_CAP``."""
+
+    @staticmethod
+    def linger(stack, n):
+        """Cleanly close the ``n``-th of a family of distinct 4-tuples."""
+        conn = TcpConnection(stack, SERVER_IP, 53, CountingAddress(0x0A090000 + n), 4444)
+        stack._forget(conn, linger=True)
+        return conn.key
+
+    def test_cap_holds(self):
+        sim, _client, server = pair()
+        for n in range(TIME_WAIT_CAP + 100):
+            self.linger(server.tcp, n)
+        assert len(server.tcp._time_wait) == TIME_WAIT_CAP
+
+    def test_displacement_is_oldest_first(self):
+        sim, _client, server = pair()
+        keys = [self.linger(server.tcp, n) for n in range(TIME_WAIT_CAP + 2)]
+        table = server.tcp._time_wait
+        assert keys[0] not in table and keys[1] not in table
+        assert list(table) == keys[2:]
+
+    def test_expired_entries_purged_before_any_live_one_is_displaced(self):
+        sim, _client, server = pair()
+        early = [self.linger(server.tcp, n) for n in range(10)]
+        sim.run(until=0.5)
+        live = [self.linger(server.tcp, n) for n in range(10, TIME_WAIT_CAP)]
+        sim.run(until=TIME_WAIT_LINGER)  # the first ten expire exactly now
+        newest = self.linger(server.tcp, TIME_WAIT_CAP)
+        table = server.tcp._time_wait
+        assert not any(key in table for key in early)
+        assert list(table) == live + [newest]
+
+    def test_relingered_key_moves_to_the_back(self):
+        sim, _client, server = pair()
+        keys = [self.linger(server.tcp, n) for n in range(TIME_WAIT_CAP)]
+        sim.run(until=0.5)
+        assert self.linger(server.tcp, 0) == keys[0]  # the port pair came round again
+        table = server.tcp._time_wait
+        assert list(table) == keys[1:] + keys[:1]
+        assert table[keys[0]] == 0.5 + TIME_WAIT_LINGER
+        # position order is expiry order, so the freshest linger is not
+        # the one displaced
+        self.linger(server.tcp, TIME_WAIT_CAP)
+        assert keys[0] in table and keys[1] not in table
+
+    def test_close_cost_at_the_cap_is_constant(self):
+        """Key hashes per close — counts, not timings — stop growing once
+        the table is full; a rebuild paid one per entry."""
+        sim, _client, server = pair()
+        per_close = []
+        for n in range(3 * TIME_WAIT_CAP):
+            CountingAddress.hashes = 0
+            self.linger(server.tcp, n)
+            per_close.append(CountingAddress.hashes)
+        assert len(server.tcp._time_wait) == TIME_WAIT_CAP
+        assert len(set(per_close[TIME_WAIT_CAP:])) == 1
+        assert per_close[-1] <= 4  # re-linger pop, head peek, insert

@@ -119,3 +119,25 @@ class TestTrackerProperties:
             if i < noise:
                 tracker.observe(IPv4Address(0x0A000000 + i))
         assert tracker.count(heavy) >= heavy_count
+
+    @given(
+        sources=st.lists(st.integers(min_value=0, max_value=40), max_size=400),
+        capacity=st.integers(min_value=1, max_value=16),
+    )
+    @settings(max_examples=100)
+    def test_space_saving_bounds(self, sources, capacity):
+        """``count - error <= true <= count`` for every tracked source, any
+        source with true count > N/capacity is tracked, and the min-ordered
+        index holds exactly one item per tracked source."""
+        tracker = TopRequesterTracker(capacity)
+        true: dict[int, int] = {}
+        for n in sources:
+            true[n] = true.get(n, 0) + 1
+            assert tracker.observe(IPv4Address(n)) >= true[n]
+            assert len(tracker._min_heap) == len(tracker._counts) <= capacity
+        for address, entry in tracker._counts.items():
+            assert entry.count - entry.error <= true[int(address)] <= entry.count
+        assert sorted(item[2] for item in tracker._min_heap) == sorted(tracker._counts)
+        for n, seen in true.items():
+            if seen > len(sources) / capacity:
+                assert tracker.count(IPv4Address(n)) >= seen
