@@ -7,12 +7,11 @@ export PYTHONPATH := src
 check: lint test
 
 # the one home of the analysis gate: scripts/check.sh (CI, pre-commit) and
-# `make check` both run this recipe.  SARIF_OUT=<file> keeps the SARIF; the
-# --bench file is a throwaway that keeps the timing path exercised.
+# `make check` both run this recipe.  SARIF_OUT=<file> keeps the SARIF.
 lint:
 	$(PYTHON) -m repro.analysis --flow --races --perf --memory --layers \
 		--baseline scripts/analysis_baseline.json --fail-on warning \
-		--bench "$$(mktemp -u).json" --sarif "$${SARIF_OUT:-/dev/null}" src
+		--sarif "$${SARIF_OUT:-/dev/null}" src
 	$(PYTHON) -m repro.analysis --rules-md-check README.md
 
 test:

@@ -3,25 +3,20 @@
 import pytest
 from conftest import record
 
-from repro.experiments.ablation import (
-    format_ablation,
-    run_hcf_ablation,
-    run_ingress_deployment,
-    run_rotation_ablation,
-    run_scheme_comparison,
-)
+from repro.experiments.ablation import format_ablation, run_ablation
+
+#: The recorded table is ``python -m repro ablation --seed 7``.
+SEED = 7
 
 
 @pytest.fixture(scope="module")
 def results():
-    ingress = [run_ingress_deployment(f) for f in (0.0, 0.5, 0.9, 1.0)]
-    return run_hcf_ablation(), run_rotation_ablation(), run_scheme_comparison(), ingress
+    return run_ablation(SEED)
 
 
-def test_ablation(benchmark, results):
+def test_ablation(results):
     hcf, rotation, schemes, ingress = results
-    benchmark.pedantic(lambda: results, rounds=1, iterations=1)
-    record("ablation", format_ablation(hcf, rotation, schemes, ingress))
+    record("ablation", format_ablation(*results))
 
     # HCF's structural false negatives dwarf cookie-guessing odds (§II)
     assert hcf.hcf_false_negative_rate > 0.02

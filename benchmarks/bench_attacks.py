@@ -3,39 +3,17 @@
 import pytest
 from conftest import record
 
-from repro.experiments.attacks import (
-    format_attack_report,
-    run_amplification,
-    run_cookie2_guessing,
-    run_probing_attack,
-    run_zombie_flood,
-)
-from repro.guard import UnverifiedResponseLimiter
+from repro.experiments.attacks import format_attack_report, run_attacks
 
 
 @pytest.fixture(scope="module")
 def results():
-    unguarded = run_amplification(guarded=False)
-    guarded = run_amplification(
-        guarded=True,
-        rl1=UnverifiedResponseLimiter(per_source_rate=100.0, per_source_burst=100.0),
-    )
-    guessing = run_cookie2_guessing()
-    zombie = run_zombie_flood()
-    probing_open = run_probing_attack(rl2_enabled=False)
-    probing_limited = run_probing_attack(rl2_enabled=True)
-    return unguarded, guarded, guessing, zombie, probing_open, probing_limited
+    return run_attacks()
 
 
-def test_attack_analysis(benchmark, results):
-    unguarded, guarded, guessing, zombie, probing_open, probing_limited = results
-    benchmark.pedantic(lambda: results, rounds=1, iterations=1)
-    record(
-        "attacks",
-        format_attack_report(
-            unguarded, guarded, guessing, zombie, probing_open, probing_limited
-        ),
-    )
+def test_attack_analysis(results):
+    unguarded, guarded, guessing, zombie, _, _ = results
+    record("attacks", format_attack_report(*results))
 
     # §I: an open server amplifies ~10x; §III.G: the guard bounds it < 1x
     assert unguarded.ratio > 5.0
@@ -51,13 +29,12 @@ def test_attack_analysis(benchmark, results):
     assert zombie.admitted_rate < zombie.offered_rate * 0.05
 
 
-def test_bandwidth_starvation(benchmark):
+def test_bandwidth_starvation():
     """§I: a reflected flood starves a victim's link; the guard prevents it."""
     from repro.experiments.attacks import format_starvation, run_bandwidth_starvation
 
     unguarded = run_bandwidth_starvation(guarded=False)
     guarded = run_bandwidth_starvation(guarded=True)
-    benchmark.pedantic(lambda: (unguarded, guarded), rounds=1, iterations=1)
     record("starvation", format_starvation(unguarded, guarded))
     # the attacker's own bandwidth stays far below the victim's link
     assert unguarded.attacker_bandwidth < unguarded.victim_link_capacity / 4
@@ -67,11 +44,10 @@ def test_bandwidth_starvation(benchmark):
     assert guarded.legit_delivery_rate == pytest.approx(1.0)
 
 
-def test_probing_attack_defeated_by_rl2(benchmark, results):
+def test_probing_attack_defeated_by_rl2(results):
     """§III.G: "Rate-Limiter2 can control the attack request rate and make
     it difficult to check if a guessed y value is correct"."""
     *_, probing_open, probing_limited = results
-    benchmark.pedantic(lambda: results, rounds=1, iterations=1)
     # with the limiters open the probe pinpoints the correct y...
     assert probing_open.attacker_succeeded
     # ...and with Rate-Limiter2 engaged it learns nothing

@@ -32,8 +32,8 @@ def _saturate_tcp() -> float:
     return rate
 
 
-def test_bind_udp_capacity(benchmark):
-    rate = benchmark.pedantic(_saturate_udp, args=("bind",), rounds=1, iterations=1)
+def test_bind_udp_capacity():
+    rate = _saturate_udp("bind")
     record(
         "calibration_bind_udp",
         f"BIND UDP capacity: measured {rate / 1000:.1f}K req/s (paper: 14K)",
@@ -41,8 +41,8 @@ def test_bind_udp_capacity(benchmark):
     assert 12_000 < rate < 16_000
 
 
-def test_bind_tcp_capacity(benchmark):
-    rate = benchmark.pedantic(_saturate_tcp, rounds=1, iterations=1)
+def test_bind_tcp_capacity():
+    rate = _saturate_tcp()
     record(
         "calibration_bind_tcp",
         f"BIND TCP capacity: measured {rate / 1000:.2f}K req/s (paper: 2.2K)",
@@ -50,8 +50,8 @@ def test_bind_tcp_capacity(benchmark):
     assert 1_700 < rate < 2_700
 
 
-def test_ans_simulator_capacity(benchmark):
-    rate = benchmark.pedantic(_saturate_udp, args=("simulator",), rounds=1, iterations=1)
+def test_ans_simulator_capacity():
+    rate = _saturate_udp("simulator")
     record(
         "calibration_ans_simulator",
         f"ANS simulator capacity: measured {rate / 1000:.1f}K req/s (paper: ~110K)",

@@ -10,9 +10,7 @@ here as raw simulator throughput.
 import pytest
 from conftest import record
 
-from repro import ANS_ADDRESS, GuardTestbed, LrsSimulator
-from repro.attack import SpoofingAttacker
-from repro.obs import Observability, installed
+from repro.experiments.demo import run_profiled_flood
 
 #: Loose floor: the seed measured ~45K ev/s and the first fix wave ~58K on
 #: the reference container; anything under this means dispatch regressed
@@ -20,33 +18,12 @@ from repro.obs import Observability, installed
 MIN_EVENTS_PER_SECOND = 10_000
 
 
-def _run_profiled_flood(duration: float = 0.5):
-    obs = Observability(profile=True)
-    with installed(obs):
-        bed = GuardTestbed(seed=11, ans="simulator", ans_mode="answer")
-        resolver_node = bed.add_client("resolver", via_local_guard=True)
-        resolver = LrsSimulator(resolver_node, ANS_ADDRESS, workload="plain")
-        attacker = SpoofingAttacker(
-            bed.add_client("attacker"),
-            ANS_ADDRESS,
-            rate=5_000,
-            carry_invalid_cookie=True,
-        )
-        obs.tap(bed.guard_node, protocol="udp", max_records=40)
-        resolver.start()
-        attacker.start()
-        bed.run(duration)
-    obs.collect()
-    return obs.profiler
-
-
 @pytest.fixture(scope="module")
 def profiler():
-    return _run_profiled_flood()
+    return run_profiled_flood(seed=11, duration=0.5).profiler
 
 
-def test_dispatch_throughput(benchmark, profiler):
-    benchmark.pedantic(lambda: profiler, rounds=1, iterations=1)
+def test_dispatch_throughput(profiler):
     lines = [
         f"events handled     {profiler.events}",
         f"events / second    {profiler.events_per_second():,.0f}",

@@ -22,9 +22,8 @@ def runs():
     return serial, sharded
 
 
-def test_farm_sharding_equivalence(benchmark, runs):
+def test_farm_sharding_equivalence(runs):
     serial, sharded = runs
-    benchmark.pedantic(lambda: runs, rounds=1, iterations=1)
 
     assert serial.complete and sharded.complete
     assert not serial.failed and not sharded.failed
@@ -46,11 +45,10 @@ def test_farm_sharding_equivalence(benchmark, runs):
     record("farm", "\n".join(lines))
 
 
-def test_hybrid_matrix_under_farm(benchmark):
+def test_hybrid_matrix_under_farm():
     """The hybrid fluid/packet sweep runs as farm cells: 10⁶ modeled
     clients per cell, each cell thousands (not millions) of events."""
     result = run_farm("hybrid", seed=0, fast=True)
-    benchmark.pedantic(lambda: result, rounds=1, iterations=1)
     assert result.complete and not result.failed
     for row in result.reduced:
         assert row["clients"] == 1_000_000

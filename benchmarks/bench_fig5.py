@@ -13,8 +13,7 @@ def points():
     return run_fig5(ATTACK_RATES, fast=True)
 
 
-def test_fig5(benchmark, points):
-    benchmark.pedantic(lambda: points, rounds=1, iterations=1)
+def test_fig5(points):
     record("fig5", format_fig5(points))
     on = {p.attack_rate: p for p in points if p.protection}
     off = {p.attack_rate: p for p in points if not p.protection}
@@ -36,9 +35,8 @@ def test_fig5(benchmark, points):
     assert on[16_000].ans_cpu < 0.3
 
 
-def test_fig5_threshold_knee(benchmark, points):
+def test_fig5_threshold_knee(points):
     """Spoof detection only engages past the 14K activation threshold."""
-    benchmark.pedantic(lambda: points, rounds=1, iterations=1)
     on = {p.attack_rate: p for p in points if p.protection}
     # below the threshold everything passes through to the ANS
     assert on[8_000].ans_cpu > 0.5

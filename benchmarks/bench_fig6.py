@@ -18,8 +18,7 @@ def points():
     return run_fig6(ATTACK_RATES, fast=True)
 
 
-def test_fig6(benchmark, points):
-    benchmark.pedantic(lambda: points, rounds=1, iterations=1)
+def test_fig6(points):
     record("fig6", format_fig6(points))
     on = {p.attack_rate: p for p in points if p.protection}
     off = {p.attack_rate: p for p in points if not p.protection}
@@ -44,9 +43,8 @@ def test_fig6(benchmark, points):
     assert on[100_000].guard_cpu > off[100_000].guard_cpu
 
 
-def test_fig6_crossover_against_fluid_model(benchmark, points):
+def test_fig6_crossover_against_fluid_model(points):
     """The DES knee should fall where the analytical model predicts."""
-    benchmark.pedantic(lambda: points, rounds=1, iterations=1)
     from repro.experiments.fluid import FluidModel
 
     model = FluidModel()

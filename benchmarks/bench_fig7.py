@@ -14,9 +14,8 @@ def series():
     return run_fig7(CONCURRENCIES, ATTACK_RATES, fast=True)
 
 
-def test_fig7a_concurrency_sweep(benchmark, series):
+def test_fig7a_concurrency_sweep(series):
     series_a, series_b = series
-    benchmark.pedantic(lambda: series_a, rounds=1, iterations=1)
     record("fig7", format_fig7(series_a, series_b))
     by_conc = {p.concurrency: p for p in series_a}
 
@@ -29,8 +28,7 @@ def test_fig7a_concurrency_sweep(benchmark, series):
     assert by_conc[6000].throughput > 4_000  # degraded, not dead
 
 
-def test_fig7b_attack_sweep(benchmark, series):
-    benchmark.pedantic(lambda: series, rounds=1, iterations=1)
+def test_fig7b_attack_sweep(series):
     _, series_b = series
     by_rate = {p.attack_rate: p for p in series_b}
 

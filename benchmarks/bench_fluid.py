@@ -16,8 +16,7 @@ def model():
     return FluidModel()
 
 
-def test_fluid_predictions(benchmark, model):
-    benchmark.pedantic(format_predictions, args=(model,), rounds=1, iterations=1)
+def test_fluid_predictions(model):
     record("fluid", format_predictions(model))
 
     # predictions land within 15% of the paper's Table III
@@ -29,9 +28,8 @@ def test_fluid_predictions(benchmark, model):
         assert predicted == pytest.approx(PAPER_KRPS[scheme]["hit"], rel=0.1)
 
 
-def test_fluid_ratio_arguments(benchmark, model):
+def test_fluid_ratio_arguments(model):
     """The paper's §IV.D ratio bounds, re-derived from the cost model."""
-    benchmark.pedantic(lambda: model, rounds=1, iterations=1)
     miss_ns = model.request_cost("ns_name", cache_hit=False)
     miss_fab = model.request_cost("fabricated", cache_hit=False)
     hit = model.request_cost("ns_name", cache_hit=True)
@@ -43,8 +41,7 @@ def test_fluid_ratio_arguments(benchmark, model):
     assert hit < miss_ns < miss_fab
 
 
-def test_fig6_predictions(benchmark, model):
-    benchmark.pedantic(lambda: model, rounds=1, iterations=1)
+def test_fig6_predictions(model):
     assert model.guard_saturation_attack_rate() == pytest.approx(200_000, rel=0.1)
     assert model.legit_throughput_under_attack(250_000) == pytest.approx(
         80_000, rel=0.2
@@ -52,8 +49,7 @@ def test_fig6_predictions(benchmark, model):
     assert model.unprotected_legit_throughput(110_000) == pytest.approx(0, abs=1)
 
 
-def test_fig7_predictions(benchmark, model):
-    benchmark.pedantic(lambda: model, rounds=1, iterations=1)
+def test_fig7_predictions(model):
     assert model.tcp_proxy_throughput(50) == pytest.approx(22_700, rel=0.1)
     # management overhead roughly halves throughput by 6000 connections
     assert model.tcp_proxy_throughput(6000) < model.tcp_proxy_throughput(50) * 0.6

@@ -15,8 +15,7 @@ def results():
     return run_sensitivity()
 
 
-def test_sensitivity(benchmark, results):
-    benchmark.pedantic(lambda: results, rounds=1, iterations=1)
+def test_sensitivity(results):
     record("sensitivity", format_sensitivity(results))
     summary = summarize(results)
 
@@ -30,9 +29,8 @@ def test_sensitivity(benchmark, results):
     assert summary["median_knee_over_ans"] > 1.0
 
 
-def test_default_configuration_matches_paper(benchmark, results):
+def test_default_configuration_matches_paper(results):
     """The unperturbed configuration reproduces the paper's regime."""
-    benchmark.pedantic(lambda: results, rounds=1, iterations=1)
     default = next(
         r for r in results if all(v == 1.0 for v in r.factors.values())
     )

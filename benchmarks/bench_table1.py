@@ -8,7 +8,7 @@ from repro.experiments.table1 import format_table1, measure_cookie_storage, run_
 
 @pytest.fixture(scope="module")
 def rows():
-    return run_table1(measure_latency=True)
+    return run_table1()
 
 
 @pytest.fixture(scope="module")
@@ -16,8 +16,7 @@ def storage():
     return measure_cookie_storage(10)
 
 
-def test_table1(benchmark, rows, storage):
-    benchmark.pedantic(lambda: rows, rounds=1, iterations=1)
+def test_table1(rows, storage):
     record("table1", format_table1(rows, storage=storage))
     by_scheme = {row.scheme: row for row in rows}
 
@@ -44,9 +43,8 @@ def test_table1(benchmark, rows, storage):
     assert by_scheme["modified"].deployment == "LRS side and ANS side"
 
 
-def test_table1_cookie_storage_row(benchmark, storage):
+def test_table1_cookie_storage_row(storage):
     """"1 cookie per NS record" vs "2 cookies per non-referral record"."""
-    benchmark.pedantic(lambda: storage, rounds=1, iterations=1)
     ns_entries, fab_entries = storage
     # NS-name: constant per zone, regardless of how many names resolved
     assert ns_entries == 2  # the com delegation's cookie NS + its A

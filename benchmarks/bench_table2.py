@@ -12,8 +12,7 @@ def rows():
     return run_table2()
 
 
-def test_table2(benchmark, rows):
-    benchmark.pedantic(lambda: rows, rounds=1, iterations=1)
+def test_table2(rows):
     record("table2", format_table2(rows))
     by_scheme = {row.scheme: row for row in rows}
     rtt_ms = WAN_RTT * 1000
@@ -30,8 +29,7 @@ def test_table2(benchmark, rows):
     assert by_scheme["tcp"].hit_ms == pytest.approx(3 * rtt_ms, rel=0.15)
 
 
-def test_table2_matches_paper_within_tolerance(benchmark, rows):
-    benchmark.pedantic(lambda: rows, rounds=1, iterations=1)
+def test_table2_matches_paper_within_tolerance(rows):
     for row in rows:
         assert row.miss_ms == pytest.approx(row.paper_miss_ms, rel=0.15)
         assert row.hit_ms == pytest.approx(row.paper_hit_ms, rel=0.15)

@@ -11,8 +11,7 @@ def rows():
     return run_table3(fast=True)
 
 
-def test_table3(benchmark, rows):
-    benchmark.pedantic(lambda: rows, rounds=1, iterations=1)
+def test_table3(rows):
     record("table3", format_table3(rows))
     by_scheme = {row.scheme: row for row in rows}
 
@@ -32,9 +31,8 @@ def test_table3(benchmark, rows):
     assert by_scheme["tcp"].hit_krps == pytest.approx(22.7, rel=0.15)
 
 
-def test_table3_matches_paper_within_tolerance(benchmark, rows):
+def test_table3_matches_paper_within_tolerance(rows):
     """Within 20% of the paper's absolute numbers across the board."""
-    benchmark.pedantic(lambda: rows, rounds=1, iterations=1)
     for row in rows:
         assert row.miss_krps == pytest.approx(row.paper_miss_krps, rel=0.2)
         assert row.hit_krps == pytest.approx(row.paper_hit_krps, rel=0.2)

@@ -1,10 +1,12 @@
-"""Shared helpers for the reproduction benchmarks.
+"""Shared helpers for the paper-shape tests (``pytest benchmarks/``).
 
-Each benchmark regenerates one of the paper's tables or figures (in a
-reduced-but-representative configuration), prints the paper-vs-measured
-rows, and asserts the *shape* of the result — who wins, by roughly what
-factor, where the crossovers fall.  Absolute equality with the paper's
-testbed is not expected (see DESIGN.md).
+These are tests, not timings: each regenerates one of the paper's tables
+or figures (in a reduced-but-representative configuration) through the
+same entry point ``python -m repro <command>`` uses, records the
+paper-vs-measured rows under ``results/``, and asserts the *shape* of
+the result — who wins, by roughly what factor, where the crossovers
+fall.  Absolute equality with the paper's testbed is not expected (see
+DESIGN.md).  The repo's performance benchmark is ``python3 -m bench``.
 """
 
 from __future__ import annotations

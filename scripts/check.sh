@@ -31,7 +31,7 @@ python -m repro table2 --explore 5
 echo "== adaptive-control smoke (sanitized, with and without the controller) =="
 python -m repro control --fast --static-only --sanitize
 python -m repro control --fast --sanitize
-python -m repro control --fast --races --bench "$(mktemp -u).json"
+python -m repro control --fast --races
 
 echo "== farm smoke (serial-vs-sharded digest equivalence + resume) =="
 farm_dir=$(mktemp -d)

@@ -10,9 +10,9 @@ so regressions in analyzer cost show up as history rather than vibes.
 
 from __future__ import annotations
 
-import json
-import time
 from typing import Iterable
+
+from ..obs.trajectory import append_trajectory
 
 
 def write_bench_analysis(
@@ -25,38 +25,22 @@ def write_bench_analysis(
 
     ``timings`` is the ordered (phase, seconds) list the CLI measured.
     An existing document's ``trajectory`` is preserved and the new run
-    appended, exactly like :func:`repro.obs.profiler.write_bench_profile`.
+    appended (:func:`repro.obs.trajectory.append_trajectory`).
     """
     phases = {name: round(seconds, 6) for name, seconds in timings}
     total = round(sum(phases.values()), 6)
-    doc: dict = {
-        "benchmark": "analysis-cli",
-        "unit": "seconds",
-        "value": total,
-        "detail": {
+    return append_trajectory(
+        path,
+        benchmark="analysis-cli",
+        unit="seconds",
+        value=total,
+        entry={"seconds": total, "phases": phases},
+        detail={
             "phases": phases,
             "note": (
                 "one shared parse feeds every rule family; 'parse' is "
                 "counted once, not per family"
             ),
         },
-    }
-    if date is None:
-        # host date on a host-time measurement — never feeds a simulation
-        date = time.strftime("%Y-%m-%d")
-    trajectory: list[dict] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            previous = json.load(fh)
-    except (OSError, ValueError):
-        previous = None
-    if isinstance(previous, dict):
-        recorded = previous.get("trajectory")
-        if isinstance(recorded, list):
-            trajectory = list(recorded)
-    trajectory.append({"date": date, "seconds": total, "phases": phases})
-    doc["trajectory"] = trajectory
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
+        date=date,
+    )

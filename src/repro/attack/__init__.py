@@ -2,12 +2,11 @@
 
 from .amplification import ReflectionAttacker, VictimMeter
 from .hcf import HopCountFilter, infer_hop_count
-from .spoof import BATCH_INTERVAL, CookieLabelSprayer, SpoofingAttacker, random_source
+from .spoof import BATCH_INTERVAL, SpoofingAttacker, random_source
 from .zombie import ZombieFlood
 
 __all__ = [
     "BATCH_INTERVAL",
-    "CookieLabelSprayer",
     "HopCountFilter",
     "ReflectionAttacker",
     "SpoofingAttacker",

@@ -101,37 +101,3 @@ class SpoofingAttacker:
             self.packets_sent += 1
         except Exception:  # noqa: BLE001 - unroutable spoof targets  # repro: allow[W001]
             pass
-
-
-class CookieLabelSprayer(SpoofingAttacker):
-    """Spoofed queries whose QNAMEs are guessed cookie labels (§III.G).
-
-    Each packet carries a random ``PR`` + 8-hex-digit label, attempting to
-    brute-force the 2^32 NS-name cookie range.
-    """
-
-    def __init__(self, node: Node, target: IPv4Address, *, rate: float,
-                 victim: IPv4Address, origin: Name | str = "."):
-        super().__init__(node, target, rate=rate, fixed_source=victim)
-        self.origin = Name.from_text(origin) if isinstance(origin, str) else origin
-        self.node = node
-
-    def _emit_batch(self) -> None:
-        if not self._running:
-            return
-        sim = self.node.sim
-        quota = self.rate * BATCH_INTERVAL + self._carry
-        count = int(quota)
-        self._carry = quota - count
-        spacing = BATCH_INTERVAL / count if count else 0.0
-        for i in range(count):
-            guess = b"PR%08x" % sim.rng.getrandbits(32)
-            qname = Name((guess + b"www.foo.com", *self.origin.labels))
-            query = make_query(qname, msg_id=sim.rng.getrandbits(16))
-            packet = Packet(
-                src=self.source_strategy(sim.rng),
-                dst=self.target,
-                segment=UdpDatagram(sport=41000, dport=53, payload=DnsPayload(query)),
-            )
-            sim.schedule(i * spacing, self._send_one, packet)
-        sim.schedule(BATCH_INTERVAL, self._emit_batch)

@@ -38,6 +38,10 @@ ANS_SIMULATOR_COST = 1.0 / 110000.0
 #: The LRS simulator's response wait (paper: 10 msec).
 LRS_SIMULATOR_TIMEOUT = 0.010
 
+#: How long :class:`TcpLoadClient` lets one connect-query-response
+#: exchange run before aborting the connection.
+TCP_CONNECT_TIMEOUT = 2.0
+
 
 class AnsSimulator:
     """A minimal ANS that answers every request with the same answer.
@@ -528,13 +532,11 @@ class TcpLoadClient:
         *,
         concurrency: int,
         qname: Name | str = "www.foo.com",
-        connect_timeout: float = 2.0,
     ):
         self.node = node
         self.server = server
         self.concurrency = concurrency
         self.qname = Name.from_text(qname) if isinstance(qname, str) else qname
-        self.connect_timeout = connect_timeout
         self.stats = LoadStats()
         self._next_id = 1
         self._running = False
@@ -589,7 +591,7 @@ class TcpLoadClient:
         conn = self.node.tcp.connect(
             self.server, 53, on_established=on_established, on_data=on_data, on_close=on_close
         )
-        deadline = self.node.sim.schedule(self.connect_timeout, conn.abort)
+        deadline = self.node.sim.schedule(TCP_CONNECT_TIMEOUT, conn.abort)
 
 
 class TraceReplayClient:

@@ -240,12 +240,19 @@ def format_ablation(
     return "\n".join(lines)
 
 
-if __name__ == "__main__":
-    print(
-        format_ablation(
-            run_hcf_ablation(),
-            run_rotation_ablation(),
-            run_scheme_comparison(),
-            [run_ingress_deployment(f) for f in (0.0, 0.5, 0.9, 1.0)],
-        )
+#: Ingress-filtering deployment fractions swept by the full ablation.
+INGRESS_FRACTIONS = (0.0, 0.5, 0.9, 1.0)
+
+
+def run_ablation(seed: int = 0, *, fast: bool = False) -> tuple:
+    """Every ablation, in :func:`format_ablation` argument order.  ``fast``
+    skips the ingress-deployment sweep."""
+    ingress = None
+    if not fast:
+        ingress = [run_ingress_deployment(f, seed=seed) for f in INGRESS_FRACTIONS]
+    return (
+        run_hcf_ablation(seed=seed),
+        run_rotation_ablation(),
+        run_scheme_comparison(seed=seed),
+        ingress,
     )

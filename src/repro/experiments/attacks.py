@@ -335,18 +335,26 @@ def format_starvation(unguarded: StarvationResult, guarded: StarvationResult) ->
     )
 
 
-if __name__ == "__main__":
-    unguarded = run_amplification(guarded=False)
-    guarded = run_amplification(
-        guarded=True,
-        rl1=UnverifiedResponseLimiter(per_source_rate=100.0, per_source_burst=100.0),
+#: Rate-Limiter1 budget (responses/sec and burst, per source) for the
+#: guarded amplification run.
+AMPLIFICATION_RL1_RATE = 100.0
+
+
+def run_attacks(seed: int = 0, *, fast: bool = False) -> tuple:
+    """Every §III.G result, in :func:`format_attack_report` argument order.
+    ``fast`` skips the two probe-while-flooding runs."""
+    rl1 = UnverifiedResponseLimiter(
+        per_source_rate=AMPLIFICATION_RL1_RATE, per_source_burst=AMPLIFICATION_RL1_RATE
     )
-    guessing = run_cookie2_guessing()
-    zombie = run_zombie_flood()
-    probing_open = run_probing_attack(rl2_enabled=False)
-    probing_limited = run_probing_attack(rl2_enabled=True)
-    print(
-        format_attack_report(
-            unguarded, guarded, guessing, zombie, probing_open, probing_limited
+    results: tuple = (
+        run_amplification(guarded=False, seed=seed),
+        run_amplification(guarded=True, seed=seed, rl1=rl1),
+        run_cookie2_guessing(seed=seed),
+        run_zombie_flood(seed=seed),
+    )
+    if not fast:
+        results += (
+            run_probing_attack(rl2_enabled=False, seed=seed),
+            run_probing_attack(rl2_enabled=True, seed=seed),
         )
-    )
+    return results

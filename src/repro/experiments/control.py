@@ -23,17 +23,18 @@ under the same scaled costs, so cross-scheme comparisons are unaffected.
 from __future__ import annotations
 
 import dataclasses
-import json
-import time
 
 from ..attack import SpoofingAttacker
 from ..control import ControlConfig, GuardController
 from ..dns import LrsSimulator
 from ..faults import FaultPlan, GuardCrash
 from ..guard import GuardCosts, UnverifiedResponseLimiter, VerifiedRequestLimiter
+from ..obs.trajectory import append_trajectory
 from .testbed import ANS_ADDRESS, GuardTestbed
 
-SCHEMES = ("modified", "ns_name", "tcp", "adaptive")
+#: The static-scheme cells (``--static-only``: no controller is constructed).
+STATIC_SCHEMES = ("modified", "ns_name", "tcp")
+SCHEMES = STATIC_SCHEMES + ("adaptive",)
 ATTACKS = ("calm", "cookie-flood", "plain-flood")
 FAULTS = ("none", "guard-crash")
 
@@ -164,10 +165,7 @@ def _false_rejects(env: _Env) -> int:
     # watched_rejects counts only decisions against the known-legitimate
     # client; TCP SYN-cookie failures on the proxy can only come from it
     # too (the attackers here are UDP-only)
-    count = env.bed.guard.watched_rejects
-    if env.bed.guard.tcp_proxy is not None:
-        count += env.bed.guard_node.tcp.cookie_failures
-    return count
+    return env.bed.guard.watched_rejects + env.bed.guard_node.tcp.cookie_failures
 
 
 def _run_cell(
@@ -343,47 +341,23 @@ def format_control(result: ControlResult) -> str:
 
 
 def write_bench_control(result: ControlResult, path: str, *, date: str | None = None) -> dict:
-    """Append this run's headline numbers to a dated ``BENCH_control.json``.
-
-    Follows the ``write_bench_profile`` idiom: an existing document's
-    ``trajectory`` is preserved and the new entry appended, so the file is
-    a running history of how the adaptive controller compares over time.
-    """
-    adaptive = [c for c in result.cells if c.scheme == "adaptive"]
-    doc: dict = {
-        "benchmark": "adaptive-overload-control",
-        "unit": "availability",
-    }
-    if date is None:
-        # host date on a benchmark record — measurement metadata only,
-        # never feeds back into simulation
-        date = time.strftime("%Y-%m-%d")
-    trajectory: list[dict] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            previous = json.load(fh)
-    except (OSError, ValueError):
-        previous = None
-    if isinstance(previous, dict):
-        recorded = previous.get("trajectory")
-        if isinstance(recorded, list):
-            trajectory = list(recorded)
-    trajectory.append(
-        {
-            "date": date,
+    """Append this run's headline numbers to a dated ``BENCH_control.json``:
+    a running history of how the adaptive controller compares over time."""
+    worst = min(
+        (c.availability for c in result.cells if c.scheme == "adaptive"), default=0.0
+    )
+    return append_trajectory(
+        path,
+        benchmark="adaptive-overload-control",
+        unit="availability",
+        value=worst,
+        entry={
             "adaptive_wins": len(result.adaptive_wins),
             "scenarios": sorted(f"{a}×{f}" for a, f in result.adaptive_wins),
-            "worst_adaptive_availability": min(
-                (c.availability for c in adaptive), default=0.0
-            ),
+            "worst_adaptive_availability": worst,
             "false_rejects_adaptive": result.false_rejects_adaptive,
             "false_rejects_modified": result.false_rejects_modified,
             "crash_reverts": result.crash_reverts,
-        }
+        },
+        date=date,
     )
-    doc["trajectory"] = trajectory
-    doc["value"] = trajectory[-1]["worst_adaptive_availability"]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc

@@ -170,10 +170,7 @@ def _plan_for(scenario: str, env: _Env, t0: float, window: float) -> FaultPlan:
 
 
 def _false_rejects(env: _Env) -> int:
-    count = env.bed.guard.invalid_drops
-    if env.bed.guard.tcp_proxy is not None:
-        count += env.bed.guard_node.tcp.cookie_failures
-    return count
+    return env.bed.guard.invalid_drops + env.bed.guard_node.tcp.cookie_failures
 
 
 def _run_cell(
@@ -219,8 +216,8 @@ def _windows(fast: bool) -> tuple[float, float]:
 
 def plan_cells(
     seed: int = 0,
-    *,
     fast: bool = False,
+    *,
     scenarios: tuple[str, ...] = SCENARIOS,
     schemes: tuple[str, ...] = SCHEMES,
     matrix: str = "faults",
@@ -239,6 +236,18 @@ def plan_cells(
         [("scenario", scenarios), ("scheme", schemes)],
         base_seed=seed,
         fast=fast,
+    )
+
+
+def plan_smoke_cells(seed: int = 0, fast: bool = True) -> list:
+    """The farm's ``smoke`` matrix: a 2 × 2 subset for CI equivalence gates,
+    always planned with the fast windows whatever ``fast`` says."""
+    return plan_cells(
+        seed,
+        fast=True,
+        scenarios=("baseline", "uplink-blackout"),
+        schemes=("modified", "ns_name"),
+        matrix="smoke",
     )
 
 

@@ -120,7 +120,3 @@ def format_fig5(points: list[Fig5Point]) -> str:
             f"{p.legit_throughput:>14.0f} {p.ans_cpu * 100:>10.0f}"
         )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(format_fig5(run_fig5()))

@@ -134,7 +134,3 @@ def format_fig6(points: list[Fig6Point]) -> str:
             f"{p.ans_cpu * 100:>10.0f}"
         )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(format_fig6(run_fig6()))

@@ -88,8 +88,3 @@ def format_fig7(series_a: list[Fig7aPoint], series_b: list[Fig7bPoint]) -> str:
     for p in series_b:
         lines.append(f"{p.attack_rate / 1000:>13.0f} {p.throughput / 1000:>17.1f}")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    series_a, series_b = run_fig7()
-    print(format_fig7(series_a, series_b))

@@ -157,7 +157,3 @@ def format_predictions(model: FluidModel | None = None) -> str:
         f"{model.legit_throughput_under_attack(250_000) / 1000:.1f}K req/s"
     )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(format_predictions())

@@ -122,7 +122,3 @@ def format_sensitivity(results: list[SensitivityResult]) -> str:
             f"the ANS's capacity",
         ]
     )
-
-
-if __name__ == "__main__":
-    print(format_sensitivity(run_sensitivity()))

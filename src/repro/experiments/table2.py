@@ -218,7 +218,3 @@ def format_table2(rows: list[LatencyRow]) -> str:
             f"{row.packets_hit:>8.1f} {row.paper_packets_hit:>8d}"
         )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(format_table2(run_table2()))

@@ -121,7 +121,3 @@ def format_table3(rows: list[ThroughputRow]) -> str:
             f"{row.hit_krps:>8.1f} {row.paper_hit_krps:>8.1f}"
         )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    print(format_table3(run_table3()))

@@ -53,20 +53,17 @@ class GuardTestbed:
         seed: int = 0,
         ans: str = "simulator",
         ans_mode: str = "answer",
-        ans_request_cost: float | None = None,
         answer_ttl: int = 0,
         guard_enabled: bool = True,
         guard_policy="dns",
         activation_threshold: float | None = None,
         guard_costs: GuardCosts | None = None,
         cookie_subnet: str | None = COOKIE_SUBNET,
-        link_delay: float = LAN_LINK_DELAY,
         zone_origin: str = ".",
         rl1=None,
         rl2=None,
     ):
         self.sim = Simulator(seed=seed)
-        self.link_delay = link_delay
         self._client_ips = itertools.count(10)
 
         # the guard node sits inline in front of the ANS
@@ -80,19 +77,11 @@ class GuardTestbed:
 
         # the protected server
         if ans == "simulator":
-            kwargs = {}
-            if ans_request_cost is not None:
-                kwargs["request_cost"] = ans_request_cost
-            self.ans = AnsSimulator(
-                self.ans_node, mode=ans_mode, answer_ttl=answer_ttl, **kwargs
-            )
+            self.ans = AnsSimulator(self.ans_node, mode=ans_mode, answer_ttl=answer_ttl)
         elif ans == "bind":
             zone = self._default_zone(zone_origin, answer_ttl)
-            kwargs = {}
-            if ans_request_cost is not None:
-                kwargs["udp_request_cost"] = ans_request_cost
             self.ans = AuthoritativeServer(
-                self.ans_node, [zone], answer_ttl_override=answer_ttl, **kwargs
+                self.ans_node, [zone], answer_ttl_override=answer_ttl
             )
         else:
             raise ValueError(f"unknown ans kind {ans!r}")
@@ -119,9 +108,8 @@ class GuardTestbed:
             rl1=rl1,
             rl2=rl2,
         )
-        if self.guard.tcp_proxy is not None:
-            self.guard.tcp_proxy.new_connection_rate = OPEN_RATE
-            self.guard.tcp_proxy.new_connection_burst = OPEN_RATE
+        self.guard.tcp_proxy.new_connection_rate = OPEN_RATE
+        self.guard.tcp_proxy.new_connection_burst = OPEN_RATE
 
     @staticmethod
     def _default_zone(origin: str, answer_ttl: int) -> Zone:
@@ -148,7 +136,7 @@ class GuardTestbed:
         inserted between the client and the remote guard, making the client
         cookie-capable without modification.
         """
-        delay = WAN_LINK_DELAY if wan else self.link_delay
+        delay = WAN_LINK_DELAY if wan else LAN_LINK_DELAY
         node = Node(self.sim, name)
         if address is None:
             address = IPv4Address(f"10.0.0.{next(self._client_ips)}")

@@ -19,7 +19,13 @@ completion order, or resume history.
 from .manifest import CellRecord, Manifest, result_digest
 from .matrices import MATRICES, MatrixDef, get_matrix, matrix_names, register_matrix
 from .planner import Cell, derive_cell_seed, expand, plan_digest
-from .runner import DEFAULT_CELL_TIMEOUT, FarmResult, run_farm, write_bench_farm
+from .runner import (
+    DEFAULT_CELL_TIMEOUT,
+    FarmResult,
+    bench_farm,
+    run_farm,
+    write_bench_farm,
+)
 
 __all__ = [
     "Cell",
@@ -29,6 +35,7 @@ __all__ = [
     "Manifest",
     "MATRICES",
     "MatrixDef",
+    "bench_farm",
     "derive_cell_seed",
     "expand",
     "get_matrix",

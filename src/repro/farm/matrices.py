@@ -3,23 +3,27 @@
 A :class:`MatrixDef` binds four pure functions:
 
 * ``plan(seed, fast)`` — expand the matrix into canonical-order cells
-  (delegating to the owning experiment module, which is the single
-  source of cell definitions);
+  (the owning experiment module is the single source of cell
+  definitions);
 * ``run_cell(params, seed, fast)`` — execute one cell and return a
-  JSON-serialisable result dict (the farm-worker entry point);
+  JSON-serialisable result dict (the farm-worker entry point; ``fast``
+  is the planned cell's own);
 * ``reduce(cells, results)`` — deterministic merge of per-cell results
   *in canonical plan order*, regardless of completion order;
 * ``render(reduced)`` — the human-readable table.
 
-Experiment modules are imported lazily inside these functions: the
-registry itself stays import-light so spawn workers and the experiments
-(which import :mod:`repro.farm.planner` for cell definitions) never form
-an import cycle.
+Each is a callable or a ``"package.module:attr"`` reference that
+:func:`get_matrix` imports on first use — the same lazy references the
+``python -m repro`` artefact table uses — so the registry itself stays
+import-light and spawn workers and the experiments (which import
+:mod:`repro.farm.planner` for cell definitions) never form an import
+cycle.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import pkgutil
 from typing import Any, Callable
 
 from .planner import Cell
@@ -37,10 +41,10 @@ class MatrixDef:
 
     name: str
     description: str
-    plan: Callable[[int, bool], list[Cell]]
-    run_cell: Callable[[dict[str, str], int, bool], dict[str, Any]]
-    reduce: Callable[[list[Cell], list[dict[str, Any]]], Any]
-    render: Callable[[Any], str]
+    plan: Callable[[int, bool], list[Cell]] | str
+    run_cell: Callable[[dict[str, str], int, bool], dict[str, Any]] | str
+    reduce: Callable[[list[Cell], list[dict[str, Any]]], Any] | str
+    render: Callable[[Any], str] | str
 
 
 MATRICES: dict[str, MatrixDef] = {}
@@ -54,90 +58,53 @@ def register_matrix(mdef: MatrixDef) -> MatrixDef:
 
 
 def get_matrix(name: str) -> MatrixDef:
+    """The named matrix with its four references resolved to callables."""
     try:
-        return MATRICES[name]
+        mdef = MATRICES[name]
     except KeyError:
         known = ", ".join(sorted(MATRICES))
         raise ValueError(f"unknown matrix {name!r} (known: {known})") from None
+    fields = ("plan", "run_cell", "reduce", "render")
+    refs = {f: ref for f in fields if isinstance(ref := getattr(mdef, f), str)}
+    return dataclasses.replace(
+        mdef, **{f: pkgutil.resolve_name(ref) for f, ref in refs.items()}
+    )
 
 
 def matrix_names() -> list[str]:
     return sorted(MATRICES)
 
 
+def _results_in_plan_order(cells: list[Cell], results: list[dict[str, Any]]) -> Any:
+    return results
+
+
 # ---------------------------------------------------------------------------
-# faults — the full fault-injection suite (scenario × scheme)
+# faults — the full fault-injection suite (scenario × scheme) — and smoke,
+# a tiny subset of it (always the fast windows) for CI equivalence gates
 # ---------------------------------------------------------------------------
 
-
-def _faults_plan(seed: int, fast: bool) -> list[Cell]:
-    from ..experiments.faults import plan_cells
-
-    return plan_cells(seed, fast=fast)
-
-
-def _faults_run_cell(params: dict[str, str], seed: int, fast: bool) -> dict[str, Any]:
-    from ..experiments.faults import run_matrix_cell
-
-    return run_matrix_cell(params, seed, fast)
-
-
-def _faults_reduce(cells: list[Cell], results: list[dict[str, Any]]) -> Any:
-    from ..experiments.faults import reduce_matrix
-
-    return reduce_matrix(cells, results)
-
-
-def _faults_render(reduced: Any) -> str:
-    from ..experiments.faults import format_faults
-
-    return format_faults(reduced)
-
+_FAULTS = "repro.experiments.faults:"
 
 register_matrix(
     MatrixDef(
         name="faults",
         description="fault scenarios × schemes (the `python -m repro faults` table)",
-        plan=_faults_plan,
-        run_cell=_faults_run_cell,
-        reduce=_faults_reduce,
-        render=_faults_render,
+        plan=_FAULTS + "plan_cells",
+        run_cell=_FAULTS + "run_matrix_cell",
+        reduce=_FAULTS + "reduce_matrix",
+        render=_FAULTS + "format_faults",
     )
 )
-
-
-# ---------------------------------------------------------------------------
-# smoke — a tiny faults subset for CI equivalence gates
-# ---------------------------------------------------------------------------
-
-
-def _smoke_plan(seed: int, fast: bool) -> list[Cell]:
-    from ..experiments.faults import plan_cells
-
-    # always the reduced windows: this matrix exists for fast CI gates
-    return plan_cells(
-        seed,
-        fast=True,
-        scenarios=("baseline", "uplink-blackout"),
-        schemes=("modified", "ns_name"),
-        matrix="smoke",
-    )
-
-
-def _smoke_run_cell(params: dict[str, str], seed: int, fast: bool) -> dict[str, Any]:
-    from ..experiments.faults import run_matrix_cell
-
-    return run_matrix_cell(params, seed, True)
-
 
 register_matrix(
     MatrixDef(
         name="smoke",
         description="2 fault scenarios × 2 schemes, fast windows (CI equivalence gate)",
-        plan=_smoke_plan,
-        run_cell=_smoke_run_cell,
-        reduce=_faults_reduce,
-        render=_faults_render,
+        plan=_FAULTS + "plan_smoke_cells",
+        run_cell=_FAULTS + "run_matrix_cell",
+        reduce=_FAULTS + "reduce_matrix",
+        render=_FAULTS + "format_faults",
     )
 )
 
@@ -180,10 +147,6 @@ def _selftest_run_cell(params: dict[str, str], seed: int, fast: bool) -> dict[st
     return {"behaviour": behaviour, "value": seed % 9973}
 
 
-def _selftest_reduce(cells: list[Cell], results: list[dict[str, Any]]) -> Any:
-    return results
-
-
 def _selftest_render(reduced: Any) -> str:
     rows = ", ".join(f"{row['behaviour']}={row['value']}" for row in reduced)
     return f"selftest: {rows}"
@@ -196,7 +159,7 @@ register_matrix(
         "(exercises crash isolation)",
         plan=_selftest_plan,
         run_cell=_selftest_run_cell,
-        reduce=_selftest_reduce,
+        reduce=_results_in_plan_order,
         render=_selftest_render,
     )
 )
@@ -230,10 +193,6 @@ def _hybrid_run_cell(params: dict[str, str], seed: int, fast: bool) -> dict[str,
         **kwargs,
     )
     return dataclasses.asdict(point)
-
-
-def _hybrid_reduce(cells: list[Cell], results: list[dict[str, Any]]) -> Any:
-    return results
 
 
 def _hybrid_render(reduced: Any) -> str:
@@ -270,7 +229,7 @@ register_matrix(
         ),
         plan=_hybrid_plan,
         run_cell=_hybrid_run_cell,
-        reduce=_hybrid_reduce,
+        reduce=_results_in_plan_order,
         render=_hybrid_render,
     )
 )

@@ -24,17 +24,17 @@ exception the observability profiler documents.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import queue as queue_mod
 import sys
 import time
 from typing import Any
 
-from .manifest import DONE, TIMEOUT, Manifest
+from ..obs.trajectory import append_trajectory
+from .manifest import DONE, TIMEOUT, CellRecord, Manifest
 from .matrices import get_matrix
 from .planner import Cell, plan_digest
-from .worker import execute_cell, failure_record, record_from_message, worker_main
+from .worker import execute_cell, failure_record, worker_main
 
 #: Wall-clock ceiling per cell; a cell still running past this is killed
 #: and recorded ``timeout`` (crash isolation, not run abortion).
@@ -115,14 +115,12 @@ def _prepare_manifest(
     )
 
 
-def _run_serial(
-    mdef, pending: list[Cell], manifest: Manifest, fast: bool
-) -> None:
+def _run_serial(mdef, pending: list[Cell], manifest: Manifest) -> None:
     for cell in pending:
         t0 = time.monotonic()  # repro: allow[D001] - orchestration timing only
         try:
             record = execute_cell(
-                mdef.name, cell.cell_id, cell.param_dict(), cell.seed, fast
+                mdef.name, cell.cell_id, cell.param_dict(), cell.seed, cell.fast
             )
         except Exception:
             import traceback
@@ -136,12 +134,11 @@ def _run_serial(
 class _Pool:
     """Spawned worker pool with per-cell timeout and crash isolation."""
 
-    def __init__(self, mdef, fast: bool, shards: int, task_capacity: int):
+    def __init__(self, mdef, shards: int, task_capacity: int):
         import multiprocessing
 
         self.ctx = multiprocessing.get_context("spawn")
         self.mdef = mdef
-        self.fast = fast
         self.shards = shards
         self.task_q = self.ctx.Queue(maxsize=task_capacity)
         self.result_q = self.ctx.Queue()
@@ -154,7 +151,7 @@ class _Pool:
         self._next_idx += 1
         proc = self.ctx.Process(
             target=worker_main,
-            args=(idx, self.mdef.name, self.fast, self.task_q, self.result_q),
+            args=(idx, self.mdef.name, self.task_q, self.result_q),
             daemon=True,
         )
         proc.start()
@@ -206,15 +203,16 @@ def _run_sharded(
     pending: list[Cell],
     manifest: Manifest,
     *,
-    fast: bool,
     shards: int,
     cell_timeout: float,
 ) -> None:
     _ensure_child_import_path()
     by_id = {cell.cell_id: cell for cell in pending}
-    tasks = [(cell.cell_id, cell.param_dict(), cell.seed) for cell in pending]
+    tasks = [
+        (cell.cell_id, cell.param_dict(), cell.seed, cell.fast) for cell in pending
+    ]
     task_iter = iter(tasks)
-    pool = _Pool(mdef, fast, shards, task_capacity=_QUEUE_SLOTS_PER_WORKER * shards)
+    pool = _Pool(mdef, shards, task_capacity=_QUEUE_SLOTS_PER_WORKER * shards)
     started: dict[str, float] = {}
     resolved = 0
     try:
@@ -242,7 +240,7 @@ def _run_sharded(
                     started[cell_id] = now
                 elif kind == "done":
                     _, idx, doc = msg
-                    record = record_from_message(doc)
+                    record = CellRecord.from_dict(doc)
                     now = time.monotonic()  # repro: allow[D001] - cell timeout clock
                     wall = now - started.get(record.cell_id, now)
                     manifest.record(record, wall_seconds=wall)
@@ -338,13 +336,12 @@ def run_farm(
     t0 = time.monotonic()  # repro: allow[D001] - BENCH wall-clock measurement
     if pending:
         if shards == 1:
-            _run_serial(mdef, pending, manifest, fast)
+            _run_serial(mdef, pending, manifest)
         else:
             _run_sharded(
                 mdef,
                 pending,
                 manifest,
-                fast=fast,
                 shards=min(shards, len(pending)),
                 cell_timeout=cell_timeout,
             )
@@ -388,31 +385,15 @@ def write_bench_farm(
     digests_equal: bool,
     date: str | None = None,
 ) -> dict:
-    """Append a serial-vs-sharded wall-clock record to ``BENCH_farm.json``.
-
-    Follows the ``write_bench_profile`` idiom: the existing trajectory is
-    preserved and the new dated entry appended, so the speedup curve stays
-    visible to future PRs.
-    """
-    doc: dict = {"benchmark": "scenario-farm", "unit": "speedup"}
-    if date is None:
-        # host date on a benchmark record — measurement metadata only,
-        # never feeds back into simulation
-        date = time.strftime("%Y-%m-%d")
-    trajectory: list[dict] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            previous = json.load(fh)
-    except (OSError, ValueError):
-        previous = None
-    if isinstance(previous, dict):
-        recorded = previous.get("trajectory")
-        if isinstance(recorded, list):
-            trajectory = list(recorded)
+    """Append a serial-vs-sharded wall-clock record to ``BENCH_farm.json``,
+    so the speedup curve stays visible to future PRs."""
     speedup = serial_seconds / sharded_seconds if sharded_seconds > 0 else 0.0
-    trajectory.append(
-        {
-            "date": date,
+    return append_trajectory(
+        path,
+        benchmark="scenario-farm",
+        unit="speedup",
+        value=round(speedup, 3),
+        entry={
             "matrix": matrix,
             "cells": cells,
             "shards": shards,
@@ -420,14 +401,29 @@ def write_bench_farm(
             "sharded_seconds": round(sharded_seconds, 3),
             "speedup": round(speedup, 3),
             "digests_equal": digests_equal,
-        }
+        },
+        date=date,
     )
-    doc["trajectory"] = trajectory
-    doc["value"] = trajectory[-1]["speedup"]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
+
+
+def bench_farm(
+    path: str, matrix: str, *, seed: int = 0, fast: bool = False, shards: int = 2
+) -> dict:
+    """Time serial vs sharded execution of ``matrix`` (at least two shards)
+    and append the record, digest-equality witness included, to the BENCH
+    trajectory at ``path``; returns the appended entry."""
+    serial = run_farm(matrix, seed=seed, fast=fast, shards=1)
+    sharded = run_farm(matrix, seed=seed, fast=fast, shards=max(2, shards))
+    doc = write_bench_farm(
+        path,
+        matrix=matrix,
+        cells=len(serial.cells),
+        serial_seconds=serial.wall_seconds,
+        sharded_seconds=sharded.wall_seconds,
+        shards=sharded.shards,
+        digests_equal=serial.manifest.digest() == sharded.manifest.digest(),
+    )
+    return doc["trajectory"][-1]
 
 
 def main_summary(result: FarmResult, *, out=None) -> None:

@@ -18,7 +18,6 @@ stochastic choice inside a cell flows from the cell's derived seed
 from __future__ import annotations
 
 import traceback
-from typing import Any
 
 from .manifest import DONE, FAILED, CellRecord, result_digest
 
@@ -48,7 +47,7 @@ def execute_cell(
     )
 
 
-def worker_main(worker_idx: int, matrix_name: str, fast: bool, task_q, result_q) -> None:
+def worker_main(worker_idx: int, matrix_name: str, task_q, result_q) -> None:
     """Child-process loop: tasks in, ``(kind, ...)`` messages out.
 
     Messages: ``("start", idx, cell_id)`` before a cell begins (the
@@ -60,7 +59,7 @@ def worker_main(worker_idx: int, matrix_name: str, fast: bool, task_q, result_q)
         task = task_q.get()
         if task is None:
             return
-        cell_id, params, seed = task
+        cell_id, params, seed, fast = task
         result_q.put(("start", worker_idx, cell_id))
         try:
             record = execute_cell(matrix_name, cell_id, params, seed, fast)
@@ -73,7 +72,3 @@ def worker_main(worker_idx: int, matrix_name: str, fast: bool, task_q, result_q)
 def failure_record(cell_id: str, seed: int, error: str, *, status: str = FAILED) -> CellRecord:
     """A terminal record for a cell that crashed, died, or timed out."""
     return CellRecord(cell_id=cell_id, seed=seed, status=status, error=error)
-
-
-def record_from_message(doc: dict[str, Any]) -> CellRecord:
-    return CellRecord.from_dict(doc)

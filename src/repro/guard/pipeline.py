@@ -60,7 +60,6 @@ from .core.admission import (
     should_shed,
 )
 from .core.dns_scheme import (
-    FABRICATED_NS_TTL,
     cookie_name_answer,
     decode_cookie_name,
     fabricated_referral,
@@ -187,6 +186,11 @@ __state_bounds__ = {
 #: unbounded table.
 PENDING_CAP = 4096
 
+#: How long an in-flight exchange waits for the ANS before the sweep
+#: reclaims it, and how long a transformed answer is replayed from cache.
+PENDING_TIMEOUT = 2.0
+ANSWER_CACHE_TTL = 0.1
+
 
 @dataclasses.dataclass(slots=True)
 class _Pending:
@@ -223,10 +227,6 @@ class RemoteDnsGuard:
         enabled: bool = True,
         rl1: UnverifiedResponseLimiter | None = None,
         rl2: VerifiedRequestLimiter | None = None,
-        ns_ttl: int = FABRICATED_NS_TTL,
-        pending_timeout: float = 2.0,
-        answer_cache_ttl: float = 0.1,
-        enable_tcp_proxy: bool = True,
     ):
         self.node = node
         self.ans_address = ans_address
@@ -247,9 +247,6 @@ class RemoteDnsGuard:
         self.enabled = enabled
         self.rl1 = rl1 if rl1 is not None else UnverifiedResponseLimiter()
         self.rl2 = rl2 if rl2 is not None else VerifiedRequestLimiter()
-        self.ns_ttl = ns_ttl
-        self.pending_timeout = pending_timeout
-        self.answer_cache_ttl = answer_cache_ttl
         self.estimator = RateEstimator()
         self._pending: dict[tuple[IPv4Address, int, int], _Pending] = {}
         self._answer_cache: dict[tuple[Name, int], _CachedAnswer] = {}
@@ -295,7 +292,7 @@ class RemoteDnsGuard:
 
         node.transit_filter = self._transit
         node.forward_cost = self.costs.forward
-        self.tcp_proxy = TcpProxy(self) if enable_tcp_proxy else None
+        self.tcp_proxy = TcpProxy(self)
         # Boundary lane: expiry applies at the start of an instant, before
         # any packet delivery sharing the same timestamp.
         self._sweeper = node.sim.schedule(
@@ -421,11 +418,10 @@ class RemoteDnsGuard:
         if self._sweeper is not None:
             self._sweeper.cancel()
             self._sweeper = None
-        if self.tcp_proxy is not None:
-            # in-flight proxied connections die silently — a crashed box
-            # sends no RSTs; clients discover via their own retransmit
-            # budgets.  (SYN-cookie state is stateless by construction.)
-            self.node.tcp.reset_all(send_rst=False)
+        # in-flight proxied connections die silently — a crashed box
+        # sends no RSTs; clients discover via their own retransmit
+        # budgets.  (SYN-cookie state is stateless by construction.)
+        self.node.tcp.reset_all(send_rst=False)
         return state
 
     def restart(self, state: bytes | None = None, *, rotate_key: bool = False) -> None:
@@ -460,9 +456,7 @@ class RemoteDnsGuard:
             return self._transit_udp(packet, segment)
         # TCP: terminate connections aimed at the protected ANS when active
         if packet.dst == self.ans_address and segment.dport == 53:
-            if self.tcp_proxy is not None and self.enabled:
-                return "deliver"
-            return "forward"
+            return "deliver" if self.enabled else "forward"
         if packet.src == self.ans_address:
             return "forward"
         # TCP already terminated here continues to arrive addressed to the
@@ -629,7 +623,7 @@ class RemoteDnsGuard:
             return "drop"
         if action == "dns":
             label = self.cookies.label_cookie(src)
-            reply = fabricated_referral(message, self.origin, label, ttl=self.ns_ttl)
+            reply = fabricated_referral(message, self.origin, label)
             if reply is not None:
                 self.referrals_fabricated += 1
                 self._note("ns_name", "challenge", packet.span)
@@ -706,7 +700,7 @@ class RemoteDnsGuard:
             rewrite_source=None,
             original_qname=decoded.original_qname,
             qtype=message.question.qtype,
-            expires_at=self.node.sim.now + self.pending_timeout,
+            expires_at=self.node.sim.now + PENDING_TIMEOUT,
         )
         restored = make_query(
             decoded.original_qname, message.question.qtype, msg_id=message.header.msg_id
@@ -769,7 +763,7 @@ class RemoteDnsGuard:
             rewrite_source=packet.dst,
             original_qname=question.qname,
             qtype=question.qtype,
-            expires_at=now + self.pending_timeout,
+            expires_at=now + PENDING_TIMEOUT,
         )
         self._note("fabricated", "forward", packet.span)
         forwarded = Packet(
@@ -819,14 +813,12 @@ class RemoteDnsGuard:
             if cookie2 is None:
                 # no fabricated subnet configured: cannot run this variant;
                 # answer with the ANS's own address so the requester returns
-                reply = cookie_name_answer(
-                    original_question, [self.ans_address], ttl=self.ns_ttl
-                )
+                reply = cookie_name_answer(original_question, [self.ans_address])
             else:
-                reply = cookie_name_answer(original_question, [cookie2], ttl=self.ns_ttl)
+                reply = cookie_name_answer(original_question, [cookie2])
             if message.answers:
                 self._answer_cache[(pending.original_qname, pending.qtype)] = _CachedAnswer(
-                    list(message.answers), self.node.sim.now + self.answer_cache_ttl
+                    list(message.answers), self.node.sim.now + ANSWER_CACHE_TTL
                 )
                 if len(self._answer_cache) > 4096:
                     self._answer_cache.pop(next(iter(self._answer_cache)))
@@ -901,7 +893,7 @@ class RemoteDnsGuard:
 
     def stats(self) -> dict[str, int | float]:
         """A point-in-time snapshot of the guard's operational counters."""
-        snapshot: dict[str, int | float] = {
+        return {
             "crashes": self.crashes,
             "queries_seen": self.queries_seen,
             "cookies_granted": self.cookies_granted,
@@ -925,9 +917,7 @@ class RemoteDnsGuard:
             "rl1_denied": self.rl1.denied,
             "rl2_allowed": self.rl2.allowed,
             "rl2_denied": self.rl2.denied,
+            "tcp_requests_proxied": self.tcp_proxy.requests_proxied,
+            "tcp_connections_accepted": self.tcp_proxy.connections_accepted,
+            "tcp_connections_reaped": self.tcp_proxy.connections_reaped,
         }
-        if self.tcp_proxy is not None:
-            snapshot["tcp_requests_proxied"] = self.tcp_proxy.requests_proxied
-            snapshot["tcp_connections_accepted"] = self.tcp_proxy.connections_accepted
-            snapshot["tcp_connections_reaped"] = self.tcp_proxy.connections_reaped
-        return snapshot

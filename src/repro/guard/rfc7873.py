@@ -129,6 +129,8 @@ class EdnsCookieGuard:
         self.cookies_granted = 0
         self.invalid_drops = 0
         self.no_cookie_drops = 0
+        self.overload_drops = 0
+        self.unroutable_replies = 0
         node.transit_filter = self._transit
         node.forward_cost = self.costs.forward
 
@@ -165,6 +167,7 @@ class EdnsCookieGuard:
                 src=packet.src,
                 dst=packet.dst,
                 segment=UdpDatagram(segment.sport, 53, DnsPayload(clean)),
+                span=packet.span,
             )
             self._submit(self.costs.validate_and_forward, self._forward, forwarded)
             return "drop"
@@ -189,6 +192,7 @@ class EdnsCookieGuard:
             src=packet.dst,
             dst=packet.src,
             segment=UdpDatagram(53, segment.sport, DnsPayload(grant)),
+            span=packet.span,
         )
         # the grant is a bounded, rate-limited reply to the *claimed*
         # source (RFC 7873 §5.2.3) — a challenge, not an admission
@@ -199,13 +203,15 @@ class EdnsCookieGuard:
         try:
             self.node.send(packet)
         except RoutingError:
-            pass
+            self.unroutable_replies += 1
 
     def _submit(self, cost: float, fn, *args) -> None:
-        self.node.cpu.submit(cost, fn, *args)
+        if not self.node.cpu.submit(cost, fn, *args):
+            self.overload_drops += 1
 
     def _charge(self, cost: float) -> None:
-        self.node.cpu.charge(cost)
+        if not self.node.cpu.charge(cost):
+            self.overload_drops += 1
 
 
 @dataclasses.dataclass(slots=True)
@@ -275,6 +281,7 @@ class EdnsCookieClientShim:
                 src=packet.src,
                 dst=packet.dst,
                 segment=UdpDatagram(datagram.sport, datagram.dport, DnsPayload(stamped)),
+                span=packet.span,
             )
         )
         return "drop"
@@ -310,6 +317,7 @@ class EdnsCookieClientShim:
                     segment=UdpDatagram(
                         held_datagram.sport, held_datagram.dport, DnsPayload(stamped)
                     ),
+                    span=held_packet.span,
                 )
             )
         return "drop"

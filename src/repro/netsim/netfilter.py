@@ -20,7 +20,7 @@ import enum
 from ipaddress import IPv4Address, IPv4Network
 from typing import Callable, TYPE_CHECKING
 
-from .packet import Packet, TcpSegment, UdpDatagram
+from .packet import Packet, UdpDatagram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .node import Node
@@ -150,12 +150,6 @@ def dst_is(address: IPv4Address | str) -> Match:
 def udp_dport(port: int) -> Match:
     return lambda packet: (
         isinstance(packet.segment, UdpDatagram) and packet.segment.dport == port
-    )
-
-
-def tcp_dport(port: int) -> Match:
-    return lambda packet: (
-        isinstance(packet.segment, TcpSegment) and packet.segment.dport == port
     )
 
 

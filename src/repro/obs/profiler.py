@@ -15,7 +15,6 @@ default) the only cost is one ``is None`` check per event.
 
 from __future__ import annotations
 
-import json
 import time
 
 
@@ -128,47 +127,18 @@ class WallClockProfiler:
 def write_bench_profile(
     profiler: WallClockProfiler, path: str, *, date: str | None = None
 ) -> dict:
-    """Write the profiler snapshot as a ``BENCH_*.json`` document.
+    """Write the profiler snapshot as a ``BENCH_*.json`` document, appending
+    this run to the document's dated events/sec trajectory."""
+    from .trajectory import append_trajectory  # not on the `import repro` path
 
-    An existing document's ``trajectory`` is preserved and the new run is
-    appended to it as a dated before/after history, so regenerating the
-    profile never erases the record of what optimisation work bought.
-    """
-    doc = {
-        "benchmark": "simulator-event-loop",
-        "unit": "events/sec",
-        "value": profiler.events_per_second(),
-        "detail": profiler.snapshot(),
-    }
-    if date is None:
-        # host date on a host-time measurement — same exception as the
-        # profiler's own clock reads; never feeds back into simulation
-        date = time.strftime("%Y-%m-%d")
-    trajectory: list[dict] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            previous = json.load(fh)
-    except (OSError, ValueError):
-        previous = None
-    if isinstance(previous, dict):
-        recorded = previous.get("trajectory")
-        if isinstance(recorded, list):
-            trajectory = list(recorded)
-        elif "value" in previous:
-            # migrate a pre-trajectory document: keep its headline number
-            trajectory.append(
-                {"date": "(before trajectory tracking)",
-                 "events_per_second": previous["value"]}
-            )
-    trajectory.append(
-        {
-            "date": date,
-            "events_per_second": doc["value"],
-            "events": profiler.events,
-        }
+    events_per_second = profiler.events_per_second()
+    return append_trajectory(
+        path,
+        benchmark="simulator-event-loop",
+        unit="events/sec",
+        value=events_per_second,
+        entry={"events_per_second": events_per_second, "events": profiler.events},
+        detail=profiler.snapshot(),
+        date=date,
+        legacy_key="events_per_second",
     )
-    doc["trajectory"] = trajectory
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc

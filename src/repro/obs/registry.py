@@ -10,8 +10,7 @@ store.  Three metric kinds cover everything the paper's evaluation plots:
   index is derived from the registry clock at increment time.
 * :class:`Gauge` — last-write-wins level (CPU utilisation, queue depth).
   With ``track_history=True`` every ``set`` appends an exact
-  ``(time, value)`` sample — the storage behind the legacy
-  :class:`repro.metrics.ThroughputSeries` / ``CpuSeries`` shims.
+  ``(time, value)`` sample (the containment timeline's storage).
 * :class:`Histogram` — bucketed distributions (request latency).  Bucket
   edges are inclusive upper bounds (Prometheus ``le`` semantics).
 

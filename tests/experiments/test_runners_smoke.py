@@ -18,7 +18,7 @@ from repro.experiments.table3 import measure_scheme as table3_scheme
 
 class TestTableRunners:
     def test_table1_static(self):
-        rows = run_table1(measure_latency=False)
+        rows = run_table1(fast=True)
         assert {row.scheme for row in rows} == {"ns_name", "fabricated", "tcp", "modified"}
         assert all(row.worst_latency_rtt >= row.best_latency_rtt for row in rows)
 

@@ -175,3 +175,63 @@ class TestEndToEnd:
         sim.run(until=0.05)
         lrs.stop()
         assert lrs.latencies[0] > lrs.latencies[-1] * 1.5
+
+
+class TestSpanAndDropAccounting:
+    def test_span_survives_every_reemitted_packet(self):
+        """A query's span must reach the ANS across the shim's stamp, the
+        guard's grant, the shim's held re-send and the guard's forward."""
+        from repro.netsim import DnsPayload, Packet, UdpDatagram
+
+        sim, client, shim, guard, ans, attacker = build_testbed()
+        marker = object()
+        at_ans = []
+        deliver = ans.node.deliver
+        ans.node.deliver = lambda packet: (at_ans.append(packet.span), deliver(packet))
+        client.send(
+            Packet(
+                src=CLIENT_IP,
+                dst=ANS_IP,
+                segment=UdpDatagram(40000, 53, DnsPayload(make_query("www.foo.com"))),
+                span=marker,
+            )
+        )
+        sim.run(until=0.1)
+        assert guard.cookies_granted == 1 and shim.grants_learned == 1
+        assert at_ans == [marker]
+
+    def test_cpu_overflow_and_unroutable_grant_are_counted(self):
+        from repro.netsim import DnsPayload, Packet, UdpDatagram
+
+        sim, client, shim, guard, ans, attacker = build_testbed()
+        # client-cookie-only query from a source the guard has no route to:
+        # the grant cannot be delivered
+        query = attach_edns_cookie(make_query("www.foo.com", msg_id=1), b"\x05" * 8)
+        attacker.send(
+            Packet(
+                src=IPv4Address("172.18.0.7"),
+                dst=ANS_IP,
+                segment=UdpDatagram(40000, 53, DnsPayload(query)),
+            )
+        )
+        sim.run(until=0.1)
+        assert guard.cookies_granted == 1
+        assert guard.unroutable_replies == 1
+        assert guard.overload_drops == 0
+        # a burst past the CPU queue limit: the overflow is counted, as
+        # RemoteDnsGuard counts it
+        guard.node.cpu.queue_limit = 0.0
+        for i in range(20):
+            attacker.send(
+                Packet(
+                    src=IPv4Address("172.18.0.8"),
+                    dst=ANS_IP,
+                    segment=UdpDatagram(
+                        40000, 53, DnsPayload(make_query("www.foo.com", msg_id=i))
+                    ),
+                )
+            )
+        sim.run(until=0.2)
+        assert guard.no_cookie_drops == 20
+        assert guard.overload_drops > 0
+        assert guard.overload_drops == guard.node.cpu.jobs_dropped

@@ -1,11 +1,13 @@
-"""Unit tests for the measurement collectors."""
-
-import math
+"""Unit tests for containment's periodic sampler and its two readers."""
 
 import pytest
 
-from repro.metrics import CpuSeries, LatencyStats, ThroughputSeries
-from repro.netsim import Cpu, Node, Simulator
+from repro.experiments.containment import (
+    PeriodicSampler,
+    completed_rate,
+    cpu_utilization,
+)
+from repro.netsim import Node, Simulator
 
 
 class _FakeStats:
@@ -13,11 +15,19 @@ class _FakeStats:
         self.completed = 0
 
 
+def _throughput(sim, stats):
+    return PeriodicSampler(sim, "throughput", completed_rate(stats, 0.1), 0.1)
+
+
+def _cpu(node):
+    return PeriodicSampler(node.sim, "cpu", cpu_utilization(node), 0.1)
+
+
 class TestThroughputSeries:
     def test_samples_completed_deltas(self):
         sim = Simulator()
         stats = _FakeStats()
-        series = ThroughputSeries(sim, stats, interval=0.1)
+        series = _throughput(sim, stats)
         series.start()
         # 10 completions every 0.01 s => 1000/sec, spread over 0.3 s
         for i in range(30):
@@ -25,11 +35,11 @@ class TestThroughputSeries:
         sim.run(until=0.35)
         series.stop()
         assert len(series.samples) == 3
-        assert series.mean() == pytest.approx(1000.0, rel=0.15)
+        assert series.gauge.mean() == pytest.approx(1000.0, rel=0.15)
 
     def test_stop_halts_sampling(self):
         sim = Simulator()
-        series = ThroughputSeries(sim, _FakeStats(), interval=0.1)
+        series = _throughput(sim, _FakeStats())
         series.start()
         sim.run(until=0.25)
         series.stop()
@@ -42,39 +52,19 @@ class TestCpuSeries:
         sim = Simulator()
         node = Node(sim, "n")
         node.cpu.queue_limit = 10.0
-        series = CpuSeries(node, interval=0.1)
+        series = _cpu(node)
         series.start()
         for _ in range(5):
             node.cpu.submit(0.1, None)  # 0.5 s of work in a 1 s window
         sim.run(until=1.05)
         series.stop()
-        assert series.mean() == pytest.approx(0.5, abs=0.1)
+        assert series.gauge.mean() == pytest.approx(0.5, abs=0.1)
 
     def test_idle_node_reads_zero(self):
         sim = Simulator()
         node = Node(sim, "n")
-        series = CpuSeries(node, interval=0.1)
+        series = _cpu(node)
         series.start()
         sim.run(until=0.55)
         series.stop()
-        assert series.mean() == 0.0
-
-
-class TestLatencyStats:
-    def test_summary_statistics(self):
-        stats = LatencyStats([0.001 * i for i in range(1, 101)])
-        assert stats.count == 100
-        assert stats.mean == pytest.approx(0.0505)
-        assert stats.median == pytest.approx(0.051)
-        assert stats.p99 == pytest.approx(0.1)
-        assert stats.mean_ms() == pytest.approx(50.5)
-
-    def test_empty_is_nan(self):
-        stats = LatencyStats([])
-        assert math.isnan(stats.mean)
-        assert math.isnan(stats.median)
-
-    def test_percentile_bounds(self):
-        stats = LatencyStats([1.0, 2.0, 3.0])
-        assert stats.percentile(0) == 1.0
-        assert stats.percentile(100) == 3.0
+        assert series.gauge.mean() == 0.0
