@@ -8,8 +8,7 @@ installed Observability context:
 * ``guard.decisions`` counters show forwards vs drops, per scheme/outcome;
 * spans trace each legitimate interaction end-to-end (client leg, guard
   decision, ANS serve) over virtual time;
-* a packet tap on the guard shows the first packets of the flood;
-* the wall-clock profiler attributes host time to event handlers.
+* a packet tap on the guard shows the first packets of the flood.
 
 Run:  python examples/observe_attack.py
 """
@@ -17,7 +16,7 @@ Run:  python examples/observe_attack.py
 from repro import ANS_ADDRESS, GuardTestbed, LrsSimulator, Observability, installed
 from repro.attack import SpoofingAttacker
 
-obs = Observability(profile=True)
+obs = Observability()
 with installed(obs):
     bed = GuardTestbed(ans="simulator", ans_mode="answer")
     tap = obs.tap(bed.guard_node, protocol="udp", max_records=20)

@@ -35,6 +35,8 @@ python -m repro control --fast --races
 
 echo "== farm smoke (serial-vs-sharded digest equivalence + resume) =="
 farm_dir=$(mktemp -d)
+obs_dir=$(mktemp -d)
+trap 'rm -rf "$farm_dir" "$obs_dir"' EXIT
 python -m repro farm --matrix smoke --fast --manifest "$farm_dir/serial.json" > /dev/null
 python -m repro farm --matrix smoke --fast --shards 2 --manifest "$farm_dir/sharded.json" > /dev/null
 digest_serial=$(python -c "import json,sys; print(json.load(open(sys.argv[1]))['digest'])" "$farm_dir/serial.json")
@@ -56,12 +58,11 @@ if [ "$digest_serial" != "$digest_resumed" ]; then
     exit 1
 fi
 echo "manifest digest $digest_serial (sharded + resumed runs identical)"
-rm -rf "$farm_dir"
 
 echo "== observability smoke (obs showcase + obs-on/off trace parity) =="
 python -m repro obs --fast > /dev/null
 trace_off=$(python -m repro table2 --sanitize | tail -n 1)
-trace_on=$(python -m repro table2 --sanitize --obs "$(mktemp -d)" --profile | tail -n 1)
+trace_on=$(python -m repro table2 --sanitize --obs "$obs_dir" | tail -n 1)
 if [ "$trace_off" != "$trace_on" ]; then
     echo "observability changed the event trace:" >&2
     echo "  off: $trace_off" >&2

@@ -12,7 +12,7 @@ analysis modes that replace its normal output — ``--sanitize`` (run twice,
 compare event-trace hashes), ``--races`` (tie-group interference monitor,
 R003/R004), ``--explore N`` (seeded permutations of conflicting tie
 groups, canonical-trace invariance) and ``--memory`` (state-bounds
-high-water monitor, M006) — plus ``--obs DIR`` / ``--profile``.
+high-water monitor, M006) — plus ``--obs DIR``.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ MODES = (
 )
 OBS = _option("--obs", "DIR", "gather observability data (metrics, spans, run report) "
               "and export it into DIR")
-PROFILE = _switch("--profile", "also profile the event loop (wall-clock, per-handler)")
 #: What every command that runs a simulation reads.
-SIM = (SEED, *MODES, OBS, PROFILE)
+SIM = (SEED, *MODES, OBS)
 #: Farm execution of a matrix: `farm`, and `faults` when it forks to it.
 SHARDING = (
     _option("--shards", None, "run the matrix across N farm worker processes "
@@ -77,9 +76,6 @@ CONTROL_FLAGS = (
     _switch("--static-only", "run only the static-scheme cells (no controller "
             "constructed) — the sanitize-parity smoke configuration"),
 )
-BENCH_PROFILE = _option("--bench-profile", "PATH", "write the event-loop profile as a "
-                        "BENCH_*.json document (events/sec trajectory; e.g. "
-                        "scripts/BENCH_profile.json)")
 
 #: The flags forwarded to a row's ``run`` (those of them the row declares).
 RUN_ARGS = ("seed", "fast", "hybrid")
@@ -184,17 +180,13 @@ def _control(row: Artefact, args: argparse.Namespace) -> int:
 
 def _obs(row: Artefact, args: argparse.Namespace) -> int:
     """Showcase the observability subsystem on a short guarded run."""
-    from repro.experiments.demo import run_profiled_flood
-    from repro.obs import write_bench_profile
+    from repro.experiments.demo import run_observed_flood
 
-    obs = run_profiled_flood(args.seed, fast=args.fast)
+    obs = run_observed_flood(args.seed, fast=args.fast)
     print(obs.report())
     if args.obs is not None:
         for path in obs.write(args.obs):
             print(f"wrote {path}")
-    if args.bench_profile:
-        write_bench_profile(obs.profiler, args.bench_profile)
-        print(f"wrote {args.bench_profile}")
     return 0
 
 
@@ -252,7 +244,7 @@ ARTEFACTS: dict[str, Artefact] = {
         # collector around them is invalid
         Artefact("farm", "Sharded scenario farm: run a matrix across worker processes with a "
                  "resumable manifest and deterministic merge",
-                 (SEED, FAST, OBS, PROFILE, *SHARDING, *FARM_FLAGS), handler=_farm),
+                 (SEED, FAST, OBS, *SHARDING, *FARM_FLAGS), handler=_farm),
         Artefact("control", "Adaptive overload control vs static schemes across attacks × faults",
                  (*SIM, FAST, *CONTROL_FLAGS), handler=_control),
         Artefact("fluid", "Analytical model predictions",
@@ -260,27 +252,23 @@ ARTEFACTS: dict[str, Artefact] = {
         Artefact("report", "Assemble benchmarks/results into REPORT.md", handler=_report),
         Artefact("sensitivity", "Sensitivity of qualitative claims to the CPU cost model",
                  (), "sensitivity:run_sensitivity", "sensitivity:format_sensitivity"),
-        # manages its own, always profiling, Observability: no --profile
-        Artefact("obs", "Observability showcase: metrics, spans, and a profile of a short run",
-                 (SEED, *MODES, OBS, FAST, BENCH_PROFILE), handler=_obs),
+        # installs its own Observability (with a packet tap) and exports that
+        Artefact("obs", "Observability showcase: metrics, spans and a packet tap of a short run",
+                 (SEED, *MODES, OBS, FAST), handler=_obs),
     )
 }
 
 
 def _run_with_obs(handler, row: Artefact, args: argparse.Namespace) -> int:
     """Run ``handler`` with a process-wide Observability installed, then
-    dump whatever it gathered (run report + exports to ``--obs DIR``)."""
+    export what it gathered (run report, metrics, spans) to ``--obs DIR``."""
     from repro.obs import Observability, installed
 
-    obs = Observability(profile=args.profile)
+    obs = Observability()
     with installed(obs):
         code = handler(row, args)
-    obs.collect()
-    if args.obs is not None:
-        for path in obs.write(args.obs):
-            print(f"wrote {path}", file=sys.stderr)
-    elif obs.profiler is not None:
-        print(obs.profiler.report(), file=sys.stderr)
+    for path in obs.write(args.obs):
+        print(f"wrote {path}", file=sys.stderr)
     return code
 
 
@@ -304,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     handler = row.handler or _run_artefact
 
     def invoke() -> int:
-        if PROFILE in row.flags and (args.obs is not None or args.profile):
+        if handler is not _obs and getattr(args, "obs", None) is not None:
             return _run_with_obs(handler, row, args)
         return handler(row, args)
 

@@ -4,8 +4,8 @@ The analysis CLI parses every file exactly once and shares the ASTs
 across all rule families; this module records what that sharing buys.
 ``--bench FILE`` appends a dated entry (total seconds + per-phase
 breakdown, including the one shared ``parse`` phase) to the document's
-``trajectory``, mirroring the simulator's ``BENCH_profile.json`` shape,
-so regressions in analyzer cost show up as history rather than vibes.
+``trajectory`` (the shape every ``scripts/BENCH_*.json`` shares), so
+regressions in analyzer cost show up as history rather than vibes.
 """
 
 from __future__ import annotations

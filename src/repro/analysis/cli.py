@@ -4,9 +4,8 @@ Runs the determinism lint and every flagged rule family from
 :data:`repro.analysis.kernel.FAMILIES` over the given paths (default:
 ``src``): ``--flow`` adds the taint-dataflow and FSM-conformance
 analyses, ``--races`` the static simultaneity rules R001/R002,
-``--perf`` the profile-guided hot-path cost rules P001–P006 weighted by
-``--perf-profile`` (default ``scripts/BENCH_profile.json``), ``--memory``
-the state-exhaustion rules M001–M005 over ``__state_bounds__``
+``--perf`` the hot-path cost rules P001–P006, ``--memory`` the
+state-exhaustion rules M001–M005 over ``__state_bounds__``
 declarations, and ``--layers`` the transport-purity layering rules
 L001–L006 over ``__layer__`` declarations and the import-layering
 manifest, including the L006 import-isolation witness; any of them also
@@ -119,16 +118,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--perf-profile",
-        metavar="FILE",
-        default="scripts/BENCH_profile.json",
-        help=(
-            "handler-timing profile weighting the perf rules (default: "
-            "scripts/BENCH_profile.json; a missing file just disables "
-            "weighting)"
-        ),
-    )
-    parser.add_argument(
         "--sarif",
         metavar="OUT",
         default=None,
@@ -228,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         t0 = clock()
         # one parse shared by the lint and every rule family
-        facts = Facts(args.paths, profile=args.perf_profile, runtime=True)
+        facts = Facts(args.paths, runtime=True)
         timings.append(("parse", clock() - t0))
         tracker = SuppressionTracker()
         findings = run(families, facts, rule_ids, tracker, timings=timings)

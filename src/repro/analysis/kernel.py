@@ -39,7 +39,7 @@ from .flow.core import (
 from .layers import engine as layers_engine
 from .memory import engine as memory_engine
 from .perf import engine as perf_engine
-from .perf.hotpath import HotPaths, compute_hot_paths, load_profile
+from .perf.hotpath import HotPaths, compute_hot_paths
 from .races import engine as races_engine
 from .registry import RULES, Rule, rules_in, select
 
@@ -49,25 +49,22 @@ class Facts:
 
     The sources are read and parsed exactly once, here; derived facts
     more than one family needs are computed on first use and shared.
-    ``profile`` (a ``BENCH_profile.json`` path; a missing file means "no
-    profile") widens and labels the hot set, ``manifest`` substitutes a
-    toy layer map for tests, and ``runtime`` opts into the L006
-    import-isolation witness, which imports the *installed* ``repro``
-    pure core — meaningless when analysing a toy fixture tree.
+    ``manifest`` substitutes a toy layer map for tests, and ``runtime``
+    opts into the L006 import-isolation witness, which imports the
+    *installed* ``repro`` pure core — meaningless when analysing a toy
+    fixture tree.
     """
 
     def __init__(
         self,
         paths: Iterable[str | Path],
         *,
-        profile: str | Path | None = None,
         manifest: dict[str, str] | None = None,
         runtime: bool = False,
     ):
         #: (path, source, error) for every file that failed to parse
         self.broken: list[tuple[str, str, SyntaxError]] = []
         self.modules: list[ModuleInfo] = load_modules(paths, self.broken)
-        self.profile = profile
         self.manifest = manifest
         self.runtime = runtime
 
@@ -92,8 +89,7 @@ class Facts:
     @functools.cached_property
     def hot_paths(self) -> HotPaths:
         """The per-event hot set (perf rules, memory M001/M003)."""
-        profile = None if self.profile is None else load_profile(self.profile)
-        return compute_hot_paths(self.modules, profile, self.index)
+        return compute_hot_paths(self.modules, self.index)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -140,8 +136,8 @@ FAMILIES: dict[str, Family] = {
             "perf",
             ("perf",),
             perf_engine.check,
-            "also run the profile-guided hot-path cost rules (P001-P006) "
-            "over schedule-site callbacks and Node.receive reachability",
+            "also run the hot-path cost rules (P001-P006) over schedule-site "
+            "callbacks and Node.receive reachability",
         ),
         Family(
             "memory",
@@ -221,12 +217,11 @@ def analyze(
     families: Iterable[str] = ("lint",),
     rule_ids: Iterable[str] | None = None,
     tracker: SuppressionTracker | None = None,
-    profile: str | Path | None = None,
     manifest: dict[str, str] | None = None,
     runtime: bool = False,
 ) -> list[Finding]:
     """Parse everything under ``paths`` once and :func:`run` ``families``."""
-    facts = Facts(paths, profile=profile, manifest=manifest, runtime=runtime)
+    facts = Facts(paths, manifest=manifest, runtime=runtime)
     return run(families, facts, rule_ids, tracker)
 
 

@@ -2,11 +2,10 @@
 
 :func:`check` takes the hot set off the run's shared
 :class:`~repro.analysis.kernel.Facts` (so M001/M003 know which functions
-run per attacker packet and which sweeps a scheduler actually reaches —
-profiled handler roots widen it, the static schedule-site roots alone are
-enough for the repo gate), reads every module's ``__state_bounds__``
-declaration and runs each selected M-rule per module.  M006 is the
-runtime high-water monitor's (:mod:`.runtime`).
+run per attacker packet and which sweeps a scheduler actually reaches),
+reads every module's ``__state_bounds__`` declaration and runs each
+selected M-rule per module.  M006 is the runtime high-water monitor's
+(:mod:`.runtime`).
 """
 
 from __future__ import annotations

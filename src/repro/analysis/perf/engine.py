@@ -1,13 +1,10 @@
 """The perf family's check: the P-rules over every hot function.
 
-:func:`check` takes the hot set (schedule-site callbacks, ``Node.receive``
-reachability and — when the run has a ``BENCH_profile.json`` — the
-profiled handler roots) off the run's shared
+:func:`check` takes the hot set (schedule-site callbacks and
+``Node.receive`` reachability) off the run's shared
 :class:`~repro.analysis.kernel.Facts` and runs each selected P-rule over
-each hot function.  The profile adds handler roots the static pass cannot
-see and marks their findings as profiled; it never suppresses static
-findings.  Accepted findings live in ``scripts/analysis_baseline.json``
-and self-shrink through U001.
+each hot function.  Accepted findings live in
+``scripts/analysis_baseline.json`` and self-shrink through U001.
 """
 
 from __future__ import annotations

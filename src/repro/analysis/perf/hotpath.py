@@ -1,34 +1,25 @@
-"""Hot-path inference: which functions run per-event, and how much they cost.
+"""Hot-path inference: which functions run per-event.
 
 The perf rules only fire inside the *hot set* — the transitive call-graph
-closure of the code that runs once per simulated event.  Hotness has two
-sources:
-
-* **static roots** — every callback the source tree passes to
-  ``Simulator.schedule`` / ``schedule_at`` / ``Cpu.submit`` (resolved with
-  the same self-attribute / subclass-closure / name-index machinery the
-  races layer uses), plus ``Node.receive``, the per-packet entry point
-  every link delivery funnels through;
-* **profile roots** — handler keys from ``scripts/BENCH_profile.json`` (written by
-  :mod:`repro.obs.profiler`), mapped back to static functions by their
-  module-qualified name.  The profile sees through indirection the static
-  pass cannot (``cpu.submit(cost, fn, *args)`` where ``fn`` is a
-  parameter), and its per-handler timings weight the findings.
+closure of the code that runs once per simulated event.  Its roots are
+static: every callback the source tree passes to ``Simulator.schedule`` /
+``schedule_at`` / ``Cpu.submit`` (resolved with the same self-attribute /
+subclass-closure / name-index machinery the races layer uses), plus
+``Node.receive``, the per-packet entry point every link delivery funnels
+through.  A callback that reaches the scheduler only through a variable
+(``cpu.submit(cost, fn, *args)`` where ``fn`` is a parameter) is outside
+the set.
 
 Propagation through callees is a *may* analysis: an ambiguous bare name
 (``demux`` is both ``UdpStack.demux`` and ``TcpStack.demux``) marks every
 candidate hot, bounded by :data:`_MAX_CANDIDATES` so hub names like
-``send`` or ``start`` do not drag the whole tree into the hot set.  The
-profile never gates hotness — repo runs and tests stay deterministic with
-or without a ``scripts/BENCH_profile.json`` on disk — it only enriches what the
-static closure already found.
+``send`` or ``start`` do not drag the whole tree into the hot set.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import json
 from pathlib import Path
 
 from ..rules import dotted_name
@@ -54,44 +45,6 @@ _MAX_CANDIDATES = 3
 _MAX_DEPTH = 12
 
 
-@dataclasses.dataclass(slots=True)
-class PerfProfile:
-    """Parsed ``scripts/BENCH_profile.json``: events/s plus per-handler timings."""
-
-    events_per_second: float
-    #: handler key (``module.Qualname``) -> (calls, seconds)
-    handlers: dict[str, tuple[int, float]]
-
-
-def load_profile(path: str | Path) -> PerfProfile | None:
-    """Parse a ``BENCH_*.json`` profile; ``None`` when the file is absent.
-
-    A present-but-malformed profile raises ``ValueError`` — silently
-    ignoring it would silently drop the weighting.
-    """
-    profile_path = Path(path)
-    if not profile_path.is_file():
-        return None
-    try:
-        doc = json.loads(profile_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"profile {path}: not valid JSON ({exc})") from exc
-    detail = doc.get("detail", doc) if isinstance(doc, dict) else None
-    if not isinstance(detail, dict) or not isinstance(detail.get("handlers"), dict):
-        raise ValueError(f"profile {path}: no detail.handlers table")
-    handlers: dict[str, tuple[int, float]] = {}
-    for key, stats in detail["handlers"].items():
-        if isinstance(stats, dict):
-            handlers[str(key)] = (
-                int(stats.get("calls", 0)),
-                float(stats.get("seconds", 0.0)),
-            )
-    return PerfProfile(
-        events_per_second=float(detail.get("events_per_second", 0.0)),
-        handlers=handlers,
-    )
-
-
 def module_dotted(path: str | Path) -> str:
     """Dotted module name for a source path (``src/repro/a/b.py`` ->
     ``repro.a.b``); tmp-dir toy modules fall back to their bare stem."""
@@ -114,21 +67,12 @@ class HotFunction:
     decl: FunctionDecl
     root: str  # qualname of the entry root this was reached from
     depth: int  # call-graph hops from that root
-    calls: int = 0  # this function's own profile calls (0 if unmatched)
-    seconds: float = 0.0  # this function's own profile seconds
-    profiled: bool = False  # the root (or the function) appears in the profile
 
     def describe(self) -> str:
-        """Stable hot-evidence label for finding messages.
-
-        Deliberately excludes the profile's call counts and timings: those
-        change every time the profile is regenerated, and finding messages
-        are baseline keys that must not churn with them.
-        """
-        via = "profiled hot path" if self.profiled else "hot path"
+        """Stable hot-evidence label for finding messages (a baseline key)."""
         if self.depth == 0:
-            return f"{via} root {self.root}"
-        return f"{via} via {self.root}"
+            return f"hot path root {self.root}"
+        return f"hot path via {self.root}"
 
 
 class HotPaths:
@@ -136,11 +80,6 @@ class HotPaths:
 
     def __init__(self, functions: dict[tuple[str, str], HotFunction]):
         self.functions = functions
-
-    def weight_for(self, path: str, qualname: str) -> tuple[int, float]:
-        """(calls, seconds) attributed to one hot function by the profile."""
-        hot = self.functions.get((path, qualname))
-        return (hot.calls, hot.seconds) if hot is not None else (0, 0.0)
 
 
 class _Resolver:
@@ -227,29 +166,10 @@ def _static_roots(
     return roots
 
 
-def _profile_roots(
-    modules: list[ModuleInfo], profile: PerfProfile
-) -> list[tuple[ModuleInfo, FunctionDecl, str, int, float]]:
-    """Profile handler keys matched back to static functions."""
-    by_key: dict[str, tuple[ModuleInfo, FunctionDecl]] = {}
-    for module in modules:
-        dotted = module_dotted(module.path)
-        for qualname, decl in module.functions.items():
-            by_key[f"{dotted}.{qualname}"] = (module, decl)
-    matched: list[tuple[ModuleInfo, FunctionDecl, str, int, float]] = []
-    for key, (calls, seconds) in sorted(profile.handlers.items()):
-        hit = by_key.get(key)
-        if hit is not None:
-            matched.append((hit[0], hit[1], hit[1].qualname, calls, seconds))
-    return matched
-
-
 def compute_hot_paths(
-    modules: list[ModuleInfo],
-    profile: PerfProfile | None = None,
-    index: NameIndex | None = None,
+    modules: list[ModuleInfo], index: NameIndex | None = None
 ) -> HotPaths:
-    """The hot set: static + profile roots, closed over resolvable callees.
+    """The hot set: the static roots, closed over resolvable callees.
 
     ``index`` reuses the run's shared name index instead of building one.
     """
@@ -257,35 +177,19 @@ def compute_hot_paths(
     hot: dict[tuple[str, str], HotFunction] = {}
     worklist: list[tuple[str, str]] = []
 
-    def admit(
-        module: ModuleInfo,
-        decl: FunctionDecl,
-        root: str,
-        depth: int,
-        profiled: bool,
-    ) -> None:
+    def admit(module: ModuleInfo, decl: FunctionDecl, root: str, depth: int) -> None:
         key = (module.path, decl.qualname)
         existing = hot.get(key)
         if existing is not None:
-            # keep the shortest path; a profiled root upgrades the label
-            if profiled and not existing.profiled:
-                existing.profiled = True
-            if depth >= existing.depth:
-                return
-            existing.root, existing.depth = root, depth
+            # keep the shortest path
+            if depth < existing.depth:
+                existing.root, existing.depth = root, depth
             return
-        hot[key] = HotFunction(
-            module=module, decl=decl, root=root, depth=depth, profiled=profiled
-        )
+        hot[key] = HotFunction(module=module, decl=decl, root=root, depth=depth)
         worklist.append(key)
 
     for module, decl, label in _static_roots(modules, resolver):
-        admit(module, decl, label, 0, False)
-    if profile is not None:
-        for module, decl, label, calls, seconds in _profile_roots(modules, profile):
-            admit(module, decl, label, 0, True)
-            entry = hot[(module.path, decl.qualname)]
-            entry.calls, entry.seconds = calls, seconds
+        admit(module, decl, label, 0)
 
     while worklist:
         key = worklist.pop()
@@ -301,6 +205,6 @@ def compute_hot_paths(
                     callees.add(name)
         for name in sorted(callees):
             for module, decl in resolver.resolve(entry.module, enclosing, name):
-                admit(module, decl, entry.root, entry.depth + 1, entry.profiled)
+                admit(module, decl, entry.root, entry.depth + 1)
 
     return HotPaths(hot)

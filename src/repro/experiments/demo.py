@@ -2,8 +2,8 @@
 ANS, and a spoofed invalid-cookie flood.
 
 ``python -m repro demo`` prints its three headline counters;
-``python -m repro obs`` and ``benchmarks/bench_dispatch.py`` run the same
-scenario under a profiling :class:`~repro.obs.Observability`.
+``python -m repro obs`` runs the same scenario, at a lighter flood rate,
+under an :class:`~repro.obs.Observability` with a packet tap.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ from ..obs import Observability, installed
 from .testbed import ANS_ADDRESS, GuardTestbed
 
 #: Spoofed flood rates (requests/sec): the demo's, and the lighter one the
-#: profiled showcase runs so its packet tap and report stay readable.
+#: observed showcase runs so its packet tap and report stay readable.
 DEMO_ATTACK_RATE = 50_000
-PROFILED_ATTACK_RATE = 5_000
+OBSERVED_ATTACK_RATE = 5_000
 
-#: Simulated seconds the profiled showcase runs (full, ``fast``).
-PROFILED_DURATION = 1.0
-PROFILED_FAST_DURATION = 0.25
+#: Simulated seconds the observed showcase runs (full, ``fast``).
+OBSERVED_DURATION = 1.0
+OBSERVED_FAST_DURATION = 0.25
 
 
 def _guarded_flood(seed: int, attack_rate: float):
@@ -53,19 +53,15 @@ def format_demo(answered: int, dropped: int, reached_ans: int) -> str:
     )
 
 
-def run_profiled_flood(
-    seed: int = 0, *, fast: bool = False, duration: float | None = None
-) -> Observability:
-    """Run the scenario under a profiling Observability with a packet tap
-    on the guard node; returns the collected Observability."""
-    if duration is None:
-        duration = PROFILED_FAST_DURATION if fast else PROFILED_DURATION
-    obs = Observability(profile=True)
+def run_observed_flood(seed: int = 0, *, fast: bool = False) -> Observability:
+    """Run the scenario under an Observability with a packet tap on the
+    guard node; returns the collected Observability."""
+    obs = Observability()
     with installed(obs):
-        bed, resolver, attacker = _guarded_flood(seed, PROFILED_ATTACK_RATE)
+        bed, resolver, attacker = _guarded_flood(seed, OBSERVED_ATTACK_RATE)
         obs.tap(bed.guard_node, protocol="udp", max_records=40)
         resolver.start()
         attacker.start()
-        bed.run(duration)
+        bed.run(OBSERVED_FAST_DURATION if fast else OBSERVED_DURATION)
     obs.collect()
     return obs

@@ -17,8 +17,7 @@ depends only on ``(matrix, params, derived seed, fast)``.
 
 Wall-clock reads in this module are orchestration-plane only (timeouts,
 queue polling, the BENCH trajectory); they never feed a simulation,
-which is why the inline ``allow[D001]`` markers are sound — the same
-exception the observability profiler documents.
+which is why the inline ``allow[D001]`` markers are sound.
 """
 
 from __future__ import annotations

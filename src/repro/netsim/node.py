@@ -16,6 +16,7 @@ from typing import Callable, Literal
 from .cpu import Cpu
 from .errors import RoutingError
 from .link import Link
+from .netfilter import Hook, PacketFilter, Verdict
 from .packet import Packet, TcpSegment, UdpDatagram
 from .simulator import Simulator
 
@@ -112,11 +113,9 @@ class Node:
         self._route_cache.clear()
 
     @property
-    def filters(self):
+    def filters(self) -> PacketFilter:
         """The node's netfilter-style :class:`~repro.netsim.netfilter.PacketFilter`."""
         if self._filters is None:
-            from .netfilter import PacketFilter
-
             self._filters = PacketFilter()
         return self._filters
 
@@ -124,8 +123,6 @@ class Node:
         """True if the packet may proceed past ``hook``."""
         if self._filters is None:
             return True
-        from .netfilter import Verdict
-
         return self._filters.evaluate(hook, packet) is Verdict.ACCEPT
 
     # -- data path ------------------------------------------------------------
@@ -139,15 +136,11 @@ class Node:
     def receive(self, packet: Packet, link: Link) -> None:
         """Entry point for packets arriving from ``link``."""
         if self._filters is not None:
-            from .netfilter import Hook
-
             if not self._filter_verdict(Hook.PREROUTING, packet):
                 self.packets_dropped += 1
                 return
         if self.owns(packet.dst):
             if self._filters is not None:
-                from .netfilter import Hook
-
                 if not self._filter_verdict(Hook.LOCAL_IN, packet):
                     self.packets_dropped += 1
                     return
@@ -162,8 +155,6 @@ class Node:
                 self.deliver(packet)
                 return
         if self._filters is not None:
-            from .netfilter import Hook
-
             if not self._filter_verdict(Hook.FORWARD, packet):
                 self.packets_dropped += 1
                 return
@@ -221,8 +212,6 @@ class Node:
     def send(self, packet: Packet) -> bool:
         """Originate a packet from this node."""
         if self._filters is not None:
-            from .netfilter import Hook
-
             if not self._filter_verdict(Hook.LOCAL_OUT, packet):
                 self.packets_dropped += 1
                 return False

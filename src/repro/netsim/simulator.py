@@ -221,9 +221,9 @@ def set_observability(obs):
     """Install a process-wide observability context; returns the previous one.
 
     While installed, every newly constructed :class:`Simulator` calls
-    ``obs.register(sim)`` so the context can follow the virtual clock and
-    (optionally) profile the event loop.  The context is observe-only:
-    installing one never changes the event sequence.
+    ``obs.register(sim)`` so the context can follow the virtual clock.
+    The context is observe-only: installing one never changes the event
+    sequence.
     """
     global _active_obs
     previous = _active_obs
@@ -282,11 +282,11 @@ def set_tie_hook(hook: _TieHookProtocol | None) -> _TieHookProtocol | None:
     """Install a process-wide tie-group hook; returns the previous one.
 
     While a hook is installed, every newly constructed :class:`Simulator`
-    steps through tie groups (batches of same-time, same-priority events)
-    and reports them to the hook — the race detector's interference
-    sanitizer and schedule-permutation explorer plug in here.  With no
-    hook (the default) the event loop takes the ungrouped fast path and
-    the execution order is identical.
+    takes its next event from tie groups (batches of same-time,
+    same-priority events) and reports them to the hook — the race
+    detector's interference sanitizer and schedule-permutation explorer
+    plug in here.  With no hook (the default) the next event comes straight
+    off the heap, in the same order unless a hook reorders a group.
     """
     global _active_tie_hook
     previous = _active_tie_hook
@@ -348,9 +348,8 @@ class Simulator:
         self._events_processed = 0
         #: Cancelled entries still sitting in the heap (see _note_cancelled).
         self._tombstones = 0
-        #: The tie group currently executing, as not-yet-run TieEvents.
+        #: The open tie group's not-yet-run TieEvents (empty with no hook).
         self._tie_buffer: list[TieEvent] = []
-        self._group_open = False
         #: seq -> scheduling call site, populated only while a tie hook is
         #: installed (the frame walk is not free).
         self._sites: dict[int, tuple[str, int] | None] = {}
@@ -360,8 +359,6 @@ class Simulator:
         #: Observability context attached to this simulator (see repro.obs).
         #: None in the common case; instrumentation sites gate on it.
         self.obs = None
-        #: Wall-clock profiler bracketing each event callback when set.
-        self.step_profiler = None
         if _active_obs is not None:
             _active_obs.register(self)
         collector = _active_collector
@@ -439,117 +436,75 @@ class Simulator:
 
     def step(self) -> bool:
         """Process one live event.  Returns False when the queue is empty."""
-        if self._tie_buffer and self._step_buffered():
-            return True
-        if self._tie_hook is None:
-            # Fast path: no grouping, no site bookkeeping — identical event
-            # order to the grouped path, minus the hook brackets.
-            while self._queue:
-                time, _priority, sequence, handle, callback, args = heapq.heappop(
-                    self._queue
-                )
-                if handle.cancelled:
-                    handle._sim = None
-                    self._tombstones -= 1
-                    continue
+        hook = self._tie_hook
+        event = None
+        if hook is None:
+            queue = self._queue
+            while True:
+                if not queue:
+                    return False
+                time, _priority, sequence, handle, callback, args = heapq.heappop(queue)
                 handle._sim = None
-                self.now = time
-                self._events_processed += 1
-                if self.trace is not None:
-                    self.trace.record(time, sequence, callback, args)
-                profiler = self.step_profiler
-                if profiler is None:
-                    callback(*args)
-                else:
-                    t0 = profiler.begin()
-                    callback(*args)
-                    profiler.record(
-                        callback, profiler.elapsed_since(t0), self.live_pending_events
-                    )
-                return True
-            return False
-        while self._pop_tie_group():
-            if self._step_buffered():
-                return True
-        return False
+                if not handle.cancelled:
+                    break
+                self._tombstones -= 1
+        else:
+            event = self._next_tie_event()
+            if event is None:
+                return False
+            time, sequence, callback, args = event.time, event.seq, event.callback, event.args
+        self.now = time
+        self._events_processed += 1
+        if self.trace is not None:
+            self.trace.record(time, sequence, callback, args)
+        if hook is not None:
+            hook.before_event(self, event)
+        callback(*args)
+        if hook is not None:
+            hook.after_event(self, event)
+            self._tie_group_drained()
+        return True
 
-    def _pop_tie_group(self) -> bool:
-        """Pop all live events at the next ``(time, priority)`` into the
-        tie buffer, offering the group to the hook.  Returns False when the
-        heap has no live events left."""
+    def _next_tie_event(self) -> TieEvent | None:
+        """Where a hooked simulator gets its next event: the current tie
+        group's next live member, else the first of the next group — all
+        live events at the next ``(time, priority)``, popped together and
+        offered to ``on_group``.  None when no live event is left."""
+        if self._tie_buffer and not self._tie_group_drained():
+            return self._tie_buffer.pop(0)
         queue = self._queue
-        while queue:
+        group: list[TieEvent] = []
+        while queue and (
+            not group
+            or (queue[0][0] == group[0].time and queue[0][1] == group[0].priority)
+        ):
             time, priority, seq, handle, callback, args = heapq.heappop(queue)
             site = self._sites.pop(seq, None)
             handle._sim = None
             if handle.cancelled:
                 self._tombstones -= 1
-                continue
-            group = [TieEvent(time, priority, seq, handle, callback, args, site)]
-            while queue and queue[0][0] == time and queue[0][1] == priority:
-                _, _, seq2, handle2, callback2, args2 = heapq.heappop(queue)
-                site2 = self._sites.pop(seq2, None)
-                handle2._sim = None
-                if handle2.cancelled:
-                    self._tombstones -= 1
-                    continue
-                group.append(
-                    TieEvent(time, priority, seq2, handle2, callback2, args2, site2)
-                )
-            hook = self._tie_hook
-            if hook is not None:
-                reordered = hook.on_group(self, group)
-                if reordered is not None:
-                    group = list(reordered)
-            self._tie_buffer = group
-            self._group_open = True
-            return True
-        return False
-
-    def _step_buffered(self) -> bool:
-        """Execute the next live event of the current tie group."""
-        buffer = self._tie_buffer
-        hook = self._tie_hook
-        while buffer:
-            event = buffer.pop(0)
-            if event.handle.cancelled:
-                # Cancelled by an earlier member of the same tie group:
-                # honoured exactly as if it were still in the heap.
-                continue
-            self.now = event.time
-            self._events_processed += 1
-            if self.trace is not None:
-                self.trace.record(event.time, event.seq, event.callback, event.args)
-            if hook is not None:
-                hook.before_event(self, event)
-            profiler = self.step_profiler
-            if profiler is None:
-                event.callback(*event.args)
             else:
-                t0 = profiler.begin()
-                event.callback(*event.args)
-                profiler.record(
-                    event.callback,
-                    profiler.elapsed_since(t0),
-                    self.live_pending_events,
-                )
-            if hook is not None:
-                hook.after_event(self, event)
-            while buffer and buffer[0].handle.cancelled:
-                buffer.pop(0)
-            if not buffer:
-                self._close_group()
-            return True
-        self._close_group()
-        return False
+                group.append(TieEvent(time, priority, seq, handle, callback, args, site))
+        if not group:
+            return None
+        reordered = self._tie_hook.on_group(self, group)
+        if reordered is not None:
+            group = list(reordered)
+        self._tie_buffer = group
+        return group.pop(0)
 
-    def _close_group(self) -> None:
-        if not self._group_open:
-            return
-        self._group_open = False
-        hook = self._tie_hook
-        if hook is not None:
-            hook.end_group(self)
+    def _tie_group_drained(self) -> bool:
+        """Drop cancelled members from the head of the tie buffer — whether
+        an earlier member of the group cancelled them or a caller between
+        steps, they are honoured exactly as if still in the heap.  True,
+        after telling the hook the group has ended, once nothing is left."""
+        buffer = self._tie_buffer
+        while buffer and buffer[0].handle.cancelled:
+            buffer.pop(0)
+        if buffer:
+            return False
+        self._tie_hook.end_group(self)
+        return True
 
     # -- heap hygiene ------------------------------------------------------
 
@@ -579,13 +534,8 @@ class Simulator:
 
     def _next_event_time(self) -> float | None:
         """Time of the next live event, discarding cancelled tombstones."""
-        buffer = self._tie_buffer
-        if buffer:
-            while buffer and buffer[0].handle.cancelled:
-                buffer.pop(0)
-            if buffer:
-                return buffer[0].time
-            self._close_group()
+        if self._tie_buffer and not self._tie_group_drained():
+            return self._tie_buffer[0].time
         while self._queue and self._queue[0][3].cancelled:
             _, _, seq, handle, _, _ = heapq.heappop(self._queue)
             handle._sim = None
@@ -629,7 +579,7 @@ class Simulator:
     def live_pending_events(self) -> int:
         """Queued events that will actually fire (tombstones excluded).
 
-        Prefer this over :attr:`pending_events` in reports and profiles:
+        Prefer this over :attr:`pending_events` in reports:
         the raw heap length overstates queue depth by however many
         cancelled retransmission timers are still awaiting compaction.
         """

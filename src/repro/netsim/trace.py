@@ -158,9 +158,6 @@ class PacketTracer:
                     )
             return _original(packet, sender)
 
-        # let the profiler attribute tapped transmissions to Link.transmit
-        # instead of this closure's qualname
-        tapped.__wrapped__ = original  # type: ignore[attr-defined]
         link.transmit = tapped  # type: ignore[method-assign]
         self._originals.append((link, original))
 

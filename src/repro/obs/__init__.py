@@ -2,9 +2,8 @@
 
 One :class:`Observability` context owns a typed metric registry
 (counters / gauges / histograms with labels and virtual-time series),
-a hierarchical span log tracing query lifecycles, multi-node packet
-taps, and an optional wall-clock profiler for the event loop itself.
-Install it with :func:`installed` and write artefacts with
+a hierarchical span log tracing query lifecycles, and multi-node packet
+taps.  Install it with :func:`installed` and write artefacts with
 ``Observability.write``.
 
 The whole package is observe-only — it never schedules events or draws
@@ -22,7 +21,6 @@ from .exporters import (
     spans_to_json,
     trace_to_text,
 )
-from .profiler import WallClockProfiler, write_bench_profile
 from .registry import (
     Counter,
     DEFAULT_BUCKETS,
@@ -51,7 +49,6 @@ __all__ = [
     "Observability",
     "Span",
     "SpanLog",
-    "WallClockProfiler",
     "current",
     "format_labels",
     "installed",
@@ -63,5 +60,4 @@ __all__ = [
     "series_to_csv",
     "spans_to_json",
     "trace_to_text",
-    "write_bench_profile",
 ]

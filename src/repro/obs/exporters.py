@@ -140,11 +140,10 @@ def render_report(
     registry: MetricRegistry,
     spans: SpanLog,
     *,
-    profiler_report: str | None = None,
     span_limit: int = 120,
     title: str = "run report",
 ) -> str:
-    """The human-readable ``report.txt``: metrics, span tree, profile."""
+    """The human-readable ``report.txt``: metrics and span tree."""
     sections = [f"== {title} ==", ""]
 
     by_kind: dict[str, list[dict]] = {"counter": [], "gauge": [], "histogram": []}
@@ -162,11 +161,6 @@ def render_report(
     if len(spans):
         sections.append(f"-- spans ({len(spans)}) --")
         sections.append(spans.render(limit=span_limit))
-        sections.append("")
-
-    if profiler_report:
-        sections.append("-- profile (host wall clock) --")
-        sections.append(profiler_report)
         sections.append("")
 
     return "\n".join(sections)

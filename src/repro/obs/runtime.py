@@ -1,11 +1,10 @@
-"""The observability context: one object owning registry, spans, taps, profiler.
+"""The observability context: one object owning registry, spans and taps.
 
 Install with :func:`installed` (or :func:`repro.netsim.set_observability`
 directly) and every :class:`~repro.netsim.Simulator` constructed while it
 is active attaches itself: the registry and span log follow that
-simulator's virtual clock, nodes and links self-register for end-of-run
-snapshots, and — with ``profile=True`` — the event loop is bracketed by
-the wall-clock profiler.
+simulator's virtual clock, and nodes and links self-register for
+end-of-run snapshots.
 
 The contract, machine-checked by analysis rule W002 for this whole
 package: observation never *participates*.  Nothing here schedules an
@@ -21,7 +20,6 @@ import os
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import exporters
-from .profiler import WallClockProfiler, write_bench_profile
 from .registry import Counter, Gauge, Histogram, MetricRegistry
 from .spans import DEFAULT_MAX_SPANS, Span, SpanLog
 
@@ -33,23 +31,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Observability:
-    """Everything one run records: metrics, spans, packet taps, profile."""
+    """Everything one run records: metrics, spans, packet taps."""
 
-    def __init__(
-        self,
-        *,
-        profile: bool = False,
-        max_spans: int = DEFAULT_MAX_SPANS,
-    ):
+    def __init__(self, *, max_spans: int = DEFAULT_MAX_SPANS):
         self._sim: "Simulator | None" = None
         self.registry = MetricRegistry(self._now)
         self.spans = SpanLog(self._now, max_spans=max_spans)
         #: Hot-path alias: ``obs.span(...)`` is ``obs.spans.start(...)``
         #: without an extra frame.
         self.span = self.spans.start
-        self.profiler: WallClockProfiler | None = (
-            WallClockProfiler() if profile else None
-        )
         self.tracers: list["PacketTracer"] = []
         self._nodes: list["Node"] = []
         self._links: list["Link"] = []
@@ -76,8 +66,6 @@ class Observability:
         """Attach to a newly built simulator; the latest one owns the clock."""
         self._sim = sim
         sim.obs = self
-        if self.profiler is not None:
-            sim.step_profiler = self.profiler
 
     def register_node(self, node: "Node") -> None:
         self._nodes.append(node)
@@ -152,15 +140,8 @@ class Observability:
 
     def report(self, *, title: str = "run report", span_limit: int = 120) -> str:
         self.collect()
-        profiler_report = (
-            self.profiler.report() if self.profiler is not None else None
-        )
         return exporters.render_report(
-            self.registry,
-            self.spans,
-            profiler_report=profiler_report,
-            span_limit=span_limit,
-            title=title,
+            self.registry, self.spans, span_limit=span_limit, title=title
         )
 
     def write(self, directory: str, *, title: str = "run report") -> list[str]:
@@ -183,10 +164,6 @@ class Observability:
         emit("report.txt", self.report(title=title))
         if self.tracers:
             emit("trace.txt", exporters.trace_to_text(self.tracers))
-        if self.profiler is not None:
-            path = os.path.join(directory, "profile.json")
-            write_bench_profile(self.profiler, path)
-            written.append(path)
         return written
 
 

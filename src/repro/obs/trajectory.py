@@ -1,10 +1,10 @@
 """The one writer of ``BENCH_*.json`` trajectory documents.
 
-Every recorded benchmark (event-loop profile, analysis CLI, farm,
-adaptive control) is one JSON document with a headline ``value`` and a
-``trajectory`` of dated entries.  Rewriting the document keeps the
-recorded trajectory and appends to it, so regenerating a number never
-erases the history of what earlier work bought.  Standard library only:
+Every recorded benchmark (analysis CLI, farm, adaptive control) is one
+JSON document with a headline ``value`` and a ``trajectory`` of dated
+entries.  Rewriting the document keeps the recorded trajectory and
+appends to it, so regenerating a number never erases the history of what
+earlier work bought.  Standard library only:
 every layer that records a benchmark imports this module.
 """
 
@@ -23,14 +23,10 @@ def append_trajectory(
     entry: dict,
     detail: dict | None = None,
     date: str | None = None,
-    legacy_key: str | None = None,
 ) -> dict:
     """Rewrite the document at ``path`` with ``entry`` appended, dated.
 
     A missing or unreadable previous document starts a fresh trajectory.
-    ``legacy_key`` migrates a document written before trajectories
-    existed: its headline ``value`` is kept as a first entry under that
-    key.
     """
     if date is None:
         # host date on a host-time measurement — never feeds a simulation
@@ -45,10 +41,6 @@ def append_trajectory(
         recorded = previous.get("trajectory")
         if isinstance(recorded, list):
             trajectory = list(recorded)
-        elif legacy_key is not None and "value" in previous:
-            trajectory.append(
-                {"date": "(before trajectory tracking)", legacy_key: previous["value"]}
-            )
     trajectory.append({"date": date, **entry})
     doc: dict = {
         "benchmark": benchmark,

@@ -1,19 +1,13 @@
-"""P-rules: hot-path inference, profile weighting, and the cost checks."""
+"""P-rules: hot-path inference and the cost checks."""
 
 import functools
-import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import FAMILIES, analyze
-from repro.analysis.perf.hotpath import (
-    PerfProfile,
-    compute_hot_paths,
-    load_profile,
-    module_dotted,
-)
+from repro.analysis.perf.hotpath import compute_hot_paths, module_dotted
 from repro.analysis.flow.core import load_modules
 
 #: the perf family through the one kernel entry point
@@ -70,7 +64,6 @@ class TestHotPathInference:
         )
         assert tick.depth == 0 and tick.root == "Pump._tick"
         assert drain.depth == 1 and drain.root == "Pump._tick"
-        assert not tick.profiled
         assert tick.describe() == "hot path root Pump._tick"
         assert drain.describe() == "hot path via Pump._tick"
 
@@ -161,65 +154,6 @@ class TestHotPathInference:
         hot = compute_hot_paths(load_modules([tmp_path]))
         assert "Pump._tick" in qualnames(hot)
         assert not any(q.endswith(".send") for q in qualnames(hot))
-
-
-# -- profile loading and weighting --------------------------------------------
-
-
-class TestProfileWeighting:
-    def test_missing_profile_is_none(self, tmp_path):
-        assert load_profile(tmp_path / "absent.json") is None
-
-    def test_malformed_profile_raises(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("[1, 2, 3]", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_profile(bad)
-        bad.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_profile(bad)
-
-    def test_loads_bench_document(self, tmp_path):
-        doc = {
-            "benchmark": "simulator-event-loop",
-            "value": 123.0,
-            "detail": {
-                "events_per_second": 123.0,
-                "handlers": {"mod.Pump._tick": {"calls": 7, "seconds": 0.25}},
-            },
-        }
-        path = tmp_path / "BENCH_profile.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        profile = load_profile(path)
-        assert profile is not None
-        assert profile.events_per_second == 123.0
-        assert profile.handlers == {"mod.Pump._tick": (7, 0.25)}
-
-    def test_profile_adds_roots_the_static_pass_cannot_see(self, tmp_path):
-        write(
-            tmp_path,
-            "mod.py",
-            """
-            class Pump:
-                def _indirect(self):
-                    pass
-            """,
-        )
-        modules = load_modules([tmp_path])
-        assert compute_hot_paths(modules).functions == {}
-        profile = PerfProfile(
-            events_per_second=1000.0,
-            handlers={"mod.Pump._indirect": (100, 2.5)},
-        )
-        hot = compute_hot_paths(modules, profile)
-        assert "Pump._indirect" in qualnames(hot)
-        entry = next(iter(hot.functions.values()))
-        assert entry.profiled
-        assert (entry.calls, entry.seconds) == (100, 2.5)
-        assert entry.describe() == "profiled hot path root Pump._indirect"
-        path = entry.module.path
-        assert hot.weight_for(path, "Pump._indirect") == (100, 2.5)
-        assert hot.weight_for(path, "Pump.unknown") == (0, 0.0)
 
     def test_module_dotted(self):
         assert module_dotted("src/repro/netsim/node.py") == "repro.netsim.node"

@@ -102,9 +102,7 @@ class TestArtefactTable:
         declared = {flag for flag, _ in ARTEFACTS[name].flags}
         parser = build_parser()
         for flag in ALL_FLAGS:
-            # argparse also takes an unambiguous prefix (`obs --bench` is
-            # `--bench-profile`), so a prefix of a declared flag is declared
-            if any(known.startswith(flag) for known in declared):
+            if flag in declared:
                 parser.parse_args([name, *_argv(flag)])
             else:
                 with pytest.raises(SystemExit) as exit_info:

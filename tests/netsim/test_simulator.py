@@ -243,16 +243,10 @@ class TestTieBreakContract:
         sim.run()
         assert fired == ["fault", "delivery"]
 
-    def test_cancellation_inside_tie_group_fast_path(self):
-        sim = Simulator()
-        fired = []
-        handles = {}
-        sim.schedule(1.0, lambda: (fired.append("a"), handles["b"].cancel()))
-        handles["b"] = sim.schedule(1.0, lambda: fired.append("b"))
-        sim.run()
-        assert fired == ["a"]
-
-    def test_cancellation_inside_tie_group_grouped_path(self, spy_hook):
+    @pytest.mark.parametrize("hooked", [False, True], ids=["hook-off", "hook-on"])
+    def test_cancellation_inside_tie_group(self, hooked, request):
+        if hooked:
+            request.getfixturevalue("spy_hook")
         sim = Simulator()
         fired = []
         handles = {}
@@ -323,14 +317,14 @@ class TestTieHook:
 
         from repro.netsim import set_tie_hook
 
-        hook = set_tie_hook(None)  # temporarily back to the fast path
+        hook = set_tie_hook(None)  # temporarily unhooked
         try:
-            fast_sim, fast = Simulator(), []
-            build(fast_sim, fast)
-            fast_sim.run()
+            plain_sim, plain = Simulator(), []
+            build(plain_sim, plain)
+            plain_sim.run()
         finally:
             set_tie_hook(hook)
-        assert grouped == fast
+        assert grouped == plain
 
 
 class TestHeapHygiene:

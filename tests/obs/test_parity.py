@@ -1,9 +1,9 @@
 """The load-bearing invariant: observability must not perturb the trace.
 
-Each scenario runs twice — bare, and under a fully armed Observability
-(profiler on, packet taps attached) — and the full event-trace digests
-must be bit-identical.  Spans, counters, taps and the profiler may only
-*watch* the simulation.
+Each scenario runs twice — bare, and under an installed Observability
+(one test also attaches a packet tap) — and the full event-trace digests
+must be bit-identical.  Spans, counters and taps may only *watch* the
+simulation.
 """
 
 from repro.analysis.sanitizer import capture_traces
@@ -52,7 +52,7 @@ def _faulted_run() -> None:
 def _digest(scenario, *, observed: bool) -> str:
     with capture_traces() as collector:
         if observed:
-            obs = Observability(profile=True)
+            obs = Observability()
             with installed(obs):
                 scenario()
             obs.collect()
