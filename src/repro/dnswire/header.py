@@ -53,15 +53,14 @@ class Header:
         word |= self.rcode & 0xF
         return word
 
-    def encode(self) -> bytes:
+    def pack(self, qdcount: int, ancount: int, nscount: int, arcount: int) -> bytes:
+        """The wire header with the given counts in place of the stored ones."""
         return _HEADER.pack(
-            self.msg_id & 0xFFFF,
-            self.flags_word(),
-            self.qdcount,
-            self.ancount,
-            self.nscount,
-            self.arcount,
+            self.msg_id & 0xFFFF, self.flags_word(), qdcount, ancount, nscount, arcount
         )
+
+    def encode(self) -> bytes:
+        return self.pack(self.qdcount, self.ancount, self.nscount, self.arcount)
 
     @classmethod
     def decode(cls, data: bytes, offset: int = 0) -> tuple["Header", int]:

@@ -15,7 +15,7 @@ import struct
 
 from .errors import DecodeError
 from .header import HEADER_SIZE, Header
-from .name import Name
+from .name import Name, Offsets
 from .rdata import Rdata
 from .types import MAX_UDP_PAYLOAD, Opcode, Rcode, RRClass, RRType
 
@@ -28,7 +28,7 @@ class Question:
     qtype: int = RRType.A
     qclass: int = RRClass.IN
 
-    def encode(self, buffer: bytearray, offsets: dict[Name, int] | None) -> None:
+    def encode(self, buffer: bytearray, offsets: Offsets | None) -> None:
         self.qname.encode(buffer, offsets)
         buffer += struct.pack("!HH", self.qtype, self.qclass)
 
@@ -51,7 +51,7 @@ class ResourceRecord:
     ttl: int
     rdata: Rdata
 
-    def encode(self, buffer: bytearray, offsets: dict[Name, int] | None) -> None:
+    def encode(self, buffer: bytearray, offsets: Offsets | None) -> None:
         self.name.encode(buffer, offsets)
         buffer += struct.pack("!HHI", self.rtype, self.rclass, self.ttl & 0xFFFFFFFF)
         length_at = len(buffer)
@@ -136,6 +136,20 @@ class Message:
             wire = truncated._encode_once(compress)
         return wire
 
+    def copy(self) -> "Message":
+        """An editable copy: shares the header and records, owns its section lists.
+
+        Never frozen, so attaching or stripping a record on the copy of a
+        frozen message changes what it encodes to.
+        """
+        return Message(
+            self.header,
+            list(self.questions),
+            list(self.answers),
+            list(self.authorities),
+            list(self.additionals),
+        )
+
     def freeze(self) -> "Message":
         """Memoize the compressed wire form; further mutation is a bug.
 
@@ -148,19 +162,14 @@ class Message:
         return self
 
     def _encode_once(self, compress: bool) -> bytes:
-        header = dataclasses.replace(
-            self.header,
-            qdcount=len(self.questions),
-            ancount=len(self.answers),
-            nscount=len(self.authorities),
-            arcount=len(self.additionals),
+        header = self.header.pack(
+            len(self.questions), len(self.answers), len(self.authorities), len(self.additionals)
         )
-        buffer = bytearray(header.encode())
-        offsets: dict[Name, int] | None = {} if compress else None
-        for question in self.questions:
-            question.encode(buffer, offsets)
-        for rr in (*self.answers, *self.authorities, *self.additionals):
-            rr.encode(buffer, offsets)
+        buffer = bytearray(header)
+        offsets: Offsets | None = {} if compress else None
+        for section in (self.questions, self.answers, self.authorities, self.additionals):
+            for entry in section:
+                entry.encode(buffer, offsets)
         return bytes(buffer)
 
     @classmethod

@@ -17,6 +17,11 @@ from .types import MAX_LABEL_LENGTH, MAX_NAME_LENGTH
 
 _POINTER_MASK = 0xC0
 
+#: The compression table threaded through every ``encode``: lower-cased
+#: label suffix (what :meth:`Name.__eq__` compares) -> offset of its first
+#: occurrence in the message buffer.
+Offsets = dict[tuple[bytes, ...], int]
+
 #: Bounded intern table for :meth:`Name.from_text`.  Workloads parse the
 #: same handful of presentation-format names once per event; interning
 #: makes the repeat parse a dict hit.  The cap bounds memory against
@@ -120,29 +125,33 @@ class Name:
 
     # -- wire codec --------------------------------------------------------
 
-    def encode(self, buffer: bytearray, offsets: dict["Name", int] | None = None) -> None:
+    def encode(self, buffer: bytearray, offsets: Offsets | None = None) -> None:
         """Append this name to ``buffer``, optionally using compression.
 
-        ``offsets`` maps previously written names to their buffer offsets;
-        when provided, suffixes already present are emitted as compression
-        pointers and new suffixes are recorded.
+        ``offsets`` maps previously written name suffixes to their buffer
+        offsets; when provided, suffixes already present are emitted as
+        compression pointers and new suffixes are recorded.
         """
-        remaining = self
-        while True:
-            if offsets is not None and not remaining.is_root():
-                target = offsets.get(remaining)
-                if target is not None and target < 0x4000:
-                    buffer += bytes(((_POINTER_MASK | (target >> 8)), target & 0xFF))
-                    return
-                if len(buffer) < 0x4000:
-                    offsets[remaining] = len(buffer)
-            if remaining.is_root():
-                buffer.append(0)
+        labels = self._labels
+        if offsets is None:
+            for label in labels:
+                buffer.append(len(label))
+                buffer += label
+            buffer.append(0)
+            return
+        key = self._key
+        for i, label in enumerate(labels):
+            suffix = key[i:]
+            target = offsets.get(suffix)
+            if target is not None and target < 0x4000:
+                buffer.append(_POINTER_MASK | (target >> 8))
+                buffer.append(target & 0xFF)
                 return
-            label = remaining._labels[0]
+            if len(buffer) < 0x4000:
+                offsets[suffix] = len(buffer)
             buffer.append(len(label))
             buffer += label
-            remaining = remaining.parent()
+        buffer.append(0)
 
     @classmethod
     def decode(cls, data: bytes, offset: int) -> tuple["Name", int]:

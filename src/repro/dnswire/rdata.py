@@ -14,7 +14,7 @@ from ipaddress import IPv4Address, IPv6Address
 from typing import ClassVar
 
 from .errors import DecodeError, EncodeError
-from .name import Name
+from .name import Name, Offsets
 from .types import RRType
 
 _RDATA_REGISTRY: dict[int, type["Rdata"]] = {}  # repro: allow[L003] - filled once at import by @register, read-only after
@@ -38,7 +38,7 @@ class Rdata:
 
     rtype: ClassVar[int]
 
-    def encode(self, buffer: bytearray, offsets: dict[Name, int] | None) -> None:
+    def encode(self, buffer: bytearray, offsets: Offsets | None) -> None:
         raise NotImplementedError
 
     @classmethod
@@ -59,7 +59,7 @@ class Opaque(Rdata):
 
     data: bytes
 
-    def encode(self, buffer: bytearray, offsets: dict[Name, int] | None) -> None:
+    def encode(self, buffer: bytearray, offsets: Offsets | None) -> None:
         buffer += self.data
 
     @classmethod
@@ -78,7 +78,7 @@ class A(Rdata):
         if not isinstance(self.address, IPv4Address):
             object.__setattr__(self, "address", IPv4Address(self.address))
 
-    def encode(self, buffer: bytearray, offsets: dict[Name, int] | None) -> None:
+    def encode(self, buffer: bytearray, offsets: Offsets | None) -> None:
         buffer += self.address.packed
 
     @classmethod
@@ -99,7 +99,7 @@ class AAAA(Rdata):
         if not isinstance(self.address, IPv6Address):
             object.__setattr__(self, "address", IPv6Address(self.address))
 
-    def encode(self, buffer: bytearray, offsets: dict[Name, int] | None) -> None:
+    def encode(self, buffer: bytearray, offsets: Offsets | None) -> None:
         buffer += self.address.packed
 
     @classmethod
@@ -117,7 +117,7 @@ class _SingleName(Rdata):
     def __init__(self, target: Name | str):
         self.target = Name.from_text(target) if isinstance(target, str) else target
 
-    def encode(self, buffer: bytearray, offsets: dict[Name, int] | None) -> None:
+    def encode(self, buffer: bytearray, offsets: Offsets | None) -> None:
         self.target.encode(buffer, offsets)
 
     @classmethod
@@ -164,7 +164,7 @@ class MX(Rdata):
     preference: int
     exchange: Name
 
-    def encode(self, buffer: bytearray, offsets: dict[Name, int] | None) -> None:
+    def encode(self, buffer: bytearray, offsets: Offsets | None) -> None:
         buffer += struct.pack("!H", self.preference)
         self.exchange.encode(buffer, offsets)
 
@@ -187,7 +187,7 @@ class SRV(Rdata):
     port: int
     target: Name
 
-    def encode(self, buffer: bytearray, offsets: dict[Name, int] | None) -> None:
+    def encode(self, buffer: bytearray, offsets: Offsets | None) -> None:
         buffer += struct.pack("!HHH", self.priority, self.weight, self.port)
         # RFC 2782 forbids compressing the SRV target
         self.target.encode(buffer, offsets=None)
@@ -214,7 +214,7 @@ class SOA(Rdata):
     expire: int
     minimum: int
 
-    def encode(self, buffer: bytearray, offsets: dict[Name, int] | None) -> None:
+    def encode(self, buffer: bytearray, offsets: Offsets | None) -> None:
         self.mname.encode(buffer, offsets)
         self.rname.encode(buffer, offsets)
         buffer += struct.pack(
@@ -257,7 +257,7 @@ class TXT(Rdata):
         """All character-strings joined — convenient for cookie extraction."""
         return b"".join(self.strings)
 
-    def encode(self, buffer: bytearray, offsets: dict[Name, int] | None) -> None:
+    def encode(self, buffer: bytearray, offsets: Offsets | None) -> None:
         for s in self.strings:
             buffer.append(len(s))
             buffer += s
@@ -287,7 +287,7 @@ class OPT(Rdata):
 
     options: tuple[tuple[int, bytes], ...] = ()
 
-    def encode(self, buffer: bytearray, offsets: dict[Name, int] | None) -> None:
+    def encode(self, buffer: bytearray, offsets: Offsets | None) -> None:
         for code, payload in self.options:
             buffer += struct.pack("!HH", code, len(payload))
             buffer += payload

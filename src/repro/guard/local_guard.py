@@ -15,7 +15,6 @@ cookie-capable without touching its software:
 
 from __future__ import annotations
 
-import copy
 from ipaddress import IPv4Address
 
 from ..dnswire import (
@@ -177,8 +176,7 @@ class LocalDnsGuard:
     def _send_with_cookie(
         self, packet: Packet, datagram: UdpDatagram, message: Message, cookie: bytes
     ) -> None:
-        stamped = copy.copy(message)
-        stamped.additionals = list(message.additionals)
+        stamped = message.copy()
         attach_cookie(stamped, cookie)
         self.node.send(
             Packet(
@@ -193,8 +191,7 @@ class LocalDnsGuard:
         self, packet: Packet, datagram: UdpDatagram, message: Message
     ) -> None:
         """Message 2: the original question carrying an all-zero cookie."""
-        probe = copy.copy(message)
-        probe.additionals = list(message.additionals)
+        probe = message.copy()
         attach_cookie(probe, ZERO_COOKIE)
         self.node.send(
             Packet(

@@ -25,7 +25,6 @@ only when the offered load exceeds the ANS's capacity.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from ipaddress import IPv4Address, IPv4Network
 from typing import Callable
@@ -676,8 +675,7 @@ class RemoteDnsGuard:
         self, packet: Packet, datagram: UdpDatagram, message: Message
     ) -> None:
         """Validated modified-DNS query: remove the cookie, pass to the ANS."""
-        clean = copy.copy(message)
-        clean.additionals = list(message.additionals)
+        clean = message.copy()
         strip_cookie(clean)
         forwarded = Packet(
             src=packet.src,

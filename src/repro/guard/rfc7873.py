@@ -29,7 +29,6 @@ names for compatibility.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import struct
 from ipaddress import IPv4Address
@@ -160,8 +159,7 @@ class EdnsCookieGuard:
         client_cookie, server_cookie = cookie
         if server_cookie and self.server.verify(client_cookie, server_cookie, packet.src):
             self.valid_cookies += 1
-            clean = copy.copy(message)
-            clean.additionals = list(message.additionals)
+            clean = message.copy()
             strip_edns_cookie(clean)
             forwarded = Packet(
                 src=packet.src,
@@ -272,8 +270,7 @@ class EdnsCookieClientShim:
             if len(queue) >= SHIM_HELD_PER_KEY_CAP:
                 queue.pop(0)
             queue.append((packet, datagram, now + 2.0))
-        stamped = copy.copy(message)
-        stamped.additionals = list(message.additionals)
+        stamped = message.copy()
         attach_edns_cookie(stamped, client_cookie, server_cookie)
         self.queries_stamped += 1
         self.node.send(
@@ -307,8 +304,7 @@ class EdnsCookieClientShim:
             if deadline <= now:
                 continue
             held_message = held_datagram.payload.message  # type: ignore[union-attr]
-            stamped = copy.copy(held_message)
-            stamped.additionals = list(held_message.additionals)
+            stamped = held_message.copy()
             attach_edns_cookie(stamped, client_cookie, server_cookie)
             self.node.send(
                 Packet(

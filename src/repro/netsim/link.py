@@ -212,8 +212,9 @@ class Link:
             direction.packets_dropped += 1
             return False
         now = self.sim.now
+        size = packet.size
         if self.bandwidth is not None:
-            serialization = packet.size / self.bandwidth
+            serialization = size / self.bandwidth
             queued = max(0.0, direction.busy_until - now)
             if queued > self.queue_limit:
                 direction.packets_dropped += 1
@@ -237,7 +238,7 @@ class Link:
             direction.packets_corrupted += 1
             direction.packets_dropped += 1
             return False
-        direction.bytes_sent += packet.size
+        direction.bytes_sent += size
         direction.packets_sent += 1
         receiver = self.other(sender)
         delay = self.delay

@@ -1,10 +1,11 @@
 """Packets: IP carrying either a UDP datagram or a TCP segment.
 
-DNS payloads travel by reference (a parsed :class:`~repro.dnswire.Message`
-plus its cached wire size) so the simulator does not pay for a full
-encode/decode on every hop at 250K packets/sec.  The wire codec is still
-what defines each packet's size, and edges that need real bytes (the TCP
-stream, tests) can ask for them.
+DNS payloads travel by reference as :class:`~repro.dnswire.Message` objects,
+so nothing on the UDP path ever decodes a byte.  The wire codec still defines
+each packet's size: the first ``size`` read on the first link encodes the
+message once just to measure it, memoised on the payload for later hops and
+on the message itself when it is frozen.  Edges that need real bytes (the
+TCP stream, tests) can ask for them.
 """
 
 from __future__ import annotations

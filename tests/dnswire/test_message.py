@@ -1,5 +1,6 @@
 """Unit tests for the message codec: headers, records, truncation."""
 
+import dataclasses
 from ipaddress import IPv4Address
 
 import pytest
@@ -23,6 +24,7 @@ from repro.dnswire import (
     SOA,
     TXT,
     a_record,
+    attach_cookie,
     make_query,
     make_response,
     make_truncated_response,
@@ -175,6 +177,58 @@ class TestTruncation:
         assert tc.header.tc and tc.header.qr
         assert tc.header.msg_id == 77
         assert tc.wire_size() <= query.wire_size() + 4  # no amplification to speak of
+
+
+class TestEncodeBudget:
+    def test_referral_with_glue_builds_no_name_and_no_header(self, monkeypatch):
+        """Sizing a packet is one encode: it must not construct (and
+        re-validate) a ``Name`` per label or a throw-away ``Header``."""
+        response = make_response(make_query("www.foo.com", msg_id=9))
+        for host, address in (("ns1.foo.com", "192.0.2.1"), ("ns2.foo.com", "192.0.2.2")):
+            response.authorities.append(ns_record("foo.com", host))
+            response.additionals.append(a_record(host, address))
+        calls = {"Name": 0, "replace": 0}
+        name_init, replace = Name.__init__, dataclasses.replace
+
+        def counting_init(self, labels=()):
+            calls["Name"] += 1
+            name_init(self, labels)
+
+        def counting_replace(obj, **changes):
+            calls["replace"] += 1
+            return replace(obj, **changes)
+
+        monkeypatch.setattr(Name, "__init__", counting_init)
+        monkeypatch.setattr(dataclasses, "replace", counting_replace)
+        wire = response.encode()
+        assert (response.wire_size(), len(wire), len(response.encode(compress=False))) == (
+            97, 97, 147,
+        )
+        assert calls == {"Name": 0, "replace": 0}
+        assert Message.decode(wire).additionals == response.additionals
+        assert calls["Name"] > 0  # the counter was live
+
+
+class TestCopy:
+    def test_copy_of_a_frozen_message_is_editable(self):
+        """``copy.copy`` carried the frozen wire memo into the copy, which
+        then reported the old size and encoded the old bytes."""
+        query = make_query("www.foo.com.", msg_id=7).freeze()
+        stamped = query.copy()
+        attach_cookie(stamped, b"\x01" * 16)
+        assert (query.wire_size(), stamped.wire_size()) == (29, 57)
+        assert Message.decode(stamped.encode()).additionals == stamped.additionals
+        assert query.additionals == [] == Message.decode(query.encode()).additionals
+
+    def test_copy_shares_records_and_owns_its_sections(self):
+        response = make_response(make_query("a.com"))
+        response.answers.append(a_record("a.com", "1.1.1.1"))
+        clone = response.copy()
+        assert clone == response and clone.header is response.header
+        assert clone.answers[0] is response.answers[0]
+        clone.answers.clear()
+        clone.questions.clear()
+        assert len(response.answers) == len(response.questions) == 1
 
 
 class TestMalformedInput:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dnswire import Name, NameError_, DecodeError
+from repro.dnswire.name import Offsets
 
 
 class TestConstruction:
@@ -97,7 +98,7 @@ class TestWireCodec:
 
     def test_compression_shares_suffix(self):
         buf = bytearray()
-        offsets: dict[Name, int] = {}
+        offsets: Offsets = {}
         Name.from_text("www.foo.com").encode(buf, offsets)
         before = len(buf)
         Name.from_text("mail.foo.com").encode(buf, offsets)
@@ -106,7 +107,7 @@ class TestWireCodec:
 
     def test_compressed_decode(self):
         buf = bytearray()
-        offsets: dict[Name, int] = {}
+        offsets: Offsets = {}
         first = Name.from_text("www.foo.com")
         second = Name.from_text("mail.foo.com")
         first.encode(buf, offsets)

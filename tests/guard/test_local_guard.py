@@ -5,6 +5,7 @@ from ipaddress import IPv4Address
 import pytest
 
 from repro.dns import LrsSimulator
+from repro.dnswire import make_query
 from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
 
 
@@ -93,3 +94,21 @@ class TestUnguardedServerDetection:
         # once the negative entry expired, the shimmed cookie flow resumed
         assert bed.guard.cookies_granted >= 1
         assert lrs.stats.completed > 1000
+
+
+class TestFrozenQuery:
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_edited_copies_of_a_frozen_query_are_sized_by_their_own_bytes(self, frozen):
+        """The probe and the stamped re-send are edited copies of the held
+        query; a frozen original must not lend them its cookie-less memo."""
+        bed, client, _ = build()
+        query = make_query("www.foo.com.", msg_id=7)
+        if frozen:
+            query.freeze()
+        client.udp.bind_ephemeral(lambda *_: None).send(query, ANS_ADDRESS, 53)
+        bed.run(0.1)
+        guard = client.local_guard
+        assert (guard.queries_held, guard.cookies_cached) == (1, 1)
+        packets, dropped, sent_bytes = guard.node.default_route.stats(guard.node)
+        # probe + re-send, each IP + UDP + the 29-byte query + a 28-byte cookie RR
+        assert (packets, dropped, sent_bytes) == (2, 0, 2 * (20 + 8 + 29 + 28))
