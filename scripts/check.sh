@@ -12,6 +12,12 @@ make --no-print-directory lint
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== benchmark smoke =="
+# bench/ is outside tier-1 but imports the src/ surface it measures
+# (Hook, Verdict, node.filters, Cpu, Simulator.schedule_at): a rename
+# should fail here, not as failed operations in the benchmark driver
+python -m pytest bench/tests -q
+
 echo "== determinism sanitizer (table2, two seeds) =="
 python -m repro table2 --sanitize
 python -m repro table2 --sanitize --seed 7

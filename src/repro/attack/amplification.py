@@ -13,7 +13,7 @@ from __future__ import annotations
 from ipaddress import IPv4Address
 
 from ..dnswire import Message, Name, RRType, make_query
-from ..netsim import DnsPayload, Node, Packet, UdpDatagram
+from ..netsim import DnsPayload, Hook, Node, Packet, UdpDatagram, Verdict
 from .spoof import BATCH_INTERVAL
 
 
@@ -96,15 +96,14 @@ class VictimMeter:
         self.node = node
         self.packets_received = 0
         self.bytes_received = 0
-        self._original_deliver = node.deliver
-        node.deliver = self._deliver  # type: ignore[method-assign]
+        node.filters.append(Hook.LOCAL_IN, target=self._observe)
 
-    def _deliver(self, packet: Packet) -> None:
+    def _observe(self, packet: Packet) -> Verdict:
         segment = packet.segment
         if isinstance(segment, UdpDatagram) and segment.sport == 53:
             self.packets_received += 1
             self.bytes_received += packet.size
-        self._original_deliver(packet)
+        return Verdict.ACCEPT
 
     def amplification_ratio(self, attacker: ReflectionAttacker) -> float:
         """Bytes at the victim / bytes the attacker spent, at the IP level."""

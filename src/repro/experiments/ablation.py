@@ -109,9 +109,8 @@ def run_ingress_deployment(
         attacker.set_default_route(down)
         edge_router.add_route(f"10.{edge_index + 1}.0.66/32", down)
         if edge_index < deploying:
-            edge_router.filters.append(
-                Hook.FORWARD, src_not_in(subnet), Verdict.DROP, comment="RFC 2827"
-            )
+            # the RFC 2827 ingress filter
+            edge_router.filters.append(Hook.FORWARD, src_not_in(subnet), Verdict.DROP)
         sock = attacker.udp.bind_ephemeral(lambda *a: None)
         for i in range(packets_per_edge):
             sock.send(

@@ -23,7 +23,7 @@ from ..dnswire import (
     extract_cookie,
     ZERO_COOKIE,
 )
-from ..netsim import BOUNDARY_PRIORITY, DnsPayload, Link, Node, Packet, UdpDatagram
+from ..netsim import BOUNDARY_PRIORITY, DnsPayload, Hook, Node, Packet, UdpDatagram, Verdict
 from .core.local_policy import (
     DEFAULT_COOKIE_TTL,
     PENDING_TIMEOUT,
@@ -48,7 +48,7 @@ __trust_boundary__ = {
         "LocalDnsGuard._outbound_query",
         "LocalDnsGuard._inbound_response",
     ],
-    "taint_params": ["packet", "datagram", "message", "link"],
+    "taint_params": ["packet", "datagram", "message"],
     "sinks": [],
     "assumes": (
         "outbound queries originate from the on-path LRS; inbound grants "
@@ -117,7 +117,7 @@ class LocalDnsGuard:
         self.queries_stamped = 0
         self.queries_held = 0
         self.held_dropped = 0
-        node.transit_filter = self._transit
+        node.filters.append(Hook.FORWARD, target=self._transit)
         # Boundary lane: expiry applies at the start of an instant, before
         # any packet delivery sharing the same timestamp.
         self._sweeper = node.sim.schedule(
@@ -126,27 +126,27 @@ class LocalDnsGuard:
 
     # -- transit hook -----------------------------------------------------------
 
-    def _transit(self, packet: Packet, link: Link) -> str:
+    def _transit(self, packet: Packet) -> Verdict:
         segment = packet.segment
         if not isinstance(segment, UdpDatagram):
-            return "forward"
+            return Verdict.ACCEPT
         payload = segment.payload
         if not isinstance(payload, DnsPayload):
-            return "forward"
+            return Verdict.ACCEPT
         message = payload.message
         if segment.dport == 53 and message.is_query():
             return self._outbound_query(packet, segment, message)
         if segment.sport == 53 and message.is_response():
             return self._inbound_response(packet, segment, message)
-        return "forward"
+        return Verdict.ACCEPT
 
     # -- outbound ---------------------------------------------------------------
 
     def _outbound_query(
         self, packet: Packet, datagram: UdpDatagram, message: Message
-    ) -> str:
+    ) -> Verdict:
         if extract_cookie(message) is not None:
-            return "forward"  # already cookie-capable upstream of us
+            return Verdict.ACCEPT  # already cookie-capable upstream of us
         now = self.node.sim.now
         key = (packet.dst, packet.src)
         queue = self._held.get(key, ())
@@ -159,58 +159,35 @@ class LocalDnsGuard:
             last_probe=self._last_probe.get(key, -1.0),
         )
         if action == "forward":
-            return "forward"  # that server has no remote guard
+            return Verdict.ACCEPT  # that server has no remote guard
         if action == "stamp":
-            self._send_with_cookie(packet, datagram, message, self._cookies[key].cookie)
+            self._send_with_cookie(packet, message, self._cookies[key].cookie)
             self.queries_stamped += 1
-            return "drop"
+            return Verdict.DROP
         # no (usable) cookie: hold the query and ask for one.  Probes are
         # re-sent ("hold-probe") if the previous one (or its grant) was lost.
         self._held.setdefault(key, []).append((packet, datagram, now + PENDING_TIMEOUT))
         self.queries_held += 1
         if action == "hold-probe":
             self._last_probe[key] = now
-            self._request_cookie(packet, datagram, message)
-        return "drop"
+            # message 2: the original question carrying an all-zero cookie
+            self._send_with_cookie(packet, message, ZERO_COOKIE)
+        return Verdict.DROP
 
-    def _send_with_cookie(
-        self, packet: Packet, datagram: UdpDatagram, message: Message, cookie: bytes
-    ) -> None:
+    def _send_with_cookie(self, packet: Packet, message: Message, cookie: bytes) -> None:
         stamped = message.copy()
         attach_cookie(stamped, cookie)
-        self.node.send(
-            Packet(
-                src=packet.src,
-                dst=packet.dst,
-                segment=UdpDatagram(datagram.sport, datagram.dport, DnsPayload(stamped)),
-                span=packet.span,
-            )
-        )
-
-    def _request_cookie(
-        self, packet: Packet, datagram: UdpDatagram, message: Message
-    ) -> None:
-        """Message 2: the original question carrying an all-zero cookie."""
-        probe = message.copy()
-        attach_cookie(probe, ZERO_COOKIE)
-        self.node.send(
-            Packet(
-                src=packet.src,
-                dst=packet.dst,
-                segment=UdpDatagram(datagram.sport, datagram.dport, DnsPayload(probe)),
-                span=packet.span,
-            )
-        )
+        self.node.send(packet.with_message(stamped))
 
     # -- inbound ----------------------------------------------------------------
 
     def _inbound_response(
         self, packet: Packet, datagram: UdpDatagram, message: Message
-    ) -> str:
+    ) -> Verdict:
         cookie = extract_cookie(message)
         if cookie is None or cookie == ZERO_COOKIE:
             self._note_plain_response(packet, message)
-            return "forward"
+            return Verdict.ACCEPT
         # a cookie grant (message 3): cache it and release held queries
         now = self.node.sim.now
         key = (packet.src, packet.dst)
@@ -227,11 +204,11 @@ class LocalDnsGuard:
         for held_packet, held_datagram, deadline in released:
             if deadline > now:
                 held_message = held_datagram.payload.message  # type: ignore[union-attr]
-                self._send_with_cookie(held_packet, held_datagram, held_message, cookie)
+                self._send_with_cookie(held_packet, held_message, cookie)
                 self.queries_stamped += 1
             else:
                 self.held_dropped += 1
-        return "drop"
+        return Verdict.DROP
 
     def _note_plain_response(self, packet: Packet, message: Message) -> None:
         """A cookie probe was answered *without* a grant: the server has no
@@ -254,14 +231,7 @@ class LocalDnsGuard:
             if held_message.header.msg_id == message.header.msg_id:
                 continue
             if deadline > now:
-                self.node.send(
-                    Packet(
-                        src=held_packet.src,
-                        dst=held_packet.dst,
-                        segment=held_datagram,
-                        span=held_packet.span,
-                    )
-                )
+                self.node.send(held_packet.with_message(held_message))
             else:
                 self.held_dropped += 1
 

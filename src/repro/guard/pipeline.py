@@ -45,11 +45,12 @@ from ..dnswire import (
 from ..netsim import (
     BOUNDARY_PRIORITY,
     DnsPayload,
-    Link,
+    Hook,
     Node,
     Packet,
     RoutingError,
     UdpDatagram,
+    Verdict,
 )
 from .cookie import CookieFactory, random_key
 from .core.admission import (
@@ -87,7 +88,7 @@ __trust_boundary__ = {
         "RemoteDnsGuard._handle_cookie2_query",
         "RemoteDnsGuard._handle_ans_response",
     ],
-    "taint_params": ["packet", "datagram", "message", "link"],
+    "taint_params": ["packet", "datagram", "message"],
     "sanitizers": [
         # the paper's verifiers: one MD5 per check (§IV.B)
         "cookies.verify",
@@ -289,7 +290,7 @@ class RemoteDnsGuard:
         if self._obs is not None:
             self._obs.add_snapshot(f"guard.{node.name}", self.stats)
 
-        node.transit_filter = self._transit
+        node.filters.append(Hook.FORWARD, target=self._transit)
         node.forward_cost = self.costs.forward
         self.tcp_proxy = TcpProxy(self)
         # Boundary lane: expiry applies at the start of an instant, before
@@ -447,26 +448,26 @@ class RemoteDnsGuard:
 
     # -- transit hook ---------------------------------------------------------------
 
-    def _transit(self, packet: Packet, link: Link) -> str:
+    def _transit(self, packet: Packet) -> Verdict:
         if self.down:
-            return "drop"
+            return Verdict.DROP
         segment = packet.segment
         if isinstance(segment, UdpDatagram):
             return self._transit_udp(packet, segment)
         # TCP: terminate connections aimed at the protected ANS when active
         if packet.dst == self.ans_address and segment.dport == 53:
-            return "deliver" if self.enabled else "forward"
+            return Verdict.DELIVER if self.enabled else Verdict.ACCEPT
         if packet.src == self.ans_address:
-            return "forward"
+            return Verdict.ACCEPT
         # TCP already terminated here continues to arrive addressed to the
         # ANS; anything else is unrelated transit
-        return "forward"
+        return Verdict.ACCEPT
 
-    def _transit_udp(self, packet: Packet, datagram: UdpDatagram) -> str:
+    def _transit_udp(self, packet: Packet, datagram: UdpDatagram) -> Verdict:
         if not self.enabled:
             # hard-disabled (the paper's "protection disabled" baseline):
             # the guard is nothing but a router
-            return "forward"
+            return Verdict.ACCEPT
         # responses coming back from the ANS
         if packet.src == self.ans_address and datagram.sport == 53:
             return self._handle_ans_response(packet, datagram)
@@ -478,7 +479,7 @@ class RemoteDnsGuard:
             and datagram.dport == 53
         )
         if not (to_ans or to_cookie_subnet):
-            return "forward"
+            return Verdict.ACCEPT
         now = self.node.sim.now
         self.queries_seen += 1
         self.estimator.observe(now)
@@ -502,24 +503,24 @@ class RemoteDnsGuard:
                 self._watched_reject(packet.src)
                 self._charge(self.costs.per_packet)
                 self._note("admission", "shed", packet.span)
-                return "drop"
+                return Verdict.DROP
         payload = datagram.payload
         if not isinstance(payload, DnsPayload):
             # not parseable as DNS at all
             if active:
                 self._charge(self.costs.drop_invalid)
                 self.invalid_drops += 1
-                return "drop"
+                return Verdict.DROP
             self.forwarded_inactive += 1
-            return "forward"
+            return Verdict.ACCEPT
         message = payload.message
         if not message.is_query() or not message.questions:
             if active:
                 self._charge(self.costs.drop_invalid)
                 self.invalid_drops += 1
-                return "drop"
+                return Verdict.DROP
             self.forwarded_inactive += 1
-            return "forward"
+            return Verdict.ACCEPT
         # the guard's fabricated namespace (cookie grants, cookie-name
         # queries, COOKIE2 addresses) is served regardless of activation —
         # clients hold long-TTL references into it; only *challenges* to
@@ -527,14 +528,14 @@ class RemoteDnsGuard:
         # activation threshold (handled inside the handlers via `active`)
         if to_cookie_subnet:
             self._handle_cookie2_query(packet, datagram, message, active)
-            return "drop"
+            return Verdict.DROP
         return self._handle_ans_query(packet, datagram, message, active)
 
     # -- query paths -------------------------------------------------------------------
 
     def _handle_ans_query(
         self, packet: Packet, datagram: UdpDatagram, message: Message, active: bool = True
-    ) -> str:
+    ) -> Verdict:
         now = self.node.sim.now
         src = packet.src
 
@@ -543,7 +544,7 @@ class RemoteDnsGuard:
             # modified-DNS scheme
             if cookie == ZERO_COOKIE:
                 self._grant_cookie(packet, datagram, message)
-                return "drop"
+                return Verdict.DROP
             if self.cookies.verify(cookie, src):
                 self.valid_cookies += 1
                 self._mark_verified(src)
@@ -551,23 +552,23 @@ class RemoteDnsGuard:
                     self.rl2_drops += 1
                     self._watched_reject(src)
                     self._note("modified", "rl2_drop", packet.span)
-                    return "drop"
+                    return Verdict.DROP
                 self._note("modified", "forward", packet.span)
-                self._strip_and_forward(packet, datagram, message)
-                return "drop"
+                self._strip_and_forward(packet, message)
+                return Verdict.DROP
             if active:
                 self.invalid_drops += 1
                 self._watched_reject(src)
                 self._charge(self.costs.drop_invalid)
                 self._note("modified", "invalid_drop", packet.span)
-                return "drop"
+                return Verdict.DROP
             # no detection while inactive: pass it through, cookie stripped.
             # Unverified admission is by design below the activation
             # threshold (§IV.C): checking only engages once offered load
             # exceeds what the ANS can absorb.
             self._note("modified", "forward", packet.span)
-            self._strip_and_forward(packet, datagram, message)  # repro: allow[T001] inactive-mode pass-through, gated by activation threshold
-            return "drop"
+            self._strip_and_forward(packet, message)  # repro: allow[T001] inactive-mode pass-through, gated by activation threshold
+            return Verdict.DROP
 
         decoded = decode_cookie_name(
             message.question.qname,
@@ -586,26 +587,26 @@ class RemoteDnsGuard:
                         self.rl2_drops += 1
                         self._watched_reject(src)
                         self._note("ns_name", "rl2_drop", packet.span)
-                        return "drop"
+                        return Verdict.DROP
                 self._note("ns_name", "forward", packet.span)
                 self._restore_and_forward(packet, datagram, message, decoded)
-                return "drop"
+                return Verdict.DROP
             self.invalid_drops += 1
             self._watched_reject(src)
             self._charge(self.costs.drop_invalid)
             self._note("ns_name", "invalid_drop", packet.span)
-            return "drop"
+            return Verdict.DROP
 
         # plain query from an unverified requester: only challenged while
         # detection is engaged
         if not active:
             self.forwarded_inactive += 1
-            return "forward"
+            return Verdict.ACCEPT
         action = self.policy_for(src)
         if action == "forward":
             self._note("plain", "forward", packet.span)
             self._submit(self.costs.forward, self._safe_send, packet)
-            return "drop"
+            return Verdict.DROP
         if action == "drop":
             # the cookie/label checks above already ran, so a policy drop
             # still costs a verification's worth of CPU
@@ -613,13 +614,13 @@ class RemoteDnsGuard:
             self._watched_reject(src)
             self._charge(self.costs.drop_invalid)
             self._note("plain", "policy_drop", packet.span)
-            return "drop"
+            return Verdict.DROP
         if not self.rl1.allow(src, now):
             self.rl1_drops += 1
             self._watched_reject(src)
             self._charge(self.costs.per_packet)
             self._note("plain", "rl1_drop", packet.span)
-            return "drop"
+            return Verdict.DROP
         if action == "dns":
             label = self.cookies.label_cookie(src)
             reply = fabricated_referral(message, self.origin, label)
@@ -634,7 +635,7 @@ class RemoteDnsGuard:
                     datagram.sport,
                     packet.dst,
                 )
-                return "drop"
+                return Verdict.DROP
             # name does not fit in a cookie label: escalate along the
             # core's scheme chain (dns -> tcp)
             action = fallback_policy(action)
@@ -648,7 +649,7 @@ class RemoteDnsGuard:
             datagram.sport,
             packet.dst,
         )
-        return "drop"
+        return Verdict.DROP
 
     def _grant_cookie(self, packet: Packet, datagram: UdpDatagram, message: Message) -> None:
         """Messages 2 -> 3 of Figure 3a: answer with the requester's cookie."""
@@ -671,18 +672,11 @@ class RemoteDnsGuard:
             packet.dst,
         )
 
-    def _strip_and_forward(
-        self, packet: Packet, datagram: UdpDatagram, message: Message
-    ) -> None:
+    def _strip_and_forward(self, packet: Packet, message: Message) -> None:
         """Validated modified-DNS query: remove the cookie, pass to the ANS."""
         clean = message.copy()
         strip_cookie(clean)
-        forwarded = Packet(
-            src=packet.src,
-            dst=packet.dst,
-            segment=UdpDatagram(datagram.sport, datagram.dport, DnsPayload(clean)),
-            span=packet.span,
-        )
+        forwarded = packet.with_message(clean)
         self._submit(self.costs.validate_and_forward, self._safe_send, forwarded)
 
     def _restore_and_forward(
@@ -703,12 +697,7 @@ class RemoteDnsGuard:
         restored = make_query(
             decoded.original_qname, message.question.qtype, msg_id=message.header.msg_id
         )
-        forwarded = Packet(
-            src=packet.src,
-            dst=self.ans_address,
-            segment=UdpDatagram(datagram.sport, 53, DnsPayload(restored)),
-            span=packet.span,
-        )
+        forwarded = packet.with_message(restored, dst=self.ans_address, dport=53)
         self._submit(self.costs.validate_and_forward, self._safe_send, forwarded)
 
     def _handle_cookie2_query(
@@ -764,12 +753,7 @@ class RemoteDnsGuard:
             expires_at=now + PENDING_TIMEOUT,
         )
         self._note("fabricated", "forward", packet.span)
-        forwarded = Packet(
-            src=packet.src,
-            dst=self.ans_address,
-            segment=UdpDatagram(datagram.sport, 53, DnsPayload(message)),
-            span=packet.span,
-        )
+        forwarded = packet.with_message(message, dst=self.ans_address, dport=53)
         # while inactive the COOKIE2 namespace is served without the IP
         # check (clients hold long-TTL fabricated addresses, §IV.C); the
         # active path above verified before reaching here
@@ -777,26 +761,21 @@ class RemoteDnsGuard:
 
     # -- response path -------------------------------------------------------------------
 
-    def _handle_ans_response(self, packet: Packet, datagram: UdpDatagram) -> str:
+    def _handle_ans_response(self, packet: Packet, datagram: UdpDatagram) -> Verdict:
         payload = datagram.payload
         if not isinstance(payload, DnsPayload):
-            return "forward"
+            return Verdict.ACCEPT
         message = payload.message
         key = (packet.dst, datagram.dport, message.header.msg_id)
         pending = self._pending.pop(key, None)
         if pending is None:
-            return "forward"
+            return Verdict.ACCEPT
         if pending.kind == "dnat":
-            rewritten = Packet(
-                src=pending.rewrite_source,
-                dst=packet.dst,
-                segment=UdpDatagram(53, datagram.dport, DnsPayload(message)),
-                span=packet.span,
-            )
+            rewritten = packet.with_message(message, src=pending.rewrite_source)
             self.responses_transformed += 1
             self._note("fabricated", "response_rewrite", packet.span)
             self._submit(self.costs.transform_response, self._safe_send, rewritten)
-            return "drop"
+            return Verdict.DROP
 
         # cookie-name exchange: message 5 -> message 6
         glue = self._referral_addresses(message, pending.original_qname)
@@ -830,7 +809,7 @@ class RemoteDnsGuard:
             datagram.dport,
             packet.src,
         )
-        return "drop"
+        return Verdict.DROP
 
     @staticmethod
     def _referral_addresses(message: Message, qname: Name) -> list[ResourceRecord]:

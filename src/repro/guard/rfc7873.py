@@ -34,7 +34,7 @@ import struct
 from ipaddress import IPv4Address
 
 from ..dnswire import Message
-from ..netsim import DnsPayload, Link, Node, Packet, RoutingError, UdpDatagram
+from ..netsim import DnsPayload, Hook, Node, Packet, RoutingError, UdpDatagram, Verdict
 from .core.edns_cookie import (
     CLIENT_COOKIE_LENGTH,
     OPTION_COOKIE,
@@ -57,7 +57,7 @@ __trust_boundary__ = {
         "EdnsCookieGuard._transit",
         "EdnsCookieClientShim._transit",
     ],
-    "taint_params": ["packet", "datagram", "message", "link"],
+    "taint_params": ["packet", "datagram", "message"],
     "sanitizers": ["server.verify"],
     "sinks": ["_forward"],
     "assumes": (
@@ -130,21 +130,21 @@ class EdnsCookieGuard:
         self.no_cookie_drops = 0
         self.overload_drops = 0
         self.unroutable_replies = 0
-        node.transit_filter = self._transit
+        node.filters.append(Hook.FORWARD, target=self._transit)
         node.forward_cost = self.costs.forward
 
-    def _transit(self, packet: Packet, link: Link) -> str:
+    def _transit(self, packet: Packet) -> Verdict:
         segment = packet.segment
         if not isinstance(segment, UdpDatagram):
-            return "forward"
+            return Verdict.ACCEPT
         if packet.src == self.ans_address:
-            return "forward"
+            return Verdict.ACCEPT
         if packet.dst != self.ans_address or segment.dport != 53:
-            return "forward"
+            return Verdict.ACCEPT
         payload = segment.payload
         if not isinstance(payload, DnsPayload) or not payload.message.is_query():
             self._charge(self.costs.drop_invalid)
-            return "drop"
+            return Verdict.DROP
         message = payload.message
         cookie = extract_edns_cookie(message)
         if cookie is None:
@@ -155,30 +155,25 @@ class EdnsCookieGuard:
             else:
                 self.no_cookie_drops += 1
                 self._charge(self.costs.drop_invalid)
-            return "drop"
+            return Verdict.DROP
         client_cookie, server_cookie = cookie
         if server_cookie and self.server.verify(client_cookie, server_cookie, packet.src):
             self.valid_cookies += 1
             clean = message.copy()
             strip_edns_cookie(clean)
-            forwarded = Packet(
-                src=packet.src,
-                dst=packet.dst,
-                segment=UdpDatagram(segment.sport, 53, DnsPayload(clean)),
-                span=packet.span,
-            )
+            forwarded = packet.with_message(clean)
             self._submit(self.costs.validate_and_forward, self._forward, forwarded)
-            return "drop"
+            return Verdict.DROP
         if server_cookie:
             # wrong server cookie: could be stale or forged — drop (the
             # client will retry and learn the fresh cookie)
             self.invalid_drops += 1
             self._charge(self.costs.drop_invalid)
-            return "drop"
+            return Verdict.DROP
         # client cookie only: grant the server cookie (unverified response)
         if not self.rl1.allow(packet.src, self.node.sim.now):
             self._charge(self.costs.per_packet)
-            return "drop"
+            return Verdict.DROP
         grant = Message(questions=list(message.questions))
         grant.header.msg_id = message.header.msg_id
         grant.header.qr = True
@@ -186,16 +181,13 @@ class EdnsCookieGuard:
             grant, client_cookie, self.server.server_cookie(client_cookie, packet.src)
         )
         self.cookies_granted += 1
-        reply = Packet(
-            src=packet.dst,
-            dst=packet.src,
-            segment=UdpDatagram(53, segment.sport, DnsPayload(grant)),
-            span=packet.span,
+        reply = packet.with_message(
+            grant, src=packet.dst, dst=packet.src, sport=53, dport=segment.sport
         )
         # the grant is a bounded, rate-limited reply to the *claimed*
         # source (RFC 7873 §5.2.3) — a challenge, not an admission
         self._submit(self.costs.fabricate_response, self._forward, reply)  # repro: allow[T001] cookie grant returns to the claimed source under RL1
-        return "drop"
+        return Verdict.DROP
 
     def _forward(self, packet: Packet) -> None:
         try:
@@ -234,26 +226,26 @@ class EdnsCookieClientShim:
         self._held: dict[tuple[IPv4Address, IPv4Address], list[tuple[Packet, UdpDatagram, float]]] = {}
         self.queries_stamped = 0
         self.grants_learned = 0
-        node.transit_filter = self._transit
+        node.filters.append(Hook.FORWARD, target=self._transit)
 
     def client_cookie(self, client: IPv4Address, server: IPv4Address) -> bytes:
         return derive_client_cookie(self._secret, client, server)
 
-    def _transit(self, packet: Packet, link: Link) -> str:
+    def _transit(self, packet: Packet) -> Verdict:
         segment = packet.segment
         if not isinstance(segment, UdpDatagram):
-            return "forward"
+            return Verdict.ACCEPT
         payload = segment.payload
         if not isinstance(payload, DnsPayload):
-            return "forward"
+            return Verdict.ACCEPT
         message = payload.message
         if segment.dport == 53 and message.is_query():
             return self._outbound(packet, segment, message)
         if segment.sport == 53 and message.is_response():
             return self._inbound(packet, segment, message)
-        return "forward"
+        return Verdict.ACCEPT
 
-    def _outbound(self, packet: Packet, datagram: UdpDatagram, message: Message) -> str:
+    def _outbound(self, packet: Packet, datagram: UdpDatagram, message: Message) -> Verdict:
         now = self.node.sim.now
         key = (packet.dst, packet.src)
         client_cookie = self.client_cookie(packet.src, packet.dst)
@@ -273,23 +265,16 @@ class EdnsCookieClientShim:
         stamped = message.copy()
         attach_edns_cookie(stamped, client_cookie, server_cookie)
         self.queries_stamped += 1
-        self.node.send(
-            Packet(
-                src=packet.src,
-                dst=packet.dst,
-                segment=UdpDatagram(datagram.sport, datagram.dport, DnsPayload(stamped)),
-                span=packet.span,
-            )
-        )
-        return "drop"
+        self.node.send(packet.with_message(stamped))
+        return Verdict.DROP
 
-    def _inbound(self, packet: Packet, datagram: UdpDatagram, message: Message) -> str:
+    def _inbound(self, packet: Packet, datagram: UdpDatagram, message: Message) -> Verdict:
         cookie = extract_edns_cookie(message)
         if cookie is None:
-            return "forward"
+            return Verdict.ACCEPT
         client_cookie, server_cookie = cookie
         if not server_cookie:
-            return "forward"
+            return Verdict.ACCEPT
         now = self.node.sim.now
         key = (packet.src, packet.dst)
         if key not in self._server_cookies and len(self._server_cookies) >= SHIM_COOKIE_CAP:
@@ -298,7 +283,7 @@ class EdnsCookieClientShim:
         self.grants_learned += 1
         if message.answers:
             # a real answer that happens to carry the cookie: pass it on
-            return "forward"
+            return Verdict.ACCEPT
         # an answerless grant: re-send held queries with the fresh cookie
         for held_packet, held_datagram, deadline in self._held.pop(key, []):
             if deadline <= now:
@@ -306,14 +291,5 @@ class EdnsCookieClientShim:
             held_message = held_datagram.payload.message  # type: ignore[union-attr]
             stamped = held_message.copy()
             attach_edns_cookie(stamped, client_cookie, server_cookie)
-            self.node.send(
-                Packet(
-                    src=held_packet.src,
-                    dst=held_packet.dst,
-                    segment=UdpDatagram(
-                        held_datagram.sport, held_datagram.dport, DnsPayload(stamped)
-                    ),
-                    span=held_packet.span,
-                )
-            )
-        return "drop"
+            self.node.send(held_packet.with_message(stamped))
+        return Verdict.DROP

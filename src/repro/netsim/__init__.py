@@ -10,7 +10,7 @@ from .errors import (
     SocketError,
 )
 from .link import GilbertElliottLoss, Link, LossModel
-from .netfilter import Chain, Hook, PacketFilter, Rule, Verdict
+from .netfilter import Hook, PacketFilter, Verdict
 from .node import Node
 from .packet import (
     DnsPayload,
@@ -53,12 +53,10 @@ __layer__ = "platform"
 __all__ = [
     "AddressError",
     "BOUNDARY_PRIORITY",
-    "Chain",
     "ConnectionError_",
     "Cpu",
     "Hook",
     "PacketFilter",
-    "Rule",
     "Verdict",
     "DEFAULT_PRIORITY",
     "DEFAULT_RTO",

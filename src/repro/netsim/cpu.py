@@ -20,33 +20,16 @@ from .simulator import Simulator
 
 
 class Cpu:
-    """A FIFO service queue measuring work in CPU-seconds.
+    """A single FIFO service queue measuring work in CPU-seconds: one
+    execution unit, busy until the last accepted job completes."""
 
-    With ``cores > 1`` the queue feeds the first core to free up (an
-    M/M/c-style service station): throughput scales with the core count
-    while a single job still takes its full service time.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        *,
-        speed: float = 1.0,
-        queue_limit: float = 0.050,
-        cores: int = 1,
-    ):
-        """``speed`` scales all costs (2.0 = twice as fast); ``queue_limit``
-        is the maximum backlog, expressed in seconds of queued work per
-        core; ``cores`` is the number of parallel execution units."""
-        if speed <= 0:
-            raise ValueError("cpu speed must be positive")
-        if cores < 1:
-            raise ValueError("cores must be at least 1")
+    def __init__(self, sim: Simulator, *, queue_limit: float = 0.050):
+        """``queue_limit`` is the maximum backlog, expressed in seconds of
+        queued work."""
         self.sim = sim
-        self.speed = speed
         self.queue_limit = queue_limit
-        self.cores = cores
-        self._core_busy_until = [0.0] * cores
+        #: virtual time at which the last queued job finishes
+        self.busy_until = 0.0
         self._busy_accumulated = 0.0
         self.jobs_accepted = 0
         self.jobs_dropped = 0
@@ -67,27 +50,26 @@ class Cpu:
         discarding the packets it cannot serve (§IV.C) — and the saturated
         share is tracked in :attr:`work_dropped_seconds`.
         """
-        cost = cost / self.speed
         now = self.sim.now
-        core = min(range(self.cores), key=self._core_busy_until.__getitem__)
-        backlog = max(0.0, self._core_busy_until[core] - now)
+        busy_until = self.busy_until
+        backlog = max(0.0, busy_until - now)
         if backlog > self.queue_limit:
             self.jobs_dropped += 1
             if fn is None:
                 # discarding still burns CPU: extend the busy horizon so the
                 # cost delays (and keeps dropping) later submissions, exactly
                 # like an overloaded kernel spending its time in rx+drop
-                start = max(self._core_busy_until[core], now)
-                self._core_busy_until[core] = start + cost
+                start = max(busy_until, now)
+                self.busy_until = start + cost
                 self._busy_accumulated += cost
                 self.work_dropped_seconds += cost
             return False
-        start = max(self._core_busy_until[core], now)
-        self._core_busy_until[core] = start + cost
+        start = max(busy_until, now)
+        self.busy_until = start + cost
         self._busy_accumulated += cost
         self.jobs_accepted += 1
         if fn is not None:
-            self.sim.schedule_at(self._core_busy_until[core], fn, *args)
+            self.sim.schedule_at(self.busy_until, fn, *args)
         return True
 
     def charge(self, cost: float) -> bool:
@@ -98,19 +80,16 @@ class Cpu:
 
     @property
     def backlog(self) -> float:
-        """Seconds of work queued on the least-loaded core."""
-        now = self.sim.now
-        return max(0.0, min(self._core_busy_until) - now)
+        """Seconds of work queued ahead of a new submission."""
+        return max(0.0, self.busy_until - self.sim.now)
 
     def completed_busy_seconds(self) -> float:
         """CPU-seconds of work actually executed by now (queued work whose
         service extends into the future is excluded)."""
-        now = self.sim.now
-        pending = sum(max(0.0, busy - now) for busy in self._core_busy_until)
-        return self._busy_accumulated - pending
+        return self._busy_accumulated - self.backlog
 
     def utilization(self, busy_at_start: float, window_start: float) -> float:
-        """Utilisation since a snapshot, in [0, 1], normalised by cores.
+        """Utilisation since a snapshot, in [0, 1].
 
         ``busy_at_start`` is a prior reading of :meth:`completed_busy_seconds`
         taken at virtual time ``window_start``.
@@ -119,7 +98,7 @@ class Cpu:
         if elapsed <= 0:
             return 0.0
         busy = self.completed_busy_seconds() - busy_at_start
-        return max(0.0, min(1.0, busy / (elapsed * self.cores)))
+        return max(0.0, min(1.0, busy / elapsed))
 
     def reset_counters(self) -> None:
         self.jobs_accepted = 0

@@ -26,6 +26,7 @@ event trace.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING, Protocol
 
 from .packet import Packet
@@ -258,9 +259,10 @@ class Link:
         self.sim.schedule_at(departure + delay, receiver.receive, packet, self)  # repro: allow[R003,R004] same-node deliveries drain one serial queue in send order
         if self.duplicate_prob and fault_rng.random() < self.duplicate_prob:
             direction.packets_duplicated += 1
-            # an independent copy: routers decrement ttl in place, and the
-            # two arrivals must not share that mutation
-            twin = Packet(src=packet.src, dst=packet.dst, segment=packet.segment, ttl=packet.ttl)
+            # an independent copy (every field, span included): routers
+            # decrement ttl in place, and the two arrivals must not share
+            # that mutation
+            twin = dataclasses.replace(packet)
             self.sim.schedule_at(departure + delay + self.delay, receiver.receive, twin, self)  # repro: allow[R003,R004] duplicate delivery follows the same serial-queue contract
         return True
 

@@ -1,136 +1,99 @@
-"""A netfilter-style packet filter: hooks, chains, rules, verdicts.
+"""A node's interception table: four hooks, each an ordered rule list.
 
 The paper deploys the DNS guard "in the iptable module"; this is the
-simulator's equivalent mechanism.  Each node can own a
-:class:`PacketFilter` with the classic five hooks; chains hold ordered
-:class:`Rule` objects with match predicates and verdicts (or callable
-targets), falling through to a per-chain policy.  Per-rule packet/byte
-counters match what ``iptables -L -v`` would show.
+simulator's equivalent, and the only way to stand in a packet's path.
+Every :class:`~repro.netsim.node.Node` owns one :class:`PacketFilter`;
+the guard *is* a rule in its ``FORWARD`` list, beside whatever else the
+operator layers around it — edge ingress filtering (RFC 2827, the §II
+related-work baseline), a traffic meter on ``LOCAL_IN``.
 
-The DNS guard itself predates this layer in the codebase and uses the
-``Node.transit_filter`` middlebox hook directly; the packet filter is the
-general-purpose tool for everything else — edge ingress filtering
-(RFC 2827, the §II related-work baseline), port blocking, rate limiting.
+A rule is a ``Packet -> Verdict`` callable.  A hook's verdict is the first
+non-``ACCEPT`` one, so the rules form a cascade in insertion order: each
+layer sees what the layers before it accepted, and any of them may stop the
+packet.  A hook with no rules costs the node one emptiness test.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from ipaddress import IPv4Address, IPv4Network
-from typing import Callable, TYPE_CHECKING
+from ipaddress import IPv4Network
+from typing import Callable
 
-from .packet import Packet, UdpDatagram
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .node import Node
+from .packet import Packet
 
 
 class Hook(enum.Enum):
-    """Where in a node's packet path a chain runs."""
+    """Where in a node's packet path a rule list runs (its attribute on
+    :class:`PacketFilter`)."""
 
     PREROUTING = "prerouting"  # every packet arriving on any link
-    LOCAL_IN = "input"  # packets delivered to this node's stacks
+    LOCAL_IN = "local_in"  # packets delivered to this node's stacks
     FORWARD = "forward"  # packets routed through this node
-    LOCAL_OUT = "output"  # packets originated by this node
+    LOCAL_OUT = "local_out"  # packets originated by this node
 
 
 class Verdict(enum.Enum):
-    ACCEPT = "accept"
+    ACCEPT = "accept"  # carry on: next rule, then the packet's normal path
     DROP = "drop"
+    #: Hand a transit packet to this node's own stacks instead of routing
+    #: it (how the guard terminates TCP aimed at the ANS).  Honoured at
+    #: ``FORWARD``; the other hooks have nowhere else to send a packet, so
+    #: there any verdict but ``ACCEPT`` drops it.
+    DELIVER = "deliver"
 
 
 Match = Callable[[Packet], bool]
 Target = Callable[[Packet], Verdict]
 
 
-@dataclasses.dataclass(slots=True)
-class Rule:
-    """One chain entry: a match predicate plus a verdict or callable target."""
-
-    match: Match
-    verdict: Verdict | None = None
-    target: Target | None = None
-    comment: str = ""
-    packets: int = 0
-    bytes: int = 0
-
-    def __post_init__(self) -> None:
-        if (self.verdict is None) == (self.target is None):
-            raise ValueError("a rule needs exactly one of verdict/target")
-
-    def evaluate(self, packet: Packet) -> Verdict | None:
-        """The rule's verdict for ``packet``, or None if it doesn't match."""
-        if not self.match(packet):
-            return None
-        self.packets += 1
-        self.bytes += packet.size
-        if self.verdict is not None:
-            return self.verdict
-        return self.target(packet)  # type: ignore[misc]
-
-
-class Chain:
-    """An ordered rule list with a fall-through policy."""
-
-    def __init__(self, policy: Verdict = Verdict.ACCEPT):
-        self.policy = policy
-        self.rules: list[Rule] = []
-        self.policy_packets = 0
-
-    def append(self, rule: Rule) -> Rule:
-        self.rules.append(rule)
-        return rule
-
-    def insert(self, index: int, rule: Rule) -> Rule:
-        self.rules.insert(index, rule)
-        return rule
-
-    def evaluate(self, packet: Packet) -> Verdict:
-        for rule in self.rules:  # repro: allow[P005] ordered first-match traversal is the netfilter chain contract
-            verdict = rule.evaluate(packet)
-            if verdict is not None:
-                return verdict
-        self.policy_packets += 1
-        return self.policy
-
-    def flush(self) -> None:
-        self.rules.clear()
-
-
 class PacketFilter:
-    """Per-node chain table, evaluated by the node's packet path."""
+    """Per-node rule table, consulted by the node's packet path."""
+
+    __slots__ = ("prerouting", "local_in", "forward", "local_out")
 
     def __init__(self) -> None:
-        self.chains: dict[Hook, Chain] = {hook: Chain() for hook in Hook}
-
-    def chain(self, hook: Hook) -> Chain:
-        return self.chains[hook]
-
-    def evaluate(self, hook: Hook, packet: Packet) -> Verdict:
-        return self.chains[hook].evaluate(packet)
+        self.prerouting: list[Target] = []
+        self.local_in: list[Target] = []
+        self.forward: list[Target] = []
+        self.local_out: list[Target] = []
 
     def append(
         self,
         hook: Hook,
-        match: Match,
+        match: Match | None = None,
         verdict: Verdict | None = None,
         *,
         target: Target | None = None,
-        comment: str = "",
-    ) -> Rule:
-        """Convenience: build and append a rule in one call."""
-        rule = Rule(match=match, verdict=verdict, target=target, comment=comment)
-        return self.chains[hook].append(rule)
+    ) -> None:
+        """Add a rule at the end of ``hook``'s list.
+
+        The rule answers ``verdict`` (a constant) or ``target(packet)`` for
+        the packets ``match`` selects — every packet when ``match`` is
+        None — and ``ACCEPT`` for the rest.
+        """
+        if (verdict is None) == (target is None):
+            raise ValueError("a rule needs exactly one of verdict/target")
+        if target is None:
+            target = lambda packet: verdict
+        if match is None:
+            rule = target
+        else:
+            rule = lambda packet: target(packet) if match(packet) else Verdict.ACCEPT
+        getattr(self, hook.value).append(rule)
+
+
+def evaluate(rules: list[Target], packet: Packet) -> Verdict:
+    """The first non-``ACCEPT`` verdict among ``rules``, else ``ACCEPT``."""
+    for rule in rules:
+        verdict = rule(packet)
+        if verdict is not Verdict.ACCEPT:
+            return verdict
+    return Verdict.ACCEPT
 
 
 # ---------------------------------------------------------------------------
-# Match helpers (the common iptables matchers)
+# Match helpers
 # ---------------------------------------------------------------------------
-
-def match_all(packet: Packet) -> bool:
-    return True
-
 
 def src_in(subnet: IPv4Network | str) -> Match:
     network = IPv4Network(subnet) if isinstance(subnet, str) else subnet
@@ -140,30 +103,3 @@ def src_in(subnet: IPv4Network | str) -> Match:
 def src_not_in(subnet: IPv4Network | str) -> Match:
     inside = src_in(subnet)
     return lambda packet: not inside(packet)
-
-
-def dst_is(address: IPv4Address | str) -> Match:
-    target = IPv4Address(address) if isinstance(address, str) else address
-    return lambda packet: packet.dst == target
-
-
-def udp_dport(port: int) -> Match:
-    return lambda packet: (
-        isinstance(packet.segment, UdpDatagram) and packet.segment.dport == port
-    )
-
-
-def conjunction(*matches: Match) -> Match:
-    return lambda packet: all(match(packet) for match in matches)
-
-
-def rate_limit_target(rate: float, burst: float, clock: Callable[[], float]) -> Target:
-    """An iptables ``-m limit``-style target: ACCEPT within the budget."""
-    from ..guard.core.ratelimit import TokenBucket
-
-    bucket = TokenBucket(rate, burst)
-
-    def target(packet: Packet) -> Verdict:
-        return Verdict.ACCEPT if bucket.consume(clock()) else Verdict.DROP
-
-    return target

@@ -1,59 +1,47 @@
 """Nodes: hosts and routers with addresses, routing, CPU and protocol stacks.
 
-A node delivers packets addressed to one of its own addresses (or to a
-subnet it *intercepts* — how the DNS guard claims the fabricated COOKIE2
-addresses in ``1.2.3.0/24``) up to its UDP/TCP stacks.  Anything else is
-routed: longest-prefix match over static routes, falling back to the default
-route.  A ``transit_filter`` hook lets a middlebox node such as the guard
-inspect, hijack or drop packets flowing through it.
+A node delivers packets addressed to one of its own addresses up to its
+UDP/TCP stacks.  Anything else is routed: longest-prefix match over static
+routes, falling back to the default route.  The one way to stand in a
+packet's path is a rule in the node's interception table (``filters``, a
+:class:`~repro.netsim.netfilter.PacketFilter`): a middlebox such as the
+guard is a ``FORWARD`` rule that accepts, drops or hijacks (``DELIVER``)
+what flows through the node, a meter is a ``LOCAL_IN`` rule.
 """
 
 from __future__ import annotations
 
 from ipaddress import IPv4Address, IPv4Network
-from typing import Callable, Literal
 
 from .cpu import Cpu
 from .errors import RoutingError
 from .link import Link
-from .netfilter import Hook, PacketFilter, Verdict
+from .netfilter import PacketFilter, Verdict, evaluate
 from .packet import Packet, TcpSegment, UdpDatagram
 from .simulator import Simulator
-
-TransitAction = Literal["forward", "deliver", "drop"]
 
 
 class Node:
     """A simulated host or router."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        *,
-        cpu_speed: float = 1.0,
-        cpu_queue_limit: float = 0.050,
-        forward_cost: float = 0.0,
-    ):
+    def __init__(self, sim: Simulator, name: str):
         self.sim = sim
         self.name = name
-        self.cpu = Cpu(sim, speed=cpu_speed, queue_limit=cpu_queue_limit)
+        self.cpu = Cpu(sim)
         self.addresses: list[IPv4Address] = []
         #: set mirror of ``addresses`` — O(1) ownership tests per packet
         self._address_set: set[IPv4Address] = set()
-        self.intercept_subnets: list[IPv4Network] = []
         self.links: list[Link] = []
         self.routes: list[tuple[IPv4Network, Link]] = []
         self.default_route: Link | None = None
         #: per-destination route memo, invalidated on any table change and
         #: bounded so spoofed-destination floods cannot grow it unchecked
         self._route_cache: dict[IPv4Address, Link | None] = {}
-        #: CPU-seconds charged per packet forwarded in transit (routers).
-        self.forward_cost = forward_cost
-        #: Middlebox hook: packet in transit -> "forward" | "deliver" | "drop".
-        self.transit_filter: Callable[[Packet, Link], TransitAction] | None = None
-        #: netfilter-style chain table, created on first use (see .filters)
-        self._filters = None
+        #: CPU-seconds charged per packet forwarded in transit (the guards
+        #: set it on the node they are deployed on).
+        self.forward_cost = 0.0
+        #: the interception table: per-hook rule lists, empty by default
+        self.filters = PacketFilter()
         self.packets_delivered = 0
         self.packets_forwarded = 0
         self.packets_dropped = 0
@@ -82,12 +70,6 @@ class Node:
             raise RoutingError(f"{self.name} has no address")
         return self.addresses[0]
 
-    def intercept(self, subnet: IPv4Network | str) -> None:
-        """Deliver (rather than route) everything addressed into ``subnet``."""
-        if isinstance(subnet, str):
-            subnet = IPv4Network(subnet)
-        self.intercept_subnets.append(subnet)
-
     def attach(self, link: Link) -> None:
         self.links.append(link)
         self._route_cache.clear()
@@ -112,50 +94,26 @@ class Node:
         self.default_route = link
         self._route_cache.clear()
 
-    @property
-    def filters(self) -> PacketFilter:
-        """The node's netfilter-style :class:`~repro.netsim.netfilter.PacketFilter`."""
-        if self._filters is None:
-            self._filters = PacketFilter()
-        return self._filters
-
-    def _filter_verdict(self, hook, packet: Packet) -> bool:
-        """True if the packet may proceed past ``hook``."""
-        if self._filters is None:
-            return True
-        return self._filters.evaluate(hook, packet) is Verdict.ACCEPT
-
     # -- data path ------------------------------------------------------------
-
-    def owns(self, address: IPv4Address) -> bool:
-        """True if packets to ``address`` should be delivered locally."""
-        if address in self._address_set:
-            return True
-        return any(address in subnet for subnet in self.intercept_subnets)
 
     def receive(self, packet: Packet, link: Link) -> None:
         """Entry point for packets arriving from ``link``."""
-        if self._filters is not None:
-            if not self._filter_verdict(Hook.PREROUTING, packet):
+        filters = self.filters
+        if filters.prerouting and evaluate(filters.prerouting, packet) is not Verdict.ACCEPT:
+            self.packets_dropped += 1
+            return
+        if packet.dst in self._address_set:
+            if filters.local_in and evaluate(filters.local_in, packet) is not Verdict.ACCEPT:
                 self.packets_dropped += 1
                 return
-        if self.owns(packet.dst):
-            if self._filters is not None:
-                if not self._filter_verdict(Hook.LOCAL_IN, packet):
-                    self.packets_dropped += 1
-                    return
             self.deliver(packet)
             return
-        if self.transit_filter is not None:
-            action = self.transit_filter(packet, link)
-            if action == "drop":
-                self.packets_dropped += 1
-                return
-            if action == "deliver":
+        if filters.forward:
+            verdict = evaluate(filters.forward, packet)
+            if verdict is Verdict.DELIVER:
                 self.deliver(packet)
                 return
-        if self._filters is not None:
-            if not self._filter_verdict(Hook.FORWARD, packet):
+            if verdict is not Verdict.ACCEPT:
                 self.packets_dropped += 1
                 return
         self.forward(packet, link)
@@ -211,10 +169,10 @@ class Node:
 
     def send(self, packet: Packet) -> bool:
         """Originate a packet from this node."""
-        if self._filters is not None:
-            if not self._filter_verdict(Hook.LOCAL_OUT, packet):
-                self.packets_dropped += 1
-                return False
+        rules = self.filters.local_out
+        if rules and evaluate(rules, packet) is not Verdict.ACCEPT:
+            self.packets_dropped += 1
+            return False
         link = self.route_for(packet.dst)
         if link is None:
             raise RoutingError(f"{self.name}: no route to {packet.dst}")

@@ -135,6 +135,30 @@ class Packet:
     def __repr__(self) -> str:
         return f"Packet({self.src}->{self.dst} {self.protocol} {self.size}B)"
 
+    def with_message(
+        self,
+        message: Message,
+        *,
+        src: IPv4Address | None = None,
+        dst: IPv4Address | None = None,
+        sport: int | None = None,
+        dport: int | None = None,
+    ) -> "Packet":
+        """A fresh UDP packet (initial TTL) carrying ``message`` on this
+        packet's flow — same addresses and ports unless overridden — and
+        its span, so a middlebox rewrite stays on the query's trace."""
+        datagram = self.segment
+        return Packet(
+            src=self.src if src is None else src,
+            dst=self.dst if dst is None else dst,
+            segment=UdpDatagram(
+                datagram.sport if sport is None else sport,
+                datagram.dport if dport is None else dport,
+                DnsPayload(message),
+            ),
+            span=self.span,
+        )
+
     def trace_digest(self) -> str:
         """Deterministic, id-free fingerprint for determinism event traces.
 

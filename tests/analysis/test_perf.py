@@ -455,12 +455,12 @@ class TestAcceptanceMutations:
         mutate(
             tmp_path,
             "repro/netsim/node.py",
-            "if address in self._address_set:",
-            "if address in self.addresses:",
+            "if packet.dst in self._address_set:",
+            "if packet.dst in self.addresses:",
         )
         findings = analyze_perf([tmp_path], rule_ids=["P005"])
         assert [f.rule for f in findings] == ["P005"]
-        assert "Node.owns" in findings[0].message
+        assert "Node.receive" in findings[0].message
 
     def test_reverting_tracker_eviction_to_min_scan_fires_p005(self, tmp_path):
         # a driver module makes the tracker per-packet code, as the guard

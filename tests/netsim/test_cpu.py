@@ -24,18 +24,6 @@ class TestService:
         sim.run()
         assert completions == [pytest.approx(0.3), pytest.approx(0.6)]
 
-    def test_speed_scales_cost(self):
-        sim = Simulator()
-        cpu = Cpu(sim, speed=2.0)
-        done = []
-        cpu.submit(1.0, lambda: done.append(sim.now))
-        sim.run()
-        assert done == [pytest.approx(0.5)]
-
-    def test_invalid_speed_rejected(self):
-        with pytest.raises(ValueError):
-            Cpu(Simulator(), speed=0)
-
     def test_overload_drops_work(self):
         sim = Simulator()
         cpu = Cpu(sim, queue_limit=0.01)

@@ -1,19 +1,14 @@
-"""Unit tests for the netfilter-style packet filter."""
+"""The node's interception table: four hooks, three verdicts, one cascade."""
 
+import sys
 from ipaddress import IPv4Address
 
 import pytest
 
-from repro.netsim import Hook, Link, Node, Rule, Simulator, Verdict
-from repro.netsim.netfilter import (
-    conjunction,
-    dst_is,
-    match_all,
-    rate_limit_target,
-    src_in,
-    src_not_in,
-    udp_dport,
-)
+from repro.netsim import Hook, Link, Node, Simulator, Verdict, netfilter
+from repro.netsim.netfilter import src_in, src_not_in
+
+SERVER = IPv4Address("203.0.113.53")
 
 
 def chainlet(seed=0):
@@ -24,7 +19,7 @@ def chainlet(seed=0):
     fw = Node(sim, "fw")
     fw.add_address("10.0.0.254")
     server = Node(sim, "server")
-    server.add_address("203.0.113.53")
+    server.add_address(SERVER)
     l1 = Link(sim, client, fw, delay=0.0001)
     l2 = Link(sim, fw, server, delay=0.0001)
     client.set_default_route(l1)
@@ -34,65 +29,122 @@ def chainlet(seed=0):
     return sim, client, fw, server
 
 
+def dport(port):
+    return lambda packet: packet.segment.dport == port
+
+
+#: which hooks each kind of packet crosses on the node under test (``fw``)
+CROSSES = {
+    "owned": {Hook.PREROUTING, Hook.LOCAL_IN},
+    "transit": {Hook.PREROUTING, Hook.FORWARD},
+    "originated": {Hook.LOCAL_OUT},
+}
+#: fw's (dropped, delivered, forwarded) when no rule interferes
+UNFILTERED = {"owned": (0, 1, 0), "transit": (0, 0, 1), "originated": (0, 0, 0)}
+
+
+class TestHookVerdictTable:
+    @pytest.mark.parametrize("path", list(CROSSES))
+    @pytest.mark.parametrize("verdict", list(Verdict))
+    @pytest.mark.parametrize("hook", list(Hook))
+    def test_counters_for_every_hook_verdict_and_path(self, hook, verdict, path):
+        sim, client, fw, server = chainlet()
+        fw.filters.append(hook, verdict=verdict)
+        at_fw, at_server = [], []
+        fw.udp.bind(53, lambda p, s, sp, d: at_fw.append(d))
+        server.udp.bind(53, lambda p, s, sp, d: at_server.append(d))
+        if path == "owned":
+            client.udp.bind_ephemeral(lambda *a: None).send(b"x", fw.address, 53)
+        elif path == "transit":
+            client.udp.bind_ephemeral(lambda *a: None).send(b"x", SERVER, 53)
+        else:
+            sent = fw.udp.bind_ephemeral(lambda *a: None).send(b"x", SERVER, 53)
+        sim.run(until=1.0)
+
+        if hook not in CROSSES[path] or verdict is Verdict.ACCEPT:
+            expected = UNFILTERED[path]
+        elif verdict is Verdict.DELIVER and hook is Hook.FORWARD:
+            expected = (0, 1, 0)  # hijacked: fw's own stack gets the server's packet
+            assert at_fw == [SERVER]
+        else:
+            expected = (1, 0, 0)  # nowhere else to send it: anything but ACCEPT drops
+        assert (fw.packets_dropped, fw.packets_delivered, fw.packets_forwarded) == expected
+        reaches_server = path != "owned" and expected == UNFILTERED[path]
+        assert at_server == ([SERVER] if reaches_server else [])
+        if path == "originated":
+            assert sent is reaches_server
+
+
 class TestRules:
     def test_rule_requires_exactly_one_action(self):
+        filters = Node(Simulator(), "n").filters
         with pytest.raises(ValueError):
-            Rule(match=match_all)
+            filters.append(Hook.FORWARD)
         with pytest.raises(ValueError):
-            Rule(match=match_all, verdict=Verdict.DROP, target=lambda p: Verdict.DROP)
+            filters.append(Hook.FORWARD, verdict=Verdict.DROP, target=lambda p: Verdict.DROP)
+        assert filters.forward == []
 
-    def test_counters_track_matches(self):
+    def test_match_selects_the_packets_a_rule_judges(self):
         sim, client, fw, server = chainlet()
-        rule = fw.filters.append(Hook.FORWARD, udp_dport(53), Verdict.ACCEPT)
-        sock = client.udp.bind_ephemeral(lambda *a: None)
-        for i in range(5):
-            sock.send(b"q", IPv4Address("203.0.113.53"), 53)
-        sock.send(b"q", IPv4Address("203.0.113.53"), 9999)  # not matched
-        sim.run(until=1.0)
-        assert rule.packets == 5
-        assert rule.bytes > 0
-
-    def test_first_match_wins(self):
-        sim, client, fw, server = chainlet()
-        fw.filters.append(Hook.FORWARD, udp_dport(53), Verdict.DROP, comment="block dns")
-        fw.filters.append(Hook.FORWARD, match_all, Verdict.ACCEPT)
+        fw.filters.append(Hook.FORWARD, dport(53), Verdict.DROP)
+        judged = []
+        fw.filters.append(
+            Hook.FORWARD, dport(80), target=lambda p: judged.append(p) or Verdict.ACCEPT
+        )
         got = []
         server.udp.bind(53, lambda p, s, sp, d: got.append(p))
         server.udp.bind(80, lambda p, s, sp, d: got.append(p))
         sock = client.udp.bind_ephemeral(lambda *a: None)
-        sock.send(b"dns", IPv4Address("203.0.113.53"), 53)
-        sock.send(b"web", IPv4Address("203.0.113.53"), 80)
+        sock.send(b"dns", SERVER, 53)
+        sock.send(b"web", SERVER, 80)
         sim.run(until=1.0)
         assert got == [b"web"]
+        assert len(judged) == 1
+
+    def test_accept_does_not_shield_a_later_drop(self):
+        """The rules are a conjunction, not first-match-wins: an ACCEPT only
+        passes the packet to the next layer of the cascade."""
+        sim, client, fw, server = chainlet()
+        order = []
+        fw.filters.append(Hook.FORWARD, target=lambda p: order.append("first") or Verdict.ACCEPT)
+        fw.filters.append(Hook.FORWARD, verdict=Verdict.DROP)
+        fw.filters.append(Hook.FORWARD, target=lambda p: order.append("third") or Verdict.ACCEPT)
+        got = []
+        server.udp.bind(53, lambda p, s, sp, d: got.append(p))
+        client.udp.bind_ephemeral(lambda *a: None).send(b"x", SERVER, 53)
+        sim.run(until=1.0)
+        assert got == []
+        assert order == ["first"]  # nothing runs after the verdict that stopped it
+        assert fw.packets_dropped == 1
 
 
 class TestChainsAndHooks:
     def test_forward_drop_blocks_transit(self):
         sim, client, fw, server = chainlet()
-        fw.filters.append(Hook.FORWARD, match_all, Verdict.DROP)
+        fw.filters.append(Hook.FORWARD, verdict=Verdict.DROP)
         got = []
         server.udp.bind(53, lambda p, s, sp, d: got.append(p))
-        client.udp.bind_ephemeral(lambda *a: None).send(b"x", IPv4Address("203.0.113.53"), 53)
+        client.udp.bind_ephemeral(lambda *a: None).send(b"x", SERVER, 53)
         sim.run(until=1.0)
         assert got == []
         assert fw.packets_dropped == 1
 
     def test_local_in_protects_node_itself(self):
         sim, client, fw, server = chainlet()
-        server.filters.append(Hook.LOCAL_IN, udp_dport(53), Verdict.DROP)
+        server.filters.append(Hook.LOCAL_IN, dport(53), Verdict.DROP)
         got = []
         server.udp.bind(53, lambda p, s, sp, d: got.append(p))
-        client.udp.bind_ephemeral(lambda *a: None).send(b"x", IPv4Address("203.0.113.53"), 53)
+        client.udp.bind_ephemeral(lambda *a: None).send(b"x", SERVER, 53)
         sim.run(until=1.0)
         assert got == []
 
     def test_local_out_blocks_origination(self):
         sim, client, fw, server = chainlet()
-        client.filters.append(Hook.LOCAL_OUT, dst_is("203.0.113.53"), Verdict.DROP)
+        client.filters.append(Hook.LOCAL_OUT, lambda packet: packet.dst == SERVER, Verdict.DROP)
         got = []
         server.udp.bind(53, lambda p, s, sp, d: got.append(p))
         sock = client.udp.bind_ephemeral(lambda *a: None)
-        assert sock.send(b"x", IPv4Address("203.0.113.53"), 53) is False
+        assert sock.send(b"x", SERVER, 53) is False
         sim.run(until=1.0)
         assert got == []
 
@@ -103,60 +155,101 @@ class TestChainsAndHooks:
         server.udp.bind(53, lambda p, s, sp, d: got.append(p))
         fw.udp.bind(53, lambda p, s, sp, d: got.append(p))
         sock = client.udp.bind_ephemeral(lambda *a: None)
-        sock.send(b"transit", IPv4Address("203.0.113.53"), 53)
+        sock.send(b"transit", SERVER, 53)
         sock.send(b"local", IPv4Address("10.0.0.254"), 53)
         sim.run(until=1.0)
         assert got == []
 
-    def test_chain_policy_drop(self):
+    def test_nodes_without_filters_pay_nothing(self):
+        """The budget: a packet crossing rule-less hooks — originated,
+        forwarded in transit, delivered — never enters the netfilter module."""
         sim, client, fw, server = chainlet()
-        chain = fw.filters.chain(Hook.FORWARD)
-        chain.policy = Verdict.DROP
-        chain.append(Rule(match=udp_dport(53), verdict=Verdict.ACCEPT))
         got = []
         server.udp.bind(53, lambda p, s, sp, d: got.append(p))
-        server.udp.bind(80, lambda p, s, sp, d: got.append(p))
         sock = client.udp.bind_ephemeral(lambda *a: None)
-        sock.send(b"dns", IPv4Address("203.0.113.53"), 53)
-        sock.send(b"web", IPv4Address("203.0.113.53"), 80)
-        sim.run(until=1.0)
-        assert got == [b"dns"]
-        assert chain.policy_packets == 1
+        calls = []
 
-    def test_nodes_without_filters_pay_nothing(self):
-        sim, client, fw, server = chainlet()
-        assert fw._filters is None  # lazily created only on use
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == netfilter.__file__:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            sock.send(b"x", SERVER, 53)
+            sim.run(until=1.0)
+        finally:
+            sys.setprofile(None)
+        assert got == [b"x"] and fw.packets_forwarded == 1
+        assert calls == []
 
 
 class TestIngressFiltering:
     def test_rfc2827_blocks_spoofing_at_the_edge(self):
         """An edge router dropping out-of-subnet sources stops spoofing."""
         sim, client, edge, server = chainlet()
-        edge.filters.append(
-            Hook.FORWARD, src_not_in("10.0.0.0/24"), Verdict.DROP,
-            comment="RFC 2827 ingress filter",
-        )
+        edge.filters.append(Hook.FORWARD, src_not_in("10.0.0.0/24"), Verdict.DROP)
         seen = []
         server.udp.bind(53, lambda p, s, sp, d: seen.append(s))
         sock = client.udp.bind_ephemeral(lambda *a: None)
-        sock.send(b"honest", IPv4Address("203.0.113.53"), 53)
-        sock.send(b"spoof", IPv4Address("203.0.113.53"), 53, src=IPv4Address("8.8.8.8"))
+        sock.send(b"honest", SERVER, 53)
+        sock.send(b"spoof", SERVER, 53, src=IPv4Address("8.8.8.8"))
         sim.run(until=1.0)
         assert seen == [IPv4Address("10.0.0.1")]
 
 
-class TestRateLimitTarget:
-    def test_limit_target_throttles(self):
-        sim, client, fw, server = chainlet()
-        fw.filters.append(
-            Hook.FORWARD,
-            conjunction(udp_dport(53), src_in("10.0.0.0/24")),
-            target=rate_limit_target(10.0, 5.0, clock=lambda: sim.now),
+class TestGuardAndIngressOnOneNode:
+    def test_layers_compose_in_insertion_order(self):
+        """The guard is one rule of its node's FORWARD cascade: an ingress
+        filter ahead of it spares it the work, a rule behind it sees only
+        what it let through, and a cookie holder is served through both."""
+        from repro.attack import SpoofingAttacker
+        from repro.dns import LrsSimulator
+        from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
+
+        bed = GuardTestbed(ans="simulator", ans_mode="answer")  # installs the guard rule
+        node = bed.guard_node
+        outside = src_not_in("10.0.0.0/24")
+        node.filters.append(
+            Hook.PREROUTING, lambda p: p.dst == ANS_ADDRESS and outside(p), Verdict.DROP
         )
-        got = []
-        server.udp.bind(53, lambda p, s, sp, d: got.append(p))
-        sock = client.udp.bind_ephemeral(lambda *a: None)
-        for i in range(50):
-            sim.schedule(i * 0.001, sock.send, b"q", IPv4Address("203.0.113.53"), 53)
-        sim.run(until=1.0)
-        assert 5 <= len(got) <= 7  # burst of 5 plus ~10/sec for 50 ms
+        behind_guard = []
+        node.filters.append(
+            Hook.FORWARD, target=lambda p: behind_guard.append(p) or Verdict.ACCEPT
+        )
+
+        # spoofed from outside the customer subnet: gone before the guard
+        # rule runs, so the guard neither counts nor charges CPU for it
+        outsider = SpoofingAttacker(
+            bed.add_client("outsider"), ANS_ADDRESS, rate=50_000,
+            fixed_source=IPv4Address("172.30.0.9"), carry_invalid_cookie=True,
+        )
+        outsider.start()
+        bed.run(0.01)
+        outsider.stop()
+        bed.run(0.01)
+        assert outsider.packets_sent > 100
+        assert node.packets_dropped == outsider.packets_sent
+        assert bed.guard.queries_seen == 0
+        assert node.cpu.jobs_accepted == 0 and node.cpu.completed_busy_seconds() == 0.0
+
+        # forged from inside it: past the ingress rule, stopped by the guard,
+        # never shown to the rule behind the guard
+        insider = SpoofingAttacker(
+            bed.add_client("insider"), ANS_ADDRESS, rate=50_000,
+            fixed_source=IPv4Address("10.0.0.200"), carry_invalid_cookie=True,
+        )
+        lrs = LrsSimulator(
+            bed.add_client("legit", via_local_guard=True), ANS_ADDRESS,
+            workload="plain", concurrency=4,
+        )
+        insider.start()
+        lrs.start()
+        bed.run(0.05)
+        insider.stop()
+        lrs.stop()
+        bed.run(0.01)
+        assert bed.guard.invalid_drops >= insider.packets_sent > 100
+        assert bed.guard.valid_cookies > 0 and lrs.stats.completed > 100
+        # what the guard accepted is the ANS's answers on their way back
+        assert len(behind_guard) >= lrs.stats.completed
+        assert {p.src for p in behind_guard} == {ANS_ADDRESS}

@@ -5,7 +5,18 @@ from ipaddress import IPv4Address
 import pytest
 
 from repro.dnswire import Message, make_query
-from repro.netsim import Link, Node, RoutingError, Simulator, SocketError
+from repro.netsim import (
+    DnsPayload,
+    Hook,
+    Link,
+    Node,
+    Packet,
+    RoutingError,
+    Simulator,
+    SocketError,
+    UdpDatagram,
+    Verdict,
+)
 
 
 def two_hosts(sim, **link_kwargs):
@@ -79,6 +90,45 @@ class TestLink:
         with pytest.raises(ValueError):
             link.other(Node(sim, "c"))
 
+    def test_duplicated_packet_keeps_its_span(self):
+        """The duplication fault copies the whole packet; a twin without
+        the span would orphan its receive-side spans under ``--obs``."""
+        sim = Simulator()
+        a, b, link = two_hosts(sim)
+        link.duplicate_prob = 1.0
+        arrivals = []
+        b.filters.append(Hook.PREROUTING, target=lambda p: arrivals.append(p) or Verdict.ACCEPT)
+        span = object()
+        a.send(Packet(
+            src=a.address, dst=b.address,
+            segment=UdpDatagram(1000, 53, DnsPayload(make_query("x.com"))), span=span,
+        ))
+        sim.run()
+        assert len(arrivals) == 2 and arrivals[0] is not arrivals[1]
+        assert [packet.span for packet in arrivals] == [span, span]
+
+
+class TestPacketRewrite:
+    def test_with_message_keeps_flow_and_span_with_a_fresh_ttl(self):
+        a, b = IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")
+        span = object()
+        original = Packet(
+            src=a, dst=b, ttl=3, span=span,
+            segment=UdpDatagram(1000, 53, DnsPayload(make_query("x.com", msg_id=1))),
+        )
+        message = make_query("y.com", msg_id=2)
+
+        def flow(packet):
+            return packet.src, packet.dst, packet.segment.sport, packet.segment.dport
+
+        onward = original.with_message(message)
+        assert flow(onward) == (a, b, 1000, 53)
+        assert onward.segment.payload.message is message
+        assert onward.ttl == 64 and onward.span is span
+        reply = original.with_message(message, src=b, dst=a, sport=53, dport=1000)
+        assert flow(reply) == (b, a, 53, 1000)
+        assert reply.span is span
+
 
 class TestRouting:
     def build_chain(self, sim):
@@ -112,7 +162,7 @@ class TestRouting:
     def test_transit_filter_drop(self):
         sim = Simulator()
         lrs, router, ans = self.build_chain(sim)
-        router.transit_filter = lambda packet, link: "drop"
+        router.filters.append(Hook.FORWARD, verdict=Verdict.DROP)
         got = []
         ans.udp.bind(53, lambda payload, src, sport, dst: got.append(payload))
         lrs.udp.bind_ephemeral(lambda *args: None).send(b"x", IPv4Address("10.2.0.1"), 53)
@@ -123,23 +173,13 @@ class TestRouting:
     def test_transit_filter_deliver_hijacks_packet(self):
         sim = Simulator()
         lrs, router, ans = self.build_chain(sim)
-        router.transit_filter = lambda packet, link: "deliver"
+        router.filters.append(Hook.FORWARD, verdict=Verdict.DELIVER)
         hijacked = []
         router.udp.bind(53, lambda payload, src, sport, dst: hijacked.append(dst))
         lrs.udp.bind_ephemeral(lambda *args: None).send(b"x", IPv4Address("10.2.0.1"), 53)
         sim.run()
         # delivered locally even though dst is the ANS address
         assert hijacked == [IPv4Address("10.2.0.1")]
-
-    def test_intercept_subnet(self):
-        sim = Simulator()
-        lrs, router, ans = self.build_chain(sim)
-        router.intercept("10.99.0.0/24")
-        got = []
-        router.udp.bind(53, lambda payload, src, sport, dst: got.append(dst))
-        lrs.udp.bind_ephemeral(lambda *args: None).send(b"x", IPv4Address("10.99.0.7"), 53)
-        sim.run()
-        assert got == [IPv4Address("10.99.0.7")]
 
     def test_no_route_drops(self):
         sim = Simulator()

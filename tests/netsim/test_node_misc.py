@@ -1,4 +1,4 @@
-"""Node internals: multi-homing, interception, routing fallbacks."""
+"""Node internals: multi-homing, routing fallbacks."""
 
 from ipaddress import IPv4Address
 
@@ -20,14 +20,22 @@ class TestAddressing:
         with pytest.raises(RoutingError):
             Node(sim, "empty").address
 
-    def test_owns_own_addresses_and_intercepts(self):
+    def test_delivers_to_each_own_address_and_no_other(self):
         sim = Simulator()
         node = Node(sim, "n")
         node.add_address("10.0.0.1")
-        node.intercept("198.18.0.0/24")
-        assert node.owns(IPv4Address("10.0.0.1"))
-        assert node.owns(IPv4Address("198.18.0.7"))
-        assert not node.owns(IPv4Address("192.0.2.1"))
+        node.add_address("10.0.0.2")
+        peer = Node(sim, "peer")
+        peer.add_address("192.0.2.1")
+        Link(sim, node, peer)
+        got = []
+        node.udp.bind(53, lambda payload, src, sport, dst: got.append(dst))
+        sock = peer.udp.bind_ephemeral(lambda *args: None)
+        for dst in ("10.0.0.1", "10.0.0.2", "198.18.0.7"):
+            sock.send(b"x", IPv4Address(dst), 53)
+        sim.run(until=1.0)
+        assert got == [IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")]
+        assert node.packets_delivered == 2
 
 
 class TestRoutingFallbacks:
