@@ -4,9 +4,7 @@ The farm's contract is that sharding changes wall-clock only: the merged
 results, per-cell trace hashes, and manifest digest of an N-shard run are
 byte-identical to the serial run's.  This bench times both executions of
 the smoke matrix (2 fault scenarios × 2 schemes, fast windows), asserts
-the digests match, and records the speedup alongside the hybrid sweep
-(``python -m repro farm --matrix faults --bench scripts/BENCH_farm.json``
-maintains the full-matrix trajectory).
+the digests match, and records the speedup alongside the hybrid sweep.
 """
 
 import pytest

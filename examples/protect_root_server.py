@@ -17,7 +17,6 @@ from ipaddress import IPv4Address
 
 from repro import (
     AuthoritativeServer,
-    CookieFactory,
     Link,
     LocalRecursiveServer,
     Node,
@@ -76,7 +75,7 @@ inner = Link(sim, guard_node, root_node, delay=0.00001)
 guard_node.add_route(f"{ROOT_IP}/32", inner)
 root_node.set_default_route(inner)
 root = AuthoritativeServer(root_node, [root_zone])
-guard = RemoteDnsGuard(guard_node, ROOT_IP, origin=".", cookie_factory=CookieFactory())
+guard = RemoteDnsGuard(guard_node, ROOT_IP, origin=".")  # key drawn from sim.rng
 
 # --- a legitimate resolver and an attacker ----------------------------------
 lrs_node = attach("campus-resolver", "10.0.0.53")

@@ -66,8 +66,6 @@ FARM_FLAGS = (
             "stand-in for a killed run; finish with --resume)", type=int),
     _option("--cell-timeout", "SECONDS", "per-cell wall-clock timeout in sharded runs "
             "(default 300)", type=float, default=300.0),
-    _option("--bench", "PATH", "time serial vs sharded execution of the matrix and append "
-            "a dated entry to this BENCH_farm.json trajectory"),
     _switch("--list", "list the registered matrices and exit"),
 )
 CONTROL_FLAGS = (
@@ -148,19 +146,6 @@ def _farm(row: Artefact, args: argparse.Namespace) -> int:
         for name in farm.matrix_names():
             print(f"{name:<10} {farm.MATRICES[name].description}")
         return 0
-    if args.bench:
-        entry = farm.bench_farm(
-            args.bench, args.matrix, seed=args.seed, fast=args.fast, shards=args.shards
-        )
-        equal = entry["digests_equal"]
-        print(
-            f"{args.matrix}: {entry['cells']} cells — serial "
-            f"{entry['serial_seconds']}s vs {entry['shards']}-shard "
-            f"{entry['sharded_seconds']}s (speedup {entry['speedup']}x, "
-            f"digests {'equal' if equal else 'DIVERGED'})"
-        )
-        print(f"wrote {args.bench}")
-        return 0 if equal else 1
     return _run_farm(
         args.matrix, args, cell_timeout=args.cell_timeout, stop_after=args.stop_after
     )

@@ -11,14 +11,23 @@ home per concept:
   its family label, summary, rationale and severity.  ``--rules``,
   ``--list-rules``, ``--rules-md``, ``--fail-on``, U001's known ids and
   the SARIF descriptors all read it;
+* :mod:`.parse` — the shared parse record: each source is parsed once
+  and walked once into a node index (every node in ``ast.walk`` order,
+  grouped by type, each function owning its slice) that every rule
+  iterates instead of re-walking the tree;
+* :mod:`.declarations` — the four self-describing declarations
+  (``__trust_boundary__``, ``__shared_state__``, ``__state_bounds__``,
+  ``__layer__``) as one schema table and one typed loader over
+  ``tree.body``, its result riding on the parse record;
 * :mod:`.kernel` — the family table (:data:`~.kernel.FAMILIES`), the
   shared-facts pass (:class:`~.kernel.Facts`: one parse, one name index,
   one hot set, one set of call summaries per run) and the one runner
   (:func:`~.kernel.run` / :func:`analyze`) that selects rules, filters
   ``# repro: allow[RULE]`` suppressions and sorts;
-* the six families, each a ``check(facts, selected)`` function plus its
-  own analysis modules: the determinism lint (:mod:`.engine`,
-  :mod:`.rules`: D/W rules), :mod:`.flow` (T-rules: taint over
+* the six families, one shape each — a ``check(facts, selected)``
+  function in the family's rules module, over a ``{rule id: check}``
+  dict where the rules are independent: the determinism lint
+  (:mod:`.rules`: D/W rules), :mod:`.flow` (T-rules: taint over
   ``__trust_boundary__``; S-rules: TCP FSM conformance), :mod:`.races`
   (R-rules over ``__shared_state__``), :mod:`.perf` (P-rules over the hot
   set), :mod:`.memory` (M-rules over ``__state_bounds__``) and
@@ -36,7 +45,6 @@ from .engine import SuppressionTracker, suppressed_rules
 from .findings import Finding
 from .kernel import FAMILIES, Facts, analyze, lint_source, run
 from .registry import RULES, Rule
-from .rules import LintRule, register
 from .sanitizer import (
     Divergence,
     SanitizeReport,
@@ -50,7 +58,6 @@ __all__ = [
     "FAMILIES",
     "Facts",
     "Finding",
-    "LintRule",
     "RULES",
     "Rule",
     "SanitizeReport",
@@ -59,7 +66,6 @@ __all__ = [
     "analyze",
     "capture_traces",
     "lint_source",
-    "register",
     "run",
     "run_sanitized",
     "suppressed_rules",

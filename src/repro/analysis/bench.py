@@ -38,8 +38,9 @@ def write_bench_analysis(
         detail={
             "phases": phases,
             "note": (
-                "one shared parse feeds every rule family; 'parse' is "
-                "counted once, not per family"
+                "one shared parse and one walk feed every rule family; 'parse' "
+                "(read + ast.parse + node index + declarations) is counted once, "
+                "not per family"
             ),
         },
         date=date,

@@ -1,10 +1,8 @@
-"""AST lint engine: file discovery, inline suppressions, the lint family's check.
+"""File discovery and the inline-suppression bookkeeping every family shares.
 
-Stdlib-only (``ast`` + ``re``); no third-party linter frameworks.  The
-engine is deliberately small: the checks in :mod:`.rules` do the pattern
-matching; this module owns file discovery, the suppression-marker
-bookkeeping every family shares, and the lint family's :func:`check`.
-Runs go through :mod:`repro.analysis.kernel` (``analyze`` / ``lint_source``).
+Stdlib-only (``re`` + ``tokenize``); no third-party linter frameworks.
+The checks live with their families; runs go through
+:mod:`repro.analysis.kernel` (``analyze`` / ``lint_source``).
 
 Suppression syntax
 ==================
@@ -19,13 +17,9 @@ import io
 import re
 import tokenize
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .findings import Finding
-from .rules import LINT_CHECKS
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .kernel import Facts
 
 #: Rule id used for files that fail to parse.
 SYNTAX_ERROR_RULE = "E999"
@@ -138,16 +132,6 @@ class SuppressionTracker:
                     )
                 )
         return findings
-
-
-def check(facts: "Facts", selected: frozenset[str]) -> list[Finding]:
-    """The lint family's check: every selected lint rule over every module."""
-    rules = [LINT_CHECKS[rule_id]() for rule_id in sorted(selected & set(LINT_CHECKS))]
-    findings: list[Finding] = []
-    for module in facts.modules:
-        for rule in rules:
-            findings.extend(rule.check(module.tree, module.path))
-    return findings
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:

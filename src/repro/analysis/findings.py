@@ -17,13 +17,11 @@ class Finding:
     message: str
 
     @classmethod
-    def at(
-        cls, path: str, node: object, rule: str, message: str, *, line: int = 1
-    ) -> "Finding":
-        """A finding located at an AST ``node`` (``line`` when it has none)."""
+    def at(cls, path: str, node: object, rule: str, message: str) -> "Finding":
+        """A finding located at an AST ``node`` (line 1 when it has none)."""
         return cls(
             path=path,
-            line=getattr(node, "lineno", line),
+            line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             rule=rule,
             message=message,

@@ -9,7 +9,8 @@ actually rests on:
   verify, SYN-cookie validate, ISN echo check) dominates it; T002: cookie
   key material must never flow into logs, ``__repr__`` output, or obs
   exporters.  Guard schemes self-describe their trust boundary with a
-  module-level ``__trust_boundary__`` literal (:mod:`.trust`).
+  module-level ``__trust_boundary__`` literal
+  (:mod:`repro.analysis.declarations`).
 * **S-rules** (:mod:`.fsm`) — the TCP transition relation is extracted
   statically from the implementation and checked against the declared FSM
   spec (:mod:`.fsm_spec`): undeclared/unimplemented transitions,
@@ -17,24 +18,21 @@ actually rests on:
   before SYN-cookie validation, and an exhaustive small-model walk proving
   every path to ESTABLISHED crosses the ISN check.
 
-The family's entry point is :func:`.engine.check`, driven by
-:mod:`repro.analysis.kernel`.
-
 Everything is stdlib-``ast`` static analysis: no analysed module is ever
 imported or executed.
 """
 
-from .core import FunctionSummary, ModuleInfo, build_summaries, load_modules
-from .fsm import extract_fsm
-from .trust import DEFAULT_TRUST, TrustModel, trust_for_module
+from __future__ import annotations
 
-__all__ = [
-    "DEFAULT_TRUST",
-    "FunctionSummary",
-    "ModuleInfo",
-    "TrustModel",
-    "build_summaries",
-    "extract_fsm",
-    "load_modules",
-    "trust_for_module",
-]
+from typing import TYPE_CHECKING
+
+from ..findings import Finding
+from . import fsm, taint
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..kernel import Facts
+
+
+def check(facts: "Facts", selected: frozenset[str]) -> list[Finding]:
+    """The flow family's check: the T-rules, then the S-rules."""
+    return taint.check(facts, selected) + fsm.check(facts, selected)

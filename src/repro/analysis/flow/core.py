@@ -32,11 +32,8 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from pathlib import Path
-from typing import Iterable
 
-from ..rules import dotted_name
-from .trust import TrustModel, trust_for_module
+from ..parse import FunctionDecl, ModuleInfo, NameIndex, call_name, dotted_name
 
 #: The three concrete taint tags (param tags are ``("param", name)``).
 ATT = "ATT"
@@ -55,37 +52,6 @@ _SUMMARY_PASSES = 3
 
 def _param_tags(tags: Tags) -> frozenset[str]:
     return frozenset(t[1] for t in tags if isinstance(t, tuple) and t[0] == "param")
-
-
-@dataclasses.dataclass(slots=True)
-class FunctionDecl:
-    """One function/method as the analyser sees it."""
-
-    qualname: str  # "Class.method" or bare "function"
-    node: ast.FunctionDef | ast.AsyncFunctionDef
-    params: list[str]
-
-
-@dataclasses.dataclass(slots=True)
-class ModuleInfo:
-    """A parsed module plus its merged trust model."""
-
-    path: str
-    tree: ast.Module
-    trust: TrustModel
-    functions: dict[str, FunctionDecl]
-    source: str = ""
-
-    def function_named(self, name: str) -> FunctionDecl | None:
-        """Resolve a bare callee name inside this module: prefer a
-        module-level function, else a unique method of any class."""
-        decl = self.functions.get(name)
-        if decl is not None:
-            return decl
-        matches = [
-            d for q, d in self.functions.items() if q.endswith("." + name)
-        ]
-        return matches[0] if len(matches) == 1 else None
 
 
 @dataclasses.dataclass(slots=True)
@@ -111,90 +77,6 @@ class SinkEvent:
     via_summary: bool = False
 
 
-def parse_module(
-    path: str, source: str, broken: list[tuple[str, str, SyntaxError]] | None = None
-) -> ModuleInfo | None:
-    """Parse one source into a :class:`ModuleInfo`.
-
-    A source that fails to parse yields ``None`` — the run reports it as
-    E999 from the ``(path, source, error)`` triple appended to ``broken``.
-    """
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        if broken is not None:
-            broken.append((path, source, exc))
-        return None
-    return ModuleInfo(
-        path=path,
-        tree=tree,
-        trust=trust_for_module(tree),
-        functions=_collect_functions(tree),
-        source=source,
-    )
-
-
-def load_modules(
-    paths: Iterable[str | Path],
-    broken: list[tuple[str, str, SyntaxError]] | None = None,
-) -> list[ModuleInfo]:
-    """:func:`parse_module` every Python file under ``paths`` (unparsable
-    files are skipped, and recorded in ``broken``)."""
-    from ..engine import iter_python_files
-
-    modules: list[ModuleInfo] = []
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8", errors="replace")
-        module = parse_module(str(file_path), source, broken)
-        if module is not None:
-            modules.append(module)
-    return modules
-
-
-def _collect_functions(tree: ast.Module) -> dict[str, FunctionDecl]:
-    functions: dict[str, FunctionDecl] = {}
-
-    def add(node: ast.FunctionDef | ast.AsyncFunctionDef, prefix: str) -> None:
-        qualname = f"{prefix}.{node.name}" if prefix else node.name
-        args = node.args
-        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-        functions.setdefault(qualname, FunctionDecl(qualname, node, params))
-
-    for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            add(stmt, "")
-        elif isinstance(stmt, ast.ClassDef):
-            for sub in stmt.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    add(sub, stmt.name)
-    return functions
-
-
-class NameIndex:
-    """Cross-module callee resolution by bare name (unique matches only)."""
-
-    def __init__(self, modules: list[ModuleInfo]):
-        self.modules = modules
-        #: bare function/method name -> every (module, decl) defining it
-        self.by_name: dict[str, list[tuple[ModuleInfo, FunctionDecl]]] = {}
-        for module in modules:
-            for qualname, decl in module.functions.items():
-                bare = qualname.rsplit(".", 1)[-1]
-                self.by_name.setdefault(bare, []).append((module, decl))
-
-    def resolve(
-        self, caller: ModuleInfo, callee: str
-    ) -> tuple[ModuleInfo, FunctionDecl] | None:
-        """Same module first; else a unique cross-module match."""
-        bare = callee.rsplit(".", 1)[-1]
-        local = caller.function_named(bare)
-        if local is not None:
-            return (caller, local)
-        candidates = self.by_name.get(bare, [])
-        foreign = [c for c in candidates if c[0] is not caller]
-        return foreign[0] if len(foreign) == 1 else None
-
-
 def _suffix_match(name: str, registry: frozenset[str]) -> str | None:
     """Match ``a.b.c`` against registered dotted suffixes (``c``, ``b.c``)."""
     if not name:
@@ -205,31 +87,6 @@ def _suffix_match(name: str, registry: frozenset[str]) -> str | None:
         if suffix in registry:
             return suffix
     return None
-
-
-def self_attr(node: ast.expr) -> str | None:
-    """``self.X``/``cls.X`` -> ``X`` (one attribute hop only)."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id in ("self", "cls")
-    ):
-        return node.attr
-    return None
-
-
-def class_of(qualname: str) -> str | None:
-    """The enclosing class of a ``Class.method`` qualname, else None."""
-    return qualname.split(".", 1)[0] if "." in qualname else None
-
-
-def _call_name(node: ast.Call) -> str:
-    """The call's dotted name with a leading ``self.``/``cls.`` stripped."""
-    name = dotted_name(node.func) or ""
-    for prefix in ("self.", "cls."):
-        if name.startswith(prefix):
-            return name[len(prefix):]
-    return name
 
 
 @dataclasses.dataclass(slots=True)
@@ -264,7 +121,7 @@ class TaintWalker:
         mode: str,
     ):
         self.module = module
-        self.trust = module.trust
+        self.trust = module.declared.trust
         self.decl = decl
         self.summaries = summaries
         self.index = index
@@ -315,8 +172,8 @@ class TaintWalker:
                 # the guard idiom: `if <cond>: return` makes the remainder
                 # control-dependent on `not <cond>` — including sanitizer
                 # dominance when <cond> was `not verify(...)`
-                body_ends = _terminates(stmt.body)
-                else_ends = bool(stmt.orelse) and _terminates(stmt.orelse)
+                body_ends = terminates(stmt.body)
+                else_ends = bool(stmt.orelse) and terminates(stmt.orelse)
                 if body_ends and not else_ends:
                     ctx = ctx.enter(facts.tags, facts.san_false)
                 elif else_ends and not body_ends:
@@ -495,7 +352,7 @@ class TaintWalker:
         return tags
 
     def _call(self, node: ast.Call, ctx: _Ctx) -> Tags:
-        name = _call_name(node)
+        name = call_name(node)
         arg_exprs = list(node.args) + [kw.value for kw in node.keywords]
         arg_tags = [self._expr(arg, ctx) for arg in arg_exprs]
         all_args: Tags = frozenset().union(*arg_tags) if arg_tags else EMPTY
@@ -601,7 +458,7 @@ class TaintWalker:
         # an entry point's internal findings are reported (or suppressed)
         # at their true location when it is analysed itself — re-reporting
         # every call site would double-count
-        if callee_module.trust.is_entry_point(callee_decl.qualname):
+        if callee_module.declared.trust.is_entry_point(callee_decl.qualname):
             return
         positional = callee_decl.params
         offset = 1 if positional and positional[0] in ("self", "cls") else 0
@@ -628,7 +485,7 @@ class TaintWalker:
         )
 
 
-def _terminates(stmts: list[ast.stmt]) -> bool:
+def terminates(stmts: list[ast.stmt]) -> bool:
     """Whether a block always leaves the enclosing statement list."""
     if not stmts:
         return False
@@ -636,9 +493,9 @@ def _terminates(stmts: list[ast.stmt]) -> bool:
     if isinstance(last, (ast.Return, ast.Raise, ast.Continue, ast.Break)):
         return True
     if isinstance(last, ast.If):
-        return bool(last.orelse) and _terminates(last.body) and _terminates(last.orelse)
+        return bool(last.orelse) and terminates(last.body) and terminates(last.orelse)
     if isinstance(last, (ast.With, ast.AsyncWith)):
-        return _terminates(last.body)
+        return terminates(last.body)
     return False
 
 

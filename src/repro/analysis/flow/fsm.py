@@ -28,12 +28,17 @@ from __future__ import annotations
 import ast
 import dataclasses
 import itertools
-from typing import Iterator
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterator
 
 from ..findings import Finding
-from ..rules import dotted_name
-from .core import _terminates
-from .fsm_spec import FsmSpec, Transition
+from ..parse import FunctionDecl, ModuleInfo, class_of, dotted_name
+from ..registry import rules_in
+from .core import terminates
+from .fsm_spec import TCP_SPEC, FsmSpec, Transition
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..kernel import Facts
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -77,19 +82,18 @@ class FsmExtraction:
     states: frozenset[str]
     state_sets: list[StateSet]
     call_sites: dict[str, list[CallSite]]  # bare callee name -> sites
-    methods: dict[str, ast.FunctionDef]  # bare method name -> node
+    methods: dict[str, FunctionDecl]  # bare method name -> first def
 
 
 # -- extraction ----------------------------------------------------------------
 
 
-def _find_state_enum(tree: ast.Module) -> tuple[str, frozenset[str]] | None:
+def _find_state_enum(module: ModuleInfo) -> tuple[str, frozenset[str]] | None:
     """The enum assigned to ``self.state``, and its member names."""
     enum_name: str | None = None
-    for node in ast.walk(tree):
+    for node in module.nodes.of(ast.Assign):
         if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
+            len(node.targets) == 1
             and isinstance(node.targets[0], ast.Attribute)
             and node.targets[0].attr == "state"
             and isinstance(node.value, ast.Attribute)
@@ -99,7 +103,7 @@ def _find_state_enum(tree: ast.Module) -> tuple[str, frozenset[str]] | None:
             break
     if enum_name is None:
         return None
-    for node in tree.body:
+    for node in module.tree.body:
         if isinstance(node, ast.ClassDef) and node.name == enum_name:
             members = frozenset(
                 target.id
@@ -112,30 +116,27 @@ def _find_state_enum(tree: ast.Module) -> tuple[str, frozenset[str]] | None:
     return None
 
 
-def extract_fsm(tree: ast.Module, path: str) -> FsmExtraction | None:
-    """Lift the transition relation from ``tree``; None if no FSM found."""
-    found = _find_state_enum(tree)
+def extract_fsm(module: ModuleInfo) -> FsmExtraction | None:
+    """Lift the transition relation from ``module``; None if no FSM found."""
+    found = _find_state_enum(module)
     if found is None:
         return None
     enum_name, states = found
     extraction = FsmExtraction(
-        path=path,
+        path=module.path,
         enum_name=enum_name,
         states=states,
         state_sets=[],
         call_sites={},
         methods={},
     )
-    for node in tree.body:
-        if not isinstance(node, ast.ClassDef):
+    for decl in module.defs:
+        if class_of(decl.qualname) is None:
             continue
-        for sub in node.body:
-            if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            extraction.methods.setdefault(sub.name, sub)
-            if sub.name == "__init__":
-                continue  # initial-state declaration, not a transition
-            _walk_method(extraction, sub, enum_name, states)
+        extraction.methods.setdefault(decl.node.name, decl)
+        if decl.node.name == "__init__":
+            continue  # initial-state declaration, not a transition
+        _walk_method(extraction, decl.node, enum_name, states)
     return extraction
 
 
@@ -192,8 +193,8 @@ def _walk_method(
                 block(stmt.body, conds + (Condition(stmt.test, True),))
                 if stmt.orelse:
                     block(stmt.orelse, conds + (Condition(stmt.test, False),))
-                body_ends = _terminates(stmt.body)
-                else_ends = bool(stmt.orelse) and _terminates(stmt.orelse)
+                body_ends = terminates(stmt.body)
+                else_ends = bool(stmt.orelse) and terminates(stmt.orelse)
                 if body_ends and not else_ends:
                     conds = conds + (Condition(stmt.test, False),)
                 elif else_ends and not body_ends:
@@ -320,10 +321,6 @@ def _mentions_flag(expr: ast.expr, flag: str, polarity: bool) -> bool:
 # -- conformance checks ---------------------------------------------------------
 
 
-def _finding(path: str, lineno: int, col: int, rule: str, message: str) -> Finding:
-    return Finding(path=path, line=lineno, col=col, rule=rule, message=message)
-
-
 def _matches(spec_t: Transition, state_set: StateSet) -> bool:
     if spec_t.dst != state_set.dst:
         return False
@@ -339,7 +336,7 @@ def check_conformance(extraction: FsmExtraction, spec: FsmSpec) -> Iterator[Find
     for state_set in extraction.state_sets:
         if not any(_matches(t, state_set) for t in spec.transitions):
             guards = ",".join(sorted(state_set.guards)) or "*"
-            yield _finding(
+            yield Finding(
                 extraction.path,
                 state_set.lineno,
                 state_set.col,
@@ -350,7 +347,7 @@ def check_conformance(extraction: FsmExtraction, spec: FsmSpec) -> Iterator[Find
             )
     for spec_t in spec.transitions:
         if not any(_matches(spec_t, s) for s in extraction.state_sets):
-            yield _finding(
+            yield Finding(
                 extraction.path,
                 1,
                 0,
@@ -372,7 +369,7 @@ def check_reachability(extraction: FsmExtraction, spec: FsmSpec) -> Iterator[Fin
                 reachable.add(t.dst)
                 frontier.append(t.dst)
     for state in sorted(spec.states - spec.virtual_states - reachable):
-        yield _finding(
+        yield Finding(
             extraction.path,
             1,
             0,
@@ -447,7 +444,7 @@ def check_isn_paths(
                 else f"assignment in {offender.method}()"
             )
             findings.append(
-                _finding(
+                Finding(
                     extraction.path,
                     offender.lineno,
                     offender.col,
@@ -507,7 +504,7 @@ def check_model_walk(
     col = anchor.col if anchor else 0
     for path in itertools.islice(bad_paths, max_reports):
         rendered = " -> ".join([path[0][0]] + [dst for _, dst, _ in path])
-        yield _finding(
+        yield Finding(
             extraction.path,
             lineno,
             col,
@@ -517,7 +514,7 @@ def check_model_walk(
             "complete this path without echoing the server's sequence number",
         )
     if len(bad_paths) > max_reports:
-        yield _finding(
+        yield Finding(
             extraction.path,
             lineno,
             col,
@@ -533,7 +530,7 @@ def check_retry_escapes(extraction: FsmExtraction, spec: FsmSpec) -> Iterator[Fi
         return
     handler = extraction.methods.get("_on_retransmit")
     if handler is None:
-        yield _finding(
+        yield Finding(
             extraction.path,
             1,
             0,
@@ -542,9 +539,7 @@ def check_retry_escapes(extraction: FsmExtraction, spec: FsmSpec) -> Iterator[Fi
             "hang forever once a peer goes silent",
         )
         return
-    tests = [
-        node.test for node in ast.walk(handler) if isinstance(node, (ast.If, ast.While))
-    ]
+    tests = [node.test for node in handler.nodes.of(ast.If, ast.While)]
     mentioned: set[str] = set()
     has_inflight_catchall = False
     for test in tests:
@@ -565,33 +560,32 @@ def check_retry_escapes(extraction: FsmExtraction, spec: FsmSpec) -> Iterator[Fi
             state in data_states and has_inflight_catchall
         )
         if not covered:
-            yield _finding(
+            yield Finding(
                 extraction.path,
-                handler.lineno,
-                handler.col_offset,
+                handler.node.lineno,
+                handler.node.col_offset,
                 "S006",
                 f"retry-obligated state {state} has no retransmit escape in "
                 "_on_retransmit() — a lost segment strands the connection",
             )
     budget_guarded_abort = False
-    for node in ast.walk(handler):
-        if isinstance(node, ast.If):
-            ids = _identifiers(node.test)
-            if any("retransmit" in name for name in ids) and any(
-                "max" in name for name in ids
-            ):
-                for sub in ast.walk(node):
-                    if (
-                        isinstance(sub, ast.Call)
-                        and (dotted_name(sub.func) or "").rsplit(".", 1)[-1]
-                        == "abort"
-                    ):
-                        budget_guarded_abort = True
+    for node in handler.nodes.of(ast.If):
+        ids = _identifiers(node.test)
+        if any("retransmit" in name for name in ids) and any(
+            "max" in name for name in ids
+        ):
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Call)
+                    and (dotted_name(sub.func) or "").rsplit(".", 1)[-1]
+                    == "abort"
+                ):
+                    budget_guarded_abort = True
     if not budget_guarded_abort:
-        yield _finding(
+        yield Finding(
             extraction.path,
-            handler.lineno,
-            handler.col_offset,
+            handler.node.lineno,
+            handler.node.col_offset,
             "S006",
             "_on_retransmit() has no budget-bounded abort "
             "(retransmits > max_retransmits -> abort) — a dead peer costs "
@@ -622,7 +616,7 @@ def check_syn_cookie_order(extraction: FsmExtraction) -> Iterator[Finding]:
                 continue
             if _isn_dominated(site.conditions):
                 continue
-            yield _finding(
+            yield Finding(
                 extraction.path,
                 site.lineno,
                 site.col,
@@ -631,3 +625,61 @@ def check_syn_cookie_order(extraction: FsmExtraction) -> Iterator[Finding]:
                 f"{site.method}() before the cookie ISN is validated — a "
                 "forged ACK would be processed as a completed handshake",
             )
+
+
+_FSM_RULES = frozenset(rule.id for rule in rules_in(("fsm",)))
+
+#: Path suffix -> the FSM spec that module must conform to.
+_SPEC_TARGETS: tuple[tuple[str, FsmSpec], ...] = (
+    (str(Path("netsim") / "tcp.py"), TCP_SPEC),
+)
+
+
+def _module_findings(
+    module: ModuleInfo, spec: FsmSpec, selected: frozenset[str]
+) -> list[Finding]:
+    findings: list[Finding] = []
+    extraction = extract_fsm(module)
+    if extraction is None:
+        if "S002" in selected:
+            findings.append(
+                Finding(
+                    module.path,
+                    1,
+                    0,
+                    "S002",
+                    f"expected the {spec.name} state machine here but "
+                    "no state-enum assignments were found",
+                )
+            )
+        return findings
+    if selected & {"S001", "S002"}:
+        for finding in check_conformance(extraction, spec):
+            if finding.rule in selected:
+                findings.append(finding)
+    if "S003" in selected:
+        findings.extend(check_reachability(extraction, spec))
+    if selected & {"S004", "S005"}:
+        s005, verified = check_isn_paths(extraction, spec)
+        if "S005" in selected:
+            findings.extend(s005)
+        if "S004" in selected:
+            findings.extend(check_model_walk(extraction, spec, verified))
+    if "S006" in selected:
+        findings.extend(check_retry_escapes(extraction, spec))
+    if "S007" in selected:
+        findings.extend(check_syn_cookie_order(extraction))
+    return findings
+
+
+def check(facts: "Facts", selected: frozenset[str]) -> list[Finding]:
+    """Findings of the selected S-rules over every module a spec targets."""
+    findings: list[Finding] = []
+    if not selected & _FSM_RULES:
+        return findings
+    for module in facts.modules:
+        for suffix, spec in _SPEC_TARGETS:
+            if module.path.endswith(suffix):
+                findings.extend(_module_findings(module, spec, selected))
+                break
+    return findings

@@ -13,17 +13,18 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ..findings import Finding
-from .core import (
-    ATT,
-    FunctionSummary,
-    ModuleInfo,
-    NameIndex,
-    SinkEvent,
-    TaintWalker,
-)
+from ..parse import ModuleInfo, NameIndex
+from ..registry import rules_in
+from .core import ATT, FunctionSummary, SinkEvent, TaintWalker
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..kernel import Facts
+
+
+_TAINT_RULES = frozenset(rule.id for rule in rules_in(("taint",)))
 
 
 def _check_events(
@@ -39,18 +40,15 @@ def _check_events(
             yield decl.qualname, event
 
 
-def check_taint(
-    modules: list[ModuleInfo],
-    summaries: dict[tuple[str, str], FunctionSummary],
-    index: NameIndex,
-    *,
-    rules: frozenset[str] = frozenset({"T001", "T002"}),
-) -> list[Finding]:
-    """All T-rule findings across ``modules``."""
+def check(facts: "Facts", selected: frozenset[str]) -> list[Finding]:
+    """Findings of the selected T-rules over the run's modules."""
+    rules = selected & _TAINT_RULES
+    if not rules:
+        return []
     findings: list[Finding] = []
-    for module in modules:
-        trust = module.trust
-        for qualname, event in _check_events(module, summaries, index):
+    for module in facts.modules:
+        trust = module.declared.trust
+        for qualname, event in _check_events(module, facts.summaries, facts.index):
             if event.kind == "exposure" and "T002" in rules:
                 findings.append(
                     Finding.at(

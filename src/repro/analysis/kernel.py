@@ -1,12 +1,14 @@
 """The rule kernel: one family table, one shared-facts pass, one runner.
 
 Every static analysis in this package is a *family* — a set of registry
-rules plus one ``check(facts, selected) -> findings`` function.  The
-kernel owns everything around the checks, once:
+rules plus one ``check(facts, selected) -> findings`` function in the
+family's rules module.  The kernel owns everything around the checks,
+once:
 
-* :class:`Facts` parses the tree a single time and memoises what several
-  families derive from it (the cross-module name index, taint call
-  summaries, the hot set);
+* :class:`Facts` is the only thing that traverses a tree: it parses and
+  indexes every source a single time (:mod:`.parse`) and memoises what
+  several families derive from it (the cross-module name index, taint
+  call summaries, the hot set);
 * :func:`run` selects rules from the one registry, registers every
   source's suppression markers once, calls each family's check, filters
   ``# repro: allow[...]`` suppressions once and sorts once;
@@ -24,30 +26,23 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable
 
-from . import engine as lint_engine
+from . import flow, rules as lint_rules
 from .engine import SYNTAX_ERROR_RULE, SuppressionTracker
 from .findings import Finding
-from .flow import engine as flow_engine
-from .flow.core import (
-    FunctionSummary,
-    ModuleInfo,
-    NameIndex,
-    build_summaries,
-    load_modules,
-    parse_module,
-)
-from .layers import engine as layers_engine
-from .memory import engine as memory_engine
-from .perf import engine as perf_engine
+from .flow.core import FunctionSummary, build_summaries
+from .layers import rules as layers_rules
+from .memory import rules as memory_rules
+from .parse import ModuleInfo, NameIndex, load_modules, parse_module
+from .perf import rules as perf_rules
 from .perf.hotpath import HotPaths, compute_hot_paths
-from .races import engine as races_engine
+from .races import effects as races_rules
 from .registry import RULES, Rule, rules_in, select
 
 
 class Facts:
     """What one run knows about the analysed tree.
 
-    The sources are read and parsed exactly once, here; derived facts
+    The sources are read, parsed and indexed exactly once, here; derived facts
     more than one family needs are computed on first use and shared.
     ``manifest`` substitutes a toy layer map for tests, and ``runtime``
     opts into the L006 import-isolation witness, which imports the
@@ -116,18 +111,18 @@ class Family:
 FAMILIES: dict[str, Family] = {
     family.name: family
     for family in (
-        Family("lint", ("lint", "hygiene"), lint_engine.check),
+        Family("lint", ("lint", "hygiene"), lint_rules.check),
         Family(
             "flow",
             ("taint", "fsm"),
-            flow_engine.check,
+            flow.check,
             "also run the dataflow/FSM analyses (T/S rules) and the "
             "unused-suppression check (U001)",
         ),
         Family(
             "races",
             ("race-static", "race-runtime"),
-            races_engine.check,
+            races_rules.check,
             "also run the static simultaneity-race rules (R001/R002) over "
             "__shared_state__ declarations and schedule sites",
             runtime_only=("race-runtime",),
@@ -135,21 +130,21 @@ FAMILIES: dict[str, Family] = {
         Family(
             "perf",
             ("perf",),
-            perf_engine.check,
+            perf_rules.check,
             "also run the hot-path cost rules (P001-P006) over schedule-site "
             "callbacks and Node.receive reachability",
         ),
         Family(
             "memory",
             ("memory", "memory-runtime"),
-            memory_engine.check,
+            memory_rules.check,
             "also run the state-exhaustion rules (M001-M005) over "
             "__state_bounds__ declarations, taint surfaces and the hot set",
         ),
         Family(
             "layers",
             ("layering", "layering-runtime"),
-            layers_engine.check,
+            layers_rules.check,
             "also run the transport-purity layering rules (L001-L006) "
             "over __layer__ declarations and the import-layering "
             "manifest, including the L006 import-isolation witness",

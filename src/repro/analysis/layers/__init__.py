@@ -21,7 +21,6 @@ from .manifest import (
     DEFAULT_MANIFEST,
     FORBIDDEN_STDLIB,
     LAYERS,
-    declared_layer,
     layer_of,
     pure_prefixes,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "FORBIDDEN_STDLIB",
     "LAYERS",
     "LayerReport",
-    "declared_layer",
     "layer_of",
     "pure_prefixes",
     "verify_import_isolation",

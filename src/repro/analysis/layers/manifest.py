@@ -23,10 +23,6 @@ fixtures in tests can substitute their own.
 
 from __future__ import annotations
 
-import ast
-
-from ..declarations import find_module_literal
-
 #: The declaration name modules carry (a module-level string literal).
 DECL_NAME = "__layer__"
 
@@ -81,16 +77,6 @@ def layer_of(module_name: str, manifest: dict[str, str]) -> str | None:
                 best = layer
                 best_len = len(prefix)
     return best
-
-
-def declared_layer(tree: ast.Module) -> tuple[str, int] | None:
-    """The module's ``__layer__`` declaration ``(value, lineno)``, or
-    ``None``.  Non-string values are returned as-is for L005 to reject
-    (the declaration exists but is invalid)."""
-    literal = find_module_literal(tree, DECL_NAME)
-    if literal is None:
-        return None
-    return literal.value, literal.lineno  # type: ignore[return-value]
 
 
 def pure_prefixes(manifest: dict[str, str]) -> list[str]:

@@ -10,18 +10,15 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ..findings import Finding
-from ..flow.core import ModuleInfo
-from ..perf.hotpath import module_dotted
-from .manifest import (
-    DECL_NAME,
-    FORBIDDEN_STDLIB,
-    LAYERS,
-    declared_layer,
-    layer_of,
-)
+from ..parse import FunctionDecl, ModuleInfo, dotted_name, module_dotted
+from .manifest import DECL_NAME, DEFAULT_MANIFEST, FORBIDDEN_STDLIB, LAYERS, layer_of
+from .runtime import verify_import_isolation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..kernel import Facts
 
 #: Method/attribute names whose *call* means transport or scheduling —
 #: the simulator seam a pure-core function must never reach, even
@@ -84,29 +81,10 @@ def classify_modules(
                 name=name,
                 package=package,
                 layer=layer_of(name, manifest),
-                declared=declared_layer(info.tree),
+                declared=info.declared.layer,
             )
         )
     return out
-
-
-def _type_checking_lines(tree: ast.Module) -> set[int]:
-    """Line numbers inside ``if TYPE_CHECKING:`` blocks (typing-only
-    imports never execute, so they cannot violate the layering)."""
-    lines: set[int] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.If):
-            continue
-        test = node.test
-        name = None
-        if isinstance(test, ast.Name):
-            name = test.id
-        elif isinstance(test, ast.Attribute):
-            name = test.attr
-        if name == "TYPE_CHECKING":
-            for stmt in node.body:
-                lines.update(range(stmt.lineno, (stmt.end_lineno or stmt.lineno) + 1))
-    return lines
 
 
 def _resolve_from(module: LayeredModule, node: ast.ImportFrom) -> str | None:
@@ -123,24 +101,22 @@ def _resolve_from(module: LayeredModule, node: ast.ImportFrom) -> str | None:
     return ".".join(base) if base else None
 
 
-def _imported_names(
-    module: LayeredModule, skip_lines: set[int]
-) -> Iterator[tuple[str, int]]:
-    """Every absolute module name this module imports, with its line.
+def _imported_names(module: LayeredModule) -> Iterator[tuple[str, int]]:
+    """Every absolute module name this module imports at runtime, with
+    its line (``if TYPE_CHECKING:`` imports never execute).
 
     For ``from pkg import sub`` both ``pkg`` and ``pkg.sub`` are
     yielded: the bound name may be a submodule, and flagging the worst
     resolution is the conservative reading.
     """
-    for node in ast.walk(module.info.tree):
+    skip_lines = module.info.type_checking_lines()
+    for node in module.info.nodes.of(ast.Import, ast.ImportFrom):
+        if node.lineno in skip_lines:
+            continue
         if isinstance(node, ast.Import):
-            if node.lineno in skip_lines:
-                continue
             for alias in node.names:
                 yield alias.name, node.lineno
-        elif isinstance(node, ast.ImportFrom):
-            if node.lineno in skip_lines:
-                continue
+        else:
             base = _resolve_from(module, node)
             if base is None:
                 continue
@@ -152,16 +128,14 @@ def _imported_names(
 
 def check_l001(
     modules: list[LayeredModule], manifest: dict[str, str]
-) -> list[Finding]:
+) -> Iterator[Finding]:
     """L001: a pure-core module imports a forbidden layer."""
-    findings: list[Finding] = []
     internal_roots = {prefix.split(".")[0] for prefix in manifest}
     for module in modules:
         if module.layer != "pure-core":
             continue
-        skip = _type_checking_lines(module.info.tree)
         seen: set[tuple[str, int]] = set()
-        for target, lineno in _imported_names(module, skip):
+        for target, lineno in _imported_names(module):
             target_layer = layer_of(target, manifest)
             root = target.split(".")[0]
             if target_layer == "pure-core":
@@ -180,38 +154,28 @@ def check_l001(
             if key in seen:
                 continue
             seen.add(key)
-            findings.append(
-                Finding(
-                    path=module.info.path,
-                    line=lineno,
-                    col=0,
-                    rule="L001",
-                    message=(
-                        f"pure-core module {module.name} imports {target} "
-                        f"({reason}) — the core may only import down; "
-                        "inject the capability through repro.guard.core.ports"
-                    ),
-                )
+            yield Finding(
+                path=module.info.path,
+                line=lineno,
+                col=0,
+                rule="L001",
+                message=(
+                    f"pure-core module {module.name} imports {target} "
+                    f"({reason}) — the core may only import down; "
+                    "inject the capability through repro.guard.core.ports"
+                ),
             )
-    return findings
 
 
-def _call_root(node: ast.Call) -> str | None:
-    """The leftmost dotted name of a call target, or None."""
-    func = node.func
-    while isinstance(func, ast.Attribute):
-        func = func.value
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
+def _call_root(node: ast.Call) -> str:
+    """The leftmost dotted name of a call target, or ``""``."""
+    return (dotted_name(node.func) or "").split(".", 1)[0]
 
 
-def _transport_touches(fn: ast.AST) -> list[tuple[str, int]]:
+def _transport_touches(decl: FunctionDecl) -> list[tuple[str, int]]:
     """Direct transport/scheduling API calls inside one function body."""
     touches: list[tuple[str, int]] = []
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in decl.calls:
         if isinstance(node.func, ast.Attribute) and node.func.attr in TRANSPORT_APIS:
             touches.append((node.func.attr, node.lineno))
         elif isinstance(node.func, ast.Name) and node.func.id in TRANSPORT_APIS:
@@ -219,39 +183,22 @@ def _transport_touches(fn: ast.AST) -> list[tuple[str, int]]:
     return touches
 
 
-def _callees(fn: ast.AST) -> set[str]:
-    """Bare and ``self.``-qualified callee names inside one function."""
-    names: set[str] = set()
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Name):
-            names.add(func.id)
-        elif (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "self"
-        ):
-            names.add(func.attr)
-    return names
-
-
 #: Transport-reach propagation passes (call chains are shallow).
 _REACH_PASSES = 3
 
 
-def check_l002(modules: list[LayeredModule]) -> list[Finding]:
+def check_l002(
+    modules: list[LayeredModule], manifest: dict[str, str]
+) -> Iterator[Finding]:
     """L002: a pure-core function reaches a transport/scheduling API
     through the (intra-module) call graph."""
-    findings: list[Finding] = []
     for module in modules:
         if module.layer != "pure-core":
             continue
         info = module.info
         direct: dict[str, list[tuple[str, int]]] = {}
         for qualname, decl in info.functions.items():
-            touches = _transport_touches(decl.node)
+            touches = _transport_touches(decl)
             if touches:
                 direct[qualname] = touches
         # propagate: a function calling a toucher is itself a toucher
@@ -263,7 +210,7 @@ def check_l002(modules: list[LayeredModule]) -> list[Finding]:
             for qualname, decl in info.functions.items():
                 if qualname in reach:
                     continue
-                for callee in _callees(decl.node):
+                for callee in decl.local_callees():
                     target = info.function_named(callee)
                     if target is not None and target.qualname in reach:
                         via, api, _line = reach[target.qualname]
@@ -274,62 +221,48 @@ def check_l002(modules: list[LayeredModule]) -> list[Finding]:
                 break
         for qualname, (via, api, line) in sorted(reach.items()):
             through = "" if via == qualname else f" through {via}"
-            findings.append(
-                Finding(
-                    path=info.path,
-                    line=line,
-                    col=0,
-                    rule="L002",
-                    message=(
-                        f"pure-core function {qualname} reaches "
-                        f"transport/scheduling API {api}(){through} — "
-                        "decisions return values; the adapter moves packets"
-                    ),
-                )
+            yield Finding(
+                path=info.path,
+                line=line,
+                col=0,
+                rule="L002",
+                message=(
+                    f"pure-core function {qualname} reaches "
+                    f"transport/scheduling API {api}(){through} — "
+                    "decisions return values; the adapter moves packets"
+                ),
             )
-    return findings
 
 
-def check_l003(modules: list[LayeredModule]) -> list[Finding]:
+def check_l003(
+    modules: list[LayeredModule], manifest: dict[str, str]
+) -> Iterator[Finding]:
     """L003: purity escapes — wall clock, OS entropy, blocking I/O or
     global mutable module state outside the injected seams."""
-    findings: list[Finding] = []
     for module in modules:
         if module.layer != "pure-core":
             continue
-        tree = module.info.tree
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                root = _call_root(node)
-                if root in _IMPURE_ROOTS and isinstance(node.func, ast.Attribute):
-                    findings.append(
-                        Finding(
-                            path=module.info.path,
-                            line=node.lineno,
-                            col=node.col_offset,
-                            rule="L003",
-                            message=(
-                                f"pure-core call {root}.{node.func.attr}() "
-                                "is a purity escape — take the value "
-                                "through the Clock/Rng ports instead"
-                            ),
-                        )
-                    )
-                elif isinstance(node.func, ast.Name) and node.func.id in _IO_BUILTINS:
-                    findings.append(
-                        Finding(
-                            path=module.info.path,
-                            line=node.lineno,
-                            col=node.col_offset,
-                            rule="L003",
-                            message=(
-                                f"pure-core call {node.func.id}() performs "
-                                "blocking I/O — emit through the Emit port "
-                                "and let the adapter do I/O"
-                            ),
-                        )
-                    )
-        for stmt in tree.body:
+        for node in module.info.nodes.of(ast.Call):
+            root = _call_root(node)
+            if root in _IMPURE_ROOTS and isinstance(node.func, ast.Attribute):
+                yield Finding.at(
+                    module.info.path,
+                    node,
+                    "L003",
+                    f"pure-core call {root}.{node.func.attr}() "
+                    "is a purity escape — take the value "
+                    "through the Clock/Rng ports instead",
+                )
+            elif isinstance(node.func, ast.Name) and node.func.id in _IO_BUILTINS:
+                yield Finding.at(
+                    module.info.path,
+                    node,
+                    "L003",
+                    f"pure-core call {node.func.id}() performs "
+                    "blocking I/O — emit through the Emit port "
+                    "and let the adapter do I/O",
+                )
+        for stmt in module.info.tree.body:
             targets: list[ast.expr] = []
             value: ast.expr | None = None
             if isinstance(stmt, ast.Assign):
@@ -342,20 +275,17 @@ def check_l003(modules: list[LayeredModule]) -> list[Finding]:
                 if isinstance(target, ast.Name) and not (
                     target.id.startswith("__") and target.id.endswith("__")
                 ):
-                    findings.append(
-                        Finding(
-                            path=module.info.path,
-                            line=stmt.lineno,
-                            col=stmt.col_offset,
-                            rule="L003",
-                            message=(
-                                f"pure-core module-level {target.id} is "
-                                "global mutable state — pure decisions hold "
-                                "their state in instances the adapter owns"
-                            ),
-                        )
+                    yield Finding(
+                        path=module.info.path,
+                        line=stmt.lineno,
+                        col=stmt.col_offset,
+                        rule="L003",
+                        message=(
+                            f"pure-core module-level {target.id} is "
+                            "global mutable state — pure decisions hold "
+                            "their state in instances the adapter owns"
+                        ),
                     )
-    return findings
 
 
 def _is_mutable_literal(node: ast.expr) -> bool:
@@ -366,116 +296,128 @@ def _is_mutable_literal(node: ast.expr) -> bool:
     return False
 
 
-def check_l004(modules: list[LayeredModule]) -> list[Finding]:
+def check_l004(
+    modules: list[LayeredModule], manifest: dict[str, str]
+) -> Iterator[Finding]:
     """L004: admission/verification decision logic in an adapter —
     statically proxied by hash-primitive use outside the core seam."""
-    findings: list[Finding] = []
     for module in modules:
         if module.layer != "adapter":
             continue
-        skip = _type_checking_lines(module.info.tree)
-        for target, lineno in _imported_names(module, skip):
+        for target, lineno in _imported_names(module):
             if target.split(".")[0] in _DECISION_PRIMITIVES:
-                findings.append(
-                    Finding(
-                        path=module.info.path,
-                        line=lineno,
-                        col=0,
-                        rule="L004",
-                        message=(
-                            f"adapter module {module.name} imports {target} "
-                            "— cookie/verification computations belong in "
-                            "repro.guard.core behind the seam, not in the "
-                            "simulator adapter"
-                        ),
-                    )
+                yield Finding(
+                    path=module.info.path,
+                    line=lineno,
+                    col=0,
+                    rule="L004",
+                    message=(
+                        f"adapter module {module.name} imports {target} "
+                        "— cookie/verification computations belong in "
+                        "repro.guard.core behind the seam, not in the "
+                        "simulator adapter"
+                    ),
                 )
-        for node in ast.walk(module.info.tree):
-            if isinstance(node, ast.Call):
-                root = _call_root(node)
-                if root in _DECISION_PRIMITIVES:
-                    findings.append(
-                        Finding(
-                            path=module.info.path,
-                            line=node.lineno,
-                            col=node.col_offset,
-                            rule="L004",
-                            message=(
-                                f"adapter module {module.name} computes "
-                                f"{root} digests inline — move the "
-                                "decision into repro.guard.core and call "
-                                "through the seam"
-                            ),
-                        )
-                    )
-    return findings
+        for node in module.info.nodes.of(ast.Call):
+            root = _call_root(node)
+            if root in _DECISION_PRIMITIVES:
+                yield Finding.at(
+                    module.info.path,
+                    node,
+                    "L004",
+                    f"adapter module {module.name} computes "
+                    f"{root} digests inline — move the "
+                    "decision into repro.guard.core and call "
+                    "through the seam",
+                )
 
 
 def check_l005(
     modules: list[LayeredModule], manifest: dict[str, str]
-) -> list[Finding]:
+) -> Iterator[Finding]:
     """L005: layer-manifest drift — undeclared module or stale
     declaration."""
-    findings: list[Finding] = []
     for module in modules:
         decl = module.declared
         if decl is not None:
             value, lineno = decl
             if not isinstance(value, str) or value not in LAYERS:
-                findings.append(
-                    Finding(
-                        path=module.info.path,
-                        line=lineno,
-                        col=0,
-                        rule="L005",
-                        message=(
-                            f"{DECL_NAME} declaration {value!r} is not one "
-                            f"of {', '.join(LAYERS)}"
-                        ),
-                    )
-                )
-                continue
-            if module.layer is None:
-                findings.append(
-                    Finding(
-                        path=module.info.path,
-                        line=lineno,
-                        col=0,
-                        rule="L005",
-                        message=(
-                            f"module {module.name} declares {DECL_NAME} = "
-                            f"{value!r} but no manifest prefix covers it — "
-                            "add the package to the layer manifest"
-                        ),
-                    )
-                )
-            elif value != module.layer:
-                findings.append(
-                    Finding(
-                        path=module.info.path,
-                        line=lineno,
-                        col=0,
-                        rule="L005",
-                        message=(
-                            f"stale declaration: module {module.name} "
-                            f"declares {value!r} but the manifest places it "
-                            f"in {module.layer!r}"
-                        ),
-                    )
-                )
-        elif module.name in manifest and module.info.path.endswith("__init__.py"):
-            findings.append(
-                Finding(
+                yield Finding(
                     path=module.info.path,
-                    line=1,
+                    line=lineno,
                     col=0,
                     rule="L005",
                     message=(
-                        f"package {module.name} is a manifest root but its "
-                        f"__init__ carries no {DECL_NAME} declaration — "
-                        "packages self-describe so readers see the layer "
-                        "where the code lives"
+                        f"{DECL_NAME} declaration {value!r} is not one "
+                        f"of {', '.join(LAYERS)}"
                     ),
                 )
+                continue
+            if module.layer is None:
+                yield Finding(
+                    path=module.info.path,
+                    line=lineno,
+                    col=0,
+                    rule="L005",
+                    message=(
+                        f"module {module.name} declares {DECL_NAME} = "
+                        f"{value!r} but no manifest prefix covers it — "
+                        "add the package to the layer manifest"
+                    ),
+                )
+            elif value != module.layer:
+                yield Finding(
+                    path=module.info.path,
+                    line=lineno,
+                    col=0,
+                    rule="L005",
+                    message=(
+                        f"stale declaration: module {module.name} "
+                        f"declares {value!r} but the manifest places it "
+                        f"in {module.layer!r}"
+                    ),
+                )
+        elif module.name in manifest and module.info.path.endswith("__init__.py"):
+            yield Finding(
+                path=module.info.path,
+                line=1,
+                col=0,
+                rule="L005",
+                message=(
+                    f"package {module.name} is a manifest root but its "
+                    f"__init__ carries no {DECL_NAME} declaration — "
+                    "packages self-describe so readers see the layer "
+                    "where the code lives"
+                ),
             )
+
+
+#: rule id -> check over the classified module set and the manifest.
+LAYER_CHECKS = {
+    "L001": check_l001,
+    "L002": check_l002,
+    "L003": check_l003,
+    "L004": check_l004,
+    "L005": check_l005,
+}
+
+
+def check(facts: "Facts", selected: frozenset[str]) -> list[Finding]:
+    """The layers family's check: the transport-purity L-rules.
+
+    Each module's layer is resolved from the import-layering manifest (the
+    run's toy manifest, else :data:`~.manifest.DEFAULT_MANIFEST`).  The
+    dynamic witness — L006, importing the declared pure core with the
+    platform layers blocked — lives in :mod:`.runtime` and runs only when
+    the run opts in (``Facts(runtime=True)``, which the CLI does).
+    """
+    manifest = DEFAULT_MANIFEST if facts.manifest is None else facts.manifest
+    layered = classify_modules(facts.modules, manifest)
+
+    findings: list[Finding] = []
+    for rule_id, rule_check in LAYER_CHECKS.items():
+        if rule_id in selected:
+            findings.extend(rule_check(layered, manifest))
+    if facts.runtime and "L006" in selected:
+        findings.extend(verify_import_isolation(manifest=manifest).findings)
     return findings

@@ -15,15 +15,6 @@ See DESIGN.md ("State-exhaustion model") for the mapping to the paper's
 §III soft-state design.
 """
 
-from .declarations import (
-    DECL_NAME,
-    EVICTION_MECHANISMS,
-    KEY_PROVENANCE,
-    StateBound,
-    declarations_for_module,
-    find_declaration,
-    parse_declaration,
-)
 from .runtime import (
     HighWaterMonitor,
     MemoryReport,
@@ -32,13 +23,6 @@ from .runtime import (
 )
 
 __all__ = [
-    "DECL_NAME",
-    "EVICTION_MECHANISMS",
-    "KEY_PROVENANCE",
-    "StateBound",
-    "declarations_for_module",
-    "find_declaration",
-    "parse_declaration",
     "HighWaterMonitor",
     "MemoryReport",
     "discover_bounded_classes",

@@ -23,20 +23,20 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+from typing import TYPE_CHECKING, Iterator
 
+from ..declarations import StateBound
 from ..findings import Finding
-from ..flow.core import FunctionDecl, ModuleInfo, class_of, self_attr
-from .declarations import StateBound, declarations_for_module
+from ..parse import SCHEDULE_NAMES, FunctionDecl, ModuleInfo, class_of, self_attr
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..kernel import Facts
 
 #: Methods whose call on ``self.attr`` adds an entry.
 _INSERT_METHODS = frozenset({"setdefault", "append", "add", "insert", "update"})
 
 #: Methods whose call on ``self.attr`` removes entries.
 _EVICT_METHODS = frozenset({"pop", "popitem", "clear", "remove", "discard"})
-
-#: Scheduler entry points (matched by attribute suffix, like the races
-#: and perf layers do).
-_SCHEDULE_NAMES = frozenset({"schedule", "schedule_at"})
 
 #: Call-graph depth cap for the attacker-callable closure.
 _MAX_DEPTH = 12
@@ -51,11 +51,13 @@ class _Op:
     key: ast.expr | None  # the key expression for keyed inserts
 
 
-def _collect_ops(func: ast.AST) -> tuple[list[_Op], list[_Op]]:
-    """(inserts, evictions) on self-attributes under ``func``."""
+def _collect_ops(decl: FunctionDecl) -> tuple[list[_Op], list[_Op]]:
+    """(inserts, evictions) on self-attributes in ``decl``."""
     inserts: list[_Op] = []
     evictions: list[_Op] = []
-    for node in ast.walk(func):
+    for node in decl.nodes.of(
+        ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Delete, ast.Call
+    ):
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = (
                 node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -91,12 +93,10 @@ def _collect_ops(func: ast.AST) -> tuple[list[_Op], list[_Op]]:
     return inserts, evictions
 
 
-def _cap_check_lines(func: ast.AST, attr: str) -> list[int]:
+def _cap_check_lines(decl: FunctionDecl, attr: str) -> list[int]:
     """Lines comparing ``len(self.attr)`` against anything."""
     lines: list[int] = []
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Compare):
-            continue
+    for node in decl.nodes.of(ast.Compare):
         for operand in (node.left, *node.comparators):
             if (
                 isinstance(operand, ast.Call)
@@ -109,10 +109,10 @@ def _cap_check_lines(func: ast.AST, attr: str) -> list[int]:
     return lines
 
 
-def _tainted_names(func_node: ast.AST, params: list[str], taint_params) -> set[str]:
-    """Names holding attacker data in ``func_node``: tainted parameters
-    plus simple forward propagation through assignments, in source order."""
-    tainted = {p for p in params if p in taint_params}
+def _tainted_names(decl: FunctionDecl, taint_params) -> set[str]:
+    """Names holding attacker data in ``decl``: tainted parameters plus
+    simple forward propagation through assignments, in source order."""
+    tainted = {p for p in decl.params if p in taint_params}
     if not tainted:
         return tainted
 
@@ -121,24 +121,19 @@ def _tainted_names(func_node: ast.AST, params: list[str], taint_params) -> set[s
             isinstance(n, ast.Name) and n.id in tainted for n in ast.walk(expr)
         )
 
-    class _Prop(ast.NodeVisitor):
-        def visit_Assign(self, node: ast.Assign) -> None:
-            if mentions(node.value):
-                for target in node.targets:
-                    # only plain (possibly tuple-destructured) name bindings
-                    # propagate; storing into self.attr[...] must not taint
-                    # the receiver name itself
-                    if isinstance(target, (ast.Subscript, ast.Attribute)):
-                        continue
-                    for name in ast.walk(target):
-                        if isinstance(name, ast.Name) and name.id not in (
-                            "self",
-                            "cls",
-                        ):
-                            tainted.add(name.id)
-            self.generic_visit(node)
-
-    _Prop().visit(func_node)
+    # the index is breadth-first; statements start in source order
+    assigns = sorted(decl.nodes.of(ast.Assign), key=lambda n: (n.lineno, n.col_offset))
+    for node in assigns:
+        if mentions(node.value):
+            for target in node.targets:
+                # only plain (possibly tuple-destructured) name bindings
+                # propagate; storing into self.attr[...] must not taint
+                # the receiver name itself
+                if isinstance(target, (ast.Subscript, ast.Attribute)):
+                    continue
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id not in ("self", "cls"):
+                        tainted.add(name.id)
     return tainted
 
 
@@ -160,11 +155,6 @@ class ModuleView:
         class_name = class_of(qualname) or ""
         return self.bounds.get(class_name, {}).get(attr)
 
-    def declared_attrs(self, class_name: str) -> dict[str, StateBound]:
-        if self.bounds is None:
-            return {}
-        return self.bounds.get(class_name, {})
-
 
 def _entry_closure(module: ModuleInfo) -> frozenset[str]:
     """Qualnames reachable from the module's trust entry points through
@@ -172,7 +162,7 @@ def _entry_closure(module: ModuleInfo) -> frozenset[str]:
     entries: list[str] = []
     for qualname in module.functions:
         bare = qualname.rsplit(".", 1)[-1]
-        for ep in module.trust.entry_points:
+        for ep in module.declared.trust.entry_points:
             if qualname == ep or bare == ep or qualname.endswith("." + ep):
                 entries.append(qualname)
                 break
@@ -183,16 +173,8 @@ def _entry_closure(module: ModuleInfo) -> frozenset[str]:
         if qualname in seen or depth > _MAX_DEPTH:
             continue
         seen.add(qualname)
-        decl = module.functions[qualname]
         enclosing = class_of(qualname)
-        for node in ast.walk(decl.node):
-            if not isinstance(node, ast.Call):
-                continue
-            callee = self_attr(node.func)
-            if callee is None and isinstance(node.func, ast.Name):
-                callee = node.func.id
-            if callee is None:
-                continue
+        for callee in module.functions[qualname].local_callees():
             target = None
             if enclosing is not None:
                 target = module.functions.get(f"{enclosing}.{callee}")
@@ -204,11 +186,7 @@ def _entry_closure(module: ModuleInfo) -> frozenset[str]:
 
 
 def build_view(module: ModuleInfo, hot_qualnames: frozenset[str]) -> ModuleView:
-    declared = declarations_for_module(module.tree)
-    if declared is None:
-        bounds, decl_line = None, 1
-    else:
-        bounds, decl_line = declared
+    bounds, decl_line = module.declared.state_bounds or (None, 1)
     return ModuleView(
         module=module,
         bounds=bounds,
@@ -217,27 +195,23 @@ def build_view(module: ModuleInfo, hot_qualnames: frozenset[str]) -> ModuleView:
     )
 
 
-def _finding(view: ModuleView, node: ast.AST, rule: str, message: str) -> Finding:
-    return Finding.at(view.module.path, node, rule, message, line=view.decl_line)
-
-
 # ---------------------------------------------------------------------------
 # M001 — attacker-keyed insert on an attacker-driven path, no declared bound
 # ---------------------------------------------------------------------------
 
 
-def check_m001(view: ModuleView) -> list[Finding]:
+def check_m001(view: ModuleView) -> Iterator[Finding]:
     module = view.module
-    if not module.trust.taint_params:
-        return []
-    findings: list[Finding] = []
+    taint_params = module.declared.trust.taint_params
+    if not taint_params:
+        return
     for qualname, decl in module.functions.items():
         if qualname not in view.attacker_callable:
             continue
-        inserts, _ = _collect_ops(decl.node)
+        inserts, _ = _collect_ops(decl)
         if not inserts:
             continue
-        tainted = _tainted_names(decl.node, decl.params, module.trust.taint_params)
+        tainted = _tainted_names(decl, taint_params)
         if not tainted:
             continue
         for op in inserts:
@@ -248,18 +222,15 @@ def check_m001(view: ModuleView) -> list[Finding]:
                 isinstance(n, ast.Name) and n.id in tainted for n in ast.walk(key)
             ):
                 continue
-            findings.append(
-                _finding(
-                    view,
-                    op.node,
-                    "M001",
-                    f"attacker-keyed insert into undeclared collection "
-                    f"self.{op.attr} in {qualname} — a spoofed flood chooses "
-                    f"the keys, so the table needs a __state_bounds__ entry "
-                    f"with an enforced bound",
-                )
+            yield Finding.at(
+                view.module.path,
+                op.node,
+                "M001",
+                f"attacker-keyed insert into undeclared collection "
+                f"self.{op.attr} in {qualname} — a spoofed flood chooses "
+                f"the keys, so the table needs a __state_bounds__ entry "
+                f"with an enforced bound",
             )
-    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -267,30 +238,26 @@ def check_m001(view: ModuleView) -> list[Finding]:
 # ---------------------------------------------------------------------------
 
 
-def check_m002(view: ModuleView) -> list[Finding]:
+def check_m002(view: ModuleView) -> Iterator[Finding]:
     if not view.bounds:
-        return []
-    findings: list[Finding] = []
+        return
     for qualname, decl in view.module.functions.items():
-        inserts, evictions = _collect_ops(decl.node)
+        inserts, evictions = _collect_ops(decl)
         evicted_attrs = {op.attr for op in evictions}
         for op in inserts:
             bound = view.bound_for(qualname, op.attr)
             if bound is None or not (bound.evicted_by & {"cap", "lru"}):
                 continue
-            if op.attr in evicted_attrs or _cap_check_lines(decl.node, op.attr):
+            if op.attr in evicted_attrs or _cap_check_lines(decl, op.attr):
                 continue
-            findings.append(
-                _finding(
-                    view,
-                    op.node,
-                    "M002",
-                    f"insert into {bound.describe()} with no cap check or "
-                    f"eviction in {qualname} — the declared bound is not "
-                    f"statically enforced at this insert site",
-                )
+            yield Finding.at(
+                view.module.path,
+                op.node,
+                "M002",
+                f"insert into {bound.describe()} with no cap check or "
+                f"eviction in {qualname} — the declared bound is not "
+                f"statically enforced at this insert site",
             )
-    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +265,9 @@ def check_m002(view: ModuleView) -> list[Finding]:
 # ---------------------------------------------------------------------------
 
 
-def check_m003(view: ModuleView) -> list[Finding]:
+def check_m003(view: ModuleView) -> Iterator[Finding]:
     if not view.bounds:
-        return []
-    findings: list[Finding] = []
+        return
     for class_name, attrs in sorted(view.bounds.items()):
         for attr, bound in sorted(attrs.items()):
             if "sweep" not in bound.evicted_by:
@@ -310,35 +276,24 @@ def check_m003(view: ModuleView) -> list[Finding]:
             for qualname, decl in view.module.functions.items():
                 if not qualname.startswith(class_name + "."):
                     continue
-                _, evictions = _collect_ops(decl.node)
+                _, evictions = _collect_ops(decl)
                 if any(op.attr == attr for op in evictions):
-                    if qualname in view.attacker_callable or _is_hot_only(
-                        view, qualname
-                    ):
+                    if qualname in view.attacker_callable:
                         swept = True
                         break
             if not swept:
-                findings.append(
-                    Finding(
-                        path=view.module.path,
-                        line=view.decl_line,
-                        col=0,
-                        rule="M003",
-                        message=(
-                            f"{bound.describe()} declares sweep eviction but "
-                            f"no eviction-performing method is reachable from "
-                            f"a scheduled callback — entries inserted under "
-                            f"flood never expire"
-                        ),
-                    )
+                yield Finding(
+                    path=view.module.path,
+                    line=view.decl_line,
+                    col=0,
+                    rule="M003",
+                    message=(
+                        f"{bound.describe()} declares sweep eviction but "
+                        f"no eviction-performing method is reachable from "
+                        f"a scheduled callback — entries inserted under "
+                        f"flood never expire"
+                    ),
                 )
-    return findings
-
-
-def _is_hot_only(view: ModuleView, qualname: str) -> bool:
-    # attacker_callable already unions the hot set; kept as a seam for
-    # callers that pass a narrower closure
-    return qualname in view.attacker_callable
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +301,17 @@ def _is_hot_only(view: ModuleView, qualname: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def check_m004(view: ModuleView) -> list[Finding]:
+def check_m004(view: ModuleView) -> Iterator[Finding]:
     if not view.bounds:
-        return []
-    findings: list[Finding] = []
+        return
     for qualname, decl in view.module.functions.items():
-        inserts, evictions = _collect_ops(decl.node)
+        inserts, evictions = _collect_ops(decl)
         for op in inserts:
             bound = view.bound_for(qualname, op.attr)
             if bound is None or not (bound.evicted_by & {"cap", "lru"}):
                 continue
             insert_line = getattr(op.node, "lineno", 0)
-            enforce_lines = _cap_check_lines(decl.node, op.attr) + [
+            enforce_lines = _cap_check_lines(decl, op.attr) + [
                 getattr(e.node, "lineno", 0)
                 for e in evictions
                 if e.attr == op.attr
@@ -368,23 +322,18 @@ def check_m004(view: ModuleView) -> list[Finding]:
             if not after:
                 continue
             enforce_line = after[0]
-            for node in ast.walk(decl.node):
-                if isinstance(node, (ast.Return, ast.Raise)):
-                    line = getattr(node, "lineno", 0)
-                    if insert_line < line < enforce_line:
-                        findings.append(
-                            _finding(
-                                view,
-                                node,
-                                "M004",
-                                f"early {'return' if isinstance(node, ast.Return) else 'raise'} "
-                                f"between the insert into self.{op.attr} "
-                                f"(line {insert_line}) and its cap enforcement "
-                                f"(line {enforce_line}) in {qualname} — the "
-                                f"bound on {bound.describe()} can be bypassed",
-                            )
-                        )
-    return findings
+            for node in decl.nodes.of(ast.Return, ast.Raise):
+                if insert_line < node.lineno < enforce_line:
+                    yield Finding.at(
+                        view.module.path,
+                        node,
+                        "M004",
+                        f"early {'return' if isinstance(node, ast.Return) else 'raise'} "
+                        f"between the insert into self.{op.attr} "
+                        f"(line {insert_line}) and its cap enforcement "
+                        f"(line {enforce_line}) in {qualname} — the "
+                        f"bound on {bound.describe()} can be bypassed",
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +341,12 @@ def check_m004(view: ModuleView) -> list[Finding]:
 # ---------------------------------------------------------------------------
 
 
-def check_m005(view: ModuleView) -> list[Finding]:
+def check_m005(view: ModuleView) -> Iterator[Finding]:
     if view.bounds is None:
-        return []
-    findings: list[Finding] = []
+        return
     for qualname, decl in view.module.functions.items():
         bare = qualname.rsplit(".", 1)[-1]
-        inserts, evictions = _collect_ops(decl.node)
+        inserts, evictions = _collect_ops(decl)
         # the sweep idiom (rebuild/shrink a table it also evicts from) is
         # net non-growing; only inserts with no matching eviction count
         evicted_attrs = {op.attr for op in evictions}
@@ -406,35 +354,31 @@ def check_m005(view: ModuleView) -> list[Finding]:
         if not growing:
             continue
         for site in _unguarded_self_reschedules(decl, bare):
-            findings.append(
-                _finding(
-                    view,
-                    site,
-                    "M005",
-                    f"{qualname} reschedules itself unconditionally while "
-                    f"inserting into self.{growing[0].attr} — each firing "
-                    f"grows state with no budget; guard the reschedule or "
-                    f"make the callback evict-only",
-                )
+            yield Finding.at(
+                view.module.path,
+                site,
+                "M005",
+                f"{qualname} reschedules itself unconditionally while "
+                f"inserting into self.{growing[0].attr} — each firing "
+                f"grows state with no budget; guard the reschedule or "
+                f"make the callback evict-only",
             )
-    return findings
 
 
 def _unguarded_self_reschedules(decl: FunctionDecl, bare: str) -> list[ast.Call]:
     """Schedule calls whose callback is the enclosing function itself and
     that no enclosing ``if``/``while`` guards."""
     guarded: set[ast.AST] = set()
-    for node in ast.walk(decl.node):
-        if isinstance(node, (ast.If, ast.While)):
-            for child in node.body + getattr(node, "orelse", []):
-                guarded.update(ast.walk(child))
+    for node in decl.nodes.of(ast.If, ast.While):
+        for child in node.body + node.orelse:
+            guarded.update(ast.walk(child))
     sites: list[ast.Call] = []
-    for node in ast.walk(decl.node):
-        if not isinstance(node, ast.Call) or node in guarded:
+    for node in decl.calls:
+        if node in guarded:
             continue
         func = node.func
         suffix = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-        if suffix not in _SCHEDULE_NAMES or len(node.args) < 2:
+        if suffix not in SCHEDULE_NAMES or len(node.args) < 2:
             continue
         callback = node.args[1]
         if self_attr(callback) == bare:
@@ -450,3 +394,23 @@ MEMORY_CHECKS = {
     "M004": check_m004,
     "M005": check_m005,
 }
+
+
+def check(facts: "Facts", selected: frozenset[str]) -> list[Finding]:
+    """The memory family's check: each selected static M-rule per module.
+
+    The hot set off the run's shared facts tells M001/M003 which functions
+    run per attacker packet and which sweeps a scheduler actually reaches.
+    M006 is the runtime high-water monitor's (:mod:`.runtime`).
+    """
+    hot_by_path: dict[str, set[str]] = {}
+    for path, qualname in facts.hot_paths.functions:
+        hot_by_path.setdefault(path, set()).add(qualname)
+
+    findings: list[Finding] = []
+    for module in facts.modules:
+        view = build_view(module, frozenset(hot_by_path.get(module.path, ())))
+        for rule_id, rule_check in MEMORY_CHECKS.items():
+            if rule_id in selected:
+                findings.extend(rule_check(view))
+    return findings

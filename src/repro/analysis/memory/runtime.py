@@ -25,10 +25,9 @@ import dataclasses
 from typing import Any, Callable
 
 from ...netsim.simulator import Simulator, TieEvent, _TieHookProtocol
-from ..declarations import iter_declared_classes
+from ..declarations import StateBound, iter_declared_classes
 from ..findings import Finding
 from ..modes import run_hooked
-from .declarations import DECL_NAME, StateBound, parse_declaration
 
 #: (class, source path, attr -> StateBound) for one declared class.
 BoundedClass = tuple[type, str, dict[str, StateBound]]
@@ -38,9 +37,7 @@ def discover_bounded_classes(package: str = "repro") -> list[BoundedClass]:
     """Every class under ``package`` with ``__state_bounds__`` attrs."""
     return [
         (cls, getattr(module, "__file__", None) or "<runtime>", dict(attrs))
-        for module, cls, attrs in iter_declared_classes(
-            package, DECL_NAME, parse_declaration
-        )
+        for module, cls, attrs in iter_declared_classes(package, "__state_bounds__")
     ]
 
 

@@ -11,6 +11,6 @@ See DESIGN.md ("Hot-path cost model") for the hot-path definition and the
 rule-to-optimization map.
 """
 
-from .hotpath import HotFunction, HotPaths, compute_hot_paths, module_dotted
+from .hotpath import HotFunction, HotPaths, compute_hot_paths
 
-__all__ = ["HotFunction", "HotPaths", "compute_hot_paths", "module_dotted"]
+__all__ = ["HotFunction", "HotPaths", "compute_hot_paths"]

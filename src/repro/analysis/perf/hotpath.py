@@ -20,16 +20,23 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from pathlib import Path
 
-from ..rules import dotted_name
-from ..flow.core import FunctionDecl, ModuleInfo, NameIndex, _call_name, class_of, self_attr
-from ..races.effects import _lambda_as_function, _subclass_closure
+from ..parse import (
+    SCHEDULE_NAMES,
+    FunctionDecl,
+    ModuleInfo,
+    NameIndex,
+    call_name,
+    class_of,
+    dotted_name,
+    lambda_decl,
+    self_attr,
+)
 
-#: Scheduler entry points and their callback-argument index.  ``submit`` is
-#: the CPU-queue idiom ``cpu.submit(cost, fn, *args)``; all three take the
-#: callable second.
-CALLBACK_TAKERS: dict[str, int] = {"schedule": 1, "schedule_at": 1, "submit": 1}
+#: Calls that take a per-event callback.  ``submit`` is the CPU-queue idiom
+#: ``cpu.submit(cost, fn, *args)``; like the scheduler entry points it takes
+#: the callable second.
+CALLBACK_TAKERS = SCHEDULE_NAMES | {"submit"}
 
 #: Functions that are per-packet entry points even when no schedule site
 #: resolves to them statically (link deliveries schedule ``receiver.receive``
@@ -43,20 +50,6 @@ _MAX_CANDIDATES = 3
 
 #: Call-graph propagation depth cap (handler chains are shallow).
 _MAX_DEPTH = 12
-
-
-def module_dotted(path: str | Path) -> str:
-    """Dotted module name for a source path (``src/repro/a/b.py`` ->
-    ``repro.a.b``); tmp-dir toy modules fall back to their bare stem."""
-    parts = list(Path(path).parts)
-    if parts and parts[-1].endswith(".py"):
-        parts[-1] = parts[-1][: -len(".py")]
-    if parts and parts[-1] == "__init__":
-        parts.pop()
-    if "src" in parts:
-        parts = parts[len(parts) - parts[::-1].index("src"):]
-        return ".".join(parts)
-    return parts[-1] if parts else ""
 
 
 @dataclasses.dataclass(slots=True)
@@ -82,45 +75,34 @@ class HotPaths:
         self.functions = functions
 
 
-class _Resolver:
+def _resolve(
+    index: NameIndex, module: ModuleInfo, enclosing_class: str | None, name: str
+) -> list[tuple[ModuleInfo, FunctionDecl]]:
     """Bare-name callee resolution with bounded may-analysis fan-out."""
-
-    def __init__(self, index: NameIndex):
-        self.by_bare = index.by_name
-
-    def resolve(
-        self, module: ModuleInfo, enclosing_class: str | None, name: str
-    ) -> list[tuple[ModuleInfo, FunctionDecl]]:
-        bare = name.rsplit(".", 1)[-1]
-        if enclosing_class is not None:
-            own = module.functions.get(f"{enclosing_class}.{bare}")
-            if own is not None:
-                return [(module, own)]
-        local = module.function_named(bare)
-        if local is not None:
-            return [(module, local)]
-        foreign = [c for c in self.by_bare.get(bare, []) if c[0] is not module]
-        if 0 < len(foreign) <= _MAX_CANDIDATES:
-            return foreign
-        return []
+    bare = name.rsplit(".", 1)[-1]
+    if enclosing_class is not None:
+        own = module.functions.get(f"{enclosing_class}.{bare}")
+        if own is not None:
+            return [(module, own)]
+    local = module.function_named(bare)
+    if local is not None:
+        return [(module, local)]
+    foreign = [c for c in index.by_name.get(bare, []) if c[0] is not module]
+    return foreign if len(foreign) <= _MAX_CANDIDATES else []
 
 
-def callback_calls(node: ast.AST) -> list[ast.Call]:
-    """Scheduler calls (``schedule``/``schedule_at``/``submit``) under ``node``
+def callback_calls(decl: FunctionDecl) -> list[ast.Call]:
+    """Scheduler calls (``schedule``/``schedule_at``/``submit``) in ``decl``
     that pass a callback positionally."""
     sites: list[ast.Call] = []
-    for call in ast.walk(node):
-        if not isinstance(call, ast.Call):
-            continue
-        name = _call_name(call)
-        suffix = name.rsplit(".", 1)[-1]
-        if suffix in CALLBACK_TAKERS and len(call.args) > CALLBACK_TAKERS[suffix]:
+    for call in decl.calls:
+        if call_name(call).rsplit(".", 1)[-1] in CALLBACK_TAKERS and len(call.args) > 1:
             sites.append(call)
     return sites
 
 
 def _static_roots(
-    modules: list[ModuleInfo], resolver: _Resolver
+    modules: list[ModuleInfo], index: NameIndex
 ) -> list[tuple[ModuleInfo, FunctionDecl, str]]:
     """(module, function, root label) for every statically-visible root."""
     roots: list[tuple[ModuleInfo, FunctionDecl, str]] = []
@@ -140,23 +122,20 @@ def _static_roots(
         name = dotted_name(callback)
         if name is None:
             return
-        for target_module, target_decl in resolver.resolve(module, None, name):
+        for target_module, target_decl in _resolve(index, module, None, name):
             roots.append((target_module, target_decl, target_decl.qualname))
 
-    closures = {m.path: _subclass_closure(m) for m in modules}
+    closures = {m.path: m.subclass_closure() for m in modules}
     for module in modules:
         for decl in module.functions.values():
             enclosing = class_of(decl.qualname)
-            for site in callback_calls(decl.node):
-                suffix = _call_name(site).rsplit(".", 1)[-1]
-                callback = site.args[CALLBACK_TAKERS[suffix]]
+            for site in callback_calls(decl):
+                callback = site.args[1]
                 if isinstance(callback, ast.Lambda):
                     # the lambda body runs per event: everything it calls
                     # is a root (the closure itself is P003's business)
-                    wrapper = _lambda_as_function(callback)
-                    for inner in ast.walk(wrapper):
-                        if isinstance(inner, ast.Call):
-                            add_resolved(module, enclosing, inner.func)
+                    for inner in lambda_decl(callback).calls:
+                        add_resolved(module, enclosing, inner.func)
                     continue
                 add_resolved(module, enclosing, callback)
         for qualname in ALWAYS_HOT_QUALNAMES:
@@ -173,7 +152,7 @@ def compute_hot_paths(
 
     ``index`` reuses the run's shared name index instead of building one.
     """
-    resolver = _Resolver(index if index is not None else NameIndex(modules))
+    index = index if index is not None else NameIndex(modules)
     hot: dict[tuple[str, str], HotFunction] = {}
     worklist: list[tuple[str, str]] = []
 
@@ -188,7 +167,7 @@ def compute_hot_paths(
         hot[key] = HotFunction(module=module, decl=decl, root=root, depth=depth)
         worklist.append(key)
 
-    for module, decl, label in _static_roots(modules, resolver):
+    for module, decl, label in _static_roots(modules, index):
         admit(module, decl, label, 0)
 
     while worklist:
@@ -197,14 +176,8 @@ def compute_hot_paths(
         if entry.depth >= _MAX_DEPTH:
             continue
         enclosing = class_of(entry.decl.qualname)
-        callees: set[str] = set()
-        for node in ast.walk(entry.decl.node):
-            if isinstance(node, ast.Call):
-                name = _call_name(node)
-                if name:
-                    callees.add(name)
-        for name in sorted(callees):
-            for module, decl in resolver.resolve(entry.module, enclosing, name):
+        for name in sorted(entry.decl.callees()):
+            for module, decl in _resolve(index, entry.module, enclosing, name):
                 admit(module, decl, entry.root, entry.depth + 1)
 
     return HotPaths(hot)

@@ -13,10 +13,22 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+from typing import TYPE_CHECKING, Iterator
 
 from ..findings import Finding
-from ..flow.core import ModuleInfo, _call_name, class_of, self_attr
-from .hotpath import CALLBACK_TAKERS, HotFunction, callback_calls, module_dotted
+from ..parse import (
+    SCHEDULE_NAMES,
+    FunctionDecl,
+    ModuleInfo,
+    call_name,
+    class_of,
+    module_dotted,
+    self_attr,
+)
+from .hotpath import HotFunction, callback_calls
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..kernel import Facts
 
 #: Modules the message-codec rule (P002) never fires in: the codec itself
 #: is where encoding is supposed to happen.
@@ -50,7 +62,7 @@ class ClassSite:
 def _is_slots_dataclass(decorator: ast.expr) -> bool:
     if not isinstance(decorator, ast.Call):
         return False
-    name = _call_name(decorator)
+    name = call_name(decorator)
     if name.rsplit(".", 1)[-1] != "dataclass":
         return False
     return any(
@@ -104,7 +116,10 @@ class PerfContext:
                 site = _classify_class(stmt, module.path)
                 per_module[site.name] = site
                 self.classes_by_name.setdefault(site.name, []).append(site)
-                self.attr_kinds[(module.path, site.name)] = _init_attr_kinds(stmt)
+                init = module.functions.get(f"{site.name}.__init__")
+                self.attr_kinds[(module.path, site.name)] = (
+                    {} if init is None else _init_attr_kinds(init)
+                )
             self.classes[module.path] = per_module
 
     def class_for_call(self, module: ModuleInfo, name: str) -> ClassSite | None:
@@ -123,28 +138,16 @@ class PerfContext:
         return self.attr_kinds.get((module.path, class_name), {}).get(attr)
 
 
-def _init_attr_kinds(stmt: ast.ClassDef) -> dict[str, str]:
+def _init_attr_kinds(init: FunctionDecl) -> dict[str, str]:
     """``self.X = {} / set() / []`` evidence from ``__init__``: tells P005
     whether a membership test against ``self.X`` is O(1) or O(n)."""
     kinds: dict[str, str] = {}
-    init = next(
-        (
-            sub
-            for sub in stmt.body
-            if isinstance(sub, ast.FunctionDef) and sub.name == "__init__"
-        ),
-        None,
-    )
-    if init is None:
-        return kinds
-    for node in ast.walk(init):
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
+    for node in init.nodes.of(ast.Assign, ast.AnnAssign):
         if isinstance(node, ast.Assign):
             targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        elif node.value is not None:
             targets, value = [node.target], node.value
-        if value is None:
+        else:
             continue
         kind: str | None = None
         if isinstance(value, (ast.Dict, ast.DictComp, ast.SetComp, ast.Set)):
@@ -152,7 +155,7 @@ def _init_attr_kinds(stmt: ast.ClassDef) -> dict[str, str]:
         elif isinstance(value, (ast.List, ast.ListComp, ast.Tuple)):
             kind = "sequence"
         elif isinstance(value, ast.Call):
-            callee = _call_name(value).rsplit(".", 1)[-1]
+            callee = call_name(value).rsplit(".", 1)[-1]
             if callee in ("dict", "set", "defaultdict", "Counter", "OrderedDict"):
                 kind = "mapping"
             elif callee in ("list", "tuple", "deque", "sorted"):
@@ -169,14 +172,12 @@ def _init_attr_kinds(stmt: ast.ClassDef) -> dict[str, str]:
     return kinds
 
 
-def _error_path_nodes(func: ast.AST) -> set[int]:
-    """ids of every node inside a raise/assert/except subtree — strings
+def _error_path_nodes(decl: FunctionDecl) -> set[ast.AST]:
+    """Every node inside a raise/assert/except subtree — strings
     formatted only on error paths are not per-event costs."""
-    marked: set[int] = set()
-    for node in ast.walk(func):
-        if isinstance(node, (ast.Raise, ast.Assert, ast.ExceptHandler)):
-            for sub in ast.walk(node):
-                marked.add(id(sub))
+    marked: set[ast.AST] = set()
+    for node in decl.nodes.of(ast.Raise, ast.Assert, ast.ExceptHandler):
+        marked.update(ast.walk(node))
     return marked
 
 
@@ -188,137 +189,110 @@ def _finding(hot: HotFunction, node: ast.AST, rule: str, message: str) -> Findin
 # -- P001: per-event instantiation of an unslotted class ----------------------
 
 
-def check_unslotted_instantiation(ctx: PerfContext, hot: HotFunction) -> list[Finding]:
-    findings: list[Finding] = []
+def check_unslotted_instantiation(ctx: PerfContext, hot: HotFunction) -> Iterator[Finding]:
     reported: set[str] = set()
-    for node in ast.walk(hot.decl.node):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _call_name(node)
+    for node in hot.decl.calls:
+        name = call_name(node)
         if not name:
             continue
         site = ctx.class_for_call(hot.module, name)
         if site is None or site.slotted or site.exempt or site.name in reported:
             continue
         reported.add(site.name)
-        findings.append(
-            _finding(
-                hot,
-                node,
-                "P001",
-                f"instantiates {site.name} (defined without __slots__ at "
-                f"{site.path}:{site.line}) once per event — give it "
-                "__slots__ or reuse a flyweight",
-            )
+        yield _finding(
+            hot,
+            node,
+            "P001",
+            f"instantiates {site.name} (defined without __slots__ at "
+            f"{site.path}:{site.line}) once per event — give it "
+            "__slots__ or reuse a flyweight",
         )
-    return findings
 
 
 # -- P002: re-encoding a DNS message on the hot path --------------------------
 
 
-def check_reencoding(ctx: PerfContext, hot: HotFunction) -> list[Finding]:
+def check_reencoding(ctx: PerfContext, hot: HotFunction) -> Iterator[Finding]:
     if module_dotted(hot.module.path).startswith(_CODEC_PREFIX):
-        return []
-    findings: list[Finding] = []
-    for node in ast.walk(hot.decl.node):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _ENCODE_METHODS
-        ):
-            findings.append(
-                _finding(
-                    hot,
-                    node,
-                    "P002",
-                    f".{node.func.attr}() serialises a DNS message once per "
-                    "event; most per-packet messages differ only in id/"
-                    "source — memoize the encoding (Message.freeze) or pass "
-                    "a cached size",
-                )
+        return
+    for node in hot.decl.calls:
+        if isinstance(node.func, ast.Attribute) and node.func.attr in _ENCODE_METHODS:
+            yield _finding(
+                hot,
+                node,
+                "P002",
+                f".{node.func.attr}() serialises a DNS message once per "
+                "event; most per-packet messages differ only in id/"
+                "source — memoize the encoding (Message.freeze) or pass "
+                "a cached size",
             )
-    return findings
 
 
 # -- P003: per-event closure allocation at a schedule site --------------------
 
 
-def check_closure_callbacks(ctx: PerfContext, hot: HotFunction) -> list[Finding]:
-    findings: list[Finding] = []
-    for site in callback_calls(hot.decl.node):
-        suffix = _call_name(site).rsplit(".", 1)[-1]
-        callback = site.args[CALLBACK_TAKERS[suffix]]
+def check_closure_callbacks(ctx: PerfContext, hot: HotFunction) -> Iterator[Finding]:
+    for site in callback_calls(hot.decl):
+        callback = site.args[1]
         label: str | None = None
         if isinstance(callback, ast.Lambda):
             label = "a lambda"
         elif (
             isinstance(callback, ast.Call)
-            and _call_name(callback).rsplit(".", 1)[-1] == "partial"
+            and call_name(callback).rsplit(".", 1)[-1] == "partial"
         ):
             label = "a functools.partial"
         if label is None:
             continue
-        findings.append(
-            _finding(
-                hot,
-                callback,
-                "P003",
-                f"schedules {label} allocated per event — pass the bound "
-                "method and its arguments to schedule() directly",
-            )
+        yield _finding(
+            hot,
+            callback,
+            "P003",
+            f"schedules {label} allocated per event — pass the bound "
+            "method and its arguments to schedule() directly",
         )
-    return findings
 
 
 # -- P004: unguarded formatting / logging on the hot path ---------------------
 
 
-def check_formatting(ctx: PerfContext, hot: HotFunction) -> list[Finding]:
-    findings: list[Finding] = []
-    error_paths = _error_path_nodes(hot.decl.node)
-    for node in ast.walk(hot.decl.node):
-        if id(node) in error_paths:
+def check_formatting(ctx: PerfContext, hot: HotFunction) -> Iterator[Finding]:
+    error_paths = _error_path_nodes(hot.decl)
+    for node in hot.decl.nodes.of(ast.JoinedStr, ast.Call):
+        if node in error_paths:
             continue
         if isinstance(node, ast.JoinedStr):
-            findings.append(
-                _finding(
+            yield _finding(
+                hot,
+                node,
+                "P004",
+                "f-string formatted once per event even when nobody "
+                "reads it — build the string lazily or only on error "
+                "paths",
+            )
+        else:
+            name = call_name(node)
+            parts = name.split(".")
+            if name == "print":
+                yield _finding(
                     hot,
                     node,
                     "P004",
-                    "f-string formatted once per event even when nobody "
-                    "reads it — build the string lazily or only on error "
-                    "paths",
-                )
-            )
-        elif isinstance(node, ast.Call):
-            name = _call_name(node)
-            parts = name.split(".")
-            if name == "print":
-                findings.append(
-                    _finding(
-                        hot,
-                        node,
-                        "P004",
-                        "print() on the hot path blocks the event loop on "
-                        "I/O once per event",
-                    )
+                    "print() on the hot path blocks the event loop on "
+                    "I/O once per event",
                 )
             elif (
                 len(parts) >= 2
                 and parts[-2] in _LOGGER_NAMES
                 and parts[-1] in _LOG_METHODS
             ):
-                findings.append(
-                    _finding(
-                        hot,
-                        node,
-                        "P004",
-                        f"{name}() runs once per event even when the level "
-                        "is disabled — guard it or log outside the hot path",
-                    )
+                yield _finding(
+                    hot,
+                    node,
+                    "P004",
+                    f"{name}() runs once per event even when the level "
+                    "is disabled — guard it or log outside the hot path",
                 )
-    return findings
 
 
 # -- P005: O(n) scans inside per-packet handlers ------------------------------
@@ -335,10 +309,9 @@ def _self_table(expr: ast.expr) -> str | None:
     return self_attr(expr)
 
 
-def check_linear_scans(ctx: PerfContext, hot: HotFunction) -> list[Finding]:
-    findings: list[Finding] = []
+def check_linear_scans(ctx: PerfContext, hot: HotFunction) -> Iterator[Finding]:
     enclosing = class_of(hot.decl.qualname)
-    for node in ast.walk(hot.decl.node):
+    for node in hot.decl.nodes.of(ast.Compare, ast.Call, ast.Assign, ast.For, ast.AsyncFor):
         if isinstance(node, ast.Compare) and any(
             isinstance(op, (ast.In, ast.NotIn)) for op in node.ops
         ):
@@ -351,55 +324,47 @@ def check_linear_scans(ctx: PerfContext, hot: HotFunction) -> list[Finding]:
                 attr_kind = ctx.attr_kind(hot.module, enclosing, container.attr)
             if attr_kind == "mapping":
                 continue  # dict/set membership is O(1); no scan here
-            findings.append(
-                _finding(
+            yield _finding(
+                hot,
+                node,
+                "P005",
+                f"membership test over .{container.attr} scans a "
+                "sequence once per event — use a dict/set or a "
+                "precomputed table",
+            )
+        elif isinstance(node, ast.Call):
+            name = call_name(node).rsplit(".", 1)[-1]
+            if name in ("sorted", "sort"):
+                yield _finding(
                     hot,
                     node,
                     "P005",
-                    f"membership test over .{container.attr} scans a "
-                    "sequence once per event — use a dict/set or a "
-                    "precomputed table",
-                )
-            )
-        elif isinstance(node, ast.Call):
-            name = _call_name(node).rsplit(".", 1)[-1]
-            if name in ("sorted", "sort"):
-                findings.append(
-                    _finding(
-                        hot,
-                        node,
-                        "P005",
-                        f"{name}() inside a per-packet handler is O(n log n) "
-                        "per event — keep the structure ordered incrementally",
-                    )
+                    f"{name}() inside a per-packet handler is O(n log n) "
+                    "per event — keep the structure ordered incrementally",
                 )
             elif name in ("min", "max") and len(node.args) == 1:
                 table = _self_table(node.args[0])
                 if table is not None:
-                    findings.append(
-                        _finding(
-                            hot,
-                            node,
-                            "P005",
-                            f"{name}() over .{table} scans the whole table "
-                            "once per event — keep a heap or an ordered "
-                            "index beside it",
-                        )
+                    yield _finding(
+                        hot,
+                        node,
+                        "P005",
+                        f"{name}() over .{table} scans the whole table "
+                        "once per event — keep a heap or an ordered "
+                        "index beside it",
                     )
         elif isinstance(node, ast.Assign) and isinstance(
             node.value, (ast.ListComp, ast.SetComp, ast.DictComp)
         ):
             table = _self_table(node.value.generators[0].iter)
             if table is not None and any(self_attr(t) == table for t in node.targets):
-                findings.append(
-                    _finding(
-                        hot,
-                        node,
-                        "P005",
-                        f"rebuilds .{table} with a comprehension over itself "
-                        "once per event — delete the dead entries in place "
-                        "(ordered table, purge from the head)",
-                    )
+                yield _finding(
+                    hot,
+                    node,
+                    "P005",
+                    f"rebuilds .{table} with a comprehension over itself "
+                    "once per event — delete the dead entries in place "
+                    "(ordered table, purge from the head)",
                 )
         elif isinstance(node, (ast.For, ast.AsyncFor)):
             if not isinstance(node.iter, ast.Attribute):
@@ -409,17 +374,14 @@ def check_linear_scans(ctx: PerfContext, hot: HotFunction) -> list[Finding]:
             )
             if not has_return:
                 continue
-            findings.append(
-                _finding(
-                    hot,
-                    node,
-                    "P005",
-                    f"linear search over .{node.iter.attr} once per event — "
-                    "index it (dict keyed by the match field) or cache the "
-                    "lookup",
-                )
+            yield _finding(
+                hot,
+                node,
+                "P005",
+                f"linear search over .{node.iter.attr} once per event — "
+                "index it (dict keyed by the match field) or cache the "
+                "lookup",
             )
-    return findings
 
 
 # -- P006: constant-delay heap pushes (calendar-queue candidates) -------------
@@ -432,28 +394,21 @@ def _is_constant_shaped(expr: ast.expr) -> bool:
     return not any(isinstance(node, ast.Call) for node in ast.walk(expr))
 
 
-def check_constant_delay_pushes(ctx: PerfContext, hot: HotFunction) -> list[Finding]:
-    findings: list[Finding] = []
-    for node in ast.walk(hot.decl.node):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _call_name(node)
-        suffix = name.rsplit(".", 1)[-1]
-        if suffix not in ("schedule", "schedule_at") or len(node.args) < 2:
+def check_constant_delay_pushes(ctx: PerfContext, hot: HotFunction) -> Iterator[Finding]:
+    for node in hot.decl.calls:
+        suffix = call_name(node).rsplit(".", 1)[-1]
+        if suffix not in SCHEDULE_NAMES or len(node.args) < 2:
             continue
         if not _is_constant_shaped(node.args[0]):
             continue
-        findings.append(
-            _finding(
-                hot,
-                node,
-                "P006",
-                f"{suffix}() with a constant-shaped delay pushes into the "
-                "binary heap once per event — a calendar-queue/bucket lane "
-                "would make this O(1) (ROADMAP item 1)",
-            )
+        yield _finding(
+            hot,
+            node,
+            "P006",
+            f"{suffix}() with a constant-shaped delay pushes into the "
+            "binary heap once per event — a calendar-queue/bucket lane "
+            "would make this O(1) (ROADMAP item 1)",
         )
-    return findings
 
 
 #: rule id -> check function, in reporting order.
@@ -465,3 +420,20 @@ PERF_CHECKS = {
     "P005": check_linear_scans,
     "P006": check_constant_delay_pushes,
 }
+
+
+def check(facts: "Facts", selected: frozenset[str]) -> list[Finding]:
+    """The perf family's check: each selected P-rule over each hot function.
+
+    The hot set (schedule-site callbacks and ``Node.receive``
+    reachability) comes off the run's shared facts.  Accepted findings
+    live in ``scripts/analysis_baseline.json`` and self-shrink through
+    U001.
+    """
+    ctx = PerfContext(facts.modules)
+    findings: list[Finding] = []
+    for entry in facts.hot_paths.functions.values():
+        for rule_id, rule_check in PERF_CHECKS.items():
+            if rule_id in selected:
+                findings.extend(rule_check(ctx, entry))
+    return findings

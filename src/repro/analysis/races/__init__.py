@@ -5,14 +5,13 @@ DESIGN.md ("Simultaneity semantics"):
 
 * :mod:`.effects` — static effect inference over scheduled callbacks
   (rules R001/R002), driven by ``__shared_state__`` declarations
-  (:mod:`.declarations`);
+  (:mod:`repro.analysis.declarations`);
 * :mod:`.runtime` — the dynamic interference sanitizer observing real
   tie groups through :func:`repro.netsim.set_tie_hook` (R003/R004);
 * :mod:`.explore` — DPOR-lite schedule exploration asserting canonical
   trace invariance under permutations of conflicting tie groups.
 """
 
-from .declarations import SharedStateDecl, declarations_for_module
 from .explore import ExploreReport, explore
 from .runtime import InterferenceMonitor, RaceReport, run_monitored
 
@@ -20,8 +19,6 @@ __all__ = [
     "ExploreReport",
     "InterferenceMonitor",
     "RaceReport",
-    "SharedStateDecl",
-    "declarations_for_module",
     "explore",
     "run_monitored",
 ]

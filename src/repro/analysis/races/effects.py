@@ -3,7 +3,7 @@
 For every callback the source tree passes to ``Simulator.schedule`` /
 ``schedule_at`` we compute a may-read/may-write *effect set* over the
 shared-state cells declared via ``__shared_state__`` (see
-:mod:`.declarations`).  A static cell is class-qualified —
+:mod:`repro.analysis.declarations`).  A static cell is class-qualified —
 ``"RemoteDnsGuard._pending"`` — so two classes sharing an attribute name
 never alias, but the pass still cannot tell two *instances* of one class
 apart; a cell is "some RemoteDnsGuard's ``_pending``", and the dynamic
@@ -38,18 +38,23 @@ from __future__ import annotations
 import ast
 import dataclasses
 from pathlib import Path
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..findings import Finding
-from ..rules import dotted_name
-from .declarations import SharedStateDecl, declarations_for_module
-from ..flow.core import (
+from ..parse import (
+    SCHEDULE_NAMES,
     FunctionDecl,
     ModuleInfo,
     NameIndex,
-    _call_name,
+    call_name,
     class_of,
+    dotted_name,
+    lambda_decl,
     self_attr,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..kernel import Facts
 
 #: Method names that mutate their receiver (dict/set/list soft state).
 _MUTATOR_METHODS = frozenset(
@@ -67,9 +72,6 @@ _MUTATOR_METHODS = frozenset(
         "insert",
     }
 )
-
-#: Scheduler entry points, matched on the call's dotted suffix.
-_SCHEDULE_NAMES = frozenset({"schedule", "schedule_at"})
 
 #: Effect-propagation passes across the call graph (chains are shallow —
 #: handler -> helper -> table mutation).
@@ -114,14 +116,7 @@ class ScheduleSite:
     effects: EffectSet
 
 
-def _decl_index(modules: list[ModuleInfo]) -> dict[str, dict[str, SharedStateDecl]]:
-    """module path -> class name -> declaration."""
-    return {m.path: declarations_for_module(m.tree) for m in modules}
-
-
-def _watched_cells(
-    decls: dict[str, dict[str, SharedStateDecl]],
-) -> tuple[frozenset[str], frozenset[str]]:
+def _watched_cells(modules: list[ModuleInfo]) -> tuple[frozenset[str], frozenset[str]]:
     """(all declared cells, the commutative subset), class-qualified.
 
     A static cell is ``"ClassName.attr"`` — qualified by the *declaring*
@@ -130,8 +125,8 @@ def _watched_cells(
     """
     watched: set[str] = set()
     commutative: set[str] = set()
-    for per_class in decls.values():
-        for decl in per_class.values():
+    for module in modules:
+        for decl in module.declared.shared_state.values():
             for attr in decl.guarded:
                 watched.add(f"{decl.class_name}.{attr}")
             for attr in decl.commutative:
@@ -139,6 +134,23 @@ def _watched_cells(
                 watched.add(cell)
                 commutative.add(cell)
     return frozenset(watched), frozenset(commutative)
+
+
+def _self_writes(decl: FunctionDecl) -> Iterator[tuple[ast.AST, str]]:
+    """``(node, attr)`` for every write to ``self.attr`` in ``decl``, in walk
+    order: stores and deletes of the attribute or of a subscript of it,
+    augmented assignments, and mutator-method calls on it."""
+    for node in decl.nodes.of(ast.Attribute, ast.Subscript, ast.AugAssign, ast.Call):
+        attr: str | None = None
+        if isinstance(node, (ast.Attribute, ast.Subscript)):
+            if isinstance(node.ctx, (ast.Store, ast.Del)):
+                attr = self_attr(node if isinstance(node, ast.Attribute) else node.value)
+        elif isinstance(node, ast.AugAssign):
+            attr = self_attr(node.target)
+        elif isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATOR_METHODS:
+            attr = self_attr(node.func.value)
+        if attr is not None:
+            yield node, attr
 
 
 def _direct_effects(
@@ -149,45 +161,20 @@ def _direct_effects(
     ``class_name`` qualifies ``self.X`` accesses: a method of ``C`` touches
     cell ``"C.X"``, which only counts when that exact cell is declared.
     """
-    reads: set[str] = set()
-    writes: set[str] = set()
-    callees: set[str] = set()
 
-    def cell_for(attr: str | None) -> str | None:
-        if attr is None or class_name is None:
-            return None
-        cell = f"{class_name}.{attr}"
-        return cell if cell in watched else None
+    def cells(attrs: Iterable[str | None]) -> frozenset[str]:
+        if class_name is None:
+            return frozenset()
+        return watched & {f"{class_name}.{attr}" for attr in attrs if attr is not None}
 
-    for node in ast.walk(decl.node):
-        if isinstance(node, ast.Attribute):
-            cell = cell_for(self_attr(node))
-            if cell is not None:
-                if isinstance(node.ctx, (ast.Store, ast.Del)):
-                    writes.add(cell)
-                else:
-                    reads.add(cell)
-        elif isinstance(node, ast.Subscript):
-            cell = cell_for(self_attr(node.value))
-            if cell is not None and isinstance(node.ctx, (ast.Store, ast.Del)):
-                writes.add(cell)
-        elif isinstance(node, ast.AugAssign):
-            cell = cell_for(self_attr(node.target))
-            if cell is not None:
-                reads.add(cell)
-                writes.add(cell)
-        elif isinstance(node, ast.Call):
-            name = _call_name(node)
-            if name:
-                callees.add(name)
-            if isinstance(node.func, ast.Attribute) and (
-                node.func.attr in _MUTATOR_METHODS
-            ):
-                cell = cell_for(self_attr(node.func.value))
-                if cell is not None:
-                    reads.add(cell)
-                    writes.add(cell)
-    return EffectSet(frozenset(reads), frozenset(writes)), frozenset(callees)
+    writes = cells(attr for _, attr in _self_writes(decl))
+    # an augmented assignment reads what it writes; a mutator call's
+    # receiver is itself a load of ``self.attr``
+    reads = cells(
+        [self_attr(n) for n in decl.nodes.of(ast.Attribute) if isinstance(n.ctx, ast.Load)]
+        + [self_attr(n.target) for n in decl.nodes.of(ast.AugAssign)]
+    )
+    return EffectSet(reads, writes), frozenset(decl.callees())
 
 
 def build_effects(
@@ -224,27 +211,6 @@ def build_effects(
     return effects
 
 
-def _subclass_closure(module: ModuleInfo) -> dict[str, set[str]]:
-    """class name -> {itself and every (transitive) same-module subclass}."""
-    bases: dict[str, set[str]] = {}
-    for stmt in module.tree.body:
-        if isinstance(stmt, ast.ClassDef):
-            bases[stmt.name] = {
-                base.id for base in stmt.bases if isinstance(base, ast.Name)
-            }
-    closure: dict[str, set[str]] = {name: {name} for name in bases}
-    for _ in range(len(bases)):
-        changed = False
-        for name, parents in bases.items():
-            for parent in parents:
-                if parent in closure and name not in closure[parent]:
-                    closure[parent].add(name)
-                    changed = True
-        if not changed:
-            break
-    return closure
-
-
 def _is_boundary_priority(node: ast.expr) -> bool:
     if isinstance(node, ast.Constant):
         return isinstance(node.value, int) and node.value < 0
@@ -272,15 +238,12 @@ class _SiteCollector:
     def collect(self) -> list[ScheduleSite]:
         sites: list[ScheduleSite] = []
         for module in self.modules:
-            closure = _subclass_closure(module)
+            closure = module.subclass_closure()
             for decl in module.functions.values():
                 enclosing = class_of(decl.qualname)
-                for node in ast.walk(decl.node):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    name = _call_name(node)
-                    suffix = name.rsplit(".", 1)[-1]
-                    if suffix not in _SCHEDULE_NAMES or len(node.args) < 2:
+                for node in decl.calls:
+                    suffix = call_name(node).rsplit(".", 1)[-1]
+                    if suffix not in SCHEDULE_NAMES or len(node.args) < 2:
                         continue
                     site = self._site_for(module, closure, enclosing, node)
                     if site is not None:
@@ -321,10 +284,7 @@ class _SiteCollector:
         callback: ast.expr,
     ) -> tuple[tuple[str, ...], EffectSet] | None:
         if isinstance(callback, ast.Lambda):
-            wrapper = FunctionDecl(
-                "<lambda>", _lambda_as_function(callback), []
-            )
-            effect, _ = _direct_effects(wrapper, self.watched, enclosing)
+            effect, _ = _direct_effects(lambda_decl(callback), self.watched, enclosing)
             return ("<lambda>",), effect
 
         attr = self_attr(callback)
@@ -362,25 +322,11 @@ class _SiteCollector:
         return (target_decl.qualname,), effect
 
 
-def _lambda_as_function(node: ast.Lambda) -> ast.FunctionDef:
-    """Wrap a lambda body so the effect extractor can walk it."""
-    wrapper = ast.FunctionDef(
-        name="<lambda>",
-        args=node.args,
-        body=[ast.Return(value=node.body)],
-        decorator_list=[],
-        returns=None,
-        type_params=[],
-    )
-    return ast.fix_missing_locations(ast.copy_location(wrapper, node))
-
-
 def collect_schedule_sites(
     modules: list[ModuleInfo], index: NameIndex
 ) -> tuple[list[ScheduleSite], frozenset[str]]:
     """(resolved schedule sites, commutative attr names) for ``modules``."""
-    decls = _decl_index(modules)
-    watched, commutative = _watched_cells(decls)
+    watched, commutative = _watched_cells(modules)
     effects = build_effects(modules, index, watched)
     sites = _SiteCollector(modules, index, effects, watched).collect()
     return sites, commutative
@@ -392,9 +338,8 @@ def _guarded_writes(site: ScheduleSite, commutative: frozenset[str]) -> frozense
 
 def check_write_overlaps(
     sites: list[ScheduleSite], commutative: frozenset[str]
-) -> list[Finding]:
+) -> Iterator[Finding]:
     """R001: same-lane handler pairs with overlapping guarded write sets."""
-    findings: list[Finding] = []
     seen: set[tuple] = set()
     for i, first in enumerate(sites):
         first_writes = _guarded_writes(first, commutative)
@@ -416,101 +361,84 @@ def check_write_overlaps(
             if key in seen or (key[1], key[0], key[2]) in seen:
                 continue
             seen.add(key)
-            findings.append(
-                Finding(
-                    path=first.path,
-                    line=first.line,
-                    col=first.col,
-                    rule="R001",
-                    message=(
-                        f"handlers {'/'.join(first.callbacks)} and "
-                        f"{'/'.join(second.callbacks)} (scheduled at "
-                        f"{second.path}:{second.line}) may both write shared "
-                        f"state {{{', '.join(sorted(overlap))}}} in the same "
-                        f"instant; order them with a priority lane or document "
-                        f"the commutativity"
-                    ),
-                )
+            yield Finding(
+                path=first.path,
+                line=first.line,
+                col=first.col,
+                rule="R001",
+                message=(
+                    f"handlers {'/'.join(first.callbacks)} and "
+                    f"{'/'.join(second.callbacks)} (scheduled at "
+                    f"{second.path}:{second.line}) may both write shared "
+                    f"state {{{', '.join(sorted(overlap))}}} in the same "
+                    f"instant; order them with a priority lane or document "
+                    f"the commutativity"
+                ),
             )
-    return findings
 
 
-def check_declarations(modules: list[ModuleInfo]) -> list[Finding]:
+def check_declarations(modules: list[ModuleInfo]) -> Iterator[Finding]:
     """R002: missing module declarations and undeclared attribute writes."""
-    findings: list[Finding] = []
     for module in modules:
-        decls = declarations_for_module(module.tree)
+        decls = module.declared.shared_state
         required = any(module.path.endswith(sfx) for sfx in REQUIRED_DECLARATIONS)
         if required and not decls:
-            findings.append(
-                Finding(
-                    path=module.path,
-                    line=1,
-                    col=0,
-                    rule="R002",
-                    message=(
-                        "module owns scheduler-visible shared state but "
-                        "declares no __shared_state__ (see "
-                        "repro.analysis.races.declarations)"
-                    ),
-                )
+            yield Finding(
+                path=module.path,
+                line=1,
+                col=0,
+                rule="R002",
+                message=(
+                    "module owns scheduler-visible shared state but "
+                    "declares no __shared_state__ (see "
+                    "repro.analysis.declarations)"
+                ),
             )
             continue
         if not decls:
             continue
-        for stmt in module.tree.body:
-            if not isinstance(stmt, ast.ClassDef) or stmt.name not in decls:
+        for decl in module.defs:
+            class_name = class_of(decl.qualname)
+            if class_name not in decls or decl.node.name == "__init__":
                 continue
-            declared = decls[stmt.name].all_attrs
-            for sub in stmt.body:
-                if not isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if sub.name == "__init__":
-                    continue
-                findings.extend(
-                    _undeclared_writes(module.path, stmt.name, sub, declared)
-                )
-    return findings
+            yield from _undeclared_writes(
+                module.path, class_name, decl, decls[class_name].all_attrs
+            )
 
 
 def _undeclared_writes(
     path: str,
     class_name: str,
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
+    func: FunctionDecl,
     declared: frozenset[str],
-) -> list[Finding]:
-    findings: list[Finding] = []
+) -> Iterator[Finding]:
     reported: set[str] = set()
-    for node in ast.walk(func):
-        attr: str | None = None
-        if isinstance(node, ast.Attribute) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            attr = self_attr(node)
-        elif isinstance(node, ast.AugAssign):
-            attr = self_attr(node.target)
-        elif isinstance(node, ast.Subscript) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            attr = self_attr(node.value)
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
-            node.func.attr in _MUTATOR_METHODS
-        ):
-            attr = self_attr(node.func.value)
-        if attr is None or attr in declared or attr in reported:
+    for node, attr in _self_writes(func):
+        if attr in declared or attr in reported:
             continue
         reported.add(attr)
-        findings.append(
-            Finding(
-                path=path,
-                line=node.lineno,
-                col=node.col_offset,
-                rule="R002",
-                message=(
-                    f"{class_name}.{func.name} writes self.{attr}, which is "
-                    f"not in {class_name}'s __shared_state__ declaration — "
-                    "declare it guarded or commutative"
-                ),
-            )
+        yield Finding.at(
+            path,
+            node,
+            "R002",
+            f"{func.qualname} writes self.{attr}, which is "
+            f"not in {class_name}'s __shared_state__ declaration — "
+            "declare it guarded or commutative",
         )
+
+
+def check(facts: "Facts", selected: frozenset[str]) -> list[Finding]:
+    """The races family's check: the static simultaneity rules R001/R002.
+
+    R003/R004 are *runtime* rules: the registry knows them so the SARIF
+    export, the README rule table and ``--rules`` selection do, but their
+    findings come from the dynamic interference monitor (:mod:`.runtime`,
+    ``python -m repro <cmd> --races``), never from this function.
+    """
+    findings: list[Finding] = []
+    if "R001" in selected:
+        sites, commutative = collect_schedule_sites(facts.modules, facts.index)
+        findings.extend(check_write_overlaps(sites, commutative))
+    if "R002" in selected:
+        findings.extend(check_declarations(facts.modules))
     return findings

@@ -34,10 +34,9 @@ from collections import OrderedDict
 from typing import Any, Callable
 
 from ...netsim.simulator import Simulator, TieEvent, _describe_callback, _describe_value
-from ..declarations import iter_declared_classes
+from ..declarations import SharedStateDecl, iter_declared_classes
 from ..findings import Finding
 from ..modes import run_hooked
-from .declarations import DECL_NAME, SharedStateDecl, parse_declaration
 
 #: Wildcard key: the whole-container footprint (iteration, clear, len).
 WILDCARD = "*"
@@ -51,9 +50,7 @@ def discover_declared_classes(
     """Every class under ``package`` with a ``__shared_state__`` entry."""
     return [
         (cls, decl)
-        for _module, cls, decl in iter_declared_classes(
-            package, DECL_NAME, parse_declaration
-        )
+        for _module, cls, decl in iter_declared_classes(package, "__shared_state__")
     ]
 
 

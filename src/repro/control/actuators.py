@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..guard.cookie import random_key
+from ..guard.core import random_key
 from ..guard.pipeline import AdmissionControl
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

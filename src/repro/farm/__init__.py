@@ -19,13 +19,7 @@ completion order, or resume history.
 from .manifest import CellRecord, Manifest, result_digest
 from .matrices import MATRICES, MatrixDef, get_matrix, matrix_names, register_matrix
 from .planner import Cell, derive_cell_seed, expand, plan_digest
-from .runner import (
-    DEFAULT_CELL_TIMEOUT,
-    FarmResult,
-    bench_farm,
-    run_farm,
-    write_bench_farm,
-)
+from .runner import DEFAULT_CELL_TIMEOUT, FarmResult, run_farm
 
 __all__ = [
     "Cell",
@@ -35,7 +29,6 @@ __all__ = [
     "Manifest",
     "MATRICES",
     "MatrixDef",
-    "bench_farm",
     "derive_cell_seed",
     "expand",
     "get_matrix",
@@ -44,5 +37,4 @@ __all__ = [
     "register_matrix",
     "result_digest",
     "run_farm",
-    "write_bench_farm",
 ]

@@ -10,8 +10,7 @@ equivalence gate in ``scripts/check.sh`` asserts that a sharded run's
 
 Determinism discipline: the digest covers only run-invariant content
 (plan fingerprint, per-cell status/seed/result digest/trace hash).
-Wall-clock timings and shard counts are recorded too — they are what the
-``BENCH_farm.json`` trajectory is built from — but live outside the
+Wall-clock timings and shard counts are recorded too, but live outside the
 digested view, because a 2-shard run and a 16-shard run of the same
 matrix must fingerprint identically.
 """
@@ -133,7 +132,7 @@ class Manifest:
         """Append to the run history, keeping only the newest entries.
 
         The history is measurement metadata (shards, cells run/skipped,
-        wall time) feeding ``BENCH_farm.json``; it accumulates across
+        wall time); it accumulates across
         every ``--resume`` of the same manifest, so it is the one
         collection here that would otherwise grow without bound.
         """

@@ -16,7 +16,7 @@ planner's canonical cell order, and each cell's result/trace digest
 depends only on ``(matrix, params, derived seed, fast)``.
 
 Wall-clock reads in this module are orchestration-plane only (timeouts,
-queue polling, the BENCH trajectory); they never feed a simulation,
+queue polling, the run summary's wall time); they never feed a simulation,
 which is why the inline ``allow[D001]`` markers are sound.
 """
 
@@ -29,7 +29,6 @@ import sys
 import time
 from typing import Any
 
-from ..obs.trajectory import append_trajectory
 from .manifest import DONE, TIMEOUT, CellRecord, Manifest
 from .matrices import get_matrix
 from .planner import Cell, plan_digest
@@ -332,7 +331,7 @@ def run_farm(
     if stop_after is not None:
         pending = pending[:stop_after]
 
-    t0 = time.monotonic()  # repro: allow[D001] - BENCH wall-clock measurement
+    t0 = time.monotonic()  # repro: allow[D001] - run-summary wall time
     if pending:
         if shards == 1:
             _run_serial(mdef, pending, manifest)
@@ -344,7 +343,7 @@ def run_farm(
                 shards=min(shards, len(pending)),
                 cell_timeout=cell_timeout,
             )
-    wall = time.monotonic() - t0  # repro: allow[D001] - BENCH wall-clock measurement
+    wall = time.monotonic() - t0  # repro: allow[D001] - run-summary wall time
 
     manifest.note_run(
         {
@@ -371,58 +370,6 @@ def run_farm(
         result.reduced = mdef.reduce(cells, ordered)
         result.rendered = mdef.render(result.reduced)
     return result
-
-
-def write_bench_farm(
-    path: str,
-    *,
-    matrix: str,
-    cells: int,
-    serial_seconds: float,
-    sharded_seconds: float,
-    shards: int,
-    digests_equal: bool,
-    date: str | None = None,
-) -> dict:
-    """Append a serial-vs-sharded wall-clock record to ``BENCH_farm.json``,
-    so the speedup curve stays visible to future PRs."""
-    speedup = serial_seconds / sharded_seconds if sharded_seconds > 0 else 0.0
-    return append_trajectory(
-        path,
-        benchmark="scenario-farm",
-        unit="speedup",
-        value=round(speedup, 3),
-        entry={
-            "matrix": matrix,
-            "cells": cells,
-            "shards": shards,
-            "serial_seconds": round(serial_seconds, 3),
-            "sharded_seconds": round(sharded_seconds, 3),
-            "speedup": round(speedup, 3),
-            "digests_equal": digests_equal,
-        },
-        date=date,
-    )
-
-
-def bench_farm(
-    path: str, matrix: str, *, seed: int = 0, fast: bool = False, shards: int = 2
-) -> dict:
-    """Time serial vs sharded execution of ``matrix`` (at least two shards)
-    and append the record, digest-equality witness included, to the BENCH
-    trajectory at ``path``; returns the appended entry."""
-    serial = run_farm(matrix, seed=seed, fast=fast, shards=1)
-    sharded = run_farm(matrix, seed=seed, fast=fast, shards=max(2, shards))
-    doc = write_bench_farm(
-        path,
-        matrix=matrix,
-        cells=len(serial.cells),
-        serial_seconds=serial.wall_seconds,
-        sharded_seconds=sharded.wall_seconds,
-        shards=sharded.shards,
-        digests_equal=serial.manifest.digest() == sharded.manifest.digest(),
-    )
-    return doc["trajectory"][-1]
 
 
 def main_summary(result: FarmResult, *, out=None) -> None:

@@ -13,15 +13,12 @@ adapters around it.  The layering analysis
 """
 
 from . import core
-from .cookie import (
-    CookieFactory,
+from .core import (
+    FABRICATED_NS_TTL,
     KEY_LENGTH,
     LABEL_COOKIE_LENGTH,
     LABEL_PREFIX,
-    random_key,
-)
-from .core import (
-    FABRICATED_NS_TTL,
+    CookieFactory,
     CookieName,
     RateEstimator,
     TokenBucket,
@@ -33,6 +30,7 @@ from .core import (
     delegation_owner,
     encode_cookie_name,
     fabricated_referral,
+    random_key,
 )
 from .costs import GuardCosts
 from .local_guard import DEFAULT_COOKIE_TTL, LocalDnsGuard

@@ -21,8 +21,9 @@ invalidates cookies mid-TTL and costs exactly one MD5 per check.
 This module is the pure half of the seam: every byte of randomness comes
 in through the :class:`~repro.guard.core.ports.Rng` port (or an explicit
 ``key`` argument), so the same state machine drives the deterministic
-simulator and a future socket front end.  The OS-entropy defaults live in
-the adapter shim :mod:`repro.guard.cookie`.
+simulator and a future socket front end.  Nothing here — and nothing in
+the adapters — draws OS entropy: a caller outside a simulation supplies
+its own key.
 """
 
 from __future__ import annotations
@@ -75,10 +76,8 @@ def random_key(rng: Rng) -> bytes:
 
     Simulated components pass the seeded ``Simulator.rng`` so key
     material — and everything derived from it: cookie values, fabricated
-    addresses, packet bytes — replays exactly from the seed.  The
-    OS-entropy convenience default lives in the adapter
-    (:func:`repro.guard.cookie.random_key`), never here: the core draws
-    no entropy of its own.
+    addresses, packet bytes — replays exactly from the seed.  The core
+    draws no entropy of its own.
     """
     return bytes(rng.getrandbits(8) for _ in range(KEY_LENGTH))
 
@@ -91,9 +90,7 @@ class CookieFactory:
     number of bytes for COOKIE") — the label-cookie range is
     16^label_hex_digits.  Must be even (hex pairs) and at most 32.
 
-    ``key`` is required: the core never invents entropy.  The adapter
-    subclass in :mod:`repro.guard.cookie` supplies the OS-entropy default
-    for production construction.
+    ``key`` is required: the core never invents entropy.
     """
 
     def __init__(

@@ -92,10 +92,15 @@ def derive_client_cookie(
 
 
 class EdnsCookieServer:
-    """Stateless server-cookie computation (RFC 7873 §6)."""
+    """Stateless server-cookie computation (RFC 7873 §6).
 
-    def __init__(self, key: bytes | None = None):
-        self.key = key if key is not None else hashlib.md5(b"rfc7873").digest()
+    ``key`` is required: a server cookie is only as unforgeable as its
+    key is secret, so the core never supplies one of its own — the
+    adapter draws it from the simulator's seeded ``rng``.
+    """
+
+    def __init__(self, key: bytes):
+        self.key = key
         self.computations = 0
 
     def server_cookie(self, client_cookie: bytes, source: IPv4Address) -> bytes:

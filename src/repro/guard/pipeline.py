@@ -52,7 +52,7 @@ from ..netsim import (
     UdpDatagram,
     Verdict,
 )
-from .cookie import CookieFactory, random_key
+from .core import CookieFactory, random_key
 from .core.admission import (
     AdmissionControl,
     Policy,

@@ -35,6 +35,7 @@ from ipaddress import IPv4Address
 
 from ..dnswire import Message
 from ..netsim import DnsPayload, Hook, Node, Packet, RoutingError, UdpDatagram, Verdict
+from .core.cookie import random_key
 from .core.edns_cookie import (
     CLIENT_COOKIE_LENGTH,
     OPTION_COOKIE,
@@ -118,7 +119,14 @@ class EdnsCookieGuard:
     ):
         self.node = node
         self.ans_address = ans_address
-        self.server = server if server is not None else EdnsCookieServer()
+        # the key is drawn from the seeded rng, like RemoteDnsGuard's: a
+        # constant would let anyone who has read the source mint a valid
+        # server cookie for any spoofed address
+        self.server = (
+            server
+            if server is not None
+            else EdnsCookieServer(random_key(node.sim.rng))
+        )
         self.costs = costs if costs is not None else GuardCosts()
         self.rl1 = rl1 if rl1 is not None else UnverifiedResponseLimiter(
             per_source_rate=1e9, per_source_burst=1e9

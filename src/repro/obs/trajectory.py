@@ -1,6 +1,6 @@
 """The one writer of ``BENCH_*.json`` trajectory documents.
 
-Every recorded benchmark (analysis CLI, farm, adaptive control) is one
+Every recorded benchmark (analysis CLI, adaptive control) is one
 JSON document with a headline ``value`` and a ``trajectory`` of dated
 entries.  Rewriting the document keeps the recorded trajectory and
 appends to it, so regenerating a number never erases the history of what

@@ -1,7 +1,6 @@
 """S-rules: FSM extraction, conformance, and the seeded-mutation proofs."""
 
 import functools
-import ast
 import textwrap
 from pathlib import Path
 
@@ -16,6 +15,7 @@ from repro.analysis.flow.fsm import (
     extract_fsm,
 )
 from repro.analysis.flow.fsm_spec import FsmSpec, Transition
+from repro.analysis.parse import parse_module
 
 #: the flow family through the one kernel entry point
 analyze_paths = functools.partial(analyze, families=("flow",))
@@ -62,7 +62,7 @@ TOY_SPEC = FsmSpec(
 
 
 def extract(source: str):
-    extraction = extract_fsm(ast.parse(textwrap.dedent(source)), "toy.py")
+    extraction = extract_fsm(parse_module("toy.py", textwrap.dedent(source)))
     assert extraction is not None
     return extraction
 
@@ -81,7 +81,7 @@ class TestExtraction:
         assert by_method["finish"].dst == "DONE"
 
     def test_module_without_fsm_yields_none(self):
-        assert extract_fsm(ast.parse("x = 1\n"), "mod.py") is None
+        assert extract_fsm(parse_module("mod.py", "x = 1\n")) is None
 
 
 class TestConformance:

@@ -220,7 +220,7 @@ class TestRepoTrustDeclarations:
     def test_guard_modules_declare_boundaries(self):
         import ast
 
-        from repro.analysis.flow.trust import find_declaration
+        from repro.analysis.declarations import DEFAULT_TRUST, load_declarations
 
         for name in (
             "pipeline.py",
@@ -232,17 +232,17 @@ class TestRepoTrustDeclarations:
             "core/edns_cookie.py",
         ):
             path = REPO_SRC / "repro" / "guard" / name
-            decl = find_declaration(ast.parse(path.read_text(encoding="utf-8")))
-            assert decl is not None, f"{name} must declare __trust_boundary__"
-            assert decl.get("scheme"), name
+            trust = load_declarations(ast.parse(path.read_text(encoding="utf-8"))).trust
+            assert trust is not DEFAULT_TRUST, f"{name} must declare __trust_boundary__"
+            assert trust.scheme, name
 
     def test_declared_lists_extend_defaults_not_mask(self):
         import ast
 
-        from repro.analysis.flow.trust import DEFAULT_TRUST, trust_for_module
+        from repro.analysis.declarations import DEFAULT_TRUST, load_declarations
 
         tree = ast.parse('__trust_boundary__ = {"secret_attrs": []}')
-        trust = trust_for_module(tree)
+        trust = load_declarations(tree).trust
         assert trust.secret_attrs >= DEFAULT_TRUST.secret_attrs
 
 

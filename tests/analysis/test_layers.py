@@ -6,10 +6,10 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis import FAMILIES, analyze
+from repro.analysis.declarations import load_declarations
 from repro.analysis.layers import (
     DEFAULT_MANIFEST,
     LAYERS,
-    declared_layer,
     layer_of,
     pure_prefixes,
 )
@@ -17,6 +17,10 @@ from repro.analysis.registry import rule_table
 
 #: the layers family through the one kernel entry point
 analyze_layers = functools.partial(analyze, families=("layers",))
+
+
+def declared_layer(tree):
+    return load_declarations(tree).layer
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 REPO_SRC = REPO_ROOT / "src"
@@ -55,6 +59,19 @@ class TestManifest:
         value = declared_layer(ast.parse('__layer__ = "pure-core"'))
         assert value == ("pure-core", 1)
         assert declared_layer(ast.parse("x = 1")) is None
+
+    def test_class_level_declaration_is_not_the_modules(self, tmp_path):
+        # a class attribute named __layer__ declares nothing: the manifest
+        # root's __init__ is still undeclared (L005)
+        assert declared_layer(ast.parse('class C:\n    __layer__ = "pure-core"\n')) is None
+        pkg = tmp_path / "corepkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text(
+            'class Marker:\n    __layer__ = "pure-core"\n', encoding="utf-8"
+        )
+        findings = analyze_layers([tmp_path], manifest={"corepkg": "pure-core"})
+        assert [f.rule for f in findings] == ["L005"]
+        assert "carries no __layer__ declaration" in findings[0].message
 
     def test_non_literal_declaration_reads_absent(self):
         assert declared_layer(ast.parse("__layer__ = compute()")) is None
@@ -376,9 +393,9 @@ class TestSeededMutations:
         mutate(
             tmp_path,
             "repro/guard/pipeline.py",
-            "from .cookie import CookieFactory, random_key",
+            "from .core import CookieFactory, random_key",
             "import hashlib\n"
-            "from .cookie import CookieFactory, random_key",
+            "from .core import CookieFactory, random_key",
         )
         findings = analyze_layers([tmp_path], rule_ids=["L004"])
         assert findings, "hashlib in the adapter must fire L004"

@@ -7,12 +7,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import FAMILIES, analyze
-from repro.analysis.memory.declarations import (
+from repro.analysis.declarations import (
     EVICTION_MECHANISMS,
     StateBound,
-    declarations_for_module,
-    find_declaration,
-    parse_declaration,
+    load_declarations,
+    parse_state_bounds as parse_declaration,
 )
 from repro.analysis.registry import rule_table
 
@@ -55,12 +54,10 @@ class TestDeclarations:
     def test_find_and_parse(self):
         import ast
 
-        tree = ast.parse(BOUNDS_CAP)
-        found = find_declaration(tree)
+        found = load_declarations(ast.parse(BOUNDS_CAP)).state_bounds
         assert found is not None
-        raw, lineno = found
+        decls, lineno = found
         assert lineno == 1
-        decls = parse_declaration(raw)
         bound = decls["Guard"]["table"]
         assert bound.bound == 4
         assert bound.evicted_by == frozenset({"cap"})
@@ -95,8 +92,8 @@ class TestDeclarations:
     def test_missing_declaration_vs_honest_empty(self):
         import ast
 
-        assert declarations_for_module(ast.parse("x = 1")) is None
-        declared = declarations_for_module(ast.parse("__state_bounds__ = {}"))
+        assert load_declarations(ast.parse("x = 1")).state_bounds is None
+        declared = load_declarations(ast.parse("__state_bounds__ = {}")).state_bounds
         assert declared is not None and declared[0] == {}
 
 

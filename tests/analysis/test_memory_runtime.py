@@ -3,7 +3,7 @@
 import textwrap
 
 from repro.analysis.cli import main
-from repro.analysis.memory.declarations import StateBound
+from repro.analysis.declarations import StateBound
 from repro.analysis.memory.runtime import (
     discover_bounded_classes,
     run_bounds_monitored,

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import FAMILIES, analyze
-from repro.analysis.perf.hotpath import compute_hot_paths, module_dotted
-from repro.analysis.flow.core import load_modules
+from repro.analysis.parse import load_modules, module_dotted
+from repro.analysis.perf.hotpath import compute_hot_paths
 
 #: the perf family through the one kernel entry point
 analyze_perf = functools.partial(analyze, families=("perf",))

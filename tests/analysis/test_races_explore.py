@@ -1,7 +1,7 @@
 """Schedule exploration: seeded tie-group permutations vs canonical traces."""
 
 from repro.analysis.races import explore
-from repro.analysis.races.declarations import parse_declaration
+from repro.analysis.declarations import parse_shared_state as parse_declaration
 from repro.netsim import Simulator
 
 DECLARED = parse_declaration({"Cell": {"guarded": ["value"]}})

@@ -5,7 +5,7 @@ from collections import OrderedDict
 import pytest
 
 from repro.analysis.races import InterferenceMonitor, run_monitored
-from repro.analysis.races.declarations import parse_declaration
+from repro.analysis.declarations import parse_shared_state as parse_declaration
 from repro.netsim import Simulator, set_tie_hook
 
 

@@ -6,7 +6,11 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis import analyze
-from repro.analysis.races import declarations_for_module
+from repro.analysis.declarations import load_declarations
+
+
+def declarations_for_module(tree):
+    return load_declarations(tree).shared_state
 
 #: the races family through the one kernel entry point
 analyze_races = functools.partial(analyze, families=("races",))

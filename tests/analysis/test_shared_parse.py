@@ -1,11 +1,16 @@
 """The shared single-parse path: parsed ASTs feed every rule family."""
 
+import ast
 import json
 import textwrap
+from pathlib import Path
 
 import repro.analysis.engine as lint_engine
 from repro.analysis import FAMILIES, Facts, SuppressionTracker, analyze, lint_source, run
 from repro.analysis.bench import write_bench_analysis
+
+
+REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def write(tmp_path, name, source):
@@ -64,6 +69,38 @@ class TestParsedEquivalence:
         del seen[:]
         lint_source("import random  # repro: allow[D002]\n", tracker=tracker)
         assert len(seen) == 1
+
+
+    def test_each_tree_is_walked_once_per_run(self, monkeypatch):
+        """The walk budget: the full six-family gate over ``src/`` takes at
+        most 3x the parsed node count out of tree traversal — the index
+        builder's one pass plus the rules' sub-expression walks (17.0x,
+        2,069,952 / 121,950, when every rule walked for itself) — and no
+        rule walks a module tree or a whole function body."""
+        real_walk = ast.walk
+        roots: list[ast.AST] = []
+        walked = 0
+
+        def counting_walk(node):
+            nonlocal walked
+            roots.append(node)
+            for sub in real_walk(node):
+                walked += 1
+                yield sub
+
+        monkeypatch.setattr(ast, "walk", counting_walk)
+        facts = Facts([REPO_SRC])
+        run(list(FAMILIES), facts)
+        monkeypatch.undo()
+
+        parsed = sum(len(module.nodes) for module in facts.modules)
+        assert parsed > 100_000, "the gate's own tree should be what is measured"
+        assert parsed + walked <= 3 * parsed, (parsed, walked)
+        whole = {module.tree for module in facts.modules} | {
+            decl.node for module in facts.modules for decl in module.defs
+        }
+        rewalked = [root for root in roots if root in whole]
+        assert not rewalked, f"{len(rewalked)} whole-tree/whole-function walks"
 
 
 class TestBenchAnalysis:

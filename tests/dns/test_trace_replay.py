@@ -1,5 +1,6 @@
 """Trace-replay workloads, link jitter and cookie-key persistence."""
 
+import random
 import statistics
 from ipaddress import IPv4Address
 
@@ -9,6 +10,9 @@ from repro.dns import TraceReplayClient
 from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
 from repro.guard import CookieFactory, random_key
 from repro.netsim import Link, Node, Simulator
+
+#: keys are seeded like everything else: nothing here draws OS entropy
+RNG = random.Random(2006)
 
 
 class TestTraceReplay:
@@ -69,7 +73,7 @@ class TestLinkJitter:
 class TestKeyPersistence:
     def test_export_import_round_trip(self):
         source = IPv4Address("10.0.0.53")
-        factory = CookieFactory(random_key())
+        factory = CookieFactory(random_key(RNG))
         cookie = factory.cookie(source)
         restored = CookieFactory.import_state(factory.export_state())
         assert restored.verify(cookie, source)
@@ -77,15 +81,15 @@ class TestKeyPersistence:
 
     def test_previous_key_survives_restart(self):
         source = IPv4Address("10.0.0.53")
-        factory = CookieFactory(random_key())
+        factory = CookieFactory(random_key(RNG))
         old_cookie = factory.cookie(source)
-        factory.rotate()
+        factory.rotate(random_key(RNG))
         restored = CookieFactory.import_state(factory.export_state())
         assert restored.verify(old_cookie, source)  # old generation honoured
         assert restored.verify(restored.cookie(source), source)
 
     def test_label_width_carried_by_caller(self):
-        factory = CookieFactory(random_key(), label_hex_digits=16)
+        factory = CookieFactory(random_key(RNG), label_hex_digits=16)
         restored = CookieFactory.import_state(
             factory.export_state(), label_hex_digits=16
         )

@@ -1,10 +1,14 @@
 """Admission-control gate and the guard's actuator-seam entry points."""
 
+import random
 from ipaddress import IPv4Address
 
 from repro.dns import LrsSimulator
 from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
 from repro.guard import AdmissionControl, random_key
+
+#: keys are seeded like everything else: nothing here draws OS entropy
+RNG = random.Random(2006)
 
 
 def _quiet_bed():
@@ -100,7 +104,7 @@ class TestActuatorEntryPoints:
     def test_rotate_cookie_key_advances_one_generation(self):
         bed = GuardTestbed()
         generation = bed.guard.cookies.generation
-        bed.guard.rotate_cookie_key(random_key())
+        bed.guard.rotate_cookie_key(random_key(RNG))
         assert bed.guard.cookies.generation == generation + 1
 
     def test_crash_clears_verified_sources(self):

@@ -1,5 +1,6 @@
 """Configurable cookie-label width (§III.E's variable COOKIE size)."""
 
+import random
 from ipaddress import IPv4Address
 
 import pytest
@@ -9,13 +10,16 @@ from repro.guard import CookieFactory, random_key
 from repro.guard.core import decode_cookie_name, encode_cookie_name
 from repro.dnswire import Name
 
+#: keys are seeded like everything else: nothing here draws OS entropy
+RNG = random.Random(2006)
+
 LRS = IPv4Address("10.0.0.53")
 
 
 class TestWidthConfiguration:
     @pytest.mark.parametrize("digits", [4, 8, 16, 32])
     def test_round_trip_at_any_width(self, digits):
-        factory = CookieFactory(random_key(), label_hex_digits=digits)
+        factory = CookieFactory(random_key(RNG), label_hex_digits=digits)
         label = factory.label_cookie(LRS)
         assert len(label) == 2 + digits
         assert factory.verify_label(label, LRS)
@@ -23,28 +27,28 @@ class TestWidthConfiguration:
 
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError):
-            CookieFactory(random_key(), label_hex_digits=7)
+            CookieFactory(random_key(RNG), label_hex_digits=7)
 
     def test_oversize_width_rejected(self):
         with pytest.raises(ValueError):
-            CookieFactory(random_key(), label_hex_digits=34)
+            CookieFactory(random_key(RNG), label_hex_digits=34)
 
     def test_wider_cookie_means_larger_range(self):
         """16 hex digits = 2^64 range vs the default 2^32."""
-        wide = CookieFactory(random_key(), label_hex_digits=16)
-        narrow = CookieFactory(random_key(), label_hex_digits=8)
+        wide = CookieFactory(random_key(RNG), label_hex_digits=16)
+        narrow = CookieFactory(random_key(RNG), label_hex_digits=8)
         assert len(wide.label_cookie(LRS)) - len(narrow.label_cookie(LRS)) == 8
 
     def test_narrow_label_fails_wide_verification(self):
         """A guard configured wide rejects labels from a narrower config."""
-        factory = CookieFactory(random_key(), label_hex_digits=16)
+        factory = CookieFactory(random_key(RNG), label_hex_digits=16)
         narrow = CookieFactory(
             b"x" * 76, label_hex_digits=8
         ).label_cookie(LRS)
         assert not factory.verify_label(narrow, LRS)
 
     def test_cookie_name_codec_at_width(self):
-        factory = CookieFactory(random_key(), label_hex_digits=16)
+        factory = CookieFactory(random_key(RNG), label_hex_digits=16)
         label = factory.label_cookie(LRS)
         qname = Name.from_text("www.foo.com")
         encoded = encode_cookie_name(label, qname, Name.root())
@@ -62,7 +66,7 @@ class TestWidthEndToEnd:
         from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
 
         bed = GuardTestbed(ans="simulator", ans_mode="referral")
-        bed.guard.cookies = CookieFactory(random_key(), label_hex_digits=digits)
+        bed.guard.cookies = CookieFactory(random_key(RNG), label_hex_digits=digits)
         client = bed.add_client("lrs")
         lrs = LrsSimulator(client, ANS_ADDRESS, workload="referral")
         lrs.start()

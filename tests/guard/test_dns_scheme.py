@@ -1,5 +1,6 @@
 """Unit tests for cookie-name encoding and response fabrication (§III.B)."""
 
+import random
 from ipaddress import IPv4Address
 
 from repro.dnswire import Name, RRType, a_record, make_query
@@ -12,6 +13,9 @@ from repro.guard import (
     fabricated_referral,
     random_key,
 )
+
+#: keys are seeded like everything else: nothing here draws OS entropy
+RNG = random.Random(2006)
 
 ROOT = Name.root()
 FOO = Name.from_text("foo.com")
@@ -116,7 +120,7 @@ class TestDelegationOwner:
 class TestFabrication:
     def test_fabricated_referral_shape(self):
         query = make_query("www.foo.com", msg_id=9)
-        factory = CookieFactory(random_key())
+        factory = CookieFactory(random_key(RNG))
         label = factory.label_cookie(IPv4Address("10.0.0.53"))
         reply = fabricated_referral(query, ROOT, label, ttl=3600)
         assert reply.header.qr and not reply.header.aa
@@ -137,7 +141,7 @@ class TestFabrication:
         bound plus the extra name bytes.
         """
         query = make_query("www.foo.com", msg_id=9)
-        factory = CookieFactory(random_key())
+        factory = CookieFactory(random_key(RNG))
         label = factory.label_cookie(IPv4Address("10.0.0.53"))
         reply = fabricated_referral(query, ROOT, label)
         amplification = reply.wire_size() - query.wire_size()

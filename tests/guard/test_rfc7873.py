@@ -47,19 +47,19 @@ class TestCookieCodec:
 
 class TestServerCookie:
     def test_verify_round_trip(self):
-        server = EdnsCookieServer()
+        server = EdnsCookieServer(b"test-key")
         cc = b"\x11" * 8
         sc = server.server_cookie(cc, CLIENT_IP)
         assert server.verify(cc, sc, CLIENT_IP)
 
     def test_binds_to_address(self):
-        server = EdnsCookieServer()
+        server = EdnsCookieServer(b"test-key")
         cc = b"\x11" * 8
         sc = server.server_cookie(cc, CLIENT_IP)
         assert not server.verify(cc, sc, IPv4Address("10.0.0.11"))
 
     def test_binds_to_client_cookie(self):
-        server = EdnsCookieServer()
+        server = EdnsCookieServer(b"test-key")
         sc = server.server_cookie(b"\x11" * 8, CLIENT_IP)
         assert not server.verify(b"\x22" * 8, sc, CLIENT_IP)
 
@@ -163,6 +163,33 @@ class TestEndToEnd:
             segment=UdpDatagram(40000, 53, DnsPayload(query)),
         )
         attacker.send(packet)
+        sim.run(until=0.2)
+        assert guard.invalid_drops == 1
+        assert ans.requests_served == 0
+
+    def test_cookie_minted_with_a_public_constant_is_dropped(self):
+        """The guard's key is drawn from the seeded rng: the constant the
+        core used to fall back to (md5(b"rfc7873")) must not mint a valid
+        server cookie for a spoofed source."""
+        import hashlib
+
+        from repro.netsim import DnsPayload, Packet, UdpDatagram
+
+        sim, client, shim, guard, ans, attacker = build_testbed()
+        spoofed = IPv4Address("172.18.0.99")
+        client_cookie = b"\x09" * 8
+        forged = EdnsCookieServer(hashlib.md5(b"rfc7873").digest()).server_cookie(
+            client_cookie, spoofed
+        )
+        query = make_query("www.foo.com", msg_id=9)
+        attach_edns_cookie(query, client_cookie, forged)
+        attacker.send(
+            Packet(
+                src=spoofed,
+                dst=ANS_IP,
+                segment=UdpDatagram(40000, 53, DnsPayload(query)),
+            )
+        )
         sim.run(until=0.2)
         assert guard.invalid_drops == 1
         assert ans.requests_served == 0

@@ -18,6 +18,7 @@ from repro.experiments.hierarchy import (
     ROOT_IP,
     WWW_IP,
 )
+from repro.guard import random_key
 from repro.netsim import Link, Node
 
 
@@ -124,7 +125,7 @@ class TestKeyRotationLive:
     def test_rotation_does_not_break_cached_cookies(self):
         h = GuardedHierarchy(guard_root=True)
         h.resolve("www.foo.com")
-        h.root_guard.cookies.rotate()
+        h.root_guard.cookies.rotate(random_key(h.sim.rng))
         # expire the cached com A so the LRS must re-consult the root via
         # its cached (old-generation) cookie name
         h.lrs.cache.evict(Name.from_text("com"), RRType.NS)
@@ -134,8 +135,8 @@ class TestKeyRotationLive:
     def test_double_rotation_forces_fresh_exchange(self):
         h = GuardedHierarchy(guard_root=True)
         h.resolve("www.foo.com")
-        h.root_guard.cookies.rotate()
-        h.root_guard.cookies.rotate()
+        h.root_guard.cookies.rotate(random_key(h.sim.rng))
+        h.root_guard.cookies.rotate(random_key(h.sim.rng))
         h.lrs.cache.flush()
         result = h.resolve("mail.foo.com")
         assert result.ok

@@ -11,7 +11,7 @@ from repro.guard import (
     decode_cookie_name,
     encode_cookie_name,
 )
-from repro.guard.cookie import KEY_LENGTH
+from repro.guard.core import KEY_LENGTH
 from repro.dnswire import Name
 
 ips = st.integers(min_value=1, max_value=2**32 - 2).map(IPv4Address)
@@ -36,13 +36,14 @@ class TestCookieProperties:
         factory = CookieFactory(key)
         assert not factory.verify(factory.cookie(ip), other)
 
-    @given(key=keys, ip=ips)
-    def test_rotation_preserves_then_expires(self, key, ip):
+    @given(key=keys, first=keys, second=keys, ip=ips)
+    def test_rotation_preserves_then_expires(self, key, first, second, ip):
+        assume(second != key)  # the generation bit repeats every two rotations
         factory = CookieFactory(key)
         cookie = factory.cookie(ip)
-        factory.rotate()
+        factory.rotate(first)
         assert factory.verify(cookie, ip)
-        factory.rotate()
+        factory.rotate(second)
         assert not factory.verify(cookie, ip)
 
     @given(key=keys, ip=ips, r_y=st.integers(min_value=1, max_value=65534))
