@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint gate-artefacts test sanitize
+.PHONY: check lint gate-artefacts bench-digests test sanitize
 
 GATE_FAMILIES := --flow --races --perf --memory --layers
 
@@ -31,6 +31,14 @@ gate-artefacts:
 		> "$(OUT)/findings.raw.json" || [ $$? -eq 1 ]
 	$(PYTHON) -m repro.analysis --list-rules > "$(OUT)/list-rules.txt"
 	$(PYTHON) -m repro.analysis --rules-md > "$(OUT)/rules.md"
+
+# what "same simulation" is judged on, as gate-artefacts is for the
+# analysers: `sim_digest` of the five bench workloads at seeds 0 and 7, one
+# untimed run each (~40 s).  Run it in the parent checkout and in the
+# change; `diff` of the two files is the verdict.
+bench-digests:
+	@test -n "$(OUT)" || { echo "usage: make bench-digests OUT=<file>" >&2; exit 2; }
+	$(PYTHON) scripts/bench_digests.py > "$(OUT)"
 
 test:
 	$(PYTHON) -m pytest -x -q

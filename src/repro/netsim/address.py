@@ -3,6 +3,14 @@
 The testbed assigns addresses out of named subnets (the guard's protected
 subnet ``1.2.3.0/24`` matters to the fabricated-NS-IP cookie scheme, whose
 strength is the usable host range ``R_y``).
+
+Addresses are :class:`~ipaddress.IPv4Address` in every packet, signature and
+``str()``.  Only :class:`Node`'s two per-packet tables (ownership set, route
+cache) are keyed on the address's 32-bit integer: the stdlib hashes an
+address in Python (``hash(hex(int(self._ip)))``) and an int in C.  The two
+lookups read it from the stdlib's ``_ip`` slot — ``int(addr)`` is a Python
+frame that gives most of the gain back — and
+``tests/property/test_routing_tables.py`` pins ``_ip == int(addr)``.
 """
 
 from __future__ import annotations

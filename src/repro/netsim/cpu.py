@@ -50,26 +50,30 @@ class Cpu:
         discarding the packets it cannot serve (§IV.C) — and the saturated
         share is tracked in :attr:`work_dropped_seconds`.
         """
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         busy_until = self.busy_until
-        backlog = max(0.0, busy_until - now)
+        if busy_until > now:
+            backlog = busy_until - now
+            start = busy_until
+        else:
+            backlog = 0.0
+            start = now
         if backlog > self.queue_limit:
             self.jobs_dropped += 1
             if fn is None:
                 # discarding still burns CPU: extend the busy horizon so the
                 # cost delays (and keeps dropping) later submissions, exactly
                 # like an overloaded kernel spending its time in rx+drop
-                start = max(busy_until, now)
                 self.busy_until = start + cost
                 self._busy_accumulated += cost
                 self.work_dropped_seconds += cost
             return False
-        start = max(busy_until, now)
-        self.busy_until = start + cost
+        self.busy_until = busy_until = start + cost
         self._busy_accumulated += cost
         self.jobs_accepted += 1
         if fn is not None:
-            self.sim.schedule_at(self.busy_until, fn, *args)
+            sim.schedule_at(busy_until, fn, *args)
         return True
 
     def charge(self, cost: float) -> bool:

@@ -113,9 +113,10 @@ class GilbertElliottLoss:
 
 
 class _Direction:
-    """Per-direction transmission state."""
+    """Per-direction transmission state, and the node that direction feeds."""
 
     __slots__ = (
+        "receiver",
         "busy_until",
         "bytes_sent",
         "packets_sent",
@@ -125,7 +126,8 @@ class _Direction:
         "packets_reordered",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, receiver: "Node") -> None:
+        self.receiver = receiver
         self.busy_until = 0.0
         self.bytes_sent = 0
         self.packets_sent = 0
@@ -179,7 +181,7 @@ class Link:
         #: RNG is used; fault injection installs a named child stream so
         #: fault randomness cannot perturb the core event sequence.
         self.fault_rng: "random.Random | None" = None
-        self._directions = {id(a): _Direction(), id(b): _Direction()}
+        self._directions = {id(a): _Direction(b), id(b): _Direction(a)}
         a.attach(self)
         b.attach(self)
         if sim.obs is not None:
@@ -212,10 +214,12 @@ class Link:
         if not self.up:
             direction.packets_dropped += 1
             return False
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         size = packet.size
-        if self.bandwidth is not None:
-            serialization = size / self.bandwidth
+        bandwidth = self.bandwidth
+        if bandwidth is not None:
+            serialization = size / bandwidth
             queued = max(0.0, direction.busy_until - now)
             if queued > self.queue_limit:
                 direction.packets_dropped += 1
@@ -229,10 +233,10 @@ class Link:
             if self.loss_model.should_drop():
                 direction.packets_dropped += 1
                 return False
-        elif self.loss and self.sim.rng.random() < self.loss:
+        elif self.loss and sim.rng.random() < self.loss:
             direction.packets_dropped += 1
             return False
-        fault_rng = self.fault_rng if self.fault_rng is not None else self.sim.rng
+        fault_rng = self.fault_rng if self.fault_rng is not None else sim.rng
         if self.corrupt_prob and fault_rng.random() < self.corrupt_prob:
             # bit errors in flight: the receiver's checksum rejects it, so
             # from the endpoints' viewpoint the packet was simply lost
@@ -241,10 +245,10 @@ class Link:
             return False
         direction.bytes_sent += size
         direction.packets_sent += 1
-        receiver = self.other(sender)
+        receiver = direction.receiver
         delay = self.delay
         if self.jitter:
-            delay += self.sim.rng.uniform(-self.jitter, self.jitter)
+            delay += sim.rng.uniform(-self.jitter, self.jitter)
         if self.reorder_prob and fault_rng.random() < self.reorder_prob:
             # held back long enough for later packets to overtake it
             direction.packets_reordered += 1
@@ -256,14 +260,14 @@ class Link:
         # queue; the interference monitor is told so here rather than per
         # cell, because the contract is about this schedule site, not
         # about any particular attribute.
-        self.sim.schedule_at(departure + delay, receiver.receive, packet, self)  # repro: allow[R003,R004] same-node deliveries drain one serial queue in send order
+        sim.schedule_at(departure + delay, receiver.receive, packet, self)  # repro: allow[R003,R004] same-node deliveries drain one serial queue in send order
         if self.duplicate_prob and fault_rng.random() < self.duplicate_prob:
             direction.packets_duplicated += 1
             # an independent copy (every field, span included): routers
             # decrement ttl in place, and the two arrivals must not share
             # that mutation
             twin = dataclasses.replace(packet)
-            self.sim.schedule_at(departure + delay + self.delay, receiver.receive, twin, self)  # repro: allow[R003,R004] duplicate delivery follows the same serial-queue contract
+            sim.schedule_at(departure + delay + self.delay, receiver.receive, twin, self)  # repro: allow[R003,R004] duplicate delivery follows the same serial-queue contract
         return True
 
     def stats(self, sender: "Node") -> tuple[int, int, int]:

@@ -20,6 +20,9 @@ from .netfilter import PacketFilter, Verdict, evaluate
 from .packet import Packet, TcpSegment, UdpDatagram
 from .simulator import Simulator
 
+#: "not in the route cache" — ``None`` is a cached answer (no route).
+_MISS = object()
+
 
 class Node:
     """A simulated host or router."""
@@ -29,14 +32,14 @@ class Node:
         self.name = name
         self.cpu = Cpu(sim)
         self.addresses: list[IPv4Address] = []
-        #: set mirror of ``addresses`` — O(1) ownership tests per packet
-        self._address_set: set[IPv4Address] = set()
+        #: ``addresses`` as integers — the O(1) per-packet ownership test (address.py)
+        self._address_set: set[int] = set()
         self.links: list[Link] = []
         self.routes: list[tuple[IPv4Network, Link]] = []
         self.default_route: Link | None = None
-        #: per-destination route memo, invalidated on any table change and
-        #: bounded so spoofed-destination floods cannot grow it unchecked
-        self._route_cache: dict[IPv4Address, Link | None] = {}
+        #: per-destination route memo (same keys), invalidated on any table change
+        #: and bounded so spoofed-destination floods cannot grow it unchecked
+        self._route_cache: dict[int, Link | None] = {}
         #: CPU-seconds charged per packet forwarded in transit (the guards
         #: set it on the node they are deployed on).
         self.forward_cost = 0.0
@@ -60,7 +63,7 @@ class Node:
         if isinstance(address, str):
             address = IPv4Address(address)
         self.addresses.append(address)
-        self._address_set.add(address)
+        self._address_set.add(int(address))
         return address
 
     @property
@@ -102,7 +105,7 @@ class Node:
         if filters.prerouting and evaluate(filters.prerouting, packet) is not Verdict.ACCEPT:
             self.packets_dropped += 1
             return
-        if packet.dst in self._address_set:
+        if packet.dst._ip in self._address_set:
             if filters.local_in and evaluate(filters.local_in, packet) is not Verdict.ACCEPT:
                 self.packets_dropped += 1
                 return
@@ -116,7 +119,7 @@ class Node:
             if verdict is not Verdict.ACCEPT:
                 self.packets_dropped += 1
                 return
-        self.forward(packet, link)
+        self.forward(packet)
 
     def deliver(self, packet: Packet) -> None:
         """Hand a packet to the local protocol stacks."""
@@ -127,7 +130,7 @@ class Node:
         elif isinstance(segment, TcpSegment):
             self.tcp.demux(packet, segment)
 
-    def forward(self, packet: Packet, in_link: Link | None = None) -> None:
+    def forward(self, packet: Packet) -> None:
         """Route a transit packet toward its destination."""
         link = self.route_for(packet.dst)
         if link is None:
@@ -148,12 +151,13 @@ class Node:
 
     def route_for(self, dst: IPv4Address) -> Link | None:
         cache = self._route_cache
-        if dst in cache:
-            return cache[dst]
-        link = self._route_for_uncached(dst)
-        if len(cache) > 4096:
-            cache.clear()
-        cache[dst] = link
+        key = dst._ip
+        link = cache.get(key, _MISS)
+        if link is _MISS:
+            link = self._route_for_uncached(dst)
+            if len(cache) > 4096:
+                cache.clear()
+            cache[key] = link
         return link
 
     def _route_for_uncached(self, dst: IPv4Address) -> Link | None:

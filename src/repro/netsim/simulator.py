@@ -33,9 +33,9 @@ import dataclasses
 import hashlib
 import heapq
 import itertools
-import math
 import random  # repro: allow[D002] - this module IS the seeded-RNG plumbing
 import sys
+from math import inf, isfinite
 from typing import Any, Callable
 
 #: Events per rolling-hash checkpoint in :class:`EventTrace`.  Checkpoints
@@ -421,9 +421,9 @@ class Simulator:
         priority: int = DEFAULT_PRIORITY,
     ) -> EventHandle:
         """Run ``callback(*args)`` at absolute virtual time ``time``."""
-        if not math.isfinite(time):
-            raise ValueError(f"cannot schedule at non-finite time {time!r}")
-        if time < self.now:
+        if not self.now <= time < inf:
+            if not isfinite(time):
+                raise ValueError(f"cannot schedule at non-finite time {time!r}")
             raise ValueError(f"cannot schedule at {time} before now={self.now}")
         handle = EventHandle(time, self)
         seq = next(self._sequence)
@@ -434,24 +434,34 @@ class Simulator:
 
     # -- execution ---------------------------------------------------------
 
-    def step(self) -> bool:
-        """Process one live event.  Returns False when the queue is empty."""
+    def step(self, until: float = inf) -> bool:
+        """Process the next live event unless it is later than ``until``
+        (then, or with none left, return False and leave it queued).  The one
+        place that advances ``now``, counts, records the trace and calls the
+        callback; :meth:`run` is this in a loop."""
         hook = self._tie_hook
         event = None
         if hook is None:
+            # re-read every call: _compact() rebinds the heap
             queue = self._queue
             while True:
                 if not queue:
                     return False
-                time, _priority, sequence, handle, callback, args = heapq.heappop(queue)
-                handle._sim = None
+                time, _priority, sequence, handle, callback, args = queue[0]
                 if not handle.cancelled:
                     break
+                heapq.heappop(queue)
+                handle._sim = None
                 self._tombstones -= 1
-        else:
-            event = self._next_tie_event()
-            if event is None:
+            if time > until:
                 return False
+            heapq.heappop(queue)
+            handle._sim = None
+        else:
+            next_time = self._next_event_time()
+            if next_time is None or next_time > until:
+                return False
+            event = self._next_tie_event()
             time, sequence, callback, args = event.time, event.seq, event.callback, event.args
         self.now = time
         self._events_processed += 1
@@ -544,24 +554,23 @@ class Simulator:
         return self._queue[0][0] if self._queue else None
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Process events until the queue drains, ``until`` passes, or
-        ``max_events`` fire.
+        """:meth:`step` in a loop: until the queue drains, the next event is
+        later than ``until``, or ``max_events`` have fired.
 
         With ``until`` set, virtual time is advanced to exactly ``until``
-        even if the queue drains early, so rate calculations stay honest.
+        even if the queue drains early, so rate calculations stay honest —
+        unless ``max_events`` ran out with a due event still pending.
         """
-        remaining = max_events
-        while True:
+        limit = inf if until is None else until
+        budget = itertools.repeat(None) if max_events is None else range(max_events)
+        for _ in budget:
+            if not self.step(limit):
+                break
+        else:
+            # max_events ran out: leave ``now`` alone if an event is still due
             next_time = self._next_event_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                break
-            if remaining is not None:
-                if remaining == 0:
-                    return
-                remaining -= 1
-            self.step()
+            if next_time is not None and next_time <= limit:
+                return
         if until is not None and self.now < until:
             self.now = until
 

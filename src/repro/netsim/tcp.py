@@ -103,6 +103,9 @@ MAX_CONNECTIONS = 65536
 #: Hard cap on remembered TIME_WAIT 4-tuples.
 TIME_WAIT_CAP = 8192
 
+#: First ephemeral port handed out by :meth:`TcpStack.connect`.
+EPHEMERAL_BASE = 32768
+
 
 class TcpState(enum.Enum):
     CLOSED = "closed"
@@ -477,7 +480,7 @@ class TcpStack:
         self.connections: dict[ConnKey, TcpConnection] = {}
         self._isn_counter = 1000
         self._cookie_secret = node.sim.rng.getrandbits(64).to_bytes(8, "big")
-        self._next_ephemeral = 32768
+        self._next_ephemeral = EPHEMERAL_BASE
         #: Default retransmission budget for connections on this stack.
         self.max_retransmits = MAX_RETRANSMITS
         #: Optional hook: CPU-seconds charged per segment processed or sent.
@@ -521,7 +524,7 @@ class TcpStack:
         max_retransmits: int | None = None,
     ) -> TcpConnection:
         local_ip = src or self.node.address
-        local_port = self._ephemeral_port()
+        local_port = self._ephemeral_port(local_ip, dst, dport)
         conn = TcpConnection(self, local_ip, local_port, dst, dport)
         conn.on_established = on_established
         conn.on_data = on_data
@@ -643,12 +646,15 @@ class TcpStack:
         self._isn_counter = (self._isn_counter + 64000) & 0xFFFFFFFF
         return self._isn_counter
 
-    def _ephemeral_port(self) -> int:
-        port = self._next_ephemeral
-        self._next_ephemeral += 1
-        if self._next_ephemeral > 65535:
-            self._next_ephemeral = 32768
-        return port
+    def _ephemeral_port(self, local_ip: IPv4Address, dst: IPv4Address, dport: int) -> int:
+        """The next ephemeral port, in rotation, whose 4-tuple to
+        ``dst:dport`` has no live connection (``_admit`` would replace it)."""
+        for _ in range(EPHEMERAL_BASE, 65536):
+            port = self._next_ephemeral
+            self._next_ephemeral = port + 1 if port < 65535 else EPHEMERAL_BASE
+            if (local_ip, port, dst, dport) not in self.connections:
+                return port
+        raise SocketError(f"{self.node.name}: every ephemeral TCP port to {dst}:{dport} is in use")
 
     def _syn_cookie(self, lip: IPv4Address, lport: int, rip: IPv4Address, rport: int) -> int:
         """Stateless ISN: keyed hash of the 4-tuple (Bernstein's SYN cookie)."""

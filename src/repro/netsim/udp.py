@@ -90,14 +90,18 @@ class UdpStack:
         return sock
 
     def ephemeral_port(self) -> int:
-        port = self._next_ephemeral
-        self._next_ephemeral += 1
-        if self._next_ephemeral > 65535:
-            self._next_ephemeral = EPHEMERAL_BASE
-        return port
+        """The next ephemeral port, in rotation, with no wildcard socket on
+        it: one still open when the counter comes round keeps its port."""
+        for _ in range(EPHEMERAL_BASE, 65536):
+            port = self._next_ephemeral
+            self._next_ephemeral = port + 1 if port < 65535 else EPHEMERAL_BASE
+            if (None, port) not in self._sockets:
+                return port
+        raise SocketError(f"{self.node.name}: every ephemeral UDP port is bound")
 
-    def bind_ephemeral(self, handler: UdpHandler, *, ip: IPv4Address | None = None) -> UdpSocket:
-        return self.bind(self.ephemeral_port(), handler, ip=ip)
+    def bind_ephemeral(self, handler: UdpHandler) -> UdpSocket:
+        """A wildcard socket on :meth:`ephemeral_port`."""
+        return self.bind(self.ephemeral_port(), handler)
 
     def _unbind(self, sock: UdpSocket) -> None:
         self._sockets.pop((sock.ip, sock.port), None)

@@ -455,7 +455,7 @@ class TestAcceptanceMutations:
         mutate(
             tmp_path,
             "repro/netsim/node.py",
-            "if packet.dst in self._address_set:",
+            "if packet.dst._ip in self._address_set:",
             "if packet.dst in self.addresses:",
         )
         findings = analyze_perf([tmp_path], rule_ids=["P005"])

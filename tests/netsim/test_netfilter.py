@@ -1,12 +1,15 @@
 """The node's interception table: four hooks, three verdicts, one cascade."""
 
+import collections
+import ipaddress
 import sys
 from ipaddress import IPv4Address
 
 import pytest
 
-from repro.netsim import Hook, Link, Node, Simulator, Verdict, netfilter
+from repro.netsim import Cpu, Hook, Link, Node, Simulator, Verdict, netfilter, simulator
 from repro.netsim.netfilter import src_in, src_not_in
+from repro.netsim.packet import Packet, RawPayload, UdpDatagram
 
 SERVER = IPv4Address("203.0.113.53")
 
@@ -181,6 +184,122 @@ class TestChainsAndHooks:
             sys.setprofile(None)
         assert got == [b"x"] and fw.packets_forwarded == 1
         assert calls == []
+
+
+def profiled(fn, on_event):
+    """Run ``fn()`` with ``on_event(frame, event, arg)`` as the profile hook."""
+    sys.setprofile(on_event)
+    try:
+        return fn()
+    finally:
+        sys.setprofile(None)
+
+
+class TestHopBudget:
+    """What one hop costs, counted in frames rather than timed: the bare
+    forwarding path is what ``flood_unguarded`` measures, and each of these
+    frames was paid per packet or per event before it was removed."""
+
+    def test_a_transit_packet_hashes_no_address(self):
+        """Between ``Node.receive`` on a router (rule-less, charging a
+        ``forward_cost``) and the ``schedule_at`` of the next hop's
+        ``receive``, nothing in ``ipaddress.py`` runs: the ownership test
+        and the route lookup key on the address's integer."""
+        sim, client, fw, server = chainlet()
+        fw.forward_cost = 1e-6
+        arriving = fw.links[0]
+
+        def transit():
+            return Packet(
+                src=client.address, dst=SERVER, segment=UdpDatagram(4000, 53, RawPayload(b"x"))
+            )
+
+        fw.receive(transit(), arriving)  # warms fw's route cache
+        sim.run(until=1.0)
+        frames, scheduled = [], []
+
+        def on_event(frame, event, arg):
+            if event != "call":
+                return
+            code = frame.f_code
+            if code.co_filename == ipaddress.__file__:
+                frames.append(code.co_name)
+            elif code is Simulator.schedule_at.__code__:
+                scheduled.append(frame.f_locals["callback"])
+
+        def hop():
+            fw.receive(transit(), arriving)  # -> cpu.submit -> schedule_at(link.transmit)
+            sim.step()  # link.transmit -> schedule_at(server.receive)
+
+        profiled(hop, on_event)
+        assert scheduled == [fw.links[1].transmit, server.receive]
+        assert fw.packets_forwarded == 2
+        assert frames == []
+
+    @pytest.mark.parametrize("later", [False, True])
+    def test_run_enters_one_step_frame_per_event_and_one_to_stop(self, later):
+        """``run(until=)`` over N scheduled events: N + 1 ``step`` frames —
+        the last finds the heap empty, or its head later than ``until`` —
+        and nothing else from ``simulator.py``."""
+        sim = Simulator()
+        n = 50
+        for index in range(n):
+            sim.schedule(index * 0.01, int)
+        if later:
+            sim.schedule(2.0, int)
+        names = collections.Counter()
+
+        def on_event(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == simulator.__file__:
+                names[frame.f_code.co_name] += 1
+
+        profiled(lambda: sim.run(until=1.0), on_event)
+        assert (sim.events_processed, sim.now) == (n, 1.0)
+        assert names == {"run": 1, "step": n + 1}
+
+    def test_cpu_submit_calls_no_builtin(self):
+        """Backlog and start time are two comparisons, not two ``max()``."""
+        sim = Simulator()
+        cpu = Cpu(sim, queue_limit=0.001)
+        builtins_called = []
+
+        def on_event(frame, event, arg):
+            if event == "c_call" and frame.f_code is Cpu.submit.__code__:
+                builtins_called.append(arg.__name__)
+
+        def every_branch():
+            assert cpu.submit(0.0004, int)  # idle: starts now
+            assert cpu.submit(0.0004, None)  # queued behind it, pure accounting
+            assert cpu.submit(0.0004, int, 1)
+            assert not cpu.submit(0.0004, int)  # over the limit: dropped
+            assert not cpu.submit(0.0004, None)  # dropped, still burned
+
+        profiled(every_branch, on_event)
+        assert (cpu.jobs_accepted, cpu.jobs_dropped) == (3, 2)
+        assert cpu.busy_until == pytest.approx(0.0016)
+        assert builtins_called == []
+
+    def test_link_transmit_does_not_look_up_its_peer(self):
+        """A direction knows the node it feeds; ``Link.other`` stays the
+        public, checked lookup and is off the per-packet path."""
+        sim, client, fw, server = chainlet()
+        got = []
+        server.udp.bind(53, lambda p, s, sp, d: got.append(p))
+        sock = client.udp.bind_ephemeral(lambda *a: None)
+        names = collections.Counter()
+
+        def on_event(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == Link.transmit.__code__.co_filename:
+                names[frame.f_code.co_name] += 1
+
+        def exchange():
+            sock.send(b"x", SERVER, 53)
+            sim.run(until=1.0)
+
+        profiled(exchange, on_event)
+        assert got == [b"x"]
+        assert names == {"transmit": 2}
+        assert client.links[0].other(client) is fw and client.links[0].other(fw) is client
 
 
 class TestIngressFiltering:

@@ -17,6 +17,9 @@ from repro.netsim import (
     UdpDatagram,
     Verdict,
 )
+from repro.netsim.udp import EPHEMERAL_BASE
+
+EPHEMERAL_PORTS = 65536 - EPHEMERAL_BASE
 
 
 def two_hosts(sim, **link_kwargs):
@@ -255,6 +258,38 @@ class TestUdp:
         sock.send(b"2", IPv4Address("10.0.0.2"), 53)
         sim.run()
         assert sorted(hits) == ["specific", "wildcard"]
+
+    def test_ephemeral_ports_skip_a_socket_that_is_still_bound(self):
+        """A socket held while its neighbours cycle through the range (a
+        zombie's, a request waiting out a retry timer) keeps its port: the
+        bare counter came round to it and ``bind`` raised at bind 16,384."""
+        sim = Simulator()
+        a, b, _ = two_hosts(sim)
+        replies = []
+        kept = a.udp.bind_ephemeral(lambda p, s, sp, d: replies.append(p))
+        handed_out = []
+        for _ in range(2 * EPHEMERAL_PORTS):
+            sock = a.udp.bind_ephemeral(lambda *args: None)
+            handed_out.append(sock.port)
+            sock.close()
+        assert kept.port == EPHEMERAL_BASE and kept.port not in handed_out
+        # still in rotation over the rest of the range, in order
+        assert handed_out[: EPHEMERAL_PORTS - 1] == list(range(EPHEMERAL_BASE + 1, 65536))
+        assert handed_out[EPHEMERAL_PORTS - 1] == EPHEMERAL_BASE + 1
+        server = b.udp.bind(53, lambda p, src, sport, d: server.send(p, src, sport))
+        kept.send(b"still mine", IPv4Address("10.0.0.2"), 53)
+        sim.run()
+        assert replies == [b"still mine"]
+
+    def test_ephemeral_bind_fails_only_when_the_whole_range_is_bound(self):
+        sim = Simulator()
+        a, _, _ = two_hosts(sim)
+        socks = [a.udp.bind_ephemeral(lambda *args: None) for _ in range(EPHEMERAL_PORTS)]
+        assert sorted(sock.port for sock in socks) == list(range(EPHEMERAL_BASE, 65536))
+        with pytest.raises(SocketError, match="every ephemeral UDP port"):
+            a.udp.bind_ephemeral(lambda *args: None)
+        socks[1234].close()
+        assert a.udp.bind_ephemeral(lambda *args: None).port == socks[1234].port
 
     def test_unmatched_port_counted(self):
         sim = Simulator()

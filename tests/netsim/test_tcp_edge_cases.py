@@ -16,6 +16,7 @@ from repro.netsim import (
     TcpState,
 )
 from repro.netsim.tcp import (
+    EPHEMERAL_BASE,
     SEND_WINDOW_SEGMENTS,
     TIME_WAIT_CAP,
     TIME_WAIT_LINGER,
@@ -327,6 +328,32 @@ class TestTimeWaitLinger:
         sim.run(until=sim.now + 0.5)
         assert server.tcp.cookie_failures == 0
         assert server.tcp.stale_segments >= 1
+
+
+class TestEphemeralPorts:
+    def test_connect_skips_a_port_whose_connection_is_still_open(self):
+        """A connection held while its neighbours cycle through the range
+        keeps its 4-tuple: the bare counter came round to its port and
+        ``_admit`` silently replaced the live connection in the table."""
+        sim, client, server = pair()
+        accepted = []
+        server.tcp.listen(53, accepted.append)
+        received = []
+        kept = client.tcp.connect(SERVER_IP, 53, on_data=lambda conn, data: received.append(data))
+        sim.run(until=0.1)
+        assert kept.state is TcpState.ESTABLISHED and kept.local_port == EPHEMERAL_BASE
+        lap = []
+        for _ in range(65536 - EPHEMERAL_BASE):
+            conn = client.tcp.connect(SERVER_IP, 53)
+            lap.append(conn.local_port)
+            conn.abort()
+            sim.run(until=sim.now + 0.01)
+        assert kept.local_port not in lap
+        assert lap[-1] == EPHEMERAL_BASE + 1  # the range came round, past the held port
+        assert client.tcp.connections[kept.key] is kept
+        accepted[0].send(b"still yours")
+        sim.run(until=sim.now + 0.1)
+        assert received == [b"still yours"]
 
 
 class CountingAddress(IPv4Address):

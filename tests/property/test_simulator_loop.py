@@ -1,16 +1,19 @@
-"""Differential property: a tie hook that only watches never changes a run.
+"""Differential properties of the event loop: one ``step``, however driven.
 
 ``Simulator.step`` executes every event the same way; a tie hook only
 changes where the *next* event comes from (a popped tie group instead of
-the heap).  Random programs — schedules on a few colliding times in both
-lanes, cancellations from inside a tie group and from outside between
-``step()`` calls, same-instant reschedules, a burst of more than 64
-cancellations in one callback (which compacts, i.e. rebinds, the heap
-mid-group) and ``run(until=)`` / ``run(max_events=)`` cuts — must observe
-the same thing with no hook and with a no-op hook.
+the heap), and ``run`` is ``step(until)`` in a loop.  Random programs —
+schedules on a few colliding times in both lanes, cancellations from inside
+a tie group and from outside between ``step()`` calls, same-instant
+reschedules, a burst of more than 64 cancellations in one callback (which
+compacts, i.e. rebinds, the heap mid-group and mid-``run``) and
+``step(until)`` / ``run(until=)`` / ``run(max_events=)`` cuts — must observe
+the same thing with no hook and with a no-op hook, and the same thing
+whether stepped by hand, run to the end or run in pieces.
 """
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.netsim import BOUNDARY_PRIORITY, DEFAULT_PRIORITY, Simulator, set_tie_hook
 
@@ -33,8 +36,10 @@ driver_ops = st.lists(
     st.one_of(
         st.just(("step",)),
         st.tuples(st.just("cancel"), targets),
+        st.tuples(st.just("step_until"), delays),
         st.tuples(st.just("run_until"), delays),
         st.tuples(st.just("run_max"), st.integers(min_value=0, max_value=3)),
+        st.tuples(st.just("run_until_max"), delays, st.integers(min_value=0, max_value=3)),
     ),
     max_size=12,
 )
@@ -116,10 +121,14 @@ class _Program:
                 sim.step()
             elif op[0] == "cancel":
                 self._cancel(op[1])
+            elif op[0] == "step_until":
+                sim.step(sim.now + op[1])
             elif op[0] == "run_until":
                 sim.run(until=sim.now + op[1])
-            else:
+            elif op[0] == "run_max":
                 sim.run(max_events=op[1])
+            else:
+                sim.run(until=sim.now + op[1], max_events=op[2])
             self.seen.append((op[0], sim.now, sim.events_processed, sim.live_pending_events))
         sim.run()
         self.seen.append(("drained", sim.now, sim.events_processed, sim.live_pending_events))
@@ -138,3 +147,150 @@ def test_watching_hook_never_changes_the_run(schedule, ops):
         set_tie_hook(previous)
     assert hooked == plain
     assert hook.opened == hook.closed
+
+
+# -- ``run`` is ``step`` in a loop ------------------------------------------
+
+#: Absolute cut times, half-way between and exactly on the event times.
+cut_times = st.lists(
+    st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)), max_size=6
+).map(sorted)
+budgets = st.lists(st.integers(min_value=0, max_value=4), max_size=8)
+
+#: 70 cancellations in one callback: the heap is compacted (rebound) mid-run.
+BURST = [
+    (0.5, DEFAULT_PRIORITY, ("cancel_burst", 70)),
+    (0.5, DEFAULT_PRIORITY, ("noop",)),
+    (1.0, BOUNDARY_PRIORITY, ("spawn", 0.5, DEFAULT_PRIORITY, ("noop",))),
+]
+
+
+def _outcome(program):
+    """What a drained program observed: every firing, and the trace."""
+    sim = program.sim
+    assert sim.live_pending_events == 0
+    fired = [entry for entry in program.seen if entry[0] == "fired"]
+    return fired, sim.events_processed, sim.trace.hexdigest()
+
+
+def _run_in_pieces(schedule, cuts, budget_list, fire_times):
+    """Drive fresh copies of one program four ways; each must fire what
+    ``while sim.step(): pass`` fired (at ``fire_times``), and every cut must
+    leave ``now`` and ``events_processed`` where the fire times say."""
+    outcomes = []
+
+    program = _Program(schedule)
+    program.sim.run()
+    outcomes.append(_outcome(program))
+
+    program = _Program(schedule)
+    sim = program.sim
+    for cut in cuts:
+        sim.run(until=cut)
+        assert sim.now == cut
+        assert sim.events_processed == sum(1 for t in fire_times if t <= cut)
+    sim.run()
+    outcomes.append(_outcome(program))
+
+    program = _Program(schedule)
+    sim = program.sim
+    done = 0
+    for budget in budget_list:
+        sim.run(max_events=budget)
+        done = min(len(fire_times), done + budget)
+        assert sim.events_processed == done
+        assert sim.now == (fire_times[done - 1] if done else 0.0)
+    sim.run()
+    outcomes.append(_outcome(program))
+
+    # both limits at once: ``now`` reaches ``until`` exactly when no due
+    # event is left pending, whether or not the budget also ran out
+    program = _Program(schedule)
+    sim = program.sim
+    done = 0
+    for cut, budget in zip(cuts, budget_list):
+        before = sim.now
+        sim.run(until=cut, max_events=budget)
+        due = sum(1 for t in fire_times if t <= cut)
+        fired_now = min(due - done, budget)
+        done += fired_now
+        assert sim.events_processed == done
+        if done == due:
+            assert sim.now == cut
+        else:
+            assert sim.now == (fire_times[done - 1] if fired_now else before)
+    sim.run()
+    outcomes.append(_outcome(program))
+    return outcomes
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule=schedules, cuts=cut_times, budget_list=budgets)
+@example(schedule=BURST, cuts=[0.5, 0.75], budget_list=[1, 1, 1])  # _compact() mid-run
+@example(schedule=BURST, cuts=[0.25, 1.0, 1.5], budget_list=[0, 2, 0])  # budget out, due pending
+def test_run_is_step_in_a_loop(schedule, cuts, budget_list):
+    program = _Program(schedule)
+    while program.sim.step():
+        pass
+    stepped = _outcome(program)
+    fire_times = [entry[2] for entry in stepped[0]]
+    assert fire_times == sorted(fire_times)
+
+    assert _run_in_pieces(schedule, cuts, budget_list, fire_times) == [stepped] * 4
+    hook = _WatchingHook()
+    previous = set_tie_hook(hook)
+    try:
+        assert _run_in_pieces(schedule, cuts, budget_list, fire_times) == [stepped] * 4
+    finally:
+        set_tie_hook(previous)
+    assert hook.opened == hook.closed
+
+
+@pytest.fixture(params=["plain", "hooked"])
+def any_sim(request):
+    """A fresh simulator, with and without a watching tie hook installed."""
+    previous = set_tie_hook(_WatchingHook() if request.param == "hooked" else None)
+    try:
+        yield Simulator()
+    finally:
+        set_tie_hook(previous)
+
+
+def test_step_until_refuses_a_later_event_without_popping_it(any_sim):
+    sim = any_sim
+    fired = []
+    sim.schedule(1.0, fired.append, "late")
+    assert sim.step(0.5) is False
+    assert (sim.now, sim.events_processed, sim.live_pending_events) == (0.0, 0, 1)
+    assert sim.step(1.0) is True
+    assert (fired, sim.now, sim.live_pending_events) == (["late"], 1.0, 0)
+    assert sim.step() is False
+
+
+def test_cancelled_head_at_an_until_boundary(any_sim):
+    sim = any_sim
+    fired = []
+    head = sim.schedule(1.0, fired.append, "cancelled")
+    sim.schedule(2.0, fired.append, "live")
+    head.cancel()
+    sim.run(until=1.0)
+    assert (fired, sim.now, sim.events_processed, sim.live_pending_events) == ([], 1.0, 0, 1)
+    assert sim.step(1.0) is False  # the tombstone is not a due event
+    assert sim.step() is True
+    assert (fired, sim.now) == (["live"], 2.0)
+
+
+def test_max_events_running_out_with_and_without_a_due_event_pending(any_sim):
+    sim = any_sim
+    fired = []
+    for at in (1.0, 2.0, 3.0):
+        sim.schedule(at, fired.append, at)
+    sim.run(until=5.0, max_events=2)
+    assert (fired, sim.now) == ([1.0, 2.0], 2.0)  # 3.0 is due: now stays put
+    sim.run(until=5.0, max_events=0)
+    assert (fired, sim.now) == ([1.0, 2.0], 2.0)
+    sim.run(until=5.0, max_events=1)
+    assert (fired, sim.now) == ([1.0, 2.0, 3.0], 5.0)  # nothing due is left
+    sim.schedule(1.0, fired.append, 6.0)
+    sim.run(until=5.5, max_events=0)
+    assert (fired, sim.now) == ([1.0, 2.0, 3.0], 5.5)  # the next one is not due
