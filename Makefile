@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint gate-artefacts bench-digests test sanitize
+.PHONY: check lint gate-artefacts bench-digests bench-pairs test sanitize
 
 GATE_FAMILIES := --flow --races --perf --memory --layers
 
@@ -39,6 +39,16 @@ gate-artefacts:
 bench-digests:
 	@test -n "$(OUT)" || { echo "usage: make bench-digests OUT=<file>" >&2; exit 2; }
 	$(PYTHON) scripts/bench_digests.py > "$(OUT)"
+
+# what a speed claim is judged on: alternating parent/change runs of one
+# workload through `python3 -m bench` (~35 s a pair, one run at a time),
+# each side's median and quartiles, pairs won, and the 9-in-10-and-beyond-
+# the-parent's-IQR verdict, as a JSON row for scripts/BENCH_layers.json.
+bench-pairs:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || \
+		{ echo "usage: make bench-pairs PARENT=<checkout> WORKLOAD=<name> [PAIRS=<n>]" >&2; exit 2; }
+	$(PYTHON) scripts/bench_pairs.py --parent "$(PARENT)" --workload "$(WORKLOAD)" \
+		--pairs "$(or $(PAIRS),10)"
 
 test:
 	$(PYTHON) -m pytest -x -q

@@ -52,7 +52,7 @@ class ReflectionAttacker:
             self._template.additionals.append(
                 ResourceRecord(_Name.root(), RRType.OPT, edns_payload, 0, OPT())
             )
-        self._size = self._template.wire_size()
+        self._payload = DnsPayload(self._template.freeze())
 
     def start(self) -> None:
         self._running = True
@@ -73,9 +73,7 @@ class ReflectionAttacker:
             packet = Packet(
                 src=self.victim,
                 dst=self.target,
-                segment=UdpDatagram(
-                    sport=42000, dport=53, payload=DnsPayload(self._template, self._size)
-                ),
+                segment=UdpDatagram(sport=42000, dport=53, payload=self._payload),
             )
             sim.schedule(i * spacing, self._send_one, packet)
         sim.schedule(BATCH_INTERVAL, self._emit_batch)

@@ -61,7 +61,9 @@ class SpoofingAttacker:
             from ..dnswire import attach_cookie
 
             attach_cookie(self._template, b"\x42" * 16)
-        self._template_size = self._template.wire_size()
+        # a template sender: every packet of the flood carries the one frozen
+        # message in the one payload, sized from its wire on the first send
+        self._payload = DnsPayload(self._template.freeze())
         self._sport = 40000
 
     def start(self) -> None:
@@ -88,7 +90,7 @@ class SpoofingAttacker:
                 segment=UdpDatagram(
                     sport=self._sport,
                     dport=53,
-                    payload=DnsPayload(self._template, self._template_size),
+                    payload=self._payload,
                 ),
             )
             self._sport = 40000 + (self._sport - 39999) % 20000

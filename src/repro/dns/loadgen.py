@@ -21,13 +21,16 @@ from ipaddress import IPv4Address, IPv4Network
 from typing import Callable
 
 from ..dnswire import (
+    Header,
     Message,
     Name,
     RRType,
     a_record,
+    keep_prototype,
     make_query,
     make_response,
     ns_record,
+    response_header,
 )
 from ..netsim import Node, TcpConnection
 from .framing import StreamFramer, frame
@@ -82,12 +85,13 @@ class AnsSimulator:
         # determinism trace (see AuthoritativeServer)
         self._obs = node.sim.obs
         self._serve_spans: dict[tuple, object] = {}
-        # per-qname response template cache: the RR bodies and wire size of
-        # a response depend only on the qname (headers echo the query and
-        # are fixed-size), so repeat queries skip record building and the
-        # send-path encode entirely; bounded against qname-spraying attacks
-        self._response_rrs: dict[Name, tuple] = {}
-        self._response_sizes: dict[Name, int] = {}
+        # one frozen response per question, as the paper's ANS simulator
+        # "responds to each DNS request with the same answer": everything
+        # after the header depends only on the question echoed (keyed
+        # case-exact — a DNS-0x20 requester checks its own casing comes
+        # back), so repeat queries skip record building and the send-path
+        # encode entirely; bounded against qname-spraying attacks
+        self._responses: dict[tuple, Message] = {}
         if self._obs is not None:
             self._obs.add_snapshot(f"ans.{node.name}", self.stats_snapshot)
         self._socket = node.udp.bind(53, self._on_query)
@@ -123,43 +127,33 @@ class AnsSimulator:
         span = self._serve_spans.pop((src, sport, query.header.msg_id), None)
         if span:
             span.finish(outcome="answered")
-        response = self.respond(query)
-        qname = query.question.qname
-        size = self._response_sizes.get(qname)
-        if size is None:
-            if len(self._response_sizes) > 4096:
-                self._response_sizes.clear()
-            size = self._response_sizes[qname] = response.wire_size()  # repro: allow[P002] cache fill — encoded once per qname, then reused for every later query
-        self._socket.send(response, src, sport, src=dst, size=size, span=span)
+        self._socket.send(self.respond(query), src, sport, src=dst, span=span)
 
     def respond(self, query: Message) -> Message:
+        if len(query.questions) != 1:
+            # unusual: built, and measured on the link, the ordinary way
+            return self._build_response(query)
+        question = query.questions[0]
+        key = (question.qname.labels, question.qtype, question.qclass)
+        prototype = self._responses.get(key)
+        if prototype is None:
+            return keep_prototype(self._responses, key, self._build_response(query).freeze())
+        return prototype.with_header(
+            response_header(query, authoritative=self.mode == "answer")
+        )
+
+    def _build_response(self, query: Message) -> Message:
         qname = query.question.qname
-        cached = self._response_rrs.get(qname)
-        if cached is None:
-            if len(self._response_rrs) > 4096:
-                self._response_rrs.clear()
-            if self.mode == "answer":
-                cached = (
-                    (a_record(qname, self.answer_address, ttl=self.answer_ttl),),
-                    (),
-                    (),
-                )
-            else:
-                # referral: delegate the first label of qname to a fixed
-                # child server
-                child = qname if len(qname) <= 1 else Name(qname.labels[-1:])
-                ns_name = child.child(b"ns1")
-                cached = (
-                    (),
-                    (ns_record(child, ns_name, ttl=3600),),
-                    (a_record(ns_name, self.referral_target, ttl=3600),),
-                )
-            self._response_rrs[qname] = cached
-        answers, authorities, additionals = cached
         response = make_response(query, authoritative=self.mode == "answer")
-        response.answers.extend(answers)
-        response.authorities.extend(authorities)
-        response.additionals.extend(additionals)
+        if self.mode == "answer":
+            response.answers.append(a_record(qname, self.answer_address, ttl=self.answer_ttl))
+        else:
+            # referral: delegate the first label of qname to a fixed
+            # child server
+            child = qname if len(qname) <= 1 else Name(qname.labels[-1:])
+            ns_name = child.child(b"ns1")
+            response.authorities.append(ns_record(child, ns_name, ttl=3600))
+            response.additionals.append(a_record(ns_name, self.referral_target, ttl=3600))
         return response
 
 
@@ -257,6 +251,10 @@ class LrsSimulator:
         self.latencies: list[float] = []
         self.record_latencies = False
         self._next_id = 1
+        # one frozen query per question asked, re-headed per request: the
+        # paper's LRS simulator "repeatedly submits requests to resolve the
+        # same domain name"
+        self._queries: dict[tuple, Message] = {}
         # per-name cookie caches shared by all loops
         self._cookie_ns_targets: dict[Name, Name] = {}
         self._cookie2_addresses: dict[Name, IPv4Address] = {}
@@ -329,6 +327,15 @@ class LrsSimulator:
         self._next_id = (self._next_id + 1) & 0xFFFF
         return self._next_id
 
+    def query(self, qname: Name, qtype: int, msg_id: int) -> Message:
+        """``make_query(qname, qtype, msg_id=msg_id)``, born frozen."""
+        key = (qname.labels, qtype)
+        prototype = self._queries.get(key)
+        if prototype is None:
+            query = make_query(qname, qtype, msg_id=msg_id).freeze()
+            return keep_prototype(self._queries, key, query)
+        return prototype.with_header(Header(msg_id=msg_id))
+
 
 class _Interaction:
     """One request interaction: possibly a multi-message cookie exchange."""
@@ -383,7 +390,7 @@ class _Interaction:
         handler: Callable[[Message, IPv4Address], None],
     ) -> None:
         msg_id = self.lrs.msg_id()
-        query = make_query(qname, qtype, msg_id=msg_id)
+        query = self.lrs.query(qname, qtype, msg_id)
         self._cleanup_io()
         leg = None
         if self.span:
@@ -540,6 +547,7 @@ class TcpLoadClient:
         self.stats = LoadStats()
         self._next_id = 1
         self._running = False
+        self._query = make_query(self.qname).freeze()
 
     def start(self) -> None:
         self._running = True
@@ -555,7 +563,7 @@ class TcpLoadClient:
         self.stats.sent += 1
         self._next_id = (self._next_id + 1) & 0xFFFF
         msg_id = self._next_id
-        query = make_query(self.qname, msg_id=msg_id)
+        query = self._query.with_header(Header(msg_id=msg_id))
         framer = StreamFramer()
         done = False
 

@@ -2,7 +2,14 @@
 
 from .errors import DecodeError, EncodeError, NameError_, WireError
 from .header import HEADER_SIZE, Header
-from .message import MAX_UDP_PAYLOAD, Message, Question, ResourceRecord
+from .message import (
+    MAX_UDP_PAYLOAD,
+    PROTOTYPE_CAP,
+    Message,
+    Question,
+    ResourceRecord,
+    keep_prototype,
+)
 from .name import ROOT, Name
 from .rdata import A, AAAA, CNAME, MX, NS, OPT, PTR, SOA, SRV, TXT, Opaque, Rdata
 from .types import Opcode, Rcode, RRClass, RRType
@@ -12,6 +19,7 @@ from .builder import (
     make_response,
     make_truncated_response,
     ns_record,
+    response_header,
     soa_record,
 )
 from .cookie_ext import (
@@ -22,6 +30,8 @@ from .cookie_ext import (
     extract_cookie,
     is_cookie_request,
     strip_cookie,
+    with_cookie,
+    without_cookie,
 )
 
 __layer__ = "pure-core"
@@ -44,6 +54,7 @@ __all__ = [
     "OPT",
     "Opaque",
     "Opcode",
+    "PROTOTYPE_CAP",
     "PTR",
     "Question",
     "ROOT",
@@ -62,10 +73,14 @@ __all__ = [
     "cookie_rr",
     "extract_cookie",
     "is_cookie_request",
+    "keep_prototype",
     "make_query",
     "make_response",
     "make_truncated_response",
     "ns_record",
+    "response_header",
     "soa_record",
     "strip_cookie",
+    "with_cookie",
+    "without_cookie",
 ]

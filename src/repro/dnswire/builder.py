@@ -33,6 +33,25 @@ def make_query(
     )
 
 
+def response_header(
+    query: Message,
+    *,
+    rcode: int = Rcode.NOERROR,
+    authoritative: bool = False,
+    recursion_available: bool = False,
+) -> Header:
+    """The header a response to ``query`` carries: its ID, opcode and RD echoed."""
+    return Header(
+        msg_id=query.header.msg_id,
+        qr=True,
+        opcode=query.header.opcode,
+        aa=authoritative,
+        rd=query.header.rd,
+        ra=recursion_available,
+        rcode=rcode,
+    )
+
+
 def make_response(
     query: Message,
     *,
@@ -42,14 +61,11 @@ def make_response(
 ) -> Message:
     """Build an empty response echoing ``query``'s ID and question."""
     return Message(
-        header=Header(
-            msg_id=query.header.msg_id,
-            qr=True,
-            opcode=query.header.opcode,
-            aa=authoritative,
-            rd=query.header.rd,
-            ra=recursion_available,
+        header=response_header(
+            query,
             rcode=rcode,
+            authoritative=authoritative,
+            recursion_available=recursion_available,
         ),
         questions=list(query.questions),
     )

@@ -82,8 +82,11 @@ class Message:
     answers: list[ResourceRecord] = dataclasses.field(default_factory=list)
     authorities: list[ResourceRecord] = dataclasses.field(default_factory=list)
     additionals: list[ResourceRecord] = dataclasses.field(default_factory=list)
-    #: memoized compressed wire form, set by :meth:`freeze` — the message
-    #: must not be mutated after freezing (never part of equality/repr)
+    #: memoized compressed wire form, set by :meth:`freeze` or inherited
+    #: through a wire-preserving derivation (:meth:`with_header`,
+    #: :meth:`freeze_as`) — always the bytes ``_encode_once(True)`` would
+    #: produce, so the message must not be mutated while it is set (never
+    #: part of equality/repr)
     _wire: bytes | None = dataclasses.field(
         default=None, repr=False, compare=False
     )
@@ -140,7 +143,10 @@ class Message:
         """An editable copy: shares the header and records, owns its section lists.
 
         Never frozen, so attaching or stripping a record on the copy of a
-        frozen message changes what it encodes to.
+        frozen message changes what it encodes to.  An edit the wire can
+        follow goes through a derivation instead (:meth:`with_header`,
+        ``cookie_ext.with_cookie`` / ``without_cookie``), which keeps the
+        memo.
         """
         return Message(
             self.header,
@@ -153,13 +159,54 @@ class Message:
     def freeze(self) -> "Message":
         """Memoize the compressed wire form; further mutation is a bug.
 
-        Per-packet paths build many identical messages (attack templates,
-        per-qname responses); freezing once turns every later
-        :meth:`encode` / :meth:`wire_size` into a cached lookup.
+        Per-packet paths send one message *shape* many times (attack
+        templates, a load generator's query, per-question responses):
+        producers freeze one prototype per shape and derive each packet's
+        message from it, so :meth:`encode` / :meth:`wire_size` of the
+        derived message is a lookup and the shape is serialised once.
         """
         if self._wire is None:
             self._wire = self._encode_once(True)
         return self
+
+    def freeze_as(self, sections_wire: bytes) -> "Message":
+        """Freeze without encoding: the memo is derived, not serialised.
+
+        ``sections_wire`` is everything after the header, which the caller
+        derived from a frozen message's :attr:`sections_wire` by an edit it
+        can prove wire-preserving (a root-owned record appended or removed
+        at the end, one fixed-width label run replaced); the header is
+        packed here from this message's own flags and section counts.  The
+        contract is :meth:`freeze`'s: the memo equals ``_encode_once(True)``.
+        """
+        self._wire = (
+            self.header.pack(
+                len(self.questions),
+                len(self.answers),
+                len(self.authorities),
+                len(self.additionals),
+            )
+            + sections_wire
+        )
+        return self
+
+    def with_header(self, header: Header) -> "Message":
+        """This message under another header (id, flags), owning its lists.
+
+        Only the first :data:`HEADER_SIZE` bytes of the wire depend on the
+        header, so the copy of a frozen message is born frozen; the copy
+        of an unfrozen one is :meth:`copy` under ``header``.
+        """
+        derived = self.copy()
+        derived.header = header
+        if self._wire is not None:
+            derived.freeze_as(self._wire[HEADER_SIZE:])
+        return derived
+
+    @property
+    def sections_wire(self) -> bytes | None:
+        """The memoized wire after the header; ``None`` while unfrozen."""
+        return None if self._wire is None else self._wire[HEADER_SIZE:]
 
     def _encode_once(self, compress: bool) -> bytes:
         header = self.header.pack(
@@ -212,6 +259,28 @@ class Message:
         return "\n".join(parts)
 
 
+#: Entries a producer's per-shape prototype table may hold.  Question names
+#: key these tables and can be attacker-chosen, so a full table is flushed
+#: whole; a flush costs each live shape one ordinary encode.
+PROTOTYPE_CAP = 4096
+
+
+def keep_prototype(table: dict, key, prototype):
+    """``table[key] = prototype`` under :data:`PROTOTYPE_CAP`; returns ``prototype``.
+
+    The one eviction policy of every per-shape table (the load tools'
+    frozen queries and responses, the guard's restored queries and cookie
+    slots): a producer looks up with ``table.get`` and comes here on a miss.
+    The message built and frozen on that miss is sent as it is — the first
+    of a shape *is* its prototype, read by every receiver and edited by
+    none — so a shape that never recurs costs no copy.
+    """
+    if len(table) >= PROTOTYPE_CAP:
+        table.clear()
+    table[key] = prototype
+    return prototype
+
+
 #: Minimum on-the-wire IP packet size for a DNS request that the paper quotes
 #: ("around 50 bytes") when reasoning about amplification ratios.
 TYPICAL_REQUEST_IP_BYTES = 50
@@ -222,5 +291,7 @@ __all__ = [
     "Message",
     "HEADER_SIZE",
     "MAX_UDP_PAYLOAD",
+    "PROTOTYPE_CAP",
     "TYPICAL_REQUEST_IP_BYTES",
+    "keep_prototype",
 ]

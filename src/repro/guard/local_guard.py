@@ -19,8 +19,8 @@ from ipaddress import IPv4Address
 
 from ..dnswire import (
     Message,
-    attach_cookie,
     extract_cookie,
+    with_cookie,
     ZERO_COOKIE,
 )
 from ..netsim import BOUNDARY_PRIORITY, DnsPayload, Hook, Node, Packet, UdpDatagram, Verdict
@@ -175,9 +175,7 @@ class LocalDnsGuard:
         return Verdict.DROP
 
     def _send_with_cookie(self, packet: Packet, message: Message, cookie: bytes) -> None:
-        stamped = message.copy()
-        attach_cookie(stamped, cookie)
-        self.node.send(packet.with_message(stamped))
+        self.node.send(packet.with_message(with_cookie(message, cookie)))
 
     # -- inbound ----------------------------------------------------------------
 

@@ -30,15 +30,17 @@ from ipaddress import IPv4Address, IPv4Network
 from typing import Callable
 
 from ..dnswire import (
+    Header,
     Message,
     Name,
     ResourceRecord,
     attach_cookie,
     extract_cookie,
+    keep_prototype,
     make_query,
     make_response,
     make_truncated_response,
-    strip_cookie,
+    without_cookie,
     RRType,
     ZERO_COOKIE,
 )
@@ -60,9 +62,13 @@ from .core.admission import (
     should_shed,
 )
 from .core.dns_scheme import (
+    CookieSlot,
+    answer_from_slot,
     cookie_name_answer,
+    cookie_slot,
     decode_cookie_name,
     fabricated_referral,
+    referral_from_slot,
 )
 from .core.ratelimit import (
     RateEstimator,
@@ -145,6 +151,11 @@ __shared_state__ = {
             "admission_shed",
             "watched_rejects",
             "_decision_counters",
+            # memos of pure functions of their keys: whichever same-instant
+            # handler fills an entry, every later reader derives the same
+            # message from it
+            "_slots",
+            "_restored",
         ],
     },
 }
@@ -175,6 +186,17 @@ __state_bounds__ = {
             "bound": 64,
             "evicted_by": "lifecycle",
             "keyed_by": "config",
+        },
+        # dnswire.keep_prototype flushes each whole at PROTOTYPE_CAP
+        "_slots": {
+            "bound": 4096,
+            "evicted_by": "cap",
+            "keyed_by": "attacker",
+        },
+        "_restored": {
+            "bound": 4096,
+            "evicted_by": "cap",
+            "keyed_by": "attacker",
         },
     },
 }
@@ -250,6 +272,13 @@ class RemoteDnsGuard:
         self.estimator = RateEstimator()
         self._pending: dict[tuple[IPv4Address, int, int], _Pending] = {}
         self._answer_cache: dict[tuple[Name, int], _CachedAnswer] = {}
+        #: One prototype per message shape the guard emits — the cookie
+        #: slots of messages 2 and 6, the frozen restored query of message
+        #: 4 — keyed on case-exact label tuples (never on a ``Name``, whose
+        #: equality folds case: a DNS-0x20 requester needs its own casing
+        #: echoed), so a shape is serialised once, not once per packet.
+        self._slots: dict[tuple, CookieSlot] = {}
+        self._restored: dict[tuple, Message] = {}
         #: Optional priority-aware ingress admission, installed by the
         #: control plane via :meth:`set_admission`.  ``None`` means the
         #: guard behaves exactly as before the control plane existed.
@@ -622,8 +651,7 @@ class RemoteDnsGuard:
             self._note("plain", "rl1_drop", packet.span)
             return Verdict.DROP
         if action == "dns":
-            label = self.cookies.label_cookie(src)
-            reply = fabricated_referral(message, self.origin, label)
+            reply = self._referral(message, self.cookies.label_cookie(src))
             if reply is not None:
                 self.referrals_fabricated += 1
                 self._note("ns_name", "challenge", packet.span)
@@ -672,11 +700,30 @@ class RemoteDnsGuard:
             packet.dst,
         )
 
+    def _referral(self, query: Message, label: bytes) -> Message | None:
+        """Message 2 under ``label``; None when the name does not fit.
+
+        One-question queries share a cookie slot per question; the first
+        reply for a question is built the reference way and becomes it.
+        """
+        if len(query.questions) != 1:
+            return fabricated_referral(query, self.origin, label)
+        question = query.questions[0]
+        key = ("referral", question.qname.labels, question.qtype, question.qclass, len(label))
+        slot = self._slots.get(key)
+        if slot is not None:
+            return referral_from_slot(slot, query, label)
+        reply = fabricated_referral(query, self.origin, label)
+        if reply is not None:
+            target = reply.authorities[0].rdata.target  # type: ignore[union-attr]
+            slot = cookie_slot(reply, target, len(label))
+            if slot is not None:
+                keep_prototype(self._slots, key, slot)
+        return reply
+
     def _strip_and_forward(self, packet: Packet, message: Message) -> None:
         """Validated modified-DNS query: remove the cookie, pass to the ANS."""
-        clean = message.copy()
-        strip_cookie(clean)
-        forwarded = packet.with_message(clean)
+        forwarded = packet.with_message(without_cookie(message))
         self._submit(self.costs.validate_and_forward, self._safe_send, forwarded)
 
     def _restore_and_forward(
@@ -694,11 +741,21 @@ class RemoteDnsGuard:
             qtype=message.question.qtype,
             expires_at=self.node.sim.now + PENDING_TIMEOUT,
         )
-        restored = make_query(
-            decoded.original_qname, message.question.qtype, msg_id=message.header.msg_id
+        restored = self._restored_query(
+            decoded.original_qname, message.question.qtype, message.header.msg_id
         )
         forwarded = packet.with_message(restored, dst=self.ans_address, dport=53)
         self._submit(self.costs.validate_and_forward, self._safe_send, forwarded)
+
+    def _restored_query(self, qname: Name, qtype: int, msg_id: int) -> Message:
+        """Message 4, ``make_query(qname, qtype, msg_id=msg_id)``: one frozen
+        query per question restored, re-headed for each requester."""
+        key = (qname.labels, qtype)
+        prototype = self._restored.get(key)
+        if prototype is None:
+            query = make_query(qname, qtype, msg_id=msg_id).freeze()
+            return keep_prototype(self._restored, key, query)
+        return prototype.with_header(Header(msg_id=msg_id))
 
     def _handle_cookie2_query(
         self, packet: Packet, datagram: UdpDatagram, message: Message, active: bool = True
@@ -778,27 +835,19 @@ class RemoteDnsGuard:
             return Verdict.DROP
 
         # cookie-name exchange: message 5 -> message 6
-        glue = self._referral_addresses(message, pending.original_qname)
-        original_question = make_query(
-            pending.cookie_qname, RRType.A, msg_id=message.header.msg_id
-        )
-        if glue:
-            reply = cookie_name_answer(original_question, glue)
-        else:
-            # non-referral answer: fabricate COOKIE2 and cache the real answer
-            cookie2 = self.cookie2_address(packet.dst)
-            if cookie2 is None:
-                # no fabricated subnet configured: cannot run this variant;
-                # answer with the ANS's own address so the requester returns
-                reply = cookie_name_answer(original_question, [self.ans_address])
-            else:
-                reply = cookie_name_answer(original_question, [cookie2])
+        addresses: list = self._referral_addresses(message, pending.original_qname)
+        if not addresses:
+            # non-referral answer: fabricate COOKIE2 and cache the real answer.
+            # With no fabricated subnet configured this variant cannot run;
+            # answer with the ANS's own address so the requester returns
+            addresses = [self.cookie2_address(packet.dst) or self.ans_address]
             if message.answers:
                 self._answer_cache[(pending.original_qname, pending.qtype)] = _CachedAnswer(
                     list(message.answers), self.node.sim.now + ANSWER_CACHE_TTL
                 )
                 if len(self._answer_cache) > 4096:
                     self._answer_cache.pop(next(iter(self._answer_cache)))
+        reply = self._cookie_name_answer(message.header.msg_id, pending.cookie_qname, addresses)
         self.responses_transformed += 1
         self._note("ns_name", "response_rewrite", packet.span)
         self._submit(
@@ -810,6 +859,33 @@ class RemoteDnsGuard:
             packet.src,
         )
         return Verdict.DROP
+
+    def _cookie_name_answer(self, msg_id: int, cookie_qname: Name, addresses: list) -> Message:
+        """Message 6: ``addresses`` (glue records, or one fabricated
+        address) as the answer to the A query for ``cookie_qname``.
+
+        The slot is per question-minus-cookie *and* per address set — the
+        glue is the ANS's to change, COOKIE2 is per requester.
+        """
+        width = self.cookies.label_cookie_length
+        labels = cookie_qname.labels
+        key = (
+            "answer",
+            labels[0][width:],
+            labels[1:],
+            tuple(
+                (item.ttl, item.rdata) if isinstance(item, ResourceRecord) else item
+                for item in addresses
+            ),
+        )
+        slot = self._slots.get(key)
+        if slot is not None:
+            return answer_from_slot(slot, msg_id, cookie_qname)
+        reply = cookie_name_answer(make_query(cookie_qname, RRType.A, msg_id=msg_id), addresses)
+        slot = cookie_slot(reply, cookie_qname, width)
+        if slot is not None:
+            keep_prototype(self._slots, key, slot)
+        return reply
 
     @staticmethod
     def _referral_addresses(message: Message, qname: Name) -> list[ResourceRecord]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from ipaddress import IPv4Address
 from typing import TYPE_CHECKING
 
-from ..dnswire import Message
+from ..dnswire import DecodeError, Message
 from ..dns.framing import StreamFramer, frame
 from ..netsim import BOUNDARY_PRIORITY, TcpConnection, TcpState
 from .core.admission import MIN_REAP_SECONDS, REAP_RTT_MULTIPLE, reap_deadline
@@ -148,8 +148,6 @@ class TcpProxy:
         if data == b"":
             conn.close()
             return
-        from ..dnswire import DecodeError
-
         try:
             queries = framer.feed(data)
         except DecodeError:

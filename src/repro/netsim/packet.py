@@ -2,10 +2,14 @@
 
 DNS payloads travel by reference as :class:`~repro.dnswire.Message` objects,
 so nothing on the UDP path ever decodes a byte.  The wire codec still defines
-each packet's size: the first ``size`` read on the first link encodes the
-message once just to measure it, memoised on the payload for later hops and
-on the message itself when it is frozen.  Edges that need real bytes (the
-TCP stream, tests) can ask for them.
+each packet's size: ``size`` is the length of the message's encoding, read
+on the first link and memoised on the payload for later hops.  Producers
+that send one shape many times derive each message from a frozen prototype
+(``Message.with_header``, ``dnswire.with_cookie``/``without_cookie``, the
+guard's cookie slots), so on the steady paths that length is ``len()`` of
+bytes the message already holds; anything else is encoded once, on that
+first read, just to be measured.  Edges that need real bytes (the TCP
+stream, tests) can ask for them.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from collections import OrderedDict
 from ipaddress import IPv4Address
 from typing import TYPE_CHECKING, Callable
 
-from .errors import ConnectionError_, SocketError
+from .errors import ConnectionError_, RoutingError, SocketError
 from .packet import Packet, TcpFlags, TcpSegment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -634,8 +634,6 @@ class TcpStack:
         self._send_packet(packet)
 
     def _send_packet(self, packet: Packet) -> None:
-        from .errors import RoutingError
-
         try:
             self.node.send(packet)
         except RoutingError:

@@ -416,9 +416,10 @@ class TestAcceptanceMutations:
         mutate(
             tmp_path,
             "repro/dns/loadgen.py",
-            "self._socket.send(response, src, sport, src=dst, size=size, span=span)",
-            "self._socket.send(response, src, sport, src=dst,"
-            " size=response.wire_size(), span=span)",
+            "self._socket.send(self.respond(query), src, sport, src=dst, span=span)",
+            # a copy is never frozen: sizing it is a fresh encode per reply
+            "self._socket.send(self.respond(query), src, sport, src=dst,"
+            " size=self.respond(query).copy().wire_size(), span=span)",
         )
         findings = analyze_perf([tmp_path], rule_ids=["P002"])
         assert [f.rule for f in findings] == ["P002"]

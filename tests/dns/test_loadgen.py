@@ -5,7 +5,7 @@ from ipaddress import IPv4Address
 import pytest
 
 from repro.dns import AnsSimulator, LrsSimulator, TcpLoadClient
-from repro.dnswire import Message, RRType, make_query
+from repro.dnswire import Message, Name, Question, RRClass, RRType, make_query
 from repro.netsim import Link, Node, Simulator
 
 ANS_IP = IPv4Address("203.0.113.53")
@@ -43,6 +43,47 @@ class TestAnsSimulator:
         assert not response.answers
         assert response.authorities[0].rtype == RRType.NS
         assert response.additionals[0].rtype == RRType.A
+
+    def test_a_two_question_reply_is_sent_at_its_own_size(self, monkeypatch):
+        """Regression: the size table was keyed on the first question's name
+        while the reply echoes every question — after one ordinary query, a
+        two-question query for the same name went out at 73 bytes, not 115."""
+        sim, client, ans = direct_pair(mode="answer")
+        replies = []
+        transmit = Link.transmit
+
+        def spy(self, packet, sender):
+            if sender is ans.node:
+                replies.append((packet.size, packet.segment.payload.message))
+            return transmit(self, packet, sender)
+
+        monkeypatch.setattr(Link, "transmit", spy)
+        sock = client.udp.bind_ephemeral(lambda *a: None)
+        one = make_query("www.foo.com", msg_id=1)
+        two = make_query("www.foo.com", msg_id=2)
+        two.questions.append(Question(Name.from_text("mail.foo.com"), RRType.A, RRClass.IN))
+        sock.send(one, ANS_IP, 53)
+        sock.send(two, ANS_IP, 53)
+        sim.run(until=1.0)
+        assert [len(message.questions) for _, message in replies] == [1, 2]
+        overhead = replies[0][0] - len(replies[0][1]._encode_once(True))
+        for size, message in replies:
+            assert size == len(message._encode_once(True)) + overhead
+        assert replies[1][0] > replies[0][0]
+
+    def test_a_mixed_case_query_has_its_casing_echoed_on_the_wire(self):
+        """``Name`` equality folds case, a DNS-0x20 requester does not: the
+        reply built for ``www.foo.com`` must not answer ``wWw.FoO.cOm``."""
+        sim, client, ans = direct_pair(mode="answer")
+        plain = ans.respond(make_query("www.foo.com", msg_id=1))
+        mixed = ans.respond(make_query("wWw.FoO.cOm", msg_id=2))
+        assert plain.questions == mixed.questions  # the same name to ``Name``
+        assert b"\x03wWw\x03FoO\x03cOm" in mixed.encode()
+        assert b"\x03www\x03foo\x03com" in plain.encode()
+        assert mixed.encode() == mixed._encode_once(True)
+        echoed = Message.decode(mixed.encode())
+        assert echoed.question.qname.labels == (b"wWw", b"FoO", b"cOm")
+        assert echoed.answers[0].name.labels == (b"wWw", b"FoO", b"cOm")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -73,6 +73,13 @@ class TestCookieNameCodec:
         qname = Name([b"x" * 60, b"com"])
         assert encode_cookie_name(COOKIE, qname, ROOT) is None
 
+    def test_a_label_holding_a_dot_does_not_fit(self):
+        """Regression: ``a\\.b.foo.com`` (3 labels) joined with dots decoded as
+        ``a.b.foo.com`` (4 labels) — the guard restored a question nobody asked."""
+        qname = Name([b"a.b", b"foo", b"com"])
+        assert encode_cookie_name(COOKIE, qname, FOO) is None
+        assert encode_cookie_name(COOKIE, qname, ROOT) is None
+
     def test_decode_rejects_normal_names(self):
         assert decode_cookie_name(Name.from_text("www.foo.com"), ROOT) is None
         assert decode_cookie_name(Name.from_text("com"), ROOT) is None

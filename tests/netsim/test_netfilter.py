@@ -302,6 +302,57 @@ class TestHopBudget:
         assert client.links[0].other(client) is fw and client.links[0].other(fw) is client
 
 
+class TestEncodeBudget:
+    """What a steady exchange serialises, counted rather than timed: every
+    message on these paths is derived from a frozen prototype, so once the
+    first request has completed (prototypes built, cookie granted) nothing
+    is encoded again — the shape is serialised once, not once per packet."""
+
+    @staticmethod
+    def encodes_after_first_completion(bed, lrs, duration):
+        from repro.dnswire import Message
+
+        lrs.start()
+        while lrs.stats.completed == 0:
+            assert bed.sim.step()
+        encodes = []
+
+        def on_event(frame, event, arg):
+            if event == "call" and frame.f_code is Message._encode_once.__code__:
+                encodes.append(frame.f_back.f_code.co_name)
+
+        before = lrs.stats.completed
+        profiled(lambda: bed.run(duration), on_event)
+        return encodes, lrs.stats.completed - before
+
+    def test_ns_name_cache_miss_exchange_encodes_nothing(self):
+        """Messages 1-6 of Fig 2 (the ``referral_miss`` workload): the LRS's
+        two queries, the fabricated referral, the restored query, the ANS
+        reply and the cookie-name answer."""
+        from repro.dns import LrsSimulator
+        from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
+
+        bed = GuardTestbed(ans="simulator", ans_mode="referral")
+        lrs = LrsSimulator(
+            bed.add_client("lrs"), ANS_ADDRESS, workload="referral", cache_cookies=False
+        )
+        encodes, completed = self.encodes_after_first_completion(bed, lrs, 0.02)
+        assert completed > 20 and bed.guard.referrals_fabricated > 20
+        assert encodes == []
+
+    def test_modified_dns_exchange_through_a_local_guard_encodes_nothing(self):
+        """Fig 3a once the cookie is cached (the ``flood_modified`` legitimate
+        path): LRS query, local-guard stamp, remote-guard strip, ANS reply."""
+        from repro.dns import LrsSimulator
+        from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
+
+        bed = GuardTestbed(ans="simulator", ans_mode="answer")
+        lrs = LrsSimulator(bed.add_client("lrs", via_local_guard=True), ANS_ADDRESS)
+        encodes, completed = self.encodes_after_first_completion(bed, lrs, 0.02)
+        assert completed > 20 and bed.guard.valid_cookies > 20
+        assert encodes == []
+
+
 class TestIngressFiltering:
     def test_rfc2827_blocks_spoofing_at_the_edge(self):
         """An edge router dropping out-of-subnet sources stops spoofing."""
