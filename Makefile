@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint gate-artefacts bench-digests bench-pairs test sanitize
+.PHONY: check lint gate-artefacts bench-digests bench-pairs test sanitize report
 
 GATE_FAMILIES := --flow --races --perf --memory --layers
 
@@ -52,6 +52,11 @@ bench-pairs:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# the paper-fidelity ledger judged against one run of every artefact
+# (~2 min); scripts/check.sh compares this file with a fresh run
+report:
+	$(PYTHON) -m repro report > REPORT.md
 
 # dual-run trace-hash comparison of a representative experiment (slow ones
 # are exercised manually: `python -m repro fig5 --fast --sanitize`)

@@ -18,6 +18,11 @@ echo "== benchmark smoke =="
 # should fail here, not as failed operations in the benchmark driver
 python -m pytest bench/tests -q
 
+echo "== paper fidelity (every ledger artefact once; REPORT.md is the stdout) =="
+# exit 1 on a failed ledger row; cmp fails when the committed file is stale
+# (`make report` regenerates it)
+python -m repro report | cmp - REPORT.md
+
 echo "== determinism sanitizer (table2, two seeds) =="
 python -m repro table2 --sanitize
 python -m repro table2 --sanitize --seed 7

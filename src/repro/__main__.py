@@ -68,15 +68,13 @@ FARM_FLAGS = (
             "(default 300)", type=float, default=300.0),
     _switch("--list", "list the registered matrices and exit"),
 )
-CONTROL_FLAGS = (
-    _option("--bench", "PATH", "append this run's headline numbers to a dated "
-            "BENCH_control.json trajectory"),
-    _switch("--static-only", "run only the static-scheme cells (no controller "
-            "constructed) — the sanitize-parity smoke configuration"),
-)
+STATIC_ONLY = _switch("--static-only", "run only the static-scheme cells (no controller "
+                      "constructed) — the sanitize-parity smoke configuration")
+REPORT_SEED = _option("--seed", None, "run every artefact at this seed (default: the "
+                      "ledger's configuration — seed 0, `ablation` seed 7)", type=int)
 
 #: The flags forwarded to a row's ``run`` (those of them the row declares).
-RUN_ARGS = ("seed", "fast", "hybrid")
+RUN_ARGS = ("seed", "fast", "hybrid", "static_only")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,11 +101,14 @@ def _resolve(ref: str):
     return pkgutil.resolve_name("repro.experiments." + ref)
 
 
-def _run_artefact(row: Artefact, args: argparse.Namespace) -> int:
-    kwargs = {key: value for key, value in vars(args).items() if key in RUN_ARGS}
+def _produce(row: Artefact, kwargs: dict) -> tuple:
+    """The row's ``run`` result as the argument list of its ``render``."""
     result = _resolve(row.run)(**kwargs)
-    if not isinstance(result, tuple):
-        result = (result,)
+    return result if isinstance(result, tuple) else (result,)
+
+
+def _run_artefact(row: Artefact, args: argparse.Namespace) -> int:
+    result = _produce(row, {k: v for k, v in vars(args).items() if k in RUN_ARGS})
     print(_resolve(row.render)(*result))
     if row.plot is not None and args.plot:
         print()
@@ -151,18 +152,6 @@ def _farm(row: Artefact, args: argparse.Namespace) -> int:
     )
 
 
-def _control(row: Artefact, args: argparse.Namespace) -> int:
-    from repro.experiments import control
-
-    schemes = control.STATIC_SCHEMES if args.static_only else control.SCHEMES
-    result = control.run_control(seed=args.seed, fast=args.fast, schemes=schemes)
-    print(control.format_control(result))
-    if args.bench:
-        control.write_bench_control(result, args.bench)
-        print(f"wrote {args.bench}")
-    return 0
-
-
 def _obs(row: Artefact, args: argparse.Namespace) -> int:
     """Showcase the observability subsystem on a short guarded run."""
     from repro.experiments.demo import run_observed_flood
@@ -176,24 +165,32 @@ def _obs(row: Artefact, args: argparse.Namespace) -> int:
 
 
 def _report(row: Artefact, args: argparse.Namespace) -> int:
-    """Assemble benchmarks/results/*.txt into one REPORT.md."""
-    import pathlib
+    """Run every ledger artefact once and judge its cells against the paper's
+    numbers.  Stdout is REPORT.md; exit 1 on any failure that is not a
+    recorded deviation."""
+    from repro.experiments import expectations
 
-    results_dir = pathlib.Path("benchmarks/results")
-    if not results_dir.is_dir():
-        print("no benchmarks/results directory — run `pytest benchmarks/` first")
-        return 1
-    sections = []
-    for path in sorted(results_dir.glob("*.txt")):
-        sections.append(f"## {path.stem}\n\n```\n{path.read_text().rstrip()}\n```\n")
-    report = pathlib.Path("REPORT.md")
-    report.write_text(
-        "# Reproduced results\n\n"
-        "Generated from `benchmarks/results/` (run `pytest benchmarks/` to "
-        "refresh).\n\n" + "\n".join(sections)
-    )
-    print(f"wrote {report} ({len(sections)} sections)")
-    return 0
+    print("# Reproduced results\n")
+    print("Stdout of `python -m repro report`: each ledger artefact run once, its table,")
+    print("and its rows of `repro.experiments.expectations` judged against it.")
+    print("`make report` regenerates this file; `scripts/check.sh` fails when they differ.")
+    failures = judged = 0
+    for name, config in expectations.CONFIGURATION.items():
+        artefact = ARTEFACTS[name]
+        kwargs = dict(config)
+        if "--seed" in dict(artefact.flags):
+            kwargs["seed"] = config.get("seed", 0) if args.seed is None else args.seed
+        result = _produce(artefact, kwargs)
+        module, _, run = artefact.run.partition(":")
+        table, failed = expectations.judge(name, _resolve(module + ":cells")(*result))
+        call = ", ".join(f"{key}={value!r}" for key, value in kwargs.items())
+        print(f"\n## {name}\n\n`{module}.{run}({call})`\n")
+        print(f"```\n{_resolve(artefact.render)(*result)}\n```\n")
+        print(table)
+        failures += failed
+        judged += len(expectations.rows(name))
+    print(f"\n{judged} rows judged, {failures} failed.")
+    return 1 if failures else 0
 
 
 #: The table, in ``--help`` order.  Columns: name, help, flags, run, render, plot.
@@ -202,6 +199,8 @@ ARTEFACTS: dict[str, Artefact] = {
     for row in (
         Artefact("demo", "Run the quickstart demo: a guarded ANS under a spoofed flood",
                  SIM, "demo:run_demo", "demo:format_demo"),
+        Artefact("calibration", "Calibration anchors: BIND UDP/TCP and ANS simulator capacity",
+                 SIM, "calibration:run_calibration", "calibration:format_calibration"),
         Artefact("table1", "Table I: scheme comparison",
                  (*SIM, FAST), "table1:run_table1", "table1:format_table1"),
         Artefact("table2", "Table II: request latency per scheme",
@@ -231,10 +230,12 @@ ARTEFACTS: dict[str, Artefact] = {
                  "resumable manifest and deterministic merge",
                  (SEED, FAST, OBS, *SHARDING, *FARM_FLAGS), handler=_farm),
         Artefact("control", "Adaptive overload control vs static schemes across attacks × faults",
-                 (*SIM, FAST, *CONTROL_FLAGS), handler=_control),
+                 (*SIM, FAST, STATIC_ONLY), "control:run_control", "control:format_control"),
         Artefact("fluid", "Analytical model predictions",
                  (), "fluid:FluidModel", "fluid:format_predictions"),
-        Artefact("report", "Assemble benchmarks/results into REPORT.md", handler=_report),
+        Artefact("report", "Run every ledger artefact and judge it against the paper's numbers "
+                 "(stdout is REPORT.md; exit 1 on a failed row)",
+                 (REPORT_SEED,), handler=_report),
         Artefact("sensitivity", "Sensitivity of qualitative claims to the CPU cost model",
                  (), "sensitivity:run_sensitivity", "sensitivity:format_sensitivity"),
         # installs its own Observability (with a packet tap) and exports that

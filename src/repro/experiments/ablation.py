@@ -20,6 +20,7 @@ from ..attack import HopCountFilter
 from ..dns import AnsSimulator, LrsSimulator
 from ..guard import CookieFactory, EdnsCookieClientShim, EdnsCookieGuard, random_key
 from ..netsim import Link, Node, Simulator
+from .expectations import INGRESS_FRACTIONS
 from .testbed import ANS_ADDRESS, GuardTestbed
 
 
@@ -239,13 +240,29 @@ def format_ablation(
     return "\n".join(lines)
 
 
-#: Ingress-filtering deployment fractions swept by the full ablation.
-INGRESS_FRACTIONS = (0.0, 0.5, 0.9, 1.0)
+def cells(
+    hcf: HcfResult,
+    rotation: RotationResult,
+    schemes: SchemeComparison,
+    ingress: list[IngressResult] | None = None,
+) -> dict[str, float]:
+    out = {
+        "hcf.false_negative_rate": hcf.hcf_false_negative_rate,
+        "hcf.cookie_false_negative_rate": hcf.cookie_false_negative_rate,
+        "rotation.generation_bit_survivors/issued": (
+            rotation.survivors_with_generation_bit / rotation.cookies_issued
+        ),
+        "rotation.naive_survivors": rotation.survivors_naive,
+        "rfc7873/modified": schemes.rfc7873_rps / schemes.modified_dns_rps,
+    }
+    for result in ingress or ():
+        out[f"ingress.leak@{result.deployment_fraction:.0%}"] = result.leak_rate
+    return out
 
 
 def run_ablation(seed: int = 0, *, fast: bool = False) -> tuple:
     """Every ablation, in :func:`format_ablation` argument order.  ``fast``
-    skips the ingress-deployment sweep."""
+    skips the ingress-deployment sweep (the fractions the ledger has rows for)."""
     ingress = None
     if not fast:
         ingress = [run_ingress_deployment(f, seed=seed) for f in INGRESS_FRACTIONS]

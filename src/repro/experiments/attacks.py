@@ -298,6 +298,7 @@ def format_attack_report(
     zombie: ZombieResult,
     probing_open: ProbingResult | None = None,
     probing_limited: ProbingResult | None = None,
+    starvation: tuple[StarvationResult, StarvationResult] | None = None,
 ) -> str:
     lines = [
         "Attack analysis (paper §III.G)",
@@ -317,6 +318,8 @@ def format_attack_report(
             f"y={probing_open.identified} (true y={probing_open.true_y}); "
             f"with RL2 it identifies {probing_limited.identified or 'nothing'}"
         )
+    if starvation is not None:
+        lines += ["", format_starvation(*starvation)]
     return "\n".join(lines)
 
 
@@ -341,8 +344,9 @@ AMPLIFICATION_RL1_RATE = 100.0
 
 
 def run_attacks(seed: int = 0, *, fast: bool = False) -> tuple:
-    """Every §III.G result, in :func:`format_attack_report` argument order.
-    ``fast`` skips the two probe-while-flooding runs."""
+    """Every §III.G result and the §I starvation pair, in
+    :func:`format_attack_report` argument order.  ``fast`` skips the two
+    probe-while-flooding runs and the starvation pair."""
     rl1 = UnverifiedResponseLimiter(
         per_source_rate=AMPLIFICATION_RL1_RATE, per_source_burst=AMPLIFICATION_RL1_RATE
     )
@@ -356,5 +360,34 @@ def run_attacks(seed: int = 0, *, fast: bool = False) -> tuple:
         results += (
             run_probing_attack(rl2_enabled=False, seed=seed),
             run_probing_attack(rl2_enabled=True, seed=seed),
+            (
+                run_bandwidth_starvation(guarded=False, seed=seed),
+                run_bandwidth_starvation(guarded=True, seed=seed),
+            ),
         )
     return results
+
+
+def cells(unguarded, guarded, guessing, zombie, probing_open=None, probing_limited=None,
+          starvation=None) -> dict:
+    """Ledger cells of a :func:`run_attacks` result (same argument order)."""
+    out: dict = {
+        "amplification.unguarded": unguarded.ratio,
+        "amplification.guarded": guarded.ratio,
+        "guessing.observed/expected": (
+            guessing.observed_success_rate / guessing.expected_success_rate
+        ),
+        "zombie.admitted/limiter_rate": zombie.admitted_rate / zombie.limiter_rate,
+        "zombie.admitted/offered": zombie.admitted_rate / zombie.offered_rate,
+    }
+    if starvation is not None:  # the full run: probing and starvation too
+        out["probing.open.succeeded"] = probing_open.attacker_succeeded
+        out["probing.limited.succeeded"] = probing_limited.attacker_succeeded
+        out["probing.limited.identified"] = len(probing_limited.identified)
+        open_server, behind_guard = starvation
+        out["starvation.attacker_bandwidth/victim_link"] = (
+            open_server.attacker_bandwidth / open_server.victim_link_capacity
+        )
+        out["starvation.unguarded.delivery"] = open_server.legit_delivery_rate
+        out["starvation.guarded.delivery"] = behind_guard.legit_delivery_rate
+    return out

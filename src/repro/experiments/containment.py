@@ -190,6 +190,19 @@ def run_containment(
     )
 
 
+def cells(result: ContainmentResult) -> dict:
+    out: dict = {"baseline_throughput": result.baseline_throughput, "contained": result.contained}
+    if result.contained:
+        out["recovery_time"] = result.recovery_time
+        # it stays recovered for the rest of the attack
+        settled = result.attack_start + result.recovery_time + 0.1
+        tail = [s.value for s in result.throughput if s.time > settled]
+        out["tail.samples"] = len(tail)
+        if tail:
+            out["tail.min/baseline"] = min(tail) / result.baseline_throughput
+    return out
+
+
 def format_containment(result: ContainmentResult) -> str:
     lines = [
         "Containment timeline: spoofed flood starts at "

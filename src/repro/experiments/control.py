@@ -29,7 +29,6 @@ from ..control import ControlConfig, GuardController
 from ..dns import LrsSimulator
 from ..faults import FaultPlan, GuardCrash
 from ..guard import GuardCosts, UnverifiedResponseLimiter, VerifiedRequestLimiter
-from ..obs.trajectory import append_trajectory
 from .testbed import ANS_ADDRESS, GuardTestbed
 
 #: The static-scheme cells (``--static-only``: no controller is constructed).
@@ -249,9 +248,13 @@ def run_control(
     seed: int = 0,
     *,
     fast: bool = False,
-    schemes: tuple[str, ...] = SCHEMES,
+    static_only: bool = False,
+    schemes: tuple[str, ...] | None = None,
 ) -> ControlResult:
-    """The full matrix; calm/none first so added latency has a baseline."""
+    """The full matrix; calm/none first so added latency has a baseline.
+    ``static_only`` leaves the adaptive scheme (and so the controller) out."""
+    if schemes is None:
+        schemes = STATIC_SCHEMES if static_only else SCHEMES
     warmup, window = (0.15, 0.4) if fast else (0.25, 1.0)
     attacks = ("calm", "cookie-flood") if fast else ATTACKS
     cells: list[ControlCell] = []
@@ -340,24 +343,10 @@ def format_control(result: ControlResult) -> str:
     return "\n".join(lines)
 
 
-def write_bench_control(result: ControlResult, path: str, *, date: str | None = None) -> dict:
-    """Append this run's headline numbers to a dated ``BENCH_control.json``:
-    a running history of how the adaptive controller compares over time."""
-    worst = min(
-        (c.availability for c in result.cells if c.scheme == "adaptive"), default=0.0
-    )
-    return append_trajectory(
-        path,
-        benchmark="adaptive-overload-control",
-        unit="availability",
-        value=worst,
-        entry={
-            "adaptive_wins": len(result.adaptive_wins),
-            "scenarios": sorted(f"{a}×{f}" for a, f in result.adaptive_wins),
-            "worst_adaptive_availability": worst,
-            "false_rejects_adaptive": result.false_rejects_adaptive,
-            "false_rejects_modified": result.false_rejects_modified,
-            "crash_reverts": result.crash_reverts,
-        },
-        date=date,
-    )
+def cells(result: ControlResult) -> dict[str, int]:
+    return {
+        "adaptive_wins": len(result.adaptive_wins),
+        "false_rejects.adaptive": result.false_rejects_adaptive,
+        "false_rejects.modified": result.false_rejects_modified,
+        "crash_reverts": result.crash_reverts,
+    }

@@ -24,6 +24,7 @@ from ipaddress import IPv4Address
 
 from ..attack import SpoofingAttacker
 from ..dns import LrsSimulator
+from . import expectations
 from .calibration import FIG5_ACTIVATION_THRESHOLD
 from .testbed import ANS_ADDRESS, GuardTestbed
 
@@ -31,6 +32,11 @@ DEFAULT_ATTACK_RATES = (0, 4_000, 8_000, 12_000, 14_000, 16_000)
 
 LRS1_IP = IPv4Address("10.0.1.1")
 LRS2_IP = IPv4Address("10.0.1.2")
+
+#: The UDP cookie scheme LRS1 exercises: BIND answers www.foo.com
+#: non-referentially, so the guard uses fabricated NS/IP cookies (the
+#: paper's LRS1 used the NS-name scheme — a ledger deviation).
+LRS1_SCHEME = "fabricated"
 
 #: LRS2's TCP stack costs ~0.2 ms/segment, capping it near the paper's
 #: observed 0.5K req/s DNS-over-TCP client throughput.
@@ -68,7 +74,6 @@ def run_point(
     lrs1_node = bed.add_client("lrs1", address=LRS1_IP)
     lrs2_node = bed.add_client("lrs2", address=LRS2_IP)
     lrs2_node.tcp.segment_cost_fn = lambda stack: LRS2_TCP_SEGMENT_COST
-    # BIND answers www.foo.com non-referentially -> fabricated NS/IP cookies
     lrs1 = LrsSimulator(
         lrs1_node, ANS_ADDRESS, workload="nonreferral",
         concurrency=64, timeout=2.0, target_rate=1000.0,
@@ -107,6 +112,17 @@ def run_fig5(
         for rate in attack_rates:
             points.append(run_point(rate, protection, seed=seed, **kwargs))
     return points
+
+
+def cells(points: list[Fig5Point]) -> dict:
+    out: dict = {"lrs1.scheme": LRS1_SCHEME}
+    for p in points:
+        side, at = "on" if p.protection else "off", f"@{p.attack_rate / 1000:.0f}K"
+        out[f"{side}.legit{at}"] = p.legit_throughput
+        out[f"{side}.ans_cpu{at}"] = p.ans_cpu
+    return expectations.derive(
+        out, "off.ans_cpu@8K-off.ans_cpu@0K", "on.ans_cpu@16K-on.ans_cpu@8K"
+    )
 
 
 def format_fig5(points: list[Fig5Point]) -> str:

@@ -22,6 +22,8 @@ import dataclasses
 
 from ..dns import LrsSimulator
 from ..attack import SpoofingAttacker
+from . import expectations
+from .fluid import FluidModel
 from .testbed import ANS_ADDRESS, GuardTestbed
 
 #: Attack rates swept in the paper's Figure 6 (requests/sec).
@@ -119,6 +121,23 @@ def run_fig6(
             else:
                 points.append(run_point(rate, protection, seed=seed, **kwargs))
     return points
+
+
+def cells(points: list[Fig6Point]) -> dict[str, float]:
+    # where the closed form puts the last point of the protected curve
+    out = {"fluid@250K": FluidModel().legit_throughput_under_attack(250_000)}
+    for p in points:
+        side, at = "on" if p.protection else "off", f"@{p.attack_rate / 1000:.0f}K"
+        out[f"{side}.legit{at}"] = p.legit_throughput
+        out[f"{side}.guard_cpu{at}"] = p.guard_cpu
+    return expectations.derive(
+        out,
+        "on.legit@250K/on.legit@100K",
+        "on.legit@250K/fluid@250K",
+        "off.legit@100K/off.legit@0K",
+        "on.guard_cpu@100K-on.guard_cpu@0K",
+        "on.guard_cpu@100K-off.guard_cpu@100K",
+    )
 
 
 def format_fig6(points: list[Fig6Point]) -> str:

@@ -15,6 +15,7 @@ import dataclasses
 
 from ..attack import SpoofingAttacker
 from ..dns import TcpLoadClient
+from . import expectations
 from .testbed import ANS_ADDRESS, GuardTestbed
 
 DEFAULT_CONCURRENCIES = (1, 10, 20, 50, 100, 500, 1000, 3000, 6000)
@@ -75,6 +76,19 @@ def run_fig7(
     series_a = [run_fig7a_point(c, seed=seed, **kwargs) for c in concurrencies]
     series_b = [run_fig7b_point(r, seed=seed, **kwargs) for r in attack_rates]
     return series_a, series_b
+
+
+def cells(series_a: list[Fig7aPoint], series_b: list[Fig7bPoint]) -> dict[str, float]:
+    out = {f"a.throughput@{p.concurrency}": p.throughput for p in series_a}
+    for p in series_b:
+        out[f"b.throughput@{p.attack_rate / 1000:.0f}K"] = p.throughput
+    return expectations.derive(
+        out,
+        "a.throughput@1000/a.throughput@50",
+        "a.throughput@6000/a.throughput@50",
+        "b.throughput@100K/b.throughput@0K",
+        "b.throughput@250K/b.throughput@100K",
+    )
 
 
 def format_fig7(series_a: list[Fig7aPoint], series_b: list[Fig7bPoint]) -> str:

@@ -4,7 +4,8 @@ Mirrors the paper's §IV.D back-of-envelope checks ("theoretically, their
 throughput should be between 3/2 and 8/6 times ...").  Every prediction is
 a closed-form function of :class:`repro.guard.GuardCosts` and the server
 service rates, so the discrete-event results can be validated against them
-(and vice versa) — see ``benchmarks/bench_fluid.py``.
+(and vice versa): the ``fluid`` rows of :mod:`repro.experiments.expectations`
+hold the predictions to the same paper values as the simulated artefacts.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import dataclasses
 
 from ..dns import ANS_SIMULATOR_COST
 from ..guard import GuardCosts
+from . import expectations
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -139,6 +141,27 @@ class FluidModel:
         if budget <= 0:
             return 0.0
         return budget * self.tcp_proxy_throughput(concurrency)
+
+
+def cells(model: FluidModel) -> dict[str, float]:
+    out = {}
+    for scheme in expectations.SCHEMES:
+        out[f"{scheme}.miss"] = model.throughput(scheme, cache_hit=False) / 1000
+        out[f"{scheme}.hit"] = model.throughput(scheme, cache_hit=True) / 1000
+        out[f"cost.{scheme}.miss"] = model.request_cost(scheme, cache_hit=False)
+    out["cost.hit"] = model.request_cost("ns_name", cache_hit=True)
+    out["knee"] = model.guard_saturation_attack_rate()
+    out["legit@250K"] = model.legit_throughput_under_attack(250_000)
+    out["unprotected@110K"] = model.unprotected_legit_throughput(110_000)
+    out["tcp_proxy@50"] = model.tcp_proxy_throughput(50)
+    out["tcp_proxy@6000"] = model.tcp_proxy_throughput(6000)
+    out["tcp_proxy.attack@250K"] = model.tcp_proxy_under_attack(250_000)
+    return expectations.derive(
+        out,
+        "cost.fabricated.miss/cost.ns_name.miss",
+        "cost.ns_name.miss/cost.hit",
+        "tcp_proxy@6000/tcp_proxy@50",
+    )
 
 
 def format_predictions(model: FluidModel | None = None) -> str:

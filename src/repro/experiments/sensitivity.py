@@ -104,6 +104,17 @@ def summarize(results: list[SensitivityResult]) -> dict[str, float]:
     }
 
 
+def cells(results: list[SensitivityResult]) -> dict:
+    # the unperturbed configuration is the paper's regime
+    default = next(r for r in results if all(v == 1.0 for v in r.factors.values()))
+    return {
+        **summarize(results),
+        "default.ordering_holds": default.ordering_holds,
+        "default.guard_keeps_up": default.guard_keeps_up,
+        "default.knee_over_ans": default.knee_over_ans_capacity,
+    }
+
+
 def format_sensitivity(results: list[SensitivityResult]) -> str:
     summary = summarize(results)
     return "\n".join(

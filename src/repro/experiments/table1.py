@@ -17,6 +17,7 @@ from ipaddress import IPv4Address
 
 from ..dnswire import Name, make_query, ZERO_COOKIE, attach_cookie, make_response
 from ..guard import KEY_LENGTH, CookieFactory, fabricated_referral
+from . import expectations
 from .calibration import WAN_RTT
 from .table2 import measure_scheme
 
@@ -74,24 +75,25 @@ def measure_cookie_storage(names: int = 10, *, seed: int = 0) -> tuple[int, int]
     return ns_scheme.fabricated_cache_entries(), fab_scheme.fabricated_cache_entries()
 
 
-def run_table1(*, seed: int = 0, fast: bool = False) -> list[Table1Row]:
-    """``fast`` fills the latency columns with the paper's analytic RTT
-    counts instead of measuring them."""
+def run_table1(
+    *, seed: int = 0, fast: bool = False
+) -> tuple[list[Table1Row], tuple[int, int] | None]:
+    """The rows and the measured cookie-storage pair.  ``fast`` fills the
+    latency columns with the paper's analytic RTT counts instead of
+    measuring them, and skips the storage measurement."""
     latencies: dict[str, tuple[float, float]] = {}
+    storage = None
     if not fast:
-        for scheme in ("ns_name", "fabricated", "tcp", "modified"):
+        for scheme in expectations.SCHEMES:
             miss_ms, hit_ms = measure_scheme(scheme, seed=seed, iterations=8)
             latencies[scheme] = (miss_ms / 1000 / WAN_RTT, hit_ms / 1000 / WAN_RTT)
+        storage = measure_cookie_storage(seed=seed)
     else:
-        latencies = {
-            "ns_name": (2.0, 1.0),
-            "fabricated": (3.0, 1.0),
-            "tcp": (3.0, 3.0),
-            "modified": (2.0, 1.0),
-        }
+        for scheme, (worst, best) in expectations.RTT_MULTIPLES.items():
+            latencies[scheme] = (float(worst), float(best))
     dns_amp = _amplification_dns_based()
     mod_amp = _amplification_modified()
-    return [
+    rows = [
         Table1Row("ns_name", *latencies["ns_name"], 32.0, dns_amp, "ANS side only"),
         Table1Row("fabricated", *latencies["fabricated"], 32.0 + 8.0, dns_amp,
                   "ANS side only"),
@@ -99,6 +101,20 @@ def run_table1(*, seed: int = 0, fast: bool = False) -> list[Table1Row]:
         Table1Row("modified", *latencies["modified"], 128.0, mod_amp,
                   "LRS side and ANS side"),
     ]
+    return rows, storage
+
+
+def cells(rows: list[Table1Row], storage: tuple[int, int] | None = None) -> dict:
+    out: dict = {}
+    for row in rows:
+        out[f"{row.scheme}.worst_rtt"] = row.worst_latency_rtt
+        out[f"{row.scheme}.best_rtt"] = row.best_latency_rtt
+        out[f"{row.scheme}.range_bits"] = row.cookie_range_bits
+        out[f"{row.scheme}.amplification_bytes"] = row.amplification_bytes
+        out[f"{row.scheme}.deployment"] = row.deployment
+    if storage is not None:
+        out["storage.ns_name"], out["storage.fabricated"] = storage
+    return out
 
 
 def format_table1(

@@ -12,7 +12,8 @@ TCP-based      3x     3x
 modified DNS   2x     1x
 =============  =====  ====
 
-(paper measurements: 21.0/32.1/34.5/22.4 ms miss, 11.1/11.3/33.7/10.8 ms hit)
+The paper's measured latencies and its §IV.D packets-per-request counts are
+ledger rows (:mod:`repro.experiments.expectations`).
 """
 
 from __future__ import annotations
@@ -22,42 +23,23 @@ import dataclasses
 from ..dns import LrsSimulator, TcpLoadClient
 from ..netsim import PacketTracer
 from ..obs import current as current_obs
+from . import expectations
+from .calibration import WAN_RTT
 from .testbed import ANS_ADDRESS, GuardTestbed
 
-SCHEMES = ("ns_name", "fabricated", "tcp", "modified")
-
-#: The paper's measured values (milliseconds), for side-by-side reporting.
-PAPER_MS = {
-    "ns_name": {"miss": 21.0, "hit": 11.1},
-    "fabricated": {"miss": 32.1, "hit": 11.3},
-    "tcp": {"miss": 34.5, "hit": 33.7},
-    "modified": {"miss": 22.4, "hit": 10.8},
-}
-
-#: Paper §IV.D packet arithmetic: wire packets crossing the guard per
-#: request.  Cookie schemes: 6 (miss) / 4 (hit) except the fabricated
-#: NS name/ip scheme which needs 8 on a miss; the TCP-based scheme pays
-#: the full handshake + teardown every time (10-12 segments + the two
-#: UDP packets of the guard<->ANS leg).
-PAPER_PACKETS = {
-    "ns_name": {"miss": 6, "hit": 4},
-    "fabricated": {"miss": 8, "hit": 4},
-    "tcp": {"miss": 12, "hit": 12},
-    "modified": {"miss": 6, "hit": 4},
-}
+SCHEMES = expectations.SCHEMES
 
 
 @dataclasses.dataclass(slots=True)
 class LatencyRow:
+    """One scheme's latencies, and its wire packets per request at the
+    guard (§IV.D; TCP and UDP together for the TCP-based scheme)."""
+
     scheme: str
     miss_ms: float
     hit_ms: float
-    paper_miss_ms: float
-    paper_hit_ms: float
     packets_miss: float = 0.0
     packets_hit: float = 0.0
-    paper_packets_miss: int = 0
-    paper_packets_hit: int = 0
 
 
 def _build(scheme: str, seed: int):
@@ -179,12 +161,8 @@ def run_table2(seed: int = 0) -> list[LatencyRow]:
                 scheme=scheme,
                 miss_ms=miss,
                 hit_ms=hit,
-                paper_miss_ms=PAPER_MS[scheme]["miss"],
-                paper_hit_ms=PAPER_MS[scheme]["hit"],
                 packets_miss=packets_miss,
                 packets_hit=packets_hit,
-                paper_packets_miss=PAPER_PACKETS[scheme]["miss"],
-                paper_packets_hit=PAPER_PACKETS[scheme]["hit"],
             )
         )
         if obs is not None:
@@ -199,22 +177,46 @@ def run_table2(seed: int = 0) -> list[LatencyRow]:
     return rows
 
 
+def cells(rows: list[LatencyRow]) -> dict[str, float]:
+    out = {}
+    rtt_ms = WAN_RTT * 1000
+    for row in rows:
+        scheme = row.scheme
+        out[f"{scheme}.miss"] = row.miss_ms
+        out[f"{scheme}.hit"] = row.hit_ms
+        out[f"{scheme}.miss/rtt"] = row.miss_ms / rtt_ms
+        out[f"{scheme}.hit/rtt"] = row.hit_ms / rtt_ms
+        if scheme == "tcp":  # no cookie cache: one count
+            out["tcp.packets"] = row.packets_miss
+        else:
+            out[f"{scheme}.packets.miss"] = row.packets_miss
+            out[f"{scheme}.packets.hit"] = row.packets_hit
+    return out
+
+
 def format_table2(rows: list[LatencyRow]) -> str:
+    paper = expectations.paper
     lines = [
         "Table II: average DNS request latency (msec); RTT = 10.9 msec",
         f"{'scheme':<12} {'miss':>8} {'paper':>8}   {'hit':>8} {'paper':>8}",
     ]
     for row in rows:
         lines.append(
-            f"{row.scheme:<12} {row.miss_ms:>8.1f} {row.paper_miss_ms:>8.1f}   "
-            f"{row.hit_ms:>8.1f} {row.paper_hit_ms:>8.1f}"
+            f"{row.scheme:<12} {row.miss_ms:>8.1f} {paper('table2', row.scheme + '.miss'):>8.1f}   "
+            f"{row.hit_ms:>8.1f} {paper('table2', row.scheme + '.hit'):>8.1f}"
         )
     lines.append("")
     lines.append("Packets per request at the guard (paper IV.D)")
     lines.append(f"{'scheme':<12} {'miss':>8} {'paper':>8}   {'hit':>8} {'paper':>8}")
     for row in rows:
+        if row.scheme == "tcp":
+            # the paper's "12" is the low end of the ledger's total
+            quoted_miss = quoted_hit = paper("table2", "tcp.packets")[0]
+        else:
+            quoted_miss = paper("table2", row.scheme + ".packets.miss")
+            quoted_hit = paper("table2", row.scheme + ".packets.hit")
         lines.append(
-            f"{row.scheme:<12} {row.packets_miss:>8.1f} {row.paper_packets_miss:>8d}   "
-            f"{row.packets_hit:>8.1f} {row.paper_packets_hit:>8d}"
+            f"{row.scheme:<12} {row.packets_miss:>8.1f} {quoted_miss:>8d}   "
+            f"{row.packets_hit:>8.1f} {quoted_hit:>8d}"
         )
     return "\n".join(lines)

@@ -6,7 +6,7 @@ Expected ordering: NS name ≈ modified DNS > fabricated NS/IP > TCP-based;
 cache-hit throughput for the UDP schemes is capped by the ANS simulator
 itself (~110K) while the guard sits under 70% CPU.
 
-(paper: miss 84.2K / 60.1K / 22.7K / 84.3K; hit 110.1K / 109.7K / 22.7K / 110.3K)
+The paper's eight cells are ledger rows (:mod:`repro.experiments.expectations`).
 """
 
 from __future__ import annotations
@@ -14,16 +14,10 @@ from __future__ import annotations
 import dataclasses
 
 from ..dns import LrsSimulator, TcpLoadClient
+from . import expectations
 from .testbed import ANS_ADDRESS, GuardTestbed
 
-SCHEMES = ("ns_name", "fabricated", "tcp", "modified")
-
-PAPER_KRPS = {
-    "ns_name": {"miss": 84.2, "hit": 110.1},
-    "fabricated": {"miss": 60.1, "hit": 109.7},
-    "tcp": {"miss": 22.7, "hit": 22.7},
-    "modified": {"miss": 84.3, "hit": 110.3},
-}
+SCHEMES = expectations.SCHEMES
 
 
 @dataclasses.dataclass(slots=True)
@@ -31,8 +25,6 @@ class ThroughputRow:
     scheme: str
     miss_krps: float
     hit_krps: float
-    paper_miss_krps: float
-    paper_hit_krps: float
 
 
 def _run_udp(scheme: str, *, cache: bool, seed: int, warmup: float, duration: float,
@@ -98,16 +90,21 @@ def run_table3(seed: int = 0, *, fast: bool = False) -> list[ThroughputRow]:
     for scheme in SCHEMES:
         miss = measure_scheme(scheme, cache=False, seed=seed, **kwargs)
         hit = measure_scheme(scheme, cache=True, seed=seed, **kwargs)
-        rows.append(
-            ThroughputRow(
-                scheme=scheme,
-                miss_krps=miss / 1000.0,
-                hit_krps=hit / 1000.0,
-                paper_miss_krps=PAPER_KRPS[scheme]["miss"],
-                paper_hit_krps=PAPER_KRPS[scheme]["hit"],
-            )
-        )
+        rows.append(ThroughputRow(scheme, miss / 1000.0, hit / 1000.0))
     return rows
+
+
+def cells(rows: list[ThroughputRow]) -> dict[str, float]:
+    out = {}
+    for row in rows:
+        out[f"{row.scheme}.miss"] = row.miss_krps
+        out[f"{row.scheme}.hit"] = row.hit_krps
+    return expectations.derive(
+        out,
+        "ns_name.miss/modified.miss",
+        "ns_name.miss/fabricated.miss",
+        "fabricated.miss/tcp.miss",
+    )
 
 
 def format_table3(rows: list[ThroughputRow]) -> str:
@@ -117,7 +114,8 @@ def format_table3(rows: list[ThroughputRow]) -> str:
     ]
     for row in rows:
         lines.append(
-            f"{row.scheme:<12} {row.miss_krps:>8.1f} {row.paper_miss_krps:>8.1f}   "
-            f"{row.hit_krps:>8.1f} {row.paper_hit_krps:>8.1f}"
+            f"{row.scheme:<12} {row.miss_krps:>8.1f} "
+            f"{expectations.paper('table3', row.scheme + '.miss'):>8.1f}   "
+            f"{row.hit_krps:>8.1f} {expectations.paper('table3', row.scheme + '.hit'):>8.1f}"
         )
     return "\n".join(lines)

@@ -5,7 +5,7 @@ an EDNS(0) COOKIE option carrying a *client cookie* (8 bytes, chosen by the
 client) and a *server cookie* (8-32 bytes, a keyed hash binding the client
 cookie to the client's address).  This module implements that protocol on
 the same testbed so the two designs can be compared head-to-head
-(``benchmarks/bench_ablation.py``):
+(``python -m repro ablation``; the ledger's ``rfc7873/modified`` row):
 
 * :class:`EdnsCookieGuard` — an inline middlebox enforcing cookies in front
   of an ANS, mirroring :class:`~repro.guard.RemoteDnsGuard`'s deployment;

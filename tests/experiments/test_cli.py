@@ -146,8 +146,8 @@ class TestArtefactTable:
         from repro.__main__ import _resolve
         from repro.experiments import ablation
 
-        # the two saturating throughput runs dominate `ablation`; the shape
-        # test in benchmarks/bench_ablation.py runs them for real
+        # the two saturating throughput runs dominate `ablation`;
+        # `python -m repro report` runs them for real
         monkeypatch.setattr(
             ablation,
             "run_scheme_comparison",

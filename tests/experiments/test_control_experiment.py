@@ -1,14 +1,6 @@
-"""Smoke tests for the adaptive-control experiment and its bench record."""
+"""Smoke tests for the adaptive-control experiment."""
 
-import json
-
-from repro.experiments.control import (
-    ControlCell,
-    ControlResult,
-    format_control,
-    run_control,
-    write_bench_control,
-)
+from repro.experiments.control import format_control, run_control
 
 
 class TestRunControl:
@@ -43,49 +35,3 @@ class TestRunControl:
         assert "adaptive" in text
         assert "false rejects" in text
         assert "safe-reverts" in text
-
-
-def _tiny_result() -> ControlResult:
-    cell = ControlCell(
-        attack="calm",
-        fault="none",
-        scheme="adaptive",
-        sent=10,
-        completed=10,
-        timeouts=0,
-        availability=1.0,
-        mean_latency_ms=1.0,
-        added_latency_ms=0.0,
-        false_rejects=0,
-        cpu_utilization=0.5,
-    )
-    return ControlResult(
-        cells=[cell],
-        adaptive_wins=[("calm", "none")],
-        false_rejects_adaptive=0,
-        false_rejects_modified=0,
-        crash_reverts=0,
-    )
-
-
-class TestBenchRecord:
-    def test_trajectory_appends_across_runs(self, tmp_path):
-        path = str(tmp_path / "BENCH_control.json")
-        result = _tiny_result()
-        doc1 = write_bench_control(result, path, date="2026-08-07")
-        assert len(doc1["trajectory"]) == 1
-        doc2 = write_bench_control(result, path, date="2026-08-08")
-        assert [entry["date"] for entry in doc2["trajectory"]] == [
-            "2026-08-07",
-            "2026-08-08",
-        ]
-        assert doc2["value"] == 1.0
-        with open(path, encoding="utf-8") as fh:
-            on_disk = json.load(fh)
-        assert on_disk == doc2
-
-    def test_corrupt_previous_file_is_replaced(self, tmp_path):
-        path = tmp_path / "BENCH_control.json"
-        path.write_text("not json", encoding="utf-8")
-        doc = write_bench_control(_tiny_result(), str(path), date="2026-08-08")
-        assert len(doc["trajectory"]) == 1

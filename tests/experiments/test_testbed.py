@@ -5,7 +5,7 @@ from ipaddress import IPv4Address
 import pytest
 
 from repro.dns import LrsSimulator
-from repro.experiments import calibration
+from repro.experiments import calibration, expectations
 from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
 
 
@@ -85,9 +85,12 @@ class TestTestbedConstruction:
 
 class TestCalibrationConstants:
     def test_capacity_anchors(self):
-        assert calibration.BIND_UDP_COST == pytest.approx(1 / 14000)
-        assert calibration.BIND_TCP_COST == pytest.approx(1 / 2200)
-        assert calibration.ANS_SIMULATOR_COST == pytest.approx(1 / 110000)
+        for cost, cell in (
+            (calibration.BIND_UDP_COST, "bind_udp"),
+            (calibration.BIND_TCP_COST, "bind_tcp"),
+            (calibration.ANS_SIMULATOR_COST, "ans_simulator"),
+        ):
+            assert cost == pytest.approx(1 / expectations.paper("calibration", cell))
 
     def test_timers(self):
         assert calibration.BIND_TIMEOUT == 2.0

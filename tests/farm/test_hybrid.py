@@ -146,3 +146,29 @@ class TestScale:
         a = run_hybrid_point(60_000.0, True, seed=0, warmup=0.1, duration=0.2)
         b = run_hybrid_point(60_000.0, True, seed=0, warmup=0.1, duration=0.2)
         assert a == b
+
+
+class TestFarmMatrix:
+    def test_hybrid_matrix_under_farm(self):
+        """The hybrid fluid/packet sweep runs as farm cells: 10⁶ modeled
+        clients per cell, each cell thousands (not millions) of events."""
+        from repro.farm import run_farm
+
+        result = run_farm("hybrid", seed=0, fast=True)
+        assert result.complete and not result.failed
+        for row in result.reduced:
+            assert row["clients"] == 1_000_000
+            assert row["events"] < 20_000
+        protected = {row["attack_rate"]: row for row in result.reduced if row["protection"]}
+        unprotected = {
+            row["attack_rate"]: row for row in result.reduced if not row["protection"]
+        }
+        # protection holds the bulk served rate through 100K attack; without
+        # it the flood eats the ANS
+        assert protected[100_000.0]["fluid_served_rate"] == pytest.approx(
+            protected[0.0]["fluid_served_rate"], rel=0.05
+        )
+        assert (
+            unprotected[100_000.0]["fluid_served_rate"]
+            < unprotected[0.0]["fluid_served_rate"] * 0.25
+        )

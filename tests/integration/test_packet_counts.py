@@ -8,91 +8,55 @@ compute the cookie three times and transfer 8 packets ... the TCP-based
 scheme needs to ... transfer 10 to 12 packets."
 """
 
-import pytest
+import functools
 
-from repro.dns import LrsSimulator, TcpLoadClient
+from repro.dns import LrsSimulator
+from repro.experiments import expectations
+from repro.experiments.table2 import measure_packets
 from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
 from repro.netsim import PacketTracer
 
 
-def udp_packets_per_request(bed, lrs, *, warm: bool, duration: float = 0.2) -> float:
-    """Average UDP packets crossing the guard per completed request."""
-    if warm:
-        lrs.start()
-        bed.run(0.05)
-        lrs.stop()
-        bed.run(0.05)  # drain in-flight work before tracing
-    tracer = PacketTracer(bed.guard_node)
-    completed_before = lrs.stats.completed
-    lrs.start()
-    bed.run(duration)
-    lrs.stop()
-    bed.run(0.05)
-    tracer.detach()
-    completed = lrs.stats.completed - completed_before
-    assert completed > 50, "not enough interactions to average over"
-    return len(tracer.packets(protocol="udp")) / completed
+@functools.cache
+def packets(scheme: str) -> tuple[float, float]:
+    """(cache-miss, cache-hit) packets per request, as Table II measures them."""
+    return measure_packets(scheme)
+
+
+def holds(cell: str, measured: float) -> None:
+    (row,) = (r for r in expectations.rows("table2") if r.cell == cell)
+    assert row.holds(measured), f"{cell}: measured {measured}, ledger {row.kind} {row.paper}"
 
 
 class TestPacketCounts:
     def test_ns_name_cache_miss_is_six_packets(self):
-        bed = GuardTestbed(ans="simulator", ans_mode="referral")
-        client = bed.add_client("lrs")
-        lrs = LrsSimulator(client, ANS_ADDRESS, workload="referral", cache_cookies=False)
         # messages 1-6: four on the client side, two on the ANS side
-        assert udp_packets_per_request(bed, lrs, warm=False) == pytest.approx(6, abs=0.2)
+        holds("ns_name.packets.miss", packets("ns_name")[0])
 
     def test_ns_name_cache_hit_is_four_packets(self):
-        bed = GuardTestbed(ans="simulator", ans_mode="referral")
-        client = bed.add_client("lrs")
-        lrs = LrsSimulator(client, ANS_ADDRESS, workload="referral", cache_cookies=True)
         # messages 3/4/5/6 only: one guard round trip per request
-        assert udp_packets_per_request(bed, lrs, warm=True) == pytest.approx(4, abs=0.2)
+        holds("ns_name.packets.hit", packets("ns_name")[1])
 
     def test_fabricated_cache_miss_is_eight_packets(self):
-        bed = GuardTestbed(ans="simulator", ans_mode="answer")
-        client = bed.add_client("lrs")
-        lrs = LrsSimulator(client, ANS_ADDRESS, workload="nonreferral", cache_cookies=False)
         # messages 1-7 and 10 (8/9 served from the guard's answer cache)
-        assert udp_packets_per_request(bed, lrs, warm=False) == pytest.approx(8, abs=0.2)
+        holds("fabricated.packets.miss", packets("fabricated")[0])
 
     def test_fabricated_cache_hit_is_four_packets(self):
-        bed = GuardTestbed(ans="simulator", ans_mode="answer")
-        client = bed.add_client("lrs")
-        lrs = LrsSimulator(client, ANS_ADDRESS, workload="nonreferral", cache_cookies=True)
-        assert udp_packets_per_request(bed, lrs, warm=True) == pytest.approx(4, abs=0.2)
+        holds("fabricated.packets.hit", packets("fabricated")[1])
 
     def test_modified_cache_miss_is_six_packets(self):
-        bed = GuardTestbed(ans="simulator", ans_mode="answer")
-        client = bed.add_client("lrs", via_local_guard=True)
-        client.local_guard.cache_cookies = False
-        lrs = LrsSimulator(client, ANS_ADDRESS, workload="plain")
         # cookie request + grant + stamped query + strip-forward + response x2
-        assert udp_packets_per_request(bed, lrs, warm=False) == pytest.approx(6, abs=0.2)
+        holds("modified.packets.miss", packets("modified")[0])
 
     def test_modified_cache_hit_is_four_packets(self):
-        bed = GuardTestbed(ans="simulator", ans_mode="answer")
-        client = bed.add_client("lrs", via_local_guard=True)
-        lrs = LrsSimulator(client, ANS_ADDRESS, workload="plain")
-        assert udp_packets_per_request(bed, lrs, warm=True) == pytest.approx(4, abs=0.2)
+        holds("modified.packets.hit", packets("modified")[1])
 
-    def test_tcp_scheme_is_ten_to_thirteen_packets(self):
-        bed = GuardTestbed(ans="simulator", ans_mode="answer", guard_policy="tcp")
-        client = bed.add_client("lrs")
-        tcp = TcpLoadClient(client, ANS_ADDRESS, concurrency=1)
-        tracer = PacketTracer(bed.guard_node)
-        tcp.start()
-        bed.run(0.2)
-        tcp.stop()
-        bed.run(0.1)
-        tracer.detach()
-        assert tcp.stats.completed > 20
-        per_request_tcp = len(tracer.packets(protocol="tcp")) / tcp.stats.completed
-        # the paper counts 10-12 TCP segments per proxied request
-        assert 9.5 <= per_request_tcp <= 13
-        # plus the two UDP packets of the guard<->ANS leg
-        per_request_udp = len(tracer.packets(protocol="udp")) / tcp.stats.completed
-        assert per_request_udp == pytest.approx(2, abs=0.3)
+    def test_tcp_scheme_is_twelve_to_fourteen_packets_in_total(self):
+        # 10-12 TCP segments per proxied request plus the two UDP packets
+        # of the guard<->ANS leg; no cookie cache, so hit == miss
+        miss, hit = packets("tcp")
+        assert miss == hit
+        holds("tcp.packets", miss)
 
 
 class TestTracerMechanics:
