@@ -44,9 +44,11 @@ bench-digests:
 # workload through `python3 -m bench` (~35 s a pair, one run at a time),
 # each side's median and quartiles, pairs won, and the 9-in-10-and-beyond-
 # the-parent's-IQR verdict, as a JSON row for scripts/BENCH_layers.json.
+# WORKLOAD=a,b,c runs the listed workloads one after another, a row each:
+# the must-not-move workloads of a claim are one command.
 bench-pairs:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || \
-		{ echo "usage: make bench-pairs PARENT=<checkout> WORKLOAD=<name> [PAIRS=<n>]" >&2; exit 2; }
+		{ echo "usage: make bench-pairs PARENT=<checkout> WORKLOAD=<name>[,<name>...] [PAIRS=<n>]" >&2; exit 2; }
 	$(PYTHON) scripts/bench_pairs.py --parent "$(PARENT)" --workload "$(WORKLOAD)" \
 		--pairs "$(or $(PAIRS),10)"
 

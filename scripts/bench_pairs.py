@@ -1,6 +1,6 @@
 """The pairs rule as a recipe: alternating parent/change runs of one workload.
 
-``make bench-pairs PARENT=<checkout> WORKLOAD=<name> PAIRS=<n>`` runs
+``make bench-pairs PARENT=<checkout> WORKLOAD=<name>[,<name>...] PAIRS=<n>`` runs
 ``python3 -m bench --workload W --seed S --seconds 12 --trace 0`` (the run
 length is ``BENCHMARK.json``'s ``run_seconds``, not an option) once in the
 parent checkout and once in this one per pair — never two at a time, side
@@ -9,7 +9,9 @@ metric, each side's median and quartiles, the pairs the change won and lost
 (a tie counts for neither) and the verdict of the rule a gain is claimed by:
 the change wins at least nine tenths of the pairs and the medians differ by
 more than the distance between the parent's own quartiles.  The output is one
-JSON object in the shape of a ``paired`` row of ``scripts/BENCH_layers.json``.
+JSON object in the shape of a ``paired`` row of ``scripts/BENCH_layers.json``
+per workload listed: several workloads run one after another, never two runs
+at a time, each row printed when its pairs are done.
 Each side is measured by its own checkout's ``bench`` as a subprocess;
 nothing under ``bench/`` is read or changed here.
 """
@@ -72,35 +74,25 @@ def compare(runs: list[dict], bound: float) -> dict:
     }
 
 
-def main() -> int:
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="a checkout of the parent commit")
-    parser.add_argument(
-        "--workload", required=True, choices=[w["name"] for w in manifest["workloads"]]
-    )
-    parser.add_argument("--pairs", type=int, default=10)
-    args = parser.parse_args()
+def measure(manifest: dict, sides: dict[str, str], workload: str, n_pairs: int) -> dict:
+    """``n_pairs`` alternating parent/change runs of ``workload``, as one row."""
     # the benchmark sets the run length, the same on both sides
     seconds = manifest["run_seconds"]
-
-    sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
     pairs = []
-    for index in range(args.pairs):
+    for index in range(n_pairs):
         seed = SEEDS[index % len(SEEDS)]
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-        detail = {side: bench_run(sides[side], args.workload, seed, seconds) for side in order}
+        detail = {side: bench_run(sides[side], workload, seed, seconds) for side in order}
         pairs.append({"pair": index, "seed": seed, "first": order[0], **detail})
         print(
-            f"pair {index} seed {seed} {order[0]} first: wall_s "
+            f"{workload} pair {index} seed {seed} {order[0]} first: wall_s "
             f"parent {detail['parent']['metrics']['wall_s']:.4f} "
             f"change {detail['change']['metrics']['wall_s']:.4f}",
             file=sys.stderr, flush=True,
         )
 
     result = {
-        "workload": args.workload,
+        "workload": workload,
         "pairs": len(pairs),
         "seconds": seconds,
         "ops_failed": sum(p[side]["failed"] for p in pairs for side in sides),
@@ -122,7 +114,38 @@ def main() -> int:
             for p in pairs
         ]
         result[name] = compare(runs, metric["bound"])
-    print(json.dumps(result, indent=1, sort_keys=True))
+    return result
+
+
+def workload_list(text: str, known: list[str]) -> list[str]:
+    """``a,b,c`` as the workloads to run, in that order; each must be known."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    unknown = [name for name in names if name not in known]
+    if unknown or not names:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {', '.join(unknown) or text!r} (choose from {', '.join(known)})"
+        )
+    return names
+
+
+def main() -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    known = [w["name"] for w in manifest["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="a checkout of the parent commit")
+    parser.add_argument(
+        "--workload", required=True, type=lambda text: workload_list(text, known),
+        help="one workload, or several separated by commas (run one after another)",
+    )
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args()
+
+    sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    for workload in args.workload:
+        # one row per workload, printed as soon as its pairs are done
+        row = measure(manifest, sides, workload, args.pairs)
+        print(json.dumps(row, indent=1, sort_keys=True), flush=True)
     return 0
 
 

@@ -73,7 +73,7 @@ def run_point(
     )
     lrs1_node = bed.add_client("lrs1", address=LRS1_IP)
     lrs2_node = bed.add_client("lrs2", address=LRS2_IP)
-    lrs2_node.tcp.segment_cost_fn = lambda stack: LRS2_TCP_SEGMENT_COST
+    lrs2_node.tcp.segment_cost_fn = lambda open_connections: LRS2_TCP_SEGMENT_COST
     lrs1 = LrsSimulator(
         lrs1_node, ANS_ADDRESS, workload="nonreferral",
         concurrency=64, timeout=2.0, target_rate=1000.0,

@@ -104,10 +104,7 @@ class TcpProxy:
         self.connections_reaped = 0
         self.malformed_streams = 0
         self._client_buckets: dict[IPv4Address, TokenBucket] = {}
-        costs = guard.costs
-        self.node.tcp.segment_cost_fn = lambda stack: costs.tcp_segment_cost(
-            len(stack.connections)
-        )
+        self.node.tcp.segment_cost_fn = guard.costs.tcp_segment_cost
         self.listener = self.node.tcp.listen(53, self._on_connection, syn_cookies=True)
 
     # -- connection handling ------------------------------------------------------

@@ -80,7 +80,10 @@ class UdpDatagram:
 
 
 class TcpFlags(enum.IntFlag):
-    """TCP control flags we model."""
+    """TCP control flags we model — the public spelling, for anything that
+    builds or reads a segment by hand.  ``repro.netsim.tcp`` tests and emits
+    the same bits as plain ints: an ``IntFlag`` ``&`` or ``|`` is three
+    Python frames in the stdlib's ``enum.py``, and a segment pays a dozen."""
 
     SYN = 0x02
     ACK = 0x10
@@ -96,15 +99,16 @@ class TcpSegment:
     dport: int
     seq: int
     ack: int
-    flags: TcpFlags
+    #: ``TcpFlags`` bits; a member and its plain int are interchangeable
+    flags: int
     data: bytes = b""
 
     @property
     def size(self) -> int:
         return TCP_HEADER_BYTES + len(self.data)
 
-    def has(self, flag: TcpFlags) -> bool:
-        return bool(self.flags & flag)
+    def has(self, flag: int) -> bool:
+        return self.flags & flag != 0
 
 
 Segment = Union[UdpDatagram, TcpSegment]

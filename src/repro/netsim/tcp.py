@@ -52,7 +52,20 @@ SEND_WINDOW_SEGMENTS = 32
 #: where a SYN-cookie validator would miscount them as forged ACKs.
 TIME_WAIT_LINGER = 1.0
 
-ConnKey = tuple[IPv4Address, int, IPv4Address, int]
+#: A connection's 4-tuple as the tables key it: ``(local, lport, remote,
+#: rport)`` with each address as its 32-bit integer, read from the stdlib's
+#: ``_ip`` slot.  The stdlib hashes an ``IPv4Address`` in Python and an int
+#: in C, and every segment looks its connection up; addresses stay
+#: ``IPv4Address`` everywhere else (``local_ip``/``remote_ip``, the cookie's
+#: ``.packed``).  ``tests/property/test_routing_tables.py`` pins the slot.
+ConnKey = tuple[int, int, int, int]
+
+#: The flag bits as plain ints — what the segment path tests and emits
+#: (see :class:`~repro.netsim.packet.TcpFlags`, the public spelling).
+FIN = int(TcpFlags.FIN)
+SYN = int(TcpFlags.SYN)
+RST = int(TcpFlags.RST)
+ACK = int(TcpFlags.ACK)
 
 #: Trust boundary for the flow analyser (``repro.analysis.flow``).  The
 #: handshake argument is checked two ways: T-rules treat inbound segments
@@ -141,7 +154,7 @@ class Listener:
         self.cookies_rejected = 0
 
     def close(self) -> None:
-        self.stack._listeners.pop((self.ip, self.port), None)
+        self.stack._listeners.pop(_listener_key(self.ip, self.port), None)
 
 
 class TcpConnection:
@@ -155,6 +168,7 @@ class TcpConnection:
         "local_port",
         "remote_ip",
         "remote_port",
+        "key",
         "state",
         "iss",
         "snd_una",
@@ -193,6 +207,8 @@ class TcpConnection:
         self.local_port = local_port
         self.remote_ip = remote_ip
         self.remote_port = remote_port
+        #: where the stack's tables file this connection
+        self.key: ConnKey = (local_ip._ip, local_port, remote_ip._ip, remote_port)
         self.state = TcpState.CLOSED
         self.iss = 0
         self.snd_una = 0
@@ -208,7 +224,7 @@ class TcpConnection:
         #: True when the connection died from retransmission exhaustion
         self.aborted_by_retries = False
         self._send_buffer = bytearray()
-        self._inflight: list[tuple[int, bytes, TcpFlags]] = []
+        self._inflight: list[tuple[int, bytes, int]] = []
         self._retransmit_handle = None
         self._retransmits = 0
         self._fin_queued = False
@@ -222,10 +238,6 @@ class TcpConnection:
         self.on_close: Callable[["TcpConnection", bool], None] | None = None
 
     # -- public API -----------------------------------------------------------
-
-    @property
-    def key(self) -> ConnKey:
-        return (self.local_ip, self.local_port, self.remote_ip, self.remote_port)
 
     def send(self, data: bytes) -> None:
         """Queue application data for reliable delivery."""
@@ -248,7 +260,7 @@ class TcpConnection:
     def abort(self) -> None:
         """Hard close: send RST and drop all state."""
         if self.state is not TcpState.CLOSED:
-            self._emit(TcpFlags.RST, seq=self.snd_nxt)
+            self._emit(RST, seq=self.snd_nxt)
         self._teardown(error=True)
 
     @property
@@ -263,7 +275,7 @@ class TcpConnection:
         self.snd_una = self.iss
         self.snd_nxt = self.iss
         self.state = TcpState.SYN_SENT
-        self._emit(TcpFlags.SYN, seq=self.iss)
+        self._emit(SYN, seq=self.iss)
         self._arm_retransmit()
 
     def _start_passive(self, syn: TcpSegment) -> None:
@@ -272,7 +284,7 @@ class TcpConnection:
         self.snd_una = self.iss
         self.snd_nxt = self.iss
         self.state = TcpState.SYN_RCVD
-        self._emit(TcpFlags.SYN | TcpFlags.ACK, seq=self.iss, ack=self.rcv_nxt)
+        self._emit(SYN | ACK, seq=self.iss, ack=self.rcv_nxt)
         self._arm_retransmit()
 
     def _start_from_cookie(self, ack_segment: TcpSegment, cookie_isn: int) -> None:
@@ -294,25 +306,26 @@ class TcpConnection:
     # -- segment processing -------------------------------------------------------
 
     def handle(self, segment: TcpSegment) -> None:
-        if segment.has(TcpFlags.RST):
+        flags = segment.flags
+        if flags & RST:
             self._teardown(error=True)
             return
 
         if self.state is TcpState.SYN_SENT:
-            if segment.has(TcpFlags.SYN) and segment.has(TcpFlags.ACK):
+            if flags & SYN and flags & ACK:
                 if segment.ack != (self.iss + 1) & 0xFFFFFFFF:
                     self.abort()
                     return
                 self.rcv_nxt = (segment.seq + 1) & 0xFFFFFFFF
                 self.snd_una = segment.ack
                 self.snd_nxt = segment.ack
-                self._emit(TcpFlags.ACK, seq=self.snd_nxt, ack=self.rcv_nxt)
+                self._emit(ACK, seq=self.snd_nxt, ack=self.rcv_nxt)
                 self._established()
                 self._pump()
             return
 
         if self.state is TcpState.SYN_RCVD:
-            if segment.has(TcpFlags.ACK) and segment.ack == (self.iss + 1) & 0xFFFFFFFF:
+            if flags & ACK and segment.ack == (self.iss + 1) & 0xFFFFFFFF:
                 self.snd_una = segment.ack
                 self.snd_nxt = segment.ack
                 self._established()
@@ -324,25 +337,26 @@ class TcpConnection:
                 return
 
         # -- acknowledgements
-        if segment.has(TcpFlags.ACK):
+        if flags & ACK:
             self._process_ack(segment.ack)
 
         # -- incoming data
-        if segment.data:
+        data = segment.data
+        if data:
             if segment.seq == self.rcv_nxt:
-                self.rcv_nxt = (self.rcv_nxt + len(segment.data)) & 0xFFFFFFFF
-                self.bytes_received += len(segment.data)
-                self._emit(TcpFlags.ACK, seq=self.snd_nxt, ack=self.rcv_nxt)
+                self.rcv_nxt = (self.rcv_nxt + len(data)) & 0xFFFFFFFF
+                self.bytes_received += len(data)
+                self._emit(ACK, seq=self.snd_nxt, ack=self.rcv_nxt)
                 if self.on_data:
-                    self.on_data(self, segment.data)
+                    self.on_data(self, data)
             else:
                 # duplicate or out-of-order: re-assert our expectation
-                self._emit(TcpFlags.ACK, seq=self.snd_nxt, ack=self.rcv_nxt)
+                self._emit(ACK, seq=self.snd_nxt, ack=self.rcv_nxt)
 
         # -- FIN processing
-        if segment.has(TcpFlags.FIN) and segment.seq == self.rcv_nxt:
+        if flags & FIN and segment.seq == self.rcv_nxt:
             self.rcv_nxt = (self.rcv_nxt + 1) & 0xFFFFFFFF
-            self._emit(TcpFlags.ACK, seq=self.snd_nxt, ack=self.rcv_nxt)
+            self._emit(ACK, seq=self.snd_nxt, ack=self.rcv_nxt)
             if self.state is TcpState.ESTABLISHED:
                 self.state = TcpState.CLOSE_WAIT
                 if self.on_data:
@@ -351,7 +365,12 @@ class TcpConnection:
                 self._teardown(error=False)
 
     def _process_ack(self, ack: int) -> None:
-        if not _seq_gt(ack, self.snd_una):
+        # RFC 793: acceptable iff SND.UNA < SEG.ACK =< SND.NXT (mod 2^32).
+        # A duplicate is ignored — and so is an ACK for bytes never sent:
+        # taking it would empty the window and stop the timer with the
+        # peer still missing the data.
+        snd_una = self.snd_una
+        if not 0 < (ack - snd_una) & 0xFFFFFFFF <= (self.snd_nxt - snd_una) & 0xFFFFFFFF:
             return
         self.snd_una = ack
         # keep only segments not yet fully acknowledged (end > ack)
@@ -384,8 +403,8 @@ class TcpConnection:
             seq = self.snd_nxt
             self.snd_nxt = (self.snd_nxt + len(chunk)) & 0xFFFFFFFF
             self.bytes_sent += len(chunk)
-            self._inflight.append((seq, chunk, TcpFlags.ACK))
-            self._emit(TcpFlags.ACK, seq=seq, ack=self.rcv_nxt, data=chunk)
+            self._inflight.append((seq, chunk, ACK))
+            self._emit(ACK, seq=seq, ack=self.rcv_nxt, data=chunk)
         if self._fin_queued and not self._fin_sent and not self._send_buffer:
             seq = self.snd_nxt
             self.snd_nxt = (self.snd_nxt + 1) & 0xFFFFFFFF
@@ -394,27 +413,25 @@ class TcpConnection:
                 self.state = TcpState.FIN_WAIT_1
             elif self.state is TcpState.CLOSE_WAIT:
                 self.state = TcpState.LAST_ACK
-            self._inflight.append((seq, b"", TcpFlags.FIN | TcpFlags.ACK))
-            self._emit(TcpFlags.FIN | TcpFlags.ACK, seq=seq, ack=self.rcv_nxt)
+            self._inflight.append((seq, b"", FIN | ACK))
+            self._emit(FIN | ACK, seq=seq, ack=self.rcv_nxt)
         if self._inflight:
             self._arm_retransmit()
 
-    def _emit(self, flags: TcpFlags, *, seq: int, ack: int = 0, data: bytes = b"") -> None:
-        segment = TcpSegment(
-            sport=self.local_port,
-            dport=self.remote_port,
-            seq=seq,
-            ack=ack,
-            flags=flags,
-            data=data,
-        )
+    def _emit(self, flags: int, *, seq: int, ack: int = 0, data: bytes = b"") -> None:
         self.segments_sent += 1
-        self.stack._transmit(self.local_ip, self.remote_ip, segment)
+        self.stack._transmit(
+            self.local_ip,
+            self.remote_ip,
+            TcpSegment(self.local_port, self.remote_port, seq, ack, flags, data),
+        )
 
     # -- timers ---------------------------------------------------------------
 
     def _arm_retransmit(self) -> None:
-        self._cancel_retransmit()
+        handle = self._retransmit_handle
+        if handle is not None:
+            handle.cancel()
         self._retransmit_handle = self.stack.node.sim.schedule(self.rto, self._on_retransmit)
 
     def _cancel_retransmit(self) -> None:
@@ -432,9 +449,9 @@ class TcpConnection:
             return
         self.rto = min(self.rto * 2, MAX_RTO)
         if self.state is TcpState.SYN_SENT:
-            self._emit(TcpFlags.SYN, seq=self.iss)
+            self._emit(SYN, seq=self.iss)
         elif self.state is TcpState.SYN_RCVD:
-            self._emit(TcpFlags.SYN | TcpFlags.ACK, seq=self.iss, ack=self.rcv_nxt)
+            self._emit(SYN | ACK, seq=self.iss, ack=self.rcv_nxt)
         elif self._inflight:
             seq, data, flags = self._inflight[0]
             self._emit(flags, seq=seq, ack=self.rcv_nxt, data=data)
@@ -464,11 +481,16 @@ def _seq_gt(a: int, b: int) -> bool:
     return ((a - b) & 0xFFFFFFFF) < 0x80000000 and a != b
 
 
-def _seq_span(data: bytes, flags: TcpFlags) -> int:
+def _seq_span(data: bytes, flags: int) -> int:
     """Sequence-space footprint of a segment: its data, or 1 for SYN/FIN."""
     if data:
         return len(data)
-    return 1 if flags & (TcpFlags.SYN | TcpFlags.FIN) else 0
+    return 1 if flags & (SYN | FIN) else 0
+
+
+def _listener_key(ip: IPv4Address | None, port: int) -> tuple[int | None, int]:
+    """Where the listener table files ``ip:port`` (``None``: any address)."""
+    return (None if ip is None else ip._ip, port)
 
 
 class TcpStack:
@@ -476,16 +498,17 @@ class TcpStack:
 
     def __init__(self, node: "Node"):
         self.node = node
-        self._listeners: dict[tuple[IPv4Address | None, int], Listener] = {}
+        self._listeners: dict[tuple[int | None, int], Listener] = {}
         self.connections: dict[ConnKey, TcpConnection] = {}
         self._isn_counter = 1000
         self._cookie_secret = node.sim.rng.getrandbits(64).to_bytes(8, "big")
         self._next_ephemeral = EPHEMERAL_BASE
         #: Default retransmission budget for connections on this stack.
         self.max_retransmits = MAX_RETRANSMITS
-        #: Optional hook: CPU-seconds charged per segment processed or sent.
-        #: Receives this stack, so the cost can scale with table size.
-        self.segment_cost_fn: Callable[["TcpStack"], float] | None = None
+        #: Optional hook: CPU-seconds charged per segment processed or sent,
+        #: given the number of open connections (the cost can scale with
+        #: table size).
+        self.segment_cost_fn: Callable[[int], float] | None = None
         self.segments_received = 0
         self.segments_dropped_cpu = 0
         self.segments_unroutable = 0
@@ -505,7 +528,7 @@ class TcpStack:
         ip: IPv4Address | None = None,
         syn_cookies: bool = False,
     ) -> Listener:
-        key = (ip, port)
+        key = _listener_key(ip, port)
         if key in self._listeners:
             raise SocketError(f"{self.node.name}: TCP port {port} already listening")
         listener = Listener(self, ip, port, on_connection, syn_cookies=syn_cookies)
@@ -554,7 +577,8 @@ class TcpStack:
     # -- demux ---------------------------------------------------------------------
 
     def demux(self, packet: Packet, segment: TcpSegment) -> None:
-        cost = self.segment_cost_fn(self) if self.segment_cost_fn else 0.0
+        cost_fn = self.segment_cost_fn
+        cost = cost_fn(len(self.connections)) if cost_fn else 0.0
         if cost > 0.0:
             if not self.node.cpu.submit(cost, self._process, packet, segment):
                 self.segments_dropped_cpu += 1
@@ -563,14 +587,15 @@ class TcpStack:
 
     def _process(self, packet: Packet, segment: TcpSegment) -> None:
         self.segments_received += 1
-        key = (packet.dst, segment.dport, packet.src, segment.sport)
+        key = (packet.dst._ip, segment.dport, packet.src._ip, segment.sport)
         conn = self.connections.get(key)
         if conn is not None:
             conn.handle(segment)
             return
+        flags = segment.flags
         linger_until = self._time_wait.get(key)
         if linger_until is not None:
-            if segment.has(TcpFlags.SYN) and not segment.has(TcpFlags.ACK):
+            if flags & SYN and not flags & ACK:
                 del self._time_wait[key]  # a fresh connect reusing the pair
             elif self.node.sim.now < linger_until:
                 self.stale_segments += 1  # old duplicate; TIME_WAIT eats it
@@ -580,19 +605,15 @@ class TcpStack:
         listener = self._listener_for(packet.dst, segment.dport)
         if listener is None:
             return  # silently ignore, as a stealthy host would
-        if segment.has(TcpFlags.RST):
+        if flags & RST:
             return  # RST for a connection we no longer know about
-        if segment.has(TcpFlags.SYN) and not segment.has(TcpFlags.ACK):
+        if flags & SYN and not flags & ACK:
             listener.syns_received += 1
             if listener.syn_cookies:
                 # stateless: SYN-ACK whose ISN is the cookie
                 isn = self._syn_cookie(packet.dst, segment.dport, packet.src, segment.sport)
                 reply = TcpSegment(
-                    sport=segment.dport,
-                    dport=segment.sport,
-                    seq=isn,
-                    ack=(segment.seq + 1) & 0xFFFFFFFF,
-                    flags=TcpFlags.SYN | TcpFlags.ACK,
+                    segment.dport, segment.sport, isn, (segment.seq + 1) & 0xFFFFFFFF, SYN | ACK
                 )
                 self._transmit(packet.dst, packet.src, reply)
             else:
@@ -600,7 +621,7 @@ class TcpStack:
                 if self._admit(conn):
                     conn._start_passive(segment)
             return
-        if segment.has(TcpFlags.ACK) and listener.syn_cookies:
+        if flags & ACK and listener.syn_cookies:
             isn = self._syn_cookie(packet.dst, segment.dport, packet.src, segment.sport)
             if segment.ack == (isn + 1) & 0xFFFFFFFF:
                 conn = TcpConnection(self, packet.dst, segment.dport, packet.src, segment.sport)
@@ -608,9 +629,9 @@ class TcpStack:
                     return
                 conn._start_from_cookie(segment, isn)
                 listener.on_connection(conn)
-                if segment.data or segment.has(TcpFlags.FIN):
+                if segment.data or flags & FIN:
                     conn.handle(segment)
-            elif segment.data or segment.has(TcpFlags.FIN):
+            elif segment.data or flags & FIN:
                 # Handshake completions acknowledge the cookie ISN exactly;
                 # a data/FIN segment pointing elsewhere is an old duplicate
                 # from a closed connection, not a forged cookie.
@@ -622,11 +643,12 @@ class TcpStack:
     # -- internals ---------------------------------------------------------------
 
     def _listener_for(self, ip: IPv4Address, port: int) -> Listener | None:
-        return self._listeners.get((ip, port)) or self._listeners.get((None, port))
+        return self._listeners.get((ip._ip, port)) or self._listeners.get((None, port))
 
     def _transmit(self, src: IPv4Address, dst: IPv4Address, segment: TcpSegment) -> None:
-        cost = self.segment_cost_fn(self) if self.segment_cost_fn else 0.0
-        packet = Packet(src=src, dst=dst, segment=segment)
+        cost_fn = self.segment_cost_fn
+        cost = cost_fn(len(self.connections)) if cost_fn else 0.0
+        packet = Packet(src, dst, segment)
         if cost > 0.0:
             if not self.node.cpu.submit(cost, self._send_packet, packet):
                 self.segments_dropped_cpu += 1
@@ -647,10 +669,11 @@ class TcpStack:
     def _ephemeral_port(self, local_ip: IPv4Address, dst: IPv4Address, dport: int) -> int:
         """The next ephemeral port, in rotation, whose 4-tuple to
         ``dst:dport`` has no live connection (``_admit`` would replace it)."""
+        local, remote = local_ip._ip, dst._ip
         for _ in range(EPHEMERAL_BASE, 65536):
             port = self._next_ephemeral
             self._next_ephemeral = port + 1 if port < 65535 else EPHEMERAL_BASE
-            if (local_ip, port, dst, dport) not in self.connections:
+            if (local, port, remote, dport) not in self.connections:
                 return port
         raise SocketError(f"{self.node.name}: every ephemeral TCP port to {dst}:{dport} is in use")
 

@@ -242,9 +242,8 @@ class TestTcpAcceptanceMutations:
     def test_deleting_synrcvd_ack_check_is_detected(self, tmp_path):
         self.mutate(
             tmp_path,
-            "if segment.has(TcpFlags.ACK) and "
-            "segment.ack == (self.iss + 1) & 0xFFFFFFFF:",
-            "if segment.has(TcpFlags.ACK):",
+            "if flags & ACK and segment.ack == (self.iss + 1) & 0xFFFFFFFF:",
+            "if flags & ACK:",
         )
         rules = {f.rule for f in analyze_paths([tmp_path])}
         assert {"S004", "S005"} <= rules

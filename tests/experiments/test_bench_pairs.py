@@ -1,8 +1,11 @@
 """The verdict ``scripts/bench_pairs.py`` prints is the rule a gain is claimed
 by: nine pairs in ten won, and medians further apart than the parent's IQR."""
 
+import argparse
 import importlib.util
 import pathlib
+
+import pytest
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[2] / "scripts" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -49,3 +52,14 @@ def test_a_median_worse_than_the_bound_says_so():
 
 def test_one_pair_has_a_summary_and_no_spread():
     assert bench_pairs.summary([1.5]) == {"median": 1.5, "n": 1, "q1": 1.5, "q3": 1.5}
+
+
+def test_a_workload_list_keeps_its_order_and_refuses_a_name_the_benchmark_lacks():
+    known = ["flood_modified", "tcp_proxy", "bind_mixed"]
+    assert bench_pairs.workload_list("tcp_proxy", known) == ["tcp_proxy"]
+    assert bench_pairs.workload_list("bind_mixed, flood_modified", known) == [
+        "bind_mixed", "flood_modified",
+    ]
+    for bad in ("", ",", "tcp_proxy,tcp_proxi"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            bench_pairs.workload_list(bad, known)

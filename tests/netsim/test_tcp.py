@@ -223,7 +223,7 @@ class TestDataTransfer:
 class TestSegmentCost:
     def test_cpu_cost_charged_per_segment(self):
         sim, client, server = tcp_pair()
-        server.tcp.segment_cost_fn = lambda stack: 0.001
+        server.tcp.segment_cost_fn = lambda open_connections: 0.001
         self_done = []
         server.tcp.listen(53, self_done.append)
         client.tcp.connect(SERVER_IP, 53)
@@ -232,7 +232,7 @@ class TestSegmentCost:
 
     def test_overloaded_cpu_drops_segments(self):
         sim, client, server = tcp_pair()
-        server.tcp.segment_cost_fn = lambda stack: 0.5
+        server.tcp.segment_cost_fn = lambda open_connections: 0.5
         server.cpu.queue_limit = 0.4
         server.tcp.listen(53, lambda conn: None)
         for i in range(20):

@@ -1,9 +1,14 @@
 """TCP corner cases: RSTs, half-close, retransmission exhaustion, windows."""
 
+import collections
+import enum
+import ipaddress
 from ipaddress import IPv4Address
 
 import pytest
 
+from repro.dns.framing import StreamFramer, frame
+from repro.dnswire import make_query, make_response
 from repro.netsim import (
     Link,
     MAX_RETRANSMITS,
@@ -15,6 +20,7 @@ from repro.netsim import (
     TcpSegment,
     TcpState,
 )
+from repro.netsim import packet as packet_module, tcp as tcp_module
 from repro.netsim.tcp import (
     EPHEMERAL_BASE,
     SEND_WINDOW_SEGMENTS,
@@ -22,6 +28,7 @@ from repro.netsim.tcp import (
     TIME_WAIT_LINGER,
     TcpConnection,
 )
+from tests.netsim.test_netfilter import profiled
 
 SERVER_IP = IPv4Address("10.0.0.2")
 
@@ -166,6 +173,40 @@ class TestDuplicateDelivery:
         assert b"".join(chunks) == b"once"
 
 
+class TestAckAcceptability:
+    def test_ack_for_bytes_never_sent_is_ignored(self):
+        """RFC 793: an ACK above SND.NXT is not acceptable.  Taking it moved
+        ``snd_una`` past ``snd_nxt``, emptied the window and stopped the
+        timer, so a lost segment was never retransmitted."""
+        sim, client, server = pair()
+        received = []
+
+        def on_connection(conn):
+            conn.on_data = lambda c, data: received.append(data)
+
+        server.tcp.listen(53, on_connection)
+        conn = client.tcp.connect(SERVER_IP, 53)
+        sim.run(until=0.1)
+        link = client.links[0]
+        link.loss = 1.0
+        conn.send(b"hello")  # lost on the wire
+        link.loss = 0.0
+        snd_una, snd_nxt = conn.snd_una, conn.snd_nxt
+        assert snd_nxt == snd_una + 5
+        beyond = TcpSegment(
+            sport=53, dport=conn.local_port,
+            seq=conn.rcv_nxt, ack=snd_nxt + 1000, flags=TcpFlags.ACK,
+        )
+        server.send(Packet(src=SERVER_IP, dst=IPv4Address("10.0.0.1"), segment=beyond))
+        sim.run(until=sim.now + 0.01)
+        assert received == []
+        assert (conn.snd_una, conn.snd_nxt) == (snd_una, snd_nxt)
+        assert len(conn._inflight) == 1 and conn._retransmit_handle is not None
+        sim.run(until=sim.now + 1.0)  # the retransmission timer still fires
+        assert received == [b"hello"]
+        assert conn.snd_una == conn.snd_nxt == snd_nxt
+
+
 class TestBoundedRetransmission:
     def test_per_connection_budget_overrides_stack_default(self):
         sim, client, server = pair()
@@ -293,19 +334,20 @@ class TestTimeWaitLinger:
 
         sim, client, server = pair()
         conn = self.exchange(sim, client, server)
-        key = (SERVER_IP, 53, IPv4Address("10.0.0.1"), conn.local_port)
+        local, lport, remote, rport = conn.key
+        key = (remote, rport, local, lport)  # the same 4-tuple, seen from the server
         assert key in server.tcp._time_wait
         established = []
         # reconnect from the very same ephemeral port, inside the linger
+        client.tcp._next_ephemeral = conn.local_port
         reconn = client.tcp.connect(
             SERVER_IP, 53, src=IPv4Address("10.0.0.1"),
             on_established=lambda c: established.append(c),
         )
-        reconn.local_port = conn.local_port
-        client.tcp.connections.pop(reconn.key, None)
-        client.tcp.connections[reconn.key] = reconn
+        assert reconn.key == conn.key
         sim.run(until=sim.now + min(0.5, TIME_WAIT_LINGER / 2))
         assert established
+        assert key not in server.tcp._time_wait
 
     def test_rst_to_listener_ignored(self):
         sim, client, server = pair()
@@ -356,16 +398,45 @@ class TestEphemeralPorts:
         assert received == [b"still yours"]
 
 
-class CountingAddress(IPv4Address):
-    """A peer address whose ``__hash__`` calls are counted: the cost of one
-    close in table operations, independent of host speed."""
+class CountingTable(collections.OrderedDict):
+    """A TIME_WAIT table that counts what is done to it — one per insert,
+    per removal and per entry a scan visits: the cost of one close in table
+    operations, independent of host speed."""
 
-    __slots__ = ()
-    hashes = 0
+    ops = 0
 
-    def __hash__(self) -> int:
-        CountingAddress.hashes += 1
-        return super().__hash__()
+    def __setitem__(self, key, value):
+        self.ops += 1
+        super().__setitem__(key, value)
+
+    def __delitem__(self, key):
+        self.ops += 1
+        super().__delitem__(key)
+
+    def pop(self, key, *default):
+        self.ops += 1
+        return super().pop(key, *default)
+
+    def popitem(self, last=True):
+        self.ops += 1
+        return super().popitem(last)
+
+    def _visit(self, entries):
+        for entry in entries:
+            self.ops += 1
+            yield entry
+
+    def __iter__(self):
+        return self._visit(super().__iter__())
+
+    def keys(self):
+        return self._visit(super().keys())
+
+    def values(self):
+        return self._visit(super().values())
+
+    def items(self):
+        return self._visit(super().items())
 
 
 class TestTimeWaitCap:
@@ -374,7 +445,7 @@ class TestTimeWaitCap:
     @staticmethod
     def linger(stack, n):
         """Cleanly close the ``n``-th of a family of distinct 4-tuples."""
-        conn = TcpConnection(stack, SERVER_IP, 53, CountingAddress(0x0A090000 + n), 4444)
+        conn = TcpConnection(stack, SERVER_IP, 53, IPv4Address(0x0A090000 + n), 4444)
         stack._forget(conn, linger=True)
         return conn.key
 
@@ -416,14 +487,89 @@ class TestTimeWaitCap:
         assert keys[0] in table and keys[1] not in table
 
     def test_close_cost_at_the_cap_is_constant(self):
-        """Key hashes per close — counts, not timings — stop growing once
-        the table is full; a rebuild paid one per entry."""
+        """Table operations per close — counts, not timings — stop growing
+        once the table is full; a rebuild visits every entry and leaves a
+        new table behind."""
         sim, _client, server = pair()
+        table = server.tcp._time_wait = CountingTable()
         per_close = []
         for n in range(3 * TIME_WAIT_CAP):
-            CountingAddress.hashes = 0
+            table.ops = 0
             self.linger(server.tcp, n)
-            per_close.append(CountingAddress.hashes)
-        assert len(server.tcp._time_wait) == TIME_WAIT_CAP
+            per_close.append(table.ops)
+        assert server.tcp._time_wait is table and len(table) == TIME_WAIT_CAP
         assert len(set(per_close[TIME_WAIT_CAP:])) == 1
-        assert per_close[-1] <= 4  # re-linger pop, head peek, insert
+        assert per_close[-1] <= 4  # re-linger pop, head peek, head removal, insert
+
+
+class TestSegmentBudget:
+    """What one DNS-over-TCP conversation costs, counted in frames rather
+    than timed: connect, framed query, framed reply, close — eleven
+    delivered segments — through a SYN-cookie listener that charges a
+    per-segment CPU cost, as the guard's proxy does (``tcp_proxy``)."""
+
+    #: Python frames per delivered segment, everything included (event loop,
+    #: link, CPU queue, both stacks, the codec's share of the two messages):
+    #: 38.5 as pinned; 59.4 with ``IntFlag`` flags and address-keyed tables.
+    FRAMES_PER_SEGMENT = 39
+
+    @staticmethod
+    def conversation(sim, client, answers):
+        framer = StreamFramer()
+
+        def on_data(conn, data):
+            if data:
+                answers.extend(framer.feed(data))
+                conn.close()
+
+        client.tcp.connect(
+            SERVER_IP, 53,
+            on_established=lambda conn: conn.send(frame(make_query("www.foo.com", msg_id=7))),
+            on_data=on_data,
+        )
+        sim.run(until=sim.now + 0.5)
+
+    def test_a_steady_conversation_enters_no_enum_frame_and_hashes_no_address(self):
+        sim, client, server = pair()
+        server.tcp.segment_cost_fn = lambda open_connections: 1e-6
+
+        def on_connection(conn):
+            framer = StreamFramer()
+
+            def on_data(c, data):
+                for query in framer.feed(data):
+                    c.send(frame(make_response(query)))
+                if not data:
+                    c.close()
+
+            conn.on_data = on_data
+
+        server.tcp.listen(53, on_connection, syn_cookies=True)
+        answers = []
+        self.conversation(sim, client, answers)  # warms the route caches
+        counts = collections.Counter()
+        stack_files = (tcp_module.__file__, packet_module.__file__)
+
+        def on_event(frame_, event, arg):
+            if event != "call":
+                return
+            counts["frames"] += 1
+            code = frame_.f_code
+            if code.co_filename == enum.__file__:
+                counts["enum"] += 1
+            elif (
+                code.co_filename == ipaddress.__file__
+                and code.co_name == "__hash__"
+                and frame_.f_back.f_code.co_filename in stack_files
+            ):
+                counts["address hashes"] += 1
+
+        delivered = client.tcp.segments_received + server.tcp.segments_received
+        profiled(lambda: self.conversation(sim, client, answers), on_event)
+        delivered = client.tcp.segments_received + server.tcp.segments_received - delivered
+        assert [answer.header.msg_id for answer in answers] == [7, 7]
+        assert client.tcp.open_connections == server.tcp.open_connections == 0
+        assert delivered == 11
+        assert counts["enum"] == 0
+        assert counts["address hashes"] == 0
+        assert counts["frames"] <= self.FRAMES_PER_SEGMENT * delivered

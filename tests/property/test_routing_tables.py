@@ -14,8 +14,9 @@ from ipaddress import IPv4Address, IPv4Network
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.netsim import Link, Node, Simulator
-from repro.netsim.packet import Packet, RawPayload, UdpDatagram
+from repro.netsim import Link, Node, Simulator, TcpState
+from repro.netsim.packet import Packet, RawPayload, TcpFlags, TcpSegment, UdpDatagram
+from repro.netsim.tcp import TcpConnection
 
 #: A few bases whose prefixes nest (10/8 > 10.1/16 > 10.1.2/24 > 10.1.2.3/32)
 #: or sit apart, so longest-prefix order and misses are both exercised.
@@ -113,3 +114,20 @@ def test_the_stdlib_slot_is_the_address_integer(n):
     for address in (IPv4Address(n), IPv4Address(text), IPv4Address(n.to_bytes(4, "big"))):
         assert address._ip == n == int(address)
         assert type(address._ip) is int
+
+
+@pytest.mark.parametrize("n", EDGES + BASES)
+def test_the_tcp_tables_key_on_the_same_slot(n):
+    """A connection files under the integers of its two addresses, and a
+    segment's lookup — built from the packet's addresses, however they
+    were made — finds it there."""
+    _, node = _router(1)
+    local, remote = IPv4Address(n), IPv4Address(n ^ 1)
+    conn = TcpConnection(node.tcp, local, 53, remote, 4000)
+    assert conn.key == (n, 53, n ^ 1, 4000)
+    assert [type(part) for part in conn.key] == [int] * 4
+    assert node.tcp._admit(conn) and node.tcp.connections == {conn.key: conn}
+    conn.state = TcpState.ESTABLISHED
+    reset = TcpSegment(sport=4000, dport=53, seq=0, ack=0, flags=TcpFlags.RST)
+    node.tcp.demux(Packet(IPv4Address(str(remote)), IPv4Address(local.packed), reset), reset)
+    assert conn.state is TcpState.CLOSED and node.tcp.connections == {}
