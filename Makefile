@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint gate-artefacts bench-digests bench-pairs test sanitize report
+.PHONY: check lint gate-artefacts bench-digests bench-pairs bench-budget test sanitize report
 
 GATE_FAMILIES := --flow --races --perf --memory --layers
 
@@ -51,6 +51,14 @@ bench-pairs:
 		{ echo "usage: make bench-pairs PARENT=<checkout> WORKLOAD=<name>[,<name>...] [PAIRS=<n>]" >&2; exit 2; }
 	$(PYTHON) scripts/bench_pairs.py --parent "$(PARENT)" --workload "$(WORKLOAD)" \
 		--pairs "$(or $(PAIRS),10)"
+
+# what a perf change's budget is counted on: one untimed run of one workload
+# under a profile hook, as a JSON row — events, link packets, calls per link
+# packet, calls by source file, ipaddress.py frames by calling file, enum.py
+# frames.  Exact counts, so parent-vs-change is two rows side by side.
+bench-budget:
+	@test -n "$(WORKLOAD)" || { echo "usage: make bench-budget WORKLOAD=<name> [SEED=<n>]" >&2; exit 2; }
+	$(PYTHON) scripts/bench_budget.py --workload "$(WORKLOAD)" --seed "$(or $(SEED),0)"
 
 test:
 	$(PYTHON) -m pytest -x -q

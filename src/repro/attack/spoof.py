@@ -83,6 +83,8 @@ class SpoofingAttacker:
         # spread the batch evenly across the interval so the flood is a
         # steady stream, not a synchronized millisecond burst
         spacing = BATCH_INTERVAL / count if count else 0.0
+        # what schedule(delay) computes, to the bit, without its frame
+        now = sim.now
         for i in range(count):
             packet = Packet(
                 src=self.source_strategy(sim.rng),
@@ -94,8 +96,8 @@ class SpoofingAttacker:
                 ),
             )
             self._sport = 40000 + (self._sport - 39999) % 20000
-            sim.schedule(i * spacing, self._send_one, packet)
-        sim.schedule(BATCH_INTERVAL, self._emit_batch)
+            sim.schedule_at(now + i * spacing, self._send_one, packet)
+        sim.schedule_at(now + BATCH_INTERVAL, self._emit_batch)
 
     def _send_one(self, packet: Packet) -> None:
         try:

@@ -89,7 +89,9 @@ __state_bounds__ = {
     },
 }
 
-_CacheKey = tuple[IPv4Address, IPv4Address]  # (server, client)
+#: (server._ip, client._ip): a query's lookups hash two ints, not two
+#: addresses (see ``repro/netsim/address.py``)
+_CacheKey = tuple[int, int]
 
 
 class LocalDnsGuard:
@@ -148,7 +150,7 @@ class LocalDnsGuard:
         if extract_cookie(message) is not None:
             return Verdict.ACCEPT  # already cookie-capable upstream of us
         now = self.node.sim.now
-        key = (packet.dst, packet.src)
+        key = (packet.dst._ip, packet.src._ip)
         queue = self._held.get(key, ())
         action = outbound_action(
             uncookied_until=self._uncookied.get(key, 0.0),
@@ -188,7 +190,7 @@ class LocalDnsGuard:
             return Verdict.ACCEPT
         # a cookie grant (message 3): cache it and release held queries
         now = self.node.sim.now
-        key = (packet.src, packet.dst)
+        key = (packet.src._ip, packet.dst._ip)
         if self.cache_cookies:
             self._cookies[key] = _CachedCookie(cookie, now + self.cookie_ttl)
             self.cookies_cached += 1
@@ -211,7 +213,7 @@ class LocalDnsGuard:
     def _note_plain_response(self, packet: Packet, message: Message) -> None:
         """A cookie probe was answered *without* a grant: the server has no
         remote guard.  Remember that and release held queries unchanged."""
-        key = (packet.src, packet.dst)
+        key = (packet.src._ip, packet.dst._ip)
         queue = self._held.get(key)
         if not queue:
             return
@@ -266,7 +268,7 @@ class LocalDnsGuard:
         )
 
     def cached_cookie(self, server: IPv4Address, client: IPv4Address) -> bytes | None:
-        entry = self._cookies.get((server, client))
+        entry = self._cookies.get((server._ip, client._ip))
         if entry is None or entry.expires_at <= self.node.sim.now:
             return None
         return entry.cookie

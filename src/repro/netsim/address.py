@@ -5,12 +5,16 @@ subnet ``1.2.3.0/24`` matters to the fabricated-NS-IP cookie scheme, whose
 strength is the usable host range ``R_y``).
 
 Addresses are :class:`~ipaddress.IPv4Address` in every packet, signature and
-``str()``.  Only :class:`Node`'s two per-packet tables (ownership set, route
-cache) are keyed on the address's 32-bit integer: the stdlib hashes an
-address in Python (``hash(hex(int(self._ip)))``) and an int in C.  The two
-lookups read it from the stdlib's ``_ip`` slot — ``int(addr)`` is a Python
-frame that gives most of the gain back — and
-``tests/property/test_routing_tables.py`` pins ``_ip == int(addr)``.
+``str()``.  Only the tables a packet is looked up in — :class:`Node`'s
+ownership set and route cache, the UDP socket table, the TCP connection,
+TIME_WAIT and listener tables, the local guard's per-(server, client)
+tables — are keyed on the address's 32-bit integer: the stdlib hashes an
+address in Python (``hash(hex(int(self._ip)))``) and an int in C.  They
+read it from the stdlib's ``_ip`` slot — ``int(addr)`` is a Python frame
+that gives most of the gain back — as does a route-cache miss, which tests
+``dst._ip & netmask._ip == network_address._ip`` (``IPv4Network``'s own
+``__contains__`` without its frame); ``tests/property/test_routing_tables.py``
+pins ``_ip == int(addr)``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,12 @@ from __future__ import annotations
 from ipaddress import IPv4Address, IPv4Network
 
 from .errors import AddressError
+
+
+def bind_key(ip: IPv4Address | None, port: int) -> tuple[int | None, int]:
+    """Where a UDP socket or TCP listener table files ``ip:port``
+    (``None``: any address)."""
+    return (None if ip is None else ip._ip, port)
 
 
 class SubnetAllocator:

@@ -22,6 +22,11 @@ Fault randomness is drawn from ``fault_rng`` (normally a named child stream
 of ``Simulator.rng`` — see :meth:`Simulator.child_rng`), never from the
 core RNG, so installing a fault model does not perturb the rest of the
 event trace.
+
+A packet on a pristine link (up, lossless, jitter-free, no fault knob set)
+costs one test of ``_impaired``, which every assignment to a knob
+re-derives — the constructor's, :meth:`Link.clear_faults`' and
+:mod:`repro.faults`' direct writes alike.
 """
 
 from __future__ import annotations
@@ -137,8 +142,23 @@ class _Direction:
         self.packets_reordered = 0
 
 
+#: The knobs off at 0, and every attribute whose assignment re-derives
+#: ``Link._impaired`` (``loss`` and ``jitter`` ride the impaired path too).
+_FAULT_PROBS = ("loss", "jitter", "duplicate_prob", "reorder_prob", "corrupt_prob")
+_FAULT_KNOBS = frozenset(("up", "loss_model", *_FAULT_PROBS))
+
+
 class Link:
     """A bidirectional point-to-point link."""
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name in _FAULT_KNOBS:
+            knobs = self.__dict__
+            impaired = not knobs.get("up", True) or knobs.get("loss_model") is not None
+            object.__setattr__(
+                self, "_impaired", impaired or any(knobs.get(knob) for knob in _FAULT_PROBS)
+            )
 
     def __init__(
         self,
@@ -211,12 +231,13 @@ class Link:
         scheduled — twice, when the duplication fault fires.
         """
         direction = self._directions[id(sender)]
-        if not self.up:
+        impaired = self._impaired
+        if impaired and not self.up:
             direction.packets_dropped += 1
             return False
         sim = self.sim
         now = sim.now
-        size = packet.size
+        size = packet._size or packet.size
         bandwidth = self.bandwidth
         if bandwidth is not None:
             serialization = size / bandwidth
@@ -229,30 +250,31 @@ class Link:
             departure = direction.busy_until
         else:
             departure = now
-        if self.loss_model is not None:
-            if self.loss_model.should_drop():
+        delay = self.delay
+        if impaired:
+            if self.loss_model is not None:
+                if self.loss_model.should_drop():
+                    direction.packets_dropped += 1
+                    return False
+            elif self.loss and sim.rng.random() < self.loss:
                 direction.packets_dropped += 1
                 return False
-        elif self.loss and sim.rng.random() < self.loss:
-            direction.packets_dropped += 1
-            return False
-        fault_rng = self.fault_rng if self.fault_rng is not None else sim.rng
-        if self.corrupt_prob and fault_rng.random() < self.corrupt_prob:
-            # bit errors in flight: the receiver's checksum rejects it, so
-            # from the endpoints' viewpoint the packet was simply lost
-            direction.packets_corrupted += 1
-            direction.packets_dropped += 1
-            return False
+            fault_rng = self.fault_rng if self.fault_rng is not None else sim.rng
+            if self.corrupt_prob and fault_rng.random() < self.corrupt_prob:
+                # bit errors in flight: the receiver's checksum rejects it, so
+                # from the endpoints' viewpoint the packet was simply lost
+                direction.packets_corrupted += 1
+                direction.packets_dropped += 1
+                return False
+            if self.jitter:
+                delay += sim.rng.uniform(-self.jitter, self.jitter)
+            if self.reorder_prob and fault_rng.random() < self.reorder_prob:
+                # held back long enough for later packets to overtake it
+                direction.packets_reordered += 1
+                delay += self.reorder_delay if self.reorder_delay > 0 else self.delay
         direction.bytes_sent += size
         direction.packets_sent += 1
         receiver = direction.receiver
-        delay = self.delay
-        if self.jitter:
-            delay += sim.rng.uniform(-self.jitter, self.jitter)
-        if self.reorder_prob and fault_rng.random() < self.reorder_prob:
-            # held back long enough for later packets to overtake it
-            direction.packets_reordered += 1
-            delay += self.reorder_delay if self.reorder_delay > 0 else self.delay
         # Same-instant arrivals at one node serialize in send order: a real
         # box drains one NIC queue, so two deliveries interfering on the
         # receiver's state (rate-limiter buckets, held-query tables) is
@@ -261,12 +283,13 @@ class Link:
         # cell, because the contract is about this schedule site, not
         # about any particular attribute.
         sim.schedule_at(departure + delay, receiver.receive, packet, self)  # repro: allow[R003,R004] same-node deliveries drain one serial queue in send order
-        if self.duplicate_prob and fault_rng.random() < self.duplicate_prob:
+        if impaired and self.duplicate_prob and fault_rng.random() < self.duplicate_prob:
             direction.packets_duplicated += 1
             # an independent copy (every field, span included): routers
             # decrement ttl in place, and the two arrivals must not share
             # that mutation
             twin = dataclasses.replace(packet)
+            twin._size = size
             sim.schedule_at(departure + delay + self.delay, receiver.receive, twin, self)  # repro: allow[R003,R004] duplicate delivery follows the same serial-queue contract
         return True
 

@@ -111,13 +111,15 @@ class Node:
                 return
             self.deliver(packet)
             return
-        if filters.forward:
-            verdict = evaluate(filters.forward, packet)
-            if verdict is Verdict.DELIVER:
-                self.deliver(packet)
-                return
+        # evaluate()'s cascade written out: a transit hop enters its rules
+        # and no netfilter frame around them
+        for rule in filters.forward:  # repro: allow[P005] a cascade, not a search: each rule runs until one stops the packet
+            verdict = rule(packet)
             if verdict is not Verdict.ACCEPT:
-                self.packets_dropped += 1
+                if verdict is Verdict.DELIVER:
+                    self.deliver(packet)
+                else:
+                    self.packets_dropped += 1
                 return
         self.forward(packet)
 
@@ -161,8 +163,11 @@ class Node:
         return link
 
     def _route_for_uncached(self, dst: IPv4Address) -> Link | None:
+        # ``dst in subnet`` as integers (the stdlib's own test, without its
+        # frame): a flood's replies to spoofed sources miss the cache often
+        ip = dst._ip
         for subnet, link in self.routes:  # repro: allow[P005] cache-miss slow path — per-packet lookups are memoized in _route_cache
-            if dst in subnet:
+            if ip & subnet.netmask._ip == subnet.network_address._ip:
                 return link
         if self.default_route is not None:
             return self.default_route

@@ -3,7 +3,8 @@
 DNS payloads travel by reference as :class:`~repro.dnswire.Message` objects,
 so nothing on the UDP path ever decodes a byte.  The wire codec still defines
 each packet's size: ``size`` is the length of the message's encoding, read
-on the first link and memoised on the payload for later hops.  Producers
+on the first link and memoised on the payload (which packets may share) and
+on the packet, for later hops.  Producers
 that send one shape many times derive each message from a frozen prototype
 (``Message.with_header``, ``dnswire.with_cookie``/``without_cookie``, the
 guard's cookie slots), so on the steady paths that length is ``len()`` of
@@ -52,14 +53,15 @@ class DnsPayload:
 class RawPayload:
     """Arbitrary bytes in a UDP datagram (junk floods, probes)."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "_size")
 
     def __init__(self, data: bytes):
         self.data = data
+        self._size = len(data)
 
     @property
     def size(self) -> int:
-        return len(self.data)
+        return self._size
 
     @property
     def wire(self) -> bytes:
@@ -73,10 +75,6 @@ class UdpDatagram:
     sport: int
     dport: int
     payload: DnsPayload | RawPayload
-
-    @property
-    def size(self) -> int:
-        return UDP_HEADER_BYTES + self.payload.size
 
 
 class TcpFlags(enum.IntFlag):
@@ -103,10 +101,6 @@ class TcpSegment:
     flags: int
     data: bytes = b""
 
-    @property
-    def size(self) -> int:
-        return TCP_HEADER_BYTES + len(self.data)
-
     def has(self, flag: int) -> bool:
         return self.flags & flag != 0
 
@@ -130,11 +124,28 @@ class Packet:
     #: Pure metadata: excluded from trace_digest and never read by the
     #: simulation itself, so carrying a span cannot alter behaviour.
     span: object | None = None
+    #: ``size`` once measured (by the first ``Link.transmit``); later hops
+    #: and a duplicated twin read it.  A packet is never edited after it is
+    #: built, bar its ``ttl``.
+    _size: int | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
-        """Total on-the-wire size in bytes, including the IP header."""
-        return IP_HEADER_BYTES + self.segment.size
+        """Total on-the-wire size in bytes, including the IP and UDP/TCP
+        headers, measured in this one frame and memoised."""
+        size = self._size
+        if size is None:
+            segment = self.segment
+            if type(segment) is TcpSegment:
+                size = IP_HEADER_BYTES + TCP_HEADER_BYTES + len(segment.data)
+            else:
+                payload = segment.payload
+                body = payload._size
+                if body is None:  # a DnsPayload not measured yet
+                    body = payload._size = payload.message.wire_size()
+                size = IP_HEADER_BYTES + UDP_HEADER_BYTES + body
+            self._size = size
+        return size
 
     @property
     def protocol(self) -> str:

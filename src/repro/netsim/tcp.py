@@ -25,6 +25,7 @@ from collections import OrderedDict
 from ipaddress import IPv4Address
 from typing import TYPE_CHECKING, Callable
 
+from .address import bind_key
 from .errors import ConnectionError_, RoutingError, SocketError
 from .packet import Packet, TcpFlags, TcpSegment
 
@@ -154,7 +155,7 @@ class Listener:
         self.cookies_rejected = 0
 
     def close(self) -> None:
-        self.stack._listeners.pop(_listener_key(self.ip, self.port), None)
+        self.stack._listeners.pop(bind_key(self.ip, self.port), None)
 
 
 class TcpConnection:
@@ -488,11 +489,6 @@ def _seq_span(data: bytes, flags: int) -> int:
     return 1 if flags & (SYN | FIN) else 0
 
 
-def _listener_key(ip: IPv4Address | None, port: int) -> tuple[int | None, int]:
-    """Where the listener table files ``ip:port`` (``None``: any address)."""
-    return (None if ip is None else ip._ip, port)
-
-
 class TcpStack:
     """Per-node TCP: listeners, connection table, SYN-cookie validation."""
 
@@ -528,7 +524,7 @@ class TcpStack:
         ip: IPv4Address | None = None,
         syn_cookies: bool = False,
     ) -> Listener:
-        key = _listener_key(ip, port)
+        key = bind_key(ip, port)
         if key in self._listeners:
             raise SocketError(f"{self.node.name}: TCP port {port} already listening")
         listener = Listener(self, ip, port, on_connection, syn_cookies=syn_cookies)

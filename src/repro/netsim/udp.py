@@ -11,6 +11,7 @@ from ipaddress import IPv4Address
 from typing import TYPE_CHECKING, Callable
 
 from ..dnswire import Message
+from .address import bind_key
 from .errors import SocketError
 from .packet import DnsPayload, Packet, RawPayload, UdpDatagram
 
@@ -61,6 +62,9 @@ class UdpSocket:
         )
 
     def close(self) -> None:
+        """Unbind the socket; closing it again is a no-op."""
+        if self.closed:
+            return
         self.closed = True
         self.stack._unbind(self)
 
@@ -73,7 +77,9 @@ class UdpStack:
 
     def __init__(self, node: "Node"):
         self.node = node
-        self._sockets: dict[tuple[IPv4Address | None, int], UdpSocket] = {}
+        #: keyed on ``bind_key(ip, port)``: demux hashes two ints, not an
+        #: address (see ``address.py``)
+        self._sockets: dict[tuple[int | None, int], UdpSocket] = {}
         self._next_ephemeral = EPHEMERAL_BASE
         self.datagrams_received = 0
         self.datagrams_unmatched = 0
@@ -82,7 +88,7 @@ class UdpStack:
 
     def bind(self, port: int, handler: UdpHandler, *, ip: IPv4Address | None = None) -> UdpSocket:
         """Bind ``port`` (optionally to one address; ``None`` = wildcard)."""
-        key = (ip, port)
+        key = bind_key(ip, port)
         if key in self._sockets:
             raise SocketError(f"{self.node.name}: UDP port {port} already bound")
         sock = UdpSocket(self, ip, port, handler)
@@ -104,7 +110,10 @@ class UdpStack:
         return self.bind(self.ephemeral_port(), handler)
 
     def _unbind(self, sock: UdpSocket) -> None:
-        self._sockets.pop((sock.ip, sock.port), None)
+        # only its own entry: the port may have been bound again since
+        key = bind_key(sock.ip, sock.port)
+        if self._sockets.get(key) is sock:
+            del self._sockets[key]
 
     # -- data path -------------------------------------------------------------
 
@@ -143,9 +152,9 @@ class UdpStack:
     def demux(self, packet: Packet, datagram: UdpDatagram) -> None:
         """Deliver an arriving datagram to the best-matching socket."""
         self.datagrams_received += 1
-        sock = self._sockets.get((packet.dst, datagram.dport)) or self._sockets.get(
-            (None, datagram.dport)
-        )
+        sockets = self._sockets
+        dport = datagram.dport
+        sock = sockets.get((packet.dst._ip, dport)) or sockets.get((None, dport))
         if sock is None or sock.closed:
             self.datagrams_unmatched += 1
             return

@@ -534,8 +534,8 @@ class TestAcceptanceMutations:
         mutate(
             tmp_path,
             "repro/attack/spoof.py",
-            "sim.schedule(i * spacing, self._send_one, packet)",
-            "sim.schedule(self._jitter(i * spacing),"
+            "sim.schedule_at(now + i * spacing, self._send_one, packet)",
+            "sim.schedule_at(self._jitter(now + i * spacing),"
             " self._send_one, packet)",
         )
         mutated = analyze_perf([tmp_path], rule_ids=["P006"])

@@ -7,7 +7,9 @@ each ``DnsPayload`` against a fresh ``_encode_once(True)`` over short runs
 of all four schemes, the RFC 7873 guard, a key rotation mid-run and a
 DNS-0x20 resolver: ``size`` is the length of the real encoding and a frozen
 message holds exactly those bytes.  A receiver that edited a frozen message
-in place (a dropped ``copy()``) would leave a stale memo and fail here.
+in place (a dropped ``copy()``) would leave a stale memo and fail here.  The
+same wrapper holds every packet's own size memo (UDP or TCP) to a fresh
+measurement at each hop it crosses.
 """
 
 import collections
@@ -20,26 +22,42 @@ from repro.experiments.hierarchy import GuardedHierarchy
 from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
 from repro.guard import random_key
 from repro.netsim import DnsPayload, Link, UdpDatagram
+from repro.netsim.packet import IP_HEADER_BYTES, TCP_HEADER_BYTES, UDP_HEADER_BYTES
 from tests.guard.test_rfc7873 import ANS_IP, build_testbed
 
 
 @pytest.fixture
 def in_flight(monkeypatch):
-    """Counts of DNS payloads seen on any link: ``checked`` and ``frozen``."""
+    """Counts of DNS payloads seen on any link, ``checked`` and ``frozen``,
+    and of every packet whose size memo was checked, ``sized``."""
     seen = collections.Counter()
     transmit = Link.transmit
 
     def checked_transmit(self, packet, sender):
         segment = packet.segment
-        if isinstance(segment, UdpDatagram) and isinstance(segment.payload, DnsPayload):
-            message = segment.payload.message
-            encoded = message._encode_once(True)
-            assert segment.payload.size == len(encoded), str(message)
-            seen["checked"] += 1
-            if message._wire is not None:
-                assert message._wire == encoded, str(message)
-                seen["frozen"] += 1
-        return transmit(self, packet, sender)
+        if isinstance(segment, UdpDatagram):
+            payload = segment.payload
+            if isinstance(payload, DnsPayload):
+                message = payload.message
+                encoded = message._encode_once(True)
+                assert payload.size == len(encoded), str(message)
+                seen["checked"] += 1
+                if message._wire is not None:
+                    assert message._wire == encoded, str(message)
+                    seen["frozen"] += 1
+                body = len(encoded)
+            else:
+                body = len(payload.data)
+            fresh = IP_HEADER_BYTES + UDP_HEADER_BYTES + body
+        else:
+            fresh = IP_HEADER_BYTES + TCP_HEADER_BYTES + len(segment.data)
+        # the packet's size memo — set by its first link, read by the rest —
+        # is what measuring it afresh gives, before and after this hop
+        assert packet._size in (None, fresh)
+        sent = transmit(self, packet, sender)
+        assert packet._size == fresh
+        seen["sized"] += 1
+        return sent
 
     monkeypatch.setattr(Link, "transmit", checked_transmit)
     return seen
@@ -78,6 +96,7 @@ def test_tcp_scheme(in_flight):
     bed.run(0.05)
     assert tcp.stats.completed > 10 and bed.guard.truncations_sent > 0
     assert in_flight["checked"] > 60
+    assert in_flight["sized"] > in_flight["checked"]  # the TCP segments too
 
 
 @pytest.mark.parametrize("activation_threshold", [None, 1e9])

@@ -301,6 +301,125 @@ class TestHopBudget:
         assert names == {"transmit": 2}
         assert client.links[0].other(client) is fw and client.links[0].other(fw) is client
 
+    @staticmethod
+    def ipaddress_frames(fn):
+        """``fn()`` and the names of the ``ipaddress.py`` frames it entered."""
+        frames = []
+
+        def on_event(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == ipaddress.__file__:
+                frames.append(frame.f_code.co_qualname)
+
+        return profiled(fn, on_event), frames
+
+    def test_udp_demux_and_a_route_miss_enter_nothing_in_ipaddress(self):
+        """The socket table keys on ``(dst._ip, port)``, and a route-cache
+        miss tests each prefix as integers — the stdlib's own
+        ``dst in subnet`` without its frame.  A flood's replies go to random
+        spoofed sources, so every router misses its cache on them."""
+        sim, client, fw, server = chainlet()
+        got = []
+        server.udp.bind(53, lambda p, s, sp, d: got.append(p))
+        delivered = Packet(
+            src=client.address, dst=SERVER, segment=UdpDatagram(4000, 53, RawPayload(b"x"))
+        )
+        # fw has two routes, no default and two links: a miss can end in None
+        misses = [IPv4Address(text) for text in ("10.0.0.77", "203.0.113.9", "198.51.100.1")]
+
+        def lookups():
+            server.receive(delivered, server.links[0])
+            return [fw.route_for(dst) for dst in misses]
+
+        routes, frames = self.ipaddress_frames(lookups)
+        assert got == [b"x"] and server.udp.datagrams_unmatched == 0
+        assert routes == [fw.links[0], fw.links[1], None]
+        assert frames == []
+
+    def test_a_steady_outbound_query_through_a_local_guard_hashes_no_address(self):
+        """Once the cookie is cached, the local guard's per-query table
+        lookups key on ``(server._ip, client._ip)``: the query is stamped and
+        re-sent without entering ``ipaddress.py``."""
+        from repro.dns import LrsSimulator
+        from repro.dnswire import make_query
+        from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
+        from repro.netsim import DnsPayload
+
+        bed = GuardTestbed(ans="simulator", ans_mode="answer")
+        client = bed.add_client("lrs", via_local_guard=True)
+        lrs = LrsSimulator(client, ANS_ADDRESS, workload="plain")
+        lrs.start()
+        bed.run(0.01)
+        lrs.stop()
+        bed.run(0.01)
+        guard = client.local_guard
+        assert guard.cached_cookie(ANS_ADDRESS, client.address) is not None
+        query = Packet(
+            src=client.address, dst=ANS_ADDRESS,
+            segment=UdpDatagram(4000, 53, DnsPayload(make_query("www.foo.com", msg_id=9))),
+        )
+        stamped = guard.queries_stamped
+        from_lrs = guard.node.links[0]
+        assert from_lrs.other(guard.node) is client
+        _, frames = self.ipaddress_frames(lambda: guard.node.receive(query, from_lrs))
+        assert guard.queries_stamped == stamped + 1
+        assert frames == []
+
+    def test_a_transit_hop_enters_its_forward_rule_and_no_netfilter_frame(self):
+        """The ``FORWARD`` cascade runs inline in ``Node.receive``: a hop
+        through a one-rule node enters that rule and nothing in
+        ``netfilter.py``."""
+        sim, client, fw, server = chainlet()
+        judged = []
+
+        def rule(packet):
+            judged.append(packet)
+            return Verdict.ACCEPT
+
+        fw.filters.append(Hook.FORWARD, target=rule)
+        transit = Packet(
+            src=client.address, dst=SERVER, segment=UdpDatagram(4000, 53, RawPayload(b"x"))
+        )
+        names = collections.Counter()
+
+        def on_event(frame, event, arg):
+            if event != "call":
+                return
+            if frame.f_code is rule.__code__:
+                names["rule"] += 1
+            elif frame.f_code.co_filename == netfilter.__file__:
+                names[frame.f_code.co_name] += 1
+
+        profiled(lambda: fw.receive(transit, fw.links[0]), on_event)
+        assert judged == [transit] and fw.packets_forwarded == 1
+        assert names == {"rule": 1}
+
+    def test_a_packet_crossing_two_links_is_sized_once(self):
+        """The first ``Link.transmit`` measures the packet in one frame and
+        memoises it; the router's link reads the memo, and the payload's own
+        ``size`` property never runs."""
+        from repro.dnswire import make_query
+
+        sim, client, fw, server = chainlet()
+        got = []
+        server.udp.bind(53, lambda p, s, sp, d: got.append(p))
+        sock = client.udp.bind_ephemeral(lambda *a: None)
+        query = make_query("www.foo.com", msg_id=3)
+        sized = []
+
+        def on_event(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "size":
+                sized.append(frame.f_code.co_qualname)
+
+        def exchange():
+            sock.send(query, SERVER, 53)
+            sim.run(until=1.0)
+
+        profiled(exchange, on_event)
+        assert got == [query] and fw.packets_forwarded == 1
+        assert sized == ["Packet.size"]
+        wire = 20 + 8 + len(query.encode())
+        assert client.links[0].stats(client)[2] == fw.links[1].stats(fw)[2] == wire
+
 
 class TestEncodeBudget:
     """What a steady exchange serialises, counted rather than timed: every

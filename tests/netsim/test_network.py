@@ -312,6 +312,25 @@ class TestUdp:
         with pytest.raises(SocketError):
             sock_a.send(b"x", IPv4Address("10.0.0.2"), 53)
 
+    @pytest.mark.parametrize("ip", [None, IPv4Address("10.0.0.2")])
+    def test_a_second_close_leaves_the_ports_next_socket_bound(self, ip):
+        """Closing a socket twice once popped whatever was bound on its port
+        since: the new socket stayed open but deaf, its datagrams unmatched."""
+        sim = Simulator()
+        a, b, _ = two_hosts(sim)
+        got = []
+        first = b.udp.bind(5000, lambda *args: got.append("first"), ip=ip)
+        first.close()
+        second = b.udp.bind(5000, lambda p, s, sp, d: got.append(p), ip=ip)
+        first.close()
+        assert first.closed and not second.closed
+        a.udp.bind_ephemeral(lambda *args: None).send(b"x", IPv4Address("10.0.0.2"), 5000)
+        sim.run()
+        assert got == [b"x"] and b.udp.datagrams_unmatched == 0
+        second.close()
+        second.close()
+        assert b.udp._sockets == {}
+
     def test_reply_uses_observed_source(self):
         sim = Simulator()
         a, b, _ = two_hosts(sim)

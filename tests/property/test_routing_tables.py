@@ -2,11 +2,13 @@
 
 ``Node`` keys its two per-packet lookups — the ownership set and the route
 cache — on the destination's 32-bit integer (read from the stdlib's ``_ip``
-slot, see ``repro/netsim/address.py``).  Against random route tables
-(overlapping prefixes, a default route or none), own addresses and
-destinations, both must answer what the uncached references answer —
-``_route_for_uncached(dst)`` and ``dst in node.addresses`` — before and
-after every kind of table change, each of which must invalidate the cache.
+slot, see ``repro/netsim/address.py``), and a cache miss tests each prefix
+as integer arithmetic.  Against random route tables (overlapping prefixes,
+a default route or none), own addresses and destinations, all three must
+answer what the address references answer — the stdlib's own
+``dst in subnet`` over the prefix-sorted routes, and ``dst in
+node.addresses`` — before and after every kind of table change, each of
+which must invalidate the cache.
 """
 
 from ipaddress import IPv4Address, IPv4Network
@@ -57,9 +59,21 @@ def _router(n_links):
     return sim, node
 
 
+def reference_route(node, dst):
+    """Longest prefix first by ``IPv4Network.__contains__``, then the
+    default route, then a single-homed host's only link."""
+    for subnet, link in sorted(node.routes, key=lambda route: route[0].prefixlen, reverse=True):
+        if dst in subnet:
+            return link
+    if node.default_route is not None:
+        return node.default_route
+    return node.links[0] if len(node.links) == 1 else None
+
+
 def _agrees_with_the_references(node, destinations):
     for dst in destinations:
-        expected = node._route_for_uncached(dst)
+        expected = reference_route(node, dst)
+        assert node._route_for_uncached(dst) is expected
         assert node.route_for(dst) is expected  # cold, or whatever is cached
         assert node.route_for(dst) is expected  # certainly cached
         delivered = node.packets_delivered
@@ -101,7 +115,7 @@ def test_route_cache_stays_bounded_under_distinct_destinations():
     largest = 0
     for n in range(5_000):
         dst = IPv4Address(0x0A000000 + n * 4099)
-        assert node.route_for(dst) is node._route_for_uncached(dst)
+        assert node.route_for(dst) is reference_route(node, dst)
         largest = max(largest, len(node._route_cache))
     assert largest == 4097
 
