@@ -18,7 +18,10 @@ counter and prints one JSON row:
   by the file of the Python frame that entered them, then by function
   (``_BaseAddress.__hash__`` is entered by whichever frame used an address
   as a dict key, even through ``dict.get``);
-* ``enum_py_frames`` — frames entered in the stdlib's ``enum.py``.
+* ``enum_py_frames`` — frames entered in the stdlib's ``enum.py``;
+* ``decodes`` and ``encodes`` — full ``Message`` parses (``Message._parse``;
+  ``Message.decode`` in a checkout from before the decode memo, where every
+  decode was one) and ``Message._encode_once`` calls.
 
 Counts are exact and repeat from run to run at one seed, so a before/after
 pair of rows is a budget, not a timing.  ``--quick`` runs the scenario at
@@ -89,6 +92,9 @@ def budget(name: str, seed: int, *, quick: bool = False) -> dict:
     for (caller, function), calls in ipaddress_calls.items():
         by_caller[where(caller)][function] += calls
     total = sum(by_file.values())
+    from repro.dnswire import Message
+
+    parse = getattr(Message, "_parse", Message.decode).__func__.__code__
     return {
         "workload": name,
         "seed": seed,
@@ -103,6 +109,8 @@ def budget(name: str, seed: int, *, quick: bool = False) -> dict:
             caller: dict(counts.most_common()) for caller, counts in sorted(by_caller.items())
         },
         "enum_py_frames": by_file.get("enum.py", 0),
+        "decodes": per_code.get(parse, 0),
+        "encodes": per_code.get(Message._encode_once.__code__, 0),
     }
 
 

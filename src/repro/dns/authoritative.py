@@ -138,14 +138,7 @@ class AuthoritativeServer:
             if data == b"":
                 c.close()
                 return
-            from ..dnswire import DecodeError
-
-            try:
-                queries = framer.feed(data)
-            except DecodeError:
-                c.abort()  # malformed stream: hang up, never crash
-                return
-            for query in queries:
+            for query in framer.feed_or_abort(c, data) or ():
                 if not self.node.cpu.submit(self.tcp_request_cost, self._serve_tcp, c, query):
                     self.requests_dropped += 1
 

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import struct
+from typing import TYPE_CHECKING
 
 from ..dnswire import DecodeError, Message
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..netsim import TcpConnection
 
 
 def frame(message: Message) -> bytes:
@@ -37,6 +41,15 @@ class StreamFramer:
             del self._buffer[: 2 + length]
             messages.append(Message.decode(wire))
         return messages
+
+    def feed_or_abort(self, conn: "TcpConnection", data: bytes) -> list[Message] | None:
+        """:meth:`feed` for a reader on ``conn``: a malformed stream aborts
+        the connection (its ``on_close`` sees an error) and returns ``None``."""
+        try:
+            return self.feed(data)
+        except DecodeError:
+            conn.abort()
+            return None
 
     @property
     def pending_bytes(self) -> int:

@@ -483,7 +483,7 @@ class _Interaction:
         def on_data(c: TcpConnection, data: bytes) -> None:
             if data == b"":
                 return
-            for message in framer.feed(data):
+            for message in framer.feed_or_abort(c, data) or ():
                 if message.header.msg_id == query.header.msg_id:
                     deadline.cancel()
                     c.close()
@@ -586,7 +586,7 @@ class TcpLoadClient:
         def on_data(c: TcpConnection, data: bytes) -> None:
             if data == b"":
                 return
-            for message in framer.feed(data):
+            for message in framer.feed_or_abort(c, data) or ():
                 if message.header.msg_id == msg_id:
                     c.close()
                     finish(True)

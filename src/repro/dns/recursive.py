@@ -515,7 +515,7 @@ class _Resolution:
         def on_data(c: TcpConnection, data: bytes) -> None:
             if data == b"":
                 return
-            for message in framer.feed(data):
+            for message in framer.feed_or_abort(c, data) or ():
                 if message.header.msg_id == msg_id:
                     fallback_timer.cancel()
                     c.close()

@@ -71,7 +71,7 @@ class SecondaryServer:
             nonlocal soa_seen
             if data == b"":
                 return
-            for message in framer.feed(data):
+            for message in framer.feed_or_abort(conn, data) or ():
                 if message.header.msg_id != msg_id:
                     continue
                 if message.header.rcode != Rcode.NOERROR:

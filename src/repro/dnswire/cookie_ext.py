@@ -44,7 +44,11 @@ _RECORD_SIZE = len(_RECORD_HEAD) + COOKIE_LENGTH
 
 
 def attach_cookie(message: Message, cookie: bytes) -> Message:
-    """Attach (or replace) the cookie record on ``message`` in place."""
+    """Attach (or replace) the cookie record on ``message`` in place.
+
+    ``message`` must be unfrozen (a fresh build or a :meth:`Message.copy`);
+    a frozen one, decoded ones included, goes through :func:`with_cookie`.
+    """
     strip_cookie(message)
     message.additionals.append(cookie_rr(cookie))
     return message
@@ -116,7 +120,10 @@ def extract_cookie(message: Message) -> bytes | None:
 
 
 def strip_cookie(message: Message) -> Message:
-    """Remove any cookie record so the protected ANS never sees the extension."""
+    """Remove any cookie record so the protected ANS never sees the extension.
+
+    In place, so ``message`` must be unfrozen; see :func:`without_cookie`.
+    """
     message.additionals = [rr for rr in message.additionals if not _is_cookie_record(rr)]
     return message
 

@@ -221,6 +221,48 @@ class Message:
 
     @classmethod
     def decode(cls, data: bytes) -> "Message":
+        """Parse a wire message; the result may be frozen.
+
+        Decodes go through a memo keyed on the wire after the message id,
+        which pays off for a shape that recurs under fresh ids (a proxied
+        query, a load tool's reply).  A shape's first sighting is only
+        parsed and its key recorded: verifying every shape on sight would
+        double the cost of one that never recurs.  Its second sighting is
+        parsed and kept as a prototype if it is at most
+        :data:`MAX_UDP_PAYLOAD` bytes and its encoding reproduces it
+        exactly; every later sighting is the prototype's records under a
+        freshly decoded header, born frozen with ``data`` as its wire.  A
+        frozen message must be edited through :meth:`copy` or a derivation,
+        never in place.
+        """
+        if len(data) > MAX_UDP_PAYLOAD:
+            return cls._parse(data)
+        key = bytes(data[2:])
+        prototype = _decoded.get(key)
+        if prototype is None:  # first sighting: parse, remember the key
+            parsed = cls._parse(data)
+            keep_prototype(_decoded, key, _SEEN)
+            return parsed
+        if prototype is _ORDINARY:
+            return cls._parse(data)
+        if prototype is _SEEN:  # second sighting: keep it if we would write it
+            prototype = cls._parse(data)
+            if prototype._encode_once(True) != data:
+                _decoded[key] = _ORDINARY
+                return prototype
+            _decoded[key] = prototype
+        header, _ = Header.decode(data)
+        return cls(
+            header,
+            list(prototype.questions),
+            list(prototype.answers),
+            list(prototype.authorities),
+            list(prototype.additionals),
+            bytes(data),
+        )
+
+    @classmethod
+    def _parse(cls, data: bytes) -> "Message":
         header, offset = Header.decode(data)
         msg = cls(header=header)
         for _ in range(header.qdcount):
@@ -279,6 +321,15 @@ def keep_prototype(table: dict, key, prototype):
         table.clear()
     table[key] = prototype
     return prototype
+
+
+#: :meth:`Message.decode`'s memo: wire after the message id -> ``_SEEN``
+#: (parsed once), ``_ORDINARY`` (a wire the encoder would not write) or the
+#: verified prototype.  Keys are at most :data:`MAX_UDP_PAYLOAD` bytes and
+#: the table is flushed whole at :data:`PROTOTYPE_CAP`.
+_SEEN = "seen"
+_ORDINARY = "ordinary"
+_decoded: dict[bytes, "Message | str"] = {}  # repro: allow[L003] - bounded content-addressed memo, replay-invisible
 
 
 #: Minimum on-the-wire IP packet size for a DNS request that the paper quotes

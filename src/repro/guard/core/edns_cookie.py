@@ -51,7 +51,10 @@ SERVER_COOKIE_LENGTH = 16
 def attach_edns_cookie(
     message: Message, client_cookie: bytes, server_cookie: bytes = b""
 ) -> Message:
-    """Attach (or replace) an OPT RR carrying the COOKIE option, in place."""
+    """Attach (or replace) an OPT RR carrying the COOKIE option, in place.
+
+    ``message`` must be unfrozen: a fresh grant or a :meth:`Message.copy`.
+    """
     if len(client_cookie) != CLIENT_COOKIE_LENGTH:
         raise ValueError(f"client cookie must be {CLIENT_COOKIE_LENGTH} bytes")
     strip_edns_cookie(message)
@@ -74,7 +77,8 @@ def extract_edns_cookie(message: Message) -> tuple[bytes, bytes] | None:
 
 
 def strip_edns_cookie(message: Message) -> Message:
-    """Remove any OPT RR so the protected ANS sees classic DNS."""
+    """Remove any OPT RR so the protected ANS sees classic DNS (in place, on
+    an unfrozen message)."""
     message.additionals = [rr for rr in message.additionals if rr.rtype != RRType.OPT]
     return message
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from ipaddress import IPv4Address
 from typing import TYPE_CHECKING
 
-from ..dnswire import DecodeError, Message
+from ..dnswire import Message
 from ..dns.framing import StreamFramer, frame
 from ..netsim import BOUNDARY_PRIORITY, TcpConnection, TcpState
 from .core.admission import MIN_REAP_SECONDS, REAP_RTT_MULTIPLE, reap_deadline
@@ -145,12 +145,9 @@ class TcpProxy:
         if data == b"":
             conn.close()
             return
-        try:
-            queries = framer.feed(data)
-        except DecodeError:
-            # a malformed DNS stream: hang up rather than crash
+        queries = framer.feed_or_abort(conn, data)
+        if queries is None:
             self.malformed_streams += 1
-            conn.abort()
             return
         for query in queries:
             self._proxy_query(conn, query)

@@ -1,6 +1,7 @@
 """Unit tests for the message codec: headers, records, truncation."""
 
 import dataclasses
+import struct
 from ipaddress import IPv4Address
 
 import pytest
@@ -16,6 +17,7 @@ from repro.dnswire import (
     NS,
     Name,
     Opaque,
+    PROTOTYPE_CAP,
     Question,
     Rcode,
     ResourceRecord,
@@ -31,6 +33,7 @@ from repro.dnswire import (
     ns_record,
     soa_record,
 )
+from repro.dnswire.message import _decoded
 
 
 class TestHeader:
@@ -205,8 +208,61 @@ class TestEncodeBudget:
             97, 97, 147,
         )
         assert calls == {"Name": 0, "replace": 0}
-        assert Message.decode(wire).additionals == response.additionals
+        assert Message._parse(wire).additionals == response.additionals
         assert calls["Name"] > 0  # the counter was live
+
+
+class TestDecodeBudget:
+    """``Message.decode`` parses a shape (the wire after the message id) on
+    its first two sightings, encodes it once on the second to verify it,
+    and serves every later sighting from the memo."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        _decoded.clear()
+        calls = {"parse": 0, "encode": 0}
+        parse, encode_once = Message._parse.__func__, Message._encode_once
+
+        def counting_parse(cls, data):
+            calls["parse"] += 1
+            return parse(cls, data)
+
+        def counting_encode(self, compress):
+            calls["encode"] += 1
+            return encode_once(self, compress)
+
+        monkeypatch.setattr(Message, "_parse", classmethod(counting_parse))
+        monkeypatch.setattr(Message, "_encode_once", counting_encode)
+        yield calls
+        _decoded.clear()
+
+    def test_one_shape_under_fresh_ids_is_parsed_twice_and_encoded_once(self, counted):
+        wire = make_response(make_query("www.foo.com", msg_id=1)).freeze().encode()
+        counted["encode"] = 0
+        decoded = [
+            Message.decode(struct.pack("!H", msg_id) + wire[2:])
+            for msg_id in range(100)
+        ]
+        assert counted == {"parse": 2, "encode": 1}
+        assert [m.header.msg_id for m in decoded] == list(range(100))
+        assert decoded[0]._wire is None
+        assert all(m._wire is not None for m in decoded[1:])
+        assert len({id(m.questions) for m in decoded}) == 100  # each owns its lists
+
+    def test_fresh_shapes_are_parsed_once_each_and_never_encoded(self, counted):
+        wires = [make_query(f"h{i}.foo.com", msg_id=i).encode() for i in range(100)]
+        counted["encode"] = 0
+        for wire in wires:
+            assert Message.decode(wire)._wire is None
+        assert counted == {"parse": 100, "encode": 0}
+
+    def test_the_memo_never_exceeds_the_prototype_cap(self, counted):
+        for i in range(PROTOTYPE_CAP + 200):
+            wire = make_query(f"h{i}.foo.com", msg_id=i).encode()
+            for _ in range(3):
+                Message.decode(wire)
+            assert 0 < len(_decoded) <= PROTOTYPE_CAP
+        assert len(_decoded) == 200  # flushed whole once, at the cap
 
 
 class TestCopy:

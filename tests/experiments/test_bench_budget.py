@@ -30,3 +30,13 @@ def test_a_quick_flood_row_counts_the_run_it_describes():
         "ipaddress.py", "repro/attack/spoof.py", "repro/dnswire/rdata.py",
     }
     assert row == budget_row("flood_unguarded")
+    assert row["decodes"] == 0  # the flood is UDP end to end: nothing is parsed
+
+
+def test_a_quick_tcp_proxy_row_counts_parses_and_encodes():
+    """The proxy de-frames every query and the client every response, two
+    shapes in all: each is parsed twice and encoded once, then memoized."""
+    row = budget_row("tcp_proxy")
+    assert row["link_pkts"] > 1000
+    assert 0 < row["decodes"] <= 8 and 0 < row["encodes"] <= 8
+    assert row["frames_by_file"]["repro/dnswire/name.py"] < row["link_pkts"] / 4

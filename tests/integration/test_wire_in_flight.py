@@ -18,6 +18,7 @@ import pytest
 
 from repro.attack import SpoofingAttacker
 from repro.dns import LrsSimulator, TcpLoadClient
+from repro.dnswire.message import _decoded
 from repro.experiments.hierarchy import GuardedHierarchy
 from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
 from repro.guard import random_key
@@ -88,8 +89,20 @@ def test_fabricated_ns_ip_scheme(in_flight, cache_cookies):
     assert in_flight["frozen"] > 60
 
 
-def test_tcp_scheme(in_flight):
+def test_tcp_scheme(in_flight, monkeypatch):
+    # the decode memo is process-wide: start from an empty one, so no
+    # earlier test's entries can bring on a flush mid-run
+    _decoded.clear()
     bed = GuardTestbed(ans="simulator", ans_mode="answer", guard_policy="tcp")
+    proxy = bed.guard.tcp_proxy
+    proxied = []
+    send_upstream = proxy._send_upstream
+
+    def recording_send_upstream(conn, query):
+        proxied.append(query)
+        send_upstream(conn, query)
+
+    monkeypatch.setattr(proxy, "_send_upstream", recording_send_upstream)
     lrs_run(bed, workload="plain", duration=0.1)
     tcp = TcpLoadClient(bed.add_client("tcp"), ANS_ADDRESS, concurrency=5)
     tcp.start()
@@ -97,6 +110,11 @@ def test_tcp_scheme(in_flight):
     assert tcp.stats.completed > 10 and bed.guard.truncations_sent > 0
     assert in_flight["checked"] > 60
     assert in_flight["sized"] > in_flight["checked"]  # the TCP segments too
+    # the proxy re-sends what it de-framed: after the first sighting of the
+    # query's shape, decode hands it over frozen with the bytes the client
+    # framed, so the UDP hop to the ANS is sized without an encode
+    assert len(proxied) > 10
+    assert sum(query._wire is None for query in proxied) <= 1
 
 
 @pytest.mark.parametrize("activation_threshold", [None, 1e9])

@@ -9,15 +9,22 @@ returns must ``==`` the one the slow path builds.  The slow paths live on
 in ``src`` (``make_query``, ``attach_cookie``/``strip_cookie`` on a copy,
 ``fabricated_referral``, ``cookie_name_answer``); the ANS simulator's is
 written out below.
+
+``Message.decode`` derives too: from the third sighting of a wire (after
+the message id) it returns a memoized prototype's records under the
+received header, born frozen with the received bytes.  The full parse,
+``Message._parse``, is its reference.
 """
 
 import random
+import struct
 from ipaddress import IPv4Address
 
 from hypothesis import given, settings, strategies as st
 
 from repro.dns import AnsSimulator, LrsSimulator
 from repro.dnswire import (
+    MAX_UDP_PAYLOAD,
     Header,
     Message,
     Name,
@@ -44,9 +51,10 @@ from repro.guard import (
     encode_cookie_name,
     fabricated_referral,
 )
+from repro.dnswire.message import _decoded
 from repro.guard.core.cookie import KEY_LENGTH
 from repro.netsim import Node, Simulator
-from tests.property.test_wire_roundtrip import ipv4s, messages, ttls
+from tests.property.test_wire_roundtrip import _txt_filler, ipv4s, messages, ttls
 
 ANS = IPv4Address("203.0.113.53")
 
@@ -111,6 +119,67 @@ def test_with_header_is_the_message_under_that_header(data, message, header):
     derived.questions.clear()
     derived.additionals.clear()
     assert wire_holds(message)
+
+
+# -- the decode memo -------------------------------------------------------------
+
+sightings = st.lists(st.integers(0, 0xFFFF), min_size=3, max_size=6)
+
+
+def under_id(wire: bytes, msg_id: int) -> bytes:
+    return struct.pack("!H", msg_id) + wire[2:]
+
+
+@settings(deadline=None)
+@given(message=messages(), ids=sightings)
+def test_decode_is_the_full_parse_at_every_sighting(message, ids):
+    _decoded.clear()
+    canonical = message.encode()
+    for sighting, msg_id in enumerate(ids):
+        wire = under_id(canonical, msg_id)
+        decoded = Message.decode(wire)
+        assert same(decoded, Message._parse(wire)) and wire_holds(decoded)
+        # frozen from the third sighting on, and only within the UDP limit
+        frozen = sighting >= 1 and len(wire) <= MAX_UDP_PAYLOAD
+        assert decoded._wire == (wire if frozen else None)
+        # an edit through copy() (which shares the header: replace it, never
+        # assign its fields) reaches neither the memo nor a later decode
+        edited = decoded.copy()
+        edited.header = Header(msg_id=decoded.header.msg_id, qr=True, rcode=5)
+        edited.questions.clear()
+        edited.answers.append(OPT_RR)
+        edited.additionals = []
+        assert wire_holds(decoded)
+
+
+@settings(deadline=None)
+@given(
+    data=st.data(),
+    message=messages(),
+    ids=sightings,
+    variant=st.sampled_from(["uncompressed", "z_bit", "oversize"]),
+)
+def test_a_wire_the_encoder_would_not_write_is_never_kept(data, message, ids, variant):
+    """Uncompressed names, a set Z/AD/CD bit, or more than 512 bytes: every
+    sighting is a full parse, unfrozen, and no prototype is kept."""
+    _decoded.clear()
+    if variant == "uncompressed":
+        wire = message.encode(compress=False)
+        if wire == message.encode():
+            return  # nothing to compress: the wire is canonical
+    elif variant == "z_bit":
+        wire = bytearray(message.encode())
+        wire[3] |= data.draw(st.sampled_from([0x40, 0x20, 0x10]))
+        wire = bytes(wire)
+    else:
+        message.additionals = message.additionals + _txt_filler(2)
+        wire = message.encode()
+        assert len(wire) > MAX_UDP_PAYLOAD
+    for msg_id in ids:
+        decoded = Message.decode(under_id(wire, msg_id))
+        assert same(decoded, Message._parse(under_id(wire, msg_id)))
+        assert decoded._wire is None
+    assert not isinstance(_decoded.get(wire[2:]), Message)
 
 
 # -- the modified-DNS cookie record ----------------------------------------------
