@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: check lint gate-artefacts bench-digests bench-pairs bench-budget test sanitize report
 
-GATE_FAMILIES := --flow --races --perf --memory --layers
+GATE_FAMILIES := --flow --races --memory --layers
 
 # the CI entrypoint: determinism lint + tier-1 tests
 check: lint test
@@ -11,21 +11,17 @@ check: lint test
 # the one home of the analysis gate: scripts/check.sh (CI, pre-commit) and
 # `make check` both run this recipe.  SARIF_OUT=<file> keeps the SARIF.
 lint:
-	$(PYTHON) -m repro.analysis $(GATE_FAMILIES) \
-		--baseline scripts/analysis_baseline.json --fail-on warning \
+	$(PYTHON) -m repro.analysis $(GATE_FAMILIES) --fail-on warning \
 		--sarif "$${SARIF_OUT:-/dev/null}" src
 	$(PYTHON) -m repro.analysis --rules-md-check README.md
 
-# what "byte-identical analysis output" is judged on: the five artefacts a
+# what "byte-identical analysis output" is judged on: the four artefacts a
 # refactor of the analysers must not move.  Run it in the parent checkout
 # and in the change with two OUT dirs; `diff -r` of the two is the verdict.
 # (Exit 1 from the analyser means findings, which is data here; 2 is an error.)
 gate-artefacts:
 	@test -n "$(OUT)" || { echo "usage: make gate-artefacts OUT=<dir>" >&2; exit 2; }
 	mkdir -p "$(OUT)"
-	$(PYTHON) -m repro.analysis $(GATE_FAMILIES) --format json \
-		--baseline scripts/analysis_baseline.json src \
-		> "$(OUT)/findings.baseline.json" || [ $$? -eq 1 ]
 	$(PYTHON) -m repro.analysis $(GATE_FAMILIES) --format json \
 		--sarif "$(OUT)/findings.sarif" src \
 		> "$(OUT)/findings.raw.json" || [ $$? -eq 1 ]

@@ -7,7 +7,7 @@ packet field reaches a guard admission except through a cookie check
 is separable from its transport.  This package checks them, with one
 home per concept:
 
-* :mod:`.registry` — the one rule table: every rule id (39 plus E999),
+* :mod:`.registry` — the one rule table: every rule id (33 plus E999),
   its family label, summary, rationale and severity.  ``--rules``,
   ``--list-rules``, ``--rules-md``, ``--fail-on``, U001's known ids and
   the SARIF descriptors all read it;
@@ -21,24 +21,22 @@ home per concept:
   ``tree.body``, its result riding on the parse record;
 * :mod:`.kernel` — the family table (:data:`~.kernel.FAMILIES`), the
   shared-facts pass (:class:`~.kernel.Facts`: one parse, one name index,
-  one hot set, one set of call summaries per run) and the one runner
+  one set of call summaries per run) and the one runner
   (:func:`~.kernel.run` / :func:`analyze`) that selects rules, filters
   ``# repro: allow[RULE]`` suppressions and sorts;
-* the six families, one shape each — a ``check(facts, selected)``
+* the five families, one shape each — a ``check(facts, selected)``
   function in the family's rules module, over a ``{rule id: check}``
   dict where the rules are independent: the determinism lint
   (:mod:`.rules`: D/W rules), :mod:`.flow` (T-rules: taint over
   ``__trust_boundary__``; S-rules: TCP FSM conformance), :mod:`.races`
-  (R-rules over ``__shared_state__``), :mod:`.perf` (P-rules over the hot
-  set), :mod:`.memory` (M-rules over ``__state_bounds__``) and
+  (R-rules over ``__shared_state__``), :mod:`.memory` (M-rules over
+  ``__state_bounds__`` and the per-event hot set) and
   :mod:`.layers` (L-rules over ``__layer__``);
-* :mod:`.sarif` / :mod:`.baseline` — family-neutral SARIF 2.1.0 export
-  and the checked-in accepted-findings baseline;
+* :mod:`.sarif` — family-neutral SARIF 2.1.0 export;
 * :mod:`.sanitizer` and :mod:`.modes` — the runtime witnesses behind
   ``python -m repro <cmd> --sanitize | --races | --explore N | --memory``;
-* :mod:`.cli` — ``python -m repro.analysis [--flow] [--races] [--perf]
-  [--memory] [--layers] [--sarif OUT] [paths...]``, nonzero exit on
-  findings for CI.
+* :mod:`.cli` — ``python -m repro.analysis [--flow] [--races] [--memory]
+  [--layers] [--sarif OUT] [paths...]``, nonzero exit on findings for CI.
 """
 
 from .engine import SuppressionTracker, suppressed_rules

@@ -1,20 +1,18 @@
-"""``python -m repro.analysis [--flow] [--races] [--perf] [--memory] [--layers] [paths...]``.
+"""``python -m repro.analysis [--flow] [--races] [--memory] [--layers] [paths...]``.
 
 Runs the determinism lint and every flagged rule family from
 :data:`repro.analysis.kernel.FAMILIES` over the given paths (default:
 ``src``): ``--flow`` adds the taint-dataflow and FSM-conformance
 analyses, ``--races`` the static simultaneity rules R001/R002,
-``--perf`` the hot-path cost rules P001–P006, ``--memory`` the
-state-exhaustion rules M001–M005 over ``__state_bounds__``
-declarations, and ``--layers`` the transport-purity layering rules
-L001–L006 over ``__layer__`` declarations and the import-layering
-manifest, including the L006 import-isolation witness; any of them also
+``--memory`` the state-exhaustion rules M001–M005 over
+``__state_bounds__`` declarations, and ``--layers`` the transport-purity
+layering rules L001–L006 over ``__layer__`` declarations and the
+import-layering manifest, including the L006 import-isolation witness; any of them also
 turns on suppression hygiene (U001).  Each file is parsed exactly once
 and every family analyses the same shared facts; ``--bench`` appends the
 analyzer wall-clock to a dated trajectory file.  The exit code follows
 the ``--fail-on`` severity contract — by default any finding exits
-nonzero — so it slots directly into CI and pre-commit.
-``--baseline`` subtracts the known-findings file; ``--sarif``
+nonzero — so it slots directly into CI and pre-commit.  ``--sarif``
 additionally writes the findings as a SARIF 2.1.0 document for
 code-scanning upload; ``--rules-md`` / ``--rules-md-check`` generate and
 drift-check the README rule table.
@@ -124,16 +122,6 @@ def main(argv: list[str] | None = None) -> int:
         help="write findings as SARIF 2.1.0 to OUT ('-' for stdout)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=(
-            "subtract the accepted-findings baseline "
-            "(scripts/analysis_baseline.json in CI); stale entries are "
-            "reported as U001"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule table and exit",
@@ -232,21 +220,6 @@ def main(argv: list[str] | None = None) -> int:
         from .bench import write_bench_analysis
 
         write_bench_analysis(args.bench, timings)
-
-    if args.baseline:
-        from .baseline import apply_baseline, load_baseline
-
-        try:
-            entries = load_baseline(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        findings = apply_baseline(
-            findings,
-            entries,
-            baseline_path=args.baseline,
-            rules_run=tracker.rules_run,
-        )
 
     findings.sort(key=Finding.sort_key)
     if args.sarif:

@@ -8,7 +8,7 @@ once:
 * :class:`Facts` is the only thing that traverses a tree: it parses and
   indexes every source a single time (:mod:`.parse`) and memoises what
   several families derive from it (the cross-module name index, taint
-  call summaries, the hot set);
+  call summaries);
 * :func:`run` selects rules from the one registry, registers every
   source's suppression markers once, calls each family's check, filters
   ``# repro: allow[...]`` suppressions once and sorts once;
@@ -33,8 +33,6 @@ from .flow.core import FunctionSummary, build_summaries
 from .layers import rules as layers_rules
 from .memory import rules as memory_rules
 from .parse import ModuleInfo, NameIndex, load_modules, parse_module
-from .perf import rules as perf_rules
-from .perf.hotpath import HotPaths, compute_hot_paths
 from .races import effects as races_rules
 from .registry import RULES, Rule, rules_in, select
 
@@ -81,11 +79,6 @@ class Facts:
         """Fixpoint taint call summaries for every function."""
         return build_summaries(self.modules, self.index)
 
-    @functools.cached_property
-    def hot_paths(self) -> HotPaths:
-        """The per-event hot set (perf rules, memory M001/M003)."""
-        return compute_hot_paths(self.modules, self.index)
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class Family:
@@ -126,13 +119,6 @@ FAMILIES: dict[str, Family] = {
             "also run the static simultaneity-race rules (R001/R002) over "
             "__shared_state__ declarations and schedule sites",
             runtime_only=("race-runtime",),
-        ),
-        Family(
-            "perf",
-            ("perf",),
-            perf_rules.check,
-            "also run the hot-path cost rules (P001-P006) over schedule-site "
-            "callbacks and Node.receive reachability",
         ),
         Family(
             "memory",

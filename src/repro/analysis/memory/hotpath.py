@@ -1,14 +1,15 @@
-"""Hot-path inference: which functions run per-event.
+"""Hot-set inference: which functions run per event.
 
-The perf rules only fire inside the *hot set* — the transitive call-graph
-closure of the code that runs once per simulated event.  Its roots are
-static: every callback the source tree passes to ``Simulator.schedule`` /
-``schedule_at`` / ``Cpu.submit`` (resolved with the same self-attribute /
-subclass-closure / name-index machinery the races layer uses), plus
-``Node.receive``, the per-packet entry point every link delivery funnels
-through.  A callback that reaches the scheduler only through a variable
-(``cpu.submit(cost, fn, *args)`` where ``fn`` is a parameter) is outside
-the set.
+M001 and M003 need to know where attacker packets execute and which
+sweeps a scheduler actually reaches.  The *hot set* answers both: the
+transitive call-graph closure of the code that runs once per simulated
+event.  Its roots are static: every callback the source tree passes to
+``Simulator.schedule`` / ``schedule_at`` / ``Cpu.submit`` (resolved with
+the same self-attribute / subclass-closure / name-index machinery the
+races layer uses), plus ``Node.receive``, the per-packet entry point every
+link delivery funnels through.  A callback that reaches the scheduler only
+through a variable (``cpu.submit(cost, fn, *args)`` where ``fn`` is a
+parameter) is outside the set.
 
 Propagation through callees is a *may* analysis: an ambiguous bare name
 (``demux`` is both ``UdpStack.demux`` and ``TcpStack.demux``) marks every
@@ -19,7 +20,6 @@ candidate hot, bounded by :data:`_MAX_CANDIDATES` so hub names like
 from __future__ import annotations
 
 import ast
-import dataclasses
 
 from ..parse import (
     SCHEDULE_NAMES,
@@ -52,29 +52,6 @@ _MAX_CANDIDATES = 3
 _MAX_DEPTH = 12
 
 
-@dataclasses.dataclass(slots=True)
-class HotFunction:
-    """One function in the hot set and the evidence that put it there."""
-
-    module: ModuleInfo
-    decl: FunctionDecl
-    root: str  # qualname of the entry root this was reached from
-    depth: int  # call-graph hops from that root
-
-    def describe(self) -> str:
-        """Stable hot-evidence label for finding messages (a baseline key)."""
-        if self.depth == 0:
-            return f"hot path root {self.root}"
-        return f"hot path via {self.root}"
-
-
-class HotPaths:
-    """The hot set for one analysis run, keyed by ``(path, qualname)``."""
-
-    def __init__(self, functions: dict[tuple[str, str], HotFunction]):
-        self.functions = functions
-
-
 def _resolve(
     index: NameIndex, module: ModuleInfo, enclosing_class: str | None, name: str
 ) -> list[tuple[ModuleInfo, FunctionDecl]]:
@@ -91,7 +68,7 @@ def _resolve(
     return foreign if len(foreign) <= _MAX_CANDIDATES else []
 
 
-def callback_calls(decl: FunctionDecl) -> list[ast.Call]:
+def _callback_calls(decl: FunctionDecl) -> list[ast.Call]:
     """Scheduler calls (``schedule``/``schedule_at``/``submit``) in ``decl``
     that pass a callback positionally."""
     sites: list[ast.Call] = []
@@ -103,9 +80,9 @@ def callback_calls(decl: FunctionDecl) -> list[ast.Call]:
 
 def _static_roots(
     modules: list[ModuleInfo], index: NameIndex
-) -> list[tuple[ModuleInfo, FunctionDecl, str]]:
-    """(module, function, root label) for every statically-visible root."""
-    roots: list[tuple[ModuleInfo, FunctionDecl, str]] = []
+) -> list[tuple[ModuleInfo, FunctionDecl]]:
+    """(module, function) for every statically-visible root."""
+    roots: list[tuple[ModuleInfo, FunctionDecl]] = []
 
     def add_resolved(
         module: ModuleInfo, enclosing: str | None, callback: ast.expr
@@ -117,23 +94,22 @@ def _static_roots(
                 qualname = f"{class_name}.{attr}"
                 decl = module.functions.get(qualname)
                 if decl is not None:
-                    roots.append((module, decl, qualname))
+                    roots.append((module, decl))
             return
         name = dotted_name(callback)
         if name is None:
             return
-        for target_module, target_decl in _resolve(index, module, None, name):
-            roots.append((target_module, target_decl, target_decl.qualname))
+        roots.extend(_resolve(index, module, None, name))
 
     closures = {m.path: m.subclass_closure() for m in modules}
     for module in modules:
         for decl in module.functions.values():
             enclosing = class_of(decl.qualname)
-            for site in callback_calls(decl):
+            for site in _callback_calls(decl):
                 callback = site.args[1]
                 if isinstance(callback, ast.Lambda):
                     # the lambda body runs per event: everything it calls
-                    # is a root (the closure itself is P003's business)
+                    # is a root
                     for inner in lambda_decl(callback).calls:
                         add_resolved(module, enclosing, inner.func)
                     continue
@@ -141,43 +117,46 @@ def _static_roots(
         for qualname in ALWAYS_HOT_QUALNAMES:
             decl = module.functions.get(qualname)
             if decl is not None:
-                roots.append((module, decl, qualname))
+                roots.append((module, decl))
     return roots
 
 
-def compute_hot_paths(
+def hot_set(
     modules: list[ModuleInfo], index: NameIndex | None = None
-) -> HotPaths:
+) -> dict[tuple[str, str], int]:
     """The hot set: the static roots, closed over resolvable callees.
 
-    ``index`` reuses the run's shared name index instead of building one.
+    Maps ``(path, qualname)`` to the function's call-graph hops from its
+    nearest root.  ``index`` reuses the run's shared name index instead of
+    building one.
     """
     index = index if index is not None else NameIndex(modules)
-    hot: dict[tuple[str, str], HotFunction] = {}
+    depths: dict[tuple[str, str], int] = {}
+    decls: dict[tuple[str, str], tuple[ModuleInfo, FunctionDecl]] = {}
     worklist: list[tuple[str, str]] = []
 
-    def admit(module: ModuleInfo, decl: FunctionDecl, root: str, depth: int) -> None:
+    def admit(module: ModuleInfo, decl: FunctionDecl, depth: int) -> None:
         key = (module.path, decl.qualname)
-        existing = hot.get(key)
-        if existing is not None:
+        if key in depths:
             # keep the shortest path
-            if depth < existing.depth:
-                existing.root, existing.depth = root, depth
+            depths[key] = min(depths[key], depth)
             return
-        hot[key] = HotFunction(module=module, decl=decl, root=root, depth=depth)
+        depths[key] = depth
+        decls[key] = (module, decl)
         worklist.append(key)
 
-    for module, decl, label in _static_roots(modules, index):
-        admit(module, decl, label, 0)
+    for module, decl in _static_roots(modules, index):
+        admit(module, decl, 0)
 
     while worklist:
         key = worklist.pop()
-        entry = hot[key]
-        if entry.depth >= _MAX_DEPTH:
+        depth = depths[key]
+        if depth >= _MAX_DEPTH:
             continue
-        enclosing = class_of(entry.decl.qualname)
-        for name in sorted(entry.decl.callees()):
-            for module, decl in _resolve(index, entry.module, enclosing, name):
-                admit(module, decl, entry.root, entry.depth + 1)
+        module, decl = decls[key]
+        enclosing = class_of(decl.qualname)
+        for name in sorted(decl.callees()):
+            for callee_module, callee in _resolve(index, module, enclosing, name):
+                admit(callee_module, callee, depth + 1)
 
-    return HotPaths(hot)
+    return depths

@@ -2,14 +2,14 @@
 
 Each check is a function ``(view) -> list[Finding]`` over one module's
 :class:`ModuleView`; :data:`MEMORY_CHECKS` maps rule ids to checks.  The
-analysis composes the repo's two existing inference layers:
+analysis composes two inference layers:
 
 * the **taint surface** from ``__trust_boundary__`` (which parameters
   carry attacker-controlled packet fields) decides whether a collection
   key is attacker-chosen, and the trust model's ``entry_points`` seed the
   attacker-callable closure;
-* the **hot set** from :mod:`repro.analysis.perf.hotpath` (schedule-site
-  callbacks and ``Node.receive`` reachability) decides whether an insert
+* the **hot set** from :mod:`.hotpath` (schedule-site callbacks and
+  ``Node.receive`` reachability) decides whether an insert
   runs per event and whether a sweep is actually reachable from a
   scheduled callback.
 
@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Iterator
 from ..declarations import StateBound
 from ..findings import Finding
 from ..parse import SCHEDULE_NAMES, FunctionDecl, ModuleInfo, class_of, self_attr
+from .hotpath import hot_set
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..kernel import Facts
@@ -399,12 +400,13 @@ MEMORY_CHECKS = {
 def check(facts: "Facts", selected: frozenset[str]) -> list[Finding]:
     """The memory family's check: each selected static M-rule per module.
 
-    The hot set off the run's shared facts tells M001/M003 which functions
-    run per attacker packet and which sweeps a scheduler actually reaches.
-    M006 is the runtime high-water monitor's (:mod:`.runtime`).
+    The hot set (:func:`.hotpath.hot_set`, over the run's shared name
+    index) tells M001/M003 which functions run per attacker packet and
+    which sweeps a scheduler actually reaches.  M006 is the runtime
+    high-water monitor's (:mod:`.runtime`).
     """
     hot_by_path: dict[str, set[str]] = {}
-    for path, qualname in facts.hot_paths.functions:
+    for path, qualname in hot_set(facts.modules, facts.index):
         hot_by_path.setdefault(path, set()).add(qualname)
 
     findings: list[Finding] = []

@@ -1,6 +1,6 @@
 """The one rule registry: every analysis rule's id, family and documentation.
 
-Six engine families (lint, flow, races, perf, memory, layers) check the
+Five engine families (lint, flow, races, memory, layers) check the
 tree, but there is a single table of what they check.  Everything that
 needs to know a rule exists reads :data:`RULES`: ``--rules`` selection
 (:func:`select`), ``--list-rules`` (:func:`rule_table`), ``--rules-md``,
@@ -188,46 +188,6 @@ RULES: dict[str, Rule] = {
             "read/write conflict observed inside a tie group at runtime",
             "a same-instant reader saw either the pre- or post-write value depending "
             "on insertion order alone",
-        ),
-        Rule(
-            "P001", "perf",
-            "unslotted class instantiated per event on a hot path",
-            "a per-event __dict__ allocation at 250K pkt/s is pure allocator churn; "
-            "__slots__ or a flyweight removes it (ROADMAP item 1)",
-        ),
-        Rule(
-            "P002", "perf",
-            "DNS wire message re-encoded on a hot path though its bytes cannot have "
-            "changed",
-            "most attack packets differ only in id/source; a memoized encoding or "
-            "cached size turns an O(message) encode into a lookup",
-        ),
-        Rule(
-            "P003", "perf",
-            "per-event closure/lambda allocated at a schedule site on a hot path",
-            "every lambda scheduled per packet allocates a fresh closure and cell "
-            "objects; scheduling the bound method with its arguments is "
-            "allocation-free",
-        ),
-        Rule(
-            "P004", "perf",
-            "unguarded string formatting or logging on a hot path",
-            "f-strings and log calls pay their cost once per event even when no one "
-            "reads the result; error paths are exempt",
-        ),
-        Rule(
-            "P005", "perf",
-            "O(n) scan (membership, sorted(), min()/max() over a table, table "
-            "rebuild, linear table walk) inside a per-packet handler",
-            "a linear scan in the per-packet path multiplies n into the packet rate; "
-            "dicts, buckets, heaps, or precomputed tables keep dispatch O(1)",
-        ),
-        Rule(
-            "P006", "perf",
-            "constant-delay heap push on a hot path — calendar-queue/bucket candidate",
-            "fixed-offset schedule() calls dominate event-loop time in the profile; a "
-            "calendar-queue lane makes them O(1) and is the core of the ROADMAP-1 "
-            "rebuild",
         ),
         Rule(
             "M001", "memory",

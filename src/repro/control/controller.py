@@ -182,7 +182,7 @@ class GuardController:
         except Exception as exc:  # watchdog: fail safe, never take the run down
             self._watchdog_trip(exc)
             return
-        self._handle = self.sim.schedule(  # repro: allow[R003,R004,P006] fixed-cadence control sweep is the sampling clock; boundary lane serializes with other state writers
+        self._handle = self.sim.schedule(  # repro: allow[R003,R004] fixed-cadence control sweep is the sampling clock; boundary lane serializes with other state writers
             self.config.cadence, self._sweep, priority=BOUNDARY_PRIORITY
         )
 
@@ -250,7 +250,7 @@ class GuardController:
 
     def _budget_left(self, now: float) -> bool:
         window_start = now - self.config.action_window
-        self._action_times = [t for t in self._action_times if t > window_start]  # repro: allow[P005] once per control sweep, and the list holds at most max_actions_per_window stamps
+        self._action_times = [t for t in self._action_times if t > window_start]  # at most max_actions_per_window stamps
         return len(self._action_times) < self.config.max_actions_per_window
 
     def _note_action(self, now: float, kind: str) -> None:

@@ -113,8 +113,8 @@ class AuthoritativeServer:
         # one encode serves the size check, the truncation probe and the
         # send path: the response is complete here, so memoize its wire form
         response.freeze()
-        if response.wire_size() > limit:  # repro: allow[P002] response frozen above — this is a cached lookup
-            wire_capped = Message.decode(response.encode(max_size=limit))  # repro: allow[P002] truncation path only; reuses the frozen wire for the size test
+        if response.wire_size() > limit:  # response frozen above: a cached lookup
+            wire_capped = Message.decode(response.encode(max_size=limit))
             response = wire_capped
         if span:
             span.finish(outcome="answered")
@@ -124,7 +124,7 @@ class AuthoritativeServer:
     def _udp_payload_limit(query: Message) -> int:
         """EDNS(0) §6.2.3: an OPT RR's CLASS advertises the requester's UDP
         payload capacity; classic requesters get the 512-byte limit."""
-        for rr in query.additionals:  # repro: allow[P005] scans one short message section (queries carry at most one OPT)
+        for rr in query.additionals:  # queries carry at most one OPT
             if rr.rtype == RRType.OPT:
                 return max(MAX_UDP_PAYLOAD, rr.rclass)
         return MAX_UDP_PAYLOAD
@@ -170,7 +170,7 @@ class AuthoritativeServer:
 
         zone = self.zone_for(query.question.qname)
         soa = zone.soa() if zone is not None else None
-        allowed = self.axfr_allow is not None and conn.remote_ip in self.axfr_allow  # repro: allow[P005] operator ACL, a handful of entries on the rare AXFR path
+        allowed = self.axfr_allow is not None and conn.remote_ip in self.axfr_allow
         if zone is None or soa is None or zone.origin != query.question.qname or not allowed:
             self.axfr_refused += 1
             send(make_response(query, rcode=Rcode.REFUSED))
@@ -240,7 +240,7 @@ class AuthoritativeServer:
 
     def zone_for(self, qname: Name) -> Zone | None:
         """The most specific zone containing ``qname`` (zones sorted deep-first)."""
-        for zone in self.zones:  # repro: allow[P005] zone count is topology-scale; deep-first list order is the most-specific-match semantics
+        for zone in self.zones:  # deep-first list order is the most-specific-match semantics
             if qname.is_subdomain_of(zone.origin):
                 return zone
         return None

@@ -340,7 +340,7 @@ class LrsSimulator:
 class _Interaction:
     """One request interaction: possibly a multi-message cookie exchange."""
 
-    # one per request iteration on the closed-loop hot path (P001)
+    # one per request iteration on the closed-loop hot path
     __slots__ = (
         "lrs",
         "qname",
@@ -500,7 +500,7 @@ class _Interaction:
                 self.finish(False)
 
         # connect first so the failure deadline can take the bound method
-        # and its argument instead of a per-event closure (P003); the TCP
+        # and its argument instead of a per-event closure; the TCP
         # callbacks cannot fire before this function returns
         conn = self.node.tcp.connect(
             server, 53, on_established=on_established, on_data=on_data, on_close=on_close

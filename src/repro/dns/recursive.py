@@ -199,7 +199,7 @@ class LocalRecursiveServer:
     def rank_servers(self, servers: list[IPv4Address]) -> list[IPv4Address]:
         """Order candidate servers fastest-first; untried servers lead so
         the resolver gathers an estimate for every address."""
-        return sorted(servers, key=lambda ip: self._srtt.get(ip, -1.0))  # repro: allow[P005] candidate set is the NS RRset of one cut (a handful); ordering is the BIND selection semantics
+        return sorted(servers, key=lambda ip: self._srtt.get(ip, -1.0))  # ordering is the BIND selection semantics
 
     def note_rtt(self, server: IPv4Address, rtt: float) -> None:
         previous = self._srtt.get(server)
@@ -481,7 +481,7 @@ class _Resolution:
         """RFC 2308: cache NXDOMAIN for min(SOA TTL, SOA minimum)."""
         from ..dnswire import SOA
 
-        for rr in response.authorities:  # repro: allow[P005] scans one short message section for the SOA
+        for rr in response.authorities:
             if rr.rtype == RRType.SOA and isinstance(rr.rdata, SOA):
                 ttl = min(rr.ttl, rr.rdata.minimum)
                 self.resolver.cache.put_negative(self.qname, self.qtype, ttl, now)
@@ -532,7 +532,7 @@ class _Resolution:
                 self.finish("servfail")
 
         # connect first so the fallback deadline can take the bound method
-        # and its argument instead of a per-event closure (P003); the TCP
+        # and its argument instead of a per-event closure; the TCP
         # callbacks cannot fire before this function returns
         conn = node.tcp.connect(
             server,

@@ -183,8 +183,8 @@ class Zone:
     def all_records(self) -> list[ResourceRecord]:
         """Every record in canonical name order (AXFR body order)."""
         records: list[ResourceRecord] = []
-        for name in sorted(self._records):  # repro: allow[P005] canonical AXFR body order is the contract; runs once per transfer, not per packet
-            for rtype in sorted(self._records[name]):  # repro: allow[P005] same — canonical order within one owner name
+        for name in sorted(self._records):  # canonical AXFR body order is the contract
+            for rtype in sorted(self._records[name]):
 
                 records.extend(self._records[name][rtype])
         return records

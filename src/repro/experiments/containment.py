@@ -74,7 +74,7 @@ class PeriodicSampler:
         if not self._running:
             return
         self.gauge.set(self.read())
-        self.sim.schedule(self.interval, self._tick)  # repro: allow[P006] one heap push per sample (20/s); the periodic-tick debt farm/hybrid.py also carries
+        self.sim.schedule(self.interval, self._tick)
 
 
 def completed_rate(stats, interval: float) -> Callable[[], float]:

@@ -95,7 +95,7 @@ class FluidFlood:
         for cpu, unit_cost in self.charges:
             cpu.charge(batch * unit_cost)
         # constant-rate by design: a continuous process at a fixed step
-        self._handle = self.sim.schedule(self.tick, self._on_tick)  # repro: allow[P006]
+        self._handle = self.sim.schedule(self.tick, self._on_tick)
 
 
 class FluidPopulation:
@@ -185,7 +185,7 @@ class FluidPopulation:
         if not self.guard_cpu.submit(batch * self.guard_cost, self._at_ans, batch):
             self.guard_dropped += batch
         # constant-rate by design: a continuous process at a fixed step
-        self._handle = self.sim.schedule(self.tick, self._on_tick)  # repro: allow[P006]
+        self._handle = self.sim.schedule(self.tick, self._on_tick)
 
     def _at_ans(self, batch: float) -> None:
         if not self.ans_cpu.submit(batch * self.ans_cost, self._served_batch, batch):

@@ -83,14 +83,14 @@ class Node:
         self.routes.append((subnet, link))
         # longest prefix first; a config-time sort, not the per-packet path
         # (the per-packet lookup memoizes through _route_cache)
-        self.routes.sort(key=lambda item: item[0].prefixlen, reverse=True)  # repro: allow[P005] route-table mutation is config/failover-time; per-packet lookups hit _route_cache
+        self.routes.sort(key=lambda item: item[0].prefixlen, reverse=True)  # config/failover-time; per-packet lookups hit _route_cache
         self._route_cache.clear()
 
     def replace_route(self, subnet: IPv4Network | str, link: Link) -> None:
         """Repoint the route for exactly ``subnet`` at ``link`` (failover)."""
         if isinstance(subnet, str):
             subnet = IPv4Network(subnet)
-        self.routes = [(s, l) for s, l in self.routes if s != subnet]  # repro: allow[P005] route-table mutation is config/failover-time, like add_route's sort
+        self.routes = [(s, l) for s, l in self.routes if s != subnet]  # config/failover-time, like add_route's sort
         self.add_route(subnet, link)
 
     def set_default_route(self, link: Link) -> None:
@@ -113,7 +113,7 @@ class Node:
             return
         # evaluate()'s cascade written out: a transit hop enters its rules
         # and no netfilter frame around them
-        for rule in filters.forward:  # repro: allow[P005] a cascade, not a search: each rule runs until one stops the packet
+        for rule in filters.forward:  # a cascade: each rule runs until one stops the packet
             verdict = rule(packet)
             if verdict is not Verdict.ACCEPT:
                 if verdict is Verdict.DELIVER:
@@ -166,7 +166,7 @@ class Node:
         # ``dst in subnet`` as integers (the stdlib's own test, without its
         # frame): a flood's replies to spoofed sources miss the cache often
         ip = dst._ip
-        for subnet, link in self.routes:  # repro: allow[P005] cache-miss slow path — per-packet lookups are memoized in _route_cache
+        for subnet, link in self.routes:  # cache-miss slow path; per-packet lookups are memoized in _route_cache
             if ip & subnet.netmask._ip == subnet.network_address._ip:
                 return link
         if self.default_route is not None:

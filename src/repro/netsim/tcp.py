@@ -162,7 +162,7 @@ class TcpConnection:
     """One reliable byte-stream connection."""
 
     # SYN floods create one of these per spoofed segment; __slots__ keeps
-    # the per-connection footprint flat (P001)
+    # the per-connection footprint flat
     __slots__ = (
         "stack",
         "local_ip",
@@ -375,7 +375,7 @@ class TcpConnection:
             return
         self.snd_una = ack
         # keep only segments not yet fully acknowledged (end > ack)
-        self._inflight = [  # repro: allow[P005] the window holds at most SEND_WINDOW_SEGMENTS (32) segments
+        self._inflight = [  # the window holds at most SEND_WINDOW_SEGMENTS (32) segments
             (seq, data, flags)
             for seq, data, flags in self._inflight
             if _seq_gt((seq + _seq_span(data, flags)) & 0xFFFFFFFF, ack)

@@ -29,7 +29,7 @@ class UdpSocket:
     """A bound UDP socket."""
 
     # ephemeral sockets are created per interaction on the load-generator
-    # hot path; __slots__ keeps them __dict__-free (P001)
+    # hot path; __slots__ keeps them __dict__-free
     __slots__ = ("stack", "ip", "port", "handler", "closed")
 
     def __init__(self, stack: "UdpStack", ip: IPv4Address | None, port: int, handler: UdpHandler):

@@ -50,7 +50,7 @@ LabelsTuple = tuple[tuple[str, str], ...]
 
 
 def _labels_key(labels: dict[str, str]) -> LabelsTuple:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))  # repro: allow[P005] label sets are tiny and sorting is the canonical-key contract
+    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))  # sorting is the canonical-key contract
 
 
 def format_labels(labels: LabelsTuple) -> str:

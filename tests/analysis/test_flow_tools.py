@@ -1,4 +1,4 @@
-"""Family-neutral tooling: the registry, SARIF, baselines, U001, and the CLI."""
+"""Family-neutral tooling: the registry, SARIF, U001, and the CLI."""
 
 import json
 import textwrap
@@ -14,7 +14,6 @@ from repro.analysis.cli import (
 from repro.analysis import SuppressionTracker, lint_source
 from repro.analysis.findings import Finding
 from repro.analysis.registry import RULES
-from repro.analysis.baseline import apply_baseline, load_baseline
 from repro.analysis.sarif import (
     SARIF_VERSION,
     results_from_sarif,
@@ -64,7 +63,7 @@ class TestSarif:
             if line.startswith("| `")
         ]
         assert sarif_ids == md_ids == sorted(RULES)
-        assert len(sarif_ids) == 40 and {"L001", "L006", "E999"} <= set(sarif_ids)
+        assert len(sarif_ids) == 34 and {"L001", "L006", "E999"} <= set(sarif_ids)
 
     def test_every_family_finding_carries_its_registered_metadata(self):
         finding = Finding(path="src/c.py", line=1, col=0, rule="L003", message="m")
@@ -72,52 +71,6 @@ class TestSarif:
         (descriptor,) = [r for r in run["tool"]["driver"]["rules"] if r["id"] == "L003"]
         assert descriptor["shortDescription"]["text"] == RULES["L003"].summary
         assert run["results"][0]["level"] == RULES["L003"].severity
-
-
-class TestBaseline:
-    def test_accepted_findings_are_subtracted(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                [{"path": "src/a.py", "rule": "T001", "message": "tainted sink"}]
-            )
-        )
-        kept = apply_baseline(
-            FINDINGS, load_baseline(baseline), baseline_path=str(baseline)
-        )
-        assert [f.rule for f in kept] == ["S004"]
-
-    def test_stale_entry_reports_u001(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                [{"path": "src/gone.py", "rule": "T001", "message": "old"}]
-            )
-        )
-        kept = apply_baseline(
-            [], load_baseline(baseline), baseline_path=str(baseline)
-        )
-        assert [f.rule for f in kept] == ["U001"]
-        assert "stale baseline entry" in kept[0].message
-        assert kept[0].path == str(baseline)
-
-    def test_entry_for_a_rule_that_did_not_run_is_not_stale(self, tmp_path):
-        # one baseline file serves every family: a --flow run cannot judge
-        # the perf family's accepted debt
-        entries = [{"path": "src/a.py", "rule": "P006", "message": "push"}]
-        assert apply_baseline(
-            [], entries, baseline_path="b.json", rules_run={"T001", "S004"}
-        ) == []
-        (stale,) = apply_baseline(
-            [], entries, baseline_path="b.json", rules_run={"P006"}
-        )
-        assert stale.rule == "U001" and "stale baseline entry" in stale.message
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"findings": "nope"}')
-        with pytest.raises(ValueError):
-            load_baseline(baseline)
 
 
 class TestUnusedSuppression:
@@ -210,17 +163,6 @@ class TestCli:
     def test_unknown_rule_id_is_an_error(self, capsys):
         assert main(["--rules", "Z999", "src"]) == 2
         assert "Z999" in capsys.readouterr().err
-
-    def test_baseline_subtracts_and_reports_stale(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps([{"path": "gone.py", "rule": "T001", "message": "old"}])
-        )
-        empty = tmp_path / "pkg"
-        empty.mkdir()
-        (empty / "ok.py").write_text("x = 1\n")
-        assert main(["--flow", "--baseline", str(baseline), str(empty)]) == 1
-        assert "stale baseline entry" in capsys.readouterr().out
 
 
 class TestRulesMarkdown:

@@ -13,6 +13,8 @@ from repro.analysis.declarations import (
     load_declarations,
     parse_state_bounds as parse_declaration,
 )
+from repro.analysis.memory.hotpath import hot_set
+from repro.analysis.parse import load_modules, module_dotted
 from repro.analysis.registry import rule_table
 
 #: the memory family through the one kernel entry point
@@ -26,6 +28,10 @@ def write(tmp_path: Path, name: str, source: str, prelude: str = "") -> Path:
     path = tmp_path / name
     path.write_text(prelude + textwrap.dedent(source), encoding="utf-8")
     return path
+
+
+def qualnames(hot: dict) -> set:
+    return {qualname for (_path, qualname) in hot}
 
 
 TRUST = """\
@@ -95,6 +101,136 @@ class TestDeclarations:
         assert load_declarations(ast.parse("x = 1")).state_bounds is None
         declared = load_declarations(ast.parse("__state_bounds__ = {}")).state_bounds
         assert declared is not None and declared[0] == {}
+
+
+# -- hot-set inference (where M001/M003 see attacker packets run) -----------
+
+
+class TestHotPathInference:
+    def test_schedule_callback_and_callees_become_hot(self, tmp_path):
+        write(
+            tmp_path,
+            "mod.py",
+            """
+            class Pump:
+                def start(self):
+                    self.sim.schedule(0.5, self._tick)
+
+                def _tick(self):
+                    self._drain()
+
+                def _drain(self):
+                    pass
+
+            def offline():
+                pass
+            """,
+        )
+        hot = hot_set(load_modules([tmp_path]))
+        assert "Pump._tick" in qualnames(hot)
+        assert "Pump._drain" in qualnames(hot)
+        # start() only schedules; nothing schedules *it*
+        assert "Pump.start" not in qualnames(hot)
+        assert "offline" not in qualnames(hot)
+        # call-graph hops from the nearest root
+        mod = str(tmp_path / "mod.py")
+        assert hot[(mod, "Pump._tick")] == 0
+        assert hot[(mod, "Pump._drain")] == 1
+
+    def test_lambda_callback_marks_its_body_calls_hot(self, tmp_path):
+        write(
+            tmp_path,
+            "mod.py",
+            """
+            class Pump:
+                def start(self):
+                    self.sim.schedule(0.5, lambda: self._tick())
+
+                def _tick(self):
+                    pass
+            """,
+        )
+        hot = hot_set(load_modules([tmp_path]))
+        assert "Pump._tick" in qualnames(hot)
+
+    def test_node_receive_is_always_hot(self, tmp_path):
+        write(
+            tmp_path,
+            "mod.py",
+            """
+            class Node:
+                def receive(self, packet, link):
+                    self.deliver(packet)
+
+                def deliver(self, packet):
+                    pass
+            """,
+        )
+        hot = hot_set(load_modules([tmp_path]))
+        assert "Node.receive" in qualnames(hot)
+        assert "Node.deliver" in qualnames(hot)
+
+    def test_cpu_submit_callback_is_a_root(self, tmp_path):
+        write(
+            tmp_path,
+            "mod.py",
+            """
+            class Server:
+                def on_query(self, query):
+                    self.cpu.submit(0.0001, self._serve, query)
+
+                def _serve(self, query):
+                    pass
+            """,
+        )
+        hot = hot_set(load_modules([tmp_path]))
+        assert "Server._serve" in qualnames(hot)
+
+    def test_hub_names_do_not_drag_the_tree_in(self, tmp_path):
+        # four foreign candidates for "send" — above the fan-out cap, so
+        # the ambiguous call resolves to nothing
+        write(
+            tmp_path,
+            "hub1.py",
+            """
+            class A:
+                def send(self): pass
+            class B:
+                def send(self): pass
+            """,
+        )
+        write(
+            tmp_path,
+            "hub2.py",
+            """
+            class C:
+                def send(self): pass
+            class D:
+                def send(self): pass
+            """,
+        )
+        write(
+            tmp_path,
+            "mod.py",
+            """
+            class Pump:
+                def start(self):
+                    self.sim.schedule(0.5, self._tick)
+
+                def _tick(self):
+                    send(self)
+            """,
+        )
+        hot = hot_set(load_modules([tmp_path]))
+        assert "Pump._tick" in qualnames(hot)
+        assert not any(q.endswith(".send") for q in qualnames(hot))
+
+    def test_module_dotted(self):
+        assert module_dotted("src/repro/netsim/node.py") == "repro.netsim.node"
+        assert module_dotted("src/repro/analysis/memory/__init__.py") == (
+            "repro.analysis.memory"
+        )
+        assert module_dotted("/tmp/x/mod.py") == "mod"
 
 
 # -- the static checks on toy modules ------------------------------------------
@@ -409,20 +545,10 @@ def mutate(tmp_path, relative: str, old: str, new: str) -> Path:
 
 
 class TestAcceptanceMutations:
-    def test_repo_clean_through_cli_with_baseline(self):
+    def test_repo_clean_through_cli(self):
         from repro.analysis.cli import main
 
-        assert (
-            main(
-                [
-                    "--memory",
-                    "--baseline",
-                    "scripts/analysis_baseline.json",
-                    "src",
-                ]
-            )
-            == 0
-        )
+        assert main(["--memory", "src"]) == 0
 
     def test_deleting_pending_declaration_fires_m001(self, tmp_path):
         mutate(

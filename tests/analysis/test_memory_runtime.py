@@ -156,7 +156,7 @@ class TestFailOnAndU001:
     def test_suppression_used_by_one_engine_is_not_u001_in_a_combined_run(
         self, tmp_path, capsys
     ):
-        # the memory engine consumes the allow; the flow/races/perf engines
+        # the memory engine consumes the allow; the flow/races engines
         # see the same source through the shared tracker and must not flag
         # the marker as unused
         path = self._write(
@@ -174,5 +174,5 @@ class TestFailOnAndU001:
                     self.table[packet.src] = packet  # repro: allow[M001] toy
             """,
         )
-        assert main(["--flow", "--races", "--perf", "--memory", str(path)]) == 0
+        assert main(["--flow", "--races", "--memory", str(path)]) == 0
         assert "U001" not in capsys.readouterr().out

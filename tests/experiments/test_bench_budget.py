@@ -1,13 +1,49 @@
-"""``scripts/bench_budget.py`` counts where one benchmark run's calls go; its
-row is the budget a perf change quotes, so it must describe the run it
-counted and repeat exactly."""
+"""Counted budgets for the per-packet path.
+
+``scripts/bench_budget.py`` counts where one benchmark run's calls go.  At
+the benchmark's ``--quick`` scale each of the five workloads runs in under a
+second, so its row is pinned here: the speed-ups the benchmark measured
+(``__slots__``, the wire memo, integer TCP keys and flags, the flood's hop,
+the decode memo) stay held by counts, which repeat exactly, instead of by
+timings, which do not.  A second pin keeps the per-event classes free of a
+per-instance ``__dict__``.
+"""
 
 import json
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from repro.dns.framing import StreamFramer
+from repro.dns.loadgen import _Interaction
+from repro.dns.recursive import _Resolution
+from repro.guard.core.ratelimit import (
+    RateEstimator,
+    TokenBucket,
+    TopRequesterTracker,
+    _TopEntry,
+)
+from repro.netsim.tcp import TcpConnection
+from repro.netsim.udp import UdpSocket
+
 SCRIPT = pathlib.Path(__file__).resolve().parents[2] / "scripts" / "bench_budget.py"
+
+#: per workload at seed 0, ``--quick``: events, link packets, calls per link
+#: packet, frames in the stdlib's ipaddress.py, full Message parses, encodes
+BUDGETS = {
+    "flood_modified": (7_082, 4_368, 59.38, 14_387, 0, 2),
+    "flood_unguarded": (20_480, 10_681, 34.01, 7_002, 0, 1),
+    "referral_miss": (4_957, 3_086, 89.07, 9_175, 0, 5),
+    "tcp_proxy": (5_694, 2_881, 60.72, 3_777, 4, 4),
+    "bind_mixed": (2_164, 1_072, 76.23, 2_629, 0, 314),
+}
+
+#: calls per link packet may drift this far above the pin (an interpreter
+#: patch release can move a builtin's call count); every other count is exact
+#: or a ceiling
+CALLS_SLACK = 1.02
 
 
 def budget_row(workload: str) -> dict:
@@ -18,25 +54,39 @@ def budget_row(workload: str) -> dict:
     return json.loads(done.stdout)
 
 
-def test_a_quick_flood_row_counts_the_run_it_describes():
-    row = budget_row("flood_unguarded")
-    assert row["events"] > 1000 and row["link_pkts"] > 1000
+@pytest.mark.parametrize("workload", sorted(BUDGETS))
+def test_quick_budget(workload):
+    events, link_pkts, calls_per_pkt, ipaddress_frames, decodes, encodes = BUDGETS[workload]
+    row = budget_row(workload)
+    # the row describes the run it counted
     assert row["calls"] == sum(row["frames_by_file"].values())
     assert row["calls_per_link_packet"] == round(row["calls"] / row["link_pkts"], 2)
-    assert row["enum_py_frames"] == row["frames_by_file"].get("enum.py", 0) == 0
-    # the flood's hop enters nothing in ipaddress.py: what is left there is
-    # the attacker building its spoofed sources
-    assert set(row["ipaddress_by_caller"]) <= {
-        "ipaddress.py", "repro/attack/spoof.py", "repro/dnswire/rdata.py",
-    }
-    assert row == budget_row("flood_unguarded")
-    assert row["decodes"] == 0  # the flood is UDP end to end: nothing is parsed
+    # the same simulation ...
+    assert (row["events"], row["link_pkts"]) == (events, link_pkts)
+    # ... for no more work per packet
+    assert row["calls_per_link_packet"] <= calls_per_pkt * CALLS_SLACK
+    assert row["frames_by_file"].get("ipaddress.py", 0) <= ipaddress_frames
+    assert row["decodes"] <= decodes
+    assert row["encodes"] <= encodes
+    assert row["enum_py_frames"] == 0
 
 
-def test_a_quick_tcp_proxy_row_counts_parses_and_encodes():
-    """The proxy de-frames every query and the client every response, two
-    shapes in all: each is parsed twice and encoded once, then memoized."""
-    row = budget_row("tcp_proxy")
-    assert row["link_pkts"] > 1000
-    assert 0 < row["decodes"] <= 8 and 0 < row["encodes"] <= 8
-    assert row["frames_by_file"]["repro/dnswire/name.py"] < row["link_pkts"] / 4
+@pytest.mark.parametrize(
+    "cls",
+    [
+        _Interaction,
+        _Resolution,
+        TcpConnection,
+        UdpSocket,
+        StreamFramer,
+        TokenBucket,
+        _TopEntry,
+        TopRequesterTracker,
+        RateEstimator,
+    ],
+    ids=lambda cls: cls.__name__,
+)
+def test_per_event_class_has_no_instance_dict(cls):
+    """One instance per request, connection, segment stream or requester:
+    ``__slots__`` all the way up the MRO keeps each allocation flat."""
+    assert not hasattr(cls.__new__(cls), "__dict__")

@@ -11,6 +11,9 @@ The structure-aware corpus below builds the classic hostile shapes on
 purpose — compression loops, pointers forward or past the end, over-long
 labels and names, RDLENGTH overruns and counts that promise more records
 than there are bytes — rather than waiting for random bytes to find them.
+The guards' own codecs over those bytes get the same treatment: the
+RFC 7873 option codec behind an OPT RR of any RDATA and RDLENGTH, and the
+cookie-name parser over any label, casing and configured cookie width.
 """
 
 import struct
@@ -19,9 +22,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dns import StreamFramer, frame
-from repro.dnswire import DecodeError, Message, Name, make_query
+from repro.dnswire import DecodeError, Message, Name, RRType, make_query
+from repro.dnswire.errors import NameError_
 from repro.dnswire.message import _decoded
 from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
+from repro.guard.core.cookie import LABEL_PREFIX
+from repro.guard.core.dns_scheme import CookieName, decode_cookie_name, encode_cookie_name
+from repro.guard.rfc7873 import CLIENT_COOKIE_LENGTH, OPTION_COOKIE, extract_edns_cookie
+from repro.netsim import DnsPayload, Packet, UdpDatagram
+from tests.guard.test_rfc7873 import ANS_IP, build_testbed
 
 QUESTION_TAIL = b"\x00\x01\x00\x01"  # QTYPE A, QCLASS IN
 
@@ -284,3 +293,151 @@ def test_bitflipped_real_messages_never_crash(flips, values):
 def test_truncated_real_messages_never_crash(cut):
     wire = make_query("www.foo.com", msg_id=9).encode()
     decode_thrice(wire[:cut])
+
+
+# -- the guards' codecs over hostile bytes -------------------------------------------
+
+
+def opt_query(rdata: bytes, *, rdlength: int | None = None, msg_id: int = 0x1234) -> bytes:
+    """A one-question query whose one additional is an OPT RR carrying
+    ``rdata`` under a declared RDLENGTH (by default, the true one)."""
+    rr = b"\x00" + struct.pack(
+        "!HHIH", RRType.OPT, 4096, 0, len(rdata) if rdlength is None else rdlength
+    )
+    return header(ar=1, msg_id=msg_id) + b"\x01a\x00" + QUESTION_TAIL + rr + rdata
+
+
+@st.composite
+def edns_options(draw):
+    """One option as the RFC 7873 codec reads it: mostly COOKIE, with a
+    payload of any length around the legal 8 and 24-40, under a length
+    field that may lie."""
+    foreign = draw(st.integers(0, 3)) == 0
+    code = draw(st.integers(0, 0xFFFF)) if foreign else OPTION_COOKIE
+    payload = draw(st.binary(max_size=48))
+    lies = draw(st.integers(0, 3)) == 0
+    length = draw(st.integers(0, 64)) if lies else len(payload)
+    return struct.pack("!HH", code, length) + payload
+
+
+@st.composite
+def opt_rdatas(draw):
+    """OPT RDATA: well-formed-looking options, a ragged tail, or junk."""
+    if draw(st.booleans()):
+        rdata = b"".join(draw(st.lists(edns_options(), max_size=3)))
+        ragged = draw(st.integers(0, 3)) == 0
+        return rdata + (draw(st.binary(min_size=1, max_size=3)) if ragged else b"")
+    return draw(st.binary(max_size=64))
+
+
+@settings(max_examples=300)
+@given(
+    rdata=opt_rdatas(),
+    rdlength=st.one_of(st.none(), st.none(), st.integers(0, 80), st.integers(0, 0xFFFF)),
+    msg_id=ids,
+)
+def test_hostile_opt_records_never_crash_the_cookie_codec(rdata, rdlength, msg_id):
+    message = decode_thrice(opt_query(rdata, rdlength=rdlength, msg_id=msg_id))
+    if message is None:
+        return
+    cookie = extract_edns_cookie(message)
+    if cookie is not None:
+        client_cookie, server_cookie = cookie
+        assert len(client_cookie) == CLIENT_COOKIE_LENGTH
+        assert isinstance(server_cookie, bytes)
+
+
+ORIGINS = [Name.root(), Name.from_text("com."), Name.from_text("foo.com.")]
+cookie_lengths = st.integers(0, 70)
+
+
+def casing(label: bytes, flips: list[bool]) -> bytes:
+    """``label`` under a DNS-0x20 resolver's random letter casing."""
+    return bytes(
+        byte ^ 0x20 if bytes((byte,)).isalpha() and flip else byte
+        for byte, flip in zip(label, flips + [False] * len(label))
+    )
+
+
+@st.composite
+def cookie_labels(draw):
+    """A first label that is a cookie name's, nearly one, or anything at all."""
+    shape = draw(st.sampled_from(["marker", "marker+dots", "any"]))
+    if shape == "any":
+        return draw(st.binary(min_size=1, max_size=63))
+    label = LABEL_PREFIX + draw(st.binary(max_size=40))
+    if shape == "marker+dots":
+        label += b".".join(draw(st.lists(st.binary(max_size=6), max_size=4)))
+    return label[:63]
+
+
+@settings(max_examples=300)
+@given(
+    label=cookie_labels(),
+    flips=st.lists(st.booleans(), max_size=63),
+    origin=st.sampled_from(ORIGINS),
+    cookie_length=cookie_lengths,
+)
+def test_hostile_cookie_names_parse_or_return_none(label, flips, origin, cookie_length):
+    try:
+        qname = Name((casing(label, flips), *origin.labels))
+    except NameError_:
+        return  # too long for a name once under the origin: never on the wire
+    parsed = decode_cookie_name(qname, origin, cookie_length=cookie_length)
+    if parsed is not None:
+        assert isinstance(parsed, CookieName)
+        assert parsed.cookie_label == qname.labels[0][:cookie_length]
+        assert parsed.original_qname.is_subdomain_of(origin)
+
+
+@settings(max_examples=200)
+@given(
+    relative=st.lists(st.binary(min_size=1, max_size=10), max_size=3),
+    flips=st.lists(st.booleans(), max_size=63),
+    origin=st.sampled_from(ORIGINS),
+    cookie_length=cookie_lengths,
+)
+def test_any_casing_of_an_encoded_cookie_name_restores_its_question(
+    relative, flips, origin, cookie_length
+):
+    cookie = (LABEL_PREFIX + b"0" * cookie_length)[: max(cookie_length, 2)]
+    try:
+        original = Name((*relative, *origin.labels))
+        encoded = encode_cookie_name(cookie, original, origin)
+    except NameError_:
+        return
+    if encoded is None:
+        return  # does not fit in one label, or holds a dot of its own
+    cased = Name((casing(encoded.labels[0], flips), *encoded.labels[1:]))
+    parsed = decode_cookie_name(cased, origin, cookie_length=len(cookie))
+    assert parsed is not None and parsed.original_qname == original
+
+
+#: Queries whose OPT RR decodes but whose COOKIE option is not one the guard
+#: minted: too short, a server cookie of the wrong width, over-long, absent
+#: behind another option code, or two COOKIE options at once.
+MALFORMED_OPT = {
+    "short_client_cookie": struct.pack("!HH", OPTION_COOKIE, 3) + b"abc",
+    "odd_server_cookie": struct.pack("!HH", OPTION_COOKIE, 13) + b"c" * 13,
+    "oversize_cookie": struct.pack("!HH", OPTION_COOKIE, 48) + b"c" * 48,
+    "empty_rdata": b"",
+    "other_option_only": struct.pack("!HH", 3, 8) + b"n" * 8,
+    "two_cookies": (struct.pack("!HH", OPTION_COOKIE, 24) + b"c" * 24) * 2,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_OPT))
+def test_a_malformed_opt_query_through_a_live_cookie_guard_never_raises(kind):
+    """Sent around the client shim, the query is dropped at the guard, and
+    no event of the run raises out of ``Simulator.step``."""
+    query = decode_thrice(opt_query(MALFORMED_OPT[kind]))
+    assert query is not None
+    sim, _client, _shim, guard, ans, attacker = build_testbed()
+    attacker.send(
+        Packet(src=attacker.addresses[0], dst=ANS_IP,
+               segment=UdpDatagram(40000, 53, DnsPayload(query)))
+    )
+    while sim.step():
+        pass
+    assert ans.requests_served == 0
+    assert guard.no_cookie_drops + guard.invalid_drops + guard.cookies_granted == 1
