@@ -49,18 +49,13 @@ OBS = _option("--obs", "DIR", "gather observability data (metrics, spans, run re
               "and export it into DIR")
 #: What every command that runs a simulation reads.
 SIM = (SEED, *MODES, OBS)
-#: Farm execution of a matrix: `farm`, and `faults` when it forks to it.
-SHARDING = (
+#: Farm execution of a matrix: sharding, the resumable manifest, the matrix.
+FARM_FLAGS = (
     _option("--shards", None, "run the matrix across N farm worker processes "
             "(1 = in-process serial)", type=int, default=1),
     _option("--manifest", "PATH", "persist the resumable farm manifest (per-cell status, "
             "result digest, trace hash) to PATH"),
     _switch("--resume", "resume from --manifest, skipping cells already done"),
-)
-HYBRID = _switch("--hybrid", "use the hybrid fluid/packet client mode: the bulk legitimate "
-                 "population runs as a fluid (10⁶ modeled stub clients) with a packet-level "
-                 "foreground cohort")
-FARM_FLAGS = (
     _option("--matrix", None, "which scenario matrix to run (see --list)", default="faults"),
     _option("--stop-after", "N", "run at most N pending cells then stop (deterministic "
             "stand-in for a killed run; finish with --resume)", type=int),
@@ -74,7 +69,7 @@ REPORT_SEED = _option("--seed", None, "run every artefact at this seed (default:
                       "ledger's configuration — seed 0, `ablation` seed 7)", type=int)
 
 #: The flags forwarded to a row's ``run`` (those of them the row declares).
-RUN_ARGS = ("seed", "fast", "hybrid", "static_only")
+RUN_ARGS = ("seed", "fast", "static_only")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,40 +111,26 @@ def _run_artefact(row: Artefact, args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_farm(matrix: str, args: argparse.Namespace, **options) -> int:
-    from repro.farm import run_farm
-    from repro.farm.runner import main_summary
-
-    result = run_farm(
-        matrix,
-        seed=args.seed,
-        fast=args.fast,
-        shards=args.shards,
-        manifest_path=args.manifest,
-        resume=args.resume,
-        **options,
-    )
-    main_summary(result)
-    return 0 if not result.failed else 1
-
-
-def _faults(row: Artefact, args: argparse.Namespace) -> int:
-    if args.shards != 1 or args.manifest:
-        # route through the farm: same planner, same cells, same digests
-        return _run_farm("faults", args)
-    return _run_artefact(row, args)
-
-
 def _farm(row: Artefact, args: argparse.Namespace) -> int:
     from repro import farm
+    from repro.farm.runner import main_summary
 
     if args.list:
         for name in farm.matrix_names():
             print(f"{name:<10} {farm.MATRICES[name].description}")
         return 0
-    return _run_farm(
-        args.matrix, args, cell_timeout=args.cell_timeout, stop_after=args.stop_after
+    result = farm.run_farm(
+        args.matrix,
+        seed=args.seed,
+        fast=args.fast,
+        shards=args.shards,
+        manifest_path=args.manifest,
+        resume=args.resume,
+        cell_timeout=args.cell_timeout,
+        stop_after=args.stop_after,
     )
+    main_summary(result)
+    return 0 if not result.failed else 1
 
 
 def _obs(row: Artefact, args: argparse.Namespace) -> int:
@@ -210,8 +191,7 @@ ARTEFACTS: dict[str, Artefact] = {
         Artefact("fig5", "Figure 5: BIND under attack, guard on/off",
                  (*SIM, FAST, PLOT), "fig5:run_fig5", "fig5:format_fig5", "plotting:plot_fig5"),
         Artefact("fig6", "Figure 6: guard throughput/CPU under attack",
-                 (*SIM, FAST, PLOT, HYBRID),
-                 "fig6:run_fig6", "fig6:format_fig6", "plotting:plot_fig6"),
+                 (*SIM, FAST, PLOT), "fig6:run_fig6", "fig6:format_fig6", "plotting:plot_fig6"),
         Artefact("fig7", "Figure 7: TCP proxy throughput",
                  (*SIM, FAST, PLOT), "fig7:run_fig7", "fig7:format_fig7", "plotting:plot_fig7"),
         Artefact("attacks", "Attack analysis (amplification, guessing, zombies)",
@@ -221,18 +201,20 @@ ARTEFACTS: dict[str, Artefact] = {
         Artefact("containment", "Containment timeline: throughput as an attack starts mid-run",
                  (*SIM, FAST), "containment:run_containment", "containment:format_containment"),
         Artefact("faults", "Fault injection: blackout/flap/loss/chaos/restart/failover per scheme",
-                 (*SIM, FAST, *SHARDING), "faults:run_faults", "faults:format_faults",
-                 handler=_faults),
+                 (*SIM, FAST), "faults:run_faults", "faults:format_faults"),
         # no analysis modes: the per-cell trace hashes in the manifest are the
         # farm's determinism witness, and nesting a second process-global
         # collector around them is invalid
         Artefact("farm", "Sharded scenario farm: run a matrix across worker processes with a "
                  "resumable manifest and deterministic merge",
-                 (SEED, FAST, OBS, *SHARDING, *FARM_FLAGS), handler=_farm),
+                 (SEED, FAST, OBS, *FARM_FLAGS), handler=_farm),
         Artefact("control", "Adaptive overload control vs static schemes across attacks × faults",
                  (*SIM, FAST, STATIC_ONLY), "control:run_control", "control:format_control"),
         Artefact("fluid", "Analytical model predictions",
                  (), "fluid:FluidModel", "fluid:format_predictions"),
+        Artefact("hybrid", "Hybrid fluid/packet mode: the Figure 6 sweep with 10⁶ modeled "
+                 "clients, and its agreement with the closed forms and a packet run",
+                 (), "hybrid:run_hybrid", "hybrid:format_hybrid"),
         Artefact("report", "Run every ledger artefact and judge it against the paper's numbers "
                  "(stdout is REPORT.md; exit 1 on a failed row)",
                  (REPORT_SEED,), handler=_report),
@@ -289,8 +271,6 @@ def main(argv: list[str] | None = None) -> int:
     ]
     if len(modes) > 1:
         parser.error(f"{' and '.join('--' + m for m in modes)} are mutually exclusive")
-    if modes and (getattr(args, "shards", 1) != 1 or getattr(args, "manifest", None)):
-        parser.error(f"--{modes[0]} cannot be combined with --shards/--manifest")
     if modes:
         from repro.analysis.modes import run_mode
 

@@ -21,7 +21,7 @@ from ..dns import AnsSimulator, LrsSimulator
 from ..guard import CookieFactory, EdnsCookieClientShim, EdnsCookieGuard, random_key
 from ..netsim import Link, Node, Simulator
 from .expectations import INGRESS_FRACTIONS
-from .testbed import ANS_ADDRESS, GuardTestbed
+from .testbed import ANS_ADDRESS, GuardTestbed, measure_window
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +189,7 @@ def _run_rfc7873_throughput(*, seed: int, warmup: float, duration: float,
     EdnsCookieClientShim(shim_node)
     lrs = LrsSimulator(client, ANS_ADDRESS, workload="plain", concurrency=concurrency)
     lrs.start()
-    sim.run(until=warmup)
-    lrs.stats.begin_window(sim.now)
-    sim.run(until=warmup + duration)
-    rate = lrs.stats.throughput(sim.now)
+    (rate,), _ = measure_window(sim, [lrs.stats], duration, warmup=warmup)
     lrs.stop()
     return rate
 

@@ -29,7 +29,7 @@ from ..control import ControlConfig, GuardController
 from ..dns import LrsSimulator
 from ..faults import FaultPlan, GuardCrash
 from ..guard import GuardCosts, UnverifiedResponseLimiter, VerifiedRequestLimiter
-from .testbed import ANS_ADDRESS, GuardTestbed
+from .testbed import ANS_ADDRESS, GuardTestbed, measure_window
 
 #: The static-scheme cells (``--static-only``: no controller is constructed).
 STATIC_SCHEMES = ("modified", "ns_name", "tcp")
@@ -204,9 +204,7 @@ def _run_cell(
     completed0, timeouts0 = stats.completed, stats.timeouts
     latency_mark = len(env.lrs.latencies)
     rejects0 = _false_rejects(env)
-    busy0, t0 = env.bed.guard_node.cpu.completed_busy_seconds(), sim.now
-    env.bed.run(window)
-    utilization = env.bed.guard_node.cpu.utilization(busy0, t0)
+    _, (utilization,) = measure_window(sim, (), window, nodes=(env.bed.guard_node,))
     env.lrs.stop()
     if env.attacker is not None:
         env.attacker.stop()

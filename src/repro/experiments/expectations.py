@@ -98,6 +98,7 @@ CONFIGURATION: dict[str, dict] = {
     "table3": {"fast": True},
     "fig5": {"attack_rates": FIG5_ATTACK_RATES, "fast": True},
     "fig6": {"attack_rates": FIG6_ATTACK_RATES, "fast": True},
+    "hybrid": {},
     "fig7": {"concurrencies": FIG7_CONCURRENCIES, "attack_rates": FIG7_ATTACK_RATES,
              "fast": True},
     "fluid": {},
@@ -113,6 +114,24 @@ _CALIBRATED = (
     "paper's anchors, not from its hardware; the comparative claims are measured"
 )
 E = Expectation
+
+#: Figure 6's rows, written once: the ledger states them for ``fig6`` and
+#: again, generated, for the ``hybrid`` artefact's fluid-bulk sweep.
+_FIG6 = (
+    E("fig6", "on.legit@250K", "min", FIG6_LEGIT_AT_250K_RPS, None, "Fig 6(a), abstract"),
+    E("fig6", "on.legit@0K", "rel", ANS_SIMULATOR_RPS, 0.1, "Fig 6(a)"),
+    E("fig6", "on.legit@100K", "rel", ANS_SIMULATOR_RPS, 0.1, "Fig 6(a)"),
+    E("fig6", "on.legit@250K/on.legit@100K", "max", 1.0, None, "Fig 6(a)"),
+    E("fig6", "on.legit@250K/fluid@250K", "rel", 1.0, 0.15, "fluid model"),
+    # disabled: roughly linear decay, dead by the ANS's capacity
+    E("fig6", "off.legit@0K", "rel", ANS_SIMULATOR_RPS, 0.1, "Fig 6(a)"),
+    E("fig6", "off.legit@100K/off.legit@0K", "max", 0.5, None, "Fig 6(a)"),
+    E("fig6", "off.legit@200K", "max", 5_000, None, "Fig 6(a)"),
+    # guard CPU rises to saturation; checking costs more than forwarding
+    E("fig6", "on.guard_cpu@100K-on.guard_cpu@0K", "min", 0, None, "Fig 6(b)"),
+    E("fig6", "on.guard_cpu@250K", "min", 0.95, None, "Fig 6(b)"),
+    E("fig6", "on.guard_cpu@100K-off.guard_cpu@100K", "min", 0, None, "Fig 6(b)"),
+)
 
 LEDGER: tuple[Expectation, ...] = (
     # -- calibration anchors --------------------------------------------------
@@ -180,20 +199,27 @@ LEDGER: tuple[Expectation, ...] = (
     E("fig5", "on.ans_cpu@8K", "min", 0.5, None, "Fig 5(b)"),
     E("fig5", "on.ans_cpu@16K", "max", 0.3, None, "Fig 5(b)"),
     E("fig5", "on.ans_cpu@16K-on.ans_cpu@8K", "max", 0, None, "Fig 5(b)"),
-    # -- Figure 6 --------------------------------------------------------------------
-    E("fig6", "on.legit@250K", "min", FIG6_LEGIT_AT_250K_RPS, None, "Fig 6(a), abstract"),
-    E("fig6", "on.legit@0K", "rel", ANS_SIMULATOR_RPS, 0.1, "Fig 6(a)"),
-    E("fig6", "on.legit@100K", "rel", ANS_SIMULATOR_RPS, 0.1, "Fig 6(a)"),
-    E("fig6", "on.legit@250K/on.legit@100K", "max", 1.0, None, "Fig 6(a)"),
-    E("fig6", "on.legit@250K/fluid@250K", "rel", 1.0, 0.15, "fluid model"),
-    # disabled: roughly linear decay, dead by the ANS's capacity
-    E("fig6", "off.legit@0K", "rel", ANS_SIMULATOR_RPS, 0.1, "Fig 6(a)"),
-    E("fig6", "off.legit@100K/off.legit@0K", "max", 0.5, None, "Fig 6(a)"),
-    E("fig6", "off.legit@200K", "max", 5_000, None, "Fig 6(a)"),
-    # guard CPU rises to saturation; checking costs more than forwarding
-    E("fig6", "on.guard_cpu@100K-on.guard_cpu@0K", "min", 0, None, "Fig 6(b)"),
-    E("fig6", "on.guard_cpu@250K", "min", 0.95, None, "Fig 6(b)"),
-    E("fig6", "on.guard_cpu@100K-off.guard_cpu@100K", "min", 0, None, "Fig 6(b)"),
+    # -- Figure 6, and the same rows over the hybrid mode's fluid-bulk sweep -------------
+    *_FIG6,
+    *(dataclasses.replace(r, artefact="hybrid") for r in _FIG6),
+    # the hybrid mode's fidelity bands on its calibration scenario (20K legitimate +
+    # 60K spoofed fluids): against the closed forms (the fluids discretise at
+    # hybrid.TICK) and against a packet run (which adds per-packet queueing)
+    E("hybrid", "calib.guard_cpu-fluid.guard_cpu", "abs", 0, 0.05, "fluid model"),
+    E("hybrid", "calib.ans_cpu-fluid.ans_cpu", "abs", 0, 0.05, "fluid model"),
+    E("hybrid", "calib.served/fluid.served", "rel", 1.0, 0.05, "fluid model"),
+    E("hybrid", "calib.availability", "abs", 1.0, 0.02, "fluid model"),
+    E("hybrid", "calib.guard_cpu-packet.guard_cpu", "abs", 0, 0.08, "packet run"),
+    E("hybrid", "calib.fg_availability-packet.fg_availability", "abs", 0, 0.05, "packet run"),
+    # unprotected at 100K the flood eats the ANS; the closed form predicts what is left
+    E("hybrid", "calib.unprotected@100K/fluid.unprotected@100K", "rel", 1.0, 0.08,
+      "fluid model"),
+    E("hybrid", "calib.unprotected@100K/calib.offered", "max", 0.75, None, "fluid model"),
+    # what the mode buys: 10⁶ modeled clients per point in a few thousand events
+    E("hybrid", "sweep.clients", "min", 1_000_000, None, "ours"),
+    E("hybrid", "sweep.events", "max", 20_000, None, "ours"),
+    E("hybrid", "on.legit@250K/sweep.offered", "max", 1.0, None, "ours"),
+    E("hybrid", "calib.events/packet.events", "max", 1 / 3, None, "ours"),
     # -- Figure 7 --------------------------------------------------------------------
     E("fig7", "a.throughput@20", "rel", 22_000, 0.15, "Fig 7(a)"),
     E("fig7", "a.throughput@50", "rel", TCP_PROXY_RPS, 0.15, "Fig 7(a)"),

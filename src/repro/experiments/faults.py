@@ -287,8 +287,8 @@ def run_faults(seed: int = 0, *, fast: bool = False) -> list[FaultCell]:
 
     Each cell runs under its own derived seed (see
     :func:`repro.farm.planner.derive_cell_seed`), so this serial loop and
-    a sharded ``python -m repro faults --shards N`` produce byte-identical
-    per-cell results.
+    a sharded ``python -m repro farm --matrix faults --shards N`` produce
+    byte-identical per-cell results.
     """
     cells = plan_cells(seed, fast=fast)
     results = [run_matrix_cell(cell.param_dict(), cell.seed, fast) for cell in cells]

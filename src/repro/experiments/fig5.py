@@ -26,7 +26,7 @@ from ..attack import SpoofingAttacker
 from ..dns import LrsSimulator
 from . import expectations
 from .calibration import FIG5_ACTIVATION_THRESHOLD
-from .testbed import ANS_ADDRESS, GuardTestbed
+from .testbed import ANS_ADDRESS, GuardTestbed, measure_window
 
 DEFAULT_ATTACK_RATES = (0, 4_000, 8_000, 12_000, 14_000, 16_000)
 
@@ -89,13 +89,10 @@ def run_point(
         attacker.start()
     lrs1.start()
     lrs2.start()
-    bed.run(warmup)
-    lrs1.stats.begin_window(bed.sim.now)
-    lrs2.stats.begin_window(bed.sim.now)
-    busy0, t0 = bed.ans_node.cpu.completed_busy_seconds(), bed.sim.now
-    bed.run(duration)
-    legit = lrs1.stats.throughput(bed.sim.now) + lrs2.stats.throughput(bed.sim.now)
-    ans_cpu = bed.ans_node.cpu.utilization(busy0, t0)
+    (rate1, rate2), (ans_cpu,) = measure_window(
+        bed.sim, [lrs1.stats, lrs2.stats], duration, warmup=warmup, nodes=(bed.ans_node,)
+    )
+    legit = rate1 + rate2
     for gen in (lrs1, lrs2):
         gen.stop()
     if attacker is not None:

@@ -24,7 +24,7 @@ from ..dns import LrsSimulator
 from ..attack import SpoofingAttacker
 from . import expectations
 from .fluid import FluidModel
-from .testbed import ANS_ADDRESS, GuardTestbed
+from .testbed import ANS_ADDRESS, GuardTestbed, measure_window
 
 #: Attack rates swept in the paper's Figure 6 (requests/sec).
 DEFAULT_ATTACK_RATES = (0, 50_000, 100_000, 150_000, 200_000, 250_000)
@@ -64,62 +64,23 @@ def run_point(
         )
         attacker.start()
     lrs.start()
-    bed.run(warmup)
-    lrs.stats.begin_window(bed.sim.now)
-    guard_busy0 = bed.guard_node.cpu.completed_busy_seconds()
-    ans_busy0 = bed.ans_node.cpu.completed_busy_seconds()
-    t0 = bed.sim.now
-    bed.run(duration)
-    legit = lrs.stats.throughput(bed.sim.now)
-    guard_cpu = bed.guard_node.cpu.utilization(guard_busy0, t0)
-    ans_cpu = bed.ans_node.cpu.utilization(ans_busy0, t0)
+    (legit,), (guard_cpu, ans_cpu) = measure_window(
+        bed.sim, [lrs.stats], duration, warmup=warmup, nodes=(bed.guard_node, bed.ans_node)
+    )
     lrs.stop()
     if attacker is not None:
         attacker.stop()
     return Fig6Point(attack_rate, protection, legit, guard_cpu, ans_cpu)
 
 
-def run_hybrid_fig6_point(
-    attack_rate: float, protection: bool, *, seed: int = 0, fast: bool = False
-) -> Fig6Point:
-    """One Figure 6 sample via the farm's hybrid fluid/packet mode.
-
-    The saturating legitimate population runs as a fluid of 10⁶ modeled
-    stub clients instead of one high-concurrency packet loop; the curves
-    land on the same axes, a few thousand events per point.
-    """
-    from ..farm.hybrid import run_hybrid_point
-
-    kwargs = {"warmup": 0.1, "duration": 0.2} if fast else {}
-    point = run_hybrid_point(
-        attack_rate, protection, seed=seed, clients=1_000_000, **kwargs
-    )
-    return Fig6Point(
-        attack_rate=point.attack_rate,
-        protection=point.protection,
-        legit_throughput=point.fluid_served_rate,
-        guard_cpu=point.guard_cpu,
-        ans_cpu=point.ans_cpu,
-    )
-
-
 def run_fig6(
-    attack_rates=DEFAULT_ATTACK_RATES,
-    *,
-    seed: int = 0,
-    fast: bool = False,
-    hybrid: bool = False,
+    attack_rates=DEFAULT_ATTACK_RATES, *, seed: int = 0, fast: bool = False
 ) -> list[Fig6Point]:
     kwargs = {"warmup": 0.15, "duration": 0.2, "concurrency": 128} if fast else {}
     points = []
     for protection in (True, False):
         for rate in attack_rates:
-            if hybrid:
-                points.append(
-                    run_hybrid_fig6_point(rate, protection, seed=seed, fast=fast)
-                )
-            else:
-                points.append(run_point(rate, protection, seed=seed, **kwargs))
+            points.append(run_point(rate, protection, seed=seed, **kwargs))
     return points
 
 

@@ -89,31 +89,23 @@ class FluidModel:
         capacity = 1.0 / self.ans_cost
         return max(0.0, capacity - attack_rate)
 
-    # -- Hybrid fluid/packet mode (repro.farm.hybrid) -----------------------------
+    # -- Hybrid fluid/packet mode (repro.experiments.hybrid) -----------------------
     #
-    # These closed forms are the calibration reference for the farm's
-    # hybrid client mode: a hybrid cell's measured guard/ANS utilisation
-    # and bulk served rate must stay within a stated tolerance of them
-    # (cross-validated in tests/farm/test_hybrid.py).
+    # These closed forms are the calibration reference for the hybrid
+    # mode: its measured guard/ANS utilisation and bulk served rate must
+    # stay within the `hybrid` ledger rows' bands of them.
 
-    def hybrid_guard_cpu(
-        self, legit_rate: float, attack_rate: float, *, protection: bool = True
-    ) -> float:
-        """Expected guard utilisation under mixed fluid load."""
-        if protection:
-            load = legit_rate * self.request_cost(
-                "modified", cache_hit=True
-            ) + attack_rate * self.attack_drop_cost()
-        else:
-            load = (legit_rate + attack_rate) * self.costs.forward
+    def hybrid_guard_cpu(self, legit_rate: float, attack_rate: float) -> float:
+        """Expected guard utilisation under mixed fluid load, protection on."""
+        load = legit_rate * self.request_cost(
+            "modified", cache_hit=True
+        ) + attack_rate * self.attack_drop_cost()
         return min(1.0, max(0.0, load))
 
-    def hybrid_ans_cpu(
-        self, legit_served_rate: float, attack_rate: float, *, protection: bool = True
-    ) -> float:
-        """Expected ANS utilisation given the bulk load actually served."""
-        rate = legit_served_rate + (0.0 if protection else attack_rate)
-        return min(1.0, max(0.0, rate * self.ans_cost))
+    def hybrid_ans_cpu(self, legit_served_rate: float) -> float:
+        """Expected ANS utilisation given the bulk load actually served,
+        protection on (the flood never reaches the ANS)."""
+        return min(1.0, max(0.0, legit_served_rate * self.ans_cost))
 
     def hybrid_served_rate(
         self, legit_rate: float, attack_rate: float, *, protection: bool = True

@@ -168,16 +168,31 @@ class GuardTestbed:
 
     def measure(self, stats_list, duration: float, *, warmup: float = 0.0):
         """Run ``warmup`` then ``duration``, returning each stats' throughput."""
-        if warmup:
-            self.run(warmup)
-        now = self.sim.now
-        for stats in stats_list:
-            stats.begin_window(now)
-        self.run(duration)
-        return [stats.throughput(self.sim.now) for stats in stats_list]
+        return measure_window(self.sim, stats_list, duration, warmup=warmup)[0]
 
     def cpu_utilization(self, node: Node, duration: float) -> float:
         """Utilisation of ``node`` over the next ``duration`` seconds."""
-        busy0, t0 = node.cpu.completed_busy_seconds(), self.sim.now
-        self.run(duration)
-        return node.cpu.utilization(busy0, t0)
+        return measure_window(self.sim, (), duration, nodes=(node,))[1][0]
+
+
+def measure_window(sim: Simulator, stats_list, duration: float, *, warmup: float = 0.0,
+                   nodes=()) -> tuple[list[float], list[float]]:
+    """The one measurement window: run ``warmup``, open a window on each
+    stats and mark each node's CPU, run ``duration``, and return
+    ``(each stats' throughput, each node's CPU utilisation)``.
+
+    A stats is anything with ``begin_window(now)`` and ``throughput(now)``.
+    It takes a bare :class:`Simulator` because not every testbed is a
+    :class:`GuardTestbed` (the RFC 7873 ablation builds its own).
+    """
+    if warmup:
+        sim.run(until=sim.now + warmup)
+    now = sim.now
+    for stats in stats_list:
+        stats.begin_window(now)
+    busy = [node.cpu.completed_busy_seconds() for node in nodes]
+    sim.run(until=now + duration)
+    return (
+        [stats.throughput(sim.now) for stats in stats_list],
+        [node.cpu.utilization(busy0, now) for node, busy0 in zip(nodes, busy)],
+    )

@@ -7,9 +7,9 @@ Layers:
 * :mod:`repro.farm.manifest` / :mod:`repro.farm.worker` /
   :mod:`repro.farm.runner` — resumable multi-process execution with
   per-cell crash isolation and a run-invariant manifest digest;
-* :mod:`repro.farm.hybrid` — the fluid/packet client mode (imported
-  lazily by the matrices that need it; deliberately not re-exported
-  here to keep ``import repro.farm`` light in spawn workers).
+* :mod:`repro.farm.matrices` — the registry of runnable matrices (the
+  faults suite, its smoke subset, and the synthetic selftest), whose
+  cell functions resolve lazily so spawn workers stay light.
 
 The contract: a cell's result and trace hash depend only on
 ``(matrix, params, derived seed, fast)`` — never on shard count,

@@ -28,12 +28,6 @@ from typing import Any, Callable
 
 from .planner import Cell
 
-#: Hybrid-matrix sweep of spoofed attack rates (requests/sec).
-HYBRID_ATTACK_RATES = (0, 100_000, 250_000)
-
-#: Modeled bulk clients per hybrid cell (the north-star scale knob).
-HYBRID_CLIENTS = 1_000_000
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class MatrixDef:
@@ -161,75 +155,5 @@ register_matrix(
         run_cell=_selftest_run_cell,
         reduce=_results_in_plan_order,
         render=_selftest_render,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# hybrid — fluid/packet attack sweep, 10⁶ modeled clients per cell
-# ---------------------------------------------------------------------------
-
-
-def _hybrid_plan(seed: int, fast: bool) -> list[Cell]:
-    from .planner import expand
-
-    return expand(
-        "hybrid",
-        [("attack_rate", HYBRID_ATTACK_RATES), ("protection", ("on", "off"))],
-        base_seed=seed,
-        fast=fast,
-    )
-
-
-def _hybrid_run_cell(params: dict[str, str], seed: int, fast: bool) -> dict[str, Any]:
-    from .hybrid import run_hybrid_point
-
-    kwargs = {"warmup": 0.1, "duration": 0.2} if fast else {}
-    point = run_hybrid_point(
-        float(params["attack_rate"]),
-        params["protection"] == "on",
-        seed=seed,
-        clients=HYBRID_CLIENTS,
-        **kwargs,
-    )
-    return dataclasses.asdict(point)
-
-
-def _hybrid_render(reduced: Any) -> str:
-    from ..experiments.fluid import FluidModel
-
-    model = FluidModel()
-    lines = [
-        f"Hybrid fluid/packet sweep ({HYBRID_CLIENTS:,} modeled clients per cell)",
-        f"{'attack (K/s)':>12} {'prot':>5} {'bulk srv (K/s)':>14} "
-        f"{'model (K/s)':>12} {'fg avail%':>10} {'guard CPU%':>11} "
-        f"{'ANS CPU%':>9} {'events':>8}",
-    ]
-    for row in reduced:
-        protection = bool(row["protection"])
-        predicted = model.hybrid_served_rate(
-            row["fluid_offered_rate"], row["attack_rate"], protection=protection
-        )
-        lines.append(
-            f"{row['attack_rate'] / 1000:>12.0f} {'on' if protection else 'off':>5} "
-            f"{row['fluid_served_rate'] / 1000:>14.1f} {predicted / 1000:>12.1f} "
-            f"{row['foreground_availability'] * 100:>10.1f} "
-            f"{row['guard_cpu'] * 100:>11.1f} {row['ans_cpu'] * 100:>9.1f} "
-            f"{row['events']:>8}"
-        )
-    return "\n".join(lines)
-
-
-register_matrix(
-    MatrixDef(
-        name="hybrid",
-        description=(
-            f"hybrid fluid/packet attack sweep, {HYBRID_CLIENTS:,} modeled "
-            "clients per cell"
-        ),
-        plan=_hybrid_plan,
-        run_cell=_hybrid_run_cell,
-        reduce=_results_in_plan_order,
-        render=_hybrid_render,
     )
 )

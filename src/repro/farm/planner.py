@@ -1,8 +1,8 @@
 """Scenario-matrix planner: addressable cells with stable per-cell seeds.
 
-A *matrix* is a named experiment family (the faults suite, the hybrid
-attack-rate sweep, ...).  The planner expands its axes — scenario ×
-scheme, attack-rate × protection, whatever the matrix declares — into an
+A *matrix* is a named experiment family (the faults suite, its smoke
+subset, ...).  The planner expands its axes — scenario × scheme, or
+whatever the matrix declares — into an
 ordered list of :class:`Cell` objects.  Two properties make the farm's
 determinism contract possible:
 

@@ -481,8 +481,8 @@ class TestW002FarmSeedPurity:
         assert all("sanctioned" in f.message for f in found)
 
     def test_schedule_allowed_in_farm(self):
-        """Unlike obs, farm code may schedule events — the hybrid fluids
-        tick on the simulator; only actuators and private RNGs are out."""
+        """Unlike obs, farm code may schedule events — a cell may drive a
+        simulator of its own; only actuators and private RNGs are out."""
         source = """
         def start(self):
             self._handle = self.sim.schedule(self.tick, self._on_tick)

@@ -22,6 +22,7 @@ from repro.experiments.fig5 import Fig5Point
 from repro.experiments.fig6 import Fig6Point
 from repro.experiments.fig7 import Fig7aPoint, Fig7bPoint
 from repro.experiments.fluid import FluidModel
+from repro.experiments.hybrid import FluidFlood, HybridPoint, PacketReference
 from repro.experiments.sensitivity import run_sensitivity
 from repro.experiments.table1 import Table1Row
 from repro.experiments.table2 import LatencyRow
@@ -102,6 +103,10 @@ def stub_results() -> dict[str, tuple]:
         guarded=False, attacker_bandwidth=1.0, victim_link_capacity=1.0,
         legit_sent=1, legit_delivered=1,
     )
+
+    def hybrid(rate, on):
+        return HybridPoint(rate, on, 1, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1)
+
     return {
         "calibration": ({"bind_udp": 1.0, "bind_tcp": 1.0, "ans_simulator": 1.0},),
         "table1": ([Table1Row(s, 1.0, 1.0, 1.0, 1, "x") for s in e.SCHEMES], (1, 1)),
@@ -113,6 +118,10 @@ def stub_results() -> dict[str, tuple]:
         "fig6": (
             [Fig6Point(r, on, 1.0, 1.0, 1.0) for on in (True, False)
              for r in e.FIG6_ATTACK_RATES],
+        ),
+        "hybrid": (
+            [hybrid(r, on) for on in (True, False) for r in e.FIG6_ATTACK_RATES],
+            hybrid(1.0, True), hybrid(1.0, False), PacketReference(1.0, 1.0, 1.0, 1),
         ),
         "fig7": (
             [Fig7aPoint(c, 1.0) for c in e.FIG7_CONCURRENCIES],
@@ -160,26 +169,30 @@ class TestCells:
         assert "| crash_reverts | 2 | missing | at least | FAIL |" in table
 
 
-def report_on_fluid(monkeypatch, capsys, *ledger) -> tuple[int, str]:
-    monkeypatch.setattr(expectations, "CONFIGURATION", {"fluid": {}})
+def report_on(artefact, monkeypatch, capsys, *ledger) -> tuple[int, str]:
+    monkeypatch.setattr(expectations, "CONFIGURATION", {artefact: {}})
     if ledger:
         monkeypatch.setattr(expectations, "LEDGER", ledger)
     code = main(["report"])
     return code, capsys.readouterr().out
 
 
+def failed_rows(out: str) -> set[str]:
+    return {line.split("|")[1].strip() for line in out.splitlines() if "| FAIL |" in line}
+
+
 class TestReport:
     def test_a_deviation_row_prints_but_never_fails_the_run(self, monkeypatch, capsys):
         reason = "the paper's knee is not ours"
-        code, out = report_on_fluid(
-            monkeypatch, capsys, row("max", 1, deviation=reason), row("min", 1)
+        code, out = report_on(
+            "fluid", monkeypatch, capsys, row("max", 1, deviation=reason), row("min", 1)
         )
         assert code == 0
         assert f"| knee | 1 | 201628 | at most | deviation | test | {reason} |" in out
         assert out.endswith("2 rows judged, 0 failed.\n")
 
     def test_a_failed_row_exits_1(self, monkeypatch, capsys):
-        code, out = report_on_fluid(monkeypatch, capsys, row("max", 1))
+        code, out = report_on("fluid", monkeypatch, capsys, row("max", 1))
         assert code == 1
         assert "| knee | 1 | 201628 | at most | FAIL | test |  |" in out
         assert out.endswith("1 rows judged, 1 failed.\n")
@@ -189,10 +202,33 @@ class TestReport:
         monkeypatch.setattr(
             GuardCosts, "drop_invalid", property(lambda costs: 2 * drop(costs))
         )
-        code, out = report_on_fluid(monkeypatch, capsys)
+        code, out = report_on("fluid", monkeypatch, capsys)
         assert code == 1
-        failed = {line.split("|")[1].strip() for line in out.splitlines() if "| FAIL |" in line}
-        assert failed == {"knee", "legit@250K", "tcp_proxy.attack@250K"}
+        assert failed_rows(out) == {"knee", "legit@250K", "tcp_proxy.attack@250K"}
+
+    def test_the_hybrid_rows_hold(self, monkeypatch, capsys):
+        code, out = report_on("hybrid", monkeypatch, capsys)
+        assert code == 0
+        assert out.endswith(f"{len(expectations.rows('hybrid'))} rows judged, 0 failed.\n")
+        assert out.count("| ok |") == len(expectations.rows("hybrid"))
+
+    def test_a_flood_that_costs_nothing_fails_the_hybrid_rows_by_name(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(FluidFlood, "_on_tick", lambda flood: None)
+        code, out = report_on("hybrid", monkeypatch, capsys)
+        assert code == 1
+        assert failed_rows(out) == {
+            # the guard no longer pays for dropping the flood...
+            "on.guard_cpu@250K",
+            "calib.guard_cpu-fluid.guard_cpu",
+            "calib.guard_cpu-packet.guard_cpu",
+            # ...and unguarded, the flood no longer takes the ANS from the bulk
+            "off.legit@100K/off.legit@0K",
+            "off.legit@200K",
+            "calib.unprotected@100K/fluid.unprotected@100K",
+            "calib.unprotected@100K/calib.offered",
+        }
 
     def test_seed_overrides_every_configured_seed(self, monkeypatch, capsys):
         from repro.experiments import ablation

@@ -21,7 +21,7 @@ from repro.farm.planner import expand
 
 class TestRegistry:
     def test_builtin_matrices_registered(self):
-        assert {"faults", "smoke", "hybrid", "selftest"} <= set(matrix_names())
+        assert {"faults", "smoke", "selftest"} <= set(matrix_names())
 
     def test_unknown_matrix_names_known_ones(self):
         with pytest.raises(ValueError, match="faults"):
