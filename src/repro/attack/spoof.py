@@ -18,7 +18,13 @@ BATCH_INTERVAL = 0.001
 
 
 def random_source(rng) -> IPv4Address:
-    """A uniformly random, non-reserved-looking spoofed source address."""
+    """A random spoofed source address — random, but not uniform.
+
+    Bit 24 is forced on, so the first octet is always odd, in 1–223 (never
+    0, never class D or E), and the modulo makes first octets 1–31 twice as
+    likely as the rest.  The pinned run digests depend on exactly these
+    draws.
+    """
     return IPv4Address((rng.getrandbits(32) % 0xDFFFFFFF) | 0x01000000)
 
 
@@ -37,7 +43,7 @@ class SpoofingAttacker:
         carry_invalid_cookie: bool = False,
     ):
         """``rate`` is requests/sec.  Sources come from ``source_strategy``
-        (default: uniformly random) or are pinned to ``fixed_source``.
+        (default: :func:`random_source`) or are pinned to ``fixed_source``.
 
         ``carry_invalid_cookie`` attaches a garbage modified-DNS cookie to
         every request — the Figure 6 attacker, whose forged requests fail

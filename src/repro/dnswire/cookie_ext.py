@@ -6,11 +6,17 @@ cookie.  An all-zero cookie in a query means "I do not know your cookie
 yet — please tell me" (message 2 of Figure 3a); the remote guard answers
 with the correct cookie in the same format (message 3), sized identically
 so there is no traffic amplification.
+
+The memo contract: a frozen message is immutable, so :func:`extract_cookie`
+scans one once and keeps the answer in ``Message._cookie``; every derivation
+that knows the answer (``with_header``, the decode memo, :func:`with_cookie`,
+:func:`without_cookie`) hands it on.  An unfrozen message is scanned on
+every call.
 """
 
 from __future__ import annotations
 
-from .message import Message, ResourceRecord
+from .message import UNSCANNED, Message, ResourceRecord, keep_prototype
 from .name import ROOT
 from .rdata import TXT
 from .types import RRClass, RRType
@@ -42,6 +48,9 @@ def _record_wire(record: ResourceRecord) -> bytes:
 _RECORD_HEAD = _record_wire(cookie_rr(ZERO_COOKIE))[:-COOKIE_LENGTH]
 _RECORD_SIZE = len(_RECORD_HEAD) + COOKIE_LENGTH
 
+#: cookie bytes -> its :func:`cookie_rr` record, flushed whole at ``PROTOTYPE_CAP``
+_records: dict[bytes, ResourceRecord] = {}  # repro: allow[L003] - bounded content-addressed memo, replay-invisible
+
 
 def attach_cookie(message: Message, cookie: bytes) -> Message:
     """Attach (or replace) the cookie record on ``message`` in place.
@@ -66,13 +75,20 @@ def _is_cookie_record(rr: ResourceRecord) -> bool:
 def with_cookie(message: Message, cookie: bytes) -> Message:
     """``attach_cookie`` on a copy: ``message`` is left as it was.
 
-    The copy of a frozen message that carried no cookie is born frozen —
-    its wire is the original's plus the fixed-size record, ARCOUNT + 1.
+    The copy of a frozen message that carried no cookie is born frozen and
+    knowing its cookie: the original's records plus a memoized record, its
+    wire the original's plus the fixed-size record, ARCOUNT + 1.
     """
-    stamped = attach_cookie(message.copy(), cookie)
     wire = message.sections_wire
-    if wire is not None and len(stamped.additionals) == len(message.additionals) + 1:
-        stamped.freeze_as(wire + _RECORD_HEAD + cookie)
+    if wire is None or extract_cookie(message) is not None:
+        return attach_cookie(message.copy(), cookie)
+    record = _records.get(cookie)
+    if record is None:
+        record = keep_prototype(_records, cookie, cookie_rr(cookie))
+    stamped = message.copy()
+    stamped.additionals.append(record)
+    stamped.freeze_as(wire + _RECORD_HEAD + cookie)
+    stamped._cookie = cookie
     return stamped
 
 
@@ -90,14 +106,16 @@ def without_cookie(message: Message) -> Message:
         return clean
     stripped = len(message.additionals) - len(clean.additionals)
     if stripped == 0:
-        return clean.freeze_as(wire)
-    last = message.additionals[-1]
-    if (
+        clean.freeze_as(wire)
+    elif (
         stripped == 1
-        and _is_cookie_record(last)
+        and _is_cookie_record(last := message.additionals[-1])
         and len(last.rdata.strings) == 1  # type: ignore[union-attr]
     ):
         clean.freeze_as(wire[:-_RECORD_SIZE])
+    else:
+        return clean
+    clean._cookie = None
     return clean
 
 
@@ -106,8 +124,13 @@ def extract_cookie(message: Message) -> bytes | None:
 
     Only a root-owned TXT record in the additional section with exactly
     ``COOKIE_LENGTH`` bytes of payload is recognised; anything else is left
-    untouched so the extension never collides with ordinary TXT usage.
+    untouched so the extension never collides with ordinary TXT usage.  A
+    frozen message is scanned once: the answer is kept on it.
     """
+    cookie = message._cookie
+    if cookie is not UNSCANNED:
+        return cookie
+    cookie = None
     for rr in message.additionals:
         if (
             rr.rtype == RRType.TXT
@@ -115,8 +138,11 @@ def extract_cookie(message: Message) -> bytes | None:
             and isinstance(rr.rdata, TXT)
             and len(rr.rdata.payload) == COOKIE_LENGTH
         ):
-            return rr.rdata.payload
-    return None
+            cookie = rr.rdata.payload
+            break
+    if message._wire is not None:
+        message._cookie = cookie
+    return cookie
 
 
 def strip_cookie(message: Message) -> Message:

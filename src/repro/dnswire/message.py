@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+from types import EllipsisType
 
 from .errors import DecodeError
 from .header import HEADER_SIZE, Header
@@ -73,6 +74,11 @@ class ResourceRecord:
         return cls(name, rtype, rclass, ttl, rdata), offset + rdlength
 
 
+#: :attr:`Message._cookie` before a scan.  ``Ellipsis`` is a singleton that
+#: survives ``copy`` and pickling; ``None`` means "scanned: no cookie".
+UNSCANNED = ...
+
+
 @dataclasses.dataclass(slots=True)
 class Message:
     """A complete DNS message."""
@@ -89,6 +95,12 @@ class Message:
     #: part of equality/repr)
     _wire: bytes | None = dataclasses.field(
         default=None, repr=False, compare=False
+    )
+    #: what ``cookie_ext.extract_cookie`` finds in a frozen message: set
+    #: only while ``_wire`` is, by that scan or by a derivation that knows
+    #: the answer (never part of equality/repr)
+    _cookie: bytes | None | EllipsisType = dataclasses.field(
+        default=UNSCANNED, repr=False, compare=False
     )
 
     # -- inspection --------------------------------------------------------
@@ -194,13 +206,15 @@ class Message:
         """This message under another header (id, flags), owning its lists.
 
         Only the first :data:`HEADER_SIZE` bytes of the wire depend on the
-        header, so the copy of a frozen message is born frozen; the copy
-        of an unfrozen one is :meth:`copy` under ``header``.
+        header, so the copy of a frozen message is born frozen, knowing
+        its cookie if this one does; the copy of an unfrozen one is
+        :meth:`copy` under ``header``.
         """
         derived = self.copy()
         derived.header = header
         if self._wire is not None:
             derived.freeze_as(self._wire[HEADER_SIZE:])
+            derived._cookie = self._cookie
         return derived
 
     @property
@@ -228,12 +242,13 @@ class Message:
         query, a load tool's reply).  A shape's first sighting is only
         parsed and its key recorded: verifying every shape on sight would
         double the cost of one that never recurs.  Its second sighting is
-        parsed and kept as a prototype if it is at most
-        :data:`MAX_UDP_PAYLOAD` bytes and its encoding reproduces it
-        exactly; every later sighting is the prototype's records under a
-        freshly decoded header, born frozen with ``data`` as its wire.  A
-        frozen message must be edited through :meth:`copy` or a derivation,
-        never in place.
+        parsed and, if it is at most :data:`MAX_UDP_PAYLOAD` bytes and its
+        encoding reproduces it exactly, frozen with ``data`` as its wire,
+        kept as the prototype and returned; every later sighting is the
+        prototype's records under a freshly decoded header, born frozen with
+        ``data`` as its wire and knowing the prototype's cookie once a scan
+        has found it.  A frozen message must be edited through :meth:`copy`
+        or a derivation, never in place.
         """
         if len(data) > MAX_UDP_PAYLOAD:
             return cls._parse(data)
@@ -250,7 +265,9 @@ class Message:
             if prototype._encode_once(True) != data:
                 _decoded[key] = _ORDINARY
                 return prototype
+            prototype._wire = bytes(data)
             _decoded[key] = prototype
+            return prototype
         header, _ = Header.decode(data)
         return cls(
             header,
@@ -259,6 +276,7 @@ class Message:
             list(prototype.authorities),
             list(prototype.additionals),
             bytes(data),
+            prototype._cookie,
         )
 
     @classmethod

@@ -141,7 +141,7 @@ def run_rotation_ablation(*, cookies: int = 1000, seed: int = 0) -> RotationResu
     rng = Simulator(seed=seed).rng
     with_bit = CookieFactory(random_key(rng))
     naive = CookieFactory(random_key(rng))
-    sources = [IPv4Address(0x0C000000 + i) for i in range(cookies)]
+    sources = [0x0C000000 + i for i in range(cookies)]  # 12.0.0.0 upward
     bit_cookies = [with_bit.cookie(ip) for ip in sources]
     naive_cookies = [naive.cookie(ip) for ip in sources]
 

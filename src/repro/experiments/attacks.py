@@ -223,7 +223,7 @@ def run_probing_attack(*, rl2_enabled: bool, seed: int = 0) -> ProbingResult:
     victim = IPv4Address("10.0.0.200")
     bed.add_client("victim", address=victim)  # the impersonated host exists
     r_y = bed.guard.cookie_host_range
-    true_y = bed.guard.cookies.ip_cookie(victim, r_y)
+    true_y = bed.guard.cookies.ip_cookie(int(victim), r_y)
     base = int(bed.guard.cookie_subnet.network_address)
 
     # the probe: the attacker's own legitimate queries through the guard.

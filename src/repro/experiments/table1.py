@@ -38,7 +38,7 @@ def _amplification_dns_based() -> int:
     # any fixed key: only wire sizes are measured, never cookie values
     factory = CookieFactory(bytes(KEY_LENGTH))
     reply = fabricated_referral(
-        query, Name.root(), factory.label_cookie(IPv4Address("10.0.0.1"))
+        query, Name.root(), factory.label_cookie(int(IPv4Address("10.0.0.1")))
     )
     return reply.wire_size() - query.wire_size()
 
@@ -48,7 +48,7 @@ def _amplification_modified() -> int:
     request = attach_cookie(make_query("www.foo.com", msg_id=1), ZERO_COOKIE)
     grant = make_response(request)
     factory = CookieFactory(bytes(KEY_LENGTH))
-    attach_cookie(grant, factory.cookie(IPv4Address("10.0.0.1")))
+    attach_cookie(grant, factory.cookie(int(IPv4Address("10.0.0.1"))))
     return grant.wire_size() - request.wire_size()
 
 

@@ -5,7 +5,13 @@ The cookie for a requester at ``source_ip`` is::
     c = MD5(source_ip || key)
 
 with a 76-byte secret key, so the hash input is the 80 bytes MD5 consumes in
-a single block.  Three encodings of ``c`` are used by the schemes:
+a single block.  ``source_ip`` is the 4-byte big-endian source integer — the
+paper's iptables module hashes the packet's ``__be32`` — so every method
+here takes the address as an ``int``, which the adapters hand in.  ``int()``
+is applied before packing, so an :class:`~ipaddress.IPv4Address` (whose
+``.packed`` is the same 4 bytes) still hashes to the same cookie.
+
+Three encodings of ``c`` are used by the schemes:
 
 * **full cookie** — all 16 bytes, carried in the modified-DNS TXT extension;
 * **NS-label cookie** — a 10-byte label prefix: 2-byte marker (``PR``) plus
@@ -29,7 +35,6 @@ its own key.
 from __future__ import annotations
 
 import hashlib
-from ipaddress import IPv4Address
 
 from .ports import Rng
 
@@ -160,9 +165,9 @@ class CookieFactory:
 
     # -- computation -------------------------------------------------------------
 
-    def _raw(self, source_ip: IPv4Address, key: bytes) -> bytes:
+    def _raw(self, source_ip: int, key: bytes) -> bytes:
         self.computations += 1
-        return hashlib.md5(source_ip.packed + key).digest()
+        return hashlib.md5(int(source_ip).to_bytes(4, "big") + key).digest()
 
     def _stamp_generation(self, cookie: bytes, generation: int) -> bytes:
         """Overwrite the first bit with the generation parity."""
@@ -171,12 +176,12 @@ class CookieFactory:
             first |= 0x80
         return bytes([first]) + cookie[1:]
 
-    def cookie(self, source_ip: IPv4Address) -> bytes:
+    def cookie(self, source_ip: int) -> bytes:
         """The 16-byte cookie for ``source_ip`` under the current key."""
         raw = self._raw(source_ip, self._current_key)
         return self._stamp_generation(raw, self.generation)
 
-    def verify(self, cookie: bytes, source_ip: IPv4Address) -> bool:
+    def verify(self, cookie: bytes, source_ip: int) -> bool:
         """Check a full 16-byte cookie, honouring the generation bit."""
         if len(cookie) != 16:
             return False
@@ -192,13 +197,13 @@ class CookieFactory:
 
     # -- NS-label encoding ---------------------------------------------------------
 
-    def label_cookie(self, source_ip: IPv4Address) -> bytes:
+    def label_cookie(self, source_ip: int) -> bytes:
         """The cookie prefix for a fabricated NS label: ``PR`` + hex digits."""
         c = self.cookie(source_ip)
         material = c[: self.label_hex_digits // 2]
         return LABEL_PREFIX + material.hex().encode("ascii")
 
-    def verify_label(self, label_cookie: bytes, source_ip: IPv4Address) -> bool:
+    def verify_label(self, label_cookie: bytes, source_ip: int) -> bool:
         """Check an NS-label cookie against ``source_ip``.
 
         Matching is case-insensitive (marker and hex digits) so DNS-0x20
@@ -225,14 +230,14 @@ class CookieFactory:
 
     # -- IP-cookie encoding ----------------------------------------------------------
 
-    def ip_cookie(self, source_ip: IPv4Address, host_range: int) -> int:
+    def ip_cookie(self, source_ip: int, host_range: int) -> int:
         """``y`` for the fabricated COOKIE2 address: first4(c) mod R_y."""
         if host_range <= 0:
             raise ValueError("host_range must be positive")
         c = self.cookie(source_ip)
         return int.from_bytes(c[:4], "big") % host_range
 
-    def verify_ip_cookie(self, y: int, source_ip: IPv4Address, host_range: int) -> bool:
+    def verify_ip_cookie(self, y: int, source_ip: int, host_range: int) -> bool:
         """Check a fabricated-address host index, under both key generations."""
         if not 0 <= y < host_range:
             return False

@@ -11,7 +11,6 @@ into these.
 from __future__ import annotations
 
 import hashlib
-from ipaddress import IPv4Address
 
 from ...dnswire import Message, Name, OPT, ResourceRecord, RRType
 
@@ -46,6 +45,12 @@ CLIENT_COOKIE_LENGTH = 8
 
 #: Our server cookie length (the RFC allows 8-32).
 SERVER_COOKIE_LENGTH = 16
+
+
+def _be32(address: int) -> bytes:
+    """The 4 bytes an address hashes as (``int()`` also takes an
+    ``IPv4Address``, whose ``.packed`` they equal)."""
+    return int(address).to_bytes(4, "big")
 
 
 def attach_edns_cookie(
@@ -83,15 +88,14 @@ def strip_edns_cookie(message: Message) -> Message:
     return message
 
 
-def derive_client_cookie(
-    secret: bytes, client: IPv4Address, server: IPv4Address
-) -> bytes:
+def derive_client_cookie(secret: bytes, client: int, server: int) -> bytes:
     """The shim's per-(client, server) client cookie (RFC 7873 §4).
 
-    A keyed digest over both addresses, as the RFC recommends, so one
-    learned cookie never identifies the client to a different server.
+    A keyed digest over both addresses (4-byte big-endian integers, as in
+    :mod:`.cookie`), as the RFC recommends, so one learned cookie never
+    identifies the client to a different server.
     """
-    material = secret + client.packed + server.packed
+    material = secret + _be32(client) + _be32(server)
     return hashlib.md5(material).digest()[:CLIENT_COOKIE_LENGTH]
 
 
@@ -107,12 +111,12 @@ class EdnsCookieServer:
         self.key = key
         self.computations = 0
 
-    def server_cookie(self, client_cookie: bytes, source: IPv4Address) -> bytes:
+    def server_cookie(self, client_cookie: bytes, source: int) -> bytes:
         self.computations += 1
-        material = client_cookie + source.packed + self.key
+        material = client_cookie + _be32(source) + self.key
         return hashlib.md5(material).digest()[:SERVER_COOKIE_LENGTH]
 
-    def verify(self, client_cookie: bytes, server_cookie: bytes, source: IPv4Address) -> bool:
+    def verify(self, client_cookie: bytes, server_cookie: bytes, source: int) -> bool:
         if len(server_cookie) != SERVER_COOKIE_LENGTH:
             return False
         return server_cookie == self.server_cookie(client_cookie, source)

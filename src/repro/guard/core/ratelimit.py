@@ -13,6 +13,9 @@ sources an attacker invents, and keeps a min-ordered heap beside its
 counters so the per-packet cost stays bounded too: evicting for a
 never-seen source is amortised O(log capacity), not a scan of the table.
 
+Sources are the 32-bit address integers the adapters convert each packet's
+address to once, so every table here hashes an int in C.
+
 Pure core: every method takes ``now`` explicitly (the Clock port as an
 argument), draws no randomness and touches no transport — the same
 accounting serves the simulator and a socket front end unchanged.
@@ -23,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from collections import OrderedDict
-from ipaddress import IPv4Address
 
 __layer__ = "pure-core"
 
@@ -135,7 +137,7 @@ class TopRequesterTracker:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._counts: dict[IPv4Address, _TopEntry] = {}
+        self._counts: dict[int, _TopEntry] = {}
         #: Min-ordered index beside ``_counts``: exactly one ``(count,
         #: insertion_seq, source, entry)`` per tracked source, so
         #: ``len(_min_heap) == len(_counts) <= capacity`` after every
@@ -144,10 +146,10 @@ class TopRequesterTracker:
         #: item surfaces at eviction.  ``insertion_seq`` is ``total`` at
         #: insertion, so ties break towards the first-inserted source —
         #: the victim a front-to-back ``min()`` over ``_counts`` picks.
-        self._min_heap: list[tuple[int, int, IPv4Address, _TopEntry]] = []
+        self._min_heap: list[tuple[int, int, int, _TopEntry]] = []
         self.total = 0
 
-    def observe(self, source: IPv4Address) -> int:
+    def observe(self, source: int) -> int:
         """Count one request from ``source``; returns its (over)count."""
         self.total += 1
         entry = self._counts.get(source)
@@ -170,11 +172,11 @@ class TopRequesterTracker:
         heapq.heapreplace(heap, (floor + 1, self.total, source, entry))
         return floor + 1
 
-    def count(self, source: IPv4Address) -> int:
+    def count(self, source: int) -> int:
         entry = self._counts.get(source)
         return entry.count if entry else 0
 
-    def top(self, k: int) -> list[tuple[IPv4Address, int]]:
+    def top(self, k: int) -> list[tuple[int, int]]:
         ranked = sorted(self._counts.items(), key=lambda item: item[1].count, reverse=True)
         return [(ip, entry.count) for ip, entry in ranked[:k]]
 
@@ -199,12 +201,12 @@ class UnverifiedResponseLimiter:
         self.per_source_rate = per_source_rate
         self.per_source_burst = per_source_burst
         self.tracker = TopRequesterTracker(tracker_capacity)
-        self._buckets: OrderedDict[IPv4Address, TokenBucket] = OrderedDict()
+        self._buckets: OrderedDict[int, TokenBucket] = OrderedDict()
         self._max_buckets = max_buckets
         self.allowed = 0
         self.denied = 0
 
-    def allow(self, source: IPv4Address, now: float) -> bool:
+    def allow(self, source: int, now: float) -> bool:
         self.tracker.observe(source)
         bucket = self._buckets.get(source)
         if bucket is None:
@@ -253,12 +255,12 @@ class VerifiedRequestLimiter:
     ):
         self.per_host_rate = per_host_rate
         self.per_host_burst = per_host_burst
-        self._buckets: OrderedDict[IPv4Address, TokenBucket] = OrderedDict()
+        self._buckets: OrderedDict[int, TokenBucket] = OrderedDict()
         self._max_buckets = max_buckets
         self.allowed = 0
         self.denied = 0
 
-    def allow(self, source: IPv4Address, now: float) -> bool:
+    def allow(self, source: int, now: float) -> bool:
         bucket = self._buckets.get(source)
         if bucket is None:
             bucket = TokenBucket(self.per_host_rate, self.per_host_burst, now=now)

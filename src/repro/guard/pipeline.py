@@ -21,6 +21,11 @@ All three schemes run simultaneously; requesters self-select by what their
 queries carry.  Spoof detection engages only above ``activation_threshold``
 requests/sec (None = always on), matching §IV.C's advice to enable checking
 only when the offered load exceeds the ANS's capacity.
+
+Addresses are compared and keyed as 32-bit integers: ``_transit_udp`` reads
+each packet's source and destination integer once and hands the ints to the
+core (cookies, limiters) and to the guard's own tables; a packet field or a
+per-source ``policy`` callable still sees the ``IPv4Address``.
 """
 
 from __future__ import annotations
@@ -220,7 +225,7 @@ class _Pending:
 
     kind: str  # "cookie-name" | "dnat"
     cookie_qname: Name | None
-    rewrite_source: IPv4Address | None
+    rewrite_source: IPv4Address | None  # a packet field, so an address
     original_qname: Name
     qtype: int
     expires_at: float
@@ -264,13 +269,17 @@ class RemoteDnsGuard:
         self.cookie_subnet = (
             IPv4Network(cookie_subnet) if isinstance(cookie_subnet, str) else cookie_subnet
         )
+        #: the ANS and the fabricated subnet as the ints packets are tested on
+        self._ans = int(ans_address)
+        net = self.cookie_subnet
+        self._cookie_net = None if net is None else (int(net.network_address), int(net.netmask))
         self._policy = policy
         self.activation_threshold = activation_threshold
         self.enabled = enabled
         self.rl1 = rl1 if rl1 is not None else UnverifiedResponseLimiter()
         self.rl2 = rl2 if rl2 is not None else VerifiedRequestLimiter()
         self.estimator = RateEstimator()
-        self._pending: dict[tuple[IPv4Address, int, int], _Pending] = {}
+        self._pending: dict[tuple[int, int, int], _Pending] = {}
         self._answer_cache: dict[tuple[Name, int], _CachedAnswer] = {}
         #: One prototype per message shape the guard emits — the cookie
         #: slots of messages 2 and 6, the frozen restored query of message
@@ -285,11 +294,12 @@ class RemoteDnsGuard:
         self.admission: AdmissionControl | None = None
         #: ``source -> last verify-success time`` — only maintained while
         #: an admission policy is installed, bounded FIFO.
-        self._verified_sources: dict[IPv4Address, float] = {}
-        #: Experiment-configured ground truth: sources known legitimate,
-        #: so any denial of service to them is a measured false reject.
-        #: Populated before the run starts and read-only afterwards.
-        self.watch_sources: frozenset[IPv4Address] = frozenset()
+        self._verified_sources: dict[int, float] = {}
+        #: Experiment-configured ground truth: sources (address integers)
+        #: known legitimate, so any denial of service to them is a measured
+        #: false reject.  Populated before the run starts and read-only
+        #: afterwards.
+        self.watch_sources: frozenset[int] = frozenset()
         #: True while the guard process is crashed: the box is dead inline
         #: hardware, so *nothing* crosses it (unlike ``enabled=False``,
         #: which degrades it to a plain router).
@@ -386,7 +396,7 @@ class RemoteDnsGuard:
         """
         self.cookies.rotate(key)
 
-    def _mark_verified(self, source: IPv4Address) -> None:
+    def _mark_verified(self, source: int) -> None:
         """Remember a verify success for admission priority (bounded FIFO)."""
         if self.admission is None:
             return
@@ -394,7 +404,7 @@ class RemoteDnsGuard:
         if len(self._verified_sources) > 8192:
             del self._verified_sources[next(iter(self._verified_sources))]
 
-    def _watched_reject(self, source: IPv4Address) -> None:
+    def _watched_reject(self, source: int) -> None:
         if source in self.watch_sources:
             self.watched_rejects += 1
 
@@ -409,17 +419,17 @@ class RemoteDnsGuard:
     @property
     def cookie_host_range(self) -> int:
         """R_y: usable host addresses in the fabricated-IP subnet."""
-        if self.cookie_subnet is None:
+        if self._cookie_net is None:
             return 0
-        return max(self.cookie_subnet.num_addresses - 2, 0)
+        return max((~self._cookie_net[1] & 0xFFFFFFFF) - 1, 0)
 
-    def cookie2_address(self, source: IPv4Address) -> IPv4Address | None:
-        """The fabricated COOKIE2 address for ``source``."""
+    def cookie2_address(self, source: int) -> IPv4Address | None:
+        """The fabricated COOKIE2 address for the address integer ``source``."""
         r_y = self.cookie_host_range
         if r_y <= 0:
             return None
         y = self.cookies.ip_cookie(source, r_y)
-        return IPv4Address(int(self.cookie_subnet.network_address) + 1 + y)
+        return IPv4Address(self._cookie_net[0] + 1 + y)
 
     # -- crash / restart --------------------------------------------------------------
 
@@ -483,13 +493,10 @@ class RemoteDnsGuard:
         segment = packet.segment
         if isinstance(segment, UdpDatagram):
             return self._transit_udp(packet, segment)
-        # TCP: terminate connections aimed at the protected ANS when active
-        if packet.dst == self.ans_address and segment.dport == 53:
+        # TCP: terminate connections aimed at the protected ANS when active;
+        # anything else (the ANS's own segments included) is transit
+        if packet.dst._ip == self._ans and segment.dport == 53:
             return Verdict.DELIVER if self.enabled else Verdict.ACCEPT
-        if packet.src == self.ans_address:
-            return Verdict.ACCEPT
-        # TCP already terminated here continues to arrive addressed to the
-        # ANS; anything else is unrelated transit
         return Verdict.ACCEPT
 
     def _transit_udp(self, packet: Packet, datagram: UdpDatagram) -> Verdict:
@@ -497,15 +504,16 @@ class RemoteDnsGuard:
             # hard-disabled (the paper's "protection disabled" baseline):
             # the guard is nothing but a router
             return Verdict.ACCEPT
+        src = packet.src._ip
+        dst = packet.dst._ip
         # responses coming back from the ANS
-        if packet.src == self.ans_address and datagram.sport == 53:
-            return self._handle_ans_response(packet, datagram)
+        if src == self._ans and datagram.sport == 53:
+            return self._handle_ans_response(packet, datagram, dst)
         # queries toward the protected server or the fabricated subnet
-        to_ans = packet.dst == self.ans_address and datagram.dport == 53
+        to_ans = dst == self._ans and datagram.dport == 53
+        net = self._cookie_net
         to_cookie_subnet = (
-            self.cookie_subnet is not None
-            and packet.dst in self.cookie_subnet
-            and datagram.dport == 53
+            net is not None and dst & net[1] == net[0] and datagram.dport == 53
         )
         if not (to_ans or to_cookie_subnet):
             return Verdict.ACCEPT
@@ -525,11 +533,11 @@ class RemoteDnsGuard:
                 adm,
                 backlog=cpu.backlog,
                 queue_limit=cpu.queue_limit,
-                last_verified=self._verified_sources.get(packet.src),
+                last_verified=self._verified_sources.get(src),
                 now=now,
             ):
                 self.admission_shed += 1
-                self._watched_reject(packet.src)
+                self._watched_reject(src)
                 self._charge(self.costs.per_packet)
                 self._note("admission", "shed", packet.span)
                 return Verdict.DROP
@@ -556,23 +564,22 @@ class RemoteDnsGuard:
         # plain queries and *drops* of invalid cookies are gated by the
         # activation threshold (handled inside the handlers via `active`)
         if to_cookie_subnet:
-            self._handle_cookie2_query(packet, datagram, message, active)
+            self._handle_cookie2_query(packet, datagram, message, src, dst, active)
             return Verdict.DROP
-        return self._handle_ans_query(packet, datagram, message, active)
+        return self._handle_ans_query(packet, datagram, message, src, active)
 
     # -- query paths -------------------------------------------------------------------
 
     def _handle_ans_query(
-        self, packet: Packet, datagram: UdpDatagram, message: Message, active: bool = True
+        self, packet: Packet, datagram: UdpDatagram, message: Message, src: int, active: bool
     ) -> Verdict:
         now = self.node.sim.now
-        src = packet.src
 
         cookie = extract_cookie(message)
         if cookie is not None:
             # modified-DNS scheme
             if cookie == ZERO_COOKIE:
-                self._grant_cookie(packet, datagram, message)
+                self._grant_cookie(packet, datagram, message, src)
                 return Verdict.DROP
             if self.cookies.verify(cookie, src):
                 self.valid_cookies += 1
@@ -618,7 +625,7 @@ class RemoteDnsGuard:
                         self._note("ns_name", "rl2_drop", packet.span)
                         return Verdict.DROP
                 self._note("ns_name", "forward", packet.span)
-                self._restore_and_forward(packet, datagram, message, decoded)
+                self._restore_and_forward(packet, datagram, message, src, decoded)
                 return Verdict.DROP
             self.invalid_drops += 1
             self._watched_reject(src)
@@ -631,7 +638,7 @@ class RemoteDnsGuard:
         if not active:
             self.forwarded_inactive += 1
             return Verdict.ACCEPT
-        action = self.policy_for(src)
+        action = self.policy_for(packet.src)
         if action == "forward":
             self._note("plain", "forward", packet.span)
             self._submit(self.costs.forward, self._safe_send, packet)
@@ -659,7 +666,7 @@ class RemoteDnsGuard:
                     self.costs.fabricate_response,
                     self._send_udp,
                     reply,
-                    src,
+                    packet.src,
                     datagram.sport,
                     packet.dst,
                 )
@@ -673,22 +680,24 @@ class RemoteDnsGuard:
             self.costs.truncate_response,
             self._send_udp,
             make_truncated_response(message),
-            src,
+            packet.src,
             datagram.sport,
             packet.dst,
         )
         return Verdict.DROP
 
-    def _grant_cookie(self, packet: Packet, datagram: UdpDatagram, message: Message) -> None:
+    def _grant_cookie(
+        self, packet: Packet, datagram: UdpDatagram, message: Message, src: int
+    ) -> None:
         """Messages 2 -> 3 of Figure 3a: answer with the requester's cookie."""
         now = self.node.sim.now
-        if not self.rl1.allow(packet.src, now):
+        if not self.rl1.allow(src, now):
             self.rl1_drops += 1
             self._charge(self.costs.per_packet)
             self._note("modified", "rl1_drop", packet.span)
             return
         grant = make_response(message)
-        attach_cookie(grant, self.cookies.cookie(packet.src))
+        attach_cookie(grant, self.cookies.cookie(src))
         self.cookies_granted += 1
         self._note("modified", "grant", packet.span)
         self._submit(
@@ -727,10 +736,10 @@ class RemoteDnsGuard:
         self._submit(self.costs.validate_and_forward, self._safe_send, forwarded)
 
     def _restore_and_forward(
-        self, packet: Packet, datagram: UdpDatagram, message: Message, decoded
+        self, packet: Packet, datagram: UdpDatagram, message: Message, src: int, decoded
     ) -> None:
         """Message 3 -> 4: restore the original question toward the ANS."""
-        key = (packet.src, datagram.sport, message.header.msg_id)
+        key = (src, datagram.sport, message.header.msg_id)
         if len(self._pending) >= PENDING_CAP:
             del self._pending[next(iter(self._pending))]
         self._pending[key] = _Pending(
@@ -758,7 +767,13 @@ class RemoteDnsGuard:
         return prototype.with_header(Header(msg_id=msg_id))
 
     def _handle_cookie2_query(
-        self, packet: Packet, datagram: UdpDatagram, message: Message, active: bool = True
+        self,
+        packet: Packet,
+        datagram: UdpDatagram,
+        message: Message,
+        src: int,
+        dst: int,
+        active: bool,
     ) -> None:
         """Message 7: a query addressed to a fabricated COOKIE2 address.
 
@@ -767,19 +782,19 @@ class RemoteDnsGuard:
         """
         now = self.node.sim.now
         r_y = self.cookie_host_range
-        y = int(packet.dst) - int(self.cookie_subnet.network_address) - 1
+        y = dst - self._cookie_net[0] - 1
         if active:
-            if not self.cookies.verify_ip_cookie(y, packet.src, r_y):
+            if not self.cookies.verify_ip_cookie(y, src, r_y):
                 self.invalid_drops += 1
-                self._watched_reject(packet.src)
+                self._watched_reject(src)
                 self._charge(self.costs.drop_invalid)
                 self._note("fabricated", "invalid_drop", packet.span)
                 return
             self.valid_cookies += 1
-            self._mark_verified(packet.src)
-            if not self.rl2.allow(packet.src, now):
+            self._mark_verified(src)
+            if not self.rl2.allow(src, now):
                 self.rl2_drops += 1
-                self._watched_reject(packet.src)
+                self._watched_reject(src)
                 self._note("fabricated", "rl2_drop", packet.span)
                 return
         question = message.question
@@ -798,7 +813,7 @@ class RemoteDnsGuard:
             )
             return
         # no cached answer: DNAT the query to the real ANS (messages 8/9)
-        key = (packet.src, datagram.sport, message.header.msg_id)
+        key = (src, datagram.sport, message.header.msg_id)
         if len(self._pending) >= PENDING_CAP:
             del self._pending[next(iter(self._pending))]
         self._pending[key] = _Pending(
@@ -818,12 +833,12 @@ class RemoteDnsGuard:
 
     # -- response path -------------------------------------------------------------------
 
-    def _handle_ans_response(self, packet: Packet, datagram: UdpDatagram) -> Verdict:
+    def _handle_ans_response(self, packet: Packet, datagram: UdpDatagram, dst: int) -> Verdict:
         payload = datagram.payload
         if not isinstance(payload, DnsPayload):
             return Verdict.ACCEPT
         message = payload.message
-        key = (packet.dst, datagram.dport, message.header.msg_id)
+        key = (dst, datagram.dport, message.header.msg_id)
         pending = self._pending.pop(key, None)
         if pending is None:
             return Verdict.ACCEPT
@@ -840,7 +855,7 @@ class RemoteDnsGuard:
             # non-referral answer: fabricate COOKIE2 and cache the real answer.
             # With no fabricated subnet configured this variant cannot run;
             # answer with the ANS's own address so the requester returns
-            addresses = [self.cookie2_address(packet.dst) or self.ans_address]
+            addresses = [self.cookie2_address(dst) or self.ans_address]
             if message.answers:
                 self._answer_cache[(pending.original_qname, pending.qtype)] = _CachedAnswer(
                     list(message.answers), self.node.sim.now + ANSWER_CACHE_TTL

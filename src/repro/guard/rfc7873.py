@@ -119,6 +119,7 @@ class EdnsCookieGuard:
     ):
         self.node = node
         self.ans_address = ans_address
+        self._ans = int(ans_address)
         # the key is drawn from the seeded rng, like RemoteDnsGuard's: a
         # constant would let anyone who has read the source mint a valid
         # server cookie for any spoofed address
@@ -145,9 +146,11 @@ class EdnsCookieGuard:
         segment = packet.segment
         if not isinstance(segment, UdpDatagram):
             return Verdict.ACCEPT
-        if packet.src == self.ans_address:
+        # addresses as integers from here on, converted once
+        src = packet.src._ip
+        if src == self._ans:
             return Verdict.ACCEPT
-        if packet.dst != self.ans_address or segment.dport != 53:
+        if packet.dst._ip != self._ans or segment.dport != 53:
             return Verdict.ACCEPT
         payload = segment.payload
         if not isinstance(payload, DnsPayload) or not payload.message.is_query():
@@ -165,7 +168,7 @@ class EdnsCookieGuard:
                 self._charge(self.costs.drop_invalid)
             return Verdict.DROP
         client_cookie, server_cookie = cookie
-        if server_cookie and self.server.verify(client_cookie, server_cookie, packet.src):
+        if server_cookie and self.server.verify(client_cookie, server_cookie, src):
             self.valid_cookies += 1
             clean = message.copy()
             strip_edns_cookie(clean)
@@ -179,14 +182,14 @@ class EdnsCookieGuard:
             self._charge(self.costs.drop_invalid)
             return Verdict.DROP
         # client cookie only: grant the server cookie (unverified response)
-        if not self.rl1.allow(packet.src, self.node.sim.now):
+        if not self.rl1.allow(src, self.node.sim.now):
             self._charge(self.costs.per_packet)
             return Verdict.DROP
         grant = Message(questions=list(message.questions))
         grant.header.msg_id = message.header.msg_id
         grant.header.qr = True
         attach_edns_cookie(
-            grant, client_cookie, self.server.server_cookie(client_cookie, packet.src)
+            grant, client_cookie, self.server.server_cookie(client_cookie, src)
         )
         self.cookies_granted += 1
         reply = packet.with_message(
@@ -230,13 +233,14 @@ class EdnsCookieClientShim:
         self.node = node
         self.cookie_ttl = cookie_ttl
         self._secret = struct.pack("!Q", node.sim.rng.getrandbits(64))
-        self._server_cookies: dict[tuple[IPv4Address, IPv4Address], _ServerCookieEntry] = {}
-        self._held: dict[tuple[IPv4Address, IPv4Address], list[tuple[Packet, UdpDatagram, float]]] = {}
+        #: keyed on (server, client) address integers
+        self._server_cookies: dict[tuple[int, int], _ServerCookieEntry] = {}
+        self._held: dict[tuple[int, int], list[tuple[Packet, UdpDatagram, float]]] = {}
         self.queries_stamped = 0
         self.grants_learned = 0
         node.filters.append(Hook.FORWARD, target=self._transit)
 
-    def client_cookie(self, client: IPv4Address, server: IPv4Address) -> bytes:
+    def client_cookie(self, client: int, server: int) -> bytes:
         return derive_client_cookie(self._secret, client, server)
 
     def _transit(self, packet: Packet) -> Verdict:
@@ -255,8 +259,8 @@ class EdnsCookieClientShim:
 
     def _outbound(self, packet: Packet, datagram: UdpDatagram, message: Message) -> Verdict:
         now = self.node.sim.now
-        key = (packet.dst, packet.src)
-        client_cookie = self.client_cookie(packet.src, packet.dst)
+        server, client = key = (packet.dst._ip, packet.src._ip)
+        client_cookie = self.client_cookie(client, server)
         entry = self._server_cookies.get(key)
         server_cookie = b""
         if entry is not None and entry.expires_at > now:
@@ -284,7 +288,7 @@ class EdnsCookieClientShim:
         if not server_cookie:
             return Verdict.ACCEPT
         now = self.node.sim.now
-        key = (packet.src, packet.dst)
+        key = (packet.src._ip, packet.dst._ip)
         if key not in self._server_cookies and len(self._server_cookies) >= SHIM_COOKIE_CAP:
             del self._server_cookies[next(iter(self._server_cookies))]
         self._server_cookies[key] = _ServerCookieEntry(server_cookie, now + self.cookie_ttl)

@@ -103,7 +103,8 @@ class TcpProxy:
         self.connections_rate_limited = 0
         self.connections_reaped = 0
         self.malformed_streams = 0
-        self._client_buckets: dict[IPv4Address, TokenBucket] = {}
+        #: keyed on the peer's address integer, ``conn.key[2]``
+        self._client_buckets: dict[int, TokenBucket] = {}
         self.node.tcp.segment_cost_fn = guard.costs.tcp_segment_cost
         self.listener = self.node.tcp.listen(53, self._on_connection, syn_cookies=True)
 
@@ -111,10 +112,11 @@ class TcpProxy:
 
     def _on_connection(self, conn: TcpConnection) -> None:
         now = self.node.sim.now
-        bucket = self._client_buckets.get(conn.remote_ip)
+        peer = conn.key[2]
+        bucket = self._client_buckets.get(peer)
         if bucket is None:
             bucket = TokenBucket(self.new_connection_rate, self.new_connection_burst, now=now)
-            self._client_buckets[conn.remote_ip] = bucket
+            self._client_buckets[peer] = bucket
             if len(self._client_buckets) > 8192:
                 self._client_buckets.pop(next(iter(self._client_buckets)))
         if not bucket.consume(now):
@@ -158,7 +160,7 @@ class TcpProxy:
         guard = self.guard
         if not query.is_query() or not query.questions:
             return
-        if not guard.rl2.allow(conn.remote_ip, self.node.sim.now):
+        if not guard.rl2.allow(conn.key[2], self.node.sim.now):
             guard.rl2_drops += 1
             return
         # charge the UDP-side work (query out + response in)

@@ -1,5 +1,9 @@
 """L006: the runtime import-isolation verifier for the pure core."""
 
+import ast
+import pathlib
+
+import repro.guard.core
 from repro.analysis.layers import (
     BLOCKED_PREFIXES,
     verify_import_isolation,
@@ -36,3 +40,16 @@ class TestImportIsolation:
                        "threading", "time", "random", "secrets"):
             assert prefix in BLOCKED_PREFIXES
         assert "os" not in BLOCKED_PREFIXES  # interpreter machinery needs it
+
+
+def test_guard_core_sources_never_import_ipaddress():
+    """The core takes addresses as 32-bit integers; ``ipaddress`` stays in
+    the adapters (``repro.dnswire`` still builds A records with it, so the
+    blocked-import verifier cannot check this one)."""
+    core = pathlib.Path(repro.guard.core.__file__).parent
+    for path in sorted(core.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert all(alias.name != "ipaddress" for alias in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "ipaddress", path.name

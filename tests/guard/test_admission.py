@@ -22,13 +22,13 @@ class TestAdmissionGate:
         bed = _quiet_bed()
         good = bed.add_client("good")
         bad = bed.add_client("bad")
-        bed.guard.watch_sources = frozenset({bad.addresses[0]})
+        bed.guard.watch_sources = frozenset({int(bad.addresses[0])})
         # shed_backlog_fraction=0 makes the gate bite at any backlog,
         # so the test does not need to saturate the CPU first
         bed.guard.set_admission(
             AdmissionControl(engaged=True, shed_backlog_fraction=0.0)
         )
-        bed.guard._mark_verified(good.addresses[0])
+        bed.guard._mark_verified(int(good.addresses[0]))
         good_lrs = LrsSimulator(good, ANS_ADDRESS, workload="plain", concurrency=1)
         bad_lrs = LrsSimulator(bad, ANS_ADDRESS, workload="plain", concurrency=1)
         good_lrs.start()
@@ -62,7 +62,7 @@ class TestAdmissionGate:
                 engaged=True, shed_backlog_fraction=0.0, verified_ttl=0.05
             )
         )
-        bed.guard._mark_verified(client.addresses[0])  # marked at t=0
+        bed.guard._mark_verified(int(client.addresses[0]))  # marked at t=0
         bed.run(0.1)  # ...which is stale by now
         lrs = LrsSimulator(client, ANS_ADDRESS, workload="plain", concurrency=1)
         lrs.start()
@@ -75,12 +75,12 @@ class TestAdmissionGate:
         bed = _quiet_bed()
         bed.guard.set_admission(AdmissionControl())
         for i in range(9000):
-            bed.guard._mark_verified(IPv4Address(0x0A000000 + i))
+            bed.guard._mark_verified(0x0A000000 + i)
         assert len(bed.guard._verified_sources) <= 8192
 
     def test_mark_verified_without_admission_is_a_noop(self):
         bed = _quiet_bed()
-        bed.guard._mark_verified(IPv4Address("10.0.0.1"))
+        bed.guard._mark_verified(int(IPv4Address("10.0.0.1")))
         assert bed.guard._verified_sources == {}
 
 
@@ -95,7 +95,7 @@ class TestActuatorEntryPoints:
     def test_set_admission_none_clears_the_cache(self):
         bed = _quiet_bed()
         bed.guard.set_admission(AdmissionControl(engaged=True))
-        bed.guard._mark_verified(IPv4Address("10.0.0.1"))
+        bed.guard._mark_verified(int(IPv4Address("10.0.0.1")))
         assert bed.guard.stats()["verified_sources"] == 1
         bed.guard.set_admission(None)
         assert bed.guard.admission is None
@@ -110,7 +110,7 @@ class TestActuatorEntryPoints:
     def test_crash_clears_verified_sources(self):
         bed = _quiet_bed()
         bed.guard.set_admission(AdmissionControl(engaged=True))
-        bed.guard._mark_verified(IPv4Address("10.0.0.1"))
+        bed.guard._mark_verified(int(IPv4Address("10.0.0.1")))
         state = bed.guard.crash()
         assert bed.guard._verified_sources == {}
         bed.guard.restart(state)

@@ -7,6 +7,7 @@ from ipaddress import IPv4Address
 import pytest
 
 from repro.guard import CookieFactory, KEY_LENGTH, LABEL_COOKIE_LENGTH, random_key
+from repro.guard.core import EdnsCookieServer
 
 #: keys are seeded like everything else: nothing here draws OS entropy
 RNG = random.Random(2006)
@@ -178,3 +179,54 @@ class TestIpCookie:
         )
         # expect about 200/16 = 12.5 hits; allow generous slack
         assert 2 <= hits <= 40
+
+
+class TestKnownAnswers:
+    """The paper's ``MD5(source || key)`` pinned byte for byte.
+
+    The hex values were computed when the core still took ``IPv4Address``
+    and hashed ``.packed``; the core now takes the address integer and
+    hashes its 4 big-endian bytes, which are the same bytes.
+    """
+
+    KEY = bytes(range(KEY_LENGTH))
+    SERVER_KEY = bytes(range(16))
+    CLIENT_COOKIE = bytes(range(8))
+    HOST_RANGE = 254
+
+    #: address -> (full cookie, label cookie, ip_cookie(254), RFC 7873 server cookie)
+    ANSWERS = {
+        "0.0.0.1": (
+            "490643e4337e5ee3329c5d58f30acdd3", b"PR490643e4", 208,
+            "9a07f9b02c7b2ee352e1b916e70d5689",
+        ),
+        "1.2.3.4": (
+            "2f3ad99f92e470b22e5dca7a5e18d2ab", b"PR2f3ad99f", 185,
+            "666a4ca56bfe7e6469c3f239af5947d3",
+        ),
+        "255.255.255.255": (
+            "382af4989babecf7be4a08a4a39a3a39", b"PR382af498", 240,
+            "1b1c42fbe444eb7e326c842a3aa7c753",
+        ),
+    }
+
+    @pytest.mark.parametrize("text", sorted(ANSWERS))
+    def test_int_api_reproduces_the_pinned_values(self, text):
+        full, label, y, server = self.ANSWERS[text]
+        source = int(IPv4Address(text))
+        factory = CookieFactory(self.KEY)
+        edns = EdnsCookieServer(self.SERVER_KEY)
+        assert factory.cookie(source).hex() == full
+        assert factory.label_cookie(source) == label
+        assert factory.ip_cookie(source, self.HOST_RANGE) == y
+        assert edns.server_cookie(self.CLIENT_COOKIE, source).hex() == server
+        # an IPv4Address still hashes as its integer does
+        assert factory.cookie(IPv4Address(text)).hex() == full
+        assert edns.server_cookie(self.CLIENT_COOKIE, IPv4Address(text)).hex() == server
+
+    @pytest.mark.parametrize("text", sorted(ANSWERS))
+    def test_the_full_cookie_is_md5_of_the_be32_source_and_key(self, text):
+        digest = hashlib.md5(IPv4Address(text).packed + self.KEY).digest()
+        # generation 0 clears the first bit
+        stamped = bytes([digest[0] & 0x7F]) + digest[1:]
+        assert stamped.hex() == self.ANSWERS[text][0]
