@@ -21,7 +21,12 @@ counter and prints one JSON row:
 * ``enum_py_frames`` — frames entered in the stdlib's ``enum.py``;
 * ``decodes`` and ``encodes`` — full ``Message`` parses (``Message._parse``;
   ``Message.decode`` in a checkout from before the decode memo, where every
-  decode was one) and ``Message._encode_once`` calls.
+  decode was one) and ``Message._encode_once`` calls;
+* ``cyclic_garbage`` — objects the run left for the cyclic collector: the
+  collector is paused for the run (after a collection that drops whatever
+  was garbage before it started) and this is what ``gc.collect()`` finds
+  unreachable afterwards.  What the run frees by reference count is not
+  counted.
 
 Counts are exact and repeat from run to run at one seed, so a before/after
 pair of rows is a budget, not a timing.  ``--quick`` runs the scenario at
@@ -31,6 +36,7 @@ nothing under ``bench/``.
 
 import argparse
 import collections
+import gc
 import ipaddress
 import json
 import os
@@ -82,9 +88,15 @@ def budget(name: str, seed: int, *, quick: bool = False) -> dict:
     workload = BY_NAME[name]
     scale = QUICK_SCALE if quick else 1.0
     scenario = workload.build(seed)
-    outputs, per_code, builtins, ipaddress_calls = counted(
-        lambda: scenario.run(workload.warmup * scale, workload.duration * scale)
-    )
+    gc.collect()
+    gc.disable()
+    try:
+        outputs, per_code, builtins, ipaddress_calls = counted(
+            lambda: scenario.run(workload.warmup * scale, workload.duration * scale)
+        )
+        cyclic_garbage = gc.collect()
+    finally:
+        gc.enable()
     by_file = collections.Counter({"<builtin>": builtins})
     for code, calls in per_code.items():
         by_file[where(code.co_filename)] += calls
@@ -111,6 +123,7 @@ def budget(name: str, seed: int, *, quick: bool = False) -> dict:
         "enum_py_frames": by_file.get("enum.py", 0),
         "decodes": per_code.get(parse, 0),
         "encodes": per_code.get(Message._encode_once.__code__, 0),
+        "cyclic_garbage": cyclic_garbage,
     }
 
 

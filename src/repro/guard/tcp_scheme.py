@@ -17,6 +17,7 @@ proves the source address — the sequence number *is* the cookie.  The proxy:
 
 from __future__ import annotations
 
+import weakref
 from ipaddress import IPv4Address
 from typing import TYPE_CHECKING
 
@@ -131,10 +132,16 @@ class TcpProxy:
         self._arm_reaper(conn)
 
     def _arm_reaper(self, conn: TcpConnection) -> None:
+        """Abort ``conn`` if it is still open at its reap deadline.  The
+        event holds it weakly, so a closed one is freed at close.  This is
+        deterministic: an open connection is always held by its stack's
+        ``connections`` table, so a dead reference only means a closed one."""
         deadline = reap_deadline(conn.rtt, self.reap_rtt_multiple)
+        conn_ref = weakref.ref(conn)
 
         def reap() -> None:
-            if conn.state is not TcpState.CLOSED:
+            conn = conn_ref()
+            if conn is not None and conn.state is not TcpState.CLOSED:
                 self.connections_reaped += 1
                 self.guard._note("tcp", "conn_reaped")
                 conn.abort()

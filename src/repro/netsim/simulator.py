@@ -305,20 +305,28 @@ def _caller_site() -> tuple[str, int] | None:
 
 
 class EventHandle:
-    """A cancellable reference to a scheduled event."""
+    """A cancellable reference to a scheduled event, built by
+    :meth:`Simulator.schedule_at`.  It owns the event's ``callback`` and
+    ``args`` (the heap entry points at it), and :meth:`cancel` drops them:
+    a tombstone still in the heap keeps nothing else alive."""
 
-    __slots__ = ("time", "cancelled", "_sim")
+    __slots__ = ("time", "cancelled", "callback", "args", "_sim")
 
-    def __init__(self, time: float, sim: "Simulator | None" = None):
+    def __init__(self, time: float, sim: "Simulator", callback: Callable[..., Any], args: tuple):
         self.time = time
         self.cancelled = False
+        self.callback = callback
+        self.args = args
         self._sim = sim
 
     def cancel(self) -> None:
-        """Prevent the event's callback from running (idempotent)."""
+        """Prevent the event's callback from running (idempotent) and let go
+        of the callback and its arguments."""
         if self.cancelled:
             return
         self.cancelled = True
+        self.callback = None
+        self.args = ()
         sim = self._sim
         if sim is not None:
             sim._note_cancelled()
@@ -340,10 +348,8 @@ class Simulator:
         self.seed = seed
         self.rng = random.Random(seed)
         self._child_rngs: dict[str, random.Random] = {}
-        # heap entries: (time, priority, seq, handle, callback, args)
-        self._queue: list[
-            tuple[float, int, int, EventHandle, Callable[..., Any], tuple]
-        ] = []
+        # heap entries: (time, priority, seq, handle); the handle holds the callback
+        self._queue: list[tuple[float, int, int, EventHandle]] = []
         self._sequence = itertools.count()
         self._events_processed = 0
         #: Cancelled entries still sitting in the heap (see _note_cancelled).
@@ -425,11 +431,11 @@ class Simulator:
             if not isfinite(time):
                 raise ValueError(f"cannot schedule at non-finite time {time!r}")
             raise ValueError(f"cannot schedule at {time} before now={self.now}")
-        handle = EventHandle(time, self)
+        handle = EventHandle(time, self, callback, args)
         seq = next(self._sequence)
         if self._tie_hook is not None:
             self._sites[seq] = _caller_site()
-        heapq.heappush(self._queue, (time, priority, seq, handle, callback, args))
+        heapq.heappush(self._queue, (time, priority, seq, handle))
         return handle
 
     # -- execution ---------------------------------------------------------
@@ -447,7 +453,7 @@ class Simulator:
             while True:
                 if not queue:
                     return False
-                time, _priority, sequence, handle, callback, args = queue[0]
+                time, _priority, sequence, handle = queue[0]
                 if not handle.cancelled:
                     break
                 heapq.heappop(queue)
@@ -457,6 +463,7 @@ class Simulator:
                 return False
             heapq.heappop(queue)
             handle._sim = None
+            callback, args = handle.callback, handle.args
         else:
             next_time = self._next_event_time()
             if next_time is None or next_time > until:
@@ -488,13 +495,15 @@ class Simulator:
             not group
             or (queue[0][0] == group[0].time and queue[0][1] == group[0].priority)
         ):
-            time, priority, seq, handle, callback, args = heapq.heappop(queue)
+            time, priority, seq, handle = heapq.heappop(queue)
             site = self._sites.pop(seq, None)
             handle._sim = None
             if handle.cancelled:
                 self._tombstones -= 1
             else:
-                group.append(TieEvent(time, priority, seq, handle, callback, args, site))
+                group.append(
+                    TieEvent(time, priority, seq, handle, handle.callback, handle.args, site)
+                )
         if not group:
             return None
         reordered = self._tie_hook.on_group(self, group)
@@ -547,7 +556,7 @@ class Simulator:
         if self._tie_buffer and not self._tie_group_drained():
             return self._tie_buffer[0].time
         while self._queue and self._queue[0][3].cancelled:
-            _, _, seq, handle, _, _ = heapq.heappop(self._queue)
+            _, _, seq, handle = heapq.heappop(self._queue)
             handle._sim = None
             self._tombstones -= 1
             self._sites.pop(seq, None)

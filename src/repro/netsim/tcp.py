@@ -193,6 +193,7 @@ class TcpConnection:
         "on_established",
         "on_data",
         "on_close",
+        "__weakref__",
     )
 
     def __init__(

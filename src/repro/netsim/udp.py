@@ -62,11 +62,14 @@ class UdpSocket:
         )
 
     def close(self) -> None:
-        """Unbind the socket; closing it again is a no-op."""
+        """Unbind the socket and drop its handler (a reply handler that
+        closes its socket would otherwise keep a socket -> handler -> socket
+        cycle for the cyclic collector); closing it again is a no-op."""
         if self.closed:
             return
         self.closed = True
         self.stack._unbind(self)
+        self.handler = None
 
     def __repr__(self) -> str:
         return f"UdpSocket({self.ip or '*'}:{self.port})"

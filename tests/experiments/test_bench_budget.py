@@ -5,8 +5,9 @@ the benchmark's ``--quick`` scale each of the five workloads runs in under a
 second, so its row is pinned here: the speed-ups the benchmark measured
 (``__slots__``, the wire memo, integer TCP keys and flags, the flood's hop,
 the decode memo) stay held by counts, which repeat exactly, instead of by
-timings, which do not.  A second pin keeps the per-event classes free of a
-per-instance ``__dict__``.
+timings, which do not.  Every run also leaves nothing for the cyclic
+collector: what an exchange owns dies by reference count when it ends.  A
+second pin keeps the per-event classes free of a per-instance ``__dict__``.
 """
 
 import json
@@ -74,6 +75,8 @@ def test_quick_budget(workload):
     assert row["decodes"] <= decodes
     assert row["encodes"] <= encodes
     assert row["enum_py_frames"] == 0
+    # ... and nothing left behind in a reference cycle
+    assert row["cyclic_garbage"] == 0
     if workload in GUARD_WITHOUT_IPADDRESS:
         callers = row["ipaddress_by_caller"]
         assert not [caller for caller in callers if caller.startswith("repro/guard/")]

@@ -1,5 +1,7 @@
 """Unit-level tests for the transparent TCP proxy."""
 
+import gc
+import weakref
 from ipaddress import IPv4Address
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from repro.dns import StreamFramer, frame
 from repro.dnswire import make_query
 from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
+from repro.guard.core.admission import MIN_REAP_SECONDS
 
 
 def query_over_tcp(bed, client, qname="www.foo.com", msg_id=1, timeout=2.0):
@@ -79,6 +82,61 @@ class TestProxyBasics:
         # the proxy's ephemeral sockets were closed by the timeout path
         live = [s for s in bed.guard_node.udp._sockets.values() if not s.closed]
         assert len(live) == 0
+
+
+@pytest.fixture
+def collector_paused():
+    """Only reference counting frees objects inside the test."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+class TestExchangeLifetime:
+    """What a proxied exchange owns dies when the exchange ends, not when
+    its reap event fires."""
+
+    @staticmethod
+    def proxied_connections(bed):
+        """Weak references to each connection the proxy accepts."""
+        listener = bed.guard.tcp_proxy.listener
+        accept = listener.on_connection
+        accepted = []
+
+        def on_connection(conn):
+            accepted.append(weakref.ref(conn))
+            accept(conn)
+
+        listener.on_connection = on_connection
+        return accepted
+
+    def test_closed_connection_is_freed_before_its_reap_deadline(self, collector_paused):
+        bed = GuardTestbed(ans="simulator", ans_mode="answer", guard_policy="tcp")
+        accepted = self.proxied_connections(bed)
+        client = bed.add_client("lrs")
+        response = query_over_tcp(bed, client, timeout=MIN_REAP_SECONDS / 2)
+        assert response is not None
+        assert bed.guard.tcp_proxy.requests_proxied == 1
+        assert len(accepted) == 1
+        assert accepted[0]() is None
+        assert bed.guard.tcp_proxy.connections_reaped == 0
+
+    def test_connection_open_at_its_deadline_is_still_reaped(self, collector_paused):
+        bed = GuardTestbed(ans="simulator", ans_mode="answer", guard_policy="tcp")
+        accepted = self.proxied_connections(bed)
+        client = bed.add_client("lrs")
+        client.tcp.connect(
+            ANS_ADDRESS, 53,
+            on_established=lambda c: c.send(frame(make_query("www.foo.com", msg_id=1))),
+        )
+        bed.run(MIN_REAP_SECONDS / 2)
+        assert bed.guard.tcp_proxy.requests_proxied == 1
+        assert accepted[0]() is not None  # open: the stack holds it
+        bed.run(MIN_REAP_SECONDS)
+        assert bed.guard.tcp_proxy.connections_reaped == 1
+        assert bed.guard_node.tcp.open_connections == 0
+        assert accepted[0]() is None
 
 
 class TestProxyPolicing:

@@ -1,5 +1,6 @@
 """Unit tests for links, nodes, routing and UDP."""
 
+import weakref
 from ipaddress import IPv4Address
 
 import pytest
@@ -297,6 +298,22 @@ class TestUdp:
         a.udp.bind_ephemeral(lambda *args: None).send(b"x", IPv4Address("10.0.0.2"), 9999)
         sim.run()
         assert b.udp.datagrams_unmatched == 1
+
+    def test_close_releases_the_handler(self):
+        """A reply handler that closes its own socket is a cycle (socket ->
+        handler -> socket); ``close`` cuts it, so the handler dies then."""
+        sim = Simulator()
+        a, _, _ = two_hosts(sim)
+
+        def handler(payload, src, sport, dst):
+            sock.close()
+
+        sock = a.udp.bind_ephemeral(handler)
+        handler_ref = weakref.ref(handler)
+        del handler
+        assert handler_ref() is not None
+        sock.close()
+        assert handler_ref() is None
 
     def test_closed_socket_stops_receiving_and_sending(self):
         sim = Simulator()

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event core."""
 
+import weakref
+
 import pytest
 
 from repro.netsim import Simulator
@@ -337,6 +339,26 @@ class TestHeapHygiene:
         assert sim.pending_events == 5
         assert sim.live_pending_events == 3
         assert keep  # silence unused warning
+
+    def test_cancelled_event_releases_callback_and_arguments(self):
+        """The tombstone stays queued until popped or compacted, but what it
+        would have run is let go at ``cancel``."""
+
+        class Exchange:
+            def expire(self, other):
+                pass
+
+        sim = Simulator()
+        owner, argument = Exchange(), Exchange()
+        owner_ref, argument_ref = weakref.ref(owner), weakref.ref(argument)
+        handle = sim.schedule(1.0, owner.expire, argument)
+        del owner, argument
+        assert owner_ref() is not None and argument_ref() is not None
+        handle.cancel()
+        assert owner_ref() is None and argument_ref() is None
+        assert sim.pending_events == 1 and sim.live_pending_events == 0
+        sim.run()
+        assert sim.pending_events == 0 and sim.events_processed == 0
 
     def test_compaction_purges_dominating_tombstones(self):
         from repro.netsim.simulator import _COMPACT_MIN_TOMBSTONES
