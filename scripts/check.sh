@@ -5,7 +5,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== static analysis (lint + taint dataflow + FSM conformance + races + memory + layering) + README rule table drift check =="
+echo "== static analysis (lint + taint dataflow + races + memory + layering) + README rule table drift check =="
 # the gate command lives in the Makefile; SARIF_OUT passes through the environment
 make --no-print-directory lint
 

@@ -7,7 +7,7 @@ packet field reaches a guard admission except through a cookie check
 is separable from its transport.  This package checks them, with one
 home per concept:
 
-* :mod:`.registry` — the one rule table: every rule id (33 plus E999),
+* :mod:`.registry` — the one rule table: every rule id (26 plus E999),
   its family label, summary, rationale and severity.  ``--rules``,
   ``--list-rules``, ``--rules-md``, ``--fail-on``, U001's known ids and
   the SARIF descriptors all read it;
@@ -28,8 +28,8 @@ home per concept:
   function in the family's rules module, over a ``{rule id: check}``
   dict where the rules are independent: the determinism lint
   (:mod:`.rules`: D/W rules), :mod:`.flow` (T-rules: taint over
-  ``__trust_boundary__``; S-rules: TCP FSM conformance), :mod:`.races`
-  (R-rules over ``__shared_state__``), :mod:`.memory` (M-rules over
+  ``__trust_boundary__``), :mod:`.races` (R-rules over
+  ``__shared_state__``), :mod:`.memory` (M-rules over
   ``__state_bounds__`` and the per-event hot set) and
   :mod:`.layers` (L-rules over ``__layer__``);
 * :mod:`.sarif` — family-neutral SARIF 2.1.0 export;

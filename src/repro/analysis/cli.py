@@ -2,20 +2,20 @@
 
 Runs the determinism lint and every flagged rule family from
 :data:`repro.analysis.kernel.FAMILIES` over the given paths (default:
-``src``): ``--flow`` adds the taint-dataflow and FSM-conformance
-analyses, ``--races`` the static simultaneity rules R001/R002,
-``--memory`` the state-exhaustion rules M001–M005 over
-``__state_bounds__`` declarations, and ``--layers`` the transport-purity
-layering rules L001–L006 over ``__layer__`` declarations and the
-import-layering manifest, including the L006 import-isolation witness; any of them also
-turns on suppression hygiene (U001).  Each file is parsed exactly once
-and every family analyses the same shared facts; ``--bench`` appends the
-analyzer wall-clock to a dated trajectory file.  The exit code follows
-the ``--fail-on`` severity contract — by default any finding exits
-nonzero — so it slots directly into CI and pre-commit.  ``--sarif``
-additionally writes the findings as a SARIF 2.1.0 document for
-code-scanning upload; ``--rules-md`` / ``--rules-md-check`` generate and
-drift-check the README rule table.
+``src``): ``--flow`` adds the taint-dataflow analysis, ``--races`` the
+static simultaneity rules R001/R002, ``--memory`` the state-exhaustion
+rules M001–M005 over ``__state_bounds__`` declarations, and ``--layers``
+the transport-purity layering rules L001–L006 over ``__layer__``
+declarations and the import-layering manifest, including the L006
+import-isolation witness; any of them also turns on suppression hygiene
+(U001).  Each file is parsed exactly once and every family analyses the
+same shared facts; ``--bench`` appends the analyzer wall-clock to a
+dated trajectory file.  The exit code follows the ``--fail-on``
+severity contract — by default any finding exits nonzero — so it slots
+directly into CI and pre-commit.  ``--sarif`` additionally writes the
+findings as a SARIF 2.1.0 document for code-scanning upload;
+``--rules-md`` / ``--rules-md-check`` generate and drift-check the
+README rule table.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ def main(argv: list[str] | None = None) -> int:
         description=(
             "Static analysis for the reproduction: a determinism lint "
             "(wall-clock reads, global randomness, unordered scheduling) "
-            "plus, with --flow, taint dataflow over the guard trust "
-            "boundaries and FSM conformance for the TCP model."
+            "plus, with --flow, taint dataflow over the guard and TCP "
+            "trust boundaries."
         ),
     )
     parser.add_argument(

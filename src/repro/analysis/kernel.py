@@ -26,9 +26,10 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable
 
-from . import flow, rules as lint_rules
+from . import rules as lint_rules
 from .engine import SYNTAX_ERROR_RULE, SuppressionTracker
 from .findings import Finding
+from .flow import taint as flow_rules
 from .flow.core import FunctionSummary, build_summaries
 from .layers import rules as layers_rules
 from .memory import rules as memory_rules
@@ -107,9 +108,9 @@ FAMILIES: dict[str, Family] = {
         Family("lint", ("lint", "hygiene"), lint_rules.check),
         Family(
             "flow",
-            ("taint", "fsm"),
-            flow.check,
-            "also run the dataflow/FSM analyses (T/S rules) and the "
+            ("taint",),
+            flow_rules.check,
+            "also run the taint dataflow analysis (T rules) and the "
             "unused-suppression check (U001)",
         ),
         Family(

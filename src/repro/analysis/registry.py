@@ -22,7 +22,8 @@ class Rule:
 
     id: str
     #: fine-grained family label shown in the README table; an engine
-    #: family owns one or more labels (``flow`` owns ``taint`` and ``fsm``)
+    #: family owns one or more labels (``races`` owns ``race-static`` and
+    #: ``race-runtime``)
     family: str
     summary: str
     rationale: str
@@ -114,53 +115,6 @@ RULES: dict[str, Rule] = {
             "cookie key material flows into a log, repr, or obs exporter",
             "spoof detection is exactly as strong as key secrecy; keys leave the "
             "process only via explicit state export",
-        ),
-        Rule(
-            "S001", "fsm",
-            "implemented state transition not declared in the FSM spec",
-            "an undeclared edge bypasses the spec's security obligations (ISN checks, "
-            "retry budgets) without review",
-        ),
-        Rule(
-            "S002", "fsm",
-            "declared state transition has no implementation",
-            "a lost edge silently drops protocol behaviour the paper's handshake "
-            "argument relies on",
-        ),
-        Rule(
-            "S003", "fsm",
-            "spec state unreachable from the initial states",
-            "dead states hide missing transitions and rot the model the security "
-            "argument is checked against",
-        ),
-        Rule(
-            "S004", "fsm",
-            "a spec path reaches ESTABLISHED without crossing a verified ISN-checked "
-            "edge",
-            "the exhaustive small-model walk: every way to complete the handshake "
-            "must prove the peer echoed the server's ISN",
-        ),
-        Rule(
-            "S005", "fsm",
-            "an ISN-checked edge is reachable through a call path with no dominating "
-            "ISN comparison",
-            "the spec label is verified against the code, not trusted: a declared "
-            "check that is not actually performed is the exact bug class spoof "
-            "detection exists to prevent",
-        ),
-        Rule(
-            "S006", "fsm",
-            "retry-obligated state lacks a retransmit escape or the abort path is not "
-            "budget-bounded",
-            "a silent peer must cost bounded retransmissions and bounded time — "
-            "otherwise the guard itself becomes a DoS amplifier",
-        ),
-        Rule(
-            "S007", "fsm",
-            "segment processed in the SYN-cookie path before the cookie ISN is "
-            "validated",
-            "stateless SYN-cookie handling is only sound if nothing connection-shaped "
-            "happens before the cookie round-trips",
         ),
         Rule(
             "R001", "race-static",

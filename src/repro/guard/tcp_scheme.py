@@ -35,15 +35,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Trust boundary for the flow analyser (``repro.analysis.flow``).  The
 #: TCP scheme has no taint sources on purpose: a connection only reaches
 #: ``_on_connection`` after the three-way handshake, and the handshake
-#: proving the peer's address is enforced *structurally* by the S-rules
-#: over ``repro.netsim.tcp`` (every path to ESTABLISHED must cross the
-#: ISN echo check), not by per-field taint tracking here.
+#: proving the peer's address is checked where it happens, in
+#: ``repro.netsim.tcp`` (T001 over its trust boundary), not by per-field
+#: taint tracking here.
 __trust_boundary__ = {
     "scheme": "tcp",
     "entry_points": [],
     "taint_params": [],
     "assumes": (
-        "conn.remote is handshake-proven (S004/S005 on repro.netsim.tcp); "
+        "conn.remote is handshake-proven (T001 on repro.netsim.tcp; "
+        "tests/netsim/test_tcp.py::TestSynRcvdIsnCheck); "
         "queries arriving over a proven connection are admitted by design "
         "— §III.C: the sequence number is the cookie"
     ),

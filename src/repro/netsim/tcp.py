@@ -68,12 +68,12 @@ SYN = int(TcpFlags.SYN)
 RST = int(TcpFlags.RST)
 ACK = int(TcpFlags.ACK)
 
-#: Trust boundary for the flow analyser (``repro.analysis.flow``).  The
-#: handshake argument is checked two ways: T-rules treat inbound segments
-#: as tainted until they pass an ISN comparison (``iss`` reads and the
-#: SYN-cookie recomputation are the registered evidence), and the S-rules
-#: check the extracted state machine against ``fsm_spec.TCP_SPEC`` —
-#: every path into ESTABLISHED must cross a verified ISN-checked edge.
+#: Trust boundary for the flow analyser (``repro.analysis.flow``).  T001
+#: treats inbound segments as tainted until they pass an ISN comparison
+#: (``iss`` reads and the SYN-cookie recomputation are the registered
+#: evidence), so no connection reaches ``on_connection`` without the peer
+#: echoing the ISN.  The dynamic half is in ``tests/netsim/test_tcp.py``
+#: (``TestSynRcvdIsnCheck``, ``TestSynCookies``).
 __trust_boundary__ = {
     "scheme": "tcp-handshake",
     "entry_points": ["TcpConnection.handle", "TcpStack._process"],

@@ -196,24 +196,47 @@ class TestT002:
 
 
 class TestAcceptanceMutations:
-    """The seeded-mutation proof: deleting the verification is detected."""
+    """The seeded-mutation proof: deleting a verification on the real
+    source is detected — the cookie verify in the pipeline, and the two
+    ISN echo checks that make a TCP handshake prove the peer's address."""
+
+    @staticmethod
+    def mutated_findings(tmp_path, module: str, old: str, new: str):
+        original = (REPO_SRC / "repro" / module).read_text(encoding="utf-8")
+        mutated = original.replace(old, new)
+        assert mutated != original, f"mutation target not found: {old!r}"
+        write(tmp_path, Path(module).name, mutated)
+        findings = analyze_paths([tmp_path], rule_ids=["T001"])
+        assert findings, f"deleting {old!r} must fire T001"
+        assert all(f.rule == "T001" for f in findings)
+        return findings
 
     def test_repo_src_is_clean(self):
         assert analyze_paths([REPO_SRC]) == []
 
     def test_removing_cookie_verify_fires_t001(self, tmp_path):
-        original = (REPO_SRC / "repro" / "guard" / "pipeline.py").read_text(
-            encoding="utf-8"
+        findings = self.mutated_findings(
+            tmp_path,
+            "guard/pipeline.py",
+            "if self.cookies.verify(cookie, src):",
+            "if True:",
         )
-        mutated = original.replace(
-            "if self.cookies.verify(cookie, src):", "if True:"
-        )
-        assert mutated != original
-        write(tmp_path, "pipeline.py", mutated)
-        findings = analyze_paths([tmp_path], rule_ids=["T001"])
-        assert findings, "deleting the cookie verify must fire T001"
-        assert all(f.rule == "T001" for f in findings)
         assert any("_strip_and_forward" in f.message for f in findings)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("if segment.ack == (isn + 1) & 0xFFFFFFFF:", "if True:"),
+            (
+                "if flags & ACK and segment.ack == (self.iss + 1) & 0xFFFFFFFF:",
+                "if flags & ACK:",
+            ),
+        ],
+        ids=["cookie", "syn_rcvd"],
+    )
+    def test_removing_isn_check_fires_t001(self, tmp_path, old, new):
+        findings = self.mutated_findings(tmp_path, "netsim/tcp.py", old, new)
+        assert any("on_connection" in f.message for f in findings)
 
 
 class TestRepoTrustDeclarations:

@@ -22,7 +22,7 @@ from repro.analysis.sarif import (
 
 FINDINGS = [
     Finding(path="src/a.py", line=3, col=4, rule="T001", message="tainted sink"),
-    Finding(path="src/b.py", line=9, col=0, rule="S004", message="bad walk"),
+    Finding(path="src/b.py", line=9, col=0, rule="T002", message="key leak"),
 ]
 
 
@@ -36,7 +36,7 @@ class TestSarif:
         assert driver["version"] == "1.2"
         rule_ids = [rule["id"] for rule in driver["rules"]]
         assert rule_ids == sorted(rule_ids)
-        assert {"T001", "S004", "D001", "U001", "E999"} <= set(rule_ids)
+        assert {"T001", "T002", "D001", "U001", "E999"} <= set(rule_ids)
         for result in run["results"]:
             assert rule_ids[result["ruleIndex"]] == result["ruleId"]
             region = result["locations"][0]["physicalLocation"]["region"]
@@ -63,7 +63,7 @@ class TestSarif:
             if line.startswith("| `")
         ]
         assert sarif_ids == md_ids == sorted(RULES)
-        assert len(sarif_ids) == 34 and {"L001", "L006", "E999"} <= set(sarif_ids)
+        assert len(sarif_ids) == 27 and {"L001", "L006", "E999"} <= set(sarif_ids)
 
     def test_every_family_finding_carries_its_registered_metadata(self):
         finding = Finding(path="src/c.py", line=1, col=0, rule="L003", message="m")
@@ -157,7 +157,7 @@ class TestCli:
 
     def test_flow_rule_selection(self, capsys):
         # asking for a flow rule implies the flow engine
-        assert main(["--rules", "S003", "src"]) == 0
+        assert main(["--rules", "T002", "src"]) == 0
         capsys.readouterr()
 
     def test_unknown_rule_id_is_an_error(self, capsys):
@@ -173,7 +173,7 @@ class TestRulesMarkdown:
         block = rules_markdown()
         assert block.startswith(RULES_MD_BEGIN)
         assert block.endswith(RULES_MD_END)
-        for rule_id in ("D001", "T001", "T002", "S004", "U001", "E999"):
+        for rule_id in ("D001", "T001", "T002", "R001", "U001", "E999"):
             assert f"`{rule_id}`" in block
 
     def test_update_rewrites_only_the_block(self, tmp_path):

@@ -3,6 +3,7 @@
 from ipaddress import IPv4Address
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.netsim import (
     Link,
@@ -62,6 +63,41 @@ class TestHandshake:
         client.tcp.connect(SERVER_IP, 53)
         sim.run(until=20.0)
         assert len(accepted) == 1
+
+
+class TestSynRcvdIsnCheck:
+    """A stateful listener in SYN_RCVD establishes only on an ACK that
+    echoes its ISN: the §III.C proof of address, held without cookies."""
+
+    CLIENT_IP = IPv4Address("10.0.0.1")
+
+    def half_open(self):
+        sim, client, server = tcp_pair()
+        accepted = []
+        server.tcp.listen(53, accepted.append, syn_cookies=False)
+        syn = TcpSegment(sport=4000, dport=53, seq=100, ack=0, flags=TcpFlags.SYN)
+        client.send(Packet(src=self.CLIENT_IP, dst=SERVER_IP, segment=syn))
+        sim.run(until=0.01)
+        (conn,) = server.tcp.connections.values()
+        assert conn.state is TcpState.SYN_RCVD
+        return sim, client, conn, accepted
+
+    def blind_ack(self, sim, client, ack):
+        segment = TcpSegment(sport=4000, dport=53, seq=101, ack=ack, flags=TcpFlags.ACK)
+        client.send(Packet(src=self.CLIENT_IP, dst=SERVER_IP, segment=segment))
+        sim.run(until=sim.now + 0.01)
+
+    @settings(max_examples=50, deadline=None)
+    @given(offset=st.integers(min_value=1, max_value=0xFFFFFFFF))
+    def test_ack_not_echoing_isn_never_establishes(self, offset):
+        sim, client, conn, accepted = self.half_open()
+        self.blind_ack(sim, client, (conn.iss + 1 + offset) & 0xFFFFFFFF)
+        assert accepted == []
+        assert conn.state is TcpState.SYN_RCVD
+        # the peer that does echo the ISN still completes the handshake
+        self.blind_ack(sim, client, (conn.iss + 1) & 0xFFFFFFFF)
+        assert accepted == [conn]
+        assert conn.state is TcpState.ESTABLISHED
 
 
 class TestSynCookies:
