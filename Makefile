@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint gate-artefacts bench-digests bench-pairs bench-budget test sanitize report
+.PHONY: check lint gate-artefacts bench-digests bench-pairs bench-budget trace-diff test sanitize report
 
 GATE_FAMILIES := --flow --races --memory --layers
 
@@ -55,6 +55,13 @@ bench-pairs:
 bench-budget:
 	@test -n "$(WORKLOAD)" || { echo "usage: make bench-budget WORKLOAD=<name> [SEED=<n>]" >&2; exit 2; }
 	$(PYTHON) scripts/bench_budget.py --workload "$(WORKLOAD)" --seed "$(or $(SEED),0)"
+
+# which events a moved trace hash moved: $(CMD) run in both checkouts, each
+# simulator's event stream aligned (scripts/trace_diff.py); exit 0 if identical
+trace-diff:
+	@test -n "$(PARENT)" -a -n "$(CMD)" || \
+		{ echo 'usage: make trace-diff PARENT=<checkout> CMD="<command> [args...]"' >&2; exit 2; }
+	$(PYTHON) scripts/trace_diff.py "$(PARENT)" $(CMD)
 
 test:
 	$(PYTHON) -m pytest -x -q

@@ -26,7 +26,10 @@ counter and prints one JSON row:
   collector is paused for the run (after a collection that drops whatever
   was garbage before it started) and this is what ``gc.collect()`` finds
   unreachable afterwards.  What the run frees by reference count is not
-  counted.
+  counted;
+* ``live_pending`` — events still queued to fire when the timed run ends
+  (``Simulator.live_pending_events``; cancelled entries not counted): a
+  timer that outlives what it guards stays queued and shows here.
 
 Counts are exact and repeat from run to run at one seed, so a before/after
 pair of rows is a budget, not a timing.  ``--quick`` runs the scenario at
@@ -124,6 +127,7 @@ def budget(name: str, seed: int, *, quick: bool = False) -> dict:
         "decodes": per_code.get(parse, 0),
         "encodes": per_code.get(Message._encode_once.__code__, 0),
         "cyclic_garbage": cyclic_garbage,
+        "live_pending": scenario.bed.sim.live_pending_events,
     }
 
 

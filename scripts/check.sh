@@ -27,6 +27,9 @@ echo "== determinism sanitizer (table2, two seeds) =="
 python -m repro table2 --sanitize
 python -m repro table2 --sanitize --seed 7
 
+echo "== trace differ smoke (this tree against itself: one identical line) =="
+make --no-print-directory trace-diff PARENT=. CMD="table2 --seed 7"
+
 echo "== fault-injection smoke (faults, sanitized) =="
 python -m repro faults --fast --sanitize
 

@@ -17,7 +17,6 @@ proves the source address — the sequence number *is* the cookie.  The proxy:
 
 from __future__ import annotations
 
-import weakref
 from ipaddress import IPv4Address
 from typing import TYPE_CHECKING
 
@@ -133,23 +132,21 @@ class TcpProxy:
         self._arm_reaper(conn)
 
     def _arm_reaper(self, conn: TcpConnection) -> None:
-        """Abort ``conn`` if it is still open at its reap deadline.  The
-        event holds it weakly, so a closed one is freed at close.  This is
-        deterministic: an open connection is always held by its stack's
-        ``connections`` table, so a dead reference only means a closed one."""
+        """Abort ``conn`` if it is still open at its reap deadline.  Closing
+        it cancels the event, so a reap event lives exactly as long as its
+        connection, and the cancel drops the event's hold on it."""
         deadline = reap_deadline(conn.rtt, self.reap_rtt_multiple)
-        conn_ref = weakref.ref(conn)
 
         def reap() -> None:
-            conn = conn_ref()
-            if conn is not None and conn.state is not TcpState.CLOSED:
+            if conn.state is not TcpState.CLOSED:
                 self.connections_reaped += 1
                 self.guard._note("tcp", "conn_reaped")
                 conn.abort()
 
         # Boundary lane: reaping is an expiry sweep — it applies before any
         # same-instant segment delivery on the doomed connection.
-        self.node.sim.schedule(deadline, reap, priority=BOUNDARY_PRIORITY)
+        handle = self.node.sim.schedule(deadline, reap, priority=BOUNDARY_PRIORITY)
+        conn.on_close = lambda _conn, _error: handle.cancel()
 
     def _on_stream_data(self, conn: TcpConnection, framer: StreamFramer, data: bytes) -> None:
         if data == b"":

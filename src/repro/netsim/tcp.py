@@ -131,7 +131,6 @@ class TcpState(enum.Enum):
     FIN_WAIT_2 = "fin-wait-2"
     CLOSE_WAIT = "close-wait"
     LAST_ACK = "last-ack"
-    TIME_WAIT = "time-wait"
 
 
 class Listener:
@@ -252,7 +251,7 @@ class TcpConnection:
 
     def close(self) -> None:
         """Graceful close: FIN goes out after queued data drains."""
-        if self.state in (TcpState.CLOSED, TcpState.TIME_WAIT):
+        if self.state is TcpState.CLOSED:
             return
         if self._fin_queued:
             return

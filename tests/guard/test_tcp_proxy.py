@@ -95,7 +95,7 @@ def collector_paused():
 
 class TestExchangeLifetime:
     """What a proxied exchange owns dies when the exchange ends, not when
-    its reap event fires."""
+    its reap event fires, and its reap event goes with it."""
 
     @staticmethod
     def proxied_connections(bed):
@@ -121,6 +121,11 @@ class TestExchangeLifetime:
         assert len(accepted) == 1
         assert accepted[0]() is None
         assert bed.guard.tcp_proxy.connections_reaped == 0
+        # nothing of the exchange is left queued: the same testbed without
+        # it has exactly as many live events (the guard's own sweep)
+        idle = GuardTestbed(ans="simulator", ans_mode="answer", guard_policy="tcp")
+        idle.run(MIN_REAP_SECONDS / 2)
+        assert bed.sim.live_pending_events == idle.sim.live_pending_events
 
     def test_connection_open_at_its_deadline_is_still_reaped(self, collector_paused):
         bed = GuardTestbed(ans="simulator", ans_mode="answer", guard_policy="tcp")
