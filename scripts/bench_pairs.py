@@ -8,7 +8,9 @@ order alternating, seeds cycling 0/7/3 — and prints, for each end-to-end
 metric, each side's median and quartiles, the pairs the change won and lost
 (a tie counts for neither) and the verdict of the rule a gain is claimed by:
 the change wins at least nine tenths of the pairs and the medians differ by
-more than the distance between the parent's own quartiles.  The output is one
+more than the distance between the parent's own quartiles.  Beside
+``setup_s`` it prints each side's median import and build seconds, the two
+parts that metric sums.  The output is one
 JSON object in the shape of a ``paired`` row of ``scripts/BENCH_layers.json``
 per workload listed: several workloads run one after another, never two runs
 at a time, each row printed when its pairs are done.
@@ -114,7 +116,24 @@ def measure(manifest: dict, sides: dict[str, str], workload: str, n_pairs: int) 
             for p in pairs
         ]
         result[name] = compare(runs, metric["bound"])
+    result["setup_s"]["parts"] = setup_parts(pairs)
     return result
+
+
+def setup_parts(pairs: list[dict]) -> dict:
+    """Each side's median ``import_s`` and ``build_s`` over ``pairs``.
+
+    A run's ``setup_s`` is the median of its fresh-interpreter import probes
+    plus the median of its builds (``detail.timings``); beside a moved
+    ``setup_s`` these say which of the two moved.
+    """
+    return {
+        part: {
+            side: round(statistics.median(p[side]["timings"][part]["median"] for p in pairs), 4)
+            for side in ("parent", "change")
+        }
+        for part in ("import_s", "build_s")
+    }
 
 
 def workload_list(text: str, known: list[str]) -> list[str]:

@@ -91,18 +91,13 @@ class SpoofingAttacker:
         spacing = BATCH_INTERVAL / count if count else 0.0
         # what schedule(delay) computes, to the bit, without its frame
         now = sim.now
+        source, rng, target, payload = self.source_strategy, sim.rng, self.target, self._payload
+        schedule_at, send_one, sport = sim.schedule_at, self._send_one, self._sport
         for i in range(count):
-            packet = Packet(
-                src=self.source_strategy(sim.rng),
-                dst=self.target,
-                segment=UdpDatagram(
-                    sport=self._sport,
-                    dport=53,
-                    payload=self._payload,
-                ),
-            )
-            self._sport = 40000 + (self._sport - 39999) % 20000
-            sim.schedule_at(now + i * spacing, self._send_one, packet)
+            packet = Packet(source(rng), target, UdpDatagram(sport, 53, payload))
+            sport = 40000 + (sport - 39999) % 20000
+            schedule_at(now + i * spacing, send_one, packet)
+        self._sport = sport
         sim.schedule_at(now + BATCH_INTERVAL, self._emit_batch)
 
     def _send_one(self, packet: Packet) -> None:

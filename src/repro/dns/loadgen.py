@@ -105,7 +105,7 @@ class AnsSimulator:
     def _on_query(
         self, payload: Message | bytes, src: IPv4Address, sport: int, dst: IPv4Address
     ) -> None:
-        if not isinstance(payload, Message) or not payload.is_query():
+        if not isinstance(payload, Message) or payload.header.qr:
             return
         obs = self._obs
         span = None

@@ -205,17 +205,19 @@ class Message:
     def with_header(self, header: Header) -> "Message":
         """This message under another header (id, flags), owning its lists.
 
-        Only the first :data:`HEADER_SIZE` bytes of the wire depend on the
-        header, so the copy of a frozen message is born frozen, knowing
-        its cookie if this one does; the copy of an unfrozen one is
+        Only the wire's first four bytes, the id and flags, depend on the
+        header (the counts are this message's), so the copy of a frozen
+        message is born frozen, built with its wire in this one frame and
+        knowing its cookie if this one does; the copy of an unfrozen one is
         :meth:`copy` under ``header``.
         """
-        derived = self.copy()
-        derived.header = header
-        if self._wire is not None:
-            derived.freeze_as(self._wire[HEADER_SIZE:])
-            derived._cookie = self._cookie
-        return derived
+        wire = self._wire
+        if wire is not None:
+            wire = struct.pack("!HH", header.msg_id & 0xFFFF, header.flags_word()) + wire[4:]
+        return Message(
+            header, list(self.questions), list(self.answers), list(self.authorities),
+            list(self.additionals), wire, self._cookie,
+        )
 
     @property
     def sections_wire(self) -> bytes | None:

@@ -490,20 +490,20 @@ class RemoteDnsGuard:
     def _transit(self, packet: Packet) -> Verdict:
         if self.down:
             return Verdict.DROP
-        segment = packet.segment
-        if isinstance(segment, UdpDatagram):
-            return self._transit_udp(packet, segment)
-        # TCP: terminate connections aimed at the protected ANS when active;
-        # anything else (the ANS's own segments included) is transit
-        if packet.dst._ip == self._ans and segment.dport == 53:
-            return Verdict.DELIVER if self.enabled else Verdict.ACCEPT
-        return Verdict.ACCEPT
-
-    def _transit_udp(self, packet: Packet, datagram: UdpDatagram) -> Verdict:
         if not self.enabled:
             # hard-disabled (the paper's "protection disabled" baseline):
             # the guard is nothing but a router
             return Verdict.ACCEPT
+        segment = packet.segment
+        if isinstance(segment, UdpDatagram):
+            return self._transit_udp(packet, segment)
+        # TCP: terminate connections aimed at the protected ANS; anything
+        # else (the ANS's own segments included) is transit
+        if packet.dst._ip == self._ans and segment.dport == 53:
+            return Verdict.DELIVER
+        return Verdict.ACCEPT
+
+    def _transit_udp(self, packet: Packet, datagram: UdpDatagram) -> Verdict:
         src = packet.src._ip
         dst = packet.dst._ip
         # responses coming back from the ANS

@@ -12,7 +12,14 @@ class AddressError(NetsimError):
 
 
 class RoutingError(NetsimError):
-    """A packet had no route to its destination."""
+    """A packet had no route to its destination.  ``Node.send`` raises it as
+    ``RoutingError(node_name, dst)``, mostly to be caught and counted (replies
+    to spoofed sources), so the text is built only when it is shown."""
+
+    def __str__(self) -> str:
+        if len(self.args) == 2:
+            return "{}: no route to {}".format(*self.args)
+        return super().__str__()
 
 
 class SocketError(NetsimError):

@@ -118,10 +118,11 @@ class GilbertElliottLoss:
 
 
 class _Direction:
-    """Per-direction transmission state, and the node that direction feeds."""
+    """Per-direction transmission state, and the ``receive`` of the node
+    that direction feeds, bound once rather than per packet."""
 
     __slots__ = (
-        "receiver",
+        "receive",
         "busy_until",
         "bytes_sent",
         "packets_sent",
@@ -132,7 +133,7 @@ class _Direction:
     )
 
     def __init__(self, receiver: "Node") -> None:
-        self.receiver = receiver
+        self.receive = receiver.receive
         self.busy_until = 0.0
         self.bytes_sent = 0
         self.packets_sent = 0
@@ -201,7 +202,7 @@ class Link:
         #: RNG is used; fault injection installs a named child stream so
         #: fault randomness cannot perturb the core event sequence.
         self.fault_rng: "random.Random | None" = None
-        self._directions = {id(a): _Direction(b), id(b): _Direction(a)}
+        self._directions = {a: _Direction(b), b: _Direction(a)}
         a.attach(self)
         b.attach(self)
         if sim.obs is not None:
@@ -230,7 +231,7 @@ class Link:
         random loss or corruption); arrival at the peer is otherwise
         scheduled — twice, when the duplication fault fires.
         """
-        direction = self._directions[id(sender)]
+        direction = self._directions[sender]
         impaired = self._impaired
         if impaired and not self.up:
             direction.packets_dropped += 1
@@ -274,7 +275,7 @@ class Link:
                 delay += self.reorder_delay if self.reorder_delay > 0 else self.delay
         direction.bytes_sent += size
         direction.packets_sent += 1
-        receiver = direction.receiver
+        receive = direction.receive
         # Same-instant arrivals at one node serialize in send order: a real
         # box drains one NIC queue, so two deliveries interfering on the
         # receiver's state (rate-limiter buckets, held-query tables) is
@@ -282,7 +283,7 @@ class Link:
         # queue; the interference monitor is told so here rather than per
         # cell, because the contract is about this schedule site, not
         # about any particular attribute.
-        sim.schedule_at(departure + delay, receiver.receive, packet, self)  # repro: allow[R003,R004] same-node deliveries drain one serial queue in send order
+        sim.schedule_at(departure + delay, receive, packet, self)  # repro: allow[R003,R004] same-node deliveries drain one serial queue in send order
         if impaired and self.duplicate_prob and fault_rng.random() < self.duplicate_prob:
             direction.packets_duplicated += 1
             # an independent copy (every field, span included): routers
@@ -290,17 +291,17 @@ class Link:
             # that mutation
             twin = dataclasses.replace(packet)
             twin._size = size
-            sim.schedule_at(departure + delay + self.delay, receiver.receive, twin, self)  # repro: allow[R003,R004] duplicate delivery follows the same serial-queue contract
+            sim.schedule_at(departure + delay + self.delay, receive, twin, self)  # repro: allow[R003,R004] duplicate delivery follows the same serial-queue contract
         return True
 
     def stats(self, sender: "Node") -> tuple[int, int, int]:
         """(packets_sent, packets_dropped, bytes_sent) for ``sender``'s direction."""
-        d = self._directions[id(sender)]
+        d = self._directions[sender]
         return d.packets_sent, d.packets_dropped, d.bytes_sent
 
     def fault_stats(self, sender: "Node") -> dict[str, int]:
         """Fault-path counters for ``sender``'s direction."""
-        d = self._directions[id(sender)]
+        d = self._directions[sender]
         return {
             "duplicated": d.packets_duplicated,
             "corrupted": d.packets_corrupted,

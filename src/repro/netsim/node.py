@@ -37,8 +37,14 @@ class Node:
         self.links: list[Link] = []
         self.routes: list[tuple[IPv4Network, Link]] = []
         self.default_route: Link | None = None
-        #: per-destination route memo (same keys), invalidated on any table change
-        #: and bounded so spoofed-destination floods cannot grow it unchecked
+        #: where a destination no prefix route matches goes: the default
+        #: route, else a single-homed host's only link
+        self._fallback: Link | None = None
+        #: ``_fallback`` while there are no prefix routes (every destination
+        #: goes one way, decided once per table change), else ``_MISS``
+        self._route: Link | None | object = None
+        #: per-destination route memo of a node with prefix routes, cleared on any
+        #: table change and bounded so spoofed-destination floods cannot grow it
         self._route_cache: dict[int, Link | None] = {}
         #: CPU-seconds charged per packet forwarded in transit (the guards
         #: set it on the node they are deployed on).
@@ -75,7 +81,7 @@ class Node:
 
     def attach(self, link: Link) -> None:
         self.links.append(link)
-        self._route_cache.clear()
+        self._table_changed()
 
     def add_route(self, subnet: IPv4Network | str, link: Link) -> None:
         if isinstance(subnet, str):
@@ -84,7 +90,7 @@ class Node:
         # longest prefix first; a config-time sort, not the per-packet path
         # (the per-packet lookup memoizes through _route_cache)
         self.routes.sort(key=lambda item: item[0].prefixlen, reverse=True)  # config/failover-time; per-packet lookups hit _route_cache
-        self._route_cache.clear()
+        self._table_changed()
 
     def replace_route(self, subnet: IPv4Network | str, link: Link) -> None:
         """Repoint the route for exactly ``subnet`` at ``link`` (failover)."""
@@ -95,7 +101,17 @@ class Node:
 
     def set_default_route(self, link: Link) -> None:
         self.default_route = link
+        self._table_changed()
+
+    def _table_changed(self) -> None:
+        """Forget the memo and re-derive the fallback and the one route."""
         self._route_cache.clear()
+        fallback = self.default_route
+        # single-homed hosts route everything over their only link
+        if fallback is None and len(self.links) == 1:
+            fallback = self.links[0]
+        self._fallback = fallback
+        self._route = _MISS if self.routes else fallback
 
     # -- data path ------------------------------------------------------------
 
@@ -127,14 +143,17 @@ class Node:
         """Hand a packet to the local protocol stacks."""
         self.packets_delivered += 1
         segment = packet.segment
-        if isinstance(segment, UdpDatagram):
+        # exact-type tests, as Packet.size's: no builtin call per delivery
+        if type(segment) is UdpDatagram:
             self.udp.demux(packet, segment)
-        elif isinstance(segment, TcpSegment):
+        elif type(segment) is TcpSegment:
             self.tcp.demux(packet, segment)
 
     def forward(self, packet: Packet) -> None:
         """Route a transit packet toward its destination."""
-        link = self.route_for(packet.dst)
+        link = self._route
+        if link is _MISS:  # route_for's memo read inline: a hit enters no frame
+            link = self._route_cache.get(packet.dst._ip) or self.route_for(packet.dst)
         if link is None:
             self.packets_dropped += 1
             return
@@ -152,6 +171,9 @@ class Node:
         link.transmit(packet, self)
 
     def route_for(self, dst: IPv4Address) -> Link | None:
+        link = self._route
+        if link is not _MISS:
+            return link
         cache = self._route_cache
         key = dst._ip
         link = cache.get(key, _MISS)
@@ -164,17 +186,13 @@ class Node:
 
     def _route_for_uncached(self, dst: IPv4Address) -> Link | None:
         # ``dst in subnet`` as integers (the stdlib's own test, without its
-        # frame): a flood's replies to spoofed sources miss the cache often
+        # frame): a router forwarding a flood's replies to spoofed sources
+        # misses the memo often
         ip = dst._ip
         for subnet, link in self.routes:  # cache-miss slow path; per-packet lookups are memoized in _route_cache
             if ip & subnet.netmask._ip == subnet.network_address._ip:
                 return link
-        if self.default_route is not None:
-            return self.default_route
-        # single-homed hosts route everything over their only link
-        if len(self.links) == 1:
-            return self.links[0]
-        return None
+        return self._fallback
 
     def send(self, packet: Packet) -> bool:
         """Originate a packet from this node."""
@@ -182,9 +200,11 @@ class Node:
         if rules and evaluate(rules, packet) is not Verdict.ACCEPT:
             self.packets_dropped += 1
             return False
-        link = self.route_for(packet.dst)
+        link = self._route
+        if link is _MISS:
+            link = self._route_cache.get(packet.dst._ip) or self.route_for(packet.dst)
         if link is None:
-            raise RoutingError(f"{self.name}: no route to {packet.dst}")
+            raise RoutingError(self.name, packet.dst)
         return link.transmit(packet, self)
 
     def __repr__(self) -> str:

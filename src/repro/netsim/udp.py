@@ -142,15 +142,10 @@ class UdpStack:
             body = RawPayload(bytes(payload))
         else:
             raise SocketError(f"unsupported UDP payload type {type(payload)!r}")
-        packet = Packet(
-            src=src or self.node.address,
-            dst=dst,
-            segment=UdpDatagram(sport=sport, dport=dport, payload=body),
-            # NULL_SPAN (falsy) is normalised away so receivers take their
-            # span-free fast path once the span log is at capacity
-            span=span if span else None,
-        )
-        return self.node.send(packet)
+        # NULL_SPAN (falsy) is normalised away so receivers take their
+        # span-free fast path once the span log is at capacity
+        segment = UdpDatagram(sport, dport, body)
+        return self.node.send(Packet(src or self.node.address, dst, segment, span=span or None))
 
     def demux(self, packet: Packet, datagram: UdpDatagram) -> None:
         """Deliver an arriving datagram to the best-matching socket."""
@@ -163,7 +158,7 @@ class UdpStack:
             return
         payload = datagram.payload
         data: Message | bytes
-        data = payload.message if isinstance(payload, DnsPayload) else payload.data
+        data = payload.message if type(payload) is DnsPayload else payload.data
         obs = self.node.sim.obs
         if obs is None or packet.span is None:
             sock.handler(data, packet.src, datagram.sport, packet.dst)

@@ -38,11 +38,11 @@ SCRIPT = pathlib.Path(__file__).resolve().parents[2] / "scripts" / "bench_budget
 #: packet, frames in the stdlib's ipaddress.py, full Message parses, encodes,
 #: live events still queued at the end
 BUDGETS = {
-    "flood_modified": (7_082, 4_368, 50.55, 2_502, 0, 2, 489),
-    "flood_unguarded": (20_480, 10_681, 34.01, 7_002, 0, 1, 302),
-    "referral_miss": (4_957, 3_086, 84.14, 445, 0, 5, 325),
-    "tcp_proxy": (5_694, 2_881, 59.75, 1_956, 4, 4, 277),
-    "bind_mixed": (2_164, 1_072, 74.60, 1_240, 0, 314, 186),
+    "flood_modified": (7_082, 4_368, 46.19, 2_502, 0, 2, 489),
+    "flood_unguarded": (20_480, 10_681, 27.70, 7_002, 0, 1, 302),
+    "referral_miss": (4_957, 3_086, 76.33, 445, 0, 5, 325),
+    "tcp_proxy": (5_694, 2_881, 54.41, 1_956, 4, 4, 277),
+    "bind_mixed": (2_164, 1_072, 70.42, 1_240, 0, 314, 186),
 }
 
 #: workloads whose guard decisions enter no ``ipaddress.py`` frame: the

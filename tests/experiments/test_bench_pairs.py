@@ -54,6 +54,21 @@ def test_one_pair_has_a_summary_and_no_spread():
     assert bench_pairs.summary([1.5]) == {"median": 1.5, "n": 1, "q1": 1.5, "q3": 1.5}
 
 
+def test_setup_s_is_split_into_each_sides_import_and_build_medians():
+    def detail(import_s, build_s):
+        return {"timings": {"import_s": {"median": import_s}, "build_s": {"median": build_s}}}
+
+    pairs = [
+        {"parent": detail(0.061, 0.004), "change": detail(0.083, 0.004)},
+        {"parent": detail(0.065, 0.005), "change": detail(0.071, 0.003)},
+        {"parent": detail(0.063, 0.006), "change": detail(0.079, 0.005)},
+    ]
+    assert bench_pairs.setup_parts(pairs) == {
+        "import_s": {"parent": 0.063, "change": 0.079},
+        "build_s": {"parent": 0.005, "change": 0.004},
+    }
+
+
 def test_a_workload_list_keeps_its_order_and_refuses_a_name_the_benchmark_lacks():
     known = ["flood_modified", "tcp_proxy", "bind_mixed"]
     assert bench_pairs.workload_list("tcp_proxy", known) == ["tcp_proxy"]

@@ -197,8 +197,11 @@ class TestRouting:
         sim = Simulator()
         lonely = Node(sim, "lonely")
         lonely.add_address("10.0.0.9")
-        with pytest.raises(RoutingError):
+        with pytest.raises(RoutingError) as raised:
             lonely.udp.bind_ephemeral(lambda *args: None).send(b"x", IPv4Address("1.1.1.1"), 1)
+        # the parts are kept and the text is built only when it is shown
+        assert raised.value.args == ("lonely", IPv4Address("1.1.1.1"))
+        assert str(raised.value) == "lonely: no route to 1.1.1.1"
 
     def test_longest_prefix_match(self):
         sim = Simulator()

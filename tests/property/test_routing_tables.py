@@ -8,9 +8,11 @@ a default route or none), own addresses and destinations, all three must
 answer what the address references answer — the stdlib's own
 ``dst in subnet`` over the prefix-sorted routes, and ``dst in
 node.addresses`` — before and after every kind of table change, each of
-which must invalidate the cache.
+which must invalidate the cache.  A node with no prefix routes decides its
+one route at each table change and keeps nothing in the cache.
 """
 
+import sys
 from ipaddress import IPv4Address, IPv4Network
 
 import pytest
@@ -76,6 +78,9 @@ def _agrees_with_the_references(node, destinations):
         assert node._route_for_uncached(dst) is expected
         assert node.route_for(dst) is expected  # cold, or whatever is cached
         assert node.route_for(dst) is expected  # certainly cached
+        if not node.routes:
+            # one way for every destination, decided at the last table change
+            assert node._route_cache == {}
         delivered = node.packets_delivered
         # what receive() does next is the ownership test's verdict
         node.receive(Packet(dst, dst, UdpDatagram(1, 2, RawPayload(b""))), None)
@@ -118,6 +123,29 @@ def test_route_cache_stays_bounded_under_distinct_destinations():
         assert node.route_for(dst) is reference_route(node, dst)
         largest = max(largest, len(node._route_cache))
     assert largest == 4097
+
+
+def test_a_decided_or_memoized_route_enters_no_lookup_frame():
+    """The hop reads its route inline: a single-homed host's send and a
+    router's memo hit call neither ``route_for`` nor the table walk."""
+    _, router = _router(2)
+    router.add_route("10.0.0.0/8", router.links[0])
+    host = router.links[1].other(router)
+    dst = IPv4Address("10.1.2.3")
+
+    def packet():
+        return Packet(dst, dst, UdpDatagram(1, 2, RawPayload(b"")))
+
+    router.forward(packet())  # the miss that fills the memo
+    entered, previous = [], sys.getprofile()
+    sys.setprofile(lambda frame, event, _: event == "call" and entered.append(frame.f_code.co_name))
+    try:
+        router.forward(packet())
+        host.send(packet())
+    finally:
+        sys.setprofile(previous)
+    assert router.packets_forwarded == 2
+    assert not {"route_for", "_route_for_uncached"} & set(entered)
 
 
 @pytest.mark.parametrize("n", EDGES + BASES)
