@@ -33,9 +33,6 @@ make --no-print-directory trace-diff PARENT=. CMD="table2 --seed 7"
 echo "== fault-injection smoke (faults, sanitized) =="
 python -m repro faults --fast --sanitize
 
-echo "== state-bounds high-water smoke (faults flood under the M006 monitor) =="
-python -m repro faults --fast --memory
-
 echo "== simultaneity races (interference monitor + schedule exploration) =="
 python -m repro table2 --races
 python -m repro faults --fast --races

@@ -7,12 +7,11 @@ into :mod:`repro.experiments`, or a ``handler`` for the few commands with
 bespoke control flow.  ``main()`` builds the parser from the table and
 dispatches.
 
-A command that runs a simulation also accepts four mutually exclusive
+A command that runs a simulation also accepts three mutually exclusive
 analysis modes that replace its normal output — ``--sanitize`` (run twice,
 compare event-trace hashes), ``--races`` (tie-group interference monitor,
-R003/R004), ``--explore N`` (seeded permutations of conflicting tie
-groups, canonical-trace invariance) and ``--memory`` (state-bounds
-high-water monitor, M006) — plus ``--obs DIR``.
+R003/R004) and ``--explore N`` (seeded permutations of conflicting tie
+groups, canonical-trace invariance) — plus ``--obs DIR``.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ MODES = (
             "(R003/R004) and report simultaneity races instead of results"),
     _option("--explore", "N", "re-run the command N extra times with seeded permutations "
             "of conflicting tie groups and assert trace invariance", type=int),
-    _switch("--memory", "run the command under the state-bounds high-water monitor "
-            "and fail if any __state_bounds__ declaration is exceeded (M006)"),
 )
 OBS = _option("--obs", "DIR", "gather observability data (metrics, spans, run report) "
               "and export it into DIR")
@@ -266,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
 
     modes = [
         name
-        for name in ("sanitize", "races", "explore", "memory")
+        for name in ("sanitize", "races", "explore")
         if getattr(args, name, None) not in (None, False)
     ]
     if len(modes) > 1:

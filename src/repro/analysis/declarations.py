@@ -18,10 +18,10 @@ share one contract, implemented once in :func:`load_declarations`:
 :data:`SCHEMAS` is the table of the four names; the typed result
 (:class:`Declarations`) rides on the shared parse record
 (``ModuleInfo.declared``), so every family reads the same load.  The
-runtime monitors (R003/R004, M006) are the one exception to "never
-imported": :func:`iter_declared_classes` imports the package to find the
-live classes the same declarations name, and normalises them through the
-same schema.
+runtime interference monitor (R003/R004) and the state-bound tests are
+the exceptions to "never imported": :func:`iter_declared_classes`
+imports the package to find the live classes the same declarations
+name, and normalises them through the same schema.
 
 ``__trust_boundary__`` — a guard scheme's trust boundary (T-rules)::
 
@@ -100,9 +100,10 @@ the declaration to stay complete as the class grows.
     }
 
 ``bound``
-    The maximum number of entries the collection may ever hold.  This is
-    the number the runtime monitor enforces: an observed size above it is
-    an M006 finding, turning the static claim into a dynamic witness.
+    The maximum number of entries the collection may ever hold.  For an
+    attacker-keyed collection it is the number a tier-1 test holds:
+    ``tests/guard/test_state_bounds.py`` drives the table past it with
+    distinct keys and fails unless the table fills to exactly that size.
 ``evicted_by``
     How entries leave, ``+``-combinable from :data:`EVICTION_MECHANISMS`:
     ``cap`` (a size check at every insert site — M002 verifies the check
@@ -379,7 +380,7 @@ def load_declarations(tree: ast.Module) -> Declarations:
 def iter_declared_classes(
     package: str, name: str
 ) -> Iterator[tuple[ModuleType, type, object]]:
-    """The runtime monitors' view of a declaration: import ``package``
+    """The runtime view of a declaration: import ``package``
     recursively and yield ``(module, class, parsed entry)`` once for every
     class a module-level ``name`` declaration describes.
 

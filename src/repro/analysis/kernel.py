@@ -123,7 +123,7 @@ FAMILIES: dict[str, Family] = {
         ),
         Family(
             "memory",
-            ("memory", "memory-runtime"),
+            ("memory",),
             memory_rules.check,
             "also run the state-exhaustion rules (M001-M005) over "
             "__state_bounds__ declarations, taint surfaces and the hot set",

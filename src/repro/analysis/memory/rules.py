@@ -402,8 +402,7 @@ def check(facts: "Facts", selected: frozenset[str]) -> list[Finding]:
 
     The hot set (:func:`.hotpath.hot_set`, over the run's shared name
     index) tells M001/M003 which functions run per attacker packet and
-    which sweeps a scheduler actually reaches.  M006 is the runtime
-    high-water monitor's (:mod:`.runtime`).
+    which sweeps a scheduler actually reaches.
     """
     hot_by_path: dict[str, set[str]] = {}
     for path, qualname in hot_set(facts.modules, facts.index):

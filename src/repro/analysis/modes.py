@@ -1,11 +1,11 @@
 """The runtime analysis modes of ``python -m repro <cmd>``, and their shared run.
 
-``--sanitize``, ``--races``, ``--explore N`` and ``--memory`` each replace
-a command's normal output with a verdict: run the experiment under some
-observer, then print a report.  :func:`run_mode` holds the table the CLI
-dispatches from — every mode returns a report with ``summary()`` and
-``ok`` — and :func:`run_hooked` is the one "install a tie hook, run
-quietly, restore" step the monitors and the schedule explorer share.
+``--sanitize``, ``--races`` and ``--explore N`` each replace a command's
+normal output with a verdict: run the experiment under some observer,
+then print a report.  :func:`run_mode` holds the table the CLI dispatches
+from — every mode returns a report with ``summary()`` and ``ok`` — and
+:func:`run_hooked` is the one "install a tie hook, run quietly, restore"
+step the interference monitor and the schedule explorer share.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ def run_mode(name: str, invoke: Callable[[], Any], args) -> Any:
     The monitors are imported here: they import :func:`run_hooked` from
     this module.
     """
-    from .memory.runtime import run_bounds_monitored
     from .races.explore import explore
     from .races.runtime import run_monitored
     from .sanitizer import run_sanitized
@@ -60,6 +59,5 @@ def run_mode(name: str, invoke: Callable[[], Any], args) -> Any:
         "sanitize": lambda: run_sanitized(invoke),
         "races": lambda: run_monitored(invoke),
         "explore": lambda: explore(invoke, permutations=args.explore, seed=args.seed),
-        "memory": lambda: run_bounds_monitored(invoke),
     }
     return table[name]()

@@ -182,14 +182,6 @@ RULES: dict[str, Rule] = {
             "and retries must be bounded",
         ),
         Rule(
-            "M006", "memory-runtime",
-            "observed collection size exceeded its declared bound (runtime high-water "
-            "mark)",
-            "the dynamic witness for the static claim: the monitor samples declared "
-            "collections under flood and fails if any high-water mark crosses the "
-            "declared capacity",
-        ),
-        Rule(
             "L001", "layering",
             "pure-core module imports a forbidden layer (simulator, observability, "
             "asyncio, sockets, clocks, OS entropy)",

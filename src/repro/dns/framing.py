@@ -56,9 +56,4 @@ class StreamFramer:
         return len(self._buffer)
 
 
-def try_frame_size(message: Message) -> int:
-    """Bytes this message occupies on a TCP stream (prefix included)."""
-    return 2 + message.wire_size()
-
-
-__all__ = ["DecodeError", "StreamFramer", "frame", "try_frame_size"]
+__all__ = ["DecodeError", "StreamFramer", "frame"]

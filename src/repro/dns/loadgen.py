@@ -276,10 +276,6 @@ class LrsSimulator:
     def stop(self) -> None:
         self._running = False
 
-    def flush_cookie_cache(self) -> None:
-        self._cookie_ns_targets.clear()
-        self._cookie2_addresses.clear()
-
     # backwards-friendly single-name accessors used by tests and examples
     @property
     def _cookie_ns_target(self) -> Name | None:

@@ -324,7 +324,3 @@ class RateEstimator:
             self._window_start = now
             self._count = 0
         return max(self._last_rate, self._count / self.window)
-
-    @property
-    def rate(self) -> float:
-        return self._last_rate

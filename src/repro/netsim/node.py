@@ -35,7 +35,9 @@ class Node:
         #: ``addresses`` as integers — the O(1) per-packet ownership test (address.py)
         self._address_set: set[int] = set()
         self.links: list[Link] = []
-        self.routes: list[tuple[IPv4Network, Link]] = []
+        #: longest prefix first; a tuple, so the table changes only through
+        #: the methods below, each of which re-derives the memo
+        self.routes: tuple[tuple[IPv4Network, Link], ...] = ()
         self.default_route: Link | None = None
         #: where a destination no prefix route matches goes: the default
         #: route, else a single-homed host's only link
@@ -86,17 +88,23 @@ class Node:
     def add_route(self, subnet: IPv4Network | str, link: Link) -> None:
         if isinstance(subnet, str):
             subnet = IPv4Network(subnet)
-        self.routes.append((subnet, link))
-        # longest prefix first; a config-time sort, not the per-packet path
-        # (the per-packet lookup memoizes through _route_cache)
-        self.routes.sort(key=lambda item: item[0].prefixlen, reverse=True)  # config/failover-time; per-packet lookups hit _route_cache
+        # a config-time sort, not the per-packet path (the per-packet
+        # lookup memoizes through _route_cache)
+        self.routes = tuple(
+            sorted((*self.routes, (subnet, link)), key=lambda item: item[0].prefixlen, reverse=True)
+        )
+        self._table_changed()
+
+    def remove_route(self, subnet: IPv4Network | str) -> None:
+        """Withdraw the route for exactly ``subnet``."""
+        if isinstance(subnet, str):
+            subnet = IPv4Network(subnet)
+        self.routes = tuple((s, l) for s, l in self.routes if s != subnet)
         self._table_changed()
 
     def replace_route(self, subnet: IPv4Network | str, link: Link) -> None:
         """Repoint the route for exactly ``subnet`` at ``link`` (failover)."""
-        if isinstance(subnet, str):
-            subnet = IPv4Network(subnet)
-        self.routes = [(s, l) for s, l in self.routes if s != subnet]  # config/failover-time, like add_route's sort
+        self.remove_route(subnet)
         self.add_route(subnet, link)
 
     def set_default_route(self, link: Link) -> None:

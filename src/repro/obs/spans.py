@@ -224,13 +224,6 @@ class SpanLog:
     def roots(self) -> list[Span]:
         return [s for s in self.spans if s.parent_id is None]
 
-    def subtree(self, span: Span) -> list[Span]:
-        """``span`` plus all descendants, depth-first in start order."""
-        out = [span]
-        for child in sorted(self.children_of(span), key=lambda s: (s.start, s.span_id)):
-            out.extend(self.subtree(child))
-        return out
-
     def snapshot(self) -> list[dict]:
         return [s.snapshot() for s in self.spans]
 

@@ -29,7 +29,6 @@ from repro.analysis.declarations import (
     TrustModel,
     load_declarations,
 )
-from repro.analysis.memory.runtime import discover_bounded_classes
 from repro.analysis.races.runtime import discover_declared_classes
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -310,18 +309,7 @@ def test_nested_assignment_is_not_a_module_level_declaration(source):
     assert oracle(tree) != Declarations()
 
 
-# -- the runtime monitors discover the same classes ----------------------------
-
-
-def test_memory_monitor_discovers_the_same_bounded_classes():
-    old = [
-        (cls, getattr(module, "__file__", None) or "<runtime>", dict(attrs))
-        for module, cls, attrs in iter_declared_classes(
-            "repro", "__state_bounds__", memory_parse_declaration
-        )
-    ]
-    assert discover_bounded_classes() == old
-    assert old, "the repo declares bounded classes"
+# -- the runtime monitor discovers the same classes ----------------------------
 
 
 def test_interference_monitor_watches_the_same_classes():

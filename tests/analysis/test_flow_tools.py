@@ -63,7 +63,7 @@ class TestSarif:
             if line.startswith("| `")
         ]
         assert sarif_ids == md_ids == sorted(RULES)
-        assert len(sarif_ids) == 27 and {"L001", "L006", "E999"} <= set(sarif_ids)
+        assert len(sarif_ids) == 26 and {"L001", "L006", "E999"} <= set(sarif_ids)
 
     def test_every_family_finding_carries_its_registered_metadata(self):
         finding = Finding(path="src/c.py", line=1, col=0, rule="L003", message="m")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import FAMILIES, analyze
+from repro.analysis.cli import main
 from repro.analysis.declarations import (
     EVICTION_MECHANISMS,
     StateBound,
@@ -523,10 +524,9 @@ class TestEngine:
         from repro.analysis.memory.rules import MEMORY_CHECKS
 
         rules = FAMILIES["memory"].rules
-        assert {rule.id for rule in rules} == set(MEMORY_CHECKS) | {"M006"}
+        assert {rule.id for rule in rules} == set(MEMORY_CHECKS)
         for rule in rules:
-            expected = "memory-runtime" if rule.id == "M006" else "memory"
-            assert rule.family == expected
+            assert rule.family == "memory"
             assert rule.severity == "error"
         table = rule_table(rules)
         for rule in rules:
@@ -546,8 +546,6 @@ def mutate(tmp_path, relative: str, old: str, new: str) -> Path:
 
 class TestAcceptanceMutations:
     def test_repo_clean_through_cli(self):
-        from repro.analysis.cli import main
-
         assert main(["--memory", "src"]) == 0
 
     def test_deleting_pending_declaration_fires_m001(self, tmp_path):
@@ -624,3 +622,67 @@ class TestAcceptanceMutations:
         findings = analyze_memory([tmp_path], rule_ids=["M005"])
         assert [f.rule for f in findings] == ["M005"]
         assert "_sweep" in findings[0].message
+
+
+# -- severity threshold and cross-family suppression hygiene ------------------
+
+
+class TestFailOnAndU001:
+    def _write(self, tmp_path, name, source):
+        path = tmp_path / name
+        path.write_text(textwrap.dedent(source), encoding="utf-8")
+        return path
+
+    def test_unused_memory_allow_is_u001(self, tmp_path, capsys):
+        path = self._write(tmp_path, "mod.py", "x = 1  # repro: allow[M003]\n")
+        assert main(["--memory", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "U001" in out and "M003" in out
+
+    def test_fail_on_error_ignores_the_u001_warning(self, tmp_path):
+        path = self._write(tmp_path, "mod.py", "x = 1  # repro: allow[M003]\n")
+        assert main(["--memory", "--fail-on", "error", str(path)]) == 0
+        assert main(["--memory", "--fail-on", "warning", str(path)]) == 1
+
+    def test_memory_errors_fail_at_every_threshold(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            "mod.py",
+            """
+            __trust_boundary__ = {
+                "scheme": "toy",
+                "entry_points": ["Guard.handle"],
+                "taint_params": ["packet"],
+            }
+
+            class Guard:
+                def handle(self, packet):
+                    self.table[packet.src] = packet
+            """,
+        )
+        for level in ("note", "warning", "error"):
+            assert main(["--memory", "--fail-on", level, str(path)]) == 1
+
+    def test_suppression_used_by_one_engine_is_not_u001_in_a_combined_run(
+        self, tmp_path, capsys
+    ):
+        # the memory engine consumes the allow; the flow/races engines
+        # see the same source through the shared tracker and must not flag
+        # the marker as unused
+        path = self._write(
+            tmp_path,
+            "mod.py",
+            """
+            __trust_boundary__ = {
+                "scheme": "toy",
+                "entry_points": ["Guard.handle"],
+                "taint_params": ["packet"],
+            }
+
+            class Guard:
+                def handle(self, packet):
+                    self.table[packet.src] = packet  # repro: allow[M001] toy
+            """,
+        )
+        assert main(["--flow", "--races", "--memory", str(path)]) == 0
+        assert "U001" not in capsys.readouterr().out

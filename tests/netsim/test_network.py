@@ -1,7 +1,7 @@
 """Unit tests for links, nodes, routing and UDP."""
 
 import weakref
-from ipaddress import IPv4Address
+from ipaddress import IPv4Address, IPv4Network
 
 import pytest
 
@@ -188,9 +188,20 @@ class TestRouting:
     def test_no_route_drops(self):
         sim = Simulator()
         lrs, router, ans = self.build_chain(sim)
-        router.routes = []  # strip routing table; router is multi-homed
-        lrs.udp.bind_ephemeral(lambda *args: None).send(b"x", IPv4Address("10.2.0.1"), 53)
+        got = []
+        ans.udp.bind(53, lambda payload, src, sport, dst: got.append(payload))
+        sock = lrs.udp.bind_ephemeral(lambda *args: None)
+        sock.send(b"first", IPv4Address("10.2.0.1"), 53)
+        sim.run()  # ...which leaves the ANS's route in the router's memo
+        assert got == [b"first"]
+        # withdrawn through the API: the memo goes with it, and the
+        # multi-homed router has no default to fall back on
+        router.remove_route("10.2.0.0/16")
+        with pytest.raises(AttributeError):
+            router.routes.append((IPv4Network("10.2.0.0/16"), router.links[1]))
+        sock.send(b"second", IPv4Address("10.2.0.1"), 53)
         sim.run()
+        assert got == [b"first"]
         assert router.packets_dropped == 1
 
     def test_send_without_route_raises(self):
