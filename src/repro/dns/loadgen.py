@@ -124,7 +124,8 @@ class AnsSimulator:
 
     def _serve(self, query: Message, src: IPv4Address, sport: int, dst: IPv4Address) -> None:
         self.requests_served += 1
-        span = self._serve_spans.pop((src, sport, query.header.msg_id), None)
+        spans = self._serve_spans  # filled only while obs is installed
+        span = spans.pop((src, sport, query.header.msg_id), None) if spans else None
         if span:
             span.finish(outcome="answered")
         self._socket.send(self.respond(query), src, sport, src=dst, span=span)
@@ -433,27 +434,32 @@ class _Interaction:
         if response.answers:
             self.finish(True)
             return
-        ns_rrs = [rr for rr in response.authorities if rr.rtype == RRType.NS]
-        if not ns_rrs:
+        # loops, not comprehensions: a referral enters no extra frame
+        for rr in response.authorities:
+            if rr.rtype == RRType.NS:
+                target = rr.rdata.target  # type: ignore[union-attr]
+                break
+        else:
             self.finish(lrs.workload == "plain")
             return
-        target = ns_rrs[0].rdata.target  # type: ignore[union-attr]
-        glue = [rr for rr in response.additionals if rr.rtype == RRType.A and rr.name == target]
-        if glue:
-            # referral with glue: for these workloads that's completion
-            self.finish(True)
-            return
+        for rr in response.additionals:
+            if rr.rtype == RRType.A and rr.name == target:
+                # referral with glue: for these workloads that's completion
+                self.finish(True)
+                return
         if lrs.cache_cookies:
             lrs._cookie_ns_targets[self.qname] = target
         self._send(target, RRType.A, src, self._on_ns_target_a)
 
     def _on_ns_target_a(self, response: Message, src: IPv4Address) -> None:
         lrs = self.lrs
-        a_rrs = [rr for rr in response.answers if rr.rtype == RRType.A]
-        if not a_rrs:
+        for rr in response.answers:
+            if rr.rtype == RRType.A:
+                address = rr.rdata.address  # type: ignore[union-attr]
+                break
+        else:
             self.finish(False)
             return
-        address = a_rrs[0].rdata.address  # type: ignore[union-attr]
         if lrs.workload == "nonreferral":
             if lrs.cache_cookies:
                 lrs._cookie2_addresses[self.qname] = address

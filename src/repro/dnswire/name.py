@@ -33,26 +33,36 @@ _interned: dict[str, "Name"] = {}  # repro: allow[L003] - bounded content-addres
 class Name:
     """An immutable, case-preserving DNS domain name."""
 
-    __slots__ = ("_labels", "_key")
+    __slots__ = ("labels", "_key")
 
     def __init__(self, labels: Iterable[bytes | str] = ()):
         normalized: list[bytes] = []
+        wire_len = 1  # the root byte, then per label a length byte and the label
         for label in labels:
             if isinstance(label, str):
                 label = label.encode("ascii")
-            if not label:
+            size = len(label)
+            if not size:
                 raise NameError_("empty label inside a name")
-            if len(label) > MAX_LABEL_LENGTH:
+            if size > MAX_LABEL_LENGTH:
                 raise NameError_(
-                    f"label {label[:16]!r}... is {len(label)} bytes; max is {MAX_LABEL_LENGTH}"
+                    f"label {label[:16]!r}... is {size} bytes; max is {MAX_LABEL_LENGTH}"
                 )
             normalized.append(bytes(label))
-        self._labels: tuple[bytes, ...] = tuple(normalized)
-        # wire length: one length byte per label + label bytes + root byte
-        wire_len = sum(len(l) + 1 for l in self._labels) + 1
+            wire_len += size + 1
         if wire_len > MAX_NAME_LENGTH:
             raise NameError_(f"name is {wire_len} bytes on the wire; max is {MAX_NAME_LENGTH}")
-        self._key = tuple(l.lower() for l in self._labels)
+        self.labels: tuple[bytes, ...] = tuple(normalized)
+        self._key = tuple(map(bytes.lower, normalized))
+
+    @classmethod
+    def _derived(cls, labels: tuple[bytes, ...]) -> "Name":
+        """A name from ``labels`` the caller has proven valid (non-empty bytes,
+        at most 63 each and 255 on the wire): nothing is re-checked."""
+        name = object.__new__(cls)
+        name.labels = labels
+        name._key = tuple(map(bytes.lower, labels))
+        return name
 
     # -- constructors ------------------------------------------------------
 
@@ -87,41 +97,36 @@ class Name:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def labels(self) -> tuple[bytes, ...]:
-        return self._labels
-
     def is_root(self) -> bool:
-        return not self._labels
+        return not self.labels
 
     def parent(self) -> "Name":
         """The name with the leftmost label removed; root's parent is root."""
         if self.is_root():
             return self
-        return Name(self._labels[1:])
+        return Name._derived(self.labels[1:])
 
     def child(self, label: bytes | str) -> "Name":
         """Prepend ``label``, producing a subdomain of this name."""
-        return Name((label, *self._labels))
+        return Name((label, *self.labels))
 
     def is_subdomain_of(self, other: "Name") -> bool:
         """True if ``self`` equals ``other`` or lies beneath it."""
-        if len(other._key) > len(self._key):
-            return False
-        if not other._key:
+        key = other._key
+        if not key:
             return True
-        return self._key[-len(other._key):] == other._key
+        return self._key[-len(key):] == key
 
     def relativize(self, origin: "Name") -> tuple[bytes, ...]:
         """Labels of ``self`` below ``origin``; raises if not a subdomain."""
         if not self.is_subdomain_of(origin):
             raise NameError_(f"{self} is not under {origin}")
         n = len(origin._key)
-        return self._labels[: len(self._labels) - n]
+        return self.labels[: len(self.labels) - n]
 
     def wire_length(self) -> int:
         """Uncompressed length of this name on the wire."""
-        return sum(len(l) + 1 for l in self._labels) + 1
+        return sum(len(l) + 1 for l in self.labels) + 1
 
     # -- wire codec --------------------------------------------------------
 
@@ -132,7 +137,7 @@ class Name:
         offsets; when provided, suffixes already present are emitted as
         compression pointers and new suffixes are recorded.
         """
-        labels = self._labels
+        labels = self.labels
         if offsets is None:
             for label in labels:
                 buffer.append(len(label))
@@ -207,7 +212,7 @@ class Name:
     def __str__(self) -> str:
         if self.is_root():
             return "."
-        return ".".join(l.decode("ascii", "backslashreplace") for l in self._labels) + "."
+        return ".".join(l.decode("ascii", "backslashreplace") for l in self.labels) + "."
 
     def __repr__(self) -> str:
         return f"Name({str(self)!r})"
@@ -221,10 +226,10 @@ class Name:
         return hash(self._key)
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self.labels)
 
     def __iter__(self) -> Iterator[bytes]:
-        return iter(self._labels)
+        return iter(self.labels)
 
     def __lt__(self, other: "Name") -> bool:
         # Canonical ordering: compare label sequences right-to-left, the way

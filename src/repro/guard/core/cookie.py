@@ -75,6 +75,8 @@ LABEL_HEX_DIGITS = 8
 #: Full length of the cookie part of a label: prefix + hex digits.
 LABEL_COOKIE_LENGTH = len(LABEL_PREFIX) + LABEL_HEX_DIGITS
 
+_FOLDED_PREFIX = LABEL_PREFIX.lower()
+
 
 def random_key(rng: Rng) -> bytes:
     """A fresh 76-byte secret key drawn from the injected ``rng`` port.
@@ -110,14 +112,11 @@ class CookieFactory:
         if label_hex_digits % 2 or not 2 <= label_hex_digits <= 32:
             raise ValueError("label_hex_digits must be even and within 2..32")
         self.label_hex_digits = label_hex_digits
+        #: total bytes of a label cookie: marker prefix plus hex digits
+        self.label_cookie_length = len(LABEL_PREFIX) + label_hex_digits
         self._previous_key: bytes | None = None
         self.generation = generation
         self.computations = 0
-
-    @property
-    def label_cookie_length(self) -> int:
-        """Total bytes of a label cookie: marker prefix plus hex digits."""
-        return len(LABEL_PREFIX) + self.label_hex_digits
 
     @staticmethod
     def _validate_key(key: bytes) -> None:
@@ -207,26 +206,25 @@ class CookieFactory:
         """Check an NS-label cookie against ``source_ip``.
 
         Matching is case-insensitive (marker and hex digits) so DNS-0x20
-        resolvers, which randomise query-name casing, verify cleanly.
+        resolvers, which randomise query-name casing, verify cleanly: the
+        case-folded label is compared with the minted one, which is
+        lower-case hex.  A label that is not all hex digits costs no MD5.
         """
-        if len(label_cookie) != self.label_cookie_length:
+        folded = label_cookie.lower()
+        if len(folded) != self.label_cookie_length or folded[:2] != _FOLDED_PREFIX:
             return False
-        if label_cookie[: len(LABEL_PREFIX)].upper() != LABEL_PREFIX:
+        digits = folded[2:]
+        if digits.translate(None, b"0123456789abcdef"):
             return False
-        try:
-            presented = bytes.fromhex(label_cookie[len(LABEL_PREFIX):].decode("ascii"))
-        except (ValueError, UnicodeDecodeError):
-            return False
-        # the generation bit lives in the first of these 4 bytes
-        indicated_parity = presented[0] >> 7
-        if indicated_parity == (self.generation & 1):
+        # the generation bit is the high bit of the first digit: "8" and up
+        if (digits[0] >= 0x38) == (self.generation & 1):
             key, generation = self._current_key, self.generation
         elif self._previous_key is not None:
             key, generation = self._previous_key, self.generation - 1
         else:
             return False
         expected = self._stamp_generation(self._raw(source_ip, key), generation)
-        return presented == expected[: self.label_hex_digits // 2]
+        return digits == expected[: self.label_hex_digits // 2].hex().encode()
 
     # -- IP-cookie encoding ----------------------------------------------------------
 

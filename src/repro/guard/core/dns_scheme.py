@@ -14,15 +14,14 @@ can restore the original query (message 4) statelessly.
 The cookie's width is configuration, so for one question the two replies
 the guard fabricates (messages 2 and 6) differ between requesters only in
 the header and in those bytes: a :class:`CookieSlot` is one such reply,
-built the reference way and frozen, with the cookie located in its wire,
-and :func:`referral_from_slot` / :func:`answer_from_slot` build the next
-requester's reply around the same objects and wire.  They restate what
-the two reference builders do, and are kept because that was measured:
-against splicing the wire onto a reply the reference builders rebuild
-each time, sharing the objects takes a further 7% off the NS-name
-cache-miss exchange (10 of 10 pairs; CHANGES.md, PR 21).  The adapter
-keeps the slots (a bounded table per guard instance); nothing is stored
-here.
+built the reference way and frozen, with the cookie located in its wire.
+:func:`referral_from_slot` / :func:`answer_from_slot` restate the two
+reference builders around the slot's objects and wire (the slot's own
+requester gets the slot's reply re-headed).  The names the codec derives
+— the question restored from a cookie label, a slot's target under
+another cookie — are cut from labels already validated, so
+``Name._derived`` builds them unchecked.  The adapter keeps the slots (a
+bounded table per guard instance); nothing is stored here.
 
 Pure core: the codec is a function of the message and the origin alone —
 no clock, no randomness, no transport.
@@ -44,6 +43,7 @@ from ...dnswire import (
     NS,
     A,
     make_response,
+    response_header,
 )
 from ...dnswire.types import MAX_LABEL_LENGTH
 from .cookie import LABEL_COOKIE_LENGTH, LABEL_PREFIX
@@ -109,7 +109,7 @@ def decode_cookie_name(
     ``cookie_length`` is the deploying guard's configured label-cookie width
     (marker prefix plus hex digits).
     """
-    if len(qname) != len(origin) + 1:
+    if len(qname.labels) != len(origin.labels) + 1:
         return None
     if not qname.is_subdomain_of(origin):
         return None
@@ -122,12 +122,11 @@ def decode_cookie_name(
     suffix = label[cookie_length:]
     if suffix:
         parts = suffix.split(b".")
-        if any(not part for part in parts):
+        if b"" in parts:
             return None
-        try:
-            original = Name((*parts, *origin.labels))
-        except Exception:
-            return None
+        # each part is a non-empty slice of one valid label, and each lost
+        # dot comes back as a length byte: shorter on the wire than qname
+        original = Name._derived((*parts, *origin.labels))
     else:
         original = origin
     return CookieName(cookie_label, original)
@@ -233,7 +232,10 @@ def referral_from_slot(slot: CookieSlot, query: Message, cookie_label: bytes) ->
     """
     record = slot.reply.authorities[0]
     labels = record.rdata.target.labels  # type: ignore[union-attr]
-    target = Name((cookie_label + labels[0][slot.width :], *labels[1:]))
+    if labels[0][: slot.width] == cookie_label:  # the slot's own requester
+        return slot.reply.with_header(response_header(query))
+    # the new first label is as long as the slot's own
+    target = Name._derived((cookie_label + labels[0][slot.width :], *labels[1:]))
     response = make_response(query)
     response.authorities.append(
         ResourceRecord(record.name, RRType.NS, RRClass.IN, record.ttl, NS(target))
@@ -249,8 +251,11 @@ def answer_from_slot(slot: CookieSlot, msg_id: int, cookie_qname: Name) -> Messa
     from the slot's own question name only in its first ``slot.width``
     bytes, which are echoed as the requester sent them (DNS-0x20).
     """
+    header = Header(msg_id=msg_id, qr=True)
+    if cookie_qname.labels == slot.reply.questions[0].qname.labels:  # its own requester
+        return slot.reply.with_header(header)
     response = Message(
-        Header(msg_id=msg_id, qr=True),
+        header,
         [Question(cookie_qname, RRType.A, RRClass.IN)],
         [
             ResourceRecord(cookie_qname, RRType.A, RRClass.IN, rr.ttl, rr.rdata)

@@ -52,7 +52,6 @@ from ..dnswire import (
 from ..netsim import (
     BOUNDARY_PRIORITY,
     DnsPayload,
-    Hook,
     Node,
     Packet,
     RoutingError,
@@ -129,6 +128,8 @@ __shared_state__ = {
             "_pending",
             "_answer_cache",
             "down",
+            "_enabled",
+            "_rule_at",
             "cookies",
             "estimator",
             "_sweeper",
@@ -275,7 +276,7 @@ class RemoteDnsGuard:
         self._cookie_net = None if net is None else (int(net.network_address), int(net.netmask))
         self._policy = policy
         self.activation_threshold = activation_threshold
-        self.enabled = enabled
+        self._enabled = enabled
         self.rl1 = rl1 if rl1 is not None else UnverifiedResponseLimiter()
         self.rl2 = rl2 if rl2 is not None else VerifiedRequestLimiter()
         self.estimator = RateEstimator()
@@ -329,7 +330,8 @@ class RemoteDnsGuard:
         if self._obs is not None:
             self._obs.add_snapshot(f"guard.{node.name}", self.stats)
 
-        node.filters.append(Hook.FORWARD, target=self._transit)
+        self._rule_at = len(node.filters.forward)  # where _place_rule puts the rule
+        self._place_rule()
         node.forward_cost = self.costs.forward
         self.tcp_proxy = TcpProxy(self)
         # Boundary lane: expiry applies at the start of an instant, before
@@ -408,9 +410,30 @@ class RemoteDnsGuard:
         if source in self.watch_sources:
             self.watched_rejects += 1
 
+    @property
+    def enabled(self) -> bool:
+        """False makes the guard a plain router (the paper's "protection
+        disabled" baseline): no transit packet enters it."""
+        return self._enabled
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        self._enabled = value
+        self._place_rule()
+
+    def _place_rule(self) -> None:
+        """The ``FORWARD`` rule is in exactly while ``enabled or down`` (a
+        crashed box drops everything), at the position it had."""
+        rules = self.node.filters.forward
+        if self._transit in rules:
+            self._rule_at = rules.index(self._transit)
+            del rules[self._rule_at]
+        if self._enabled or self.down:
+            rules.insert(self._rule_at, self._transit)
+
     def is_active(self, now: float) -> bool:
         """Whether spoof detection is currently engaged."""
-        if not self.enabled:
+        if not self._enabled:
             return False
         if self.activation_threshold is None:
             return True
@@ -448,6 +471,7 @@ class RemoteDnsGuard:
         state = self.cookies.export_state()
         self.crashes += 1
         self.down = True
+        self._place_rule()
         self._pending.clear()
         self._answer_cache.clear()
         self._verified_sources.clear()
@@ -480,6 +504,7 @@ class RemoteDnsGuard:
         if rotate_key:
             self.cookies.rotate(random_key(self.node.sim.rng))
         self.down = False
+        self._place_rule()
         if self._sweeper is None:
             self._sweeper = self.node.sim.schedule(
             1.0, self._sweep, priority=BOUNDARY_PRIORITY
@@ -490,10 +515,6 @@ class RemoteDnsGuard:
     def _transit(self, packet: Packet) -> Verdict:
         if self.down:
             return Verdict.DROP
-        if not self.enabled:
-            # hard-disabled (the paper's "protection disabled" baseline):
-            # the guard is nothing but a router
-            return Verdict.ACCEPT
         segment = packet.segment
         if isinstance(segment, UdpDatagram):
             return self._transit_udp(packet, segment)
@@ -607,7 +628,7 @@ class RemoteDnsGuard:
             return Verdict.DROP
 
         decoded = decode_cookie_name(
-            message.question.qname,
+            message.questions[0].qname,
             self.origin,
             cookie_length=self.cookies.label_cookie_length,
         )
@@ -624,7 +645,8 @@ class RemoteDnsGuard:
                         self._watched_reject(src)
                         self._note("ns_name", "rl2_drop", packet.span)
                         return Verdict.DROP
-                self._note("ns_name", "forward", packet.span)
+                if self._obs is not None:
+                    self._note("ns_name", "forward", packet.span)
                 self._restore_and_forward(packet, datagram, message, src, decoded)
                 return Verdict.DROP
             self.invalid_drops += 1
@@ -661,7 +683,8 @@ class RemoteDnsGuard:
             reply = self._referral(message, self.cookies.label_cookie(src))
             if reply is not None:
                 self.referrals_fabricated += 1
-                self._note("ns_name", "challenge", packet.span)
+                if self._obs is not None:
+                    self._note("ns_name", "challenge", packet.span)
                 self._submit(
                     self.costs.fabricate_response,
                     self._send_udp,
@@ -739,20 +762,20 @@ class RemoteDnsGuard:
         self, packet: Packet, datagram: UdpDatagram, message: Message, src: int, decoded
     ) -> None:
         """Message 3 -> 4: restore the original question toward the ANS."""
-        key = (src, datagram.sport, message.header.msg_id)
+        msg_id = message.header.msg_id
+        question = message.questions[0]
+        key = (src, datagram.sport, msg_id)
         if len(self._pending) >= PENDING_CAP:
             del self._pending[next(iter(self._pending))]
         self._pending[key] = _Pending(
             kind="cookie-name",
-            cookie_qname=message.question.qname,
+            cookie_qname=question.qname,
             rewrite_source=None,
             original_qname=decoded.original_qname,
-            qtype=message.question.qtype,
+            qtype=question.qtype,
             expires_at=self.node.sim.now + PENDING_TIMEOUT,
         )
-        restored = self._restored_query(
-            decoded.original_qname, message.question.qtype, message.header.msg_id
-        )
+        restored = self._restored_query(decoded.original_qname, question.qtype, msg_id)
         forwarded = packet.with_message(restored, dst=self.ans_address, dport=53)
         self._submit(self.costs.validate_and_forward, self._safe_send, forwarded)
 
@@ -864,7 +887,8 @@ class RemoteDnsGuard:
                     self._answer_cache.pop(next(iter(self._answer_cache)))
         reply = self._cookie_name_answer(message.header.msg_id, pending.cookie_qname, addresses)
         self.responses_transformed += 1
-        self._note("ns_name", "response_rewrite", packet.span)
+        if self._obs is not None:
+            self._note("ns_name", "response_rewrite", packet.span)
         self._submit(
             self.costs.transform_response,
             self._send_udp,
@@ -879,8 +903,8 @@ class RemoteDnsGuard:
         """Message 6: ``addresses`` (glue records, or one fabricated
         address) as the answer to the A query for ``cookie_qname``.
 
-        The slot is per question-minus-cookie *and* per address set — the
-        glue is the ANS's to change, COOKIE2 is per requester.
+        The slot is per question-minus-cookie *and* per address set (as
+        integers) — the glue is the ANS's to change, COOKIE2 is per requester.
         """
         width = self.cookies.label_cookie_length
         labels = cookie_qname.labels
@@ -889,7 +913,7 @@ class RemoteDnsGuard:
             labels[0][width:],
             labels[1:],
             tuple(
-                (item.ttl, item.rdata) if isinstance(item, ResourceRecord) else item
+                (item.ttl, item.rdata.address._ip) if isinstance(item, ResourceRecord) else item._ip
                 for item in addresses
             ),
         )

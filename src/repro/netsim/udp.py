@@ -109,8 +109,10 @@ class UdpStack:
         raise SocketError(f"{self.node.name}: every ephemeral UDP port is bound")
 
     def bind_ephemeral(self, handler: UdpHandler) -> UdpSocket:
-        """A wildcard socket on :meth:`ephemeral_port`."""
-        return self.bind(self.ephemeral_port(), handler)
+        """A wildcard socket on :meth:`ephemeral_port` (free: :meth:`bind`'s check skipped)."""
+        port = self.ephemeral_port()
+        sock = self._sockets[(None, port)] = UdpSocket(self, None, port, handler)
+        return sock
 
     def _unbind(self, sock: UdpSocket) -> None:
         # only its own entry: the port may have been bound again since

@@ -135,3 +135,42 @@ class TestCounters:
     def test_pending_exchange_gauge(self):
         bed = GuardTestbed(ans="simulator", ans_mode="referral")
         assert bed.guard.pending_exchanges == 0
+
+
+class TestForwardRule:
+    """A disabled guard is not in the hop: its ``FORWARD`` rule is out of
+    the node's list, and goes back where it was."""
+
+    @staticmethod
+    def rules(bed):
+        return bed.guard_node.filters.forward
+
+    def test_disable_takes_the_rule_out_and_enable_puts_it_back_in_place(self):
+        from repro.netsim import Verdict
+
+        bed = GuardTestbed(ans="simulator", ans_mode="referral")
+        before, after = (lambda packet: Verdict.ACCEPT), (lambda packet: Verdict.ACCEPT)
+        self.rules(bed).insert(0, before)
+        self.rules(bed).append(after)
+        assert self.rules(bed) == [before, bed.guard._transit, after]
+        bed.guard.enabled = False
+        assert self.rules(bed) == [before, after]
+        assert not bed.guard.is_active(bed.sim.now)
+        bed.guard.enabled = True
+        bed.guard.enabled = True
+        assert self.rules(bed) == [before, bed.guard._transit, after]
+
+    def test_a_crashed_guard_keeps_its_rule_until_restart(self):
+        bed = GuardTestbed(ans="simulator", ans_mode="referral", guard_enabled=False)
+        assert self.rules(bed) == []
+        state = bed.guard.crash()
+        assert self.rules(bed) == [bed.guard._transit]  # dead inline hardware drops all
+        bed.guard.restart(state)
+        assert self.rules(bed) == []
+        client = bed.add_client("lrs")
+        lrs = LrsSimulator(client, ANS_ADDRESS, workload="referral", timeout=0.02)
+        lrs.start()
+        bed.run(0.05)
+        lrs.stop()
+        # a plain router: the ANS answered, the guard saw nothing
+        assert lrs.stats.completed > 0 and bed.guard.queries_seen == 0

@@ -51,6 +51,7 @@ from repro.guard import (
     encode_cookie_name,
     fabricated_referral,
 )
+from repro.guard.core.dns_scheme import answer_from_slot, cookie_slot, referral_from_slot
 from repro.dnswire.message import _decoded
 from repro.guard.core.cookie import KEY_LENGTH
 from repro.netsim import Node, Simulator
@@ -268,6 +269,106 @@ def test_cookie_name_codec_is_injective_or_declines(origin, relative, cookie):
     assert decoded is not None and decoded.cookie_label == cookie_label
     assert decoded.original_qname.labels[: len(relative)] == tuple(relative)
     assert decoded.original_qname == qname
+
+
+def same_name(derived: Name, reference: Name) -> bool:
+    """One name, however built: labels case-exact, equality and hash (which
+    fold case), the wire with and without compression, and the text."""
+    compressed, expected = bytearray(), bytearray()
+    derived.encode(compressed, {})
+    reference.encode(expected, {})
+    return (
+        type(derived) is Name
+        and derived.labels == reference.labels
+        and derived == reference
+        and hash(derived) == hash(reference)
+        and derived.to_wire() == reference.to_wire()
+        and compressed == expected
+        and str(derived) == str(reference)
+    )
+
+
+@given(
+    origin=origins,
+    relative=relatives,
+    cookie=st.binary(min_size=1, max_size=8),
+    other=st.binary(min_size=1, max_size=8),
+    flips=st.lists(st.booleans(), min_size=64, max_size=64),
+)
+def test_a_derived_name_is_the_validated_name(origin, relative, cookie, other, flips):
+    """``Name._derived`` skips the checks ``Name(...)`` makes: every name the
+    decoder restores, every target a slot re-labels and every parent it is
+    handed must be the one ``Name(...)`` builds from the same labels."""
+    try:
+        qname = Name((*relative, *origin.labels))
+    except Exception:
+        return  # not a name at all
+    for name in (qname, origin):
+        assert same_name(name.parent(), Name(name.labels[1:]))
+    cookie_label = b"PR" + cookie.hex().encode("ascii")
+    encoded = encode_cookie_name(cookie_label, qname, origin)
+    if encoded is None:
+        return
+    # a DNS-0x20 requester's casing of the cookie name decodes as sent
+    sent = Name(
+        bytes(ord(chr(b).swapcase()) if flip and b < 0x80 else b for b, flip in zip(label, flips))
+        for label in encoded.labels
+    )
+    decoded = decode_cookie_name(sent, origin, cookie_length=len(cookie_label))
+    assert decoded is not None
+    assert same_name(decoded.original_qname, Name(decoded.original_qname.labels))
+    # message 2 for another requester: the slot's target under its cookie
+    query = make_query(qname, RRType.A, msg_id=7)
+    reply = fabricated_referral(query, origin, cookie_label)
+    slot = cookie_slot(reply, encoded, len(cookie_label))
+    if slot is None:
+        return
+    label = (b"PR" + other.hex().encode("ascii") + cookie_label)[: len(cookie_label)]
+    target = referral_from_slot(slot, query, label).authorities[0].rdata.target
+    assert same_name(target, Name(target.labels))
+    assert target.labels[0][: len(label)] == label
+
+
+@given(
+    origin=origins,
+    relative=relatives,
+    cookie=st.binary(min_size=1, max_size=8),
+    other=st.binary(min_size=1, max_size=8),
+    rd=st.booleans(),
+    glue=st.lists(ipv4s, min_size=1, max_size=2),
+)
+def test_a_slot_answers_its_own_and_another_requester_as_the_reference(
+    origin, relative, cookie, other, rd, glue
+):
+    """Messages 2 and 6 from a slot: for the requester whose reply made the
+    slot (the slot's reply re-headed) and for one with another cookie."""
+    try:
+        qname = Name((*relative, *origin.labels))
+    except Exception:
+        return  # not a name at all
+    cookie_label = b"PR" + cookie.hex().encode("ascii")
+    width = len(cookie_label)
+    encoded = encode_cookie_name(cookie_label, qname, origin)
+    if encoded is None:
+        return
+    other_label = (b"PR" + other.hex().encode("ascii") + cookie_label)[:width]
+    addresses = [a_record(encoded, address, 60) for address in glue]
+    referral = cookie_slot(
+        fabricated_referral(make_query(qname, msg_id=7), origin, cookie_label), encoded, width
+    )
+    answer = cookie_slot(
+        cookie_name_answer(make_query(encoded, msg_id=7), addresses), encoded, width
+    )
+    query = make_query(qname, msg_id=9, recursion_desired=rd)
+    for label in (cookie_label, other_label):
+        name = Name((label + encoded.labels[0][width:], *encoded.labels[1:]))
+        if referral is not None:
+            reply = referral_from_slot(referral, query, label)
+            assert same(reply, fabricated_referral(query, origin, label)) and wire_holds(reply)
+        if answer is not None:
+            reply = answer_from_slot(answer, 9, name)
+            reference = cookie_name_answer(make_query(name, msg_id=9), addresses)
+            assert same(reply, reference) and wire_holds(reply)
 
 
 # -- the guard's three shapes --------------------------------------------------------

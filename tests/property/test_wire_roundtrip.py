@@ -190,7 +190,7 @@ def _reference_name_encode(self, buffer, offsets=None):
         if remaining.is_root():
             buffer.append(0)
             return
-        label = remaining._labels[0]
+        label = remaining.labels[0]
         buffer.append(len(label))
         buffer += label
         remaining = remaining.parent()
