@@ -33,11 +33,10 @@ make --no-print-directory trace-diff PARENT=. CMD="table2 --seed 7"
 echo "== fault-injection smoke (faults, sanitized) =="
 python -m repro faults --fast --sanitize
 
-echo "== simultaneity races (interference monitor + schedule exploration) =="
+echo "== simultaneity races (tie-group interference monitor) =="
 python -m repro table2 --races
 python -m repro faults --fast --races
-python -m repro table1 --fast --explore 25
-python -m repro table2 --explore 5
+python -m repro table1 --races
 
 echo "== adaptive-control smoke (sanitized, with and without the controller) =="
 python -m repro control --fast --static-only --sanitize

@@ -7,11 +7,10 @@ into :mod:`repro.experiments`, or a ``handler`` for the few commands with
 bespoke control flow.  ``main()`` builds the parser from the table and
 dispatches.
 
-A command that runs a simulation also accepts three mutually exclusive
+A command that runs a simulation also accepts two mutually exclusive
 analysis modes that replace its normal output — ``--sanitize`` (run twice,
-compare event-trace hashes), ``--races`` (tie-group interference monitor,
-R003/R004) and ``--explore N`` (seeded permutations of conflicting tie
-groups, canonical-trace invariance) — plus ``--obs DIR``.
+compare event-trace hashes) and ``--races`` (tie-group interference monitor,
+R003/R004) — plus ``--obs DIR``.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ MODES = (
             "compare event-trace hashes instead of printing results"),
     _switch("--races", "run the command under the tie-group interference monitor "
             "(R003/R004) and report simultaneity races instead of results"),
-    _option("--explore", "N", "re-run the command N extra times with seeded permutations "
-            "of conflicting tie groups and assert trace invariance", type=int),
 )
 OBS = _option("--obs", "DIR", "gather observability data (metrics, spans, run report) "
               "and export it into DIR")
@@ -261,17 +258,13 @@ def main(argv: list[str] | None = None) -> int:
             return _run_with_obs(handler, row, args)
         return handler(row, args)
 
-    modes = [
-        name
-        for name in ("sanitize", "races", "explore")
-        if getattr(args, name, None) not in (None, False)
-    ]
+    modes = [name for name in ("sanitize", "races") if getattr(args, name, False)]
     if len(modes) > 1:
-        parser.error(f"{' and '.join('--' + m for m in modes)} are mutually exclusive")
+        parser.error("--sanitize and --races are mutually exclusive")
     if modes:
         from repro.analysis.modes import run_mode
 
-        report = run_mode(modes[0], invoke, args)
+        report = run_mode(modes[0], invoke)
         print(report.summary())
         return 0 if report.ok else 1
     return invoke()

@@ -34,7 +34,7 @@ home per concept:
   :mod:`.layers` (L-rules over ``__layer__``);
 * :mod:`.sarif` — family-neutral SARIF 2.1.0 export;
 * :mod:`.sanitizer` and :mod:`.modes` — the runtime witnesses behind
-  ``python -m repro <cmd> --sanitize | --races | --explore N``;
+  ``python -m repro <cmd> --sanitize | --races``;
 * :mod:`.cli` — ``python -m repro.analysis [--flow] [--races] [--memory]
   [--layers] [--sarif OUT] [paths...]``, nonzero exit on findings for CI.
 """

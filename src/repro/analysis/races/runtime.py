@@ -1,10 +1,11 @@
 """Dynamic interference sanitizer: tie-group footprints at runtime.
 
 The static pass (R001/R002) sees attribute *names*; this monitor sees
-*instances*.  It installs the :func:`repro.netsim.set_tie_hook` hook, and
-for every tie group — events popped at equal ``(time, priority)`` — it
-records each handler's read/write footprint over the state declared in
-``__shared_state__``, then reports
+*instances*.  It installs the :func:`repro.netsim.set_tie_hook` hook, works
+out the tie groups from the events it brackets — consecutive events of one
+simulator at equal ``(time, priority)``, all queued before the first of them
+ran — and for every group records each handler's read/write footprint over
+the state declared in ``__shared_state__``, then reports
 
 * **R003** when two handlers in one group wrote an overlapping cell, and
 * **R004** when one read a cell another wrote,
@@ -18,11 +19,11 @@ sweeping their own tables never alias.
 Observation discipline (the W002 contract): the monitor must not change
 the event sequence.  It patches the declared classes'
 ``__getattribute__``/``__setattr__`` in place (restored on uninstall),
-records only while a multi-event tie group is executing, never schedules,
-and never draws randomness.  Dict-valued guarded attributes are lazily
-replaced with a :class:`TrackedDict` — a ``dict`` subclass with identical
-semantics and a ``trace_digest`` pinned to ``"dict"`` so trace hashes are
-unaffected.
+records only while a tie group with a second member queued is executing,
+never schedules, and never draws randomness.  Dict-valued guarded
+attributes are lazily replaced with a :class:`TrackedDict` — a ``dict``
+subclass with identical semantics and a ``trace_digest`` pinned to
+``"dict"`` so trace hashes are unaffected.
 
 Entry points: :func:`run_monitored`, or ``python -m repro <cmd> --races``.
 """
@@ -33,10 +34,16 @@ import dataclasses
 from collections import OrderedDict
 from typing import Any, Callable
 
-from ...netsim.simulator import Simulator, TieEvent, _describe_callback, _describe_value
+from ...netsim.simulator import (
+    Simulator,
+    TieEvent,
+    _describe_callback,
+    _describe_value,
+    set_tie_hook,
+)
 from ..declarations import SharedStateDecl, iter_declared_classes
 from ..findings import Finding
-from ..modes import run_hooked
+from ..modes import quiet_stdout
 
 #: Wildcard key: the whole-container footprint (iteration, clear, len).
 WILDCARD = "*"
@@ -232,18 +239,16 @@ class InterferenceMonitor:
         self._reads: set[Cell] = set()
         self._writes: set[Cell] = set()
         self._records: list[tuple[TieEvent, frozenset, frozenset]] = []
-        self._sim_indices: dict[int, int] = {}
-        self._sim_refs: list[Simulator] = []
-        self._group_counts: dict[int, int] = {}
-        self._current_group: tuple[int, int] | None = None
+        #: The running tie group: (simulator, time, priority), the newest
+        #: seq queued when its first member ran, and its members so far.
+        self._group: tuple | None = None
+        self._group_last_seq = -1
+        self._group_size = 0
         self._seen: set[tuple] = set()
         self._allow_cache: dict[str, dict[int, set[str]]] = {}
         self.findings: list[Finding] = []
         self.groups_observed = 0
         self.multi_groups = 0
-        #: (sim_index, group_index) of every group with a conflict — the
-        #: DPOR-lite permutation targets for schedule exploration.
-        self.conflict_groups: set[tuple[int, int]] = set()
 
     # -- instrumentation ---------------------------------------------------
 
@@ -332,28 +337,26 @@ class InterferenceMonitor:
 
     # -- tie hook ----------------------------------------------------------
 
-    def register(self, sim: Simulator) -> None:
-        self._sim_indices[id(sim)] = len(self._sim_refs)
-        self._group_counts[id(sim)] = 0
-        self._sim_refs.append(sim)
-
-    def on_group(self, sim: Simulator, events: list[TieEvent]):
-        sim_index = self._sim_indices.get(id(sim), -1)
-        group_index = self._group_counts.get(id(sim), 0)
-        self._group_counts[id(sim)] = group_index + 1
-        self._current_group = (sim_index, group_index)
-        self.groups_observed += 1
-        if len(events) > 1:
-            self.multi_groups += 1
-            self._armed = True
-        return None
-
     def before_event(self, sim: Simulator, event: TieEvent) -> None:
-        if not self._armed:
-            return
-        self._current = event
-        self._reads = set()
-        self._writes = set()
+        key = (sim, event.time, event.priority)
+        if key != self._group or event.seq > self._group_last_seq:
+            # a new group: anything this event (or a later member) schedules
+            # into the same instant and lane runs after it, in a group of its own
+            self.close_group()
+            self._group = key
+            self._group_last_seq = sim._last_seq
+            self._group_size = 1
+            self.groups_observed += 1
+            queue = sim._queue
+            self._armed = bool(queue) and queue[0][:2] == key[1:]
+        else:
+            self._group_size += 1
+            if self._group_size == 2:
+                self.multi_groups += 1
+        if self._armed:
+            self._current = event
+            self._reads = set()
+            self._writes = set()
 
     def after_event(self, sim: Simulator, event: TieEvent) -> None:
         if self._current is None:
@@ -363,26 +366,23 @@ class InterferenceMonitor:
         )
         self._current = None
 
-    def end_group(self, sim: Simulator) -> None:
+    def close_group(self) -> None:
+        """Judge the running tie group's footprints and end it.  A group
+        ends when an event outside it starts, or when the run ends."""
         records, self._records = self._records, []
-        armed, self._armed = self._armed, False
-        group, self._current_group = self._current_group, None
-        if not armed or len(records) < 2:
-            return
-        conflict = False
+        self._group = None
+        self._armed = False
         for i, (event_i, reads_i, writes_i) in enumerate(records):
             for event_j, reads_j, writes_j in records[i + 1 :]:
                 ww = _overlap(set(writes_i), set(writes_j))
                 if ww:
-                    conflict |= self._report("R003", event_i, event_j, ww)
+                    self._report("R003", event_i, event_j, ww)
                 rw = (
                     _overlap(set(reads_i), set(writes_j))
                     | _overlap(set(writes_i), set(reads_j))
                 ) - ww
                 if rw:
-                    conflict |= self._report("R004", event_i, event_j, rw)
-        if conflict and group is not None:
-            self.conflict_groups.add(group)
+                    self._report("R004", event_i, event_j, rw)
 
     # -- findings ----------------------------------------------------------
 
@@ -404,26 +404,25 @@ class InterferenceMonitor:
 
     def _report(
         self, rule: str, event_a: TieEvent, event_b: TieEvent, cells: set[Cell]
-    ) -> bool:
-        """Record a finding; returns whether the conflict is *live*.
+    ) -> None:
+        """Record a finding, once per (rule, handler pair, cells).
 
         A schedule site carrying an inline allow marker for ``rule``
         documents a serialization contract (e.g. same-node deliveries
-        drain one queue in send order): the conflict is neither reported
-        nor offered to schedule exploration — its order is defined, not
-        an accident of heap insertion.
+        drain one queue in send order): the conflict is not reported —
+        its order is defined, not an accident of heap insertion.
         """
         self._busy = True
         try:
             site = event_b.site or event_a.site
             if site is not None and rule in self._site_allows(site):
-                return False
+                return
             label_a = _describe_callback(event_a.callback)
             label_b = _describe_callback(event_b.callback)
             cell_keys = tuple(sorted(f"{c[0]}.{c[1]}" for c in cells))
             dedup = (rule, tuple(sorted((label_a, label_b))), cell_keys)
             if dedup in self._seen:
-                return True
+                return
             self._seen.add(dedup)
             kind = "write/write" if rule == "R003" else "read/write"
             cell_text = ", ".join(sorted(_cell_text(c) for c in cells))
@@ -440,7 +439,6 @@ class InterferenceMonitor:
                     ),
                 )
             )
-            return True
         finally:
             self._busy = False
 
@@ -452,7 +450,6 @@ class RaceReport:
     findings: list[Finding]
     groups_observed: int
     multi_groups: int
-    conflict_groups: set[tuple[int, int]]
     classes_watched: int
 
     @property
@@ -485,11 +482,18 @@ def run_monitored(
     if declared is None:
         declared = discover_declared_classes()
     monitor = InterferenceMonitor(declared)
-    run_hooked(experiment, monitor, quiet=quiet, monitor=monitor)
+    previous = set_tie_hook(monitor)
+    monitor.install()
+    try:
+        with quiet_stdout(quiet):
+            experiment()
+        monitor.close_group()
+    finally:
+        monitor.uninstall()
+        set_tie_hook(previous)
     return RaceReport(
         findings=sorted(monitor.findings, key=Finding.sort_key),
         groups_observed=monitor.groups_observed,
         multi_groups=monitor.multi_groups,
-        conflict_groups=set(monitor.conflict_groups),
         classes_watched=len(declared),
     )

@@ -22,9 +22,10 @@ events run in (priority, insertion) order — the **boundary lane**
 (:data:`BOUNDARY_PRIORITY`) models instantaneous state transitions (fault
 onset, soft-state expiry sweeps) that by contract apply *before* any
 same-instant traffic in the default lane; within one lane the tie-break
-is FIFO on scheduling order.  Events at equal ``(time, priority)`` form a
-*tie group*; the race detector (:mod:`repro.analysis.races`) observes and
-permutes tie groups through the hook installed by :func:`set_tie_hook`.
+is FIFO on scheduling order.  Events at equal ``(time, priority)`` that are
+queued together form a *tie group*; the race detector
+(:mod:`repro.analysis.races`) watches tie groups through the hook installed
+by :func:`set_tie_hook`, which brackets each event without reordering any.
 """
 
 from __future__ import annotations
@@ -233,12 +234,11 @@ def set_observability(obs):
 
 @dataclasses.dataclass(slots=True)
 class TieEvent:
-    """One not-yet-executed event of a tie group, as hooks see it."""
+    """One executing event, as the tie hook sees it."""
 
     time: float
     priority: int
     seq: int
-    handle: "EventHandle"
     callback: Callable[..., Any]
     args: tuple
     #: ``(filename, lineno)`` of the scheduling call site, captured only
@@ -247,23 +247,9 @@ class TieEvent:
 
 
 class _TieHookProtocol:
-    """What :func:`set_tie_hook` expects (duck-typed).
-
-    ``register(sim)`` is called once per simulator at construction, in
-    construction order.  ``on_group(sim, events)`` receives every tie
-    group (same virtual time, same priority lane) just before it executes
-    and may return a reordered list of the same events (or None to keep
-    FIFO order).  ``before_event``/``after_event`` bracket each executed
-    callback; ``end_group(sim)`` fires once the group has drained.
-    Cancellations performed *inside* a tie group are still honoured: a
-    cancelled member is skipped at execution time, not at grouping time.
-    """
-
-    def register(self, sim: "Simulator") -> None:  # pragma: no cover - protocol
-        raise NotImplementedError
-
-    def on_group(self, sim, events):  # pragma: no cover - protocol
-        return None
+    """What :func:`set_tie_hook` expects (duck-typed):
+    ``before_event(sim, event)`` and ``after_event(sim, event)`` bracket
+    each executed callback, ``event`` being its :class:`TieEvent`."""
 
     def before_event(self, sim, event) -> None:  # pragma: no cover - protocol
         pass
@@ -271,22 +257,19 @@ class _TieHookProtocol:
     def after_event(self, sim, event) -> None:  # pragma: no cover - protocol
         pass
 
-    def end_group(self, sim) -> None:  # pragma: no cover - protocol
-        pass
-
 
 _active_tie_hook: _TieHookProtocol | None = None
 
 
 def set_tie_hook(hook: _TieHookProtocol | None) -> _TieHookProtocol | None:
-    """Install a process-wide tie-group hook; returns the previous one.
+    """Install a process-wide tie hook; returns the previous one.
 
-    While a hook is installed, every newly constructed :class:`Simulator`
-    takes its next event from tie groups (batches of same-time,
-    same-priority events) and reports them to the hook — the race
-    detector's interference sanitizer and schedule-permutation explorer
-    plug in here.  With no hook (the default) the next event comes straight
-    off the heap, in the same order unless a hook reorders a group.
+    Every :class:`Simulator` constructed while a hook is installed records
+    each scheduling call site and the newest sequence number it handed out
+    (``_last_seq``), and brackets each callback it executes with the hook's
+    ``before_event``/``after_event``.  The events run in the same order as
+    with no hook; working out tie groups from them is the hook's business
+    (the race detector's interference monitor plugs in here).
     """
     global _active_tie_hook
     previous = _active_tie_hook
@@ -354,14 +337,11 @@ class Simulator:
         self._events_processed = 0
         #: Cancelled entries still sitting in the heap (see _note_cancelled).
         self._tombstones = 0
-        #: The open tie group's not-yet-run TieEvents (empty with no hook).
-        self._tie_buffer: list[TieEvent] = []
-        #: seq -> scheduling call site, populated only while a tie hook is
-        #: installed (the frame walk is not free).
+        #: seq -> scheduling call site, and the newest seq handed out; both
+        #: kept only while a tie hook is installed (the frame walk is not free).
         self._sites: dict[int, tuple[str, int] | None] = {}
+        self._last_seq = -1
         self._tie_hook = _active_tie_hook
-        if self._tie_hook is not None:
-            self._tie_hook.register(self)
         #: Observability context attached to this simulator (see repro.obs).
         #: None in the common case; instrumentation sites gate on it.
         self.obs = None
@@ -435,6 +415,7 @@ class Simulator:
         seq = next(self._sequence)
         if self._tie_hook is not None:
             self._sites[seq] = _caller_site()
+            self._last_seq = seq
         heapq.heappush(self._queue, (time, priority, seq, handle))
         return handle
 
@@ -444,85 +425,40 @@ class Simulator:
         """Process the next live event unless it is later than ``until``
         (then, or with none left, return False and leave it queued).  The one
         place that advances ``now``, counts, records the trace and calls the
-        callback; :meth:`run` is this in a loop."""
+        callback, bracketed by the tie hook's ``before_event``/``after_event``
+        when one is installed; :meth:`run` is this in a loop."""
         hook = self._tie_hook
-        event = None
-        if hook is None:
-            # re-read every call: _compact() rebinds the heap
-            queue = self._queue
-            while True:
-                if not queue:
-                    return False
-                time, _priority, sequence, handle = queue[0]
-                if not handle.cancelled:
-                    break
-                heapq.heappop(queue)
-                handle._sim = None
-                self._tombstones -= 1
-            if time > until:
+        # re-read every call: _compact() rebinds the heap
+        queue = self._queue
+        while True:
+            if not queue:
                 return False
+            time, priority, sequence, handle = queue[0]
+            if not handle.cancelled:
+                break
             heapq.heappop(queue)
             handle._sim = None
-            callback, args = handle.callback, handle.args
-        else:
-            next_time = self._next_event_time()
-            if next_time is None or next_time > until:
-                return False
-            event = self._next_tie_event()
-            time, sequence, callback, args = event.time, event.seq, event.callback, event.args
+            self._tombstones -= 1
+            if hook is not None:
+                self._sites.pop(sequence, None)
+        if time > until:
+            return False
+        heapq.heappop(queue)
+        handle._sim = None
+        callback, args = handle.callback, handle.args
         self.now = time
         self._events_processed += 1
         if self.trace is not None:
             self.trace.record(time, sequence, callback, args)
-        if hook is not None:
+        if hook is None:
+            callback(*args)
+        else:
+            event = TieEvent(
+                time, priority, sequence, callback, args, self._sites.pop(sequence, None)
+            )
             hook.before_event(self, event)
-        callback(*args)
-        if hook is not None:
+            callback(*args)
             hook.after_event(self, event)
-            self._tie_group_drained()
-        return True
-
-    def _next_tie_event(self) -> TieEvent | None:
-        """Where a hooked simulator gets its next event: the current tie
-        group's next live member, else the first of the next group — all
-        live events at the next ``(time, priority)``, popped together and
-        offered to ``on_group``.  None when no live event is left."""
-        if self._tie_buffer and not self._tie_group_drained():
-            return self._tie_buffer.pop(0)
-        queue = self._queue
-        group: list[TieEvent] = []
-        while queue and (
-            not group
-            or (queue[0][0] == group[0].time and queue[0][1] == group[0].priority)
-        ):
-            time, priority, seq, handle = heapq.heappop(queue)
-            site = self._sites.pop(seq, None)
-            handle._sim = None
-            if handle.cancelled:
-                self._tombstones -= 1
-            else:
-                group.append(
-                    TieEvent(time, priority, seq, handle, handle.callback, handle.args, site)
-                )
-        if not group:
-            return None
-        reordered = self._tie_hook.on_group(self, group)
-        if reordered is not None:
-            group = list(reordered)
-        self._tie_buffer = group
-        return group.pop(0)
-
-    def _tie_group_drained(self) -> bool:
-        """Drop cancelled members from the head of the tie buffer — whether
-        an earlier member of the group cancelled them or a caller between
-        steps, they are honoured exactly as if still in the heap.  True,
-        after telling the hook the group has ended, once nothing is left."""
-        buffer = self._tie_buffer
-        while buffer and buffer[0].handle.cancelled:
-            buffer.pop(0)
-        if buffer:
-            return False
-        self._tie_hook.end_group(self)
         return True
 
     # -- heap hygiene ------------------------------------------------------
@@ -553,8 +489,6 @@ class Simulator:
 
     def _next_event_time(self) -> float | None:
         """Time of the next live event, discarding cancelled tombstones."""
-        if self._tie_buffer and not self._tie_group_drained():
-            return self._tie_buffer[0].time
         while self._queue and self._queue[0][3].cancelled:
             _, _, seq, handle = heapq.heappop(self._queue)
             handle._sim = None
@@ -591,7 +525,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Events currently queued, including cancelled tombstones."""
-        return len(self._queue) + len(self._tie_buffer)
+        return len(self._queue)
 
     @property
     def live_pending_events(self) -> int:
@@ -601,8 +535,4 @@ class Simulator:
         the raw heap length overstates queue depth by however many
         cancelled retransmission timers are still awaiting compaction.
         """
-        live = len(self._queue) - self._tombstones
-        for event in self._tie_buffer:
-            if not event.handle.cancelled:
-                live += 1
-        return live
+        return len(self._queue) - self._tombstones

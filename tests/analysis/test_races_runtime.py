@@ -41,14 +41,29 @@ class Store:
         self.lru.move_to_end(key)
 
 
+class Cell:
+    """A toy with one guarded scalar."""
+
+    def __init__(self):
+        self.value = 0
+
+    def set(self, n):
+        self.value = n
+
+    def same(self, n):
+        self.value = 0 * n  # writes, but every order converges to 0
+
+
 DECLARED = parse_declaration(
     {
         "Store": {
             "guarded": ["value", "table", "lru"],
             "commutative": ["count"],
-        }
+        },
+        "Cell": {"guarded": ["value"]},
     }
 )
+CELL = [(Cell, DECLARED["Cell"])]
 
 
 @pytest.fixture
@@ -67,6 +82,7 @@ def run_tie_group(monitor, *callbacks, spread=False):
     for i, (callback, args) in enumerate(callbacks):
         sim.schedule(2.0 + (i if spread else 0.0), callback, *args)
     sim.run()
+    monitor.close_group()
     return monitor
 
 
@@ -78,7 +94,6 @@ class TestR003:
         )
         assert [f.rule for f in monitor.findings] == ["R003"]
         assert "Store#0.value" in monitor.findings[0].message
-        assert monitor.conflict_groups
 
     def test_spread_out_writes_do_not_fire(self, monitor):
         store = Store()
@@ -86,7 +101,6 @@ class TestR003:
             monitor, (store.set_value, (1,)), (store.set_value, (2,)), spread=True
         )
         assert monitor.findings == []
-        assert not monitor.conflict_groups
 
     def test_distinct_instances_do_not_alias(self, monitor):
         a, b = Store(), Store()
@@ -141,9 +155,8 @@ class TestSerializationContract:
         sim.schedule(1.0, store.set_value, 1)  # repro: allow[R003] send-order contract
         sim.schedule(1.0, store.set_value, 2)  # repro: allow[R003] send-order contract
         sim.run()
+        monitor.close_group()
         assert monitor.findings == []
-        # suppressed conflicts are not exploration targets either
-        assert not monitor.conflict_groups
 
     def test_marker_for_other_rule_does_not_suppress(self, monitor):
         store = Store()
@@ -151,6 +164,7 @@ class TestSerializationContract:
         sim.schedule(1.0, store.set_value, 1)  # repro: allow[R004] wrong rule
         sim.schedule(1.0, store.set_value, 2)  # repro: allow[R004] wrong rule
         sim.run()
+        monitor.close_group()
         assert [f.rule for f in monitor.findings] == ["R003"]
 
 
@@ -214,3 +228,80 @@ class TestRunMonitored:
         store.value = 7
         assert store.value == 7
         assert type(store.table) is dict
+
+
+def order_dependent():
+    """Last writer wins, and the winner steers a later event's timestamp."""
+    cell = Cell()
+    sim = Simulator()
+    sim.schedule(1.0, cell.set, 1)
+    sim.schedule(1.0, cell.set, 2)
+    sim.schedule(2.0, lambda: sim.schedule(0.5 * cell.value, lambda: None))
+    sim.run()
+
+
+def order_convergent():
+    """A real W/W conflict whose every interleaving ends in the same state."""
+    cell = Cell()
+    sim = Simulator()
+    sim.schedule(1.0, cell.same, 1)
+    sim.schedule(1.0, cell.same, 2)
+    sim.schedule(2.0, lambda: sim.schedule(0.5 + cell.value, lambda: None))
+    sim.run()
+
+
+def self_scheduling(spawn=True):
+    """A tie group's first member writes a cell and schedules a second write
+    to it into its own instant and lane, behind the group's other member."""
+    cell, other = Cell(), Cell()
+    sim = Simulator()
+
+    def first():
+        cell.set(1)
+        if spawn:
+            sim.schedule(0.0, cell.set, 2)
+
+    sim.schedule(1.0, first)
+    sim.schedule(1.0, other.set, 3)
+    sim.run()
+
+
+class TestTieGroups:
+    @pytest.mark.parametrize("toy", [order_dependent, order_convergent])
+    def test_same_instant_writers_give_r003(self, toy):
+        # converging or not, two same-instant writers of one cell conflict
+        report = run_monitored(toy, declared=CELL)
+        assert [f.rule for f in report.findings] == ["R003"]
+        assert "Cell#0.value" in report.findings[0].message
+        assert (report.groups_observed, report.multi_groups) == (3, 1)
+
+    def test_an_event_scheduled_into_its_own_instant_opens_the_next_group(self):
+        # the spawned write runs after the group that scheduled it, so it
+        # cannot conflict with it: no finding, and one more group
+        alone = run_monitored(lambda: self_scheduling(spawn=False), declared=CELL)
+        assert alone.groups_observed == 1
+        report = run_monitored(self_scheduling, declared=CELL)
+        assert report.findings == []
+        assert (report.groups_observed, report.multi_groups) == (2, 1)
+
+    def test_the_last_group_is_judged_when_the_run_ends(self):
+        def experiment():
+            cell = Cell()
+            sim = Simulator()
+            sim.schedule(1.0, cell.set, 1)
+            sim.schedule(1.0, cell.set, 2)
+            sim.run()
+
+        report = run_monitored(experiment, declared=CELL)
+        assert [f.rule for f in report.findings] == ["R003"]
+        assert (report.groups_observed, report.multi_groups) == (1, 1)
+
+    def test_groups_never_span_simulators(self, monitor):
+        store = Store()
+        for _ in range(2):
+            sim = Simulator()
+            sim.schedule(1.0, store.set_value, 1)
+            sim.run()
+        monitor.close_group()
+        # two simulators, one event each at the same (time, priority)
+        assert (monitor.groups_observed, monitor.multi_groups, monitor.findings) == (2, 0, [])

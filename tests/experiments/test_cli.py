@@ -108,7 +108,14 @@ class TestArtefactTable:
                 assert exit_info.value.code == 2, (name, flag)
 
     @pytest.mark.parametrize(
-        "argv", (["table2", "--plot"], ["fluid", "--seed", "1"], ["farm", "--races"])
+        "argv",
+        (
+            ["table2", "--plot"],
+            ["fluid", "--seed", "1"],
+            ["farm", "--races"],
+            ["table2", "--explore", "5"],
+            ["table2", "--sanitize", "--races"],
+        ),
     )
     def test_undeclared_flag_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event core."""
 
+import sys
 import weakref
 
 import pytest
@@ -183,30 +184,16 @@ class TestEventTrace:
 
 
 class _SpyHook:
-    """Minimal tie hook: records groups, optionally reorders them."""
+    """Minimal tie hook: records the brackets around each event."""
 
-    def __init__(self, reorder=None):
-        self.groups = []
+    def __init__(self):
         self.brackets = []
-        self.reorder = reorder
-
-    def register(self, sim):
-        pass
-
-    def on_group(self, sim, events):
-        self.groups.append(list(events))
-        if self.reorder is not None:
-            return self.reorder(events)
-        return None
 
     def before_event(self, sim, event):
-        self.brackets.append(("before", event.seq))
+        self.brackets.append(("before", event.time, event.priority, event.seq))
 
     def after_event(self, sim, event):
         self.brackets.append(("after", event.seq))
-
-    def end_group(self, sim):
-        self.brackets.append(("end", None))
 
 
 @pytest.fixture
@@ -273,49 +260,76 @@ class TestTieHook:
         from repro.netsim import BOUNDARY_PRIORITY
 
         sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 0)
+        sim.schedule(1.0, fired.append, 1)
+        sim.schedule(1.0, fired.append, 2, priority=BOUNDARY_PRIORITY)
+        sim.schedule(2.0, fired.append, 3)
+        sim.run()
+        assert fired == [2, 0, 1, 3]
+        # a tie group reaches the hook as one unbroken run of its members
+        shapes = []
+        for record in spy_hook.brackets:
+            if record[0] != "before":
+                continue
+            key = record[1:3]
+            if shapes and shapes[-1][:2] == key:
+                shapes[-1] = (*key, shapes[-1][2] + 1)
+            else:
+                shapes.append((*key, 1))
+        assert shapes == [(1.0, BOUNDARY_PRIORITY, 1), (1.0, 0, 2), (2.0, 0, 1)]
+
+    def test_hook_brackets_every_event_and_closes_group(self, spy_hook):
+        from repro.netsim import BOUNDARY_PRIORITY
+
+        sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.schedule(1.0, lambda: None)
         sim.schedule(1.0, lambda: None, priority=BOUNDARY_PRIORITY)
         sim.schedule(2.0, lambda: None)
         sim.run()
-        shapes = [
-            (group[0].time, group[0].priority, len(group))
-            for group in spy_hook.groups
+        # each event's after closes it before the next one opens, so a
+        # group ends with its last member's after
+        assert spy_hook.brackets == [
+            ("before", 1.0, BOUNDARY_PRIORITY, 2), ("after", 2),
+            ("before", 1.0, 0, 0), ("after", 0),
+            ("before", 1.0, 0, 1), ("after", 1),
+            ("before", 2.0, 0, 3), ("after", 3),
         ]
-        assert shapes == [(1.0, BOUNDARY_PRIORITY, 1), (1.0, 0, 2), (2.0, 0, 1)]
 
-    def test_hook_brackets_every_event_and_closes_group(self, spy_hook):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        kinds = [kind for kind, _ in spy_hook.brackets]
-        assert kinds == ["before", "after", "before", "after", "end"]
-
-    def test_hook_reordering_changes_execution_order(self):
+    def test_event_carries_its_callback_and_scheduling_site(self):
         from repro.netsim import set_tie_hook
 
-        hook = _SpyHook(reorder=lambda events: list(reversed(events)))
-        previous = set_tie_hook(hook)
+        seen = []
+
+        class Hook:
+            def before_event(self, sim, event):
+                seen.append((event.callback, event.args, event.site, sim._last_seq))
+
+            def after_event(self, sim, event):
+                pass
+
+        previous = set_tie_hook(Hook())
         try:
-            sim = Simulator()
-            fired = []
-            for i in range(3):
-                sim.schedule(1.0, fired.append, i)
+            sim, fired = Simulator(), []
+            line = sys._getframe().f_lineno + 1
+            sim.schedule(1.0, fired.append, "x")
+            sim.schedule(1.0, fired.append, "y").cancel()
             sim.run()
         finally:
             set_tie_hook(previous)
-        assert fired == [2, 1, 0]
+        assert seen == [(fired.append, ("x",), (__file__, line), 1)]
+        assert sim._sites == {}  # the tombstone's site went with it
 
-    def test_grouped_and_fast_paths_execute_identically(self, spy_hook):
+    def test_hooked_and_plain_runs_execute_identically(self, spy_hook):
         def build(sim, fired):
             for i in range(4):
                 sim.schedule(1.0, fired.append, i)
             sim.schedule(2.0, fired.append, "late")
 
-        grouped_sim, grouped = Simulator(), []
-        build(grouped_sim, grouped)
-        grouped_sim.run()
+        hooked_sim, hooked = Simulator(), []
+        build(hooked_sim, hooked)
+        hooked_sim.run()
 
         from repro.netsim import set_tie_hook
 
@@ -326,7 +340,7 @@ class TestTieHook:
             plain_sim.run()
         finally:
             set_tie_hook(hook)
-        assert grouped == plain
+        assert hooked == plain
 
 
 class TestHeapHygiene:

@@ -1,11 +1,10 @@
 """Differential properties of the event loop: one ``step``, however driven.
 
 ``Simulator.step`` executes every event the same way; a tie hook only
-changes where the *next* event comes from (a popped tie group instead of
-the heap), and ``run`` is ``step(until)`` in a loop.  Random programs —
-schedules on a few colliding times in both lanes, cancellations from inside
-a tie group and from outside between ``step()`` calls, same-instant
-reschedules, a burst of more than 64 cancellations in one callback (which
+brackets each one, and ``run`` is ``step(until)`` in a loop.  Random
+programs — schedules on a few colliding times in both lanes, cancellations
+from inside a tie group and from outside between ``step()`` calls,
+same-instant reschedules into either lane, a burst of more than 64 cancellations in one callback (which
 compacts, i.e. rebinds, the heap mid-group and mid-``run``) and
 ``step(until)`` / ``run(until=)`` / ``run(max_events=)`` cuts — must observe
 the same thing with no hook and with a no-op hook, and the same thing
@@ -46,30 +45,21 @@ driver_ops = st.lists(
 
 
 class _WatchingHook:
-    """A no-op tie hook that checks ``end_group`` closes every group once."""
+    """A no-op tie hook that checks every event is bracketed exactly once."""
 
     def __init__(self):
-        self.opened = 0
-        self.closed = 0
-
-    def register(self, sim):
-        pass
-
-    def on_group(self, sim, events):
-        assert events
-        assert self.closed == self.opened, "a group opened before the last one ended"
-        self.opened += 1
-        return None
+        self.running = None
+        self.bracketed = 0
 
     def before_event(self, sim, event):
-        pass
+        assert self.running is None, "an event started inside another"
+        assert event.time == sim.now
+        self.running = event
 
     def after_event(self, sim, event):
-        pass
-
-    def end_group(self, sim):
-        self.closed += 1
-        assert self.closed == self.opened, "end_group fired twice for one group"
+        assert event is self.running
+        self.running = None
+        self.bracketed += 1
 
 
 class _Program:
@@ -86,32 +76,26 @@ class _Program:
     def _schedule(self, delay, lane, action):
         index = len(self.handles)
         self.handles.append(
-            self.sim.schedule(delay, self._fire, index, lane, action, priority=lane)
+            self.sim.schedule(delay, self._fire, index, action, priority=lane)
         )
 
     def _cancel(self, target):
         self.handles[target % len(self.handles)].cancel()
 
-    def _fire(self, index, own_lane, action):
+    def _fire(self, index, action):
         sim = self.sim
         self.seen.append(("fired", index, sim.now, sim.live_pending_events))
         if action[0] == "cancel":
             self._cancel(action[1])
         elif action[0] == "cancel_burst":
             burst = [
-                sim.schedule(100.0, self._fire, -1, DEFAULT_PRIORITY, ("noop",))
+                sim.schedule(100.0, self._fire, -1, ("noop",))
                 for _ in range(action[1])
             ]
             for handle in burst:
                 handle.cancel()
         elif action[0] == "spawn":
             _, delay, lane, then = action
-            if delay == 0.0:
-                # Scheduling into an *earlier* lane of the running instant is
-                # the one order a hook changes: the hooked loop has already
-                # popped the rest of the current group.  Nothing in the tree
-                # does it, so the property keeps to the running lane or later.
-                lane = max(lane, own_lane)
             self._schedule(delay, lane, then)
 
     def drive(self, ops):
@@ -135,18 +119,28 @@ class _Program:
         return self.seen, sim.trace.hexdigest()
 
 
+#: A same-instant spawn into an earlier lane runs next, ahead of the rest
+#: of the tie group that spawned it — hook or no hook.
+EARLIER_LANE = [
+    (0.0, DEFAULT_PRIORITY, ("spawn", 0.0, BOUNDARY_PRIORITY, ("noop",))),
+    (0.0, DEFAULT_PRIORITY, ("noop",)),
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(schedule=schedules, ops=driver_ops)
+@example(schedule=EARLIER_LANE, ops=[])
 def test_watching_hook_never_changes_the_run(schedule, ops):
     plain = _Program(schedule).drive(ops)
     hook = _WatchingHook()
     previous = set_tie_hook(hook)
     try:
-        hooked = _Program(schedule).drive(ops)
+        program = _Program(schedule)
+        hooked = program.drive(ops)
     finally:
         set_tie_hook(previous)
     assert hooked == plain
-    assert hook.opened == hook.closed
+    assert (hook.running, hook.bracketed) == (None, program.sim.events_processed)
 
 
 # -- ``run`` is ``step`` in a loop ------------------------------------------
@@ -243,7 +237,7 @@ def test_run_is_step_in_a_loop(schedule, cuts, budget_list):
         assert _run_in_pieces(schedule, cuts, budget_list, fire_times) == [stepped] * 4
     finally:
         set_tie_hook(previous)
-    assert hook.opened == hook.closed
+    assert (hook.running, hook.bracketed) == (None, 4 * len(fire_times))
 
 
 @pytest.fixture(params=["plain", "hooked"])
