@@ -14,8 +14,9 @@ python -m pytest -x -q
 
 echo "== benchmark smoke =="
 # bench/ is outside tier-1 but imports the src/ surface it measures
-# (Hook, Verdict, node.filters, Cpu, Simulator.schedule_at): a rename
-# should fail here, not as failed operations in the benchmark driver
+# (Hook, Verdict, node.filters, Cpu, and the three code objects its traced
+# run counts: Simulator.step, Simulator.schedule_at, EventHandle.cancel):
+# a rename should fail here, not as failed operations in the benchmark driver
 python -m pytest bench/tests -q
 
 echo "== paper fidelity (every ledger artefact once; REPORT.md is the stdout) =="

@@ -348,7 +348,7 @@ class InterferenceMonitor:
             self._group_size = 1
             self.groups_observed += 1
             queue = sim._queue
-            self._armed = bool(queue) and queue[0][:2] == key[1:]
+            self._armed = bool(queue) and queue[0][0] == event.time and queue[0][1] == event.priority
         else:
             self._group_size += 1
             if self._group_size == 2:

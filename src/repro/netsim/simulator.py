@@ -5,6 +5,11 @@ Everything in the testbed — link propagation, CPU service completion,
 retransmission timers, load generators — is an event scheduled here, so a
 run with the same seed is bit-for-bit reproducible.
 
+An event is its heap entry, the list ``[time, priority, seq, callback, args]``
+ordered by its first three fields (``seq`` is unique, so callbacks are never
+compared); only :meth:`Simulator.schedule` wraps one in an
+:class:`EventHandle`, the one object that can cancel an event.
+
 That reproducibility claim is machine-checked rather than folklore:
 
 * ``repro.analysis`` lints the source tree for determinism hazards
@@ -288,31 +293,34 @@ def _caller_site() -> tuple[str, int] | None:
 
 
 class EventHandle:
-    """A cancellable reference to a scheduled event, built by
-    :meth:`Simulator.schedule_at`.  It owns the event's ``callback`` and
-    ``args`` (the heap entry points at it), and :meth:`cancel` drops them:
-    a tombstone still in the heap keeps nothing else alive."""
+    """A cancellable timer, as :meth:`Simulator.schedule` returns it: it wraps
+    the event's heap entry, and :meth:`cancel` empties the entry's callback
+    and args in place, as firing does, so neither a tombstone nor a handle
+    kept past its event holds anything alive."""
 
-    __slots__ = ("time", "cancelled", "callback", "args", "_sim")
+    __slots__ = ("_entry", "_sim")
 
-    def __init__(self, time: float, sim: "Simulator", callback: Callable[..., Any], args: tuple):
-        self.time = time
-        self.cancelled = False
-        self.callback = callback
-        self.args = args
+    def __init__(self, entry: list, sim: "Simulator"):
+        self._entry = entry
         self._sim = sim
+
+    @property
+    def time(self) -> float:
+        """The virtual time the event is (or was) due at."""
+        return self._entry[0]
 
     def cancel(self) -> None:
         """Prevent the event's callback from running (idempotent) and let go
         of the callback and its arguments."""
-        if self.cancelled:
+        entry = self._entry
+        if entry[3] is None:
             return
-        self.cancelled = True
-        self.callback = None
-        self.args = ()
+        entry[3] = None
+        entry[4] = ()
         sim = self._sim
-        if sim is not None:
-            sim._note_cancelled()
+        sim._tombstones += 1
+        if sim._tombstones > _COMPACT_MIN_TOMBSTONES and sim._tombstones * 2 > len(sim._queue):
+            sim._compact()
 
 
 class Simulator:
@@ -331,11 +339,11 @@ class Simulator:
         self.seed = seed
         self.rng = random.Random(seed)
         self._child_rngs: dict[str, random.Random] = {}
-        # heap entries: (time, priority, seq, handle); the handle holds the callback
-        self._queue: list[tuple[float, int, int, EventHandle]] = []
+        # heap entries: [time, priority, seq, callback, args]; callback None = tombstone
+        self._queue: list[list] = []
         self._sequence = itertools.count()
         self._events_processed = 0
-        #: Cancelled entries still sitting in the heap (see _note_cancelled).
+        #: Cancelled entries still sitting in the heap (see EventHandle.cancel).
         self._tombstones = 0
         #: seq -> scheduling call site, and the newest seq handed out; both
         #: kept only while a tie hook is installed (the frame walk is not free).
@@ -389,7 +397,8 @@ class Simulator:
         *args: Any,
         priority: int = DEFAULT_PRIORITY,
     ) -> EventHandle:
-        """Run ``callback(*args)`` after ``delay`` seconds of virtual time.
+        """Run ``callback(*args)`` after ``delay`` seconds of virtual time;
+        returns an :class:`EventHandle` that can cancel it.
 
         ``priority`` selects the lane within an instant; pass
         :data:`BOUNDARY_PRIORITY` for state transitions that must apply
@@ -397,7 +406,10 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule {delay} seconds in the past")
-        return self.schedule_at(self.now + delay, callback, *args, priority=priority)
+        if priority == DEFAULT_PRIORITY:  # a keyword passed beside *args costs a dict
+            return EventHandle(self.schedule_at(self.now + delay, callback, *args), self)
+        entry = self.schedule_at(self.now + delay, callback, *args, priority=priority)
+        return EventHandle(entry, self)
 
     def schedule_at(
         self,
@@ -405,19 +417,19 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         priority: int = DEFAULT_PRIORITY,
-    ) -> EventHandle:
-        """Run ``callback(*args)`` at absolute virtual time ``time``."""
+    ) -> list:
+        """Run ``callback(*args)`` at virtual time ``time``; returns the bare heap entry."""
         if not self.now <= time < inf:
             if not isfinite(time):
                 raise ValueError(f"cannot schedule at non-finite time {time!r}")
             raise ValueError(f"cannot schedule at {time} before now={self.now}")
-        handle = EventHandle(time, self, callback, args)
         seq = next(self._sequence)
         if self._tie_hook is not None:
             self._sites[seq] = _caller_site()
             self._last_seq = seq
-        heapq.heappush(self._queue, (time, priority, seq, handle))
-        return handle
+        entry = [time, priority, seq, callback, args]
+        heapq.heappush(self._queue, entry)
+        return entry
 
     # -- execution ---------------------------------------------------------
 
@@ -433,19 +445,20 @@ class Simulator:
         while True:
             if not queue:
                 return False
-            time, priority, sequence, handle = queue[0]
-            if not handle.cancelled:
+            entry = queue[0]
+            if entry[3] is not None:
                 break
             heapq.heappop(queue)
-            handle._sim = None
             self._tombstones -= 1
             if hook is not None:
-                self._sites.pop(sequence, None)
+                self._sites.pop(entry[2], None)
+        time, priority, sequence, callback, args = entry
         if time > until:
             return False
         heapq.heappop(queue)
-        handle._sim = None
-        callback, args = handle.callback, handle.args
+        # a fired event owns nothing, and cancelling it is a no-op
+        entry[3] = None
+        entry[4] = ()
         self.now = time
         self._events_processed += 1
         if self.trace is not None:
@@ -463,23 +476,11 @@ class Simulator:
 
     # -- heap hygiene ------------------------------------------------------
 
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`EventHandle.cancel` for handles still in the
-        heap; compacts once tombstones dominate the live entries."""
-        self._tombstones += 1
-        if (
-            self._tombstones > _COMPACT_MIN_TOMBSTONES
-            and self._tombstones * 2 > len(self._queue)
-        ):
-            self._compact()
-
     def _compact(self) -> None:
         """Rebuild the heap without cancelled tombstones."""
         live = []
         for entry in self._queue:
-            handle = entry[3]
-            if handle.cancelled:
-                handle._sim = None
+            if entry[3] is None:
                 self._sites.pop(entry[2], None)
             else:
                 live.append(entry)
@@ -489,12 +490,11 @@ class Simulator:
 
     def _next_event_time(self) -> float | None:
         """Time of the next live event, discarding cancelled tombstones."""
-        while self._queue and self._queue[0][3].cancelled:
-            _, _, seq, handle = heapq.heappop(self._queue)
-            handle._sim = None
+        queue = self._queue
+        while queue and queue[0][3] is None:
+            self._sites.pop(heapq.heappop(queue)[2], None)
             self._tombstones -= 1
-            self._sites.pop(seq, None)
-        return self._queue[0][0] if self._queue else None
+        return queue[0][0] if queue else None
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """:meth:`step` in a loop: until the queue drains, the next event is

@@ -221,6 +221,27 @@ class TestTieBreakContract:
         sim.run()
         assert fired == ["a0", "a1", "b0", "b1"]
 
+    def test_unorderable_callbacks_keep_fifo(self):
+        """Heap order is (time, priority, seq) and seq is unique, so two
+        same-instant callbacks (or their args) are never compared."""
+
+        class Unordered:
+            def __init__(self, tag, log):
+                self.tag, self.log = tag, log
+
+            def __call__(self, *args):
+                self.log.append(self.tag)
+
+        sim = Simulator()
+        fired = []
+        for tag in "abcd":
+            sim.schedule_at(1.0, Unordered(tag, fired), object())
+            sim.schedule(1.0, Unordered(tag.upper(), fired), object())
+        with pytest.raises(TypeError):
+            Unordered("x", fired) < Unordered("y", fired)
+        sim.run()
+        assert fired == ["a", "A", "b", "B", "c", "C", "d", "D"]
+
     def test_boundary_lane_runs_before_default_lane(self):
         from repro.netsim import BOUNDARY_PRIORITY
 
@@ -374,6 +395,36 @@ class TestHeapHygiene:
         sim.run()
         assert sim.pending_events == 0 and sim.events_processed == 0
 
+    def test_fired_timer_handle_owns_nothing(self):
+        """A handle kept past its event (a connection's last retransmit
+        timer, say) holds neither the callback nor its arguments."""
+
+        class Exchange:
+            def expire(self, other):
+                pass
+
+        sim = Simulator()
+        owner, argument = Exchange(), Exchange()
+        owner_ref, argument_ref = weakref.ref(owner), weakref.ref(argument)
+        handle = sim.schedule(1.0, owner.expire, argument)
+        del owner, argument
+        sim.run()
+        assert sim.events_processed == 1
+        assert owner_ref() is None and argument_ref() is None
+        assert handle.time == 1.0
+
+    def test_cancel_after_fire_changes_no_count(self):
+        sim = Simulator()
+        fired = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.run(until=1.5)
+        assert (sim.pending_events, sim.live_pending_events) == (1, 1)
+        fired.cancel()
+        assert (sim.pending_events, sim.live_pending_events) == (1, 1)
+        assert fired.time == 1.0
+        sim.run()
+        assert sim.events_processed == 2
+
     def test_compaction_purges_dominating_tombstones(self):
         from repro.netsim.simulator import _COMPACT_MIN_TOMBSTONES
 
@@ -417,3 +468,51 @@ class TestHeapHygiene:
                 handle.cancel()
         sim.run()
         assert fired == [i for i in range(total) if i % 3 == 0]
+
+
+class TestTracedRulerContract:
+    """``python -m bench --trace 1`` reads the event kernel by code object:
+    ``max_heap_depth`` is sampled on each entry of ``Simulator.step``, and
+    ``cancelled_share`` is entries of ``EventHandle.cancel`` over entries of
+    ``Simulator.schedule_at``.  Those readings mean what they say only
+    while each fired event enters ``step`` once, each scheduled event
+    (timers included) enters ``schedule_at`` once, and each cancel enters
+    ``cancel`` once."""
+
+    def test_counted_code_objects_enter_once_per_event(self):
+        from repro.netsim import EventHandle
+
+        sim = Simulator()
+        fired = []
+
+        def chain(hops):
+            fired.append(hops)
+            if hops:
+                sim.schedule_at(sim.now + 0.5, chain, hops - 1)
+
+        def simulate():
+            timers = [sim.schedule(1.0 + i, fired.append, i) for i in range(6)]
+            for i in range(4):
+                sim.schedule_at(0.25 * i, chain, 2)
+            sim.schedule(0.1, timers[1].cancel)
+            for timer in timers[::2]:
+                timer.cancel()
+            while sim.live_pending_events:
+                sim.step()
+
+        entries = {}
+
+        def profile(frame, event, arg):
+            if event == "call":
+                entries[frame.f_code] = entries.get(frame.f_code, 0) + 1
+
+        sys.setprofile(profile)
+        try:
+            simulate()
+        finally:
+            sys.setprofile(None)
+        # 6 timers, 4 chains of 3 hops, 1 cancelling event; 4 timers cancelled
+        assert sim.events_processed == 6 + 12 + 1 - 4
+        assert entries[Simulator.step.__code__] == sim.events_processed
+        assert entries[Simulator.schedule_at.__code__] == 6 + 12 + 1
+        assert entries[EventHandle.cancel.__code__] == 4
