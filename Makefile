@@ -45,7 +45,7 @@ bench-digests:
 bench-pairs:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || \
 		{ echo "usage: make bench-pairs PARENT=<checkout> WORKLOAD=<name>[,<name>...] [PAIRS=<n>]" >&2; exit 2; }
-	$(PYTHON) scripts/bench_pairs.py --parent "$(PARENT)" --workload "$(WORKLOAD)" \
+	@$(PYTHON) scripts/bench_pairs.py --parent "$(PARENT)" --workload "$(WORKLOAD)" \
 		--pairs "$(or $(PAIRS),10)"
 
 # what a perf change's budget is counted on: one untimed run of one workload
@@ -54,7 +54,7 @@ bench-pairs:
 # frames.  Exact counts, so parent-vs-change is two rows side by side.
 bench-budget:
 	@test -n "$(WORKLOAD)" || { echo "usage: make bench-budget WORKLOAD=<name> [SEED=<n>]" >&2; exit 2; }
-	$(PYTHON) scripts/bench_budget.py --workload "$(WORKLOAD)" --seed "$(or $(SEED),0)"
+	@$(PYTHON) scripts/bench_budget.py --workload "$(WORKLOAD)" --seed "$(or $(SEED),0)"
 
 # which events a moved trace hash moved: $(CMD) run in both checkouts, each
 # simulator's event stream aligned (scripts/trace_diff.py); exit 0 if identical

@@ -11,11 +11,17 @@ The memo contract: a frozen message is immutable, so :func:`extract_cookie`
 scans one once and keeps the answer in ``Message._cookie``; every derivation
 that knows the answer (``with_header``, the decode memo, :func:`with_cookie`,
 :func:`without_cookie`) hands it on.  An unfrozen message is scanned on
-every call.
+every call.  The two derivations also keep one prototype per shape: the
+stamped message per (wire past the id and flags, cookie) and the stripped
+one per wire past the id and flags, so a recurring shape is derived once and
+then re-headed (``prototype.with_header(message.header)``).  The key holds
+the section counts as well as the sections, because the same record bytes
+under other counts are another message.
 """
 
 from __future__ import annotations
 
+from .header import HEADER_SIZE
 from .message import UNSCANNED, Message, ResourceRecord, keep_prototype
 from .name import ROOT
 from .rdata import TXT
@@ -51,6 +57,14 @@ _RECORD_SIZE = len(_RECORD_HEAD) + COOKIE_LENGTH
 #: cookie bytes -> its :func:`cookie_rr` record, flushed whole at ``PROTOTYPE_CAP``
 _records: dict[bytes, ResourceRecord] = {}  # repro: allow[L003] - bounded content-addressed memo, replay-invisible
 
+#: (wire past the id and flags, cookie) -> the frozen :func:`with_cookie`
+#: result, flushed whole at ``PROTOTYPE_CAP``
+_stamped: dict[tuple[bytes, bytes], Message] = {}  # repro: allow[L003] - bounded content-addressed memo, replay-invisible
+
+#: wire past the id and flags -> the frozen :func:`without_cookie` result,
+#: flushed whole at ``PROTOTYPE_CAP``
+_stripped: dict[bytes, Message] = {}  # repro: allow[L003] - bounded content-addressed memo, replay-invisible
+
 
 def attach_cookie(message: Message, cookie: bytes) -> Message:
     """Attach (or replace) the cookie record on ``message`` in place.
@@ -77,9 +91,16 @@ def with_cookie(message: Message, cookie: bytes) -> Message:
 
     The copy of a frozen message that carried no cookie is born frozen and
     knowing its cookie: the original's records plus a memoized record, its
-    wire the original's plus the fixed-size record, ARCOUNT + 1.
+    wire the original's plus the fixed-size record, ARCOUNT + 1.  The first
+    such copy of a shape under a cookie is kept: each later one is that copy
+    re-headed.
     """
-    wire = message.sections_wire
+    wire = message._wire
+    if wire is not None:
+        key = (wire[4:], cookie)
+        prototype = _stamped.get(key)
+        if prototype is not None:
+            return prototype.with_header(message.header)
     if wire is None or extract_cookie(message) is not None:
         return attach_cookie(message.copy(), cookie)
     record = _records.get(cookie)
@@ -87,9 +108,9 @@ def with_cookie(message: Message, cookie: bytes) -> Message:
         record = keep_prototype(_records, cookie, cookie_rr(cookie))
     stamped = message.copy()
     stamped.additionals.append(record)
-    stamped.freeze_as(wire + _RECORD_HEAD + cookie)
+    stamped.freeze_as(wire[HEADER_SIZE:] + _RECORD_HEAD + cookie)
     stamped._cookie = cookie
-    return stamped
+    return keep_prototype(_stamped, key, stamped)
 
 
 def without_cookie(message: Message) -> Message:
@@ -98,25 +119,31 @@ def without_cookie(message: Message) -> Message:
     The copy of a frozen message is born frozen when there was nothing to
     strip, or when the one cookie record was the last additional and held
     its cookie as a single character-string (what :func:`cookie_rr` builds):
-    the wire then ends with that record's fixed-size encoding.
+    the wire then ends with that record's fixed-size encoding.  The first
+    frozen copy of a shape is kept: each later one is that copy re-headed.
     """
+    wire = message._wire
+    if wire is not None:
+        key = wire[4:]
+        prototype = _stripped.get(key)
+        if prototype is not None:
+            return prototype.with_header(message.header)
     clean = strip_cookie(message.copy())
-    wire = message.sections_wire
     if wire is None:
         return clean
     stripped = len(message.additionals) - len(clean.additionals)
     if stripped == 0:
-        clean.freeze_as(wire)
+        clean.freeze_as(wire[HEADER_SIZE:])
     elif (
         stripped == 1
         and _is_cookie_record(last := message.additionals[-1])
         and len(last.rdata.strings) == 1  # type: ignore[union-attr]
     ):
-        clean.freeze_as(wire[:-_RECORD_SIZE])
+        clean.freeze_as(wire[HEADER_SIZE:-_RECORD_SIZE])
     else:
         return clean
     clean._cookie = None
-    return clean
+    return keep_prototype(_stripped, key, clean)
 
 
 def extract_cookie(message: Message) -> bytes | None:

@@ -181,18 +181,22 @@ class CookieFactory:
         return self._stamp_generation(raw, self.generation)
 
     def verify(self, cookie: bytes, source_ip: int) -> bool:
-        """Check a full 16-byte cookie, honouring the generation bit."""
+        """Check a full 16-byte cookie, honouring the generation bit.
+
+        The bit picks the key whose generation parity it is, so the stamped
+        cookie would match it there; what is left to compare is the digest
+        past that bit, without building the stamped cookie.
+        """
         if len(cookie) != 16:
             return False
-        indicated_parity = cookie[0] >> 7
-        if indicated_parity == (self.generation & 1):
-            key, generation = self._current_key, self.generation
+        if cookie[0] >> 7 == (self.generation & 1):
+            key = self._current_key
         elif self._previous_key is not None:
-            key, generation = self._previous_key, self.generation - 1
+            key = self._previous_key
         else:
             return False
-        expected = self._stamp_generation(self._raw(source_ip, key), generation)
-        return cookie == expected
+        raw = self._raw(source_ip, key)
+        return not (cookie[0] ^ raw[0]) & 0x7F and cookie[1:] == raw[1:]
 
     # -- NS-label encoding ---------------------------------------------------------
 

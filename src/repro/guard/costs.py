@@ -42,16 +42,25 @@ class GuardCosts:
     tcp_conn_scan: float = 6.7e-10
 
     # -- derived operation costs (one submission each covers rx + tx work) --
+    #
+    # The two the guard charges for every cookie it checks are fields summed
+    # once per cost table, not properties re-summed per packet; outside init,
+    # repr and comparison, a cost table still prints and compares as its
+    # primitives.
+
+    #: Receive + cookie check + drop — the attack-packet cost.
+    drop_invalid: float = dataclasses.field(init=False, repr=False, compare=False)
+    #: Verify a cookie and pass the request through to the ANS.
+    validate_and_forward: float = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "drop_invalid", self.per_packet + self.cookie)
+        object.__setattr__(self, "validate_and_forward", 2 * self.per_packet + self.cookie)
 
     @property
     def forward(self) -> float:
         """Transit-forwarding one packet (receive + retransmit)."""
         return 2 * self.per_packet
-
-    @property
-    def drop_invalid(self) -> float:
-        """Receive + cookie check + drop — the attack-packet cost."""
-        return self.per_packet + self.cookie
 
     @property
     def fabricate_response(self) -> float:
@@ -62,11 +71,6 @@ class GuardCosts:
     def truncate_response(self) -> float:
         """Receive query and send the TC=1 redirect (no cookie involved)."""
         return 2 * self.per_packet + self.fabricate
-
-    @property
-    def validate_and_forward(self) -> float:
-        """Verify a cookie and pass the request through to the ANS."""
-        return 2 * self.per_packet + self.cookie
 
     @property
     def transform_response(self) -> float:

@@ -49,6 +49,7 @@ from ..dnswire import (
     RRType,
     ZERO_COOKIE,
 )
+from ..dnswire.message import UNSCANNED
 from ..netsim import (
     BOUNDARY_PRIORITY,
     DnsPayload,
@@ -347,11 +348,11 @@ class RemoteDnsGuard:
         parented onto the requester's span when the packet carries one.
 
         Observe-only — never schedules, never draws randomness — so the
-        event stream is identical whether or not obs is installed.
+        event stream is identical whether or not obs is installed.  Every
+        caller enters it only with obs installed (``self._obs is not None``),
+        so a guard without obs enters no frame per decision.
         """
         obs = self._obs
-        if obs is None:
-            return
         key = (scheme, outcome)
         counter = self._decision_counters.get(key)
         if counter is None:
@@ -399,7 +400,10 @@ class RemoteDnsGuard:
         self.cookies.rotate(key)
 
     def _mark_verified(self, source: int) -> None:
-        """Remember a verify success for admission priority (bounded FIFO)."""
+        """Remember a verify success for admission priority (bounded FIFO).
+
+        The pipeline enters it only with admission installed; a call without
+        is a no-op."""
         if self.admission is None:
             return
         self._verified_sources[source] = self.node.sim.now
@@ -560,7 +564,8 @@ class RemoteDnsGuard:
                 self.admission_shed += 1
                 self._watched_reject(src)
                 self._charge(self.costs.per_packet)
-                self._note("admission", "shed", packet.span)
+                if self._obs is not None:
+                    self._note("admission", "shed", packet.span)
                 return Verdict.DROP
         payload = datagram.payload
         if not isinstance(payload, DnsPayload):
@@ -596,7 +601,9 @@ class RemoteDnsGuard:
     ) -> Verdict:
         now = self.node.sim.now
 
-        cookie = extract_cookie(message)
+        cookie = message._cookie  # extract_cookie's memo, read inline
+        if cookie is UNSCANNED:
+            cookie = extract_cookie(message)
         if cookie is not None:
             # modified-DNS scheme
             if cookie == ZERO_COOKIE:
@@ -604,26 +611,35 @@ class RemoteDnsGuard:
                 return Verdict.DROP
             if self.cookies.verify(cookie, src):
                 self.valid_cookies += 1
-                self._mark_verified(src)
+                if self.admission is not None:
+                    self._mark_verified(src)
                 if active and not self.rl2.allow(src, now):
                     self.rl2_drops += 1
                     self._watched_reject(src)
-                    self._note("modified", "rl2_drop", packet.span)
+                    if self._obs is not None:
+                        self._note("modified", "rl2_drop", packet.span)
                     return Verdict.DROP
-                self._note("modified", "forward", packet.span)
+                if self._obs is not None:
+                    self._note("modified", "forward", packet.span)
                 self._strip_and_forward(packet, message)
                 return Verdict.DROP
             if active:
+                # the forged-cookie flood's path: _watched_reject and
+                # _charge unrolled, so the CPU charge is its one call
                 self.invalid_drops += 1
-                self._watched_reject(src)
-                self._charge(self.costs.drop_invalid)
-                self._note("modified", "invalid_drop", packet.span)
+                if src in self.watch_sources:
+                    self.watched_rejects += 1
+                if not self.node.cpu.submit(self.costs.drop_invalid):
+                    self.overload_drops += 1
+                if self._obs is not None:
+                    self._note("modified", "invalid_drop", packet.span)
                 return Verdict.DROP
             # no detection while inactive: pass it through, cookie stripped.
             # Unverified admission is by design below the activation
             # threshold (§IV.C): checking only engages once offered load
             # exceeds what the ANS can absorb.
-            self._note("modified", "forward", packet.span)
+            if self._obs is not None:
+                self._note("modified", "forward", packet.span)
             self._strip_and_forward(packet, message)  # repro: allow[T001] inactive-mode pass-through, gated by activation threshold
             return Verdict.DROP
 
@@ -639,11 +655,13 @@ class RemoteDnsGuard:
             if not active or self.cookies.verify_label(decoded.cookie_label, src):
                 if active:
                     self.valid_cookies += 1
-                    self._mark_verified(src)
+                    if self.admission is not None:
+                        self._mark_verified(src)
                     if not self.rl2.allow(src, now):
                         self.rl2_drops += 1
                         self._watched_reject(src)
-                        self._note("ns_name", "rl2_drop", packet.span)
+                        if self._obs is not None:
+                            self._note("ns_name", "rl2_drop", packet.span)
                         return Verdict.DROP
                 if self._obs is not None:
                     self._note("ns_name", "forward", packet.span)
@@ -652,7 +670,8 @@ class RemoteDnsGuard:
             self.invalid_drops += 1
             self._watched_reject(src)
             self._charge(self.costs.drop_invalid)
-            self._note("ns_name", "invalid_drop", packet.span)
+            if self._obs is not None:
+                self._note("ns_name", "invalid_drop", packet.span)
             return Verdict.DROP
 
         # plain query from an unverified requester: only challenged while
@@ -662,7 +681,8 @@ class RemoteDnsGuard:
             return Verdict.ACCEPT
         action = self.policy_for(packet.src)
         if action == "forward":
-            self._note("plain", "forward", packet.span)
+            if self._obs is not None:
+                self._note("plain", "forward", packet.span)
             self._submit(self.costs.forward, self._safe_send, packet)
             return Verdict.DROP
         if action == "drop":
@@ -671,13 +691,15 @@ class RemoteDnsGuard:
             self.invalid_drops += 1
             self._watched_reject(src)
             self._charge(self.costs.drop_invalid)
-            self._note("plain", "policy_drop", packet.span)
+            if self._obs is not None:
+                self._note("plain", "policy_drop", packet.span)
             return Verdict.DROP
         if not self.rl1.allow(src, now):
             self.rl1_drops += 1
             self._watched_reject(src)
             self._charge(self.costs.per_packet)
-            self._note("plain", "rl1_drop", packet.span)
+            if self._obs is not None:
+                self._note("plain", "rl1_drop", packet.span)
             return Verdict.DROP
         if action == "dns":
             reply = self._referral(message, self.cookies.label_cookie(src))
@@ -698,7 +720,8 @@ class RemoteDnsGuard:
             # core's scheme chain (dns -> tcp)
             action = fallback_policy(action)
         self.truncations_sent += 1
-        self._note("tcp", "challenge", packet.span)
+        if self._obs is not None:
+            self._note("tcp", "challenge", packet.span)
         self._submit(
             self.costs.truncate_response,
             self._send_udp,
@@ -717,12 +740,14 @@ class RemoteDnsGuard:
         if not self.rl1.allow(src, now):
             self.rl1_drops += 1
             self._charge(self.costs.per_packet)
-            self._note("modified", "rl1_drop", packet.span)
+            if self._obs is not None:
+                self._note("modified", "rl1_drop", packet.span)
             return
         grant = make_response(message)
         attach_cookie(grant, self.cookies.cookie(src))
         self.cookies_granted += 1
-        self._note("modified", "grant", packet.span)
+        if self._obs is not None:
+            self._note("modified", "grant", packet.span)
         self._submit(
             self.costs.fabricate_response,
             self._send_udp,
@@ -756,7 +781,8 @@ class RemoteDnsGuard:
     def _strip_and_forward(self, packet: Packet, message: Message) -> None:
         """Validated modified-DNS query: remove the cookie, pass to the ANS."""
         forwarded = packet.with_message(without_cookie(message))
-        self._submit(self.costs.validate_and_forward, self._safe_send, forwarded)
+        if not self.node.cpu.submit(self.costs.validate_and_forward, self._safe_send, forwarded):
+            self.overload_drops += 1
 
     def _restore_and_forward(
         self, packet: Packet, datagram: UdpDatagram, message: Message, src: int, decoded
@@ -811,21 +837,25 @@ class RemoteDnsGuard:
                 self.invalid_drops += 1
                 self._watched_reject(src)
                 self._charge(self.costs.drop_invalid)
-                self._note("fabricated", "invalid_drop", packet.span)
+                if self._obs is not None:
+                    self._note("fabricated", "invalid_drop", packet.span)
                 return
             self.valid_cookies += 1
-            self._mark_verified(src)
+            if self.admission is not None:
+                self._mark_verified(src)
             if not self.rl2.allow(src, now):
                 self.rl2_drops += 1
                 self._watched_reject(src)
-                self._note("fabricated", "rl2_drop", packet.span)
+                if self._obs is not None:
+                    self._note("fabricated", "rl2_drop", packet.span)
                 return
         question = message.question
         cached = self._answer_cache.get((question.qname, question.qtype))
         if cached is not None and cached.expires_at > now:
             reply = make_response(message, authoritative=True)
             reply.answers.extend(cached.records)
-            self._note("fabricated", "cached_answer", packet.span)
+            if self._obs is not None:
+                self._note("fabricated", "cached_answer", packet.span)
             self._submit(
                 self.costs.serve_cached_answer,
                 self._send_udp,
@@ -847,7 +877,8 @@ class RemoteDnsGuard:
             qtype=question.qtype,
             expires_at=now + PENDING_TIMEOUT,
         )
-        self._note("fabricated", "forward", packet.span)
+        if self._obs is not None:
+            self._note("fabricated", "forward", packet.span)
         forwarded = packet.with_message(message, dst=self.ans_address, dport=53)
         # while inactive the COOKIE2 namespace is served without the IP
         # check (clients hold long-TTL fabricated addresses, §IV.C); the
@@ -868,7 +899,8 @@ class RemoteDnsGuard:
         if pending.kind == "dnat":
             rewritten = packet.with_message(message, src=pending.rewrite_source)
             self.responses_transformed += 1
-            self._note("fabricated", "response_rewrite", packet.span)
+            if self._obs is not None:
+                self._note("fabricated", "response_rewrite", packet.span)
             self._submit(self.costs.transform_response, self._safe_send, rewritten)
             return Verdict.DROP
 
@@ -964,7 +996,7 @@ class RemoteDnsGuard:
             self.overload_drops += 1
 
     def _charge(self, cost: float) -> None:
-        if not self.node.cpu.charge(cost):
+        if not self.node.cpu.submit(cost):
             self.overload_drops += 1
 
     def _sweep(self) -> None:

@@ -122,11 +122,13 @@ class TcpProxy:
                 self._client_buckets.pop(next(iter(self._client_buckets)))
         if not bucket.consume(now):
             self.connections_rate_limited += 1
-            self.guard._note("tcp", "conn_rate_limited")
+            if self.guard._obs is not None:
+                self.guard._note("tcp", "conn_rate_limited")
             conn.abort()
             return
         self.connections_accepted += 1
-        self.guard._note("tcp", "conn_accept")
+        if self.guard._obs is not None:
+            self.guard._note("tcp", "conn_accept")
         framer = StreamFramer()
         conn.on_data = lambda c, data: self._on_stream_data(c, framer, data)
         self._arm_reaper(conn)
@@ -140,7 +142,8 @@ class TcpProxy:
         def reap() -> None:
             if conn.state is not TcpState.CLOSED:
                 self.connections_reaped += 1
-                self.guard._note("tcp", "conn_reaped")
+                if self.guard._obs is not None:
+                    self.guard._note("tcp", "conn_reaped")
                 conn.abort()
 
         # Boundary lane: reaping is an expiry sweep — it applies before any
@@ -191,7 +194,8 @@ class TcpProxy:
                 return
             finish()
             self.requests_proxied += 1
-            self.guard._note("tcp", "proxied")
+            if self.guard._obs is not None:
+                self.guard._note("tcp", "proxied")
             if conn.state in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
                 conn.send(frame(payload))
 

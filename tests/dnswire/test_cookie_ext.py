@@ -4,6 +4,8 @@ import pytest
 
 from repro.dnswire import (
     COOKIE_LENGTH,
+    PROTOTYPE_CAP,
+    Header,
     Message,
     Name,
     RRType,
@@ -15,7 +17,10 @@ from repro.dnswire import (
     is_cookie_request,
     make_query,
     strip_cookie,
+    with_cookie,
+    without_cookie,
 )
+from repro.dnswire import cookie_ext
 from repro.dnswire.message import ResourceRecord
 from repro.dnswire.types import RRClass
 
@@ -95,3 +100,102 @@ class TestCookieExtension:
     def test_cookie_length_constant(self):
         assert COOKIE_LENGTH == 16
         assert len(ZERO_COOKIE) == 16
+
+
+class TestShapePrototypes:
+    """A memo hit of ``with_cookie``/``without_cookie`` (the shape's prototype
+    re-headed) is the message the miss path derives for the same query."""
+
+    @pytest.fixture(autouse=True)
+    def empty_tables(self, monkeypatch):
+        monkeypatch.setattr(cookie_ext, "_stamped", {})
+        monkeypatch.setattr(cookie_ext, "_stripped", {})
+
+    @staticmethod
+    def same(hit: Message, miss: Message) -> None:
+        assert hit == miss  # header and every section's records
+        assert hit.encode() == miss.encode() == hit._encode_once(True)
+        assert (hit._wire is None) == (miss._wire is None)
+        assert extract_cookie(hit) == extract_cookie(miss)
+
+    @staticmethod
+    def owns_its_lists(derived: Message, prototype: Message) -> None:
+        for section in ("questions", "answers", "authorities", "additionals"):
+            assert getattr(derived, section) is not getattr(prototype, section)
+
+    def derive_twice(self, derive, message: Message, table: dict):
+        """``derive`` of a re-headed ``message`` as a memo hit and as a miss."""
+        derive(message)  # the first of the shape becomes its prototype
+        assert len(table) == 1
+        (prototype,) = table.values()
+        other = message.with_header(Header(msg_id=message.header.msg_id + 1, rd=False))
+        hit = derive(other)
+        assert len(table) == 1
+        table.clear()
+        miss = derive(other)
+        self.same(hit, miss)
+        self.owns_its_lists(hit, prototype)
+        assert hit.header is other.header
+        return hit
+
+    @pytest.mark.parametrize(
+        "additionals",
+        [
+            [],
+            # a root TXT that is not a cookie, and a cookie-length one not root-owned
+            [
+                ResourceRecord(Name.root(), RRType.TXT, RRClass.IN, 0, TXT.single(b"x" * 15)),
+                ResourceRecord(Name.from_text("foo.com"), RRType.TXT, RRClass.IN, 0, TXT.single(COOKIE)),
+            ],
+        ],
+        ids=["plain", "non-cookie-txt"],
+    )
+    def test_a_hit_is_the_miss(self, additionals):
+        query = make_query("www.foo.com")
+        query.additionals += additionals
+        query.freeze()
+        stamped = self.derive_twice(
+            lambda m: with_cookie(m, COOKIE), query, cookie_ext._stamped
+        )
+        assert extract_cookie(stamped) == COOKIE
+        stripped = self.derive_twice(without_cookie, stamped, cookie_ext._stripped)
+        assert stripped.additionals == query.additionals
+        assert extract_cookie(stripped) is None
+
+    def test_an_already_cookied_message_falls_back_and_keeps_no_prototype(self):
+        cookied = attach_cookie(make_query("www.foo.com"), ZERO_COOKIE).freeze()
+        restamped = with_cookie(cookied, COOKIE)
+        assert cookie_ext._stamped == {}
+        assert restamped._wire is None
+        self.same(restamped, attach_cookie(cookied.copy(), COOKIE))
+        assert extract_cookie(restamped) == COOKIE
+
+    def test_the_section_counts_are_part_of_the_shape(self):
+        """One record's bytes as an answer or as an additional: the sections
+        read the same past the header, but they are two messages."""
+        record = ResourceRecord(Name.from_text("foo.com"), RRType.TXT, RRClass.IN, 0, TXT.single(b"a"))
+        as_answer = make_query("www.foo.com")
+        as_answer.answers.append(record)
+        as_additional = make_query("www.foo.com")
+        as_additional.additionals.append(record)
+        as_answer.freeze(), as_additional.freeze()
+        assert as_answer.sections_wire == as_additional.sections_wire
+        with_cookie(as_answer, COOKIE)
+        stamped = with_cookie(as_additional, COOKIE)
+        assert len(cookie_ext._stamped) == 2
+        cookie_ext._stamped.clear()
+        self.same(stamped, with_cookie(as_additional, COOKIE))
+        assert stamped.additionals == [record, cookie_rr(COOKIE)]
+
+    def test_a_full_table_is_flushed_and_the_shape_kept_again(self):
+        query = make_query("www.foo.com").freeze()
+        stamped = with_cookie(query, COOKIE)
+        for table, derive, source in (
+            (cookie_ext._stamped, lambda m: with_cookie(m, COOKIE), query),
+            (cookie_ext._stripped, without_cookie, stamped),
+        ):
+            table.clear()
+            table.update({(i, "filler"): None for i in range(PROTOTYPE_CAP)})
+            kept = derive(source)
+            assert list(table.values()) == [kept]
+            self.derive_twice(derive, source, table)

@@ -4,8 +4,9 @@
 the benchmark's ``--quick`` scale each of the five workloads runs in under a
 second, so its row is pinned here: the speed-ups the benchmark measured
 (``__slots__``, the wire memo, integer TCP keys and flags, the flood's hop,
-the decode memo, events that build no handle) stay held by counts, which
-repeat exactly, instead of by timings, which do not.  Every run also leaves nothing for the cyclic
+the decode memo, events that build no handle, the guard's inline
+forged-cookie drop) stay held by counts, which repeat exactly, instead of
+by timings, which do not.  Every run also leaves nothing for the cyclic
 collector: what an exchange owns dies by reference count when it ends.  The
 events still queued when the run ends are a ceiling too, so a timer that
 outlives what it guards (a closed connection's reap event) shows as a
@@ -40,11 +41,24 @@ SCRIPT = pathlib.Path(__file__).resolve().parents[2] / "scripts" / "bench_budget
 #: ipaddress.py, full Message parses, encodes, live events still queued at
 #: the end
 BUDGETS = {
-    "flood_modified": (7_082, 4_368, 192_292, 15_611, 2_502, 0, 2, 489),
-    "flood_unguarded": (20_480, 10_681, 265_928, 41_376, 7_002, 0, 1, 302),
-    "referral_miss": (4_957, 3_086, 172_323, 13_695, 4, 0, 5, 325),
-    "tcp_proxy": (5_694, 2_881, 148_104, 19_320, 1_956, 4, 4, 277),
-    "bind_mixed": (2_164, 1_072, 63_319, 4_629, 1_240, 0, 314, 186),
+    "flood_modified": (7_082, 4_368, 161_095, 15_611, 2_502, 0, 2, 489),
+    "flood_unguarded": (20_480, 10_681, 265_930, 41_376, 7_002, 0, 1, 302),
+    "referral_miss": (4_957, 3_086, 170_363, 13_695, 4, 0, 5, 325),
+    "tcp_proxy": (5_694, 2_881, 147_645, 19_320, 1_956, 4, 4, 277),
+    "bind_mixed": (2_164, 1_072, 62_963, 4_629, 1_240, 0, 314, 186),
+}
+
+#: frames in the guard's own files on the forged-cookie flood, exact under
+#: any interpreter like the kernel's: the drop and the per-query path enter
+#: no bookkeeping frame (the watched-source test, the CPU charge, the
+#: decision note, the admission mark, the cookie memo read are inline or
+#: gated) and a cookie is verified without building its stamped form, so a
+#: frame that creeps back onto either path shows as a count
+GUARD_FRAMES = {
+    "flood_modified": {
+        "repro/guard/pipeline.py": 10_117,
+        "repro/guard/core/cookie.py": 3_807,
+    },
 }
 
 #: the kernel's frames are this package's own Python calls, so they repeat
@@ -93,6 +107,8 @@ def test_quick_budget(workload):
     else:
         assert row["calls_per_link_packet"] <= round(calls / link_pkts, 2) * CALLS_SLACK
     assert row["frames_by_file"][KERNEL] == kernel_frames
+    for file, frames in GUARD_FRAMES.get(workload, {}).items():
+        assert row["frames_by_file"][file] == frames, file
     assert row["frames_by_file"].get("ipaddress.py", 0) <= ipaddress_frames
     assert row["decodes"] <= decodes
     assert row["encodes"] <= encodes

@@ -78,3 +78,30 @@ def test_a_workload_list_keeps_its_order_and_refuses_a_name_the_benchmark_lacks(
     for bad in ("", ",", "tcp_proxy,tcp_proxi"):
         with pytest.raises(argparse.ArgumentTypeError):
             bench_pairs.workload_list(bad, known)
+
+
+MAKEFILE = SCRIPT.parents[1] / "Makefile"
+
+
+def recipe(target: str) -> list[str]:
+    """The logical command lines of ``target``'s recipe (continuations joined)."""
+    lines = MAKEFILE.read_text().splitlines()
+    start = lines.index(f"{target}:") + 1
+    commands: list[str] = []
+    joined = ""
+    for line in lines[start:]:
+        if not line.startswith("\t"):
+            break
+        joined += line.strip().rstrip("\\")
+        if not line.endswith("\\"):
+            commands.append(joined)
+            joined = ""
+    return commands
+
+
+@pytest.mark.parametrize("target", ["bench-pairs", "bench-budget"])
+def test_a_recipe_whose_stdout_is_a_json_row_does_not_echo_its_command(target):
+    """``make bench-pairs ... > row.json`` must leave only the row in the file."""
+    runs = [command for command in recipe(target) if "$(PYTHON)" in command]
+    assert runs, f"{target} runs no $(PYTHON) command"
+    assert all(command.startswith("@") for command in runs)

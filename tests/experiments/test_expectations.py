@@ -27,7 +27,6 @@ from repro.experiments.sensitivity import run_sensitivity
 from repro.experiments.table1 import Table1Row
 from repro.experiments.table2 import LatencyRow
 from repro.experiments.table3 import ThroughputRow
-from repro.guard import GuardCosts
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -198,9 +197,9 @@ class TestReport:
         assert out.endswith("1 rows judged, 1 failed.\n")
 
     def test_doubling_the_drop_cost_fails_the_fluid_rows_by_name(self, monkeypatch, capsys):
-        drop = GuardCosts.drop_invalid.fget
+        # the fluid model reads the guard's drop cost through this one method
         monkeypatch.setattr(
-            GuardCosts, "drop_invalid", property(lambda costs: 2 * drop(costs))
+            FluidModel, "attack_drop_cost", lambda model: 2 * model.costs.drop_invalid
         )
         code, out = report_on("fluid", monkeypatch, capsys)
         assert code == 1
