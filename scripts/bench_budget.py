@@ -18,6 +18,9 @@ counter and prints one JSON row:
   by the file of the Python frame that entered them, then by function
   (``_BaseAddress.__hash__`` is entered by whichever frame used an address
   as a dict key, even through ``dict.get``);
+* ``top_functions`` — the 25 most-entered Python functions, as
+  ``[file, qualified name, calls]`` (code objects that share both, such as
+  two lambdas in one function, are summed);
 * ``enum_py_frames`` — frames entered in the stdlib's ``enum.py``;
 * ``decodes`` and ``encodes`` — full ``Message`` parses (``Message._parse``;
   ``Message.decode`` in a checkout from before the decode memo, where every
@@ -47,6 +50,9 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
+
+#: how many of the most-entered functions a row lists
+TOP_FUNCTIONS = 25
 
 
 def where(filename: str) -> str:
@@ -103,6 +109,9 @@ def budget(name: str, seed: int, *, quick: bool = False) -> dict:
     by_file = collections.Counter({"<builtin>": builtins})
     for code, calls in per_code.items():
         by_file[where(code.co_filename)] += calls
+    by_function = collections.Counter()
+    for code, calls in per_code.items():
+        by_function[where(code.co_filename), code.co_qualname] += calls
     by_caller: dict = collections.defaultdict(collections.Counter)
     for (caller, function), calls in ipaddress_calls.items():
         by_caller[where(caller)][function] += calls
@@ -123,6 +132,10 @@ def budget(name: str, seed: int, *, quick: bool = False) -> dict:
         "ipaddress_by_caller": {
             caller: dict(counts.most_common()) for caller, counts in sorted(by_caller.items())
         },
+        "top_functions": [
+            [file, function, calls]
+            for (file, function), calls in by_function.most_common(TOP_FUNCTIONS)
+        ],
         "enum_py_frames": by_file.get("enum.py", 0),
         "decodes": per_code.get(parse, 0),
         "encodes": per_code.get(Message._encode_once.__code__, 0),

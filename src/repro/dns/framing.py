@@ -29,16 +29,17 @@ class StreamFramer:
 
     def feed(self, data: bytes) -> list[Message]:
         """Absorb ``data``; return every complete message now available."""
-        self._buffer += data
+        buffer = self._buffer
+        buffer += data
         messages: list[Message] = []
-        while True:
-            if len(self._buffer) < 2:
+        available = len(buffer)
+        while available >= 2:
+            end = 2 + (buffer[0] << 8 | buffer[1])
+            if available < end:
                 break
-            (length,) = struct.unpack_from("!H", self._buffer, 0)
-            if len(self._buffer) < 2 + length:
-                break
-            wire = bytes(self._buffer[2 : 2 + length])
-            del self._buffer[: 2 + length]
+            wire = bytes(buffer[2:end])
+            del buffer[:end]
+            available -= end
             messages.append(Message.decode(wire))
         return messages
 

@@ -5,6 +5,7 @@ from .header import HEADER_SIZE, Header
 from .message import (
     MAX_UDP_PAYLOAD,
     PROTOTYPE_CAP,
+    UNSCANNED,
     Message,
     Question,
     ResourceRecord,
@@ -66,6 +67,7 @@ __all__ = [
     "SOA",
     "SRV",
     "TXT",
+    "UNSCANNED",
     "WireError",
     "ZERO_COOKIE",
     "a_record",

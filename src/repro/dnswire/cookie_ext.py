@@ -11,7 +11,11 @@ The memo contract: a frozen message is immutable, so :func:`extract_cookie`
 scans one once and keeps the answer in ``Message._cookie``; every derivation
 that knows the answer (``with_header``, the decode memo, :func:`with_cookie`,
 :func:`without_cookie`) hands it on.  An unfrozen message is scanned on
-every call.  The two derivations also keep one prototype per shape: the
+every call.  A hot path may read ``message._cookie`` inline and call
+:func:`extract_cookie` only when it is ``UNSCANNED``: the same answer, no
+frame.  The guards do, and ``TestInlineMemoReaders`` in
+``tests/dnswire/test_cookie_ext.py`` holds every such reader to that form.
+The two derivations also keep one prototype per shape: the
 stamped message per (wire past the id and flags, cookie) and the stripped
 one per wire past the id and flags, so a recurring shape is derived once and
 then re-headed (``prototype.with_header(message.header)``).  The key holds

@@ -19,6 +19,7 @@ from ipaddress import IPv4Address
 
 from ..dnswire import (
     Message,
+    UNSCANNED,
     extract_cookie,
     with_cookie,
     ZERO_COOKIE,
@@ -136,9 +137,10 @@ class LocalDnsGuard:
         if not isinstance(payload, DnsPayload):
             return Verdict.ACCEPT
         message = payload.message
-        if segment.dport == 53 and message.is_query():
+        response = message.header.qr
+        if segment.dport == 53 and not response:
             return self._outbound_query(packet, segment, message)
-        if segment.sport == 53 and message.is_response():
+        if segment.sport == 53 and response:
             return self._inbound_response(packet, segment, message)
         return Verdict.ACCEPT
 
@@ -147,7 +149,10 @@ class LocalDnsGuard:
     def _outbound_query(
         self, packet: Packet, datagram: UdpDatagram, message: Message
     ) -> Verdict:
-        if extract_cookie(message) is not None:
+        cookie = message._cookie  # extract_cookie's memo, read inline
+        if cookie is UNSCANNED:
+            cookie = extract_cookie(message)
+        if cookie is not None:
             return Verdict.ACCEPT  # already cookie-capable upstream of us
         now = self.node.sim.now
         key = (packet.dst._ip, packet.src._ip)
@@ -184,7 +189,9 @@ class LocalDnsGuard:
     def _inbound_response(
         self, packet: Packet, datagram: UdpDatagram, message: Message
     ) -> Verdict:
-        cookie = extract_cookie(message)
+        cookie = message._cookie  # extract_cookie's memo, read inline
+        if cookie is UNSCANNED:
+            cookie = extract_cookie(message)
         if cookie is None or cookie == ZERO_COOKIE:
             self._note_plain_response(packet, message)
             return Verdict.ACCEPT

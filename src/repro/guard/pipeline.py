@@ -47,9 +47,9 @@ from ..dnswire import (
     make_truncated_response,
     without_cookie,
     RRType,
+    UNSCANNED,
     ZERO_COOKIE,
 )
-from ..dnswire.message import UNSCANNED
 from ..netsim import (
     BOUNDARY_PRIORITY,
     DnsPayload,
@@ -545,7 +545,8 @@ class RemoteDnsGuard:
         now = self.node.sim.now
         self.queries_seen += 1
         self.estimator.observe(now)
-        active = self.is_active(now)
+        # with no activation threshold, an enabled guard is always active
+        active = (self._enabled and self.activation_threshold is None) or self.is_active(now)
         # priority-aware admission: when the control plane has engaged
         # shedding and the CPU backlog is past the configured fraction of
         # the queue limit, unverified sources are shed *here* — before any
@@ -577,7 +578,7 @@ class RemoteDnsGuard:
             self.forwarded_inactive += 1
             return Verdict.ACCEPT
         message = payload.message
-        if not message.is_query() or not message.questions:
+        if message.header.qr or not message.questions:  # not a query
             if active:
                 self._charge(self.costs.drop_invalid)
                 self.invalid_drops += 1

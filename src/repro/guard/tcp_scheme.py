@@ -17,6 +17,7 @@ proves the source address — the sequence number *is* the cookie.  The proxy:
 
 from __future__ import annotations
 
+from functools import partial
 from ipaddress import IPv4Address
 from typing import TYPE_CHECKING
 
@@ -129,8 +130,8 @@ class TcpProxy:
         self.connections_accepted += 1
         if self.guard._obs is not None:
             self.guard._note("tcp", "conn_accept")
-        framer = StreamFramer()
-        conn.on_data = lambda c, data: self._on_stream_data(c, framer, data)
+        # a partial, not a lambda: no Python frame between a segment and its reader
+        conn.on_data = partial(self._on_stream_data, StreamFramer())
         self._arm_reaper(conn)
 
     def _arm_reaper(self, conn: TcpConnection) -> None:
@@ -151,7 +152,7 @@ class TcpProxy:
         handle = self.node.sim.schedule(deadline, reap, priority=BOUNDARY_PRIORITY)
         conn.on_close = lambda _conn, _error: handle.cancel()
 
-    def _on_stream_data(self, conn: TcpConnection, framer: StreamFramer, data: bytes) -> None:
+    def _on_stream_data(self, framer: StreamFramer, conn: TcpConnection, data: bytes) -> None:
         if data == b"":
             conn.close()
             return

@@ -479,11 +479,13 @@ class Simulator:
     def _compact(self) -> None:
         """Rebuild the heap without cancelled tombstones."""
         live = []
+        append = live.append
+        sites = self._sites
         for entry in self._queue:
-            if entry[3] is None:
-                self._sites.pop(entry[2], None)
-            else:
-                live.append(entry)
+            if entry[3] is not None:
+                append(entry)
+            elif sites:  # only a tie hook records scheduling sites
+                sites.pop(entry[2], None)
         heapq.heapify(live)
         self._queue = live
         self._tombstones = 0

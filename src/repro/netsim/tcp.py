@@ -56,9 +56,9 @@ TIME_WAIT_LINGER = 1.0
 #: A connection's 4-tuple as the tables key it: ``(local, lport, remote,
 #: rport)`` with each address as its 32-bit integer, read from the stdlib's
 #: ``_ip`` slot.  The stdlib hashes an ``IPv4Address`` in Python and an int
-#: in C, and every segment looks its connection up; addresses stay
-#: ``IPv4Address`` everywhere else (``local_ip``/``remote_ip``, the cookie's
-#: ``.packed``).  ``tests/property/test_routing_tables.py`` pins the slot.
+#: in C, and every segment looks its connection up; the SYN cookie packs the
+#: same integers.  Addresses stay ``IPv4Address`` everywhere else
+#: (``local_ip``/``remote_ip``).  ``tests/property/test_routing_tables.py`` pins the slot.
 ConnKey = tuple[int, int, int, int]
 
 #: The flag bits as plain ints — what the segment path tests and emits
@@ -374,22 +374,29 @@ class TcpConnection:
         if not 0 < (ack - snd_una) & 0xFFFFFFFF <= (self.snd_nxt - snd_una) & 0xFFFFFFFF:
             return
         self.snd_una = ack
-        # keep only segments not yet fully acknowledged (end > ack)
-        self._inflight = [  # the window holds at most SEND_WINDOW_SEGMENTS (32) segments
-            (seq, data, flags)
-            for seq, data, flags in self._inflight
-            if _seq_gt((seq + _seq_span(data, flags)) & 0xFFFFFFFF, ack)
-        ]
+        # the window is in sequence order: drop the prefix ack covers (mod 2^32)
+        inflight = self._inflight
+        acked = 0
+        for seq, data, _flags in inflight:
+            if (ack - seq - (len(data) or 1)) & 0xFFFFFFFF > 0x80000000:
+                break
+            acked += 1
+        del inflight[:acked]
         self._retransmits = 0
-        if self._inflight:
+        if inflight:
             self._arm_retransmit()
         else:
-            self._cancel_retransmit()
+            handle = self._retransmit_handle
+            if handle is not None:
+                handle.cancel()
+                self._retransmit_handle = None
             if self.state is TcpState.FIN_WAIT_1 and self._fin_sent:
                 self.state = TcpState.FIN_WAIT_2
             elif self.state is TcpState.LAST_ACK and self._fin_sent:
                 self._teardown(error=False)
-        self._pump()
+        # enter _pump only with data, a FIN or a window to re-arm once more
+        if inflight or self._send_buffer or (self._fin_queued and not self._fin_sent):
+            self._pump()
 
     # -- transmit machinery -------------------------------------------------------
 
@@ -420,12 +427,18 @@ class TcpConnection:
             self._arm_retransmit()
 
     def _emit(self, flags: int, *, seq: int, ack: int = 0, data: bytes = b"") -> None:
+        """Send a segment: build its packet and charge its CPU cost here."""
         self.segments_sent += 1
-        self.stack._transmit(
-            self.local_ip,
-            self.remote_ip,
-            TcpSegment(self.local_port, self.remote_port, seq, ack, flags, data),
-        )
+        stack = self.stack
+        segment = TcpSegment(self.local_port, self.remote_port, seq, ack, flags, data)
+        packet = Packet(self.local_ip, self.remote_ip, segment)
+        cost_fn = stack.segment_cost_fn
+        cost = cost_fn(len(stack.connections)) if cost_fn else 0.0
+        if cost > 0.0:
+            if not stack.node.cpu.submit(cost, stack._send_packet, packet):
+                stack.segments_dropped_cpu += 1
+            return
+        stack._send_packet(packet)
 
     # -- timers ---------------------------------------------------------------
 
@@ -475,18 +488,6 @@ class TcpConnection:
             f"TcpConnection({self.local_ip}:{self.local_port} <-> "
             f"{self.remote_ip}:{self.remote_port} {self.state.value})"
         )
-
-
-def _seq_gt(a: int, b: int) -> bool:
-    """True if sequence number ``a`` is after ``b`` (mod 2^32 arithmetic)."""
-    return ((a - b) & 0xFFFFFFFF) < 0x80000000 and a != b
-
-
-def _seq_span(data: bytes, flags: int) -> int:
-    """Sequence-space footprint of a segment: its data, or 1 for SYN/FIN."""
-    if data:
-        return len(data)
-    return 1 if flags & (SYN | FIN) else 0
 
 
 class TcpStack:
@@ -674,10 +675,9 @@ class TcpStack:
         raise SocketError(f"{self.node.name}: every ephemeral TCP port to {dst}:{dport} is in use")
 
     def _syn_cookie(self, lip: IPv4Address, lport: int, rip: IPv4Address, rport: int) -> int:
-        """Stateless ISN: keyed hash of the 4-tuple (Bernstein's SYN cookie)."""
-        material = self._cookie_secret + lip.packed + rip.packed + struct.pack(
-            "!HH", lport, rport
-        )
+        """Stateless ISN: keyed hash of the 4-tuple (Bernstein's SYN cookie),
+        the addresses packed from their integers: the bytes of ``.packed``."""
+        material = self._cookie_secret + struct.pack("!IIHH", lip._ip, rip._ip, lport, rport)
         digest = hashlib.md5(material).digest()
         return struct.unpack("!I", digest[:4])[0]
 

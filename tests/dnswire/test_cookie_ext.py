@@ -1,7 +1,11 @@
 """Unit tests for the modified-DNS cookie extension (Fig 3b)."""
 
+import pathlib
+import re
+
 import pytest
 
+import repro
 from repro.dnswire import (
     COOKIE_LENGTH,
     PROTOTYPE_CAP,
@@ -10,6 +14,7 @@ from repro.dnswire import (
     Name,
     RRType,
     TXT,
+    UNSCANNED,
     ZERO_COOKIE,
     attach_cookie,
     cookie_rr,
@@ -199,3 +204,69 @@ class TestShapePrototypes:
             kept = derive(source)
             assert list(table.values()) == [kept]
             self.derive_twice(derive, source, table)
+
+
+class TestInlineMemoReaders:
+    """The guards read ``extract_cookie``'s memo without entering it, in the
+    form the ``cookie_ext`` docstring gives.  These tests hold the slot, the
+    sentinel and every reader together: a change to how the memo is stored
+    fails here until each reader is brought along."""
+
+    #: every module outside ``dnswire`` that reads the memo, and how often
+    READERS = {"guard/pipeline.py": 1, "guard/local_guard.py": 2}
+    INLINE_READ = re.compile(
+        r"(\w+) = (\w+)\._cookie\b.*\n"
+        r"\s+if \1 is UNSCANNED:\n"
+        r"\s+\1 = extract_cookie\(\2\)\n"
+    )
+
+    @staticmethod
+    def inline(message: Message):
+        cookie = message._cookie
+        if cookie is UNSCANNED:
+            cookie = extract_cookie(message)
+        return cookie
+
+    def test_the_memo_is_the_slot_and_sentinel_the_readers_read(self):
+        assert "_cookie" in Message.__slots__
+        assert Message.__dataclass_fields__["_cookie"].default is UNSCANNED
+        plain, cookied = make_query("www.foo.com"), attach_cookie(make_query("www.foo.com"), COOKIE)
+        for message, cookie in ((plain, None), (cookied, COOKIE)):
+            extract_cookie(message)
+            assert message._cookie is UNSCANNED  # an unfrozen message is never memoised
+            message.freeze()
+            assert message._cookie is UNSCANNED
+            assert extract_cookie(message) == cookie
+            assert message._cookie == cookie
+
+    def test_the_inline_read_is_extract_cookie(self):
+        query = make_query("www.foo.com")
+        frozen = make_query("www.foo.com").freeze()
+        stamped = with_cookie(frozen, COOKIE)
+        messages = [
+            query,
+            attach_cookie(query.copy(), COOKIE),
+            frozen,
+            stamped,
+            without_cookie(stamped),
+            stamped.with_header(Header(msg_id=7)),
+            attach_cookie(make_query("www.foo.com"), ZERO_COOKIE).freeze(),
+        ]
+        for message in messages:
+            expected = extract_cookie(message.copy())
+            assert self.inline(message) == expected  # unscanned or scanned
+            assert self.inline(message) == expected  # and again, memo or not
+
+    def test_every_inline_reader_has_the_documented_form(self):
+        src = pathlib.Path(repro.__file__).parent
+        readers = {}
+        for path in sorted(src.rglob("*.py")):
+            if path.parent.name == "dnswire":
+                continue
+            text = path.read_text()
+            reads = len(re.findall(r"\._cookie\b", text))
+            if reads:
+                name = path.relative_to(src).as_posix()
+                readers[name] = reads
+                assert len(self.INLINE_READ.findall(text)) == reads, name
+        assert readers == self.READERS

@@ -1,15 +1,21 @@
 """Unit-level tests for the transparent TCP proxy."""
 
+import dataclasses
 import gc
 import weakref
 from ipaddress import IPv4Address
 
 import pytest
 
-from repro.dns import StreamFramer, frame
+from repro.analysis.sanitizer import capture_traces
+from repro.attack import SpoofingAttacker
+from repro.dns import StreamFramer, TcpLoadClient, frame
 from repro.dnswire import make_query
 from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
+from repro.guard import GuardCosts
 from repro.guard.core.admission import MIN_REAP_SECONDS
+from repro.netsim import set_tie_hook
+from repro.netsim.tcp import TcpConnection
 
 
 def query_over_tcp(bed, client, qname="www.foo.com", msg_id=1, timeout=2.0):
@@ -178,3 +184,58 @@ class TestProxyPolicing:
         proxy = bed.guard.tcp_proxy
         assert proxy.connections_accepted <= 3
         assert proxy.connections_rate_limited >= 7
+
+
+class _RetransmitCounter:
+    """A tie hook that counts the retransmission timeouts a run fires; it
+    brackets events without reordering any, so the trace is unchanged."""
+
+    def __init__(self):
+        self.fired = 0
+
+    def before_event(self, sim, event):
+        if getattr(event.callback, "__func__", None) is TcpConnection._on_retransmit:
+            self.fired += 1
+
+    def after_event(self, sim, event):
+        pass
+
+
+#: every calibrated guard cost, 16x (the control experiment's slow guard)
+SLOW_GUARD_COSTS = GuardCosts(**{
+    field.name: 16 * getattr(GuardCosts(), field.name)
+    for field in dataclasses.fields(GuardCosts) if field.init
+})
+
+
+class TestProxyUnderCpuDrops:
+    #: the event stream of the run below, as ``trace_hash`` digests it
+    TRACE_DIGEST = "2289800bac3d272c3f760c14d727929c"
+
+    def test_flooded_proxy_retransmits_what_its_cpu_dropped(self):
+        """Fig 7(b)'s shape past its axis: 50 DNS-over-TCP requests through
+        the proxy under a spoofed UDP flood, on a guard slow enough that a
+        40K req/s flood overflows its CPU queue.  Segments the queue drops
+        come back as retransmissions, which no sanitized ``table2`` run
+        fires; the digest pins the whole exchange, drops and retransmissions
+        included."""
+        counter = _RetransmitCounter()
+        previous = set_tie_hook(counter)
+        try:
+            with capture_traces() as collector:
+                bed = GuardTestbed(
+                    ans="simulator", ans_mode="answer", guard_policy="drop",
+                    guard_costs=SLOW_GUARD_COSTS,
+                )
+                tcp = TcpLoadClient(bed.add_client("lrs"), ANS_ADDRESS, concurrency=50)
+                attacker = SpoofingAttacker(bed.add_client("attacker"), ANS_ADDRESS, rate=40_000)
+                attacker.start()
+                tcp.start()
+                (throughput,) = bed.measure([tcp.stats], 0.3, warmup=0.05)
+        finally:
+            set_tie_hook(previous)
+        (trace,) = collector.traces
+        assert trace.hexdigest() == self.TRACE_DIGEST
+        assert bed.guard_node.tcp.segments_dropped_cpu > 0
+        assert counter.fired > 0
+        assert throughput > 0  # degraded, not collapsed
