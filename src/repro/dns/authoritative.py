@@ -5,6 +5,11 @@ TCP.  Every request costs CPU; when the CPU queue overflows the request is
 dropped silently — reproducing the indiscriminate drops that make an
 unprotected BIND collapse under attack (paper §IV.C: UDP capacity 14K
 req/s, TCP capacity 2.2K req/s on the testbed hardware).
+
+A standard query's one question is answered, as the ANS simulator's is,
+by re-heading a frozen response kept per question while the zone that
+answers it, that zone's edit count and the TTL override are the ones it
+was built under: a repeat skips the lookup, TTL rewrite and encode.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from ..dnswire import (
     Opcode,
     Rcode,
     RRType,
+    keep_prototype,
     make_response,
+    response_header,
 )
 from ..netsim import Node, TcpConnection
 from .framing import StreamFramer, frame
@@ -63,6 +70,9 @@ class AuthoritativeServer:
         self.requests_dropped = 0
         self.referrals_sent = 0
         self.answers_sent = 0
+        # question (case-exact) -> (what it was built under, frozen response,
+        # answers_sent and referrals_sent bumps), bounded by keep_prototype
+        self._responses: dict[tuple, tuple] = {}
         # observability: serve spans bridge the CPU-queue gap between the
         # query's arrival and _serve_udp running.  The span is keyed in a
         # side table rather than threaded through cpu.submit because extra
@@ -111,7 +121,7 @@ class AuthoritativeServer:
             return
         limit = self._udp_payload_limit(query)
         # one encode serves the size check, the truncation probe and the
-        # send path: the response is complete here, so memoize its wire form
+        # send path (a memoized response is born frozen: a no-op for it)
         response.freeze()
         if response.wire_size() > limit:  # response frozen above: a cached lookup
             wire_capped = Message.decode(response.encode(max_size=limit))
@@ -190,7 +200,37 @@ class AuthoritativeServer:
     # -- shared query logic ---------------------------------------------------
 
     def respond(self, query: Message) -> Message | None:
-        """Build the response for ``query`` (pure logic, no I/O or CPU cost)."""
+        """The response to ``query`` (pure logic, no I/O or CPU cost): a
+        standard query's one question re-heads its kept prototype, anything
+        else is built by :meth:`_respond`, the reference."""
+        questions = query.questions
+        if query.header.opcode != Opcode.QUERY or len(questions) != 1:
+            return self._respond(query)
+        question = questions[0]
+        zone = self.zone_for(question.qname)
+        built_under = (zone, zone.edits if zone is not None else 0, self.answer_ttl_override)
+        key = (question.qname.labels, question.qtype, question.qclass)
+        entry = self._responses.get(key)
+        if entry is None or entry[0] != built_under:
+            answers, referrals = self.answers_sent, self.referrals_sent
+            prototype = self._respond(query).freeze()
+            entry = (
+                built_under, prototype,
+                self.answers_sent - answers, self.referrals_sent - referrals,
+            )
+            keep_prototype(self._responses, key, entry)
+            return prototype
+        _, prototype, answers, referrals = entry
+        self.requests_served += 1
+        self.answers_sent += answers
+        self.referrals_sent += referrals
+        header = prototype.header
+        return prototype.with_header(
+            response_header(query, rcode=header.rcode, authoritative=header.aa)
+        )
+
+    def _respond(self, query: Message) -> Message:
+        """Build the response for ``query`` from the zone data."""
         if query.header.opcode != Opcode.QUERY or not query.questions:
             return make_response(query, rcode=Rcode.NOTIMP)
         question = query.question

@@ -61,6 +61,10 @@ class Zone:
         self._records: dict[Name, dict[int, list[ResourceRecord]]] = {}
         #: Names at which this zone delegates to a child zone.
         self._delegations: set[Name] = set()
+        #: Edits so far, counted by :meth:`add` (``delegate``'s glue rides on
+        #: its NS record's): a server's kept answer from this zone holds only
+        #: while the count it was built under does.
+        self.edits = 0
 
     # -- building ------------------------------------------------------------
 
@@ -71,6 +75,7 @@ class Zone:
         self._records.setdefault(rr.name, {}).setdefault(rr.rtype, []).append(rr)
         if rr.rtype == RRType.NS and rr.name != self.origin:
             self._delegations.add(rr.name)
+        self.edits += 1
 
     def add_a(self, name: Name | str, address: IPv4Address | str, ttl: int | None = None) -> None:
         name = Name.from_text(name) if isinstance(name, str) else name

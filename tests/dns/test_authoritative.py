@@ -193,3 +193,98 @@ class TestTcpService:
         zone.add_a("www.foo.com", "1.2.3.4")
         AuthoritativeServer(node, [zone], serve_tcp=False)
         assert node.tcp._listeners == {}
+
+
+def wild_zone(origin="foo.com", www="198.51.100.80") -> Zone:
+    """``test_zone_extras``' wildcard zone: four edits, whatever the origin."""
+    zone = Zone(origin)
+    zone.add(soa_record(origin))
+    zone.add_a(f"www.{origin}", www)
+    zone.add_a(f"*.{origin}", "198.51.100.99")
+    zone.add_a(f"exact.dyn.{origin}", "198.51.100.50")
+    return zone
+
+
+def wild_server(**kwargs):
+    zone = wild_zone()
+    return AuthoritativeServer(Node(Simulator(), "ans"), [zone], serve_tcp=False, **kwargs), zone
+
+
+class TestRepeatedQuestion:
+    """A repeated question is answered from a frozen prototype; every edit
+    that can change the answer is seen by the next one."""
+
+    def answer(self, server, qname, qtype=RRType.A, msg_id=11):
+        """The server's answer, checked against its reference slow path."""
+        query = make_query(qname, qtype, msg_id=msg_id)
+        response = server.respond(query)
+        reference = server._respond(query)
+        assert response == reference and response.encode() == reference.encode()
+        return response
+
+    def test_a_repeat_is_the_prototype_re_headed(self):
+        server, _ = wild_server()
+        first = self.answer(server, "www.foo.com", msg_id=1)
+        again = server.respond(make_query("www.foo.com", msg_id=2))
+        assert again.header.msg_id == 2 and again.answers == first.answers
+        assert again._wire is not None and again._wire[2:] == first._wire[2:]
+        # the slow path's counters, bumped by the hit too
+        assert (server.requests_served, server.answers_sent) == (3, 3)
+
+    def test_dns_0x20_casing_gets_its_own_echo(self):
+        server, _ = wild_server()
+        self.answer(server, "anything.foo.com")
+        mixed = self.answer(server, "AnyThing.FOO.com")
+        assert mixed.questions[0].qname.labels == (b"AnyThing", b"FOO", b"com")
+        assert mixed.answers[0].name.labels == (b"AnyThing", b"FOO", b"com")
+
+    def test_zone_add_is_seen(self):
+        server, zone = wild_server()
+        self.answer(server, "www.foo.com", RRType.TXT)
+        zone.add(ResourceRecord(Name.from_text("www.foo.com"), RRType.TXT, RRClass.IN, 60,
+                                TXT.single(b"new")))
+        assert self.answer(server, "www.foo.com", RRType.TXT).answers
+
+    def test_a_deeper_wildcard_is_seen(self):
+        server, zone = wild_server()
+        before = self.answer(server, "sub.exact.dyn.foo.com")
+        assert before.header.rcode == Rcode.NXDOMAIN
+        zone.add_a("*.exact.dyn.foo.com", "198.51.100.51")
+        after = self.answer(server, "sub.exact.dyn.foo.com")
+        assert after.answers[0].rdata.address == IPv4Address("198.51.100.51")
+
+    def test_a_delegation_and_its_glue_are_seen(self):
+        server, zone = wild_server()
+        self.answer(server, "host.child.foo.com")
+        self.answer(server, "ns1.glue.exact.dyn.foo.com")  # NXDOMAIN below exact
+        zone.delegate("child.foo.com", "ns1.glue.exact.dyn.foo.com", "203.0.113.7")
+        referral = self.answer(server, "host.child.foo.com")
+        assert referral.authorities[0].rtype == RRType.NS
+        glue = self.answer(server, "ns1.glue.exact.dyn.foo.com")
+        assert glue.answers[0].rdata.address == IPv4Address("203.0.113.7")
+
+    # the zones below have as many edits as the one they displace, so only
+    # which zone answers tells the two apart
+
+    def test_a_replaced_zone_list_is_seen(self):
+        server, _ = wild_server()
+        self.answer(server, "www.foo.com")
+        server.zones = [wild_zone(www="192.0.2.1")]
+        assert self.answer(server, "www.foo.com").answers[0].rdata.address == IPv4Address(
+            "192.0.2.1"
+        )
+
+    def test_a_zone_appended_in_place_is_seen(self):
+        server, _ = wild_server()
+        assert self.answer(server, "www.deep.foo.com").answers  # the apex wildcard
+        server.zones.append(wild_zone("deep.foo.com", www="192.0.2.2"))
+        server.zones.sort(key=lambda z: len(z.origin), reverse=True)
+        assert self.answer(server, "www.deep.foo.com").answers[0].rdata.address == IPv4Address(
+            "192.0.2.2"
+        )
+
+    def test_a_new_ttl_override_is_seen(self):
+        server, _ = wild_server()
+        assert self.answer(server, "www.foo.com").answers[0].ttl == 3600
+        server.answer_ttl_override = 0
+        assert self.answer(server, "www.foo.com").answers[0].ttl == 0

@@ -8,7 +8,7 @@ message or one whose ``_wire == _encode_once(True)``, and the message it
 returns must ``==`` the one the slow path builds.  The slow paths live on
 in ``src`` (``make_query``, ``attach_cookie``/``strip_cookie`` on a copy,
 ``fabricated_referral``, ``cookie_name_answer``); the ANS simulator's is
-written out below.
+written out below, and the BIND server keeps its own as ``_respond``.
 
 ``Message.decode`` derives too: from the third sighting of a wire (after
 the message id) it returns a memoized prototype's records under the
@@ -22,8 +22,9 @@ from ipaddress import IPv4Address
 
 from hypothesis import given, settings, strategies as st
 
-from repro.dns import AnsSimulator, LrsSimulator
+from repro.dns import AnsSimulator, AuthoritativeServer, LrsSimulator, Zone
 from repro.dnswire import (
+    CNAME,
     MAX_UDP_PAYLOAD,
     Header,
     Message,
@@ -39,6 +40,7 @@ from repro.dnswire import (
     make_query,
     make_response,
     ns_record,
+    soa_record,
     strip_cookie,
     with_cookie,
     without_cookie,
@@ -512,6 +514,129 @@ def test_ans_simulator_respond_matches_the_reference(data, mode, zone):
         assert (response._wire is not None) == (len(query.questions) == 1)
 
 
+# -- the BIND server ---------------------------------------------------------------
+
+BIND_REQUESTER, BIND_ADDRESS = IPv4Address("10.0.0.1"), IPv4Address("203.0.113.53")
+
+
+def bind_zone() -> Zone:
+    """Every answer shape: an answer, a CNAME chased, a delegation with glue,
+    NXDOMAIN, NODATA, a wildcard, and an answer too big for 512 bytes."""
+    zone = Zone("foo.com")
+    zone.add(soa_record("foo.com"))
+    zone.add_a("www.foo.com", "198.51.100.80")
+    alias = CNAME(Name.from_text("www.foo.com"))
+    zone.add(ResourceRecord(Name.from_text("alias.foo.com"), RRType.CNAME, RRClass.IN, 60, alias))
+    zone.delegate("sub.foo.com", "ns1.sub.foo.com", "203.0.113.99")
+    zone.add_a("dyn.foo.com", "198.51.100.50")
+    zone.add_a("*.dyn.foo.com", "198.51.100.99")
+    for index in range(40):
+        zone.add_a("big.foo.com", IPv4Address(0xC6336400 + index))
+    return zone
+
+
+BIND_POOL = [
+    Name.from_text(text)
+    for text in (
+        "foo.com", "www.foo.com", "alias.foo.com", "host.sub.foo.com", "ns1.sub.foo.com",
+        "nope.foo.com", "a.dyn.foo.com", "big.foo.com", "www.other.org",
+    )
+]
+BIND_POOL += [Name(label.swapcase() for label in name.labels) for name in BIND_POOL]
+
+
+# what a response echoes of a query's header: its id, opcode and RD bit
+bind_headers = st.builds(
+    Header,
+    msg_id=st.integers(0, 0xFFFF),
+    opcode=st.sampled_from([0, 0, 0, 2]),
+    rd=st.booleans(),
+)
+
+
+def bind_query(questions: list[Question], header: Header, payload: int | None) -> Message:
+    """A query with an OPT advertising ``payload`` bytes, or with none."""
+    query = Message(header, questions)
+    if payload is not None:
+        query.additionals.append(ResourceRecord(Name.root(), RRType.OPT, payload, 0, OPT()))
+    return query
+
+
+@st.composite
+def bind_queries(draw):
+    """Mostly one question, over every answer shape, standard or not, RD on
+    or off, DNS-0x20 casings, and no OPT, one that keeps the 512-byte limit
+    or one that lifts it."""
+    questions = [
+        Question(
+            draw(st.sampled_from(BIND_POOL)),
+            draw(st.sampled_from([RRType.A, RRType.NS, RRType.MX, RRType.CNAME])),
+            draw(st.sampled_from([RRClass.IN, RRClass.CH])),
+        )
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2])))
+    ]
+    payload = draw(st.sampled_from([None, MAX_UDP_PAYLOAD, 4096]))
+    return maybe_frozen(draw, bind_query(questions, draw(bind_headers), payload))
+
+
+class Outbox:
+    """A socket that keeps what it is asked to send."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, message, *args, **kwargs):
+        self.sent.append(message)
+
+
+def bind_server(zone: Zone, ttl_override: int | None, *, slow: bool = False):
+    server = AuthoritativeServer(
+        Node(Simulator(seed=1), "ans"), [zone], serve_tcp=False, answer_ttl_override=ttl_override
+    )
+    server._socket = Outbox()
+    if slow:  # every query answered the reference way
+        server.respond = server._respond
+    return server
+
+
+@settings(deadline=None)
+@given(data=st.data(), ttl_override=st.sampled_from([None, 0]))
+def test_bind_server_respond_matches_the_reference(data, ttl_override):
+    zone = bind_zone()
+    server = bind_server(zone, ttl_override)
+    reference = bind_server(zone, ttl_override, slow=True)
+    for _ in range(data.draw(st.integers(1, 16))):
+        query = data.draw(bind_queries())
+        if data.draw(st.booleans()):  # the UDP send path, truncation included
+            server._serve_udp(query, BIND_REQUESTER, 5353, BIND_ADDRESS)
+            reference._serve_udp(query, BIND_REQUESTER, 5353, BIND_ADDRESS)
+            response, expected = server._socket.sent[-1], reference._socket.sent[-1]
+        else:
+            response, expected = server.respond(query), reference.respond(query)
+            # one question of a standard query repeats; anything else is ordinary
+            standard = query.header.opcode == 0 and len(query.questions) == 1
+            assert (response._wire is not None) == standard
+        assert same(response, expected) and wire_holds(response)
+        assert server.stats() == reference.stats()
+
+
+def test_bind_server_truncates_like_the_reference():
+    """The big answer over UDP, a miss then a hit in two casings: truncated
+    under the classic limit, whole under a lifted one."""
+    zone = bind_zone()
+    server, reference = bind_server(zone, None), bind_server(zone, None, slow=True)
+    for payload in (None, MAX_UDP_PAYLOAD, 4096):
+        for qname in ("big.foo.com", "BIG.foo.com") * 2:
+            question = Question(Name.from_text(qname), RRType.A, RRClass.IN)
+            query = bind_query([question], Header(msg_id=7), payload)
+            server._serve_udp(query, BIND_REQUESTER, 5353, BIND_ADDRESS)
+            reference._serve_udp(query, BIND_REQUESTER, 5353, BIND_ADDRESS)
+            response, expected = server._socket.sent[-1], reference._socket.sent[-1]
+            assert same(response, expected) and wire_holds(response)
+            assert response.header.tc == (payload != 4096)
+    assert server.stats() == reference.stats()
+
+
 @given(data=st.data(), zone=guarded_zones())
 def test_lrs_simulator_query_matches_make_query(data, zone):
     _, pool = zone
@@ -530,6 +655,7 @@ def test_a_seeded_walk_keeps_every_table_bounded():
     rng = random.Random(21)
     guard = guard_under(Name.root(), bytes(KEY_LENGTH), 8)
     ans = AnsSimulator(Node(Simulator(seed=1), "ans"))
+    bind = AuthoritativeServer(Node(Simulator(seed=1), "bind"), [Zone("com")], serve_tcp=False)
     lrs = LrsSimulator(Node(Simulator(seed=1), "lrs"), ANS)
     label = guard.cookies.label_cookie(IPv4Address("10.0.0.1"))
     for index in range(4200):
@@ -537,8 +663,10 @@ def test_a_seeded_walk_keeps_every_table_bounded():
         assert wire_holds(guard._referral(query, label))
         guard._restored_query(query.question.qname, RRType.A, index)
         ans.respond(query)
+        bind.respond(query)
         lrs.query(query.question.qname, RRType.A, index)
     assert 0 < len(guard._slots) <= 4096
     assert 0 < len(guard._restored) <= 4096
     assert 0 < len(ans._responses) <= 4096
+    assert 0 < len(bind._responses) <= 4096
     assert 0 < len(lrs._queries) <= 4096
