@@ -13,7 +13,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def frame(message: Message) -> bytes:
     """Serialise a message with its TCP length prefix."""
-    wire = message.encode()  # frozen messages hit the memoized wire
+    wire = message.encode()  # a frozen message packs only its id and flags
     if len(wire) > 0xFFFF:
         raise ValueError("DNS message too large for TCP framing")
     return struct.pack("!H", len(wire)) + wire

@@ -348,6 +348,9 @@ class _Interaction:
         "finished",
         "span",
         "_leg",
+        "_msg_id",
+        "_query",
+        "_handler",
     )
 
     def __init__(self, sim_lrs: LrsSimulator, started_at: float):
@@ -360,6 +363,9 @@ class _Interaction:
         self.finished = False
         self.span = None
         self._leg = None
+        self._msg_id = -1
+        self._query = None
+        self._handler = None
 
     # -- plumbing -------------------------------------------------------------
 
@@ -386,30 +392,32 @@ class _Interaction:
         server: IPv4Address,
         handler: Callable[[Message, IPv4Address], None],
     ) -> None:
-        msg_id = self.lrs.msg_id()
-        query = self.lrs.query(qname, qtype, msg_id)
+        self._msg_id = msg_id = self.lrs.msg_id()
+        self._query = query = self.lrs.query(qname, qtype, msg_id)
         self._cleanup_io()
+        self._handler = handler
         leg = None
         if self.span:
             leg = self.span.child("lrs.leg", qname=qname, server=server)
-            self._leg = leg
-
-        def on_response(
-            payload: Message | bytes, src: IPv4Address, sport: int, dst: IPv4Address
-        ) -> None:
-            if not isinstance(payload, Message) or payload.header.msg_id != msg_id:
-                return
-            self._cancel_timer()
-            if leg is not None:
-                leg.finish()
-            if payload.header.tc:
-                self._fall_back_to_tcp(query, src)
-                return
-            handler(payload, src)
-
-        self.socket = self.node.udp.bind_ephemeral(on_response)
+        self._leg = leg
+        # a bound method, not a per-leg closure: _cleanup_io closes the
+        # socket and drops the handler, so no cycle through self outlives it
+        self.socket = self.node.udp.bind_ephemeral(self._on_response)
         self.socket.send(query, server, 53, span=leg)
         self.timer = self.node.sim.schedule(self.lrs.timeout, self._on_timeout)
+
+    def _on_response(
+        self, payload: Message | bytes, src: IPv4Address, sport: int, dst: IPv4Address
+    ) -> None:
+        if not isinstance(payload, Message) or payload.header.msg_id != self._msg_id:
+            return
+        self._cancel_timer()
+        if self._leg is not None:
+            self._leg.finish()
+        if payload.header.tc:
+            self._fall_back_to_tcp(self._query, src)
+            return
+        self._handler(payload, src)
 
     def _on_timeout(self) -> None:
         self.timer = None
@@ -519,6 +527,7 @@ class _Interaction:
         if self.socket is not None:
             self.socket.close()
             self.socket = None
+            self._handler = None
 
     def _cancel_timer(self) -> None:
         if self.timer is not None:

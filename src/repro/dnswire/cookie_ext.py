@@ -16,10 +16,12 @@ every call.  A hot path may read ``message._cookie`` inline and call
 frame.  The guards do, and ``TestInlineMemoReaders`` in
 ``tests/dnswire/test_cookie_ext.py`` holds every such reader to that form.
 The two derivations also keep one prototype per shape: the
-stamped message per (wire past the id and flags, cookie) and the stripped
-one per wire past the id and flags, so a recurring shape is derived once and
-then re-headed (``prototype.with_header(message.header)``).  The key holds
-the section counts as well as the sections, because the same record bytes
+stamped message per (``_body``, cookie) and the stripped one per ``_body``
+(the frozen wire past the id and flags), so a recurring shape is derived
+once and then re-headed (``prototype.with_header(message.header)``).  A
+re-head shares its prototype's ``_body``, so a key is that object itself:
+its hash is cached and a hit compares by identity.  The key holds the
+section counts as well as the sections, because the same record bytes
 under other counts are another message.
 """
 
@@ -58,14 +60,17 @@ def _record_wire(record: ResourceRecord) -> bytes:
 _RECORD_HEAD = _record_wire(cookie_rr(ZERO_COOKIE))[:-COOKIE_LENGTH]
 _RECORD_SIZE = len(_RECORD_HEAD) + COOKIE_LENGTH
 
+#: Where the sections start in ``Message._body``: past the four counts.
+_COUNTS_SIZE = HEADER_SIZE - 4
+
 #: cookie bytes -> its :func:`cookie_rr` record, flushed whole at ``PROTOTYPE_CAP``
 _records: dict[bytes, ResourceRecord] = {}  # repro: allow[L003] - bounded content-addressed memo, replay-invisible
 
-#: (wire past the id and flags, cookie) -> the frozen :func:`with_cookie`
+#: (a frozen message's ``_body``, cookie) -> the frozen :func:`with_cookie`
 #: result, flushed whole at ``PROTOTYPE_CAP``
 _stamped: dict[tuple[bytes, bytes], Message] = {}  # repro: allow[L003] - bounded content-addressed memo, replay-invisible
 
-#: wire past the id and flags -> the frozen :func:`without_cookie` result,
+#: a frozen message's ``_body`` -> the frozen :func:`without_cookie` result,
 #: flushed whole at ``PROTOTYPE_CAP``
 _stripped: dict[bytes, Message] = {}  # repro: allow[L003] - bounded content-addressed memo, replay-invisible
 
@@ -99,20 +104,20 @@ def with_cookie(message: Message, cookie: bytes) -> Message:
     such copy of a shape under a cookie is kept: each later one is that copy
     re-headed.
     """
-    wire = message._wire
-    if wire is not None:
-        key = (wire[4:], cookie)
+    body = message._body
+    if body is not None:
+        key = (body, cookie)
         prototype = _stamped.get(key)
         if prototype is not None:
             return prototype.with_header(message.header)
-    if wire is None or extract_cookie(message) is not None:
+    if body is None or extract_cookie(message) is not None:
         return attach_cookie(message.copy(), cookie)
     record = _records.get(cookie)
     if record is None:
         record = keep_prototype(_records, cookie, cookie_rr(cookie))
     stamped = message.copy()
     stamped.additionals.append(record)
-    stamped.freeze_as(wire[HEADER_SIZE:] + _RECORD_HEAD + cookie)
+    stamped.freeze_as(body[_COUNTS_SIZE:] + _RECORD_HEAD + cookie)
     stamped._cookie = cookie
     return keep_prototype(_stamped, key, stamped)
 
@@ -126,28 +131,27 @@ def without_cookie(message: Message) -> Message:
     the wire then ends with that record's fixed-size encoding.  The first
     frozen copy of a shape is kept: each later one is that copy re-headed.
     """
-    wire = message._wire
-    if wire is not None:
-        key = wire[4:]
-        prototype = _stripped.get(key)
+    body = message._body
+    if body is not None:
+        prototype = _stripped.get(body)
         if prototype is not None:
             return prototype.with_header(message.header)
     clean = strip_cookie(message.copy())
-    if wire is None:
+    if body is None:
         return clean
     stripped = len(message.additionals) - len(clean.additionals)
     if stripped == 0:
-        clean.freeze_as(wire[HEADER_SIZE:])
+        clean.freeze_as(body[_COUNTS_SIZE:])
     elif (
         stripped == 1
         and _is_cookie_record(last := message.additionals[-1])
         and len(last.rdata.strings) == 1  # type: ignore[union-attr]
     ):
-        clean.freeze_as(wire[HEADER_SIZE:-_RECORD_SIZE])
+        clean.freeze_as(body[_COUNTS_SIZE:-_RECORD_SIZE])
     else:
         return clean
     clean._cookie = None
-    return keep_prototype(_stripped, key, clean)
+    return keep_prototype(_stripped, body, clean)
 
 
 def extract_cookie(message: Message) -> bytes | None:
@@ -171,7 +175,7 @@ def extract_cookie(message: Message) -> bytes | None:
         ):
             cookie = rr.rdata.payload
             break
-    if message._wire is not None:
+    if message._body is not None:
         message._cookie = cookie
     return cookie
 

@@ -88,20 +88,30 @@ class Message:
     answers: list[ResourceRecord] = dataclasses.field(default_factory=list)
     authorities: list[ResourceRecord] = dataclasses.field(default_factory=list)
     additionals: list[ResourceRecord] = dataclasses.field(default_factory=list)
-    #: memoized compressed wire form, set by :meth:`freeze` or inherited
-    #: through a wire-preserving derivation (:meth:`with_header`,
-    #: :meth:`freeze_as`) — always the bytes ``_encode_once(True)`` would
-    #: produce, so the message must not be mutated while it is set (never
-    #: part of equality/repr)
-    _wire: bytes | None = dataclasses.field(
+    #: the memoized wire past the id and flags (the counts and sections),
+    #: set when the message is frozen (:meth:`freeze`, :meth:`freeze_as`, the
+    #: decode memo) and shared by every message re-headed from it:
+    #: ``pack("!HH", id, flags) + _body`` is always the bytes
+    #: ``_encode_once(True)`` would produce (never part of equality/repr)
+    _body: bytes | None = dataclasses.field(
         default=None, repr=False, compare=False
     )
     #: what ``cookie_ext.extract_cookie`` finds in a frozen message: set
-    #: only while ``_wire`` is, by that scan or by a derivation that knows
+    #: only while ``_body`` is, by that scan or by a derivation that knows
     #: the answer (never part of equality/repr)
     _cookie: bytes | None | EllipsisType = dataclasses.field(
         default=UNSCANNED, repr=False, compare=False
     )
+
+    def __eq__(self, other: object) -> bool:
+        """Header and records; a frozen message equals its unfrozen twin."""
+        if not isinstance(other, Message):
+            return NotImplemented
+        return self._shape() == other._shape()
+
+    def _shape(self) -> tuple:
+        sections = (self.questions, self.answers, self.authorities, self.additionals)
+        return (self.header, *map(tuple, sections))
 
     # -- inspection --------------------------------------------------------
 
@@ -137,10 +147,12 @@ class Message:
 
         If ``max_size`` is given and the message does not fit, RR sections
         are emptied and the TC bit is set — this is the RFC 1035 truncation
-        signal that redirects requesters to TCP.
+        signal that redirects requesters to TCP.  A frozen message packs
+        its id and flags in front of the memoized rest.
         """
-        if compress and self._wire is not None:
-            wire = self._wire
+        if compress and self._body is not None:
+            header = self.header
+            wire = struct.pack("!HH", header.msg_id & 0xFFFF, header.flags_word()) + self._body
         else:
             wire = self._encode_once(compress)
         if max_size is not None and len(wire) > max_size:
@@ -154,9 +166,10 @@ class Message:
     def copy(self) -> "Message":
         """An editable copy: shares the header and records, owns its section lists.
 
-        Never frozen, so attaching or stripping a record on the copy of a
-        frozen message changes what it encodes to.  An edit the wire can
-        follow goes through a derivation instead (:meth:`with_header`,
+        The one way to edit a frozen message's records, whose sections are
+        tuples.  Never frozen, so attaching or stripping a record on the
+        copy changes what it encodes to.  An edit the wire can follow goes
+        through a derivation instead (:meth:`with_header`,
         ``cookie_ext.with_cookie`` / ``without_cookie``), which keeps the
         memo.
         """
@@ -169,16 +182,18 @@ class Message:
         )
 
     def freeze(self) -> "Message":
-        """Memoize the compressed wire form; further mutation is a bug.
+        """Memoize the compressed wire form and seal the sections.
 
         Per-packet paths send one message *shape* many times (attack
         templates, a load generator's query, per-question responses):
         producers freeze one prototype per shape and derive each packet's
         message from it, so :meth:`encode` / :meth:`wire_size` of the
-        derived message is a lookup and the shape is serialised once.
+        derived message is a lookup and the shape is serialised once.  The
+        four sections become tuples here, so an in-place edit of a frozen
+        message raises; :meth:`copy` is editable.
         """
-        if self._wire is None:
-            self._wire = self._encode_once(True)
+        if self._body is None:
+            self._seal(self._encode_once(True)[4:])
         return self
 
     def freeze_as(self, sections_wire: bytes) -> "Message":
@@ -187,42 +202,44 @@ class Message:
         ``sections_wire`` is everything after the header, which the caller
         derived from a frozen message's :attr:`sections_wire` by an edit it
         can prove wire-preserving (a root-owned record appended or removed
-        at the end, one fixed-width label run replaced); the header is
-        packed here from this message's own flags and section counts.  The
-        contract is :meth:`freeze`'s: the memo equals ``_encode_once(True)``.
+        at the end, one fixed-width label run replaced); the section counts
+        are packed here from this message's own sections.  The contract is
+        :meth:`freeze`'s: the memo equals ``_encode_once(True)``.
         """
-        self._wire = (
-            self.header.pack(
-                len(self.questions),
-                len(self.answers),
-                len(self.authorities),
-                len(self.additionals),
-            )
-            + sections_wire
-        )
+        counts = map(len, (self.questions, self.answers, self.authorities, self.additionals))
+        return self._seal(struct.pack("!HHHH", *counts) + sections_wire)
+
+    def _seal(self, body: bytes) -> "Message":
+        self.questions = tuple(self.questions)  # type: ignore[assignment]
+        self.answers = tuple(self.answers)  # type: ignore[assignment]
+        self.authorities = tuple(self.authorities)  # type: ignore[assignment]
+        self.additionals = tuple(self.additionals)  # type: ignore[assignment]
+        self._body = body
         return self
 
     def with_header(self, header: Header) -> "Message":
-        """This message under another header (id, flags), owning its lists.
+        """This message under another header (id, flags).
 
         Only the wire's first four bytes, the id and flags, depend on the
         header (the counts are this message's), so the copy of a frozen
-        message is born frozen, built with its wire in this one frame and
-        knowing its cookie if this one does; the copy of an unfrozen one is
-        :meth:`copy` under ``header``.
+        message is born frozen: it holds this one's section tuples and
+        ``_body`` themselves, so a re-head builds no list and no bytes, and
+        it knows its cookie if this one does.  The copy of an unfrozen one
+        is :meth:`copy` under ``header``.
         """
-        wire = self._wire
-        if wire is not None:
-            wire = struct.pack("!HH", header.msg_id & 0xFFFF, header.flags_word()) + wire[4:]
+        if self._body is None:
+            message = self.copy()
+            message.header = header
+            return message
         return Message(
-            header, list(self.questions), list(self.answers), list(self.authorities),
-            list(self.additionals), wire, self._cookie,
+            header, self.questions, self.answers, self.authorities, self.additionals,
+            self._body, self._cookie,
         )
 
     @property
     def sections_wire(self) -> bytes | None:
         """The memoized wire after the header; ``None`` while unfrozen."""
-        return None if self._wire is None else self._wire[HEADER_SIZE:]
+        return None if self._body is None else self._body[HEADER_SIZE - 4 :]
 
     def _encode_once(self, compress: bool) -> bytes:
         header = self.header.pack(
@@ -245,12 +262,13 @@ class Message:
         parsed and its key recorded: verifying every shape on sight would
         double the cost of one that never recurs.  Its second sighting is
         parsed and, if it is at most :data:`MAX_UDP_PAYLOAD` bytes and its
-        encoding reproduces it exactly, frozen with ``data`` as its wire,
-        kept as the prototype and returned; every later sighting is the
-        prototype's records under a freshly decoded header, born frozen with
-        ``data`` as its wire and knowing the prototype's cookie once a scan
-        has found it.  A frozen message must be edited through :meth:`copy`
-        or a derivation, never in place.
+        encoding reproduces it exactly, frozen (its sections sealed, the
+        wire past the id and flags its memo), kept as the prototype and
+        returned; every later sighting is the prototype's section tuples and
+        memo under a freshly decoded header, born frozen and knowing the
+        prototype's cookie once a scan has found it: it copies no list and
+        no bytes.  A frozen message is edited through :meth:`copy` or a
+        derivation; an in-place edit raises.
         """
         if len(data) > MAX_UDP_PAYLOAD:
             return cls._parse(data)
@@ -267,18 +285,12 @@ class Message:
             if prototype._encode_once(True) != data:
                 _decoded[key] = _ORDINARY
                 return prototype
-            prototype._wire = bytes(data)
-            _decoded[key] = prototype
+            _decoded[key] = prototype._seal(key[2:])
             return prototype
         header, _ = Header.decode(data)
         return cls(
-            header,
-            list(prototype.questions),
-            list(prototype.answers),
-            list(prototype.authorities),
-            list(prototype.additionals),
-            bytes(data),
-            prototype._cookie,
+            header, prototype.questions, prototype.answers, prototype.authorities,
+            prototype.additionals, prototype._body, prototype._cookie,
         )
 
     @classmethod
@@ -300,8 +312,8 @@ class Message:
 
     def wire_size(self) -> int:
         """Size of the encoded message in bytes (with compression)."""
-        if self._wire is not None:
-            return len(self._wire)
+        if self._body is not None:
+            return 4 + len(self._body)
         return len(self.encode())
 
     def __str__(self) -> str:

@@ -7,10 +7,12 @@ on the first link and memoised on the payload (which packets may share) and
 on the packet, for later hops.  Producers
 that send one shape many times derive each message from a frozen prototype
 (``Message.with_header``, ``dnswire.with_cookie``/``without_cookie``, the
-guard's cookie slots), so on the steady paths that length is ``len()`` of
-bytes the message already holds; anything else is encoded once, on that
-first read, just to be measured.  Edges that need real bytes (the TCP
-stream, tests) can ask for them.
+guard's cookie slots), so on the steady paths that length is four (the id
+and flags) plus ``len()`` of the wire past them, which the message shares
+with its prototype; anything else is encoded once, on that first read, just
+to be measured.  Edges that need real bytes (the TCP stream, tests) can ask
+for them: a frozen message packs its id and flags in front of that shared
+rest.
 """
 
 from __future__ import annotations

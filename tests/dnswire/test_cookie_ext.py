@@ -120,13 +120,15 @@ class TestShapePrototypes:
     def same(hit: Message, miss: Message) -> None:
         assert hit == miss  # header and every section's records
         assert hit.encode() == miss.encode() == hit._encode_once(True)
-        assert (hit._wire is None) == (miss._wire is None)
+        assert (hit._body is None) == (miss._body is None)
         assert extract_cookie(hit) == extract_cookie(miss)
 
     @staticmethod
-    def owns_its_lists(derived: Message, prototype: Message) -> None:
+    def shares_the_prototype(derived: Message, prototype: Message) -> None:
+        """A re-head builds no list and no bytes: it holds the prototype's own."""
         for section in ("questions", "answers", "authorities", "additionals"):
-            assert getattr(derived, section) is not getattr(prototype, section)
+            assert getattr(derived, section) is getattr(prototype, section)
+        assert derived._body is prototype._body
 
     def derive_twice(self, derive, message: Message, table: dict):
         """``derive`` of a re-headed ``message`` as a memo hit and as a miss."""
@@ -139,7 +141,7 @@ class TestShapePrototypes:
         table.clear()
         miss = derive(other)
         self.same(hit, miss)
-        self.owns_its_lists(hit, prototype)
+        self.shares_the_prototype(hit, prototype)
         assert hit.header is other.header
         return hit
 
@@ -171,7 +173,7 @@ class TestShapePrototypes:
         cookied = attach_cookie(make_query("www.foo.com"), ZERO_COOKIE).freeze()
         restamped = with_cookie(cookied, COOKIE)
         assert cookie_ext._stamped == {}
-        assert restamped._wire is None
+        assert restamped._body is None
         self.same(restamped, attach_cookie(cookied.copy(), COOKIE))
         assert extract_cookie(restamped) == COOKIE
 
@@ -190,7 +192,7 @@ class TestShapePrototypes:
         assert len(cookie_ext._stamped) == 2
         cookie_ext._stamped.clear()
         self.same(stamped, with_cookie(as_additional, COOKIE))
-        assert stamped.additionals == [record, cookie_rr(COOKIE)]
+        assert list(stamped.additionals) == [record, cookie_rr(COOKIE)]
 
     def test_a_full_table_is_flushed_and_the_shape_kept_again(self):
         query = make_query("www.foo.com").freeze()

@@ -32,8 +32,18 @@ from repro.dnswire import (
     make_truncated_response,
     ns_record,
     soa_record,
+    with_cookie,
+    without_cookie,
 )
+from repro.dns import AnsSimulator, AuthoritativeServer, LrsSimulator, Zone
 from repro.dnswire.message import _decoded
+from repro.guard.core.dns_scheme import (
+    cookie_slot,
+    encode_cookie_name,
+    fabricated_referral,
+    referral_from_slot,
+)
+from repro.netsim import Node, Simulator
 
 
 class TestHeader:
@@ -245,15 +255,20 @@ class TestDecodeBudget:
         ]
         assert counted == {"parse": 2, "encode": 1}
         assert [m.header.msg_id for m in decoded] == list(range(100))
-        assert decoded[0]._wire is None
-        assert all(m._wire is not None for m in decoded[1:])
-        assert len({id(m.questions) for m in decoded}) == 100  # each owns its lists
+        assert decoded[0]._body is None
+        prototype = decoded[1]
+        assert prototype._body is not None
+        # every later sighting is the prototype's tuples and memo, re-headed
+        for m in decoded[2:]:
+            assert m.questions is prototype.questions and m.answers is prototype.answers
+            assert m._body is prototype._body
+        assert all(m.encode() == m._encode_once(True) for m in decoded[1:])
 
     def test_fresh_shapes_are_parsed_once_each_and_never_encoded(self, counted):
         wires = [make_query(f"h{i}.foo.com", msg_id=i).encode() for i in range(100)]
         counted["encode"] = 0
         for wire in wires:
-            assert Message.decode(wire)._wire is None
+            assert Message.decode(wire)._body is None
         assert counted == {"parse": 100, "encode": 0}
 
     def test_the_memo_never_exceeds_the_prototype_cap(self, counted):
@@ -273,8 +288,8 @@ class TestCopy:
         stamped = query.copy()
         attach_cookie(stamped, b"\x01" * 16)
         assert (query.wire_size(), stamped.wire_size()) == (29, 57)
-        assert Message.decode(stamped.encode()).additionals == stamped.additionals
-        assert query.additionals == [] == Message.decode(query.encode()).additionals
+        assert list(Message.decode(stamped.encode()).additionals) == stamped.additionals
+        assert query.additionals == () and not Message.decode(query.encode()).additionals
 
     def test_copy_shares_records_and_owns_its_sections(self):
         response = make_response(make_query("a.com"))
@@ -285,6 +300,164 @@ class TestCopy:
         clone.answers.clear()
         clone.questions.clear()
         assert len(response.answers) == len(response.questions) == 1
+
+
+def _frozen_response(msg_id: int = 1) -> Message:
+    response = make_response(make_query("www.foo.com", msg_id=msg_id))
+    response.answers.append(a_record("www.foo.com", "192.0.2.1"))
+    response.authorities.append(ns_record("foo.com", "ns1.foo.com"))
+    response.additionals.append(a_record("ns1.foo.com", "192.0.2.53"))
+    return response.freeze()
+
+
+def _frozen_by_freeze():
+    return _frozen_response(), None
+
+
+def _frozen_by_freeze_as():
+    sections = _frozen_response().sections_wire
+    message = make_response(make_query("www.foo.com", msg_id=2))
+    message.answers.append(a_record("www.foo.com", "192.0.2.1"))
+    message.authorities.append(ns_record("foo.com", "ns1.foo.com"))
+    message.additionals.append(a_record("ns1.foo.com", "192.0.2.53"))
+    return message.freeze_as(sections), None
+
+
+def _frozen_by_re_head():
+    prototype = _frozen_response()
+    return prototype.with_header(Header(msg_id=2, qr=True, aa=True)), prototype
+
+
+def _frozen_by_third_decode():
+    wire = _frozen_response().encode()
+    key = wire[2:]
+    _decoded.pop(key, None)
+    for msg_id in (1, 2):
+        Message.decode(struct.pack("!H", msg_id) + key)
+    return Message.decode(struct.pack("!H", 3) + key), _decoded[key]
+
+
+def _frozen_by_with_cookie_hit():
+    query = make_query("www.foo.com", msg_id=1).freeze()
+    prototype = with_cookie(query, SEAL_COOKIE)
+    return with_cookie(query.with_header(Header(msg_id=2)), SEAL_COOKIE), prototype
+
+
+def _frozen_by_without_cookie_hit():
+    stamped = with_cookie(make_query("www.foo.com", msg_id=1).freeze(), SEAL_COOKIE)
+    prototype = without_cookie(stamped)
+    return without_cookie(stamped.with_header(Header(msg_id=2))), prototype
+
+
+def _slot(origin: Name, qname: Name):
+    encoded = encode_cookie_name(SEAL_LABEL, qname, origin)
+    reply = fabricated_referral(make_query(qname, msg_id=1), origin, SEAL_LABEL)
+    return cookie_slot(reply, encoded, len(SEAL_LABEL))
+
+
+def _frozen_by_slot_own_requester():
+    slot = _slot(Name.root(), Name.from_text("www.foo.com"))
+    query = make_query("www.foo.com", msg_id=2)
+    return referral_from_slot(slot, query, SEAL_LABEL), slot.reply
+
+
+def _frozen_by_slot_other_requester():
+    slot = _slot(Name.root(), Name.from_text("www.foo.com"))
+    query = make_query("www.foo.com", msg_id=2)
+    return referral_from_slot(slot, query, b"PR" + b"1" * (len(SEAL_LABEL) - 2)), None
+
+
+def _frozen_by_ans_simulator():
+    ans = AnsSimulator(Node(Simulator(seed=1), "ans"))
+    prototype = ans.respond(make_query("www.foo.com", msg_id=1))
+    return ans.respond(make_query("www.foo.com", msg_id=2)), prototype
+
+
+def _frozen_by_authoritative_server():
+    zone = Zone("foo.com")
+    zone.add_a("www.foo.com", "192.0.2.1")
+    server = AuthoritativeServer(Node(Simulator(seed=1), "ans"), [zone], serve_tcp=False)
+    prototype = server.respond(make_query("www.foo.com", msg_id=1))
+    return server.respond(make_query("www.foo.com", msg_id=2)), prototype
+
+
+def _frozen_by_lrs_simulator():
+    lrs = LrsSimulator(Node(Simulator(seed=1), "lrs"), IPv4Address("192.0.2.53"))
+    prototype = lrs.query(Name.from_text("www.foo.com"), RRType.A, 1)
+    return lrs.query(Name.from_text("www.foo.com"), RRType.A, 2), prototype
+
+
+SEAL_COOKIE = bytes(range(16))
+SEAL_LABEL = b"PR" + b"0" * 8
+SECTIONS = ("questions", "answers", "authorities", "additionals")
+
+#: every way a message becomes frozen: build() -> (message, the prototype
+#: it was re-headed from, or None when it is a prototype itself)
+FROZEN_SOURCES = {
+    "freeze": _frozen_by_freeze,
+    "freeze_as": _frozen_by_freeze_as,
+    "re-head": _frozen_by_re_head,
+    "decode, third sighting": _frozen_by_third_decode,
+    "with_cookie hit": _frozen_by_with_cookie_hit,
+    "without_cookie hit": _frozen_by_without_cookie_hit,
+    "cookie slot, own requester": _frozen_by_slot_own_requester,
+    "cookie slot, another requester": _frozen_by_slot_other_requester,
+    "AnsSimulator": _frozen_by_ans_simulator,
+    "AuthoritativeServer": _frozen_by_authoritative_server,
+    "LrsSimulator": _frozen_by_lrs_simulator,
+}
+
+
+def _wire_holds(message: Message) -> bool:
+    head = struct.pack("!HH", message.header.msg_id, message.header.flags_word())
+    return head + message._body == message._encode_once(True)
+
+
+@pytest.mark.parametrize("source", FROZEN_SOURCES)
+class TestSeal:
+    """Freezing seals a message: its sections are tuples, so the memo
+    contract (a frozen message is never edited in place) is the type's; and
+    a re-head holds its prototype's own tuples and memo, building no list
+    and no bytes."""
+
+    def frozen(self, source: str):
+        message, prototype = FROZEN_SOURCES[source]()
+        assert message._body is not None and _wire_holds(message)
+        return message, prototype
+
+    def test_an_in_place_edit_raises(self, source):
+        message, _ = self.frozen(source)
+        record = a_record("extra.foo.com", "192.0.2.99")
+        for section in SECTIONS:
+            with pytest.raises(AttributeError):
+                getattr(message, section).append(record)
+        assert _wire_holds(message)
+
+    def test_its_copy_is_editable_and_encodes_the_edit(self, source):
+        message, _ = self.frozen(source)
+        before = message.encode()
+        record = a_record("extra.foo.com", "192.0.2.99")
+        edited = message.copy()
+        for section in SECTIONS[1:]:
+            getattr(edited, section).append(record)
+        assert edited._body is None
+        parsed = Message._parse(edited.encode())
+        for section in SECTIONS[1:]:
+            assert list(getattr(parsed, section)) == getattr(edited, section)
+            assert getattr(parsed, section)[-1] == record
+        assert edited.wire_size() == len(edited.encode()) > len(before)
+        assert message.encode() == before and _wire_holds(message)
+
+    def test_a_re_head_is_the_prototype_s_own_sections_and_wire(self, source):
+        message, prototype = self.frozen(source)
+        pairs = [(message.with_header(Header(msg_id=0xBEEF, qr=True)), message)]
+        if prototype is not None:
+            pairs.append((message, prototype))
+        for derived, original in pairs:
+            for section in SECTIONS:
+                assert getattr(derived, section) is getattr(original, section), section
+            assert derived._body is original._body
+            assert _wire_holds(derived)
 
 
 class TestMalformedInput:

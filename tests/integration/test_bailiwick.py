@@ -27,7 +27,9 @@ class TestBailiwick:
         original = h.foo.respond
 
         def poisoned(query):
-            response = original(query)
+            # respond may hand back a frozen prototype, shared with later
+            # answers: poison an editable copy, never the prototype itself
+            response = original(query).copy()
             for section, rr in extra_records:
                 getattr(response, section).append(rr)
             return response

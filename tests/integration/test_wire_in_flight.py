@@ -13,6 +13,7 @@ measurement at each hop it crosses.
 """
 
 import collections
+import struct
 
 import pytest
 
@@ -43,8 +44,9 @@ def in_flight(monkeypatch):
                 encoded = message._encode_once(True)
                 assert payload.size == len(encoded), str(message)
                 seen["checked"] += 1
-                if message._wire is not None:
-                    assert message._wire == encoded, str(message)
+                if message._body is not None:
+                    head = struct.pack("!HH", message.header.msg_id, message.header.flags_word())
+                    assert head + message._body == encoded, str(message)
                     seen["frozen"] += 1
                 body = len(encoded)
             else:
@@ -114,7 +116,7 @@ def test_tcp_scheme(in_flight, monkeypatch):
     # query's shape, decode hands it over frozen with the bytes the client
     # framed, so the UDP hop to the ANS is sized without an encode
     assert len(proxied) > 10
-    assert sum(query._wire is None for query in proxied) <= 1
+    assert sum(query._body is None for query in proxied) <= 1
 
 
 @pytest.mark.parametrize("activation_threshold", [None, 1e9])

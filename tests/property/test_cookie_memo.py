@@ -71,8 +71,10 @@ def scan(message: Message) -> bytes | None:
 
 def check(message: Message) -> Message:
     """Twice, so the second call reads what the first remembered."""
+    wire = message._encode_once(True)
+    assert message.encode() == wire  # a frozen message's memo is that wire
     for _ in range(2):
-        assert extract_cookie(message) == scan(Message._parse(message.encode()))
+        assert extract_cookie(message) == scan(Message._parse(wire))
     return message
 
 

@@ -4,15 +4,16 @@ Every producer that sends one message shape many times keeps a frozen
 prototype and derives each packet's message from it — a re-head, the
 modified-DNS cookie record appended or removed, the label cookie spliced
 into a fabricated reply.  Each derivation must return either an unfrozen
-message or one whose ``_wire == _encode_once(True)``, and the message it
+message or one whose ``pack("!HH", id, flags) + _body == _encode_once(True)``,
+and the message it
 returns must ``==`` the one the slow path builds.  The slow paths live on
 in ``src`` (``make_query``, ``attach_cookie``/``strip_cookie`` on a copy,
 ``fabricated_referral``, ``cookie_name_answer``); the ANS simulator's is
 written out below, and the BIND server keeps its own as ``_respond``.
 
 ``Message.decode`` derives too: from the third sighting of a wire (after
-the message id) it returns a memoized prototype's records under the
-received header, born frozen with the received bytes.  The full parse,
+the message id) it returns a memoized prototype's section tuples and
+``_body`` under the received header.  The full parse,
 ``Message._parse``, is its reference.
 """
 
@@ -20,6 +21,7 @@ import random
 import struct
 from ipaddress import IPv4Address
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dns import AnsSimulator, AuthoritativeServer, LrsSimulator, Zone
@@ -88,7 +90,10 @@ headers = st.builds(
 
 def wire_holds(message: Message) -> bool:
     """The invariant: an absent memo, or exactly the encoder's bytes."""
-    return message._wire is None or message._wire == message._encode_once(True)
+    if message._body is None:
+        return True
+    head = struct.pack("!HH", message.header.msg_id, message.header.flags_word())
+    return head + message._body == message._encode_once(True)
 
 
 def same(derived: Message | None, reference: Message | None) -> bool:
@@ -117,11 +122,33 @@ def test_with_header_is_the_message_under_that_header(data, message, header):
         ),
     )
     assert wire_holds(derived) and wire_holds(message)
-    assert (derived._wire is None) == (message._wire is None)
-    # the derived message owns its lists: editing it cannot reach the source
-    derived.questions.clear()
-    derived.additionals.clear()
+    assert (derived._body is None) == (message._body is None)
+    if message._body is None:
+        # the derived message owns its lists: editing it cannot reach the source
+        derived.questions.clear()
+        derived.additionals.clear()
+    else:
+        # a re-head builds no list and no bytes: it holds the source's own
+        assert derived._body is message._body
+        assert derived.questions is message.questions
+        assert derived.additionals is message.additionals
+        with pytest.raises(AttributeError):
+            derived.additionals.append(OPT_RR)
     assert wire_holds(message)
+
+
+@given(message=messages(), header=headers)
+def test_a_frozen_message_equals_its_unfrozen_twin(message, header):
+    """Sections are tuples once frozen and lists before: equality is the
+    header and the records either way, re-headed too, and still tells a
+    record apart."""
+    twin = message.copy()
+    message.freeze()
+    assert message == twin and twin == message
+    assert message.with_header(header) == twin.with_header(header)
+    other = twin.copy()
+    other.additionals.append(OPT_RR)
+    assert message != other and other != message
 
 
 # -- the decode memo -------------------------------------------------------------
@@ -142,9 +169,14 @@ def test_decode_is_the_full_parse_at_every_sighting(message, ids):
         wire = under_id(canonical, msg_id)
         decoded = Message.decode(wire)
         assert same(decoded, Message._parse(wire)) and wire_holds(decoded)
-        # frozen from the third sighting on, and only within the UDP limit
+        # frozen from the second sighting on, and only within the UDP limit;
+        # from the third on, holding the kept prototype's sections and memo
         frozen = sighting >= 1 and len(wire) <= MAX_UDP_PAYLOAD
-        assert decoded._wire == (wire if frozen else None)
+        assert decoded._body == (wire[4:] if frozen else None)
+        if frozen and sighting >= 2:
+            prototype = _decoded[wire[2:]]
+            assert decoded._body is prototype._body
+            assert decoded.answers is prototype.answers
         # an edit through copy() (which shares the header: replace it, never
         # assign its fields) reaches neither the memo nor a later decode
         edited = decoded.copy()
@@ -181,7 +213,7 @@ def test_a_wire_the_encoder_would_not_write_is_never_kept(data, message, ids, va
     for msg_id in ids:
         decoded = Message.decode(under_id(wire, msg_id))
         assert same(decoded, Message._parse(under_id(wire, msg_id)))
-        assert decoded._wire is None
+        assert decoded._body is None
     assert not isinstance(_decoded.get(wire[2:]), Message)
 
 
@@ -246,9 +278,9 @@ def test_stamp_then_strip_keeps_a_frozen_query_frozen(message, cookie):
     """The Fig 6 path: local guard stamps, remote guard strips."""
     message = without_cookie(message)
     stamped = with_cookie(message, cookie)
-    assert (stamped._wire is None) == (message._wire is None)
+    assert (stamped._body is None) == (message._body is None)
     stripped = without_cookie(stamped)
-    assert same(stripped, message) and (stripped._wire is None) == (message._wire is None)
+    assert same(stripped, message) and (stripped._body is None) == (message._body is None)
     assert wire_holds(stripped)
 
 
@@ -475,7 +507,7 @@ def test_guard_restored_query_matches_the_reference(data, zone):
         msg_id = data.draw(st.integers(0, 0xFFFF))
         restored = guard._restored_query(qname, qtype, msg_id)
         assert same(restored, make_query(qname, qtype, msg_id=msg_id))
-        assert restored._wire == restored._encode_once(True)
+        assert restored._body is not None and wire_holds(restored)
 
 
 # -- the load tools --------------------------------------------------------------------
@@ -511,7 +543,7 @@ def test_ans_simulator_respond_matches_the_reference(data, mode, zone):
         response = ans.respond(query)
         assert same(response, reference) and wire_holds(response)
         # one question is the shape that repeats; anything else is ordinary
-        assert (response._wire is not None) == (len(query.questions) == 1)
+        assert (response._body is not None) == (len(query.questions) == 1)
 
 
 # -- the BIND server ---------------------------------------------------------------
@@ -615,7 +647,7 @@ def test_bind_server_respond_matches_the_reference(data, ttl_override):
             response, expected = server.respond(query), reference.respond(query)
             # one question of a standard query repeats; anything else is ordinary
             standard = query.header.opcode == 0 and len(query.questions) == 1
-            assert (response._wire is not None) == standard
+            assert (response._body is not None) == standard
         assert same(response, expected) and wire_holds(response)
         assert server.stats() == reference.stats()
 
@@ -647,7 +679,7 @@ def test_lrs_simulator_query_matches_make_query(data, zone):
         msg_id = data.draw(st.integers(0, 0xFFFF))
         query = lrs.query(qname, qtype, msg_id)
         assert same(query, make_query(qname, qtype, msg_id=msg_id))
-        assert query._wire == query._encode_once(True)
+        assert query._body is not None and wire_holds(query)
 
 
 def test_a_seeded_walk_keeps_every_table_bounded():
