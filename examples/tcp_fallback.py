@@ -9,10 +9,8 @@ relays the query to the ANS over UDP.
 Run:  python examples/tcp_fallback.py
 """
 
-from ipaddress import IPv4Address
-
 from repro import ANS_ADDRESS, GuardTestbed, LrsSimulator
-from repro.netsim import Packet, TcpFlags, TcpSegment
+from repro.netsim import Packet, TcpFlags, TcpSegment, parse_address
 
 # policy="tcp": unverified requesters are redirected to TCP
 bed = GuardTestbed(ans="simulator", ans_mode="answer", guard_policy="tcp")
@@ -34,7 +32,7 @@ for i in range(2000):
     syn = TcpSegment(sport=10000 + (i % 50000), dport=53, seq=i, ack=0, flags=TcpFlags.SYN)
     attacker_node.send(
         Packet(
-            src=IPv4Address(f"172.29.{i % 200}.{i % 250 + 1}"),
+            src=parse_address(f"172.29.{i % 200}.{i % 250 + 1}"),
             dst=ANS_ADDRESS,
             segment=syn,
         )

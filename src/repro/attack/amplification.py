@@ -10,10 +10,9 @@ amplification ratio the paper bounds at <50% for the DNS-based scheme and
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address
 
 from ..dnswire import Message, Name, RRType, make_query
-from ..netsim import DnsPayload, Hook, Node, Packet, UdpDatagram, Verdict
+from ..netsim import Address, DnsPayload, Hook, Node, Packet, UdpDatagram, Verdict, parse_address
 from .spoof import BATCH_INTERVAL
 
 
@@ -23,8 +22,8 @@ class ReflectionAttacker:
     def __init__(
         self,
         node: Node,
-        target: IPv4Address,
-        victim: IPv4Address,
+        target: Address,
+        victim: Address,
         *,
         rate: float,
         qname: Name | str = "big.foo.com",
@@ -36,8 +35,8 @@ class ReflectionAttacker:
         if rate <= 0:
             raise ValueError("attack rate must be positive")
         self.node = node
-        self.target = target
-        self.victim = victim
+        self.target = parse_address(target)
+        self.victim = parse_address(victim)
         self.rate = rate
         self.qname = Name.from_text(qname) if isinstance(qname, str) else qname
         self.qtype = qtype

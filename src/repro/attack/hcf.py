@@ -10,8 +10,6 @@ spoofed host's learned distance.
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address
-
 #: Common initial TTLs used by real stacks; inference picks the smallest
 #: candidate >= the observed TTL.
 INITIAL_TTLS = (30, 32, 60, 64, 128, 255)
@@ -31,21 +29,21 @@ class HopCountFilter:
     def __init__(self, *, tolerance: int = 0):
         """``tolerance`` allows +/- that many hops of drift before dropping."""
         self.tolerance = tolerance
-        self.table: dict[IPv4Address, int] = {}
+        self.table: dict[int, int] = {}
         self.filtering = False
         self.learned = 0
         self.passed = 0
         self.dropped = 0
         self.unknown_passed = 0
 
-    def learn(self, source: IPv4Address, observed_ttl: int) -> None:
+    def learn(self, source: int, observed_ttl: int) -> None:
         """Record the hop count for ``source`` (trusted, calm traffic)."""
         hops = infer_hop_count(observed_ttl)
         if source not in self.table:
             self.learned += 1
         self.table[source] = hops
 
-    def check(self, source: IPv4Address, observed_ttl: int) -> bool:
+    def check(self, source: int, observed_ttl: int) -> bool:
         """True if the packet should be accepted."""
         if not self.filtering:
             self.learn(source, observed_ttl)

@@ -7,25 +7,24 @@ simulator can sustain the paper's 250K requests/sec attack rates.
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address
 from typing import Callable
 
 from ..dnswire import Message, Name, make_query
-from ..netsim import DnsPayload, Node, Packet, UdpDatagram
+from ..netsim import Address, DnsPayload, Node, Packet, UdpDatagram, parse_address
 
 #: How often the attacker wakes up to emit a batch of packets.
 BATCH_INTERVAL = 0.001
 
 
-def random_source(rng) -> IPv4Address:
-    """A random spoofed source address — random, but not uniform.
+def random_source(rng) -> int:
+    """A random spoofed source address integer — random, but not uniform.
 
     Bit 24 is forced on, so the first octet is always odd, in 1–223 (never
     0, never class D or E), and the modulo makes first octets 1–31 twice as
     likely as the rest.  The pinned run digests depend on exactly these
     draws.
     """
-    return IPv4Address((rng.getrandbits(32) % 0xDFFFFFFF) | 0x01000000)
+    return (rng.getrandbits(32) % 0xDFFFFFFF) | 0x01000000
 
 
 class SpoofingAttacker:
@@ -34,16 +33,17 @@ class SpoofingAttacker:
     def __init__(
         self,
         node: Node,
-        target: IPv4Address,
+        target: Address,
         *,
         rate: float,
         qname: Name | str = "www.foo.com",
-        source_strategy: Callable[[object], IPv4Address] | None = None,
-        fixed_source: IPv4Address | None = None,
+        source_strategy: Callable[[object], int] | None = None,
+        fixed_source: Address | None = None,
         carry_invalid_cookie: bool = False,
     ):
         """``rate`` is requests/sec.  Sources come from ``source_strategy``
-        (default: :func:`random_source`) or are pinned to ``fixed_source``.
+        (default: :func:`random_source`; it returns address integers) or are
+        pinned to ``fixed_source``.
 
         ``carry_invalid_cookie`` attaches a garbage modified-DNS cookie to
         every request — the Figure 6 attacker, whose forged requests fail
@@ -52,11 +52,12 @@ class SpoofingAttacker:
         if rate <= 0:
             raise ValueError("attack rate must be positive")
         self.node = node
-        self.target = target
+        self.target = parse_address(target)
         self.rate = rate
         self.qname = Name.from_text(qname) if isinstance(qname, str) else qname
         if fixed_source is not None:
-            self.source_strategy = lambda rng: fixed_source
+            fixed = parse_address(fixed_source)
+            self.source_strategy = lambda rng: fixed
         else:
             self.source_strategy = source_strategy or random_source
         self.packets_sent = 0

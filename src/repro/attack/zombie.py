@@ -8,10 +8,9 @@ of Rate-Limiter2.
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address
 
 from ..dnswire import Message, Name, ZERO_COOKIE, attach_cookie, extract_cookie, make_query
-from ..netsim import Node
+from ..netsim import Address, Node, parse_address
 from .spoof import BATCH_INTERVAL
 
 
@@ -21,7 +20,7 @@ class ZombieFlood:
     def __init__(
         self,
         node: Node,
-        target: IPv4Address,
+        target: Address,
         *,
         rate: float,
         qname: Name | str = "www.foo.com",
@@ -29,7 +28,7 @@ class ZombieFlood:
         if rate <= 0:
             raise ValueError("attack rate must be positive")
         self.node = node
-        self.target = target
+        self.target = parse_address(target)
         self.rate = rate
         self.qname = Name.from_text(qname) if isinstance(qname, str) else qname
         self.cookie: bytes | None = None
@@ -49,9 +48,7 @@ class ZombieFlood:
     def stop(self) -> None:
         self._running = False
 
-    def _on_response(
-        self, payload: Message | bytes, src: IPv4Address, sport: int, dst: IPv4Address
-    ) -> None:
+    def _on_response(self, payload: Message | bytes, src: int, sport: int, dst: int) -> None:
         if not isinstance(payload, Message):
             return
         cookie = extract_cookie(payload)

@@ -15,7 +15,6 @@ was built under: a repeat skips the lookup, TTL rewrite and encode.
 from __future__ import annotations
 
 import dataclasses
-from ipaddress import IPv4Address
 
 from ..dnswire import (
     MAX_UDP_PAYLOAD,
@@ -28,7 +27,7 @@ from ..dnswire import (
     make_response,
     response_header,
 )
-from ..netsim import Node, TcpConnection
+from ..netsim import Node, TcpConnection, address_args, parse_address
 from .framing import StreamFramer, frame
 from .zone import AnswerKind, Zone
 
@@ -57,7 +56,9 @@ class AuthoritativeServer:
         ``axfr_allow`` restricts zone transfers to the listed addresses
         (None = refuse all; secondaries must be allow-listed)."""
         self.node = node
-        self.axfr_allow = set(axfr_allow) if axfr_allow is not None else None
+        self.axfr_allow = (
+            {parse_address(ip) for ip in axfr_allow} if axfr_allow is not None else None
+        )
         self.axfr_served = 0
         self.axfr_refused = 0
         # a shallow queue models the socket buffer: overload drops requests
@@ -89,7 +90,7 @@ class AuthoritativeServer:
     # -- UDP path -----------------------------------------------------------
 
     def _on_udp_query(
-        self, payload: Message | bytes, src: IPv4Address, sport: int, dst: IPv4Address
+        self, payload: Message | bytes, src: int, sport: int, dst: int
     ) -> None:
         if not isinstance(payload, Message) or not payload.is_query():
             return
@@ -110,9 +111,8 @@ class AuthoritativeServer:
             if len(self._serve_spans) > 4096:
                 self._serve_spans.pop(next(iter(self._serve_spans)))
 
-    def _serve_udp(
-        self, query: Message, src: IPv4Address, sport: int, dst: IPv4Address
-    ) -> None:
+    @address_args(1, 3)
+    def _serve_udp(self, query: Message, src: int, sport: int, dst: int) -> None:
         span = self._serve_spans.pop((src, sport, query.header.msg_id), None)
         response = self.respond(query)
         if response is None:

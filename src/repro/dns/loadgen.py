@@ -32,7 +32,7 @@ from ..dnswire import (
     ns_record,
     response_header,
 )
-from ..netsim import Node, TcpConnection
+from ..netsim import Address, Node, TcpConnection, address_args, format_address, parse_address
 from .framing import StreamFramer, frame
 
 #: ANS simulator capacity from the paper: ~110K requests/second.
@@ -103,7 +103,7 @@ class AnsSimulator:
         }
 
     def _on_query(
-        self, payload: Message | bytes, src: IPv4Address, sport: int, dst: IPv4Address
+        self, payload: Message | bytes, src: int, sport: int, dst: int
     ) -> None:
         if not isinstance(payload, Message) or payload.header.qr:
             return
@@ -122,7 +122,8 @@ class AnsSimulator:
             if len(self._serve_spans) > 4096:
                 self._serve_spans.pop(next(iter(self._serve_spans)))
 
-    def _serve(self, query: Message, src: IPv4Address, sport: int, dst: IPv4Address) -> None:
+    @address_args(1, 3)
+    def _serve(self, query: Message, src: int, sport: int, dst: int) -> None:
         self.requests_served += 1
         spans = self._serve_spans  # filled only while obs is installed
         span = spans.pop((src, sport, query.header.msg_id), None) if spans else None
@@ -208,7 +209,7 @@ class LrsSimulator:
     def __init__(
         self,
         node: Node,
-        server: IPv4Address,
+        server: Address,
         qname: Name | str = "www.foo.com",
         *,
         workload: str = "plain",
@@ -226,7 +227,7 @@ class LrsSimulator:
         if name_distribution not in ("uniform", "zipf"):
             raise ValueError(f"unknown name distribution {name_distribution!r}")
         self.node = node
-        self.server = server
+        self.server = parse_address(server)
         self.qname = Name.from_text(qname) if isinstance(qname, str) else qname
         if qnames is None:
             self.qnames = [self.qname]
@@ -258,7 +259,7 @@ class LrsSimulator:
         self._queries: dict[tuple, Message] = {}
         # per-name cookie caches shared by all loops
         self._cookie_ns_targets: dict[Name, Name] = {}
-        self._cookie2_addresses: dict[Name, IPv4Address] = {}
+        self._cookie2_addresses: dict[Name, int] = {}
         self._running = False
 
     # -- control ---------------------------------------------------------------
@@ -283,7 +284,7 @@ class LrsSimulator:
         return self._cookie_ns_targets.get(self.qname)
 
     @property
-    def _cookie2_address(self) -> IPv4Address | None:
+    def _cookie2_address(self) -> int | None:
         return self._cookie2_addresses.get(self.qname)
 
     def pick_qname(self) -> Name:
@@ -389,8 +390,8 @@ class _Interaction:
         self,
         qname: Name,
         qtype: int,
-        server: IPv4Address,
-        handler: Callable[[Message, IPv4Address], None],
+        server: int,
+        handler: Callable[[Message, int], None],
     ) -> None:
         self._msg_id = msg_id = self.lrs.msg_id()
         self._query = query = self.lrs.query(qname, qtype, msg_id)
@@ -398,7 +399,7 @@ class _Interaction:
         self._handler = handler
         leg = None
         if self.span:
-            leg = self.span.child("lrs.leg", qname=qname, server=server)
+            leg = self.span.child("lrs.leg", qname=qname, server=format_address(server))
         self._leg = leg
         # a bound method, not a per-leg closure: _cleanup_io closes the
         # socket and drops the handler, so no cycle through self outlives it
@@ -406,9 +407,7 @@ class _Interaction:
         self.socket.send(query, server, 53, span=leg)
         self.timer = self.node.sim.schedule(self.lrs.timeout, self._on_timeout)
 
-    def _on_response(
-        self, payload: Message | bytes, src: IPv4Address, sport: int, dst: IPv4Address
-    ) -> None:
+    def _on_response(self, payload: Message | bytes, src: int, sport: int, dst: int) -> None:
         if not isinstance(payload, Message) or payload.header.msg_id != self._msg_id:
             return
         self._cancel_timer()
@@ -437,7 +436,7 @@ class _Interaction:
 
     # -- response handlers ---------------------------------------------------------
 
-    def _on_first_response(self, response: Message, src: IPv4Address) -> None:
+    def _on_first_response(self, response: Message, src: int) -> None:
         lrs = self.lrs
         if response.answers:
             self.finish(True)
@@ -459,11 +458,11 @@ class _Interaction:
             lrs._cookie_ns_targets[self.qname] = target
         self._send(target, RRType.A, src, self._on_ns_target_a)
 
-    def _on_ns_target_a(self, response: Message, src: IPv4Address) -> None:
+    def _on_ns_target_a(self, response: Message, src: int) -> None:
         lrs = self.lrs
         for rr in response.answers:
             if rr.rtype == RRType.A:
-                address = rr.rdata.address  # type: ignore[union-attr]
+                address = rr.rdata.ip  # type: ignore[union-attr]
                 break
         else:
             self.finish(False)
@@ -475,17 +474,17 @@ class _Interaction:
             return
         self.finish(True)  # message 6: referral workload complete
 
-    def _on_final_answer(self, response: Message, src: IPv4Address) -> None:
+    def _on_final_answer(self, response: Message, src: int) -> None:
         self.finish(bool(response.answers))
 
     # -- TCP fallback ---------------------------------------------------------------
 
-    def _fall_back_to_tcp(self, query: Message, server: IPv4Address) -> None:
+    def _fall_back_to_tcp(self, query: Message, server: int) -> None:
         self._cleanup_io()
         framer = StreamFramer()
         tcp_span = None
         if self.span:
-            tcp_span = self.span.child("lrs.tcp_fallback", server=server)
+            tcp_span = self.span.child("lrs.tcp_fallback", server=format_address(server))
             self._leg = tcp_span
         def on_established(c: TcpConnection) -> None:
             c.send(frame(query))
@@ -546,13 +545,13 @@ class TcpLoadClient:
     def __init__(
         self,
         node: Node,
-        server: IPv4Address,
+        server: Address,
         *,
         concurrency: int,
         qname: Name | str = "www.foo.com",
     ):
         self.node = node
-        self.server = server
+        self.server = parse_address(server)
         self.concurrency = concurrency
         self.qname = Name.from_text(qname) if isinstance(qname, str) else qname
         self.stats = LoadStats()
@@ -626,14 +625,14 @@ class TraceReplayClient:
     def __init__(
         self,
         node: Node,
-        server: IPv4Address,
+        server: Address,
         trace: list[tuple[float, Name | str]],
         *,
         qtype: int = RRType.A,
         timeout: float = LRS_SIMULATOR_TIMEOUT,
     ):
         self.node = node
-        self.server = server
+        self.server = parse_address(server)
         self.trace = [
             (offset, Name.from_text(q) if isinstance(q, str) else q)
             for offset, q in sorted(trace)

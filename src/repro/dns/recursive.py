@@ -31,7 +31,7 @@ from ..dnswire import (
     make_query,
     make_response,
 )
-from ..netsim import Node, TcpConnection
+from ..netsim import Address, Node, TcpConnection, address_args, format_address, parse_address
 from .cache import DnsCache
 from .framing import StreamFramer, frame
 
@@ -85,7 +85,7 @@ class LocalRecursiveServer:
     def __init__(
         self,
         node: Node,
-        root_hints: list[IPv4Address],
+        root_hints: list[Address],
         *,
         timeout: float = BIND_TIMEOUT,
         retries: int = 3,
@@ -99,7 +99,7 @@ class LocalRecursiveServer:
         if not root_hints:
             raise ValueError("at least one root hint is required")
         self.node = node
-        self.root_hints = list(root_hints)
+        self.root_hints = [parse_address(ip) for ip in root_hints]
         self.timeout = timeout
         self.retries = retries
         self.use_0x20 = use_0x20
@@ -109,7 +109,7 @@ class LocalRecursiveServer:
         self.resolutions_started = 0
         self._next_msg_id = node.sim.rng.randrange(0, 0xFFFF)
         #: smoothed per-server RTT estimates (BIND-style server selection)
-        self._srtt: dict[IPv4Address, float] = {}
+        self._srtt: dict[int, float] = {}
         if serve_clients:
             self._client_socket = node.udp.bind(53, self._on_client_query)
 
@@ -149,9 +149,7 @@ class LocalRecursiveServer:
 
     # -- stub-resolver front door -------------------------------------------------
 
-    def _on_client_query(
-        self, payload: Message | bytes, src: IPv4Address, sport: int, dst: IPv4Address
-    ) -> None:
+    def _on_client_query(self, payload: Message | bytes, src: int, sport: int, dst: int) -> None:
         if not isinstance(payload, Message) or not payload.is_query() or not payload.header.rd:
             return
         query = payload
@@ -186,29 +184,29 @@ class LocalRecursiveServer:
                 return None, []
             candidate = candidate.parent()
 
-    def addresses_for(self, ns_names: list[Name]) -> list[IPv4Address]:
+    def addresses_for(self, ns_names: list[Name]) -> list[int]:
         now = self.node.sim.now
-        addresses: list[IPv4Address] = []
+        addresses: list[int] = []
         for ns_name in ns_names:
             for rr in self.cache.get(ns_name, RRType.A, now) or []:
-                addresses.append(rr.rdata.address)  # type: ignore[union-attr]
+                addresses.append(rr.rdata.ip)  # type: ignore[union-attr]
         return addresses
 
     # -- server selection (BIND-style smoothed RTT) -----------------------------
 
-    def rank_servers(self, servers: list[IPv4Address]) -> list[IPv4Address]:
+    def rank_servers(self, servers: list[int]) -> list[int]:
         """Order candidate servers fastest-first; untried servers lead so
         the resolver gathers an estimate for every address."""
         return sorted(servers, key=lambda ip: self._srtt.get(ip, -1.0))  # ordering is the BIND selection semantics
 
-    def note_rtt(self, server: IPv4Address, rtt: float) -> None:
+    def note_rtt(self, server: int, rtt: float) -> None:
         previous = self._srtt.get(server)
         if previous is None or previous <= 0:
             self._srtt[server] = rtt
         else:
             self._srtt[server] = 0.7 * previous + 0.3 * rtt
 
-    def note_timeout(self, server: IPv4Address) -> None:
+    def note_timeout(self, server: int) -> None:
         """Penalise a server that failed to answer, encouraging failover.
 
         A timed-out server's estimate jumps to at least the timeout value —
@@ -218,8 +216,8 @@ class LocalRecursiveServer:
         previous = self._srtt.get(server, 0.0)
         self._srtt[server] = max(previous * 2, self.timeout)
 
-    def server_rtt(self, server: IPv4Address) -> float | None:
-        return self._srtt.get(server)
+    def server_rtt(self, server: Address) -> float | None:
+        return self._srtt.get(parse_address(server))
 
 
 class _Resolution:
@@ -343,7 +341,7 @@ class _Resolution:
 
     # -- query transmission -----------------------------------------------------
 
-    def _send_query(self, servers: list[IPv4Address]) -> None:
+    def _send_query(self, servers: list[int]) -> None:
         self.attempts += 1
         if self.attempts > self.resolver.retries:
             self.finish("timeout")
@@ -362,15 +360,13 @@ class _Resolution:
         sent_at = node.sim.now
         leg = (
             self.span.child(
-                "recursive.query", server=server, attempt=self.attempts
+                "recursive.query", server=format_address(server), attempt=self.attempts
             )
             if self.span
             else None
         )
 
-        def on_response(
-            payload: Message | bytes, src: IPv4Address, sport: int, dst: IPv4Address
-        ) -> None:
+        def on_response(payload: Message | bytes, src: int, sport: int, dst: int) -> None:
             if not isinstance(payload, Message) or payload.header.msg_id != msg_id:
                 return
             if src != server or not payload.is_response():
@@ -393,22 +389,21 @@ class _Resolution:
         self.resolver.queries_sent += 1
         self._arm_timer(servers, server)
 
-    def _arm_timer(self, servers: list[IPv4Address], server: IPv4Address) -> None:
+    def _arm_timer(self, servers: list[int], server: int) -> None:
         self._cancel_timer()
         self._timer = self.resolver.node.sim.schedule(
             self.resolver.timeout, self._on_timeout, servers, server
         )
 
-    def _on_timeout(self, servers: list[IPv4Address], server: IPv4Address) -> None:
+    @address_args(0, 1)
+    def _on_timeout(self, servers: list[int], server: int) -> None:
         self._timer = None
         self.resolver.note_timeout(server)
         self._send_query(servers)
 
     # -- response processing -------------------------------------------------------
 
-    def _on_response(
-        self, response: Message, server: IPv4Address, servers: list[IPv4Address]
-    ) -> None:
+    def _on_response(self, response: Message, server: int, servers: list[int]) -> None:
         self._cancel_timer()
         self._close_socket()
         if response.header.tc:
@@ -489,11 +484,11 @@ class _Resolution:
 
     # -- TCP fallback ---------------------------------------------------------------
 
-    def _retry_over_tcp(self, server: IPv4Address) -> None:
+    def _retry_over_tcp(self, server: int) -> None:
         self.resolver.tcp_fallbacks += 1
         node = self.resolver.node
         fallback_span = (
-            self.span.child("recursive.tcp_fallback", server=server)
+            self.span.child("recursive.tcp_fallback", server=format_address(server))
             if self.span
             else None
         )

@@ -9,11 +9,10 @@ standard redundancy arrangement among the multiple ANSs per domain that
 from __future__ import annotations
 
 import dataclasses
-from ipaddress import IPv4Address
 from typing import Callable
 
 from ..dnswire import Message, Name, Rcode, RRType, make_query
-from ..netsim import Node, TcpConnection
+from ..netsim import Address, Node, TcpConnection, parse_address
 from .framing import StreamFramer, frame
 from .zone import Zone
 
@@ -31,9 +30,9 @@ class TransferResult:
 class SecondaryServer:
     """Transfers zones from a primary and tracks their serials."""
 
-    def __init__(self, node: Node, primary: IPv4Address, *, timeout: float = 5.0):
+    def __init__(self, node: Node, primary: Address, *, timeout: float = 5.0):
         self.node = node
-        self.primary = primary
+        self.primary = parse_address(primary)
         self.timeout = timeout
         self.zones: dict[Name, Zone] = {}
         self.serials: dict[Name, int] = {}

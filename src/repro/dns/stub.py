@@ -17,7 +17,7 @@ from ipaddress import IPv4Address
 from typing import Callable
 
 from ..dnswire import Message, Name, Rcode, ResourceRecord, RRType, make_query
-from ..netsim import Node
+from ..netsim import Address, Node, parse_address
 
 
 @dataclasses.dataclass(slots=True)
@@ -50,7 +50,7 @@ class StubResolver:
     def __init__(
         self,
         node: Node,
-        lrs_address: IPv4Address,
+        lrs_address: Address,
         *,
         timeout: float = 1.0,
         retries: int = 2,
@@ -61,7 +61,7 @@ class StubResolver:
         if timeout <= 0 or backoff < 1.0:
             raise ValueError("timeout must be positive and backoff >= 1")
         self.node = node
-        self.lrs_address = lrs_address
+        self.lrs_address = parse_address(lrs_address)
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -105,9 +105,7 @@ class StubResolver:
                 query_span.finish(status=result.status, retries=result.retries)
             callback(result)
 
-        def on_response(
-            payload: Message | bytes, src: IPv4Address, sport: int, dst: IPv4Address
-        ) -> None:
+        def on_response(payload: Message | bytes, src: int, sport: int, dst: int) -> None:
             if not isinstance(payload, Message) or payload.header.msg_id != msg_id:
                 return
             latency = self.node.sim.now - started

@@ -79,8 +79,6 @@ class Zone:
 
     def add_a(self, name: Name | str, address: IPv4Address | str, ttl: int | None = None) -> None:
         name = Name.from_text(name) if isinstance(name, str) else name
-        if not isinstance(address, IPv4Address):
-            address = IPv4Address(address)
         if ttl is None:
             ttl = self.default_ttl
         self.add(ResourceRecord(name, RRType.A, RRClass.IN, ttl, A(address)))
@@ -98,8 +96,6 @@ class Zone:
         if ttl is None:
             ttl = self.default_ttl
         self.add(ResourceRecord(child, RRType.NS, RRClass.IN, ttl, NS(ns_name)))
-        if not isinstance(ns_address, IPv4Address):
-            ns_address = IPv4Address(ns_address)
         # glue may technically live below the cut; store it so referrals carry it
         self._records.setdefault(ns_name, {}).setdefault(RRType.A, []).append(
             ResourceRecord(ns_name, RRType.A, RRClass.IN, ttl, A(ns_address))
@@ -231,7 +227,7 @@ def _rdata_to_text(rdata) -> str | None:
 # ---------------------------------------------------------------------------
 
 _PARSERS = {
-    "A": lambda fields, origin: (RRType.A, A(IPv4Address(fields[0]))),
+    "A": lambda fields, origin: (RRType.A, A(fields[0])),
     "NS": lambda fields, origin: (RRType.NS, NS(_absolute(fields[0], origin))),
     "CNAME": lambda fields, origin: (RRType.CNAME, CNAME(_absolute(fields[0], origin))),
     "MX": lambda fields, origin: (RRType.MX, MX(int(fields[0]), _absolute(fields[1], origin))),

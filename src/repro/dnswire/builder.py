@@ -82,8 +82,6 @@ def a_record(name: Name | str, address: IPv4Address | str | int, ttl: int = 3600
     """An A resource record."""
     if isinstance(name, str):
         name = Name.from_text(name)
-    if not isinstance(address, IPv4Address):
-        address = IPv4Address(address)
     return ResourceRecord(name, RRType.A, RRClass.IN, ttl, A(address))
 
 

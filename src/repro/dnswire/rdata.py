@@ -73,10 +73,15 @@ class A(Rdata):
     """IPv4 address record."""
 
     address: IPv4Address
+    #: ``address`` as the 32-bit int a simulated packet carries, read once
+    ip: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.address, IPv4Address):
-            object.__setattr__(self, "address", IPv4Address(self.address))
+        address = self.address
+        if not isinstance(address, IPv4Address):
+            object.__setattr__(self, "address", IPv4Address(address))
+        # decode hands in the int, which needs no int() of the object
+        object.__setattr__(self, "ip", address if type(address) is int else int(self.address))
 
     def encode(self, buffer: bytearray, offsets: Offsets | None) -> None:
         buffer += self.address.packed
@@ -85,7 +90,7 @@ class A(Rdata):
     def decode(cls, data: bytes, offset: int, rdlength: int) -> "A":
         if rdlength != 4:
             raise DecodeError(f"A record rdlength {rdlength} != 4")
-        return cls(IPv4Address(data[offset : offset + 4]))
+        return cls(int.from_bytes(data[offset : offset + 4], "big"))
 
 
 @register(RRType.AAAA)

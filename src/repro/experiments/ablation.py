@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 import dataclasses
-from ipaddress import IPv4Address
+from ipaddress import IPv4Address, IPv4Network
 
 from ..attack import HopCountFilter
 from ..dns import AnsSimulator, LrsSimulator
@@ -46,8 +46,7 @@ def run_hcf_ablation(
     # clients at internet-like distances (roughly normal around 12 hops)
     for i in range(clients):
         hops = max(1, min(30, round(rng.gauss(12, 4))))
-        client_ip = IPv4Address(0x0B000000 + i)
-        hcf.learn(client_ip, 64 - hops)
+        hcf.learn(0x0B000000 + i, 64 - hops)
     hcf.filtering = True
     hcf_fn = hcf.false_negative_rate(attacker_hops)
 
@@ -182,7 +181,7 @@ def _run_rfc7873_throughput(*, seed: int, warmup: float, duration: float,
     shim_node.add_route("10.0.0.10/32", l1)
     shim_node.set_default_route(l2)
     guard_node.add_route("10.0.0.10/32", l2)
-    guard_node.add_route(f"{ANS_ADDRESS}/32", l3)
+    guard_node.add_route(IPv4Network(ANS_ADDRESS), l3)
     ans_node.set_default_route(l3)
     AnsSimulator(ans_node, mode="answer")
     EdnsCookieGuard(guard_node, ANS_ADDRESS)

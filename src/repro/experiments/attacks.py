@@ -14,12 +14,12 @@ Quantifies the claims of the attack analysis section:
 from __future__ import annotations
 
 import dataclasses
-from ipaddress import IPv4Address
 
 from ..attack import ReflectionAttacker, SpoofingAttacker, VictimMeter, ZombieFlood
 from ..dns import AuthoritativeServer, Zone
 from ..dnswire import Name, ResourceRecord, RRClass, RRType, TXT, soa_record
 from ..guard import UnverifiedResponseLimiter, VerifiedRequestLimiter
+from ..netsim import parse_address
 from .testbed import ANS_ADDRESS, GuardTestbed
 
 
@@ -90,12 +90,12 @@ def run_cookie2_guessing(
 
     bed = GuardTestbed(seed=seed, ans="simulator", ans_mode="answer")
     attacker_node = bed.add_client("attacker")
-    victim = IPv4Address("10.0.0.10")
+    victim = parse_address("10.0.0.10")
     r_y = bed.guard.cookie_host_range
     base = int(bed.guard.cookie_subnet.network_address)
     sent = 0
     for i in range(packets):
-        target = IPv4Address(base + 1 + (i % r_y))
+        target = base + 1 + (i % r_y)
         packet = Packet(
             src=victim,
             dst=target,
@@ -220,10 +220,10 @@ def run_probing_attack(*, rl2_enabled: bool, seed: int = 0) -> ProbingResult:
         rl2=rl2,
     )
     attacker_node = bed.add_client("attacker")
-    victim = IPv4Address("10.0.0.200")
+    victim = parse_address("10.0.0.200")
     bed.add_client("victim", address=victim)  # the impersonated host exists
     r_y = bed.guard.cookie_host_range
-    true_y = bed.guard.cookies.ip_cookie(int(victim), r_y)
+    true_y = bed.guard.cookies.ip_cookie(victim, r_y)
     base = int(bed.guard.cookie_subnet.network_address)
 
     # the probe: the attacker's own legitimate queries through the guard.
@@ -242,7 +242,7 @@ def run_probing_attack(*, rl2_enabled: bool, seed: int = 0) -> ProbingResult:
     for y in range(r_y):
         flood = SpoofingAttacker(
             attacker_node,
-            IPv4Address(base + 1 + y),
+            base + 1 + y,
             rate=200_000.0,
             fixed_source=victim,
             qname="flood.foo.com",  # not in the guard's answer cache

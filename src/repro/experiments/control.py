@@ -132,7 +132,7 @@ def _build(scheme: str, attack: str, seed: int) -> _Env:
     else:  # tcp
         client = bed.add_client("lrs")
         workload = "plain"
-    bed.guard.watch_sources = frozenset({int(client.addresses[0])})
+    bed.guard.watch_sources = frozenset({client.address})
     lrs = LrsSimulator(
         client,
         ANS_ADDRESS,

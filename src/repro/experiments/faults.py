@@ -26,6 +26,7 @@ suite is bit-identical under ``--sanitize``.
 from __future__ import annotations
 
 import dataclasses
+from ipaddress import IPv4Network
 
 from ..dns import AnsSimulator, LrsSimulator
 from ..faults import (
@@ -162,7 +163,7 @@ def _plan_for(scenario: str, env: _Env, t0: float, window: float) -> FaultPlan:
         plan.add(t0 + 0.30 * w, LinkDown(env.bed.ans_link))
         plan.add(
             t0 + 0.35 * w,
-            RouteFailover(env.bed.guard_node, f"{ANS_ADDRESS}/32", env.ans2_link),
+            RouteFailover(env.bed.guard_node, IPv4Network(ANS_ADDRESS), env.ans2_link),
         )
     else:
         raise ValueError(f"unknown scenario {scenario!r}")

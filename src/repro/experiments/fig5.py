@@ -20,18 +20,19 @@ Expected shapes:
 from __future__ import annotations
 
 import dataclasses
-from ipaddress import IPv4Address
 
 from ..attack import SpoofingAttacker
 from ..dns import LrsSimulator
+from ..netsim import parse_address
 from . import expectations
 from .calibration import FIG5_ACTIVATION_THRESHOLD
 from .testbed import ANS_ADDRESS, GuardTestbed, measure_window
 
 DEFAULT_ATTACK_RATES = (0, 4_000, 8_000, 12_000, 14_000, 16_000)
 
-LRS1_IP = IPv4Address("10.0.1.1")
-LRS2_IP = IPv4Address("10.0.1.2")
+#: The two LRSes' addresses, as the ints the guard's policy is asked about.
+LRS1_IP = parse_address("10.0.1.1")
+LRS2_IP = parse_address("10.0.1.2")
 
 #: The UDP cookie scheme LRS1 exercises: BIND answers www.foo.com
 #: non-referentially, so the guard uses fabricated NS/IP cookies (the
@@ -41,6 +42,11 @@ LRS1_SCHEME = "fabricated"
 #: LRS2's TCP stack costs ~0.2 ms/segment, capping it near the paper's
 #: observed 0.5K req/s DNS-over-TCP client throughput.
 LRS2_TCP_SEGMENT_COST = 2.0e-4
+
+
+def lrs_policy(source: int) -> str:
+    """The guard's per-source scheme: the TCP scheme for LRS2, DNS for the rest."""
+    return "tcp" if source == LRS2_IP else "dns"
 
 
 @dataclasses.dataclass(slots=True)
@@ -59,16 +65,13 @@ def run_point(
     warmup: float = 4.0,
     duration: float = 4.0,
 ) -> Fig5Point:
-    def policy(source: IPv4Address) -> str:
-        return "tcp" if source == LRS2_IP else "dns"
-
     bed = GuardTestbed(
         seed=seed,
         ans="bind",
         answer_ttl=0,
         zone_origin="foo.com.",
         guard_enabled=protection,
-        guard_policy=policy,
+        guard_policy=lrs_policy,
         activation_threshold=FIG5_ACTIVATION_THRESHOLD if protection else None,
     )
     lrs1_node = bed.add_client("lrs1", address=LRS1_IP)

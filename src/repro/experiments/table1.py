@@ -13,10 +13,9 @@ runner *measures* each property from the implementation:
 from __future__ import annotations
 
 import dataclasses
-from ipaddress import IPv4Address
-
 from ..dnswire import Name, make_query, ZERO_COOKIE, attach_cookie, make_response
 from ..guard import KEY_LENGTH, CookieFactory, fabricated_referral
+from ..netsim import parse_address
 from . import expectations
 from .calibration import WAN_RTT
 from .table2 import measure_scheme
@@ -38,7 +37,7 @@ def _amplification_dns_based() -> int:
     # any fixed key: only wire sizes are measured, never cookie values
     factory = CookieFactory(bytes(KEY_LENGTH))
     reply = fabricated_referral(
-        query, Name.root(), factory.label_cookie(int(IPv4Address("10.0.0.1")))
+        query, Name.root(), factory.label_cookie(parse_address("10.0.0.1"))
     )
     return reply.wire_size() - query.wire_size()
 
@@ -48,7 +47,7 @@ def _amplification_modified() -> int:
     request = attach_cookie(make_query("www.foo.com", msg_id=1), ZERO_COOKIE)
     grant = make_response(request)
     factory = CookieFactory(bytes(KEY_LENGTH))
-    attach_cookie(grant, factory.cookie(int(IPv4Address("10.0.0.1"))))
+    attach_cookie(grant, factory.cookie(parse_address("10.0.0.1")))
     return grant.wire_size() - request.wire_size()
 
 

@@ -16,7 +16,7 @@ attached over the 10.9 ms WAN path instead for the Table II latency runs.
 from __future__ import annotations
 
 import itertools
-from ipaddress import IPv4Address
+from ipaddress import IPv4Network
 
 from ..dns import AnsSimulator, AuthoritativeServer, Zone
 from ..dnswire import Name, soa_record
@@ -29,7 +29,7 @@ from ..guard import (
     VerifiedRequestLimiter,
     random_key,
 )
-from ..netsim import Link, Node, Simulator
+from ..netsim import Address, Link, Node, Simulator, parse_address
 from .calibration import ANS_LINK_DELAY, LAN_LINK_DELAY, WAN_LINK_DELAY
 
 #: Rate-limiter settings that stay out of the way of single-node load
@@ -38,9 +38,9 @@ from .calibration import ANS_LINK_DELAY, LAN_LINK_DELAY, WAN_LINK_DELAY
 #: real (tight) limiters explicitly.
 OPEN_RATE = 1e9
 
-#: Well-known addresses in the testbed.
-ANS_ADDRESS = IPv4Address("203.0.113.53")
-GUARD_ADDRESS = IPv4Address("203.0.113.1")
+#: Well-known addresses in the testbed (address integers).
+ANS_ADDRESS = parse_address("203.0.113.53")
+GUARD_ADDRESS = parse_address("203.0.113.1")
 COOKIE_SUBNET = "198.18.0.0/24"
 
 
@@ -73,7 +73,7 @@ class GuardTestbed:
         self.ans_node.add_address(ANS_ADDRESS)
         self.ans_link = Link(self.sim, self.guard_node, self.ans_node, delay=ANS_LINK_DELAY)
         self.ans_node.set_default_route(self.ans_link)
-        self.guard_node.add_route(f"{ANS_ADDRESS}/32", self.ans_link)
+        self.guard_node.add_route(IPv4Network(ANS_ADDRESS), self.ans_link)
 
         # the protected server
         if ans == "simulator":
@@ -126,7 +126,7 @@ class GuardTestbed:
         self,
         name: str,
         *,
-        address: IPv4Address | str | None = None,
+        address: Address | None = None,
         wan: bool = False,
         via_local_guard: bool = False,
     ) -> Node:
@@ -139,26 +139,24 @@ class GuardTestbed:
         delay = WAN_LINK_DELAY if wan else LAN_LINK_DELAY
         node = Node(self.sim, name)
         if address is None:
-            address = IPv4Address(f"10.0.0.{next(self._client_ips)}")
-        elif isinstance(address, str):
-            address = IPv4Address(address)
-        node.add_address(address)
+            address = f"10.0.0.{next(self._client_ips)}"
+        host = IPv4Network(node.add_address(address))
 
         if via_local_guard:
             lg_node = Node(self.sim, f"{name}-localguard")
-            lg_node.add_address(IPv4Address(f"10.0.0.{next(self._client_ips)}"))
+            lg_node.add_address(f"10.0.0.{next(self._client_ips)}")
             inner = Link(self.sim, node, lg_node, delay=0.00001)
             outer = Link(self.sim, lg_node, self.guard_node, delay=delay)
             node.set_default_route(inner)
-            lg_node.add_route(f"{address}/32", inner)
+            lg_node.add_route(host, inner)
             lg_node.set_default_route(outer)
-            self.guard_node.add_route(f"{address}/32", outer)
+            self.guard_node.add_route(host, outer)
             local_guard = LocalDnsGuard(lg_node)
             node.local_guard = local_guard  # type: ignore[attr-defined]
         else:
             link = Link(self.sim, node, self.guard_node, delay=delay)
             node.set_default_route(link)
-            self.guard_node.add_route(f"{address}/32", link)
+            self.guard_node.add_route(host, link)
         return node
 
     # -- measurement helpers -----------------------------------------------------------

@@ -25,6 +25,7 @@ from ..netsim import BOUNDARY_PRIORITY, GilbertElliottLoss, Link, Node, Simulato
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import random
+    from ipaddress import IPv4Network
 
     from ..guard.pipeline import RemoteDnsGuard
 
@@ -258,7 +259,7 @@ class RouteFailover(FaultAction):
     VIP failover a resolver sees when a dead primary's address moves to
     the secondary server."""
 
-    def __init__(self, node: Node, subnet: str, link: Link):
+    def __init__(self, node: Node, subnet: IPv4Network | str, link: Link):
         self.node = node
         self.subnet = subnet
         self.link = link

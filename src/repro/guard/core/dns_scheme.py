@@ -171,7 +171,8 @@ def cookie_name_answer(
     """Message 6: answer the cookie-name A query with the given addresses.
 
     ``addresses`` may be A ResourceRecords (referral glue, keeping their own
-    TTLs) or raw IPv4 addresses (the COOKIE2 case, using ``ttl``).
+    TTLs) or bare addresses, ints or ``IPv4Address`` (the COOKIE2 case, using
+    ``ttl``).
     """
     response = make_response(query)
     qname = query.question.qname

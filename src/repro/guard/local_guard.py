@@ -15,8 +15,6 @@ cookie-capable without touching its software:
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address
-
 from ..dnswire import (
     Message,
     UNSCANNED,
@@ -90,8 +88,7 @@ __state_bounds__ = {
     },
 }
 
-#: (server._ip, client._ip): a query's lookups hash two ints, not two
-#: addresses (see ``repro/netsim/address.py``)
+#: (server, client) address integers
 _CacheKey = tuple[int, int]
 
 
@@ -155,7 +152,7 @@ class LocalDnsGuard:
         if cookie is not None:
             return Verdict.ACCEPT  # already cookie-capable upstream of us
         now = self.node.sim.now
-        key = (packet.dst._ip, packet.src._ip)
+        key = (packet.dst, packet.src)
         queue = self._held.get(key, ())
         action = outbound_action(
             uncookied_until=self._uncookied.get(key, 0.0),
@@ -197,7 +194,7 @@ class LocalDnsGuard:
             return Verdict.ACCEPT
         # a cookie grant (message 3): cache it and release held queries
         now = self.node.sim.now
-        key = (packet.src._ip, packet.dst._ip)
+        key = (packet.src, packet.dst)
         if self.cache_cookies:
             self._cookies[key] = _CachedCookie(cookie, now + self.cookie_ttl)
             self.cookies_cached += 1
@@ -220,7 +217,7 @@ class LocalDnsGuard:
     def _note_plain_response(self, packet: Packet, message: Message) -> None:
         """A cookie probe was answered *without* a grant: the server has no
         remote guard.  Remember that and release held queries unchanged."""
-        key = (packet.src._ip, packet.dst._ip)
+        key = (packet.src, packet.dst)
         queue = self._held.get(key)
         if not queue:
             return
@@ -274,8 +271,8 @@ class LocalDnsGuard:
             1.0, self._sweep, priority=BOUNDARY_PRIORITY
         )
 
-    def cached_cookie(self, server: IPv4Address, client: IPv4Address) -> bytes | None:
-        entry = self._cookies.get((server._ip, client._ip))
+    def cached_cookie(self, server: int, client: int) -> bytes | None:
+        entry = self._cookies.get((server, client))
         if entry is None or entry.expires_at <= self.node.sim.now:
             return None
         return entry.cookie

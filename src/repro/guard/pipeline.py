@@ -22,16 +22,15 @@ queries carry.  Spoof detection engages only above ``activation_threshold``
 requests/sec (None = always on), matching §IV.C's advice to enable checking
 only when the offered load exceeds the ANS's capacity.
 
-Addresses are compared and keyed as 32-bit integers: ``_transit_udp`` reads
-each packet's source and destination integer once and hands the ints to the
-core (cookies, limiters) and to the guard's own tables; a packet field or a
-per-source ``policy`` callable still sees the ``IPv4Address``.
+Addresses are 32-bit integers, as packets carry them: the core (cookies,
+limiters), the guard's own tables and a per-source ``policy`` callable all
+take the int.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from ipaddress import IPv4Address, IPv4Network
+from ipaddress import IPv4Network
 from typing import Callable
 
 from ..dnswire import (
@@ -51,6 +50,7 @@ from ..dnswire import (
     ZERO_COOKIE,
 )
 from ..netsim import (
+    Address,
     BOUNDARY_PRIORITY,
     DnsPayload,
     Node,
@@ -58,6 +58,9 @@ from ..netsim import (
     RoutingError,
     UdpDatagram,
     Verdict,
+    address_args,
+    parse_address,
+    parse_network,
 )
 from .core import CookieFactory, random_key
 from .core.admission import (
@@ -227,7 +230,7 @@ class _Pending:
 
     kind: str  # "cookie-name" | "dnat"
     cookie_qname: Name | None
-    rewrite_source: IPv4Address | None  # a packet field, so an address
+    rewrite_source: int | None
     original_qname: Name
     qtype: int
     expires_at: float
@@ -245,20 +248,20 @@ class RemoteDnsGuard:
     def __init__(
         self,
         node: Node,
-        ans_address: IPv4Address,
+        ans_address: Address,
         *,
         origin: Name | str = ".",
         cookie_factory: CookieFactory | None = None,
         costs: GuardCosts | None = None,
         cookie_subnet: IPv4Network | str | None = None,
-        policy: Policy | Callable[[IPv4Address], Policy] = "dns",
+        policy: Policy | Callable[[int], Policy] = "dns",
         activation_threshold: float | None = None,
         enabled: bool = True,
         rl1: UnverifiedResponseLimiter | None = None,
         rl2: VerifiedRequestLimiter | None = None,
     ):
         self.node = node
-        self.ans_address = ans_address
+        self.ans_address = parse_address(ans_address)
         self.origin = Name.from_text(origin) if isinstance(origin, str) else origin
         # default key material comes from the simulation's seeded RNG so a
         # run (cookie values, fabricated addresses and all) replays exactly
@@ -271,10 +274,9 @@ class RemoteDnsGuard:
         self.cookie_subnet = (
             IPv4Network(cookie_subnet) if isinstance(cookie_subnet, str) else cookie_subnet
         )
-        #: the ANS and the fabricated subnet as the ints packets are tested on
-        self._ans = int(ans_address)
+        #: the fabricated subnet as the ``(network, netmask)`` ints packets are tested on
         net = self.cookie_subnet
-        self._cookie_net = None if net is None else (int(net.network_address), int(net.netmask))
+        self._cookie_net = None if net is None else parse_network(net)
         self._policy = policy
         self.activation_threshold = activation_threshold
         self._enabled = enabled
@@ -367,7 +369,7 @@ class RemoteDnsGuard:
 
     # -- policy & activation ---------------------------------------------------------
 
-    def policy_for(self, source: IPv4Address) -> Policy:
+    def policy_for(self, source: int) -> Policy:
         if callable(self._policy):
             return self._policy(source)
         return self._policy
@@ -378,7 +380,7 @@ class RemoteDnsGuard:
     # rule W002 forbids calling these from ``repro/obs/`` code, so the
     # observe-only contract survives the control plane's existence.
 
-    def set_policy(self, policy: Policy | Callable[[IPv4Address], Policy]) -> None:
+    def set_policy(self, policy: Policy | Callable[[int], Policy]) -> None:
         """Hot-switch the challenge scheme for unverified plain queries."""
         self._policy = policy
 
@@ -450,13 +452,13 @@ class RemoteDnsGuard:
             return 0
         return max((~self._cookie_net[1] & 0xFFFFFFFF) - 1, 0)
 
-    def cookie2_address(self, source: int) -> IPv4Address | None:
+    def cookie2_address(self, source: int) -> int | None:
         """The fabricated COOKIE2 address for the address integer ``source``."""
         r_y = self.cookie_host_range
         if r_y <= 0:
             return None
         y = self.cookies.ip_cookie(source, r_y)
-        return IPv4Address(self._cookie_net[0] + 1 + y)
+        return self._cookie_net[0] + 1 + y
 
     # -- crash / restart --------------------------------------------------------------
 
@@ -524,18 +526,19 @@ class RemoteDnsGuard:
             return self._transit_udp(packet, segment)
         # TCP: terminate connections aimed at the protected ANS; anything
         # else (the ANS's own segments included) is transit
-        if packet.dst._ip == self._ans and segment.dport == 53:
+        if packet.dst == self.ans_address and segment.dport == 53:
             return Verdict.DELIVER
         return Verdict.ACCEPT
 
     def _transit_udp(self, packet: Packet, datagram: UdpDatagram) -> Verdict:
-        src = packet.src._ip
-        dst = packet.dst._ip
+        src = packet.src
+        dst = packet.dst
+        ans = self.ans_address
         # responses coming back from the ANS
-        if src == self._ans and datagram.sport == 53:
+        if src == ans and datagram.sport == 53:
             return self._handle_ans_response(packet, datagram, dst)
         # queries toward the protected server or the fabricated subnet
-        to_ans = dst == self._ans and datagram.dport == 53
+        to_ans = dst == ans and datagram.dport == 53
         net = self._cookie_net
         to_cookie_subnet = (
             net is not None and dst & net[1] == net[0] and datagram.dport == 53
@@ -680,7 +683,7 @@ class RemoteDnsGuard:
         if not active:
             self.forwarded_inactive += 1
             return Verdict.ACCEPT
-        action = self.policy_for(packet.src)
+        action = self.policy_for(src)
         if action == "forward":
             if self._obs is not None:
                 self._note("plain", "forward", packet.span)
@@ -911,7 +914,8 @@ class RemoteDnsGuard:
             # non-referral answer: fabricate COOKIE2 and cache the real answer.
             # With no fabricated subnet configured this variant cannot run;
             # answer with the ANS's own address so the requester returns
-            addresses = [self.cookie2_address(dst) or self.ans_address]
+            cookie2 = self.cookie2_address(dst)
+            addresses = [self.ans_address if cookie2 is None else cookie2]
             if message.answers:
                 self._answer_cache[(pending.original_qname, pending.qtype)] = _CachedAnswer(
                     list(message.answers), self.node.sim.now + ANSWER_CACHE_TTL
@@ -946,7 +950,7 @@ class RemoteDnsGuard:
             labels[0][width:],
             labels[1:],
             tuple(
-                (item.ttl, item.rdata.address._ip) if isinstance(item, ResourceRecord) else item._ip
+                (item.ttl, item.rdata.ip) if isinstance(item, ResourceRecord) else item
                 for item in addresses
             ),
         )
@@ -979,7 +983,8 @@ class RemoteDnsGuard:
 
     # -- plumbing ---------------------------------------------------------------------------
 
-    def _send_udp(self, message: Message, dst: IPv4Address, dport: int, src: IPv4Address) -> None:
+    @address_args(1, 3)
+    def _send_udp(self, message: Message, dst: int, dport: int, src: int) -> None:
         """Send a guard-fabricated reply, spoofing the queried address."""
         packet = Packet(src=src, dst=dst, segment=UdpDatagram(53, dport, DnsPayload(message)))
         self._safe_send(packet)

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import dataclasses
 import struct
-from ipaddress import IPv4Address
 
 from ..dnswire import Message
 from ..netsim import DnsPayload, Hook, Node, Packet, RoutingError, UdpDatagram, Verdict
+from ..netsim import Address, parse_address
 from .core.cookie import random_key
 from .core.edns_cookie import (
     CLIENT_COOKIE_LENGTH,
@@ -110,7 +110,7 @@ class EdnsCookieGuard:
     def __init__(
         self,
         node: Node,
-        ans_address: IPv4Address,
+        ans_address: Address,
         *,
         server: EdnsCookieServer | None = None,
         costs: GuardCosts | None = None,
@@ -118,8 +118,7 @@ class EdnsCookieGuard:
         no_cookie_policy: str = "drop",
     ):
         self.node = node
-        self.ans_address = ans_address
-        self._ans = int(ans_address)
+        self.ans_address = parse_address(ans_address)
         # the key is drawn from the seeded rng, like RemoteDnsGuard's: a
         # constant would let anyone who has read the source mint a valid
         # server cookie for any spoofed address
@@ -146,11 +145,10 @@ class EdnsCookieGuard:
         segment = packet.segment
         if not isinstance(segment, UdpDatagram):
             return Verdict.ACCEPT
-        # addresses as integers from here on, converted once
-        src = packet.src._ip
-        if src == self._ans:
+        src = packet.src
+        if src == self.ans_address:
             return Verdict.ACCEPT
-        if packet.dst._ip != self._ans or segment.dport != 53:
+        if packet.dst != self.ans_address or segment.dport != 53:
             return Verdict.ACCEPT
         payload = segment.payload
         if not isinstance(payload, DnsPayload) or not payload.message.is_query():
@@ -259,7 +257,7 @@ class EdnsCookieClientShim:
 
     def _outbound(self, packet: Packet, datagram: UdpDatagram, message: Message) -> Verdict:
         now = self.node.sim.now
-        server, client = key = (packet.dst._ip, packet.src._ip)
+        server, client = key = (packet.dst, packet.src)
         client_cookie = self.client_cookie(client, server)
         entry = self._server_cookies.get(key)
         server_cookie = b""
@@ -288,7 +286,7 @@ class EdnsCookieClientShim:
         if not server_cookie:
             return Verdict.ACCEPT
         now = self.node.sim.now
-        key = (packet.src._ip, packet.dst._ip)
+        key = (packet.src, packet.dst)
         if key not in self._server_cookies and len(self._server_cookies) >= SHIM_COOKIE_CAP:
             del self._server_cookies[next(iter(self._server_cookies))]
         self._server_cookies[key] = _ServerCookieEntry(server_cookie, now + self.cookie_ttl)

@@ -18,7 +18,6 @@ proves the source address — the sequence number *is* the cookie.  The proxy:
 from __future__ import annotations
 
 from functools import partial
-from ipaddress import IPv4Address
 from typing import TYPE_CHECKING
 
 from ..dnswire import Message
@@ -105,7 +104,7 @@ class TcpProxy:
         self.connections_rate_limited = 0
         self.connections_reaped = 0
         self.malformed_streams = 0
-        #: keyed on the peer's address integer, ``conn.key[2]``
+        #: keyed on the peer's address integer
         self._client_buckets: dict[int, TokenBucket] = {}
         self.node.tcp.segment_cost_fn = guard.costs.tcp_segment_cost
         self.listener = self.node.tcp.listen(53, self._on_connection, syn_cookies=True)
@@ -114,7 +113,7 @@ class TcpProxy:
 
     def _on_connection(self, conn: TcpConnection) -> None:
         now = self.node.sim.now
-        peer = conn.key[2]
+        peer = conn.remote_ip
         bucket = self._client_buckets.get(peer)
         if bucket is None:
             bucket = TokenBucket(self.new_connection_rate, self.new_connection_burst, now=now)
@@ -188,9 +187,7 @@ class TcpProxy:
                 socket.close()
             timer.cancel()
 
-        def on_response(
-            payload: Message | bytes, src: IPv4Address, sport: int, dst: IPv4Address
-        ) -> None:
+        def on_response(payload: Message | bytes, src: int, sport: int, dst: int) -> None:
             if not isinstance(payload, Message) or payload.header.msg_id != msg_id:
                 return
             finish()

@@ -1,6 +1,7 @@
 """Discrete-event network simulator: nodes, links, CPU model, UDP and TCP."""
 
-from .address import SubnetAllocator
+from .address import Address, SubnetAllocator, address_args, format_address, parse_address
+from .address import parse_network
 from .cpu import Cpu
 from .errors import (
     AddressError,
@@ -51,6 +52,7 @@ from .udp import UdpSocket, UdpStack
 __layer__ = "platform"
 
 __all__ = [
+    "Address",
     "AddressError",
     "BOUNDARY_PRIORITY",
     "ConnectionError_",
@@ -96,4 +98,8 @@ __all__ = [
     "UdpDatagram",
     "UdpSocket",
     "UdpStack",
+    "address_args",
+    "format_address",
+    "parse_address",
+    "parse_network",
 ]

@@ -1,25 +1,13 @@
-"""IPv4 address allocation helpers built on :mod:`ipaddress`.
+"""IPv4 addresses: 32-bit ints inside the simulator, ``IPv4Address`` at its edges.
 
-The testbed assigns addresses out of named subnets (the guard's protected
-subnet ``1.2.3.0/24`` matters to the fabricated-NS-IP cookie scheme, whose
-strength is the usable host range ``R_y``).
-
-Addresses are :class:`~ipaddress.IPv4Address` in every packet and
-``str()``.  Only the tables a packet is looked up in — :class:`Node`'s
-ownership set and route cache, the UDP socket table, the TCP connection,
-TIME_WAIT and listener tables, the guards' tables (the local guard's
-per-(server, client) cookies, the remote guard's pending exchanges and
-verified sources, the RFC 7873 shim's, the TCP proxy's) — and the whole of
-``repro.guard.core`` (cookies hash the integer's 4 big-endian bytes, the
-rate limiters and top-requester tracker key on it) use the address's 32-bit
-integer: the stdlib hashes an address in Python (``hash(hex(int(self._ip)))``)
-and an int in C.  They read it from the stdlib's ``_ip`` slot — ``int(addr)``
-is a Python frame that gives most of the gain back — once per packet at each
-adapter's entry point, as does a route-cache miss, which tests
-``dst._ip & netmask._ip == network_address._ip`` (``IPv4Network``'s own
-``__contains__`` without its frame).  The slot is read on 21 lines of code in 7
-files (14 in 5 before ``guard.core`` took ints);
-``tests/property/test_routing_tables.py`` pins ``_ip == int(addr)``.
+As in the paper's iptables module, an address a packet carries, a table
+keys on or a guard hashes is a plain ``int``.  ``IPv4Address`` is met at three
+edges only: configuration (``add_address("10.0.0.1")``, constructor
+arguments, the public send/connect/bind calls), parsed once by
+:func:`parse_address`; A-record rdata in :mod:`repro.dnswire`; and every
+printed or traced form, dotted by :func:`format_address` (the event trace
+through :func:`address_args`).  ``tests/property/test_routing_tables.py``
+and ``tests/integration/test_address_representation.py`` hold it.
 """
 
 from __future__ import annotations
@@ -29,10 +17,39 @@ from ipaddress import IPv4Address, IPv4Network
 from .errors import AddressError
 
 
-def bind_key(ip: IPv4Address | None, port: int) -> tuple[int | None, int]:
-    """Where a UDP socket or TCP listener table files ``ip:port``
-    (``None``: any address)."""
-    return (None if ip is None else ip._ip, port)
+#: any spelling configuration may use for one address
+Address = IPv4Address | str | int
+
+
+def parse_address(address: Address) -> int:
+    """The 32-bit integer of ``address``, given as dotted text, an
+    ``IPv4Address`` or an int (range-checked either way)."""
+    return int(IPv4Address(address))
+
+
+def format_address(address: int) -> str:
+    """Dotted-quad text of the address integer ``address``, as
+    ``str(IPv4Address(address))`` spells it."""
+    return ".".join(map(str, address.to_bytes(4, "big")))
+
+
+def parse_network(subnet: IPv4Network | str) -> tuple[int, int]:
+    """``(network, netmask)`` of ``subnet`` as ints: ``address`` is inside
+    iff ``address & netmask == network``."""
+    network = IPv4Network(subnet)
+    return int(network.network_address), int(network.netmask)
+
+
+def address_args(*positions: int):
+    """Mark an event callback whose positional arguments at ``positions``
+    are addresses (or lists of them): the determinism trace describes them
+    in dotted text, not as the bare ints a port or a count also is."""
+
+    def mark(callback):
+        callback.address_args = positions
+        return callback
+
+    return mark
 
 
 class SubnetAllocator:

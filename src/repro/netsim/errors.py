@@ -18,7 +18,10 @@ class RoutingError(NetsimError):
 
     def __str__(self) -> str:
         if len(self.args) == 2:
-            return "{}: no route to {}".format(*self.args)
+            from .address import format_address
+
+            name, dst = self.args
+            return f"{name}: no route to {format_address(dst)}"
         return super().__str__()
 
 

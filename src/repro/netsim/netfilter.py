@@ -19,6 +19,7 @@ import enum
 from ipaddress import IPv4Network
 from typing import Callable
 
+from .address import parse_network
 from .packet import Packet
 
 
@@ -96,8 +97,8 @@ def evaluate(rules: list[Target], packet: Packet) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def src_in(subnet: IPv4Network | str) -> Match:
-    network = IPv4Network(subnet) if isinstance(subnet, str) else subnet
-    return lambda packet: packet.src in network
+    network, netmask = parse_network(subnet)
+    return lambda packet: packet.src & netmask == network
 
 
 def src_not_in(subnet: IPv4Network | str) -> Match:

@@ -11,8 +11,9 @@ what flows through the node, a meter is a ``LOCAL_IN`` rule.
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address, IPv4Network
+from ipaddress import IPv4Network
 
+from .address import Address, parse_address
 from .cpu import Cpu
 from .errors import RoutingError
 from .link import Link
@@ -20,7 +21,7 @@ from .netfilter import PacketFilter, Verdict, evaluate
 from .packet import Packet, TcpSegment, UdpDatagram
 from .simulator import Simulator
 
-#: "not in the route cache" — ``None`` is a cached answer (no route).
+#: "look the destination up" — ``None`` is a decided answer (no route).
 _MISS = object()
 
 
@@ -31,13 +32,19 @@ class Node:
         self.sim = sim
         self.name = name
         self.cpu = Cpu(sim)
-        self.addresses: list[IPv4Address] = []
-        #: ``addresses`` as integers — the O(1) per-packet ownership test (address.py)
+        #: address integers (``repro.netsim.address``), primary first
+        self.addresses: list[int] = []
+        #: ``addresses`` as a set — the O(1) per-packet ownership test
         self._address_set: set[int] = set()
         self.links: list[Link] = []
         #: longest prefix first; a tuple, so the table changes only through
-        #: the methods below, each of which re-derives the memo
+        #: the methods below, each of which recompiles ``_prefixes``
         self.routes: tuple[tuple[IPv4Network, Link], ...] = ()
+        #: ``routes`` compiled, no memo: the /32 routes as one dict probed by
+        #: the address itself (a hub holds one per host), then
+        #: ``(netmask, {network: link})`` per shorter prefix length, longest first
+        self._hosts: dict[int, Link] = {}
+        self._prefixes: tuple[tuple[int, dict[int, Link]], ...] = ()
         self.default_route: Link | None = None
         #: where a destination no prefix route matches goes: the default
         #: route, else a single-homed host's only link
@@ -45,9 +52,6 @@ class Node:
         #: ``_fallback`` while there are no prefix routes (every destination
         #: goes one way, decided once per table change), else ``_MISS``
         self._route: Link | None | object = None
-        #: per-destination route memo of a node with prefix routes, cleared on any
-        #: table change and bounded so spoofed-destination floods cannot grow it
-        self._route_cache: dict[int, Link | None] = {}
         #: CPU-seconds charged per packet forwarded in transit (the guards
         #: set it on the node they are deployed on).
         self.forward_cost = 0.0
@@ -67,15 +71,14 @@ class Node:
 
     # -- configuration -------------------------------------------------------
 
-    def add_address(self, address: IPv4Address | str) -> IPv4Address:
-        if isinstance(address, str):
-            address = IPv4Address(address)
+    def add_address(self, address: Address) -> int:
+        address = parse_address(address)
         self.addresses.append(address)
-        self._address_set.add(int(address))
+        self._address_set.add(address)
         return address
 
     @property
-    def address(self) -> IPv4Address:
+    def address(self) -> int:
         """The node's primary address."""
         if not self.addresses:
             raise RoutingError(f"{self.name} has no address")
@@ -88,8 +91,7 @@ class Node:
     def add_route(self, subnet: IPv4Network | str, link: Link) -> None:
         if isinstance(subnet, str):
             subnet = IPv4Network(subnet)
-        # a config-time sort, not the per-packet path (the per-packet
-        # lookup memoizes through _route_cache)
+        # a config-time sort, not the per-packet path
         self.routes = tuple(
             sorted((*self.routes, (subnet, link)), key=lambda item: item[0].prefixlen, reverse=True)
         )
@@ -112,8 +114,13 @@ class Node:
         self._table_changed()
 
     def _table_changed(self) -> None:
-        """Forget the memo and re-derive the fallback and the one route."""
-        self._route_cache.clear()
+        """Recompile the prefixes and re-derive the fallback and the one route."""
+        tables: dict[int, dict[int, Link]] = {}
+        for subnet, link in self.routes:  # longest first; the first of a subnet wins
+            table = tables.setdefault(int(subnet.netmask), {})
+            table.setdefault(int(subnet.network_address), link)
+        self._hosts = tables.pop(0xFFFFFFFF, {})
+        self._prefixes = tuple(tables.items())
         fallback = self.default_route
         # single-homed hosts route everything over their only link
         if fallback is None and len(self.links) == 1:
@@ -129,7 +136,7 @@ class Node:
         if filters.prerouting and evaluate(filters.prerouting, packet) is not Verdict.ACCEPT:
             self.packets_dropped += 1
             return
-        if packet.dst._ip in self._address_set:
+        if packet.dst in self._address_set:
             if filters.local_in and evaluate(filters.local_in, packet) is not Verdict.ACCEPT:
                 self.packets_dropped += 1
                 return
@@ -160,8 +167,16 @@ class Node:
     def forward(self, packet: Packet) -> None:
         """Route a transit packet toward its destination."""
         link = self._route
-        if link is _MISS:  # route_for's memo read inline: a hit enters no frame
-            link = self._route_cache.get(packet.dst._ip) or self.route_for(packet.dst)
+        if link is _MISS:  # route_for inline: a transit hop enters no lookup frame
+            dst = packet.dst
+            link = self._hosts.get(dst)
+            if link is None:
+                for netmask, table in self._prefixes:
+                    link = table.get(dst & netmask)
+                    if link is not None:
+                        break
+                else:
+                    link = self._fallback
         if link is None:
             self.packets_dropped += 1
             return
@@ -178,27 +193,17 @@ class Node:
         self.packets_forwarded += 1
         link.transmit(packet, self)
 
-    def route_for(self, dst: IPv4Address) -> Link | None:
+    def route_for(self, dst: int) -> Link | None:
+        """The link toward the address integer ``dst`` (None: no route)."""
         link = self._route
         if link is not _MISS:
             return link
-        cache = self._route_cache
-        key = dst._ip
-        link = cache.get(key, _MISS)
-        if link is _MISS:
-            link = self._route_for_uncached(dst)
-            if len(cache) > 4096:
-                cache.clear()
-            cache[key] = link
-        return link
-
-    def _route_for_uncached(self, dst: IPv4Address) -> Link | None:
-        # ``dst in subnet`` as integers (the stdlib's own test, without its
-        # frame): a router forwarding a flood's replies to spoofed sources
-        # misses the memo often
-        ip = dst._ip
-        for subnet, link in self.routes:  # cache-miss slow path; per-packet lookups are memoized in _route_cache
-            if ip & subnet.netmask._ip == subnet.network_address._ip:
+        link = self._hosts.get(dst)
+        if link is not None:
+            return link
+        for netmask, table in self._prefixes:
+            link = table.get(dst & netmask)
+            if link is not None:
                 return link
         return self._fallback
 
@@ -209,8 +214,16 @@ class Node:
             self.packets_dropped += 1
             return False
         link = self._route
-        if link is _MISS:
-            link = self._route_cache.get(packet.dst._ip) or self.route_for(packet.dst)
+        if link is _MISS:  # route_for inline, as in forward
+            dst = packet.dst
+            link = self._hosts.get(dst)
+            if link is None:
+                for netmask, table in self._prefixes:
+                    link = table.get(dst & netmask)
+                    if link is not None:
+                        break
+                else:
+                    link = self._fallback
         if link is None:
             raise RoutingError(self.name, packet.dst)
         return link.transmit(packet, self)

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from ipaddress import IPv4Address
 from typing import Union
 
 from ..dnswire import Message
+from .address import format_address
 
 IP_HEADER_BYTES = 20
 UDP_HEADER_BYTES = 8
@@ -113,13 +113,14 @@ Segment = Union[UdpDatagram, TcpSegment]
 @dataclasses.dataclass(slots=True)
 class Packet:
     """An IPv4 packet.  ``src`` is whatever the sender claims — spoofable.
+    Both addresses are 32-bit ints (``repro.netsim.address``).
 
     ``ttl`` starts at the sender's initial value and is decremented at each
     router hop; defence baselines like hop-count filtering read it.
     """
 
-    src: IPv4Address
-    dst: IPv4Address
+    src: int
+    dst: int
     segment: Segment
     ttl: int = 64
     #: Observability span that originated this packet (see repro.obs).
@@ -154,14 +155,15 @@ class Packet:
         return "udp" if isinstance(self.segment, UdpDatagram) else "tcp"
 
     def __repr__(self) -> str:
-        return f"Packet({self.src}->{self.dst} {self.protocol} {self.size}B)"
+        src, dst = format_address(self.src), format_address(self.dst)
+        return f"Packet({src}->{dst} {self.protocol} {self.size}B)"
 
     def with_message(
         self,
         message: Message,
         *,
-        src: IPv4Address | None = None,
-        dst: IPv4Address | None = None,
+        src: int | None = None,
+        dst: int | None = None,
         sport: int | None = None,
         dport: int | None = None,
     ) -> "Packet":
@@ -200,4 +202,5 @@ class Packet:
                 f"tcp:{seg.sport}>{seg.dport}:s{seg.seq}:a{seg.ack}"
                 f":f{int(seg.flags)}:{len(seg.data)}"
             )
-        return f"pkt[{self.src}>{self.dst}:ttl{self.ttl}:{seg_text}]"
+        src, dst = format_address(self.src), format_address(self.dst)
+        return f"pkt[{src}>{dst}:ttl{self.ttl}:{seg_text}]"

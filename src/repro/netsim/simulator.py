@@ -44,6 +44,8 @@ import sys
 from math import inf, isfinite
 from typing import Any, Callable
 
+from .address import format_address
+
 #: Events per rolling-hash checkpoint in :class:`EventTrace`.  Checkpoints
 #: let the sanitizer localise a divergence to a ~256-event window without
 #: storing per-event state on the (cheap) first pass.
@@ -94,6 +96,13 @@ def _describe_value(value: Any) -> str:
     if isinstance(name, str):
         return f"{cls.__qualname__}<{name}>"
     return cls.__qualname__
+
+
+def _describe_address(value: Any) -> str:
+    """An argument marked by ``address_args``: an address int, or a list of them, dotted."""
+    if isinstance(value, list):
+        return "[" + ",".join(map(_describe_address, value)) + "]"
+    return format_address(value) if type(value) is int else _describe_value(value)
 
 
 def _describe_callback(callback: Callable[..., Any]) -> str:
@@ -154,7 +163,11 @@ class EventTrace:
         self, time: float, sequence: int, callback: Callable[..., Any], args: tuple
     ) -> None:
         """Fold one executed event into the trace."""
-        arg_text = ",".join(_describe_value(a) for a in args)
+        marked = getattr(callback, "address_args", ())
+        arg_text = ",".join(
+            _describe_address(a) if i in marked else _describe_value(a)
+            for i, a in enumerate(args)
+        )
         description = f"t={time!r} #{sequence} {_describe_callback(callback)}({arg_text})"
         self._hash.update(description.encode("utf-8", "backslashreplace"))
         self._hash.update(b"\x00")

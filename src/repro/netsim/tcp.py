@@ -22,10 +22,9 @@ import enum
 import hashlib
 import struct
 from collections import OrderedDict
-from ipaddress import IPv4Address
 from typing import TYPE_CHECKING, Callable
 
-from .address import bind_key
+from .address import Address, format_address, parse_address
 from .errors import ConnectionError_, RoutingError, SocketError
 from .packet import Packet, TcpFlags, TcpSegment
 
@@ -54,11 +53,8 @@ SEND_WINDOW_SEGMENTS = 32
 TIME_WAIT_LINGER = 1.0
 
 #: A connection's 4-tuple as the tables key it: ``(local, lport, remote,
-#: rport)`` with each address as its 32-bit integer, read from the stdlib's
-#: ``_ip`` slot.  The stdlib hashes an ``IPv4Address`` in Python and an int
-#: in C, and every segment looks its connection up; the SYN cookie packs the
-#: same integers.  Addresses stay ``IPv4Address`` everywhere else
-#: (``local_ip``/``remote_ip``).  ``tests/property/test_routing_tables.py`` pins the slot.
+#: rport)``, each address its 32-bit integer (as a packet carries it); the
+#: SYN cookie packs the same integers.
 ConnKey = tuple[int, int, int, int]
 
 #: The flag bits as plain ints — what the segment path tests and emits
@@ -139,7 +135,7 @@ class Listener:
     def __init__(
         self,
         stack: "TcpStack",
-        ip: IPv4Address | None,
+        ip: int | None,
         port: int,
         on_connection: Callable[["TcpConnection"], None],
         *,
@@ -154,7 +150,7 @@ class Listener:
         self.cookies_rejected = 0
 
     def close(self) -> None:
-        self.stack._listeners.pop(bind_key(self.ip, self.port), None)
+        self.stack._listeners.pop((self.ip, self.port), None)
 
 
 class TcpConnection:
@@ -198,9 +194,9 @@ class TcpConnection:
     def __init__(
         self,
         stack: "TcpStack",
-        local_ip: IPv4Address,
+        local_ip: int,
         local_port: int,
-        remote_ip: IPv4Address,
+        remote_ip: int,
         remote_port: int,
     ):
         self.stack = stack
@@ -209,7 +205,7 @@ class TcpConnection:
         self.remote_ip = remote_ip
         self.remote_port = remote_port
         #: where the stack's tables file this connection
-        self.key: ConnKey = (local_ip._ip, local_port, remote_ip._ip, remote_port)
+        self.key: ConnKey = (local_ip, local_port, remote_ip, remote_port)
         self.state = TcpState.CLOSED
         self.iss = 0
         self.snd_una = 0
@@ -485,8 +481,8 @@ class TcpConnection:
 
     def __repr__(self) -> str:
         return (
-            f"TcpConnection({self.local_ip}:{self.local_port} <-> "
-            f"{self.remote_ip}:{self.remote_port} {self.state.value})"
+            f"TcpConnection({format_address(self.local_ip)}:{self.local_port} <-> "
+            f"{format_address(self.remote_ip)}:{self.remote_port} {self.state.value})"
         )
 
 
@@ -522,30 +518,35 @@ class TcpStack:
         port: int,
         on_connection: Callable[[TcpConnection], None],
         *,
-        ip: IPv4Address | None = None,
+        ip: Address | None = None,
         syn_cookies: bool = False,
     ) -> Listener:
-        key = bind_key(ip, port)
+        key = (None if ip is None else parse_address(ip), port)
         if key in self._listeners:
             raise SocketError(f"{self.node.name}: TCP port {port} already listening")
-        listener = Listener(self, ip, port, on_connection, syn_cookies=syn_cookies)
+        listener = Listener(self, key[0], port, on_connection, syn_cookies=syn_cookies)
         self._listeners[key] = listener
         return listener
 
     def connect(
         self,
-        dst: IPv4Address,
+        dst: Address,
         dport: int,
         *,
-        src: IPv4Address | None = None,
+        src: Address | None = None,
         on_established: Callable[[TcpConnection], None] | None = None,
         on_data: Callable[[TcpConnection, bytes], None] | None = None,
         on_close: Callable[[TcpConnection, bool], None] | None = None,
         max_retransmits: int | None = None,
     ) -> TcpConnection:
-        local_ip = src or self.node.address
-        local_port = self._ephemeral_port(local_ip, dst, dport)
-        conn = TcpConnection(self, local_ip, local_port, dst, dport)
+        if src is None:
+            src = self.node.address
+        elif type(src) is not int:
+            src = parse_address(src)
+        if type(dst) is not int:
+            dst = parse_address(dst)
+        local_port = self._ephemeral_port(src, dst, dport)
+        conn = TcpConnection(self, src, local_port, dst, dport)
         conn.on_established = on_established
         conn.on_data = on_data
         conn.on_close = on_close
@@ -584,7 +585,7 @@ class TcpStack:
 
     def _process(self, packet: Packet, segment: TcpSegment) -> None:
         self.segments_received += 1
-        key = (packet.dst._ip, segment.dport, packet.src._ip, segment.sport)
+        key = (packet.dst, segment.dport, packet.src, segment.sport)
         conn = self.connections.get(key)
         if conn is not None:
             conn.handle(segment)
@@ -639,10 +640,10 @@ class TcpStack:
 
     # -- internals ---------------------------------------------------------------
 
-    def _listener_for(self, ip: IPv4Address, port: int) -> Listener | None:
-        return self._listeners.get((ip._ip, port)) or self._listeners.get((None, port))
+    def _listener_for(self, ip: int, port: int) -> Listener | None:
+        return self._listeners.get((ip, port)) or self._listeners.get((None, port))
 
-    def _transmit(self, src: IPv4Address, dst: IPv4Address, segment: TcpSegment) -> None:
+    def _transmit(self, src: int, dst: int, segment: TcpSegment) -> None:
         cost_fn = self.segment_cost_fn
         cost = cost_fn(len(self.connections)) if cost_fn else 0.0
         packet = Packet(src, dst, segment)
@@ -663,21 +664,22 @@ class TcpStack:
         self._isn_counter = (self._isn_counter + 64000) & 0xFFFFFFFF
         return self._isn_counter
 
-    def _ephemeral_port(self, local_ip: IPv4Address, dst: IPv4Address, dport: int) -> int:
+    def _ephemeral_port(self, local_ip: int, dst: int, dport: int) -> int:
         """The next ephemeral port, in rotation, whose 4-tuple to
         ``dst:dport`` has no live connection (``_admit`` would replace it)."""
-        local, remote = local_ip._ip, dst._ip
         for _ in range(EPHEMERAL_BASE, 65536):
             port = self._next_ephemeral
             self._next_ephemeral = port + 1 if port < 65535 else EPHEMERAL_BASE
-            if (local, port, remote, dport) not in self.connections:
+            if (local_ip, port, dst, dport) not in self.connections:
                 return port
-        raise SocketError(f"{self.node.name}: every ephemeral TCP port to {dst}:{dport} is in use")
+        raise SocketError(
+            f"{self.node.name}: every ephemeral TCP port to {format_address(dst)}:{dport} is in use"
+        )
 
-    def _syn_cookie(self, lip: IPv4Address, lport: int, rip: IPv4Address, rport: int) -> int:
+    def _syn_cookie(self, lip: int, lport: int, rip: int, rport: int) -> int:
         """Stateless ISN: keyed hash of the 4-tuple (Bernstein's SYN cookie),
-        the addresses packed from their integers: the bytes of ``.packed``."""
-        material = self._cookie_secret + struct.pack("!IIHH", lip._ip, rip._ip, lport, rport)
+        the addresses packed big-endian, as on the wire."""
+        material = self._cookie_secret + struct.pack("!IIHH", lip, rip, lport, rport)
         digest = hashlib.md5(material).digest()
         return struct.unpack("!I", digest[:4])[0]
 

@@ -14,9 +14,9 @@ the guard, a cache miss 6, the fabricated variant 8.
 from __future__ import annotations
 
 import dataclasses
-from ipaddress import IPv4Address
 from typing import Callable, Iterable
 
+from .address import Address, format_address, parse_address
 from .link import Link
 from .node import Node
 from .packet import Packet, TcpSegment, UdpDatagram
@@ -24,11 +24,11 @@ from .packet import Packet, TcpSegment, UdpDatagram
 
 @dataclasses.dataclass(slots=True)
 class TraceRecord:
-    """One captured packet."""
+    """One captured packet (addresses as ints, printed dotted)."""
 
     time: float
-    src: IPv4Address
-    dst: IPv4Address
+    src: int
+    dst: int
     protocol: str
     size: int
     sport: int
@@ -37,8 +37,8 @@ class TraceRecord:
 
     def __str__(self) -> str:
         return (
-            f"{self.time * 1000:9.3f}ms {self.src}:{self.sport} > "
-            f"{self.dst}:{self.dport} {self.protocol} {self.size}B {self.info}"
+            f"{self.time * 1000:9.3f}ms {format_address(self.src)}:{self.sport} > "
+            f"{format_address(self.dst)}:{self.dport} {self.protocol} {self.size}B {self.info}"
         )
 
 
@@ -89,8 +89,8 @@ class PacketTracer:
         nodes: Node | Iterable[Node],
         *,
         filter_fn: Callable[[Packet], bool] | None = None,
-        src: IPv4Address | str | None = None,
-        dst: IPv4Address | str | None = None,
+        src: Address | None = None,
+        dst: Address | None = None,
         protocol: str | None = None,
         max_records: int | None = None,
     ):
@@ -108,8 +108,9 @@ class PacketTracer:
         #: First tapped node — kept for single-node back-compat.
         self.node = node_list[0]
         self.filter_fn = filter_fn
-        self.src = IPv4Address(src) if isinstance(src, str) else src
-        self.dst = IPv4Address(dst) if isinstance(dst, str) else dst
+        #: the address filters as the integers packets carry
+        self.src = None if src is None else parse_address(src)
+        self.dst = None if dst is None else parse_address(dst)
         self.protocol_filter = protocol
         self.max_records = max_records
         self.records: list[TraceRecord] = []
@@ -181,8 +182,9 @@ class PacketTracer:
             return list(self.records)
         return [r for r in self.records if r.protocol == protocol]
 
-    def between(self, a: IPv4Address, b: IPv4Address) -> list[TraceRecord]:
+    def between(self, a: Address, b: Address) -> list[TraceRecord]:
         """Packets exchanged between two addresses, either direction."""
+        a, b = parse_address(a), parse_address(b)
         return [
             r
             for r in self.records

@@ -11,7 +11,7 @@ from ipaddress import IPv4Address
 from typing import TYPE_CHECKING, Callable
 
 from ..dnswire import Message
-from .address import bind_key
+from .address import address_args, format_address, parse_address
 from .errors import SocketError
 from .packet import DnsPayload, Packet, RawPayload, UdpDatagram
 
@@ -21,8 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: First ephemeral port handed out by :meth:`UdpStack.ephemeral_port`.
 EPHEMERAL_BASE = 49152
 
-#: Handler signature: (payload, src_ip, src_port, dst_ip).
-UdpHandler = Callable[[Message | bytes, IPv4Address, int, IPv4Address], None]
+#: Handler signature: (payload, src_ip, src_port, dst_ip), addresses as ints.
+UdpHandler = Callable[[Message | bytes, int, int, int], None]
 
 
 class UdpSocket:
@@ -32,20 +32,21 @@ class UdpSocket:
     # hot path; __slots__ keeps them __dict__-free
     __slots__ = ("stack", "ip", "port", "handler", "closed")
 
-    def __init__(self, stack: "UdpStack", ip: IPv4Address | None, port: int, handler: UdpHandler):
+    def __init__(self, stack: "UdpStack", ip: int | None, port: int, handler: UdpHandler):
         self.stack = stack
         self.ip = ip
         self.port = port
         self.handler = handler
         self.closed = False
 
+    @address_args(1)
     def send(
         self,
         payload: Message | bytes,
-        dst: IPv4Address,
+        dst: Address,
         dport: int,
         *,
-        src: IPv4Address | None = None,
+        src: Address | None = None,
         size: int | None = None,
         span=None,
     ) -> bool:
@@ -57,8 +58,8 @@ class UdpSocket:
         if self.closed:
             raise SocketError("send on closed socket")
         return self.stack.send(
-            payload, dst, dport, sport=self.port, src=src or self.ip, size=size,
-            span=span,
+            payload, dst, dport, sport=self.port, src=self.ip if src is None else src,
+            size=size, span=span,
         )
 
     def close(self) -> None:
@@ -72,7 +73,8 @@ class UdpSocket:
         self.handler = None
 
     def __repr__(self) -> str:
-        return f"UdpSocket({self.ip or '*'}:{self.port})"
+        ip = "*" if self.ip is None else format_address(self.ip)
+        return f"UdpSocket({ip}:{self.port})"
 
 
 class UdpStack:
@@ -80,8 +82,7 @@ class UdpStack:
 
     def __init__(self, node: "Node"):
         self.node = node
-        #: keyed on ``bind_key(ip, port)``: demux hashes two ints, not an
-        #: address (see ``address.py``)
+        #: keyed on ``(ip, port)`` ints, ``ip`` None for a wildcard
         self._sockets: dict[tuple[int | None, int], UdpSocket] = {}
         self._next_ephemeral = EPHEMERAL_BASE
         self.datagrams_received = 0
@@ -89,12 +90,12 @@ class UdpStack:
 
     # -- binding -------------------------------------------------------------
 
-    def bind(self, port: int, handler: UdpHandler, *, ip: IPv4Address | None = None) -> UdpSocket:
+    def bind(self, port: int, handler: UdpHandler, *, ip: Address | None = None) -> UdpSocket:
         """Bind ``port`` (optionally to one address; ``None`` = wildcard)."""
-        key = bind_key(ip, port)
+        key = (None if ip is None else parse_address(ip), port)
         if key in self._sockets:
             raise SocketError(f"{self.node.name}: UDP port {port} already bound")
-        sock = UdpSocket(self, ip, port, handler)
+        sock = UdpSocket(self, key[0], port, handler)
         self._sockets[key] = sock
         return sock
 
@@ -116,7 +117,7 @@ class UdpStack:
 
     def _unbind(self, sock: UdpSocket) -> None:
         # only its own entry: the port may have been bound again since
-        key = bind_key(sock.ip, sock.port)
+        key = (sock.ip, sock.port)
         if self._sockets.get(key) is sock:
             del self._sockets[key]
 
@@ -125,11 +126,11 @@ class UdpStack:
     def send(
         self,
         payload: Message | bytes,
-        dst: IPv4Address,
+        dst: Address,
         dport: int,
         *,
         sport: int,
-        src: IPv4Address | None = None,
+        src: Address | None = None,
         size: int | None = None,
         span=None,
     ) -> bool:
@@ -137,6 +138,7 @@ class UdpStack:
 
         ``size`` overrides the computed payload size (useful when modelling
         padded or malformed attack traffic without building real bytes).
+        An int address (what the simulator passes) is taken as is.
         """
         if isinstance(payload, Message):
             body: DnsPayload | RawPayload = DnsPayload(payload, size)
@@ -146,15 +148,21 @@ class UdpStack:
             raise SocketError(f"unsupported UDP payload type {type(payload)!r}")
         # NULL_SPAN (falsy) is normalised away so receivers take their
         # span-free fast path once the span log is at capacity
+        if src is None:
+            src = self.node.address
+        elif type(src) is not int:
+            src = parse_address(src)
+        if type(dst) is not int:
+            dst = parse_address(dst)
         segment = UdpDatagram(sport, dport, body)
-        return self.node.send(Packet(src or self.node.address, dst, segment, span=span or None))
+        return self.node.send(Packet(src, dst, segment, span=span or None))
 
     def demux(self, packet: Packet, datagram: UdpDatagram) -> None:
         """Deliver an arriving datagram to the best-matching socket."""
         self.datagrams_received += 1
         sockets = self._sockets
         dport = datagram.dport
-        sock = sockets.get((packet.dst._ip, dport)) or sockets.get((None, dport))
+        sock = sockets.get((packet.dst, dport)) or sockets.get((None, dport))
         if sock is None or sock.closed:
             self.datagrams_unmatched += 1
             return

@@ -14,7 +14,7 @@ from repro.attack import (
     random_source,
 )
 from repro.dnswire import extract_cookie
-from repro.netsim import Link, Node, Simulator, UdpDatagram
+from repro.netsim import Link, Node, Simulator, UdpDatagram, parse_address
 
 TARGET = IPv4Address("203.0.113.53")
 
@@ -55,7 +55,7 @@ class TestSpoofingAttacker:
 
     def test_fixed_source_pins_every_packet(self):
         sim, attacker_node, sink = attacker_and_sink()
-        victim = IPv4Address("198.51.100.99")
+        victim = parse_address("198.51.100.99")
         sources = set()
         sink.udp.bind(53, lambda p, s, sp, d: sources.add(s))
         attack = SpoofingAttacker(attacker_node, TARGET, rate=5_000, fixed_source=victim)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.dns.recursive import _randomize_case
 from repro.dnswire import Name, RRType
-from repro.netsim import DnsPayload, Packet, UdpDatagram
+from repro.netsim import DnsPayload, Packet, UdpDatagram, parse_address
 from tests.dns.conftest import FOO_IP, Hierarchy
 
 
@@ -77,8 +77,8 @@ class TestResolverWith0x20:
                 forged.answers.append(a_record(lower, "6.6.6.6", ttl=3600))
                 attacker.send(
                     Packet(
-                        src=FOO_IP,
-                        dst=IPv4Address("10.0.0.53"),
+                        src=parse_address(FOO_IP),
+                        dst=parse_address("10.0.0.53"),
                         segment=UdpDatagram(53, port, DnsPayload(forged)),
                     )
                 )

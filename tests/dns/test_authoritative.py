@@ -15,7 +15,7 @@ from repro.dnswire import (
     make_query,
     soa_record,
 )
-from repro.netsim import Link, Node, Simulator
+from repro.netsim import Link, Node, Simulator, parse_address
 
 
 def standalone_server(**kwargs):
@@ -129,7 +129,7 @@ class TestUdpService:
         sock = client.udp.bind_ephemeral(lambda p, src, sp, d: sources.append(src))
         sock.send(make_query("www.foo.com", msg_id=9), IPv4Address("203.0.113.54"), 53)
         sim.run(until=sim.now + 1.0)
-        assert sources == [IPv4Address("203.0.113.54")]
+        assert sources == [parse_address("203.0.113.54")]
 
 
 class TestTcpService:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.dns import AuthoritativeServer, LocalRecursiveServer, Zone
 from repro.dnswire import RRType, soa_record
-from repro.netsim import Link, Node, Simulator
+from repro.netsim import Link, Node, Simulator, parse_address
 
 NEAR_IP = IPv4Address("192.0.2.1")
 FAR_IP = IPv4Address("192.0.2.2")
@@ -90,6 +90,7 @@ class TestServerSelection:
 
     def test_srtt_smoothing(self):
         sim, lrs, near, far = dual_server_setup()
-        lrs.note_rtt(NEAR_IP, 0.010)
-        lrs.note_rtt(NEAR_IP, 0.020)
+        near_ip = parse_address(NEAR_IP)  # the resolver notes what packets carry
+        lrs.note_rtt(near_ip, 0.010)
+        lrs.note_rtt(near_ip, 0.020)
         assert lrs.server_rtt(NEAR_IP) == pytest.approx(0.7 * 0.010 + 0.3 * 0.020)

@@ -7,7 +7,8 @@ second, so its row is pinned here: the speed-ups the benchmark measured
 the decode memo, events that build no handle, the guard's inline
 forged-cookie drop, the TCP segment built and charged in one frame, the
 BIND server's repeated question answered from a frozen prototype, a
-re-head that shares its prototype's sections and wire) stay
+re-head that shares its prototype's sections and wire, addresses carried
+as ints and routed without a memo) stay
 held by counts, which repeat exactly, instead of by timings, which do not.
 Every run also leaves nothing for the cyclic collector: what an exchange
 owns dies by reference count when it ends.  The events still queued when
@@ -44,13 +45,16 @@ SCRIPT = pathlib.Path(__file__).resolve().parents[2] / "scripts" / "bench_budget
 #: the end.  ``tcp_proxy`` is the one whose calls a shared wire raised: a
 #: frozen message keeps the bytes past its id and flags, so ``frame()``
 #: packs those four bytes per framed message (a ``flags_word`` frame and a
-#: ``struct.pack``) where it once returned a stored whole wire
+#: ``struct.pack``) where it once returned a stored whole wire.  The
+#: ipaddress.py ceilings are A-record rdata only (see ``RDATA_ONLY``): its
+#: encode's ``.packed``, and one ``int()`` per A record built from an
+#: ``IPv4Address``, never a frame per packet
 BUDGETS = {
-    "flood_modified": (7_082, 4_368, 151_542, 15_611, 2_502, 0, 2, 489),
-    "flood_unguarded": (20_480, 10_681, 261_264, 41_376, 7_002, 0, 1, 302),
-    "referral_miss": (4_957, 3_086, 161_568, 13_695, 4, 0, 5, 325),
-    "tcp_proxy": (5_694, 2_881, 135_567, 19_320, 8, 4, 4, 277),
-    "bind_mixed": (2_164, 1_072, 40_447, 4_629, 618, 0, 3, 186),
+    "flood_modified": (7_082, 4_368, 147_379, 15_611, 3, 0, 2, 489),
+    "flood_unguarded": (20_480, 10_681, 244_322, 41_376, 3, 0, 1, 302),
+    "referral_miss": (4_957, 3_086, 160_602, 13_695, 5, 0, 5, 325),
+    "tcp_proxy": (5_694, 2_881, 135_333, 19_320, 9, 4, 4, 277),
+    "bind_mixed": (2_164, 1_072, 38_383, 4_629, 2, 0, 3, 186),
 }
 
 #: frames in this package's own files, exact under any interpreter like the
@@ -90,10 +94,10 @@ KERNEL = "repro/netsim/simulator.py"
 #: extra frame per hop is well inside any slack, but it is one call per hop
 PINNED_UNDER = ("CPython", "3.11.7")
 
-#: workloads whose guard decisions enter no ``ipaddress.py`` frame: the
-#: guard compares and keys on address integers, and what is left is the
-#: attacker building its spoofed ``IPv4Address`` sources
-GUARD_WITHOUT_IPADDRESS = ("flood_modified", "bind_mixed")
+#: the one file of this package that enters ``ipaddress.py`` on any
+#: workload: addresses are ints inside the simulator, and an
+#: ``IPv4Address`` is built or read only as A-record rdata
+RDATA_ONLY = "repro/dnswire/rdata.py"
 
 #: under any other interpreter, calls per link packet may drift this far
 #: above the pin's (a release can move a builtin's call count); every other
@@ -137,11 +141,10 @@ def test_quick_budget(workload):
     assert row["enum_py_frames"] == 0
     # ... and nothing left behind in a reference cycle
     assert row["cyclic_garbage"] == 0
-    # the SYN cookie packs address integers, not ``.packed``
-    assert "repro/netsim/tcp.py" not in row["ipaddress_by_caller"]
-    if workload in GUARD_WITHOUT_IPADDRESS:
-        callers = row["ipaddress_by_caller"]
-        assert not [caller for caller in callers if caller.startswith("repro/guard/")]
+    # no address object anywhere else: not the attacker's spoofed sources,
+    # the guards' keys, the route lookup, the SYN cookie nor the sockets
+    callers = row["ipaddress_by_caller"]
+    assert {caller for caller in callers if caller.startswith("repro/")} <= {RDATA_ONLY}
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,11 @@
 """Unit tests for the testbed builder and calibration constants."""
 
-from ipaddress import IPv4Address
-
 import pytest
 
 from repro.dns import LrsSimulator
 from repro.experiments import calibration, expectations
 from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
+from repro.netsim import parse_address
 
 
 class TestTestbedConstruction:
@@ -34,7 +33,7 @@ class TestTestbedConstruction:
     def test_explicit_client_address(self):
         bed = GuardTestbed()
         node = bed.add_client("x", address="10.0.7.7")
-        assert node.address == IPv4Address("10.0.7.7")
+        assert node.address == parse_address("10.0.7.7")
 
     def test_local_guard_client_has_shim(self):
         bed = GuardTestbed()

@@ -7,6 +7,7 @@ import pytest
 from repro.dns import LrsSimulator
 from repro.dnswire import make_query
 from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
+from repro.netsim import parse_address
 
 
 class TestActivationThreshold:
@@ -67,7 +68,7 @@ class TestActivationThreshold:
 
 class TestPerSourcePolicy:
     def test_policy_callable_dispatches_by_source(self):
-        tcp_client_ip = IPv4Address("10.0.2.1")
+        tcp_client_ip = parse_address("10.0.2.1")  # what the guard's policy is asked about
 
         def policy(source):
             return "tcp" if source == tcp_client_ip else "dns"

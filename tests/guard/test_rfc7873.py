@@ -1,6 +1,6 @@
 """Tests for the RFC 7873 DNS-cookie extension (the standardised scheme)."""
 
-from ipaddress import IPv4Address
+from ipaddress import IPv4Network
 
 import pytest
 
@@ -15,10 +15,10 @@ from repro.guard.rfc7873 import (
     extract_edns_cookie,
     strip_edns_cookie,
 )
-from repro.netsim import Link, Node, Simulator
+from repro.netsim import Link, Node, Simulator, parse_address
 
-CLIENT_IP = IPv4Address("10.0.0.10")
-ANS_IP = IPv4Address("203.0.113.53")
+CLIENT_IP = parse_address("10.0.0.10")
+ANS_IP = parse_address("203.0.113.53")
 
 
 class TestCookieCodec:
@@ -56,7 +56,7 @@ class TestServerCookie:
         server = EdnsCookieServer(b"test-key")
         cc = b"\x11" * 8
         sc = server.server_cookie(cc, CLIENT_IP)
-        assert not server.verify(cc, sc, IPv4Address("10.0.0.11"))
+        assert not server.verify(cc, sc, parse_address("10.0.0.11"))
 
     def test_binds_to_client_cookie(self):
         server = EdnsCookieServer(b"test-key")
@@ -86,10 +86,10 @@ def build_testbed(no_cookie_policy="drop"):
     l2 = Link(sim, shim_node, guard_node, delay=0.0001)
     l3 = Link(sim, guard_node, ans_node, delay=0.00001)
     client.set_default_route(l1)
-    shim_node.add_route(f"{CLIENT_IP}/32", l1)
+    shim_node.add_route(IPv4Network(CLIENT_IP), l1)
     shim_node.set_default_route(l2)
-    guard_node.add_route(f"{CLIENT_IP}/32", l2)
-    guard_node.add_route(f"{ANS_IP}/32", l3)
+    guard_node.add_route(IPv4Network(CLIENT_IP), l2)
+    guard_node.add_route(IPv4Network(ANS_IP), l3)
     ans_node.set_default_route(l3)
 
     ans = AnsSimulator(ans_node, mode="answer")
@@ -142,7 +142,7 @@ class TestEndToEnd:
         for i in range(50):
             query = make_query("www.foo.com", msg_id=i)
             packet = Packet(
-                src=IPv4Address(f"172.18.0.{i % 250 + 1}"),
+                src=parse_address(f"172.18.0.{i % 250 + 1}"),
                 dst=ANS_IP,
                 segment=UdpDatagram(40000, 53, DnsPayload(query)),
             )
@@ -158,7 +158,7 @@ class TestEndToEnd:
         query = make_query("www.foo.com", msg_id=9)
         attach_edns_cookie(query, b"\x09" * 8, b"\xff" * 16)
         packet = Packet(
-            src=IPv4Address("172.18.0.99"),
+            src=parse_address("172.18.0.99"),
             dst=ANS_IP,
             segment=UdpDatagram(40000, 53, DnsPayload(query)),
         )
@@ -176,7 +176,7 @@ class TestEndToEnd:
         from repro.netsim import DnsPayload, Packet, UdpDatagram
 
         sim, client, shim, guard, ans, attacker = build_testbed()
-        spoofed = IPv4Address("172.18.0.99")
+        spoofed = parse_address("172.18.0.99")
         client_cookie = b"\x09" * 8
         forged = EdnsCookieServer(hashlib.md5(b"rfc7873").digest()).server_cookie(
             client_cookie, spoofed
@@ -236,7 +236,7 @@ class TestSpanAndDropAccounting:
         query = attach_edns_cookie(make_query("www.foo.com", msg_id=1), b"\x05" * 8)
         attacker.send(
             Packet(
-                src=IPv4Address("172.18.0.7"),
+                src=parse_address("172.18.0.7"),
                 dst=ANS_IP,
                 segment=UdpDatagram(40000, 53, DnsPayload(query)),
             )
@@ -251,7 +251,7 @@ class TestSpanAndDropAccounting:
         for i in range(20):
             attacker.send(
                 Packet(
-                    src=IPv4Address("172.18.0.8"),
+                    src=parse_address("172.18.0.8"),
                     dst=ANS_IP,
                     segment=UdpDatagram(
                         40000, 53, DnsPayload(make_query("www.foo.com", msg_id=i))

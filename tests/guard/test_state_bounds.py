@@ -17,7 +17,6 @@ table without a driver fails the suite.
 """
 
 from functools import cache
-from ipaddress import IPv4Address
 
 import pytest
 
@@ -27,7 +26,7 @@ from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
 from repro.guard import AdmissionControl, encode_cookie_name
 from repro.guard.core import UnverifiedResponseLimiter, VerifiedRequestLimiter
 from repro.guard.rfc7873 import EdnsCookieClientShim, attach_edns_cookie
-from repro.netsim import DnsPayload, Link, Node, Packet, Simulator, UdpDatagram
+from repro.netsim import DnsPayload, Link, Node, Packet, Simulator, UdpDatagram, parse_address
 from repro.netsim import tcp as tcp_module
 from repro.netsim.tcp import TcpConnection
 
@@ -40,8 +39,8 @@ SMALL_CAP = 256
 #: Base of the distinct spoofed source addresses the drivers use.
 SOURCES = 0x0A100000
 #: One requester outside that range, for the per-name drives.
-REQUESTER = IPv4Address("10.15.0.1")
-COOKIE2 = IPv4Address("198.18.0.5")  # inside the testbed's cookie subnet
+REQUESTER = parse_address("10.15.0.1")
+COOKIE2 = parse_address("198.18.0.5")  # inside the testbed's cookie subnet
 
 
 def _udp(src, dst, sport, dport, message):
@@ -90,7 +89,7 @@ def _dnat(guard, n):
     """A query from the ``n``-th source to a COOKIE2 address, which the
     guard forwards to the ANS (messages 7-8) and remembers."""
     query = make_query("www.foo.com", msg_id=1)
-    guard._transit(_udp(IPv4Address(SOURCES + n), COOKIE2, 5353, 53, query))
+    guard._transit(_udp(SOURCES + n, COOKIE2, 5353, 53, query))
 
 
 def _referral(guard, n):
@@ -162,7 +161,7 @@ def drive_verified_sources(bound):
         src = SOURCES + n
         query = make_query("www.foo.com", msg_id=1)
         attach_cookie(query, guard.cookies.cookie(src))
-        guard._transit(_udp(IPv4Address(src), ANS_ADDRESS, 5353, 53, query))
+        guard._transit(_udp(src, ANS_ADDRESS, 5353, 53, query))
         yield len(guard._verified_sources)
 
 
@@ -185,7 +184,7 @@ def drive_shim_held(bound):
     shim = _shim()
     query = make_query("www.foo.com", msg_id=1)
     for n in range(bound + EXTRA):
-        shim._transit(_udp(IPv4Address(SOURCES + n), ANS_ADDRESS, 5353, 53, query))
+        shim._transit(_udp(SOURCES + n, ANS_ADDRESS, 5353, 53, query))
         yield len(shim._held)
 
 
@@ -196,7 +195,7 @@ def drive_shim_server_cookies(bound):
     answer.answers.append(a_record("www.foo.com", "198.51.100.80"))
     attach_edns_cookie(answer, b"\x01" * 8, b"\x02" * 16)
     for n in range(bound + EXTRA):
-        shim._transit(_udp(ANS_ADDRESS, IPv4Address(SOURCES + n), 53, 5353, answer))
+        shim._transit(_udp(ANS_ADDRESS, SOURCES + n, 53, 5353, answer))
         yield len(shim._server_cookies)
 
 
@@ -205,7 +204,7 @@ def drive_shim_server_cookies(bound):
 
 def _connections(stack, bound):
     for n in range(bound + EXTRA):
-        yield TcpConnection(stack, ANS_ADDRESS, 53, IPv4Address(SOURCES + n), 4444)
+        yield TcpConnection(stack, ANS_ADDRESS, 53, SOURCES + n, 4444)
 
 
 def drive_client_buckets(bound):

@@ -181,7 +181,7 @@ class TestFabricatedNsIpScheme:
         assert lrs._cookie2_address is not None
         from ipaddress import IPv4Network
 
-        assert lrs._cookie2_address in IPv4Network("198.18.0.0/24")
+        assert IPv4Address(lrs._cookie2_address) in IPv4Network("198.18.0.0/24")
 
     def test_cache_miss_three_round_trips_hit_one(self):
         bed, client, lrs = self.build()
@@ -250,7 +250,7 @@ class TestTcpScheme:
         assert bed.ans.requests_served >= lrs.stats.completed
 
     def test_spoofed_syn_flood_leaves_no_state(self):
-        from repro.netsim import Packet, TcpFlags, TcpSegment
+        from repro.netsim import Packet, TcpFlags, TcpSegment, parse_address
 
         bed, client, lrs = self.build()
         attacker = bed.add_client("attacker")
@@ -258,7 +258,7 @@ class TestTcpScheme:
             syn = TcpSegment(sport=10000 + i, dport=53, seq=i, ack=0, flags=TcpFlags.SYN)
             attacker.send(
                 Packet(
-                    src=IPv4Address(f"172.20.{i % 200}.{i % 250 + 1}"),
+                    src=parse_address(f"172.20.{i % 200}.{i % 250 + 1}"),
                     dst=ANS_ADDRESS,
                     segment=syn,
                 )

@@ -11,7 +11,7 @@ from ipaddress import IPv4Address
 import pytest
 
 from repro.dnswire import Header, Message, Question, RRClass, RRType, a_record, Name
-from repro.netsim import DnsPayload, Link, Node, Packet, UdpDatagram
+from repro.netsim import DnsPayload, Link, Node, Packet, UdpDatagram, parse_address
 from tests.dns.conftest import FOO_IP, Hierarchy, ROOT_IP
 
 
@@ -45,8 +45,8 @@ class TestPoisoningResistance:
         for port in range(49152, 49162):
             for msg_id in range(0, 2000, 97):
                 packet = Packet(
-                    src=FOO_IP,
-                    dst=IPv4Address("10.0.0.53"),
+                    src=parse_address(FOO_IP),
+                    dst=parse_address("10.0.0.53"),
                     segment=UdpDatagram(
                         53, port,
                         DnsPayload(forged_response(msg_id, "www.foo.com", "6.6.6.6")),
@@ -72,8 +72,8 @@ class TestPoisoningResistance:
         for port in range(49152, 49156):
             for msg_id in range(0, 65536, 256):
                 packet = Packet(
-                    src=IPv4Address("10.66.0.66"),
-                    dst=IPv4Address("10.0.0.53"),
+                    src=parse_address("10.66.0.66"),
+                    dst=parse_address("10.0.0.53"),
                     segment=UdpDatagram(
                         53, port,
                         DnsPayload(forged_response(msg_id, "www.foo.com", "6.6.6.6")),
@@ -90,8 +90,8 @@ class TestPoisoningResistance:
         attacker = self._attacker(h)
         for msg_id in range(100):
             packet = Packet(
-                src=ROOT_IP,
-                dst=IPv4Address("10.0.0.53"),
+                src=parse_address(ROOT_IP),
+                dst=parse_address("10.0.0.53"),
                 segment=UdpDatagram(
                     53, 49152,
                     DnsPayload(forged_response(msg_id, "victim.example", "6.6.6.6")),

@@ -7,11 +7,21 @@ from ipaddress import IPv4Address
 
 import pytest
 
-from repro.netsim import Cpu, Hook, Link, Node, Simulator, Verdict, netfilter, simulator
+from repro.netsim import (
+    Cpu,
+    Hook,
+    Link,
+    Node,
+    Simulator,
+    Verdict,
+    netfilter,
+    parse_address,
+    simulator,
+)
 from repro.netsim.netfilter import src_in, src_not_in
 from repro.netsim.packet import Packet, RawPayload, UdpDatagram
 
-SERVER = IPv4Address("203.0.113.53")
+SERVER = parse_address("203.0.113.53")
 
 
 def chainlet(seed=0):
@@ -214,7 +224,7 @@ class TestHopBudget:
                 src=client.address, dst=SERVER, segment=UdpDatagram(4000, 53, RawPayload(b"x"))
             )
 
-        fw.receive(transit(), arriving)  # warms fw's route cache
+        fw.receive(transit(), arriving)  # a first hop, outside the profile
         sim.run(until=1.0)
         frames, scheduled = [], []
 
@@ -313,10 +323,9 @@ class TestHopBudget:
         return profiled(fn, on_event), frames
 
     def test_udp_demux_and_a_route_miss_enter_nothing_in_ipaddress(self):
-        """The socket table keys on ``(dst._ip, port)``, and a route-cache
-        miss tests each prefix as integers — the stdlib's own
-        ``dst in subnet`` without its frame.  A flood's replies go to random
-        spoofed sources, so every router misses its cache on them."""
+        """The socket table keys on ``(dst, port)`` and a route lookup probes
+        one integer table per prefix length: a flood's replies go to random
+        spoofed sources, so no lookup may build or hash an address object."""
         sim, client, fw, server = chainlet()
         got = []
         server.udp.bind(53, lambda p, s, sp, d: got.append(p))
@@ -324,7 +333,7 @@ class TestHopBudget:
             src=client.address, dst=SERVER, segment=UdpDatagram(4000, 53, RawPayload(b"x"))
         )
         # fw has two routes, no default and two links: a miss can end in None
-        misses = [IPv4Address(text) for text in ("10.0.0.77", "203.0.113.9", "198.51.100.1")]
+        misses = [parse_address(text) for text in ("10.0.0.77", "203.0.113.9", "198.51.100.1")]
 
         def lookups():
             server.receive(delivered, server.links[0])
@@ -337,8 +346,8 @@ class TestHopBudget:
 
     def test_a_steady_outbound_query_through_a_local_guard_hashes_no_address(self):
         """Once the cookie is cached, the local guard's per-query table
-        lookups key on ``(server._ip, client._ip)``: the query is stamped and
-        re-sent without entering ``ipaddress.py``."""
+        lookups key on ``(server, client)`` integers: the query is stamped
+        and re-sent without entering ``ipaddress.py``."""
         from repro.dns import LrsSimulator
         from repro.dnswire import make_query
         from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
@@ -483,7 +492,7 @@ class TestIngressFiltering:
         sock.send(b"honest", SERVER, 53)
         sock.send(b"spoof", SERVER, 53, src=IPv4Address("8.8.8.8"))
         sim.run(until=1.0)
-        assert seen == [IPv4Address("10.0.0.1")]
+        assert seen == [parse_address("10.0.0.1")]
 
 
 class TestGuardAndIngressOnOneNode:

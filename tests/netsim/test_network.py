@@ -17,6 +17,7 @@ from repro.netsim import (
     SocketError,
     UdpDatagram,
     Verdict,
+    parse_address,
 )
 from repro.netsim.udp import EPHEMERAL_BASE
 
@@ -160,7 +161,7 @@ class TestRouting:
         sock = lrs.udp.bind_ephemeral(lambda *args: None)
         sock.send(b"query", IPv4Address("10.2.0.1"), 53)
         sim.run()
-        assert got == [(b"query", IPv4Address("10.1.0.1"))]
+        assert got == [(b"query", parse_address("10.1.0.1"))]
         assert router.packets_forwarded == 1
 
     def test_transit_filter_drop(self):
@@ -183,7 +184,7 @@ class TestRouting:
         lrs.udp.bind_ephemeral(lambda *args: None).send(b"x", IPv4Address("10.2.0.1"), 53)
         sim.run()
         # delivered locally even though dst is the ANS address
-        assert hijacked == [IPv4Address("10.2.0.1")]
+        assert hijacked == [parse_address("10.2.0.1")]
 
     def test_no_route_drops(self):
         sim = Simulator()
@@ -211,7 +212,7 @@ class TestRouting:
         with pytest.raises(RoutingError) as raised:
             lonely.udp.bind_ephemeral(lambda *args: None).send(b"x", IPv4Address("1.1.1.1"), 1)
         # the parts are kept and the text is built only when it is shown
-        assert raised.value.args == ("lonely", IPv4Address("1.1.1.1"))
+        assert raised.value.args == ("lonely", parse_address("1.1.1.1"))
         assert str(raised.value) == "lonely: no route to 1.1.1.1"
 
     def test_longest_prefix_match(self):
@@ -226,8 +227,8 @@ class TestRouting:
         l2 = Link(sim, hub, far)
         hub.add_route("10.0.1.0/24", l1)
         hub.add_route("10.0.1.128/25", l2)
-        assert hub.route_for(IPv4Address("10.0.1.5")) is l1
-        assert hub.route_for(IPv4Address("10.0.1.200")) is l2
+        assert hub.route_for(parse_address("10.0.1.5")) is l1
+        assert hub.route_for(parse_address("10.0.1.200")) is l2
 
 
 class TestUdp:
@@ -240,7 +241,7 @@ class TestUdp:
         sock = a.udp.bind_ephemeral(lambda *args: None)
         sock.send(b"evil", IPv4Address("10.0.0.2"), 53, src=IPv4Address("8.8.8.8"))
         sim.run()
-        assert seen == [IPv4Address("8.8.8.8")]
+        assert seen == [parse_address("8.8.8.8")]
 
     def test_dns_message_payload_round_trip(self):
         sim = Simulator()

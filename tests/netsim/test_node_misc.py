@@ -1,10 +1,8 @@
 """Node internals: multi-homing, routing fallbacks."""
 
-from ipaddress import IPv4Address
-
 import pytest
 
-from repro.netsim import Link, Node, RoutingError, Simulator
+from repro.netsim import Link, Node, RoutingError, Simulator, parse_address
 
 
 class TestAddressing:
@@ -13,7 +11,7 @@ class TestAddressing:
         node = Node(sim, "n")
         node.add_address("10.0.0.1")
         node.add_address("10.0.0.2")
-        assert node.address == IPv4Address("10.0.0.1")
+        assert node.address == parse_address("10.0.0.1")
 
     def test_address_without_any_raises(self):
         sim = Simulator()
@@ -32,9 +30,9 @@ class TestAddressing:
         node.udp.bind(53, lambda payload, src, sport, dst: got.append(dst))
         sock = peer.udp.bind_ephemeral(lambda *args: None)
         for dst in ("10.0.0.1", "10.0.0.2", "198.18.0.7"):
-            sock.send(b"x", IPv4Address(dst), 53)
+            sock.send(b"x", parse_address(dst), 53)
         sim.run(until=1.0)
-        assert got == [IPv4Address("10.0.0.1"), IPv4Address("10.0.0.2")]
+        assert got == [parse_address("10.0.0.1"), parse_address("10.0.0.2")]
         assert node.packets_delivered == 2
 
 
@@ -47,7 +45,7 @@ class TestRoutingFallbacks:
         b.add_address("10.0.0.2")
         link = Link(sim, a, b)
         # no default route set: the sole link is used implicitly
-        assert a.route_for(IPv4Address("203.0.113.1")) is link
+        assert a.route_for(parse_address("203.0.113.1")) is link
 
     def test_multi_homed_without_routes_has_no_route(self):
         sim = Simulator()
@@ -59,7 +57,7 @@ class TestRoutingFallbacks:
         y.add_address("10.0.2.1")
         Link(sim, hub, x)
         Link(sim, hub, y)
-        assert hub.route_for(IPv4Address("203.0.113.1")) is None
+        assert hub.route_for(parse_address("203.0.113.1")) is None
 
     def test_default_route_beats_only_link_heuristic(self):
         sim = Simulator()
@@ -72,7 +70,7 @@ class TestRoutingFallbacks:
         Link(sim, hub, x)
         l2 = Link(sim, hub, y)
         hub.set_default_route(l2)
-        assert hub.route_for(IPv4Address("203.0.113.1")) is l2
+        assert hub.route_for(parse_address("203.0.113.1")) is l2
 
     def test_ttl_expiry_drops_in_transit(self):
         sim = Simulator()
@@ -91,8 +89,8 @@ class TestRoutingFallbacks:
 
         # TTL 1: dies at the first router
         packet = Packet(
-            src=IPv4Address("10.0.0.1"),
-            dst=IPv4Address("10.0.3.1"),
+            src=parse_address("10.0.0.1"),
+            dst=parse_address("10.0.3.1"),
             segment=UdpDatagram(1000, 53, DnsPayload(make_query("x.com"))),
             ttl=1,
         )
@@ -108,7 +106,7 @@ class TestRoutingFallbacks:
         b.add_address("10.0.0.2")
         Link(sim, a, b)
         b.udp.bind(53, lambda *args: None)
-        a.udp.bind_ephemeral(lambda *args: None).send(b"x", IPv4Address("10.0.0.2"), 53)
+        a.udp.bind_ephemeral(lambda *args: None).send(b"x", parse_address("10.0.0.2"), 53)
         sim.run(until=1.0)
         assert b.packets_delivered == 1
         assert b.packets_forwarded == 0

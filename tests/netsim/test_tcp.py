@@ -1,7 +1,5 @@
 """Unit tests for the TCP implementation: handshake, stream, SYN cookies."""
 
-from ipaddress import IPv4Address
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +12,7 @@ from repro.netsim import (
     TcpSegment,
     TcpState,
     Packet,
+    parse_address,
 )
 
 
@@ -27,7 +26,7 @@ def tcp_pair(seed=0, **link_kwargs):
     return sim, client, server
 
 
-SERVER_IP = IPv4Address("10.0.0.2")
+SERVER_IP = parse_address("10.0.0.2")
 
 
 class TestHandshake:
@@ -69,7 +68,7 @@ class TestSynRcvdIsnCheck:
     """A stateful listener in SYN_RCVD establishes only on an ACK that
     echoes its ISN: the §III.C proof of address, held without cookies."""
 
-    CLIENT_IP = IPv4Address("10.0.0.1")
+    CLIENT_IP = parse_address("10.0.0.1")
 
     def half_open(self):
         sim, client, server = tcp_pair()
@@ -116,7 +115,7 @@ class TestSynCookies:
         server.tcp.listen(53, lambda conn: None, syn_cookies=True)
         for i in range(100):
             syn = TcpSegment(sport=10000 + i, dport=53, seq=i, ack=0, flags=TcpFlags.SYN)
-            client.send(Packet(src=IPv4Address(f"9.9.{i % 250}.{i % 250 + 1}"),
+            client.send(Packet(src=parse_address(f"9.9.{i % 250}.{i % 250 + 1}"),
                                dst=SERVER_IP, segment=syn))
         sim.run(until=1.0)
         assert server.tcp.open_connections == 0
@@ -126,7 +125,7 @@ class TestSynCookies:
         server.tcp.listen(53, lambda conn: None, syn_cookies=False)
         for i in range(50):
             syn = TcpSegment(sport=20000 + i, dport=53, seq=i, ack=0, flags=TcpFlags.SYN)
-            client.send(Packet(src=IPv4Address("9.9.9.9"), dst=SERVER_IP, segment=syn))
+            client.send(Packet(src=parse_address("9.9.9.9"), dst=SERVER_IP, segment=syn))
         sim.run(until=0.01)
         assert server.tcp.open_connections == 50
 
@@ -135,7 +134,7 @@ class TestSynCookies:
         sim, client, server = tcp_pair()
         listener = server.tcp.listen(53, lambda conn: None, syn_cookies=True)
         forged = TcpSegment(sport=12345, dport=53, seq=1, ack=424242, flags=TcpFlags.ACK)
-        client.send(Packet(src=IPv4Address("6.6.6.6"), dst=SERVER_IP, segment=forged))
+        client.send(Packet(src=parse_address("6.6.6.6"), dst=SERVER_IP, segment=forged))
         sim.run()
         assert server.tcp.open_connections == 0
         assert listener.cookies_rejected == 1
@@ -146,7 +145,7 @@ class TestSynCookies:
         accepted = []
         server.tcp.listen(53, accepted.append, syn_cookies=True)
         syn = TcpSegment(sport=5555, dport=53, seq=77, ack=0, flags=TcpFlags.SYN)
-        client.send(Packet(src=IPv4Address("44.44.44.44"), dst=SERVER_IP, segment=syn))
+        client.send(Packet(src=parse_address("44.44.44.44"), dst=SERVER_IP, segment=syn))
         sim.run(until=5.0)
         assert accepted == []
 
@@ -273,6 +272,6 @@ class TestSegmentCost:
         server.tcp.listen(53, lambda conn: None)
         for i in range(20):
             syn = TcpSegment(sport=30000 + i, dport=53, seq=1, ack=0, flags=TcpFlags.SYN)
-            client.send(Packet(src=IPv4Address("7.7.7.7"), dst=SERVER_IP, segment=syn))
+            client.send(Packet(src=parse_address("7.7.7.7"), dst=SERVER_IP, segment=syn))
         sim.run(until=1.0)
         assert server.tcp.segments_dropped_cpu > 0

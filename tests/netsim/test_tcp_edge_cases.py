@@ -3,8 +3,6 @@
 import collections
 import enum
 import ipaddress
-from ipaddress import IPv4Address
-
 import pytest
 
 from repro.dns.framing import StreamFramer, frame
@@ -19,6 +17,7 @@ from repro.netsim import (
     TcpFlags,
     TcpSegment,
     TcpState,
+    parse_address,
 )
 from repro.netsim import packet as packet_module, tcp as tcp_module
 from repro.netsim.tcp import (
@@ -30,7 +29,7 @@ from repro.netsim.tcp import (
 )
 from tests.netsim.test_netfilter import profiled
 
-SERVER_IP = IPv4Address("10.0.0.2")
+SERVER_IP = parse_address("10.0.0.2")
 
 
 def pair(seed=0, **link_kwargs):
@@ -50,7 +49,7 @@ class TestRstHandling:
         conn = client.tcp.connect(SERVER_IP, 53, on_close=lambda c, e: closes.append(e))
         # forge a RST from the server before any listener exists
         rst = TcpSegment(sport=53, dport=conn.local_port, seq=0, ack=0, flags=TcpFlags.RST)
-        server.send(Packet(src=SERVER_IP, dst=IPv4Address("10.0.0.1"), segment=rst))
+        server.send(Packet(src=SERVER_IP, dst=parse_address("10.0.0.1"), segment=rst))
         sim.run(until=1.0)
         assert conn.state is TcpState.CLOSED
         assert closes == [True]
@@ -168,7 +167,7 @@ class TestDuplicateDelivery:
             seq=conn.iss + 1, ack=server_conns[0].snd_nxt,
             flags=TcpFlags.ACK, data=b"once",
         )
-        client.send(Packet(src=IPv4Address("10.0.0.1"), dst=SERVER_IP, segment=dup))
+        client.send(Packet(src=parse_address("10.0.0.1"), dst=SERVER_IP, segment=dup))
         sim.run(until=1.0)
         assert b"".join(chunks) == b"once"
 
@@ -197,7 +196,7 @@ class TestAckAcceptability:
             sport=53, dport=conn.local_port,
             seq=conn.rcv_nxt, ack=snd_nxt + 1000, flags=TcpFlags.ACK,
         )
-        server.send(Packet(src=SERVER_IP, dst=IPv4Address("10.0.0.1"), segment=beyond))
+        server.send(Packet(src=SERVER_IP, dst=parse_address("10.0.0.1"), segment=beyond))
         sim.run(until=sim.now + 0.01)
         assert received == []
         assert (conn.snd_una, conn.snd_nxt) == (snd_una, snd_nxt)
@@ -322,7 +321,7 @@ class TestTimeWaitLinger:
             sport=conn.local_port, dport=53,
             seq=conn.snd_nxt, ack=conn.rcv_nxt, flags=TcpFlags.ACK,
         )
-        client.send(Packet(src=IPv4Address("10.0.0.1"), dst=SERVER_IP, segment=stale))
+        client.send(Packet(src=parse_address("10.0.0.1"), dst=SERVER_IP, segment=stale))
         sim.run(until=sim.now + 0.5)
         assert server.tcp.cookie_failures == 0
         assert server.tcp.stale_segments >= 1
@@ -341,7 +340,7 @@ class TestTimeWaitLinger:
         # reconnect from the very same ephemeral port, inside the linger
         client.tcp._next_ephemeral = conn.local_port
         reconn = client.tcp.connect(
-            SERVER_IP, 53, src=IPv4Address("10.0.0.1"),
+            SERVER_IP, 53, src=parse_address("10.0.0.1"),
             on_established=lambda c: established.append(c),
         )
         assert reconn.key == conn.key
@@ -353,7 +352,7 @@ class TestTimeWaitLinger:
         sim, client, server = pair()
         server.tcp.listen(53, lambda conn: None, syn_cookies=True)
         rst = TcpSegment(sport=4444, dport=53, seq=9, ack=7, flags=TcpFlags.RST | TcpFlags.ACK)
-        client.send(Packet(src=IPv4Address("10.0.0.1"), dst=SERVER_IP, segment=rst))
+        client.send(Packet(src=parse_address("10.0.0.1"), dst=SERVER_IP, segment=rst))
         sim.run(until=0.5)
         assert server.tcp.cookie_failures == 0
         assert server.tcp.open_connections == 0
@@ -366,7 +365,7 @@ class TestTimeWaitLinger:
             sport=50000, dport=53, seq=123456, ack=987654,
             flags=TcpFlags.ACK, data=b"old-request",
         )
-        client.send(Packet(src=IPv4Address("10.0.0.1"), dst=SERVER_IP, segment=stale))
+        client.send(Packet(src=parse_address("10.0.0.1"), dst=SERVER_IP, segment=stale))
         sim.run(until=sim.now + 0.5)
         assert server.tcp.cookie_failures == 0
         assert server.tcp.stale_segments >= 1
@@ -445,7 +444,7 @@ class TestTimeWaitCap:
     @staticmethod
     def linger(stack, n):
         """Cleanly close the ``n``-th of a family of distinct 4-tuples."""
-        conn = TcpConnection(stack, SERVER_IP, 53, IPv4Address(0x0A090000 + n), 4444)
+        conn = TcpConnection(stack, SERVER_IP, 53, parse_address(0x0A090000 + n), 4444)
         stack._forget(conn, linger=True)
         return conn.key
 

@@ -55,7 +55,7 @@ class TestFilters:
         to_ans.detach()
         from_client.detach()
         assert to_ans.records
-        assert all(r.dst == IPv4Address(ANS_ADDRESS) for r in to_ans.records)
+        assert all(r.dst == ANS_ADDRESS for r in to_ans.records)
         assert all(r.protocol == "udp" for r in to_ans.records)
         assert from_client.records
         assert all(r.src == client.address for r in from_client.records)

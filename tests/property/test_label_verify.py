@@ -14,14 +14,12 @@ whitespace (``fromhex`` returns no bytes, then the parity was read from the
 first one); that label is a reject, and the guard now drops it.
 """
 
-from ipaddress import IPv4Address
-
 from hypothesis import given, strategies as st
 
 from repro.dnswire import Name, make_query
 from repro.guard import CookieFactory, RemoteDnsGuard
 from repro.guard.core.cookie import KEY_LENGTH, LABEL_PREFIX
-from repro.netsim import DnsPayload, Node, Packet, Simulator, UdpDatagram, Verdict
+from repro.netsim import DnsPayload, Node, Packet, Simulator, UdpDatagram, Verdict, parse_address
 
 keys = st.binary(min_size=KEY_LENGTH, max_size=KEY_LENGTH)
 sources = st.integers(min_value=0, max_value=2**32 - 1)
@@ -113,11 +111,11 @@ def test_the_guard_drops_an_all_whitespace_cookie_label():
     ``bytes.fromhex`` reads as no bytes at all: an invalid cookie, dropped."""
     sim = Simulator(seed=1)
     node = Node(sim, "guard")
-    ans = IPv4Address("203.0.113.53")
+    ans = parse_address("203.0.113.53")
     guard = RemoteDnsGuard(node, ans, cookie_factory=CookieFactory(bytes(KEY_LENGTH)))
     query = make_query(Name((b"PR" + b" " * 8,)))
     packet = Packet(
-        src=IPv4Address("192.0.2.7"), dst=ans, segment=UdpDatagram(5353, 53, DnsPayload(query))
+        src=parse_address("192.0.2.7"), dst=ans, segment=UdpDatagram(5353, 53, DnsPayload(query))
     )
     assert guard._transit(packet) is Verdict.DROP
     assert guard.invalid_drops == 1

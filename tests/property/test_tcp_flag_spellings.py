@@ -9,8 +9,6 @@ both ways must take a listener through the same states and counters and
 put the same packets (``trace_digest``) on the wire.
 """
 
-from ipaddress import IPv4Address
-
 from hypothesis import example, given, settings, strategies as st
 
 from repro.netsim import (
@@ -23,10 +21,11 @@ from repro.netsim import (
     TcpSegment,
     TcpState,
     Verdict,
+    parse_address,
 )
 
-SERVER_IP = IPv4Address("10.0.0.2")
-PEER_IP = IPv4Address("10.0.0.1")
+SERVER_IP = parse_address("10.0.0.2")
+PEER_IP = parse_address("10.0.0.1")
 PEER_PORT = 4000
 
 FIN, SYN, RST, ACK = (
@@ -71,7 +70,7 @@ def drive(script, *, as_members: bool, syn_cookies: bool):
         return Verdict.ACCEPT
 
     peer.filters.append(Hook.PREROUTING, target=tap)  # what the server sent
-    key = (SERVER_IP._ip, 53, PEER_IP._ip, PEER_PORT)
+    key = (SERVER_IP, 53, PEER_IP, PEER_PORT)
     cookie = tcp._syn_cookie(SERVER_IP, 53, PEER_IP, PEER_PORT)
     states = []
     for bits, seq_offset, ack_offset, length in script:

@@ -9,8 +9,8 @@ past 2^32 - 1, and for ACKs that are duplicates, partial, exact (a segment
 boundary) or for bytes never sent.  An emptied window also leaves no
 retransmission timer, and a non-empty one leaves one armed.
 
-``TcpStack._syn_cookie`` packs the 4-tuple's addresses from their integers;
-it must hash the bytes the ``IPv4Address.packed`` spelling did.
+``TcpStack._syn_cookie`` packs the 4-tuple's address integers; it must hash
+the bytes the ``IPv4Address.packed`` spelling gives.
 """
 
 import hashlib
@@ -19,13 +19,13 @@ from ipaddress import IPv4Address
 
 from hypothesis import example, given, strategies as st
 
-from repro.netsim import Node, Simulator, TcpState
+from repro.netsim import Node, Simulator, TcpState, parse_address
 from repro.netsim.tcp import ACK, FIN, SYN, TcpConnection
 
 MASK = 0xFFFFFFFF
 
-LOCAL_IP = IPv4Address("10.0.0.2")
-REMOTE_IP = IPv4Address("10.0.0.1")
+LOCAL_IP = parse_address("10.0.0.2")
+REMOTE_IP = parse_address("10.0.0.1")
 
 
 def reference_ack(snd_una: int, snd_nxt: int, window: list, ack: int) -> tuple[int, list]:
@@ -132,4 +132,4 @@ def test_syn_cookie_hashes_the_packed_addresses(secret, local, lport, remote, rp
     lip, rip = IPv4Address(local), IPv4Address(remote)
     material = secret + lip.packed + rip.packed + struct.pack("!HH", lport, rport)
     expected = struct.unpack("!I", hashlib.md5(material).digest()[:4])[0]
-    assert stack._syn_cookie(lip, lport, rip, rport) == expected
+    assert stack._syn_cookie(local, lport, remote, rport) == expected
