@@ -19,6 +19,14 @@ echo "== benchmark smoke =="
 # a rename should fail here, not as failed operations in the benchmark driver
 python -m pytest bench/tests -q
 
+echo "== examples (each script runs to a zero exit) =="
+# no test imports examples/*.py; a rename or a changed constructor would
+# otherwise break them silently
+for example in examples/*.py; do
+    echo "-- $example"
+    python "$example" > /dev/null
+done
+
 echo "== paper fidelity (every ledger artefact once; REPORT.md is the stdout) =="
 # exit 1 on a failed ledger row; cmp fails when the committed file is stale
 # (`make report` regenerates it)

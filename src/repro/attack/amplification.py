@@ -12,7 +12,18 @@ from __future__ import annotations
 
 
 from ..dnswire import Message, Name, RRType, make_query
-from ..netsim import Address, DnsPayload, Hook, Node, Packet, UdpDatagram, Verdict, parse_address
+from ..netsim import (
+    INITIAL_TTL,
+    IP_HEADER_BYTES,
+    UDP_HEADER_BYTES,
+    Address,
+    Hook,
+    Node,
+    Packet,
+    UdpDatagram,
+    Verdict,
+    parse_address,
+)
 from .spoof import BATCH_INTERVAL
 
 
@@ -51,7 +62,10 @@ class ReflectionAttacker:
             self._template.additionals.append(
                 ResourceRecord(_Name.root(), RRType.OPT, edns_payload, 0, OPT())
             )
-        self._payload = DnsPayload(self._template.freeze())
+        # a template sender, as SpoofingAttacker: one frozen message, its
+        # size measured here
+        self._payload = self._template.freeze()
+        self._size = IP_HEADER_BYTES + UDP_HEADER_BYTES + self._payload.wire_size()
 
     def start(self) -> None:
         self._running = True
@@ -69,11 +83,9 @@ class ReflectionAttacker:
         self._carry = quota - count
         spacing = BATCH_INTERVAL / count if count else 0.0
         for i in range(count):
-            packet = Packet(
-                src=self.victim,
-                dst=self.target,
-                segment=UdpDatagram(sport=42000, dport=53, payload=self._payload),
-            )
+            # positional: a keyword call builds a dict per packet
+            segment = UdpDatagram(42000, 53, self._payload)
+            packet = Packet(self.victim, self.target, segment, INITIAL_TTL, None, self._size)
             sim.schedule(i * spacing, self._send_one, packet)
         sim.schedule(BATCH_INTERVAL, self._emit_batch)
 

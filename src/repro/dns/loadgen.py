@@ -332,7 +332,7 @@ class LrsSimulator:
         if prototype is None:
             query = make_query(qname, qtype, msg_id=msg_id).freeze()
             return keep_prototype(self._queries, key, query)
-        return prototype.with_header(Header(msg_id=msg_id))
+        return prototype.with_header(Header(msg_id))  # positional: no kwargs dict per query
 
 
 class _Interaction:
@@ -573,7 +573,7 @@ class TcpLoadClient:
         self.stats.sent += 1
         self._next_id = (self._next_id + 1) & 0xFFFF
         msg_id = self._next_id
-        query = self._query.with_header(Header(msg_id=msg_id))
+        query = self._query.with_header(Header(msg_id))  # positional: no kwargs dict per query
         framer = StreamFramer()
         done = False
 

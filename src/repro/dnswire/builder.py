@@ -41,14 +41,12 @@ def response_header(
     recursion_available: bool = False,
 ) -> Header:
     """The header a response to ``query`` carries: its ID, opcode and RD echoed."""
+    header = query.header
+    # positional (msg_id, qr, opcode, aa, tc, rd, ra, rcode): a keyword
+    # call builds a dict per response
     return Header(
-        msg_id=query.header.msg_id,
-        qr=True,
-        opcode=query.header.opcode,
-        aa=authoritative,
-        rd=query.header.rd,
-        ra=recursion_available,
-        rcode=rcode,
+        header.msg_id, True, header.opcode, authoritative, False, header.rd,
+        recursion_available, rcode,
     )
 
 

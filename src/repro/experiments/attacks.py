@@ -86,7 +86,7 @@ def run_cookie2_guessing(
 ) -> GuessingResult:
     """Spray the whole COOKIE2 /24 repeatedly from a spoofed victim address."""
     from ..dnswire import make_query
-    from ..netsim import DnsPayload, Packet, UdpDatagram
+    from ..netsim import Packet, UdpDatagram
 
     bed = GuardTestbed(seed=seed, ans="simulator", ans_mode="answer")
     attacker_node = bed.add_client("attacker")
@@ -99,7 +99,7 @@ def run_cookie2_guessing(
         packet = Packet(
             src=victim,
             dst=target,
-            segment=UdpDatagram(43000, 53, DnsPayload(make_query("www.foo.com", msg_id=i & 0xFFFF))),
+            segment=UdpDatagram(43000, 53, make_query("www.foo.com", msg_id=i & 0xFFFF)),
         )
         attacker_node.send(packet)
         sent += 1

@@ -252,7 +252,7 @@ def answer_from_slot(slot: CookieSlot, msg_id: int, cookie_qname: Name) -> Messa
     from the slot's own question name only in its first ``slot.width``
     bytes, which are echoed as the requester sent them (DNS-0x20).
     """
-    header = Header(msg_id=msg_id, qr=True)
+    header = Header(msg_id, True)  # (msg_id, qr) positional: no kwargs dict per answer
     if cookie_qname.labels == slot.reply.questions[0].qname.labels:  # its own requester
         return slot.reply.with_header(header)
     response = Message(

@@ -22,7 +22,7 @@ from ..dnswire import (
     with_cookie,
     ZERO_COOKIE,
 )
-from ..netsim import BOUNDARY_PRIORITY, DnsPayload, Hook, Node, Packet, UdpDatagram, Verdict
+from ..netsim import BOUNDARY_PRIORITY, Hook, Node, Packet, UdpDatagram, Verdict
 from .core.local_policy import (
     DEFAULT_COOKIE_TTL,
     PENDING_TIMEOUT,
@@ -130,10 +130,9 @@ class LocalDnsGuard:
         segment = packet.segment
         if not isinstance(segment, UdpDatagram):
             return Verdict.ACCEPT
-        payload = segment.payload
-        if not isinstance(payload, DnsPayload):
+        message = segment.payload
+        if type(message) is bytes:
             return Verdict.ACCEPT
-        message = payload.message
         response = message.header.qr
         if segment.dport == 53 and not response:
             return self._outbound_query(packet, segment, message)
@@ -207,7 +206,7 @@ class LocalDnsGuard:
                 self._held.pop(key, None)
         for held_packet, held_datagram, deadline in released:
             if deadline > now:
-                held_message = held_datagram.payload.message  # type: ignore[union-attr]
+                held_message = held_datagram.payload
                 self._send_with_cookie(held_packet, held_message, cookie)
                 self.queries_stamped += 1
             else:
@@ -222,7 +221,7 @@ class LocalDnsGuard:
         if not queue:
             return
         if not any(
-            item[1].payload.message.header.msg_id == message.header.msg_id  # type: ignore[union-attr]
+            item[1].payload.header.msg_id == message.header.msg_id
             for item in queue
         ):
             return
@@ -231,7 +230,7 @@ class LocalDnsGuard:
         for held_packet, held_datagram, deadline in self._held.pop(key):
             # the probe's answer already satisfies the matching query; only
             # re-send the others, unmodified
-            held_message = held_datagram.payload.message  # type: ignore[union-attr]
+            held_message = held_datagram.payload
             if held_message.header.msg_id == message.header.msg_id:
                 continue
             if deadline > now:

@@ -52,7 +52,6 @@ from ..dnswire import (
 from ..netsim import (
     Address,
     BOUNDARY_PRIORITY,
-    DnsPayload,
     Node,
     Packet,
     RoutingError,
@@ -571,8 +570,8 @@ class RemoteDnsGuard:
                 if self._obs is not None:
                     self._note("admission", "shed", packet.span)
                 return Verdict.DROP
-        payload = datagram.payload
-        if not isinstance(payload, DnsPayload):
+        message = datagram.payload
+        if type(message) is bytes:
             # not parseable as DNS at all
             if active:
                 self._charge(self.costs.drop_invalid)
@@ -580,7 +579,6 @@ class RemoteDnsGuard:
                 return Verdict.DROP
             self.forwarded_inactive += 1
             return Verdict.ACCEPT
-        message = payload.message
         if message.header.qr or not message.questions:  # not a query
             if active:
                 self._charge(self.costs.drop_invalid)
@@ -817,7 +815,7 @@ class RemoteDnsGuard:
         if prototype is None:
             query = make_query(qname, qtype, msg_id=msg_id).freeze()
             return keep_prototype(self._restored, key, query)
-        return prototype.with_header(Header(msg_id=msg_id))
+        return prototype.with_header(Header(msg_id))  # positional: no kwargs dict per query
 
     def _handle_cookie2_query(
         self,
@@ -892,10 +890,9 @@ class RemoteDnsGuard:
     # -- response path -------------------------------------------------------------------
 
     def _handle_ans_response(self, packet: Packet, datagram: UdpDatagram, dst: int) -> Verdict:
-        payload = datagram.payload
-        if not isinstance(payload, DnsPayload):
+        message = datagram.payload
+        if type(message) is bytes:
             return Verdict.ACCEPT
-        message = payload.message
         key = (dst, datagram.dport, message.header.msg_id)
         pending = self._pending.pop(key, None)
         if pending is None:
@@ -986,7 +983,8 @@ class RemoteDnsGuard:
     @address_args(1, 3)
     def _send_udp(self, message: Message, dst: int, dport: int, src: int) -> None:
         """Send a guard-fabricated reply, spoofing the queried address."""
-        packet = Packet(src=src, dst=dst, segment=UdpDatagram(53, dport, DnsPayload(message)))
+        # positional: a keyword call builds a dict per packet
+        packet = Packet(src, dst, UdpDatagram(53, dport, message))
         self._safe_send(packet)
 
     def _safe_send(self, packet: Packet) -> None:

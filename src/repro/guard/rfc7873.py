@@ -33,7 +33,7 @@ import dataclasses
 import struct
 
 from ..dnswire import Message
-from ..netsim import DnsPayload, Hook, Node, Packet, RoutingError, UdpDatagram, Verdict
+from ..netsim import Hook, Node, Packet, RoutingError, UdpDatagram, Verdict
 from ..netsim import Address, parse_address
 from .core.cookie import random_key
 from .core.edns_cookie import (
@@ -150,11 +150,10 @@ class EdnsCookieGuard:
             return Verdict.ACCEPT
         if packet.dst != self.ans_address or segment.dport != 53:
             return Verdict.ACCEPT
-        payload = segment.payload
-        if not isinstance(payload, DnsPayload) or not payload.message.is_query():
+        message = segment.payload
+        if type(message) is bytes or not message.is_query():
             self._charge(self.costs.drop_invalid)
             return Verdict.DROP
-        message = payload.message
         cookie = extract_edns_cookie(message)
         if cookie is None:
             if self.no_cookie_policy == "forward":
@@ -245,10 +244,9 @@ class EdnsCookieClientShim:
         segment = packet.segment
         if not isinstance(segment, UdpDatagram):
             return Verdict.ACCEPT
-        payload = segment.payload
-        if not isinstance(payload, DnsPayload):
+        message = segment.payload
+        if type(message) is bytes:
             return Verdict.ACCEPT
-        message = payload.message
         if segment.dport == 53 and message.is_query():
             return self._outbound(packet, segment, message)
         if segment.sport == 53 and message.is_response():
@@ -298,7 +296,7 @@ class EdnsCookieClientShim:
         for held_packet, held_datagram, deadline in self._held.pop(key, []):
             if deadline <= now:
                 continue
-            held_message = held_datagram.payload.message  # type: ignore[union-attr]
+            held_message = held_datagram.payload
             stamped = held_message.copy()
             attach_edns_cookie(stamped, client_cookie, server_cookie)
             self.node.send(held_packet.with_message(stamped))

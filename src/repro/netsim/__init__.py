@@ -14,10 +14,9 @@ from .link import GilbertElliottLoss, Link, LossModel
 from .netfilter import Hook, PacketFilter, Verdict
 from .node import Node
 from .packet import (
-    DnsPayload,
+    INITIAL_TTL,
     IP_HEADER_BYTES,
     Packet,
-    RawPayload,
     TCP_HEADER_BYTES,
     TcpFlags,
     TcpSegment,
@@ -62,10 +61,10 @@ __all__ = [
     "Verdict",
     "DEFAULT_PRIORITY",
     "DEFAULT_RTO",
-    "DnsPayload",
     "EventHandle",
     "EventTrace",
     "GilbertElliottLoss",
+    "INITIAL_TTL",
     "IP_HEADER_BYTES",
     "Link",
     "Listener",
@@ -79,7 +78,6 @@ __all__ = [
     "Packet",
     "PacketTracer",
     "TraceRecord",
-    "RawPayload",
     "RoutingError",
     "SocketError",
     "Simulator",

@@ -286,11 +286,10 @@ class Link:
         sim.schedule_at(departure + delay, receive, packet, self)  # repro: allow[R003,R004] same-node deliveries drain one serial queue in send order
         if impaired and self.duplicate_prob and fault_rng.random() < self.duplicate_prob:
             direction.packets_duplicated += 1
-            # an independent copy (every field, span included): routers
-            # decrement ttl in place, and the two arrivals must not share
-            # that mutation
+            # an independent copy (every field, span and measured size
+            # included): routers decrement ttl in place, and the two
+            # arrivals must not share that mutation
             twin = dataclasses.replace(packet)
-            twin._size = size
             sim.schedule_at(departure + delay + self.delay, receive, twin, self)  # repro: allow[R003,R004] duplicate delivery follows the same serial-queue contract
         return True
 

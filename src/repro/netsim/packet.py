@@ -1,11 +1,15 @@
 """Packets: IP carrying either a UDP datagram or a TCP segment.
 
-DNS payloads travel by reference as :class:`~repro.dnswire.Message` objects,
-so nothing on the UDP path ever decodes a byte.  The wire codec still defines
-each packet's size: ``size`` is the length of the message's encoding, read
-on the first link and memoised on the payload (which packets may share) and
-on the packet, for later hops.  Producers
-that send one shape many times derive each message from a frozen prototype
+A UDP datagram's payload is the :class:`~repro.dnswire.Message` or the
+``bytes`` a socket sent, and the same object reaches the receiving handler:
+DNS travels by reference, so nothing on the UDP path ever decodes a byte.
+The wire codec still defines each packet's size, and :attr:`Packet._size`
+is its one memo.  A sender that knows the size sets it at construction (a
+template sender measures its frozen template once, ``UdpSocket.send``
+passes its ``size=`` override); otherwise the first ``Link.transmit``
+measures ``len()`` of the bytes or the message's ``wire_size()``, and later
+hops and a duplicated twin read the memo.  Producers that send one shape
+many times derive each message from a frozen prototype
 (``Message.with_header``, ``dnswire.with_cookie``/``without_cookie``, the
 guard's cookie slots), so on the steady paths that length is four (the id
 and flags) plus ``len()`` of the wire past them, which the message shares
@@ -27,56 +31,19 @@ from .address import format_address
 IP_HEADER_BYTES = 20
 UDP_HEADER_BYTES = 8
 TCP_HEADER_BYTES = 20
-
-
-class DnsPayload:
-    """A DNS message riding in a UDP datagram, with cached wire size."""
-
-    __slots__ = ("message", "_size")
-
-    def __init__(self, message: Message, size: int | None = None):
-        self.message = message
-        self._size = size
-
-    @property
-    def size(self) -> int:
-        if self._size is None:
-            self._size = self.message.wire_size()
-        return self._size
-
-    @property
-    def wire(self) -> bytes:
-        return self.message.encode()
-
-    def __repr__(self) -> str:
-        return f"DnsPayload({self.message.header.msg_id}, {self.size}B)"
-
-
-class RawPayload:
-    """Arbitrary bytes in a UDP datagram (junk floods, probes)."""
-
-    __slots__ = ("data", "_size")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self._size = len(data)
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    @property
-    def wire(self) -> bytes:
-        return self.data
+#: a packet's ``ttl`` as its sender sets it
+INITIAL_TTL = 64
 
 
 @dataclasses.dataclass(slots=True)
 class UdpDatagram:
-    """A UDP datagram."""
+    """A UDP datagram.  ``payload`` is a DNS ``Message`` or raw ``bytes``
+    (junk floods, probes); readers tell them apart by ``type(payload) is
+    bytes``."""
 
     sport: int
     dport: int
-    payload: DnsPayload | RawPayload
+    payload: Message | bytes
 
 
 class TcpFlags(enum.IntFlag):
@@ -122,15 +89,15 @@ class Packet:
     src: int
     dst: int
     segment: Segment
-    ttl: int = 64
+    ttl: int = INITIAL_TTL
     #: Observability span that originated this packet (see repro.obs).
     #: Pure metadata: excluded from trace_digest and never read by the
     #: simulation itself, so carrying a span cannot alter behaviour.
     span: object | None = None
-    #: ``size`` once measured (by the first ``Link.transmit``); later hops
-    #: and a duplicated twin read it.  A packet is never edited after it is
-    #: built, bar its ``ttl``.
-    _size: int | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    #: ``size``, given by a sender that knows it or measured by the first
+    #: ``Link.transmit``; later hops and a duplicated twin read it.  A packet
+    #: is never edited after it is built, bar its ``ttl``.
+    _size: int | None = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -143,9 +110,7 @@ class Packet:
                 size = IP_HEADER_BYTES + TCP_HEADER_BYTES + len(segment.data)
             else:
                 payload = segment.payload
-                body = payload._size
-                if body is None:  # a DnsPayload not measured yet
-                    body = payload._size = payload.message.wire_size()
+                body = len(payload) if type(payload) is bytes else payload.wire_size()
                 size = IP_HEADER_BYTES + UDP_HEADER_BYTES + body
             self._size = size
         return size
@@ -171,15 +136,17 @@ class Packet:
         packet's flow — same addresses and ports unless overridden — and
         its span, so a middlebox rewrite stays on the query's trace."""
         datagram = self.segment
+        # positional: a keyword call builds a dict per packet
         return Packet(
-            src=self.src if src is None else src,
-            dst=self.dst if dst is None else dst,
-            segment=UdpDatagram(
+            self.src if src is None else src,
+            self.dst if dst is None else dst,
+            UdpDatagram(
                 datagram.sport if sport is None else sport,
                 datagram.dport if dport is None else dport,
-                DnsPayload(message),
+                message,
             ),
-            span=self.span,
+            INITIAL_TTL,
+            self.span,
         )
 
     def trace_digest(self) -> str:
@@ -192,10 +159,11 @@ class Packet:
         seg = self.segment
         if isinstance(seg, UdpDatagram):
             payload = seg.payload
-            if isinstance(payload, DnsPayload):
-                detail = f"dns:{payload.message.header.msg_id}:{payload.size}"
+            body = self.size - IP_HEADER_BYTES - UDP_HEADER_BYTES
+            if type(payload) is bytes:
+                detail = f"raw:{body}"
             else:
-                detail = f"raw:{payload.size}"
+                detail = f"dns:{payload.header.msg_id}:{body}"
             seg_text = f"udp:{seg.sport}>{seg.dport}:{detail}"
         else:
             seg_text = (

@@ -45,9 +45,8 @@ class TraceRecord:
 def _describe(packet: Packet) -> tuple[int, int, str]:
     segment = packet.segment
     if isinstance(segment, UdpDatagram):
-        payload = segment.payload
-        message = getattr(payload, "message", None)
-        if message is not None:
+        message = segment.payload
+        if type(message) is not bytes:
             kind = "query" if message.is_query() else "response"
             qname = str(message.question.qname) if message.questions else "?"
             return segment.sport, segment.dport, f"DNS {kind} {qname}"

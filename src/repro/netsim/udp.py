@@ -7,13 +7,12 @@ the spoofing vulnerability the DNS guard exists to detect.
 
 from __future__ import annotations
 
-from ipaddress import IPv4Address
 from typing import TYPE_CHECKING, Callable
 
 from ..dnswire import Message
-from .address import address_args, format_address, parse_address
+from .address import Address, address_args, format_address, parse_address
 from .errors import SocketError
-from .packet import DnsPayload, Packet, RawPayload, UdpDatagram
+from .packet import IP_HEADER_BYTES, INITIAL_TTL, UDP_HEADER_BYTES, Packet, UdpDatagram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .node import Node
@@ -50,17 +49,38 @@ class UdpSocket:
         size: int | None = None,
         span=None,
     ) -> bool:
-        """Send a datagram.  ``src`` may be spoofed — nothing validates it.
+        """Build and transmit a UDP datagram from this socket's node.
+        ``src`` may be spoofed — nothing validates it.
 
+        ``size`` overrides the computed payload size (useful when modelling
+        padded or malformed attack traffic without building real bytes).
         ``span`` is observability metadata carried on the packet (never
         read by the simulation) so receive-side spans can parent onto it.
+        An int address (what the simulator passes) is taken as is.
         """
         if self.closed:
             raise SocketError("send on closed socket")
-        return self.stack.send(
-            payload, dst, dport, sport=self.port, src=self.ip if src is None else src,
-            size=size, span=span,
-        )
+        if type(payload) is not Message and type(payload) is not bytes:
+            if isinstance(payload, (bytes, bytearray)):
+                payload = bytes(payload)  # readers test for exactly bytes
+            elif not isinstance(payload, Message):
+                raise SocketError(f"unsupported UDP payload type {type(payload)!r}")
+        node = self.stack.node
+        if src is None:
+            src = self.ip
+            if src is None:
+                src = node.address
+        elif type(src) is not int:
+            src = parse_address(src)
+        if type(dst) is not int:
+            dst = parse_address(dst)
+        if size is not None:
+            size += IP_HEADER_BYTES + UDP_HEADER_BYTES
+        # positional: a keyword call builds a dict per packet.  NULL_SPAN
+        # (falsy) is normalised away so receivers take their span-free fast
+        # path once the span log is at capacity
+        segment = UdpDatagram(self.port, dport, payload)
+        return node.send(Packet(src, dst, segment, INITIAL_TTL, span or None, size))
 
     def close(self) -> None:
         """Unbind the socket and drop its handler (a reply handler that
@@ -123,40 +143,6 @@ class UdpStack:
 
     # -- data path -------------------------------------------------------------
 
-    def send(
-        self,
-        payload: Message | bytes,
-        dst: Address,
-        dport: int,
-        *,
-        sport: int,
-        src: Address | None = None,
-        size: int | None = None,
-        span=None,
-    ) -> bool:
-        """Build and transmit a UDP packet from this node.
-
-        ``size`` overrides the computed payload size (useful when modelling
-        padded or malformed attack traffic without building real bytes).
-        An int address (what the simulator passes) is taken as is.
-        """
-        if isinstance(payload, Message):
-            body: DnsPayload | RawPayload = DnsPayload(payload, size)
-        elif isinstance(payload, (bytes, bytearray)):
-            body = RawPayload(bytes(payload))
-        else:
-            raise SocketError(f"unsupported UDP payload type {type(payload)!r}")
-        # NULL_SPAN (falsy) is normalised away so receivers take their
-        # span-free fast path once the span log is at capacity
-        if src is None:
-            src = self.node.address
-        elif type(src) is not int:
-            src = parse_address(src)
-        if type(dst) is not int:
-            dst = parse_address(dst)
-        segment = UdpDatagram(sport, dport, body)
-        return self.node.send(Packet(src, dst, segment, span=span or None))
-
     def demux(self, packet: Packet, datagram: UdpDatagram) -> None:
         """Deliver an arriving datagram to the best-matching socket."""
         self.datagrams_received += 1
@@ -166,9 +152,7 @@ class UdpStack:
         if sock is None or sock.closed:
             self.datagrams_unmatched += 1
             return
-        payload = datagram.payload
-        data: Message | bytes
-        data = payload.message if type(payload) is DnsPayload else payload.data
+        data = datagram.payload
         obs = self.node.sim.obs
         if obs is None or packet.span is None:
             sock.handler(data, packet.src, datagram.sport, packet.dst)

@@ -3,6 +3,7 @@
 from ipaddress import IPv4Address
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.attack import (
     HopCountFilter,
@@ -13,6 +14,7 @@ from repro.attack import (
     infer_hop_count,
     random_source,
 )
+from repro.attack.spoof import random_sources
 from repro.dnswire import extract_cookie
 from repro.netsim import Link, Node, Simulator, UdpDatagram, parse_address
 
@@ -88,6 +90,22 @@ class TestSpoofingAttacker:
         rng = random.Random(1)
         for _ in range(1000):
             assert int(random_source(rng)) >= 0x01000000
+
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 300))
+    def test_a_batch_draw_is_that_many_single_draws(self, seed, count):
+        """The flood draws a batch's sources in one call: the same addresses,
+        in the same order, as ``count`` successive single draws, and the
+        generator left where they would leave it."""
+        import random
+
+        batch, single, formula = random.Random(seed), random.Random(seed), random.Random(seed)
+        drawn = random_sources(batch, count)
+        assert drawn == [random_source(single) for _ in range(count)]
+        # the draw the pinned run digests depend on, written out
+        assert drawn == [
+            (formula.getrandbits(32) % 0xDFFFFFFF) | 0x01000000 for _ in range(count)
+        ]
+        assert batch.getrandbits(32) == single.getrandbits(32) == formula.getrandbits(32)
 
 
 class TestReflectionAttacker:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.dns.recursive import _randomize_case
 from repro.dnswire import Name, RRType
-from repro.netsim import DnsPayload, Packet, UdpDatagram, parse_address
+from repro.netsim import Packet, UdpDatagram, parse_address
 from tests.dns.conftest import FOO_IP, Hierarchy
 
 
@@ -79,7 +79,7 @@ class TestResolverWith0x20:
                     Packet(
                         src=parse_address(FOO_IP),
                         dst=parse_address("10.0.0.53"),
-                        segment=UdpDatagram(53, port, DnsPayload(forged)),
+                        segment=UdpDatagram(53, port, forged),
                     )
                 )
         h.sim.run(until=10.0)

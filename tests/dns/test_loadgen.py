@@ -54,7 +54,7 @@ class TestAnsSimulator:
 
         def spy(self, packet, sender):
             if sender is ans.node:
-                replies.append((packet.size, packet.segment.payload.message))
+                replies.append((packet.size, packet.segment.payload))
             return transmit(self, packet, sender)
 
         monkeypatch.setattr(Link, "transmit", spy)

@@ -8,7 +8,8 @@ the decode memo, events that build no handle, the guard's inline
 forged-cookie drop, the TCP segment built and charged in one frame, the
 BIND server's repeated question answered from a frozen prototype, a
 re-head that shares its prototype's sections and wire, addresses carried
-as ints and routed without a memo) stay
+as ints and routed without a memo, a datagram that carries its message
+with no wrapper and is sent from one frame) stay
 held by counts, which repeat exactly, instead of by timings, which do not.
 Every run also leaves nothing for the cyclic collector: what an exchange
 owns dies by reference count when it ends.  The events still queued when
@@ -48,13 +49,18 @@ SCRIPT = pathlib.Path(__file__).resolve().parents[2] / "scripts" / "bench_budget
 #: ``struct.pack``) where it once returned a stored whole wire.  The
 #: ipaddress.py ceilings are A-record rdata only (see ``RDATA_ONLY``): its
 #: encode's ``.packed``, and one ``int()`` per A record built from an
-#: ``IPv4Address``, never a frame per packet
+#: ``IPv4Address``, never a frame per packet.  Every ``calls`` pin fell when
+#: a UDP payload became the message or bytes itself (no ``DnsPayload`` /
+#: ``RawPayload`` wrapper or its size property), ``UdpStack.send`` folded
+#: into ``UdpSocket.send``, the per-packet ``Packet`` and ``Header`` calls
+#: went positional, the flood's template senders passed their measured size
+#: with each packet and a batch drew its spoofed sources in one call
 BUDGETS = {
-    "flood_modified": (7_082, 4_368, 147_379, 15_611, 3, 0, 2, 489),
-    "flood_unguarded": (20_480, 10_681, 244_322, 41_376, 3, 0, 1, 302),
-    "referral_miss": (4_957, 3_086, 160_602, 13_695, 5, 0, 5, 325),
-    "tcp_proxy": (5_694, 2_881, 135_333, 19_320, 9, 4, 4, 277),
-    "bind_mixed": (2_164, 1_072, 38_383, 4_629, 2, 0, 3, 186),
+    "flood_modified": (7_082, 4_368, 137_661, 15_611, 3, 0, 2, 489),
+    "flood_unguarded": (20_480, 10_681, 230_615, 41_376, 3, 0, 1, 302),
+    "referral_miss": (4_957, 3_086, 153_320, 13_695, 5, 0, 5, 325),
+    "tcp_proxy": (5_694, 2_881, 133_995, 19_320, 9, 4, 4, 277),
+    "bind_mixed": (2_164, 1_072, 36_057, 4_629, 2, 0, 3, 186),
 }
 
 #: frames in this package's own files, exact under any interpreter like the
@@ -66,13 +72,24 @@ BUDGETS = {
 #: exchange, the stack's: a segment is built and charged in one frame and
 #: an ACK that empties the window enters no pump.  At the Fig 5 knee, the
 #: BIND server's: a repeated question enters no zone lookup and rewrites no
-#: TTL, so only the first ask of the run's one question does.  A frame that
-#: creeps back onto any of these paths shows as a count
+#: TTL, so only the first ask of the run's one question does.  On the
+#: unguarded flood and the referral exchange, the packet's: a UDP payload is
+#: the message or bytes itself, ``Packet._size`` its one size memo (given by
+#: the attacker's template, else measured in one ``Packet.size`` frame), so
+#: a payload wrapper or a per-packet size frame that comes back shows as a
+#: count there.  A frame that creeps back onto any of these paths shows as
+#: a count
 FILE_FRAMES = {
     "flood_modified": {
         "repro/guard/pipeline.py": 8_214,
         "repro/guard/local_guard.py": 2_961,
         "repro/guard/core/cookie.py": 3_807,
+    },
+    "flood_unguarded": {
+        "repro/netsim/packet.py": 2_293,
+    },
+    "referral_miss": {
+        "repro/netsim/packet.py": 3_427,
     },
     "tcp_proxy": {
         "repro/netsim/tcp.py": 21_457,

@@ -134,7 +134,7 @@ class TestEndToEnd:
         assert seen and all(cookie is None for cookie in seen)
 
     def test_spoofed_queries_dropped(self):
-        from repro.netsim import DnsPayload, Packet, UdpDatagram
+        from repro.netsim import Packet, UdpDatagram
 
         sim, client, shim, guard, ans, attacker = build_testbed()
         served0 = ans.requests_served
@@ -144,7 +144,7 @@ class TestEndToEnd:
             packet = Packet(
                 src=parse_address(f"172.18.0.{i % 250 + 1}"),
                 dst=ANS_IP,
-                segment=UdpDatagram(40000, 53, DnsPayload(query)),
+                segment=UdpDatagram(40000, 53, query),
             )
             attacker.send(packet)
         sim.run(until=0.2)
@@ -152,7 +152,7 @@ class TestEndToEnd:
         assert ans.requests_served == served0
 
     def test_forged_server_cookie_dropped(self):
-        from repro.netsim import DnsPayload, Packet, UdpDatagram
+        from repro.netsim import Packet, UdpDatagram
 
         sim, client, shim, guard, ans, attacker = build_testbed()
         query = make_query("www.foo.com", msg_id=9)
@@ -160,7 +160,7 @@ class TestEndToEnd:
         packet = Packet(
             src=parse_address("172.18.0.99"),
             dst=ANS_IP,
-            segment=UdpDatagram(40000, 53, DnsPayload(query)),
+            segment=UdpDatagram(40000, 53, query),
         )
         attacker.send(packet)
         sim.run(until=0.2)
@@ -173,7 +173,7 @@ class TestEndToEnd:
         server cookie for a spoofed source."""
         import hashlib
 
-        from repro.netsim import DnsPayload, Packet, UdpDatagram
+        from repro.netsim import Packet, UdpDatagram
 
         sim, client, shim, guard, ans, attacker = build_testbed()
         spoofed = parse_address("172.18.0.99")
@@ -187,7 +187,7 @@ class TestEndToEnd:
             Packet(
                 src=spoofed,
                 dst=ANS_IP,
-                segment=UdpDatagram(40000, 53, DnsPayload(query)),
+                segment=UdpDatagram(40000, 53, query),
             )
         )
         sim.run(until=0.2)
@@ -208,7 +208,7 @@ class TestSpanAndDropAccounting:
     def test_span_survives_every_reemitted_packet(self):
         """A query's span must reach the ANS across the shim's stamp, the
         guard's grant, the shim's held re-send and the guard's forward."""
-        from repro.netsim import DnsPayload, Packet, UdpDatagram
+        from repro.netsim import Packet, UdpDatagram
 
         sim, client, shim, guard, ans, attacker = build_testbed()
         marker = object()
@@ -219,7 +219,7 @@ class TestSpanAndDropAccounting:
             Packet(
                 src=CLIENT_IP,
                 dst=ANS_IP,
-                segment=UdpDatagram(40000, 53, DnsPayload(make_query("www.foo.com"))),
+                segment=UdpDatagram(40000, 53, make_query("www.foo.com")),
                 span=marker,
             )
         )
@@ -228,7 +228,7 @@ class TestSpanAndDropAccounting:
         assert at_ans == [marker]
 
     def test_cpu_overflow_and_unroutable_grant_are_counted(self):
-        from repro.netsim import DnsPayload, Packet, UdpDatagram
+        from repro.netsim import Packet, UdpDatagram
 
         sim, client, shim, guard, ans, attacker = build_testbed()
         # client-cookie-only query from a source the guard has no route to:
@@ -238,7 +238,7 @@ class TestSpanAndDropAccounting:
             Packet(
                 src=parse_address("172.18.0.7"),
                 dst=ANS_IP,
-                segment=UdpDatagram(40000, 53, DnsPayload(query)),
+                segment=UdpDatagram(40000, 53, query),
             )
         )
         sim.run(until=0.1)
@@ -254,7 +254,7 @@ class TestSpanAndDropAccounting:
                     src=parse_address("172.18.0.8"),
                     dst=ANS_IP,
                     segment=UdpDatagram(
-                        40000, 53, DnsPayload(make_query("www.foo.com", msg_id=i))
+                        40000, 53, make_query("www.foo.com", msg_id=i)
                     ),
                 )
             )

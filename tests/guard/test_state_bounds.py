@@ -26,7 +26,7 @@ from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
 from repro.guard import AdmissionControl, encode_cookie_name
 from repro.guard.core import UnverifiedResponseLimiter, VerifiedRequestLimiter
 from repro.guard.rfc7873 import EdnsCookieClientShim, attach_edns_cookie
-from repro.netsim import DnsPayload, Link, Node, Packet, Simulator, UdpDatagram, parse_address
+from repro.netsim import Link, Node, Packet, Simulator, UdpDatagram, parse_address
 from repro.netsim import tcp as tcp_module
 from repro.netsim.tcp import TcpConnection
 
@@ -44,7 +44,7 @@ COOKIE2 = parse_address("198.18.0.5")  # inside the testbed's cookie subnet
 
 
 def _udp(src, dst, sport, dport, message):
-    return Packet(src, dst, UdpDatagram(sport, dport, DnsPayload(message)))
+    return Packet(src, dst, UdpDatagram(sport, dport, message))
 
 
 # -- guard.core.ratelimit: RL1 (and its heavy-hitter tracker) and RL2 ---------

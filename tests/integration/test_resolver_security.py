@@ -11,7 +11,7 @@ from ipaddress import IPv4Address
 import pytest
 
 from repro.dnswire import Header, Message, Question, RRClass, RRType, a_record, Name
-from repro.netsim import DnsPayload, Link, Node, Packet, UdpDatagram, parse_address
+from repro.netsim import Link, Node, Packet, UdpDatagram, parse_address
 from tests.dns.conftest import FOO_IP, Hierarchy, ROOT_IP
 
 
@@ -49,7 +49,7 @@ class TestPoisoningResistance:
                     dst=parse_address("10.0.0.53"),
                     segment=UdpDatagram(
                         53, port,
-                        DnsPayload(forged_response(msg_id, "www.foo.com", "6.6.6.6")),
+                        forged_response(msg_id, "www.foo.com", "6.6.6.6"),
                     ),
                 )
                 attacker.send(packet)
@@ -76,7 +76,7 @@ class TestPoisoningResistance:
                     dst=parse_address("10.0.0.53"),
                     segment=UdpDatagram(
                         53, port,
-                        DnsPayload(forged_response(msg_id, "www.foo.com", "6.6.6.6")),
+                        forged_response(msg_id, "www.foo.com", "6.6.6.6"),
                     ),
                 )
                 attacker.send(packet)
@@ -94,7 +94,7 @@ class TestPoisoningResistance:
                 dst=parse_address("10.0.0.53"),
                 segment=UdpDatagram(
                     53, 49152,
-                    DnsPayload(forged_response(msg_id, "victim.example", "6.6.6.6")),
+                    forged_response(msg_id, "victim.example", "6.6.6.6"),
                 ),
             )
             attacker.send(packet)

@@ -3,7 +3,7 @@
 The UDP path carries ``Message`` objects and sizes a packet from the
 message's wire memo, which producers now derive from frozen prototypes
 instead of encoding.  A ``Link.transmit`` wrapper (test-side only) checks
-each ``DnsPayload`` against a fresh ``_encode_once(True)`` over short runs
+each DNS payload against a fresh ``_encode_once(True)`` over short runs
 of all four schemes, the RFC 7873 guard, a key rotation mid-run and a
 DNS-0x20 resolver: ``size`` is the length of the real encoding and a frozen
 message holds exactly those bytes.  A receiver that edited a frozen message
@@ -23,7 +23,7 @@ from repro.dnswire.message import _decoded
 from repro.experiments.hierarchy import GuardedHierarchy
 from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
 from repro.guard import random_key
-from repro.netsim import DnsPayload, Link, UdpDatagram
+from repro.netsim import Link, UdpDatagram
 from repro.netsim.packet import IP_HEADER_BYTES, TCP_HEADER_BYTES, UDP_HEADER_BYTES
 from tests.guard.test_rfc7873 import ANS_IP, build_testbed
 
@@ -39,10 +39,9 @@ def in_flight(monkeypatch):
         segment = packet.segment
         if isinstance(segment, UdpDatagram):
             payload = segment.payload
-            if isinstance(payload, DnsPayload):
-                message = payload.message
+            if type(payload) is not bytes:
+                message = payload
                 encoded = message._encode_once(True)
-                assert payload.size == len(encoded), str(message)
                 seen["checked"] += 1
                 if message._body is not None:
                     head = struct.pack("!HH", message.header.msg_id, message.header.flags_word())
@@ -50,12 +49,13 @@ def in_flight(monkeypatch):
                     seen["frozen"] += 1
                 body = len(encoded)
             else:
-                body = len(payload.data)
+                body = len(payload)
             fresh = IP_HEADER_BYTES + UDP_HEADER_BYTES + body
         else:
             fresh = IP_HEADER_BYTES + TCP_HEADER_BYTES + len(segment.data)
-        # the packet's size memo — set by its first link, read by the rest —
-        # is what measuring it afresh gives, before and after this hop
+        # the packet's size memo — given by a template sender, else set by
+        # its first link and read by the rest — is what measuring it afresh
+        # (a message's real encoding) gives, before and after this hop
         assert packet._size in (None, fresh)
         sent = transmit(self, packet, sender)
         assert packet._size == fresh

@@ -19,7 +19,7 @@ from repro.netsim import (
     simulator,
 )
 from repro.netsim.netfilter import src_in, src_not_in
-from repro.netsim.packet import Packet, RawPayload, UdpDatagram
+from repro.netsim.packet import Packet, UdpDatagram
 
 SERVER = parse_address("203.0.113.53")
 
@@ -221,7 +221,7 @@ class TestHopBudget:
 
         def transit():
             return Packet(
-                src=client.address, dst=SERVER, segment=UdpDatagram(4000, 53, RawPayload(b"x"))
+                src=client.address, dst=SERVER, segment=UdpDatagram(4000, 53, b"x")
             )
 
         fw.receive(transit(), arriving)  # a first hop, outside the profile
@@ -330,7 +330,7 @@ class TestHopBudget:
         got = []
         server.udp.bind(53, lambda p, s, sp, d: got.append(p))
         delivered = Packet(
-            src=client.address, dst=SERVER, segment=UdpDatagram(4000, 53, RawPayload(b"x"))
+            src=client.address, dst=SERVER, segment=UdpDatagram(4000, 53, b"x")
         )
         # fw has two routes, no default and two links: a miss can end in None
         misses = [parse_address(text) for text in ("10.0.0.77", "203.0.113.9", "198.51.100.1")]
@@ -351,7 +351,6 @@ class TestHopBudget:
         from repro.dns import LrsSimulator
         from repro.dnswire import make_query
         from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
-        from repro.netsim import DnsPayload
 
         bed = GuardTestbed(ans="simulator", ans_mode="answer")
         client = bed.add_client("lrs", via_local_guard=True)
@@ -364,7 +363,7 @@ class TestHopBudget:
         assert guard.cached_cookie(ANS_ADDRESS, client.address) is not None
         query = Packet(
             src=client.address, dst=ANS_ADDRESS,
-            segment=UdpDatagram(4000, 53, DnsPayload(make_query("www.foo.com", msg_id=9))),
+            segment=UdpDatagram(4000, 53, make_query("www.foo.com", msg_id=9)),
         )
         stamped = guard.queries_stamped
         from_lrs = guard.node.links[0]
@@ -386,7 +385,7 @@ class TestHopBudget:
 
         fw.filters.append(Hook.FORWARD, target=rule)
         transit = Packet(
-            src=client.address, dst=SERVER, segment=UdpDatagram(4000, 53, RawPayload(b"x"))
+            src=client.address, dst=SERVER, segment=UdpDatagram(4000, 53, b"x")
         )
         names = collections.Counter()
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.dnswire import Message, make_query
 from repro.netsim import (
-    DnsPayload,
     Hook,
     Link,
     Node,
@@ -97,7 +96,8 @@ class TestLink:
 
     def test_duplicated_packet_keeps_its_span(self):
         """The duplication fault copies the whole packet; a twin without
-        the span would orphan its receive-side spans under ``--obs``."""
+        the span would orphan its receive-side spans under ``--obs``, and
+        one without the measured size would measure it again."""
         sim = Simulator()
         a, b, link = two_hosts(sim)
         link.duplicate_prob = 1.0
@@ -106,11 +106,13 @@ class TestLink:
         span = object()
         a.send(Packet(
             src=a.address, dst=b.address,
-            segment=UdpDatagram(1000, 53, DnsPayload(make_query("x.com"))), span=span,
+            segment=UdpDatagram(1000, 53, make_query("x.com")), span=span,
         ))
         sim.run()
         assert len(arrivals) == 2 and arrivals[0] is not arrivals[1]
         assert [packet.span for packet in arrivals] == [span, span]
+        size = 20 + 8 + make_query("x.com").wire_size()
+        assert [packet._size for packet in arrivals] == [size, size]
 
 
 class TestPacketRewrite:
@@ -119,7 +121,7 @@ class TestPacketRewrite:
         span = object()
         original = Packet(
             src=a, dst=b, ttl=3, span=span,
-            segment=UdpDatagram(1000, 53, DnsPayload(make_query("x.com", msg_id=1))),
+            segment=UdpDatagram(1000, 53, make_query("x.com", msg_id=1)),
         )
         message = make_query("y.com", msg_id=2)
 
@@ -128,7 +130,7 @@ class TestPacketRewrite:
 
         onward = original.with_message(message)
         assert flow(onward) == (a, b, 1000, 53)
-        assert onward.segment.payload.message is message
+        assert onward.segment.payload is message
         assert onward.ttl == 64 and onward.span is span
         reply = original.with_message(message, src=b, dst=a, sport=53, dport=1000)
         assert flow(reply) == (b, a, 53, 1000)

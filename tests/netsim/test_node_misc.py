@@ -84,14 +84,14 @@ class TestRoutingFallbacks:
                 nodes[i].add_route(f"10.0.3.0/24", links[i])
         got = []
         nodes[3].udp.bind(53, lambda p, s, sp, d: got.append(p))
-        from repro.netsim import DnsPayload, Packet, UdpDatagram
+        from repro.netsim import Packet, UdpDatagram
         from repro.dnswire import make_query
 
         # TTL 1: dies at the first router
         packet = Packet(
             src=parse_address("10.0.0.1"),
             dst=parse_address("10.0.3.1"),
-            segment=UdpDatagram(1000, 53, DnsPayload(make_query("x.com"))),
+            segment=UdpDatagram(1000, 53, make_query("x.com")),
             ttl=1,
         )
         nodes[0].send(packet)

@@ -29,7 +29,7 @@ from repro.experiments.testbed import ANS_ADDRESS, GuardTestbed
 from repro.guard.core.cookie import LABEL_PREFIX
 from repro.guard.core.dns_scheme import CookieName, decode_cookie_name, encode_cookie_name
 from repro.guard.rfc7873 import CLIENT_COOKIE_LENGTH, OPTION_COOKIE, extract_edns_cookie
-from repro.netsim import DnsPayload, Packet, UdpDatagram
+from repro.netsim import Packet, UdpDatagram
 from tests.guard.test_rfc7873 import ANS_IP, build_testbed
 
 QUESTION_TAIL = b"\x00\x01\x00\x01"  # QTYPE A, QCLASS IN
@@ -435,7 +435,7 @@ def test_a_malformed_opt_query_through_a_live_cookie_guard_never_raises(kind):
     sim, _client, _shim, guard, ans, attacker = build_testbed()
     attacker.send(
         Packet(src=attacker.addresses[0], dst=ANS_IP,
-               segment=UdpDatagram(40000, 53, DnsPayload(query)))
+               segment=UdpDatagram(40000, 53, query))
     )
     while sim.step():
         pass

@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 from repro.dnswire import Name, make_query
 from repro.guard import CookieFactory, RemoteDnsGuard
 from repro.guard.core.cookie import KEY_LENGTH, LABEL_PREFIX
-from repro.netsim import DnsPayload, Node, Packet, Simulator, UdpDatagram, Verdict, parse_address
+from repro.netsim import Node, Packet, Simulator, UdpDatagram, Verdict, parse_address
 
 keys = st.binary(min_size=KEY_LENGTH, max_size=KEY_LENGTH)
 sources = st.integers(min_value=0, max_value=2**32 - 1)
@@ -115,7 +115,7 @@ def test_the_guard_drops_an_all_whitespace_cookie_label():
     guard = RemoteDnsGuard(node, ans, cookie_factory=CookieFactory(bytes(KEY_LENGTH)))
     query = make_query(Name((b"PR" + b" " * 8,)))
     packet = Packet(
-        src=parse_address("192.0.2.7"), dst=ans, segment=UdpDatagram(5353, 53, DnsPayload(query))
+        src=parse_address("192.0.2.7"), dst=ans, segment=UdpDatagram(5353, 53, query)
     )
     assert guard._transit(packet) is Verdict.DROP
     assert guard.invalid_drops == 1

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim import Link, Node, Simulator, TcpState, format_address, parse_address
-from repro.netsim.packet import Packet, RawPayload, TcpFlags, TcpSegment, UdpDatagram
+from repro.netsim.packet import Packet, TcpFlags, TcpSegment, UdpDatagram
 from repro.netsim.tcp import TcpConnection
 
 #: A few bases whose prefixes nest (10/8 > 10.1/16 > 10.1.2/24 > 10.1.2.3/32)
@@ -77,7 +77,7 @@ def _agrees_with_the_references(node, destinations):
         assert node.route_for(dst) is reference_route(node, dst)
         delivered = node.packets_delivered
         # what receive() does next is the ownership test's verdict
-        node.receive(Packet(dst, dst, UdpDatagram(1, 2, RawPayload(b""))), None)
+        node.receive(Packet(dst, dst, UdpDatagram(1, 2, b"")), None)
         assert node.packets_delivered - delivered == (dst in node.addresses)
 
 
@@ -151,7 +151,7 @@ def test_a_transit_hop_and_a_decided_route_enter_no_lookup_frame():
     dst = parse_address("10.1.2.3")
 
     def packet():
-        return Packet(dst, dst, UdpDatagram(1, 2, RawPayload(b"")))
+        return Packet(dst, dst, UdpDatagram(1, 2, b""))
 
     router.forward(packet())  # a first hop, outside the profile
     entered, previous = [], sys.getprofile()
